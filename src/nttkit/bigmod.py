@@ -15,7 +15,14 @@ from itertools import product as iterproduct
 from math import gcd
 
 from . import modarith, polymul
-from .errors import BoundTooSmall, NoSuchRoot, NotCoprime, ParameterCondition
+from .errors import (
+    BoundTooSmall,
+    InvalidRoot,
+    NoSuchRoot,
+    NotCoprime,
+    ParameterCondition,
+    RecoveryMismatch,
+)
 from .modarith import MODULUS_CEILING, is_prime, is_principal_root
 from .rings import XN_PLUS_1, Poly, RingSpec
 
@@ -110,14 +117,15 @@ def _debug_exact_product(a: Poly, b: Poly, N: int):
                     out[k - n] += sign * xi * yj
     limit = (N - 1) // 2
     for v in out:
-        assert abs(v) <= limit, f"integer coefficient {v} exceeds (N-1)/2 = {limit}"
+        if abs(v) > limit:
+            raise BoundTooSmall(f"integer coefficient {v} exceeds (N-1)/2 = {limit}")
     return out
 
 
 def _recover_poly(values, N, ring, debug_ints=None):
     got = recover_centered(values, N, ring.q)
-    if debug_ints is not None:
-        assert got == [v % ring.q for v in debug_ints]
+    if debug_ints is not None and got != [v % ring.q for v in debug_ints]:
+        raise RecoveryMismatch("recovered product differs from the exact integer product")
     return Poly(got, ring)
 
 
@@ -259,7 +267,8 @@ def find_principal_root_composite(k: int, basis: RnsBasis) -> int:
         v = crt_recombine(combo, basis)
         if best is None or v < best:
             best = v
-    assert is_principal_root(best, k, basis.product)
+    if not is_principal_root(best, k, basis.product):
+        raise InvalidRoot(f"CRT lift {best} is not a principal {k}-th root mod {basis.product}")
     return best
 
 

@@ -3,17 +3,24 @@
 All residues are canonical unsigned integers in [0, m).  Python integers
 are exact at any width, so products never wrap; the 2^42 modulus ceiling
 is still enforced because every downstream bound analysis assumes it.
+Below ``VECTOR_LIMIT`` the transforms and leaf products run as int64
+numpy kernels instead (see ``vectorized``).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import InvalidRoot, NoSuchRoot, NotInvertible
 
 MODULUS_CEILING = 1 << 42
+
+# Residues below 2^31 have products below 2^62, so a product plus or minus
+# a residue (or a sum of two products) stays inside int64.
+VECTOR_LIMIT = 1 << 31
 
 NATURAL = "natural"
 BIT_REVERSED = "bit_reversed"
@@ -26,6 +33,15 @@ def check_modulus(m: int) -> int:
     if not 2 <= m <= MODULUS_CEILING:
         raise ValueError(f"modulus must be in [2, 2^42], got {m}")
     return m
+
+
+def vectorized(m: int) -> bool:
+    """True when arithmetic mod m runs on the int64 numpy kernels.
+
+    The choice depends on the modulus alone; both kernels produce the
+    same canonical residues and the same operation counts.
+    """
+    return m < VECTOR_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -55,29 +71,28 @@ class OpCounter:
         return self.mults + self.adds + self.subs
 
 
-_active: OpCounter | None = None
+_active: ContextVar[OpCounter | None] = ContextVar("nttkit_op_counter", default=None)
 
 
 def active_counter() -> OpCounter | None:
-    return _active
+    return _active.get()
 
 
 @contextmanager
 def counting(counter: OpCounter | None = None):
     """Activate an OpCounter for the dynamic extent of the with-block.
 
-    Counters are confined to one verification run; there is no
-    cross-thread contract.
+    The counter is scoped to the current context: another thread (or
+    asyncio task) counting at the same time tallies into its own counter,
+    and a new thread starts with no counter active.
     """
-    global _active
     if counter is None:
         counter = OpCounter()
-    prev = _active
-    _active = counter
+    token = _active.set(counter)
     try:
         yield counter
     finally:
-        _active = prev
+        _active.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -85,21 +100,21 @@ def counting(counter: OpCounter | None = None):
 
 
 def mod_mul(a: int, b: int, m: int) -> int:
-    c = _active
+    c = _active.get()
     if c is not None:
         c.mults += 1
     return a * b % m
 
 
 def mod_add(a: int, b: int, m: int) -> int:
-    c = _active
+    c = _active.get()
     if c is not None:
         c.adds += 1
     return (a + b) % m
 
 
 def mod_sub(a: int, b: int, m: int) -> int:
-    c = _active
+    c = _active.get()
     if c is not None:
         c.subs += 1
     return (a - b) % m
@@ -259,6 +274,15 @@ def bitrev(b: int, n: int) -> int:
     return r
 
 
+def bitrev_permutation(n: int) -> list:
+    """[bitrev(i, n) for i in range(n)] in O(n), n a power of two."""
+    top = (n >> 1) if n > 1 else 0
+    rev = [0] * n
+    for i in range(1, n):
+        rev[i] = (rev[i >> 1] >> 1) | (top if i & 1 else 0)
+    return rev
+
+
 # ---------------------------------------------------------------------------
 # twiddle tables
 
@@ -268,8 +292,11 @@ class TwiddleTable:
     """Immutable table of root-of-unity powers in a declared storage order.
 
     powers[i] holds root^i (natural) or root^brv(i) (bit_reversed); for
-    inverse tables the exponents are negated.  Safe to share across
-    threads once built.
+    inverse tables the exponents are negated.  ``reordered`` holds the
+    same powers in the other order (empty unless the order is a power of
+    two), built with the table, so that every twiddle vector a transform
+    level needs is a strided slice of one of the two.  Safe to share
+    across threads once built.
     """
 
     root: int
@@ -278,13 +305,21 @@ class TwiddleTable:
     powers: tuple
     storage_order: str = NATURAL
     inverse: bool = False
+    reordered: tuple = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self):
+        k = self.order
+        if not self.reordered and k & (k - 1) == 0 and len(self.powers) == k:
+            rev = bitrev_permutation(k)
+            object.__setattr__(self, "reordered", tuple(map(self.powers.__getitem__, rev)))
+
+    def ordered(self, storage_order: str) -> tuple:
+        """All powers in the given storage order."""
+        return self.powers if storage_order == self.storage_order else self.reordered
 
     def power_of_base(self, e: int) -> int:
         """root^e (root^-e for inverse tables), e taken mod order."""
-        e %= self.order
-        if self.storage_order == BIT_REVERSED:
-            return self.powers[bitrev(e, self.order)]
-        return self.powers[e]
+        return self.ordered(NATURAL)[e % self.order]
 
 
 def build_twiddles(
@@ -309,8 +344,10 @@ def build_twiddles(
     for i in range(k):
         nat[i] = x
         x = x * base % m
+    natural = tuple(nat)
+    if k & (k - 1):
+        return TwiddleTable(root, k, m, natural, storage_order, inverse)
+    rev = tuple(map(nat.__getitem__, bitrev_permutation(k)))
     if storage_order == BIT_REVERSED:
-        powers = tuple(nat[bitrev(i, k)] for i in range(k))
-    else:
-        powers = tuple(nat)
-    return TwiddleTable(root, k, m, powers, storage_order, inverse)
+        return TwiddleTable(root, k, m, rev, storage_order, inverse, natural)
+    return TwiddleTable(root, k, m, natural, storage_order, inverse, rev)

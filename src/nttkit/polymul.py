@@ -9,7 +9,7 @@ convolution definitions directly instead of reusing reduce_mod_phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (
     ParameterCondition,
     SpecMismatch,
 )
-from .modarith import BIT_REVERSED, NoSuchRoot, bitrev, build_twiddles, find_root
+from .modarith import BIT_REVERSED, NoSuchRoot, build_twiddles, find_root
 from .rings import TRINOMIAL, XN_MINUS_1, XN_MINUS_X_MINUS_1, XN_PLUS_1, Poly, RingSpec
 from .transforms import CC, CT, FORWARD, NATURAL, NWC, NttDomainPoly, TransformSpec
 
@@ -177,22 +177,53 @@ def basecase_mul(u, v, gamma: int, q: int, use_karatsuba: bool = False) -> list:
     return out
 
 
+def leaf_ops(L: int, use_karatsuba: bool) -> tuple:
+    """(mults, adds, subs) of one basecase_mul on length-L leaves."""
+    if use_karatsuba:
+        pairs = L * (L - 1) // 2
+        return 2 * L - 1 + pairs, 2 * pairs + L - 1, 2 * pairs
+    return L * L + L - 1, L - 1, 0
+
+
+def leaf_products(u, v, gammas, q: int) -> list:
+    """basecase_mul on every length-L chunk at once (int64, q < 2^31).
+
+    ``u``/``v`` are flat value lists of m chunks, ``gammas`` the m leaf
+    constants.  Residues are canonical, so the result equals basecase_mul
+    with or without Karatsuba; the caller adds the operation counts.
+    """
+    m = len(gammas)
+    L = len(u) // m
+    U = np.array(u, dtype=np.int64).reshape(m, L)
+    V = np.array(v, dtype=np.int64).reshape(m, L)
+    t = np.zeros((m, 2 * L - 1), dtype=np.int64)
+    for i in range(L):
+        t[:, i : i + L] += U[:, i : i + 1] * V % q
+    t %= q
+    out = t[:, :L]
+    hi = t[:, L:] * np.array(gammas, dtype=np.int64)[:, None]
+    hi %= q
+    out[:, : L - 1] += hi
+    out %= q
+    return out.ravel().tolist()
+
+
 def leaf_gammas(spec: TransformSpec, tw, n: int) -> list:
     """Leaf-ring constants in output order: chunk p lives in x^len - gamma_p.
 
     Chunk p holds the remainder modulo x^len - root^e with e = 2*brv(p)+1
     (negacyclic) or brv(p) (cyclic); natural-order output drops the brv.
     Both butterfly families produce the same chunk images, so the
-    indexing does not depend on the algorithm used.
+    indexing does not depend on the algorithm used.  Each case is one
+    slice of the table: the bit-reversed index of 2*brv(p)+1 is m + p.
     """
     m = n >> spec.beta
-    rev = spec.out_order == BIT_REVERSED
-    out = []
-    for p in range(m):
-        i = bitrev(p, m) if rev else p
-        e = 2 * i + 1 if spec.conv_kind == NWC else i
-        out.append(tw.power_of_base(e))
-    return out
+    nega = spec.conv_kind == NWC
+    if spec.out_order == BIT_REVERSED:
+        rev = tw.ordered(BIT_REVERSED)
+        return list(rev[m : 2 * m] if nega else rev[:m])
+    nat = tw.ordered(NATURAL)
+    return list(nat[1 : 2 * m : 2] if nega else nat[:m])
 
 
 def pointwise_mul(A: NttDomainPoly, B: NttDomainPoly, tw=None, use_karatsuba=False) -> NttDomainPoly:
@@ -202,8 +233,8 @@ def pointwise_mul(A: NttDomainPoly, B: NttDomainPoly, tw=None, use_karatsuba=Fal
     q = A.ring.q
     n = A.ring.n
     L = A.leaf_degree
+    ctr = modarith.active_counter()
     if L == 1:
-        ctr = modarith.active_counter()
         if ctr is not None:
             ctr.mults += n
         vals = [x * y % q for x, y in zip(A.values, B.values)]
@@ -211,6 +242,14 @@ def pointwise_mul(A: NttDomainPoly, B: NttDomainPoly, tw=None, use_karatsuba=Fal
     if tw is None:
         raise SpecMismatch("leaf products need the forward twiddle table")
     gammas = leaf_gammas(A.spec, tw, n)
+    if modarith.vectorized(q):
+        vals = leaf_products(A.values, B.values, gammas, q)
+        if ctr is not None:
+            mults, adds, subs = leaf_ops(L, use_karatsuba)
+            ctr.mults += mults * len(gammas)
+            ctr.adds += adds * len(gammas)
+            ctr.subs += subs * len(gammas)
+        return NttDomainPoly(vals, A.spec, A.ring, L)
     vals = [0] * n
     for p, g in enumerate(gammas):
         s = p * L
@@ -229,7 +268,9 @@ class TransformPair:
     """Resolved forward/inverse stage for one x^n +- 1 ring and beta.
 
     Uses the reorder-free pairing: forward natural -> bit-reversed,
-    inverse bit-reversed -> natural.  Immutable and shareable.
+    inverse bit-reversed -> natural.  Moduli below 2^31 also carry the
+    int64 kernel's schedules, built with the tables.  Immutable and
+    shareable.
     """
 
     ring: RingSpec
@@ -238,6 +279,8 @@ class TransformPair:
     inv_spec: TransformSpec
     fwd_tw: modarith.TwiddleTable
     inv_tw: modarith.TwiddleTable
+    fwd_sched: transforms.Schedule | None = field(default=None, compare=False, repr=False)
+    inv_sched: transforms.Schedule | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def gammas(self) -> tuple:
@@ -250,10 +293,12 @@ class TransformPair:
         return tuple(transforms.ntt_forward(y, self.fwd_tw, self.fwd_spec).values)
 
     def forward(self, a: Poly) -> NttDomainPoly:
-        return transforms.ntt_forward(a, self.fwd_tw, self.fwd_spec)
+        return transforms.ntt_forward(a, self.fwd_tw, self.fwd_spec, schedule=self.fwd_sched)
 
     def inverse(self, ahat: NttDomainPoly, halving=False) -> Poly:
-        return transforms.ntt_inverse(ahat, self.inv_tw, self.inv_spec, halving=halving)
+        return transforms.ntt_inverse(
+            ahat, self.inv_tw, self.inv_spec, halving=halving, schedule=self.inv_sched
+        )
 
     def pointwise(self, A, B, use_karatsuba=False) -> NttDomainPoly:
         return pointwise_mul(A, B, self.fwd_tw, use_karatsuba)
@@ -281,7 +326,11 @@ def make_transform_pair(ring: RingSpec, beta: int = 0, root: int | None = None) 
     fwd_tw = build_twiddles(root, order, q, BIT_REVERSED, inverse=False)
     inv_tw = build_twiddles(root, order, q, BIT_REVERSED, inverse=True)
     fwd = TransformSpec(kind, CT, FORWARD, NATURAL, BIT_REVERSED, beta)
-    pair = TransformPair(ring, beta, fwd, fwd.inverse_of(), fwd_tw, inv_tw)
+    inv = fwd.inverse_of()
+    scheds = ()
+    if modarith.vectorized(q):
+        scheds = (transforms.make_schedule(fwd, fwd_tw, n), transforms.make_schedule(inv, inv_tw, n))
+    pair = TransformPair(ring, beta, fwd, inv, fwd_tw, inv_tw, *scheds)
     # warm the stored-offline tables so later multiplies never pay for them
     _ = pair.gammas
     _ = pair.y_domain

@@ -18,11 +18,19 @@ Loop structure, with m = n / 2^beta chunks and chunk-level half-length L:
 
 Inverse transforms run the same structures with negated exponents and a
 final scaling by (n/2^beta)^-1.
+
+Two kernels run these levels and give identical values and op counts:
+the pure-Python reference ``_run_passes``, and an int64 numpy kernel
+(one reshape-and-broadcast per level over a precomputed ``Schedule``)
+used whenever the modulus is below 2^31.  Both read every twiddle as a
+strided slice of the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import modarith
 from .errors import OrderMismatch, RingMismatch, SpecViolation
@@ -172,6 +180,37 @@ def _levels(spec: TransformSpec, m: int):
     return ls
 
 
+def _block_twiddled(spec: TransformSpec) -> bool:
+    """One twiddle per block (else one per offset j, shared by all blocks)."""
+    return (spec.butterfly == CT) == (spec.in_order == NATURAL)
+
+
+def _twiddle_order(spec: TransformSpec) -> str:
+    return BIT_REVERSED if _block_twiddled(spec) else NATURAL
+
+
+def _level_geometry(spec: TransformSpec, m: int):
+    """Yield (level, nblocks, half, start, step) in execution order.
+
+    Twiddle i of a level (per block or per offset, see _block_twiddled)
+    is ``tw.ordered(_twiddle_order(spec))[start + step * i]``: block
+    twiddles are strided slices of the bit-reversed table, offset
+    twiddles strided slices of the natural one, so no exponent is ever
+    bit-reversed at run time.
+    """
+    nega = spec.conv_kind == NWC
+    block_tw = _block_twiddled(spec)
+    for lvl, half in enumerate(_levels(spec, m)):
+        nblocks = m // (2 * half)
+        if block_tw:
+            # bit-reversed index of half*(2*brv(i)+1) resp. half*brv(i)
+            start, step = (2 * nblocks, 2) if nega else (0, 2)
+        else:
+            # natural index (2j+1)*nblocks resp. j*nblocks
+            start, step = (nblocks, 2 * nblocks) if nega else (0, nblocks)
+        yield lvl, nblocks, half, start, step
+
+
 def butterfly_schedule(spec: TransformSpec, n: int):
     """Yield (level, lo, hi, exponent) for each chunk butterfly, in order.
 
@@ -181,7 +220,7 @@ def butterfly_schedule(spec: TransformSpec, n: int):
     """
     m = n >> spec.beta
     nega = spec.conv_kind == NWC
-    block_tw = (spec.butterfly == CT) == (spec.in_order == NATURAL)
+    block_tw = _block_twiddled(spec)
     for lvl, half in enumerate(_levels(spec, m)):
         nblocks = m // (2 * half)
         for i in range(nblocks):
@@ -195,31 +234,60 @@ def butterfly_schedule(spec: TransformSpec, n: int):
                 yield lvl, base + j, base + j + half, e
 
 
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """Per-level int64 twiddle vectors of one (spec, table, n), built once.
+
+    ``levels[l] = (nblocks, half, twiddles)``, the twiddles shaped to
+    broadcast against the (nblocks, half, chunk) halves of level l.  Only
+    built for moduli below ``modarith.VECTOR_LIMIT``; never mutated.
+    """
+
+    spec: TransformSpec
+    table: modarith.TwiddleTable
+    n: int
+    levels: tuple
+
+
+def make_schedule(spec: TransformSpec, tw, n: int) -> Schedule:
+    """Slice the table into the per-level twiddle vectors of ``spec``."""
+    if not modarith.vectorized(tw.modulus):
+        raise SpecViolation(f"modulus {tw.modulus} is too large for the int64 kernel")
+    m = n >> spec.beta
+    block_tw = _block_twiddled(spec)
+    src = np.array(tw.ordered(_twiddle_order(spec)), dtype=np.int64)
+    levels = []
+    for _, nblocks, half, start, step in _level_geometry(spec, m):
+        count = nblocks if block_tw else half
+        w = src[start : start + step * count : step]
+        levels.append((nblocks, half, w.reshape((nblocks, 1, 1) if block_tw else (half, 1))))
+    return Schedule(spec, tw, n, tuple(levels))
+
+
 # ---------------------------------------------------------------------------
-# in-place passes
+# in-place passes (reference kernel)
 
 
 def _run_passes(a, q, tw, spec, n, halving=False, on_level=None):
     """Apply all butterfly levels of ``spec`` to buffer ``a`` in place.
 
-    Allocates no length-n scratch; only per-level twiddle lists of at
-    most m/2 entries for the offset-twiddled variants.
+    The pure-Python reference kernel; it also serves moduli of 2^31 and
+    above.  Allocates no length-n scratch; only per-level twiddle slices
+    of at most m/2 entries for the offset-twiddled variants.
     """
     chunk = 1 << spec.beta
     m = n >> spec.beta
-    nega = spec.conv_kind == NWC
     ct = spec.butterfly == CT
-    block_tw = ct == (spec.in_order == NATURAL)
+    block_tw = _block_twiddled(spec)
+    src = tw.ordered(_twiddle_order(spec))
     ctr = modarith.active_counter()
     half_q = (q + 1) >> 1
-    for lvl, half in enumerate(_levels(spec, m)):
-        nblocks = m // (2 * half)
+    for lvl, nblocks, half, start, step in _level_geometry(spec, m):
         flat = half * chunk
         if block_tw:
             pos = 0
             for i in range(nblocks):
-                e = 2 * bitrev(i, nblocks) + 1 if nega else bitrev(i, nblocks)
-                z = tw.power_of_base(e * half)
+                z = src[start + step * i]
                 end = pos + flat
                 if ct:
                     for j in range(pos, end):
@@ -235,10 +303,7 @@ def _run_passes(a, q, tw, spec, n, halving=False, on_level=None):
                         a[j + flat] = (u - v) * z % q
                 pos = end + flat
         else:
-            if nega:
-                zl = [tw.power_of_base((2 * j + 1) * nblocks) for j in range(half)]
-            else:
-                zl = [tw.power_of_base(j * nblocks) for j in range(half)]
+            zl = src[start : start + step * half : step]
             for b in range(nblocks):
                 base = b * 2 * flat
                 if chunk == 1:
@@ -285,6 +350,81 @@ def _run_passes(a, q, tw, spec, n, halving=False, on_level=None):
             on_level(lvl, a)
 
 
+# ---------------------------------------------------------------------------
+# int64 kernel (moduli below modarith.VECTOR_LIMIT)
+
+
+def ct_level(x, nblocks: int, half: int, chunk: int, w, q: int) -> None:
+    """One CT level in place: (u, v) -> (u + w*v, u - w*v) mod q.
+
+    ``x`` is a contiguous int64 array of nblocks*2*half*chunk canonical
+    residues; ``w`` broadcasts against shape (nblocks, half, chunk).  Both
+    halves are reduced by one pass over ``x``.
+    """
+    y = x.reshape(nblocks, 2, half, chunk)
+    u, v = y[:, 0], y[:, 1]
+    t = v * w
+    t %= q
+    np.subtract(u, t, out=v)
+    u += t
+    x %= q
+
+
+def gs_level(x, nblocks: int, half: int, chunk: int, w, q: int) -> None:
+    """One GS level in place: (u, v) -> (u + v, (u - v)*w) mod q."""
+    y = x.reshape(nblocks, 2, half, chunk)
+    u, v = y[:, 0], y[:, 1]
+    d = u - v
+    u += v
+    np.multiply(d, w, out=v)
+    x %= q
+
+
+def _run_levels(x, q, sched: Schedule, halving=False, on_level=None) -> None:
+    """The int64 twin of _run_passes over a precomputed schedule, in place."""
+    spec = sched.spec
+    chunk = 1 << spec.beta
+    level = ct_level if spec.butterfly == CT else gs_level
+    ctr = modarith.active_counter()
+    half_q = (q + 1) >> 1
+    for lvl, (nblocks, half, w) in enumerate(sched.levels):
+        level(x, nblocks, half, chunk, w, q)
+        if halving:
+            odd = x & 1
+            x >>= 1
+            odd *= half_q
+            x += odd
+            x %= q
+        if ctr is not None:
+            nbf = nblocks * half * chunk
+            ctr.mults += nbf
+            ctr.adds += nbf
+            ctr.subs += nbf
+        if on_level is not None:
+            on_level(lvl, x.tolist())
+
+
+def _transform(values, q, tw, spec, n, schedule, halving=False, on_level=None, scale=1) -> list:
+    """Passes of ``spec`` on a copy of ``values``, then times ``scale``.
+
+    The kernel is picked by the modulus alone.
+    """
+    if not modarith.vectorized(q):
+        out = list(values)
+        _run_passes(out, q, tw, spec, n, halving=halving, on_level=on_level)
+        return out if scale == 1 else [v * scale % q for v in out]
+    if schedule is None:
+        schedule = make_schedule(spec, tw, n)
+    elif schedule.table is not tw or schedule.spec != spec or schedule.n != n:
+        raise SpecViolation("schedule was built for another table, spec or length")
+    x = np.array(values, dtype=np.int64)
+    _run_levels(x, q, schedule, halving=halving, on_level=on_level)
+    if scale != 1:
+        x *= scale
+        x %= q
+    return x.tolist()
+
+
 def _check_table(tw, spec, n, q, expect_inverse):
     if n & (n - 1) or n < 1:
         raise SpecViolation(f"buffer length {n} is not a power of two")
@@ -311,11 +451,14 @@ def _check_ring_form(ring, spec):
         raise SpecViolation(f"{spec.conv_kind} transform over ring form {form!r}")
 
 
-def ntt_forward(a, tw, spec: TransformSpec, on_level=None) -> NttDomainPoly:
+def ntt_forward(a, tw, spec: TransformSpec, on_level=None, schedule=None) -> NttDomainPoly:
     """Forward transform of a Poly; returns tagged transform-domain values.
 
     The input is copied once into the result buffer and the butterfly
-    passes then run in place on it.
+    passes then run in place on it: the int64 kernel over ``schedule``
+    (built from ``tw`` when not given) for moduli below 2^31, else the
+    reference kernel.  ``on_level(level, values)`` sees the buffer after
+    each level.
     """
     if spec.direction != FORWARD:
         raise SpecViolation("ntt_forward requires a forward spec")
@@ -325,17 +468,17 @@ def ntt_forward(a, tw, spec: TransformSpec, on_level=None) -> NttDomainPoly:
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.forward_transforms += 1
-    values = list(a.coeffs)
-    _run_passes(values, q, tw, spec, n, on_level=on_level)
+    values = _transform(a.coeffs, q, tw, spec, n, schedule, on_level=on_level)
     return NttDomainPoly(values, spec, a.ring, 1 << spec.beta)
 
 
-def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False, on_level=None):
+def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False, on_level=None,
+                schedule=None):
     """Inverse transform back to a Poly; exact inverse of ntt_forward.
 
     The per-level factor 2 is deferred into one final scaling by
     (n/2^beta)^-1, or folded into each level when halving is set
-    (identical outputs, tested).
+    (identical outputs, tested).  Kernel choice as in ntt_forward.
     """
     from .rings import Poly
 
@@ -353,15 +496,10 @@ def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False,
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.inverse_transforms += 1
-    values = list(ahat.values)
-    _run_passes(values, q, tw_inv, spec, n, halving=halving, on_level=on_level)
-    if not halving:
-        m = n >> spec.beta
-        s = modarith.mod_inv(m, q)
-        for i in range(n):
-            values[i] = values[i] * s % q
-        if ctr is not None:
-            ctr.mults += n
+    scale = 1 if halving else modarith.mod_inv(n >> spec.beta, q)
+    values = _transform(ahat.values, q, tw_inv, spec, n, schedule, halving, on_level, scale)
+    if not halving and ctr is not None:
+        ctr.mults += n
     return Poly(values, ahat.ring)
 
 

@@ -177,3 +177,62 @@ def test_modulus_ceiling():
     with pytest.raises(ValueError):
         modarith.check_modulus((1 << 42) + 1)
     assert modarith.check_modulus(549755809793) == 549755809793  # largest preset N fits
+
+
+def test_counters_are_per_thread():
+    # two threads count different products at once; a shared counter
+    # would mix their tallies
+    import sys
+    import threading
+
+    from nttkit.polymul import basecase_mul, make_transform_pair, ntt_multiply
+    from nttkit.rings import Poly, RingSpec
+
+    ring = RingSpec("x^n+1", 64, 7681)
+    pair = make_transform_pair(ring, 1)
+    a = Poly.from_ints(range(64), ring)
+    u, v = list(range(1, 9)), list(range(9, 17))
+    work = {
+        "ntt": lambda: ntt_multiply(a, a, pair, use_karatsuba=True),
+        "leaf": lambda: basecase_mul(u, v, 3, 7681, True),
+    }
+    rounds = 200
+    expected = {}
+    for name, fn in work.items():
+        with counting() as c:
+            fn()
+        expected[name] = (c.mults * rounds, c.adds * rounds, c.subs * rounds)
+    assert expected["ntt"] != expected["leaf"]
+    got = {}
+    barrier = threading.Barrier(len(work))
+
+    def run(name):
+        barrier.wait(timeout=30)
+        with counting() as c:
+            for _ in range(rounds):
+                work[name]()
+        got[name] = (c.mults, c.adds, c.subs)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(name,)) for name in work]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+
+
+def test_new_thread_starts_without_a_counter():
+    import threading
+
+    seen = []
+    with counting():
+        t = threading.Thread(target=lambda: seen.append(modarith.active_counter()))
+        t.start()
+        t.join(timeout=30)
+    assert not t.is_alive() and seen == [None]

@@ -1,0 +1,68 @@
+"""Library preconditions raise typed NttErrors, also under ``python -O``.
+
+``-O`` strips ``assert`` statements, so each check below runs in an
+optimized subprocess and must still raise its own NttError subclass.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = """
+import sys
+
+from nttkit import bigmod, trinomial
+from nttkit.errors import NttError
+from nttkit.rings import TRINOMIAL, XN_PLUS_1, Poly, RingSpec
+
+print("optimize", sys.flags.optimize)
+
+
+def expect(fn):
+    try:
+        fn()
+    except NttError as e:
+        print(type(e).__name__)
+    else:
+        print("no-error")
+
+
+ring = RingSpec(XN_PLUS_1, 4, 17)
+a = Poly([16] * 4, ring)
+# the exact integer product must fit in (N-1)/2
+expect(lambda: bigmod._debug_exact_product(a, a, 5))
+# the recovered product must equal the exact one
+expect(lambda: bigmod._recover_poly([0] * 4, 97, ring, debug_ints=[1, 0, 0, 0]))
+# the CRT lift of the per-prime candidates must be a principal root
+bigmod._order_k_elements = lambda k, p: iter([1])
+expect(lambda: bigmod.find_principal_root_composite(4, bigmod.RnsBasis((13, 17))))
+# the trinomial leaves must cover the units mod n; n = 18 is not 3*2^e,
+# so the ring is built without RingSpec's own check
+ring18 = object.__new__(RingSpec)
+for k, v in dict(form=TRINOMIAL, n=18, q=19, phi=None).items():
+    object.__setattr__(ring18, k, v)
+expect(lambda: trinomial.make_plan(ring18))
+"""
+
+
+def test_checks_raise_typed_errors_under_python_O():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [
+        "optimize",
+        "1",
+        "BoundTooSmall",
+        "RecoveryMismatch",
+        "InvalidRoot",
+        "ParameterCondition",
+    ]
