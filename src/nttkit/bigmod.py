@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iterproduct
-from math import gcd
+from math import prod
 
 from . import modarith, polymul
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
     NoSuchRoot,
     NotCoprime,
     ParameterCondition,
-    RecoveryMismatch,
+    RingMismatch,
 )
 from .modarith import MODULUS_CEILING, is_prime, is_principal_root
 from .rings import XN_PLUS_1, Poly, RingSpec
@@ -99,64 +99,74 @@ def _check_dynamic_bound(la: LiftedPoly, lb: LiftedPoly, N: int):
         )
 
 
-def _debug_exact_product(a: Poly, b: Poly, N: int):
-    """Integer wrapped convolution of the centered lifts (debug mode)."""
-    q = a.ring.q
-    n = a.ring.n
-    x = [centered(c, q) for c in a.coeffs]
-    y = [centered(c, q) for c in b.coeffs]
-    sign = -1 if a.ring.form == XN_PLUS_1 else 1
-    out = [0] * n
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                k = i + j
-                if k < n:
-                    out[k] += xi * yj
-                else:
-                    out[k - n] += sign * xi * yj
-    limit = (N - 1) // 2
-    for v in out:
-        if abs(v) > limit:
-            raise BoundTooSmall(f"integer coefficient {v} exceeds (N-1)/2 = {limit}")
-    return out
+def bound_check(N: int, ring: RingSpec, profile, what: str) -> tuple:
+    """(description, ok): the one comparison of a working modulus with the
+    profile bound; N must exceed it."""
+    bound = required_bound(ring.n, ring.q, profile)
+    return f"{what} > bound {bound}", N > bound
 
 
-def _recover_poly(values, N, ring, debug_ints=None):
-    got = recover_centered(values, N, ring.q)
-    if debug_ints is not None and got != [v % ring.q for v in debug_ints]:
-        raise RecoveryMismatch("recovered product differs from the exact integer product")
-    return Poly(got, ring)
+class LiftedExecutor:
+    """Exact product of two ring elements, computed modulo a large N.
+
+    ``multiply`` is the one path of every large-modulus route: centered
+    lift of both operands into Z_N, the operand-magnitude check, the
+    route's own product there (``run``, on coefficient lists mod N) and
+    centered recovery mod q.  A self-lift (N == q) wraps mod q by design
+    and skips the check.  Subclasses build their tables on first use.
+    """
+
+    def __init__(self, ring: RingSpec, N: int):
+        self.ring, self.N = ring, N
+
+    def multiply(self, a: Poly, b: Poly) -> Poly:
+        if a.ring != self.ring or b.ring != self.ring:
+            raise RingMismatch("operands do not live in the executor's ring")
+        la, lb = lift_centered(a, self.N), lift_centered(b, self.N)
+        _check_dynamic_bound(la, lb, self.N)
+        c = self.run(list(la.coeffs), list(lb.coeffs))
+        return Poly(recover_centered(c, self.N, self.ring.q), self.ring)
+
+
+def _one_shot(route: LiftedExecutor, a: Poly, b: Poly, profile) -> Poly:
+    """Check the profile bound, then run a freshly built executor."""
+    if route.N != a.ring.q:
+        desc, ok = bound_check(route.N, a.ring, profile, f"N={route.N}")
+        if not ok:
+            raise BoundTooSmall(f"profile bound fails: {desc}")
+    return route.multiply(a, b)
 
 
 # ---------------------------------------------------------------------------
 # method 1: one NTT-friendly large prime
 
 
-def bigprime_multiply(
-    a: Poly,
-    b: Poly,
-    N: int,
-    beta: int = 0,
-    profile=(FULL_FULL,),
-    unsafe_bound: bool = False,
-    debug_check: bool = False,
-) -> Poly:
+class BigPrimeExecutor(LiftedExecutor):
+    """Plan executor of the big-prime route: one cropped pipeline over Z_N
+    itself; the pair is built on first use."""
+
+    root = None  # make_transform_pair searches the smallest
+
+    def __init__(self, ring: RingSpec, N: int, beta: int = 0):
+        polymul.check_pair_ring(ring, beta)
+        super().__init__(ring, N)
+        self.beta = beta
+
+    @cached_property
+    def pair(self) -> polymul.TransformPair:
+        big = RingSpec(self.ring.form, self.ring.n, self.N)
+        return polymul.make_transform_pair(big, self.beta, root=self.root)
+
+    def run(self, x, y):
+        big = self.pair.ring
+        return polymul.ntt_multiply(Poly(x, big), Poly(y, big), self.pair).coeffs
+
+
+def bigprime_multiply(a: Poly, b: Poly, N: int, beta: int = 0, profile=(FULL_FULL,)) -> Poly:
     """Lift to Z_N, run one cropped pipeline there, reduce back mod q."""
-    ring = a.ring
     if not is_prime(N):
         raise ParameterCondition(f"N={N} is not prime")
-    if not unsafe_bound and N < required_bound(ring.n, ring.q, profile):
-        raise BoundTooSmall(
-            f"N={N} below the profile bound {required_bound(ring.n, ring.q, profile)}"
-        )
-    la, lb = lift_centered(a, N), lift_centered(b, N)
-    _check_dynamic_bound(la, lb, N)
-    big = RingSpec(ring.form, ring.n, N)
-    pair = polymul.make_transform_pair(big, beta)
-    c = polymul.ntt_multiply(Poly(list(la.coeffs), big), Poly(list(lb.coeffs), big), pair)
-    dbg = _debug_exact_product(a, b, N) if debug_check else None
-    return _recover_poly(c.coeffs, N, ring, dbg)
+    return _one_shot(BigPrimeExecutor(a.ring, N, beta), a, b, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +190,7 @@ class RnsBasis:
 
     @cached_property
     def product(self) -> int:
-        N = 1
-        for p in self.primes:
-            N *= p
-        return N
+        return prod(self.primes)
 
     @cached_property
     def _garner(self) -> tuple:
@@ -209,32 +216,33 @@ def crt_recombine(residues, basis: RnsBasis) -> int:
     return acc
 
 
-def rns_multiply(
-    a: Poly,
-    b: Poly,
-    basis: RnsBasis,
-    beta: int = 0,
-    profile=(FULL_FULL,),
-    unsafe_bound: bool = False,
-    debug_check: bool = False,
-) -> Poly:
+class RnsExecutor(LiftedExecutor):
+    """Plan executor of the RNS route: one pipeline per basis prime,
+    recombined coefficientwise by CRT; the pairs are built on first use."""
+
+    def __init__(self, ring: RingSpec, basis: RnsBasis, beta: int = 0):
+        polymul.check_pair_ring(ring, beta)
+        super().__init__(ring, basis.product)
+        self.basis, self.beta = basis, beta
+
+    @cached_property
+    def pairs(self) -> tuple:
+        form, n = self.ring.form, self.ring.n
+        return tuple(polymul.make_transform_pair(RingSpec(form, n, p), self.beta)
+                     for p in self.basis.primes)
+
+    def run(self, x, y):
+        per_prime = []
+        for p, pair in zip(self.basis.primes, self.pairs):
+            xp = Poly([c % p for c in x], pair.ring)
+            yp = Poly([c % p for c in y], pair.ring)
+            per_prime.append(polymul.ntt_multiply(xp, yp, pair).coeffs)
+        return [crt_recombine(col, self.basis) for col in zip(*per_prime)]
+
+
+def rns_multiply(a: Poly, b: Poly, basis: RnsBasis, beta: int = 0, profile=(FULL_FULL,)) -> Poly:
     """Independent per-prime pipelines recombined coefficientwise by CRT."""
-    ring = a.ring
-    N = basis.product
-    if not unsafe_bound and N < required_bound(ring.n, ring.q, profile):
-        raise BoundTooSmall(f"basis product {N} below the profile bound")
-    la, lb = lift_centered(a, N), lift_centered(b, N)
-    _check_dynamic_bound(la, lb, N)
-    per_prime = []
-    for p in basis.primes:
-        small = RingSpec(ring.form, ring.n, p)
-        pair = polymul.make_transform_pair(small, beta)
-        ap = Poly([c % p for c in la.coeffs], small)
-        bp = Poly([c % p for c in lb.coeffs], small)
-        per_prime.append(polymul.ntt_multiply(ap, bp, pair).coeffs)
-    vals = [crt_recombine([cp[i] for cp in per_prime], basis) for i in range(ring.n)]
-    dbg = _debug_exact_product(a, b, N) if debug_check else None
-    return _recover_poly(vals, N, ring, dbg)
+    return _one_shot(RnsExecutor(a.ring, basis, beta), a, b, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +250,8 @@ def rns_multiply(
 
 
 def _order_k_elements(k: int, p: int):
-    """All order-k elements mod prime p, via powers of any one of them."""
-    e = (p - 1) // k
-    for x in range(1, p):
-        y = pow(x, e, p)
-        if modarith.is_primitive_root(y, k, p):
-            return sorted(pow(y, j, p) for j in range(1, k + 1) if gcd(j, k) == 1)
-    raise NoSuchRoot(f"no order-{k} element mod {p}")
+    """All order-k elements mod prime p (k | p - 1)."""
+    return modarith.root_candidates_prime(k, p)
 
 
 def find_principal_root_composite(k: int, basis: RnsBasis) -> int:
@@ -262,11 +265,7 @@ def find_principal_root_composite(k: int, basis: RnsBasis) -> int:
         if (p - 1) % k != 0:
             raise NoSuchRoot(f"{k} does not divide {p}-1 (gcd condition fails)")
     sets = [_order_k_elements(k, p) for p in basis.primes]
-    best = None
-    for combo in iterproduct(*sets):
-        v = crt_recombine(combo, basis)
-        if best is None or v < best:
-            best = v
+    best = min(crt_recombine(combo, basis) for combo in iterproduct(*sets))
     if not is_principal_root(best, k, basis.product):
         raise InvalidRoot(f"CRT lift {best} is not a principal {k}-th root mod {basis.product}")
     return best
@@ -274,49 +273,32 @@ def find_principal_root_composite(k: int, basis: RnsBasis) -> int:
 
 def find_principal_root_for_modulus(k: int, m: int) -> int:
     """find_root delegate for composite m: factor, then CRT-enumerate."""
-    fs = []
-    rem = m
-    d = 2
-    while d * d <= rem:
-        if rem % d == 0:
-            fs.append(d)
-            rem //= d
-            if rem % d == 0:
-                raise NoSuchRoot(f"modulus {m} is not squarefree")
-        d += 1
-    if rem > 1:
-        fs.append(rem)
+    fs = modarith.prime_factors(m)
+    if prod(fs) != m:
+        raise NoSuchRoot(f"modulus {m} is not squarefree")
     if len(fs) < 2:
         raise NoSuchRoot(f"modulus {m} is not a product of distinct primes")
     return find_principal_root_composite(k, RnsBasis(tuple(fs)))
 
 
-def composite_multiply(
-    a: Poly,
-    b: Poly,
-    basis: RnsBasis,
-    beta: int = 0,
-    profile=(FULL_FULL,),
-    unsafe_bound: bool = False,
-    debug_check: bool = False,
-) -> Poly:
+class CompositeExecutor(BigPrimeExecutor):
+    """Plan executor of the composite route: one pipeline over Z_N, N the
+    basis product, with a principal root found on first use."""
+
+    def __init__(self, ring: RingSpec, basis: RnsBasis, beta: int = 0):
+        super().__init__(ring, basis.product, beta)
+        self.basis = basis
+        m = ring.n >> beta
+        self.order = 2 * m if ring.form == XN_PLUS_1 else m
+        for p in basis.primes:
+            if (p - 1) % self.order != 0:
+                raise ParameterCondition(f"{self.order} does not divide {p}-1 (gcd condition fails)")
+
+    @cached_property
+    def root(self) -> int:
+        return find_principal_root_composite(self.order, self.basis)
+
+
+def composite_multiply(a: Poly, b: Poly, basis: RnsBasis, beta: int = 0, profile=(FULL_FULL,)) -> Poly:
     """One pipeline over Z_N itself, N composite, using a principal root."""
-    ring = a.ring
-    N = basis.product
-    if not unsafe_bound and N < required_bound(ring.n, ring.q, profile):
-        raise BoundTooSmall(f"basis product {N} below the profile bound")
-    m = ring.n >> beta
-    order = 2 * m if ring.form == XN_PLUS_1 else m
-    for p in basis.primes:
-        if (p - 1) % order != 0:
-            raise ParameterCondition(
-                f"{order} does not divide gcd of basis primes minus one ({p}-1 fails)"
-            )
-    la, lb = lift_centered(a, N), lift_centered(b, N)
-    _check_dynamic_bound(la, lb, N)
-    root = find_principal_root_composite(order, basis)
-    big = RingSpec(ring.form, ring.n, N)
-    pair = polymul.make_transform_pair(big, beta, root=root)
-    c = polymul.ntt_multiply(Poly(list(la.coeffs), big), Poly(list(lb.coeffs), big), pair)
-    dbg = _debug_exact_product(a, b, N) if debug_check else None
-    return _recover_poly(c.coeffs, N, ring, dbg)
+    return _one_shot(CompositeExecutor(a.ring, basis, beta), a, b, profile)

@@ -11,6 +11,7 @@ Chains compose these steps and finish with the source-ring reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from . import bigmod, modarith, polymul
@@ -24,6 +25,7 @@ from .errors import (
 )
 from .modarith import bitrev, mod_inv
 from .rings import XN_MINUS_1, XN_PLUS_1, Poly, RingSpec
+from .transforms import NttDomainPoly
 
 SCHOOLBOOK_FLOOR = 8  # inner rings at or below this length multiply directly
 
@@ -87,47 +89,48 @@ def good_unmap(layout: GoodLayout) -> list:
     return out
 
 
-def good_multiply(a: Poly, b: Poly, h: int, k: int, inner_modulus: int, unsafe_bound=False) -> Poly:
-    """Row transforms over Z_N, column cyclic products, row inverses, unmap.
+class GoodExecutor(bigmod.LiftedExecutor):
+    """Good's route over Z_N: row transforms, column cyclic products, row
+    inverses, unmap.
 
-    Operands live in x^(h*2^k) - 1 over their own q; they are lifted
-    centered into Z_N = Z_inner_modulus (the identity when N == q),
-    multiplied there, and mapped back centered.
+    Operands live in x^(h*2^k) - 1 over their own q and take the lift
+    path into Z_N (a self-lift when N == q).  The row pair is built on
+    first use.
     """
-    if a.ring != b.ring:
-        raise RingMismatch("operands belong to different rings")
-    src = a.ring
-    if src.form != XN_MINUS_1 or src.n != h * (1 << k):
-        raise BadShape(f"ring must be x^(h*2^k) - 1 of degree {h * (1 << k)}")
-    N = inner_modulus
-    two_k = 1 << k
-    if (N - 1) % two_k != 0:
-        raise ParameterCondition(f"inner modulus {N} fails N = 1 (mod 2^k)")
-    la, lb = bigmod.lift_centered(a, N), bigmod.lift_centered(b, N)
-    if N != src.q and not unsafe_bound:  # self-lift wraps mod q by design
-        bigmod._check_dynamic_bound(la, lb, N)
-    row_ring = RingSpec(XN_MINUS_1, two_k, N)
-    pair = polymul.make_transform_pair(row_ring, 0)
-    ga = good_map(list(la.coeffs), h, k)
-    gb = good_map(list(lb.coeffs), h, k)
-    da = [pair.forward(Poly(r, row_ring)) for r in ga.rows]
-    db = [pair.forward(Poly(r, row_ring)) for r in gb.rows]
-    col_ring = RingSpec(XN_MINUS_1, h, N)
-    out_vals = [[0] * two_k for _ in range(h)]
-    for j in range(two_k):
-        u = Poly([da[i].values[j] for i in range(h)], col_ring)
-        v = Poly([db[i].values[j] for i in range(h)], col_ring)
-        w = polymul.schoolbook_cyclic(u, v)
-        for i in range(h):
-            out_vals[i][j] = w.coeffs[i]
-    from .transforms import NttDomainPoly
 
-    rows = []
-    for i in range(h):
-        dom = NttDomainPoly(out_vals[i], pair.fwd_spec, row_ring, 1)
-        rows.append(pair.inverse(dom).coeffs)
-    coeffs = good_unmap(GoodLayout(h, k, rows))
-    return Poly(bigmod.recover_centered(coeffs, N, src.q), src)
+    def __init__(self, ring: RingSpec, h: int, k: int, N: int):
+        if ring.form != XN_MINUS_1 or ring.n != h * (1 << k):
+            raise BadShape(f"ring must be x^(h*2^k) - 1 of degree {h * (1 << k)}")
+        if (N - 1) % (1 << k) != 0:
+            raise ParameterCondition(f"inner modulus {N} fails N = 1 (mod 2^k)")
+        super().__init__(ring, N)
+        self.h, self.k = h, k
+
+    @cached_property
+    def pair(self) -> polymul.TransformPair:
+        return polymul.make_transform_pair(RingSpec(XN_MINUS_1, 1 << self.k, self.N), 0)
+
+    def run(self, x, y):
+        h, k, pair = self.h, self.k, self.pair
+        two_k = 1 << k
+        row_ring, col_ring = pair.ring, RingSpec(XN_MINUS_1, h, self.N)
+        da = [pair.forward(Poly(r, row_ring)) for r in good_map(x, h, k).rows]
+        db = [pair.forward(Poly(r, row_ring)) for r in good_map(y, h, k).rows]
+        out_vals = [[0] * two_k for _ in range(h)]
+        for j in range(two_k):
+            u = Poly([da[i].values[j] for i in range(h)], col_ring)
+            v = Poly([db[i].values[j] for i in range(h)], col_ring)
+            w = polymul.schoolbook_cyclic(u, v)
+            for i in range(h):
+                out_vals[i][j] = w.coeffs[i]
+        rows = [pair.inverse(NttDomainPoly(vals, pair.fwd_spec, row_ring, 1)).coeffs
+                for vals in out_vals]
+        return good_unmap(GoodLayout(h, k, rows))
+
+
+def good_multiply(a: Poly, b: Poly, h: int, k: int, inner_modulus: int) -> Poly:
+    """Good's route over Z_inner_modulus with freshly built tables."""
+    return GoodExecutor(a.ring, h, k, inner_modulus).multiply(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -370,68 +373,69 @@ class EmbedChain:
                 seen_terminal = True
 
 
+class BlockExecutor(bigmod.LiftedExecutor):
+    """A Schoenhage or Nussbaumer terminal over Z_N (N == q: no lift); no tables."""
+
+    def __init__(self, ring: RingSpec, step, N: int):
+        super().__init__(ring, N)
+        self.step = step
+        self.big = RingSpec(ring.form, ring.n, N)
+
+    def run(self, x, y):
+        s = self.step
+        block = schonhage_multiply if isinstance(s, Schonhage) else nussbaumer_multiply
+        return block(Poly(x, self.big), Poly(y, self.big), s.m, s.n).coeffs
+
+
+class ChainExecutor:
+    """Plan executor of an embedding chain: pad into a wraparound-free ring,
+    run the terminal step there (over the lift modulus when there is one),
+    then reduce mod phi, mod q.
+
+    The chain's shape is checked here; the terminal step's executor and
+    its tables are built on first use.  ``step`` is the terminal step, or
+    None when the chain names none (a plain transform then).
+    """
+
+    def __init__(self, ring: RingSpec, chain: EmbedChain):
+        pad = lift = step = None
+        for s in chain.steps:
+            if isinstance(s, ZeroPad):
+                pad = s
+            elif isinstance(s, LiftModulus):
+                lift = s
+            else:
+                step = s
+        if pad is None:
+            raise ChainMismatch("general-phi chains start with ZeroPad")
+        self.in_place = pad.n_prime == ring.n and pad.form == ring.form
+        if isinstance(step, (Good, Schonhage, Nussbaumer)):
+            expected = step.h << step.k if isinstance(step, Good) else 2 * step.m * step.n
+            if pad.n_prime != expected:
+                raise ChainMismatch(f"terminal step expects length {expected}, pad gives {pad.n_prime}")
+        self.ring, self.chain, self.pad, self.lift, self.step = ring, chain, pad, lift, step
+
+    @cached_property
+    def terminal(self):
+        ring, pad, step = self.ring, self.pad, self.step or PlainNtt()
+        work = ring if self.in_place else RingSpec(pad.form, pad.n_prime, ring.q)
+        N = self.lift.modulus if self.lift else ring.q
+        if isinstance(step, Good):
+            return GoodExecutor(work, step.h, step.k, N)
+        if not isinstance(step, PlainNtt):
+            return BlockExecutor(work, step, N)
+        if self.lift:
+            return bigmod.BigPrimeExecutor(work, N, step.beta)
+        return polymul.DirectExecutor(work, step.beta)
+
+    def multiply(self, a: Poly, b: Poly) -> Poly:
+        if a.ring != b.ring:
+            raise RingMismatch("operands belong to different rings")
+        if self.in_place:  # ring already has the terminal shape: no embedding
+            return self.terminal.multiply(a, b)
+        return zero_pad_multiply(a, b, self.pad.n_prime, self.terminal.multiply, self.pad.form)
+
+
 def general_phi_multiply(a: Poly, b: Poly, chain: EmbedChain) -> Poly:
     """Run the chain in a wraparound-free big ring, then reduce mod phi, mod q."""
-    if a.ring != b.ring:
-        raise RingMismatch("operands belong to different rings")
-    src = a.ring
-    steps = list(chain.steps)
-    pad = None
-    lift = None
-    terminal = PlainNtt()
-    for s in steps:
-        if isinstance(s, ZeroPad):
-            pad = s
-        elif isinstance(s, LiftModulus):
-            lift = s
-        else:
-            terminal = s
-
-    if pad is None:
-        raise ChainMismatch("general-phi chains start with ZeroPad")
-    in_place = pad.n_prime == src.n and pad.form == src.form
-    if not in_place and pad.n_prime < 2 * src.n - 1:
-        raise PadTooSmall(f"pad target {pad.n_prime} below 2n-1 = {2 * src.n - 1}")
-
-    def sizes_match(expected):
-        if pad.n_prime != expected:
-            raise ChainMismatch(
-                f"terminal step expects length {expected}, pad gives {pad.n_prime}"
-            )
-
-    def backend(ap: Poly, bp: Poly) -> Poly:
-        if isinstance(terminal, Good):
-            sizes_match(terminal.h << terminal.k)
-            N = lift.modulus if lift else ap.ring.q
-            return good_multiply(ap, bp, terminal.h, terminal.k, N)
-        if isinstance(terminal, Schonhage):
-            sizes_match(2 * terminal.m * terminal.n)
-            if lift:
-                return _lifted(ap, bp, lift.modulus,
-                               lambda x, y: schonhage_multiply(x, y, terminal.m, terminal.n))
-            return schonhage_multiply(ap, bp, terminal.m, terminal.n)
-        if isinstance(terminal, Nussbaumer):
-            sizes_match(2 * terminal.m * terminal.n)
-            if lift:
-                return _lifted(ap, bp, lift.modulus,
-                               lambda x, y: nussbaumer_multiply(x, y, terminal.m, terminal.n))
-            return nussbaumer_multiply(ap, bp, terminal.m, terminal.n)
-        # plain pipeline, over the lifted modulus when one is given
-        if lift:
-            return bigmod.bigprime_multiply(
-                ap, bp, lift.modulus, terminal.beta, unsafe_bound=True
-            )
-        pair = polymul.make_transform_pair(ap.ring, terminal.beta)
-        return polymul.ntt_multiply(ap, bp, pair)
-
-    if in_place:  # ring already has the terminal shape: no embedding
-        return backend(a, b)
-    return zero_pad_multiply(a, b, pad.n_prime, backend, pad.form)
-
-
-def _lifted(ap: Poly, bp: Poly, N: int, mul) -> Poly:
-    la, lb = bigmod.lift_centered(ap, N), bigmod.lift_centered(bp, N)
-    bigmod._check_dynamic_bound(la, lb, N)
-    big = RingSpec(ap.ring.form, ap.ring.n, N)
-    c = mul(Poly(list(la.coeffs), big), Poly(list(lb.coeffs), big))
-    return Poly(bigmod.recover_centered(c.coeffs, N, ap.ring.q), ap.ring)
+    return ChainExecutor(a.ring, chain).multiply(a, b)

@@ -61,10 +61,6 @@ class BoundTooSmall(NttError):
     """Working modulus is too small for exact recovery of the product."""
 
 
-class RecoveryMismatch(NttError):
-    """A recovered product disagrees with the exact integer product."""
-
-
 class NotCoprime(NttError):
     """Residue-number-system primes are not pairwise distinct."""
 

@@ -95,6 +95,16 @@ def counting(counter: OpCounter | None = None):
         _active.reset(token)
 
 
+@contextmanager
+def uncounted():
+    """Suspend the active OpCounter: building a table is not product work."""
+    token = _active.set(None)
+    try:
+        yield
+    finally:
+        _active.reset(token)
+
+
 # ---------------------------------------------------------------------------
 # scalar ops
 
@@ -118,13 +128,6 @@ def mod_sub(a: int, b: int, m: int) -> int:
     if c is not None:
         c.subs += 1
     return (a - b) % m
-
-
-def mod_pow(base: int, exp: int, m: int) -> int:
-    """base**exp mod m (square-and-multiply; not op-counted)."""
-    if exp < 0:
-        raise ValueError("exponent must be non-negative")
-    return pow(base, exp, m)
 
 
 def mod_inv(a: int, m: int) -> int:
@@ -156,7 +159,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    # the first four bases alone are exact below 3,215,031,751 (Jaeschke)
+    for a in _MR_BASES if n >= 3_215_031_751 else _MR_BASES[:4]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -169,7 +173,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(k: int) -> list[int]:
+def prime_factors(k: int) -> list[int]:
     out = []
     d = 2
     while d * d <= k:
@@ -198,7 +202,7 @@ def is_primitive_root(psi: int, k: int, m: int) -> bool:
         raise ValueError("k must be >= 1")
     if pow(psi, k, m) != 1:
         return False
-    return all(pow(psi, k // p, m) != 1 for p in _prime_factors(k))
+    return all(pow(psi, k // p, m) != 1 for p in prime_factors(k))
 
 
 def is_principal_root(psi: int, k: int, m: int) -> bool:
@@ -219,7 +223,7 @@ def is_principal_root(psi: int, k: int, m: int) -> bool:
     return True
 
 
-def _root_candidates_prime(k: int, m: int):
+def root_candidates_prime(k: int, m: int):
     """All order-k elements of Z_m^* for prime m with k | m-1."""
     e = (m - 1) // k
     r0 = None
@@ -252,7 +256,7 @@ def find_root(k: int, m: int, kind: str = PRIMITIVE) -> int:
         return bigmod.find_principal_root_for_modulus(k, m)
     if (m - 1) % k != 0:
         raise NoSuchRoot(f"{k} does not divide {m}-1")
-    best = min(_root_candidates_prime(k, m))
+    best = min(root_candidates_prime(k, m))
     # primitive and principal coincide for prime m; verify the request
     test = is_primitive_root if kind == PRIMITIVE else is_principal_root
     if not test(best, k, m):

@@ -79,22 +79,32 @@ class NttPlan:
     """A fully resolved multiplication strategy for one ring.
 
     Immutable after construction; every congruence and bound the chosen
-    route needs was checked while building it.
+    route needs was checked while building it.  The executor runs the
+    route and owns its parameters and tables (built on first use).
     """
 
     strategy: str
     ring: RingSpec
-    beta: int = 0
-    alpha: int = 0
-    pair: object = None  # TransformPair for direct pipelines
-    inner: object = None  # inner TransformPair for split strategies
-    N: int = 0
-    basis: object = None
-    chain: object = None
-    trinomial_plan: object = None
+    executor: object
     profile: tuple = (bigmod.FULL_FULL,)
     sample_b: tuple = ("uniform",)
     checks: tuple = ()  # (description, ok) pairs, for plan inspection
+
+    # route parameters live on the executor; 0 or None where the route has none
+    beta = property(lambda self: getattr(self.executor, "beta", 0))
+    alpha = property(lambda self: getattr(self.executor, "alpha", 0))
+    basis = property(lambda self: getattr(self.executor, "basis", None))
+    chain = property(lambda self: getattr(self.executor, "chain", None))
+
+    @property
+    def N(self) -> int:
+        """The big prime of a bigprime plan, else 0."""
+        return self.executor.N if self.strategy == "bigprime" else 0
+
+    @property
+    def pair(self):
+        """The transform pair of a direct (full/incomplete) plan, else None."""
+        return self.executor.pair if isinstance(self.executor, polymul.DirectExecutor) else None
 
     def describe(self) -> str:
         bits = [self.strategy]
@@ -113,22 +123,18 @@ class NttPlan:
         return " ".join(bits)
 
 
+_STEP_FORMATS = {
+    embed.ZeroPad: "pad({0.n_prime},{0.form})",
+    embed.LiftModulus: "lift({0.modulus})",
+    embed.Good: "good(h={0.h},k={0.k})",
+    embed.Schonhage: "schonhage(m={0.m},n={0.n},inner=nussbaumer)",
+    embed.Nussbaumer: "nussbaumer(m={0.m},n={0.n})",
+    embed.PlainNtt: "ntt(beta={0.beta})",
+}
+
+
 def _describe_chain(chain: embed.EmbedChain) -> str:
-    out = []
-    for s in chain.steps:
-        if isinstance(s, embed.ZeroPad):
-            out.append(f"pad({s.n_prime},{s.form})")
-        elif isinstance(s, embed.LiftModulus):
-            out.append(f"lift({s.modulus})")
-        elif isinstance(s, embed.Good):
-            out.append(f"good(h={s.h},k={s.k})")
-        elif isinstance(s, embed.Schonhage):
-            out.append(f"schonhage(m={s.m},n={s.n},inner=nussbaumer)")
-        elif isinstance(s, embed.Nussbaumer):
-            out.append(f"nussbaumer(m={s.m},n={s.n})")
-        elif isinstance(s, embed.PlainNtt):
-            out.append(f"ntt(beta={s.beta})")
-    return " -> ".join(out)
+    return " -> ".join(_STEP_FORMATS[type(s)].format(s) for s in chain.steps)
 
 
 def search_prime(congruence: int, above: int) -> int:
@@ -157,47 +163,42 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
     bigprime / rns / composite for unfriendly ones (these require
     allow_bigmod when reached through "auto"), good / pad-pow2 /
     schonhage for embeddings, and trinomial for that ring form.
+    The plan's tables are built on its first multiply.
     """
     cls = classify(ring)
     n, q = ring.n, ring.q
     prof = profile if profile is not None else (bigmod.FULL_FULL,)
     checks = []
 
+    def plan(strategy, executor):
+        if not all(ok for _, ok in checks):
+            raise ParameterCondition(f"{strategy} preconditions fail: {checks}")
+        return NttPlan(strategy, ring, executor, prof, sample_b, tuple(checks))
+
     if ring.form == TRINOMIAL and prefer in ("auto", "trinomial"):
-        tp = trinomial.make_plan(ring)
         checks.append(_cong_check(q, n, "trinomial order"))
-        return NttPlan("trinomial", ring, trinomial_plan=tp, profile=prof,
-                       sample_b=sample_b, checks=tuple(checks))
+        return plan("trinomial", trinomial.TrinomialExecutor(ring))
 
     if cls.kind == POW2_FULL and prefer in ("auto", "full"):
         checks.append(_cong_check(q, _full_order(ring.form, n), "full transform"))
-        return NttPlan("full", ring, pair=polymul.make_transform_pair(ring, 0),
-                       profile=prof, sample_b=sample_b, checks=tuple(checks))
+        return plan("full", polymul.DirectExecutor(ring, 0))
 
     if cls.kind in (POW2_FULL, POW2_PARTIAL):
         t = cls.deficit
         if prefer in ("auto", "incomplete"):
             b = beta if beta is not None else t
             checks.append(_cong_check(q, _full_order(ring.form, n) >> b, f"incomplete beta={b}"))
-            return NttPlan("incomplete", ring, beta=b,
-                           pair=polymul.make_transform_pair(ring, b),
-                           profile=prof, sample_b=sample_b, checks=tuple(checks))
+            return plan("incomplete", polymul.DirectExecutor(ring, b))
         if prefer in ("split-pt", "split-k"):
             a_ = alpha if alpha is not None else t
-            small = RingSpec(ring.form, n >> a_, q)
             checks.append(_cong_check(q, _full_order(ring.form, n) >> a_, f"split alpha={a_}"))
-            return NttPlan(prefer, ring, alpha=a_,
-                           inner=polymul.make_transform_pair(small, 0),
-                           profile=prof, sample_b=sample_b, checks=tuple(checks))
+            return plan(prefer, splitting.SplitExecutor(ring, a_, 0, prefer == "split-k", False))
         if prefer == "hntt":
             a_ = alpha if alpha is not None else 0
             b = beta if beta is not None else max(t - a_, 0)
-            small = RingSpec(ring.form, n >> a_, q) if a_ else ring
             checks.append(_cong_check(q, _full_order(ring.form, n) >> (a_ + b),
                                       f"hntt alpha={a_} beta={b}"))
-            return NttPlan("hntt", ring, alpha=a_, beta=b,
-                           inner=polymul.make_transform_pair(small, b),
-                           profile=prof, sample_b=sample_b, checks=tuple(checks))
+            return plan("hntt", splitting.SplitExecutor(ring, a_, b, True, True))
         raise NoStrategy(f"preference {prefer!r} does not apply to {cls.describe()}")
 
     if cls.kind == POW2_UNFRIENDLY:
@@ -209,37 +210,28 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
         choice = "bigprime" if prefer == "auto" else prefer
         b = beta if beta is not None else 0
         bound = bigmod.required_bound(n, q, prof)
+        order = _full_order(ring.form, n) >> b
         if choice == "bigprime":
-            order = _full_order(ring.form, n) >> b
             bigN = N if N is not None else search_prime(order, bound)
             checks.append((f"N={bigN} prime", is_prime(bigN)))
             checks.append(_cong_check(bigN, order, "lifted transform"))
-            checks.append((f"N={bigN} > bound {bound}", bigN > bound))
-            if not all(ok for _, ok in checks):
-                raise ParameterCondition(f"bigprime preconditions fail: {checks}")
-            return NttPlan("bigprime", ring, beta=b, N=bigN, profile=prof,
-                           sample_b=sample_b, checks=tuple(checks))
+            checks.append(bigmod.bound_check(bigN, ring, prof, f"N={bigN}"))
+            return plan("bigprime", bigmod.BigPrimeExecutor(ring, bigN, b))
         if choice in ("rns", "composite"):
-            order = _full_order(ring.form, n) >> b
             bs = bigmod.RnsBasis(tuple(basis)) if basis is not None else _search_basis(order, bound)
             for p in bs.primes:
                 checks.append(_cong_check(p, order, f"basis prime {p}"))
-            checks.append((f"product {bs.product} > bound {bound}", bs.product > bound))
-            if not all(ok for _, ok in checks):
-                raise ParameterCondition(f"{choice} preconditions fail: {checks}")
-            return NttPlan(choice, ring, beta=b, basis=bs, profile=prof,
-                           sample_b=sample_b, checks=tuple(checks))
+            checks.append(bigmod.bound_check(bs.product, ring, prof, f"product {bs.product}"))
+            route = bigmod.RnsExecutor if choice == "rns" else bigmod.CompositeExecutor
+            return plan(choice, route(ring, bs, b))
         raise NoStrategy(f"preference {prefer!r} does not apply to {cls.describe()}")
 
     # non-power-of-two or general phi: embedding chains
     if chain is None:
         chain = _default_chain(ring, cls, prefer, prof, N)
-    chain = _resolve_chain(ring, chain, prof)
-    checks.extend(_chain_checks(ring, chain, prof))
-    if not all(ok for _, ok in checks):
-        raise ParameterCondition(f"embedding preconditions fail: {checks}")
-    return NttPlan("embed", ring, chain=chain, profile=prof,
-                   sample_b=sample_b, checks=tuple(checks))
+    executor = embed.ChainExecutor(ring, _resolve_chain(ring, chain, prof))
+    checks.extend(_chain_checks(ring, executor, prof))
+    return plan("embed", executor)
 
 
 def _search_basis(order: int, bound: int) -> bigmod.RnsBasis:
@@ -292,6 +284,8 @@ def _resolve_chain(ring: RingSpec, chain, prof):
     """Fill in searched moduli (lift(None)) deterministically."""
     if not isinstance(chain, embed.EmbedChain):
         chain = embed.EmbedChain(tuple(chain))
+    if all(not isinstance(s, embed.LiftModulus) or s.modulus is not None for s in chain.steps):
+        return chain
     steps = []
     terminal_cong = None
     for s in chain.steps:
@@ -312,36 +306,24 @@ def _resolve_chain(ring: RingSpec, chain, prof):
     return embed.EmbedChain(tuple(steps))
 
 
-def _chain_checks(ring: RingSpec, chain: embed.EmbedChain, prof):
-    checks = []
-    pad = None
-    lift = None
-    for s in chain.steps:
-        if isinstance(s, embed.ZeroPad):
-            pad = s
-            checks.append((f"pad {s.n_prime} >= 2n-1 = {2 * ring.n - 1}",
-                           s.n_prime >= 2 * ring.n - 1 or s.n_prime == ring.n))
-        elif isinstance(s, embed.LiftModulus):
-            lift = s
-            if s.modulus != ring.q:  # self-lifts wrap mod q by design
-                bound = bigmod.required_bound(ring.n, ring.q, prof)
-                checks.append((f"lift modulus {s.modulus} > bound {bound}", s.modulus > bound))
-        elif isinstance(s, embed.Good):
-            mod = lift.modulus if lift else ring.q
-            checks.append(_cong_check(mod, 1 << s.k, f"good rows over {mod}"))
-        elif isinstance(s, embed.Schonhage):
-            checks.append((f"schonhage shape 2mn = {2 * s.m * s.n}",
-                           pad is not None and pad.n_prime == 2 * s.m * s.n))
-            checks.append((f"2n = {2 * s.n} invertible mod {ring.q}", ring.q % 2 == 1))
-        elif isinstance(s, embed.Nussbaumer):
-            checks.append((f"nussbaumer shape 2mn = {2 * s.m * s.n}",
-                           pad is not None and pad.n_prime == 2 * s.m * s.n))
-        elif isinstance(s, embed.PlainNtt):
-            mod = lift.modulus if lift else ring.q
-            need = (pad.n_prime if pad else ring.n) >> s.beta
-            if (pad.form if pad else ring.form) == XN_PLUS_1:
-                need *= 2
-            checks.append(_cong_check(mod, need, f"padded transform over {mod}"))
+def _chain_checks(ring: RingSpec, ex: embed.ChainExecutor, prof):
+    """The chain's checks, in step order, from the steps its executor parsed."""
+    pad, lift, s = ex.pad, ex.lift, ex.step
+    checks = [(f"pad {pad.n_prime} >= 2n-1 = {2 * ring.n - 1}",
+               pad.n_prime >= 2 * ring.n - 1 or pad.n_prime == ring.n)]
+    if lift and lift.modulus != ring.q:  # self-lifts wrap mod q by design
+        checks.append(bigmod.bound_check(lift.modulus, ring, prof, f"lift modulus {lift.modulus}"))
+    mod = lift.modulus if lift else ring.q
+    if isinstance(s, embed.Good):
+        checks.append(_cong_check(mod, 1 << s.k, f"good rows over {mod}"))
+    elif isinstance(s, embed.Schonhage):
+        checks.append((f"schonhage shape 2mn = {2 * s.m * s.n}", pad.n_prime == 2 * s.m * s.n))
+        checks.append((f"2n = {2 * s.n} invertible mod {ring.q}", ring.q % 2 == 1))
+    elif isinstance(s, embed.Nussbaumer):
+        checks.append((f"nussbaumer shape 2mn = {2 * s.m * s.n}", pad.n_prime == 2 * s.m * s.n))
+    elif s is not None:
+        need = (pad.n_prime >> s.beta) * (2 if pad.form == XN_PLUS_1 else 1)
+        checks.append(_cong_check(mod, need, f"padded transform over {mod}"))
     return checks
 
 
@@ -349,94 +331,68 @@ def _chain_checks(ring: RingSpec, chain: embed.EmbedChain, prof):
 # execution
 
 
-def multiply(a: Poly, b: Poly, plan: NttPlan, use_karatsuba: bool = False) -> Poly:
-    """Run the plan's pipeline; exact equality with the schoolbook oracle."""
-    s = plan.strategy
-    if s in ("full", "incomplete"):
-        return polymul.ntt_multiply(a, b, plan.pair, use_karatsuba=use_karatsuba)
-    if s == "split-pt":
-        return splitting.ptntt_multiply(a, b, plan.alpha, plan.inner)
-    if s == "split-k":
-        return splitting.kntt_multiply(a, b, plan.alpha, plan.inner)
-    if s == "hntt":
-        return splitting.hntt_multiply(a, b, plan.alpha, plan.beta, plan.inner)
-    if s == "bigprime":
-        return bigmod.bigprime_multiply(a, b, plan.N, plan.beta, plan.profile)
-    if s == "rns":
-        return bigmod.rns_multiply(a, b, plan.basis, plan.beta, plan.profile)
-    if s == "composite":
-        return bigmod.composite_multiply(a, b, plan.basis, plan.beta, plan.profile)
-    if s == "embed":
-        return embed.general_phi_multiply(a, b, plan.chain)
-    if s == "trinomial":
-        return trinomial.trinomial_multiply(a, b, plan.trinomial_plan)
-    raise NoStrategy(f"unknown strategy {s!r}")
+def multiply(a: Poly, b: Poly, plan: NttPlan) -> Poly:
+    """Run the plan's executor; exact equality with the schoolbook oracle."""
+    return plan.executor.multiply(a, b)
 
 
 # ---------------------------------------------------------------------------
 # presets
 
 
-def _load_registry() -> dict:
-    with resources.files(__package__).joinpath("presets.json").open() as f:
-        return json.load(f)
-
-
 _registry_cache: dict | None = None
 
 
-def preset_names() -> list:
+def _registry() -> dict:
     global _registry_cache
     if _registry_cache is None:
-        _registry_cache = _load_registry()
-    return sorted(_registry_cache)
+        with resources.files(__package__).joinpath("presets.json").open() as f:
+            _registry_cache = json.load(f)
+    return _registry_cache
+
+
+def preset_names() -> list:
+    return sorted(_registry())
+
+
+# registry strategy -> (make_plan preference, entry keys passed through)
+_PRESET_ROUTES = {
+    "full": ("full", ()),
+    "incomplete": ("incomplete", ("beta",)),
+    "bigprime": ("bigprime", ("beta", "N")),
+    "rns": ("rns", ("beta", "basis")),
+    "composite": ("composite", ("beta", "basis")),
+    "embed": ("auto", ("chain",)),
+    "trinomial": ("trinomial", ()),
+}
+
+# registry chain tag -> embedding step; the tag's arguments follow it
+_CHAIN_STEPS = {
+    "zero_pad": embed.ZeroPad,
+    "lift": embed.LiftModulus,
+    "good": embed.Good,
+    "schonhage": embed.Schonhage,
+    "nussbaumer": embed.Nussbaumer,
+    "plain": embed.PlainNtt,
+}
 
 
 def preset(name: str):
     """(RingSpec, NttPlan) for a named parameter set from the registry."""
-    global _registry_cache
-    if _registry_cache is None:
-        _registry_cache = _load_registry()
-    if name not in _registry_cache:
+    e = _registry().get(name)
+    if e is None:
         raise UnknownPreset(f"unknown preset {name!r}; known: {', '.join(preset_names())}")
-    e = _registry_cache[name]
     ring = RingSpec(e["form"], e["n"], e["q"])
     prof = tuple(e["profile"]) if "profile" in e else (bigmod.FULL_FULL,)
     sample_b = tuple(e["sample_b"]) if "sample_b" in e else ("uniform",)
-    strat = e["strategy"]
-    if strat == "full":
-        return ring, make_plan(ring, "full", profile=prof, sample_b=sample_b)
-    if strat == "incomplete":
-        return ring, make_plan(ring, "incomplete", beta=e["beta"], profile=prof, sample_b=sample_b)
-    if strat == "bigprime":
-        return ring, make_plan(ring, "bigprime", beta=e["beta"], N=e["N"],
-                               allow_bigmod=True, profile=prof, sample_b=sample_b)
-    if strat == "rns":
-        return ring, make_plan(ring, "rns", beta=e["beta"], basis=e["basis"],
-                               allow_bigmod=True, profile=prof, sample_b=sample_b)
-    if strat == "composite":
-        return ring, make_plan(ring, "composite", beta=e["beta"], basis=e["basis"],
-                               allow_bigmod=True, profile=prof, sample_b=sample_b)
-    if strat == "embed":
-        steps = []
-        for st in e["chain"]:
-            tag = st[0]
-            if tag == "zero_pad":
-                steps.append(embed.ZeroPad(st[1], st[2]))
-            elif tag == "lift":
-                steps.append(embed.LiftModulus(st[1]))
-            elif tag == "good":
-                steps.append(embed.Good(st[1], st[2]))
-            elif tag == "schonhage":
-                steps.append(embed.Schonhage(st[1], st[2]))
-            elif tag == "nussbaumer":
-                steps.append(embed.Nussbaumer(st[1], st[2]))
-            elif tag == "plain":
-                steps.append(embed.PlainNtt(st[1]))
-        return ring, make_plan(ring, "auto", chain=steps, profile=prof, sample_b=sample_b)
-    if strat == "trinomial":
-        return ring, make_plan(ring, "trinomial", profile=prof, sample_b=sample_b)
-    raise UnknownPreset(f"preset {name!r} has unknown strategy {strat!r}")
+    try:
+        prefer, keys = _PRESET_ROUTES[e["strategy"]]
+        kw = {k: e[k] for k in keys}
+        if "chain" in kw:
+            kw["chain"] = [_CHAIN_STEPS[st[0]](*st[1:]) for st in kw["chain"]]
+    except KeyError as exc:
+        raise UnknownPreset(f"preset {name!r}: unknown or missing {exc.args[0]!r}") from None
+    return ring, make_plan(ring, prefer, allow_bigmod=True, profile=prof, sample_b=sample_b, **kw)
 
 
 def sample_operands(ring: RingSpec, plan: NttPlan, rng):

@@ -20,6 +20,7 @@ from .errors import (
     LengthMismatch,
     ModulusMismatch,
     ParameterCondition,
+    RingMismatch,
     SpecMismatch,
 )
 from .modarith import BIT_REVERSED, NoSuchRoot, build_twiddles, find_root
@@ -290,7 +291,8 @@ class TransformPair:
     def y_domain(self) -> tuple:
         """Forward image of the monomial x (the split-ring y twiddles)."""
         y = Poly.from_ints([0, 1], self.ring)
-        return tuple(transforms.ntt_forward(y, self.fwd_tw, self.fwd_spec).values)
+        with modarith.uncounted():  # a table, not part of any product
+            return tuple(transforms.ntt_forward(y, self.fwd_tw, self.fwd_spec).values)
 
     def forward(self, a: Poly) -> NttDomainPoly:
         return transforms.ntt_forward(a, self.fwd_tw, self.fwd_spec, schedule=self.fwd_sched)
@@ -304,15 +306,21 @@ class TransformPair:
         return pointwise_mul(A, B, self.fwd_tw, use_karatsuba)
 
 
-def make_transform_pair(ring: RingSpec, beta: int = 0, root: int | None = None) -> TransformPair:
-    """Build tables and specs for the ring, failing fast on congruences."""
-    n, q = ring.n, ring.q
+def check_pair_ring(ring: RingSpec, beta: int) -> None:
+    """The shape preconditions of a transform pair, checked without tables."""
+    n = ring.n
     if ring.form not in (XN_MINUS_1, XN_PLUS_1):
         raise FormMismatch("transform pairs cover x^n - 1 and x^n + 1 rings")
     if not rings.is_pow2(n):
         raise ParameterCondition(f"ring degree {n} is not a power of two")
     if not 0 <= beta <= max(n.bit_length() - 2, 0):
         raise ParameterCondition(f"beta={beta} out of range for n={n}")
+
+
+def make_transform_pair(ring: RingSpec, beta: int = 0, root: int | None = None) -> TransformPair:
+    """Build tables and specs for the ring, failing fast on congruences."""
+    check_pair_ring(ring, beta)
+    n, q = ring.n, ring.q
     kind = NWC if ring.form == XN_PLUS_1 else CC
     order = (2 * n if kind == NWC else n) >> beta
     if root is None:
@@ -340,10 +348,23 @@ def make_transform_pair(ring: RingSpec, beta: int = 0, root: int | None = None) 
 def ntt_multiply(a: Poly, b: Poly, pair: TransformPair, use_karatsuba=False, halving=False) -> Poly:
     """forward(a) o forward(b), leaf products, inverse; exact in the ring."""
     if a.ring != pair.ring or b.ring != pair.ring:
-        from .errors import RingMismatch
-
         raise RingMismatch("operands do not live in the pair's ring")
     A = pair.forward(a)
     B = pair.forward(b)
     C = pair.pointwise(A, B, use_karatsuba)
     return pair.inverse(C, halving=halving)
+
+
+class DirectExecutor:
+    """Plan executor of the full and incomplete routes; the pair is built on first use."""
+
+    def __init__(self, ring: RingSpec, beta: int):
+        check_pair_ring(ring, beta)
+        self.ring, self.beta = ring, beta
+
+    @cached_property
+    def pair(self) -> TransformPair:
+        return make_transform_pair(self.ring, self.beta)
+
+    def multiply(self, a: Poly, b: Poly) -> Poly:
+        return ntt_multiply(a, b, self.pair)

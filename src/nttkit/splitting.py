@@ -17,6 +17,7 @@ domain:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import polymul
 from .errors import BadAlpha, RingMismatch
@@ -31,9 +32,6 @@ class SplitPoly:
     parts: list
     alpha: int
     parent: RingSpec
-
-    def small_ring(self) -> RingSpec:
-        return _small_ring(self.parent, self.alpha)
 
 
 def _small_ring(parent: RingSpec, alpha: int) -> RingSpec:
@@ -82,11 +80,10 @@ def _y_image(inner: polymul.TransformPair) -> NttDomainPoly:
 def _strategy_multiply(a, b, alpha, inner, karatsuba_cross, karatsuba_leaf):
     if a.ring != b.ring:
         raise RingMismatch("operands belong to different rings")
-    if alpha == 0:
-        pair = inner if inner is not None else polymul.make_transform_pair(a.ring, 0)
-        return polymul.ntt_multiply(a, b, pair, use_karatsuba=karatsuba_leaf)
     if inner is None:
         inner = _inner_pair(a.ring, alpha, 0)
+    if alpha == 0:
+        return polymul.ntt_multiply(a, b, inner, use_karatsuba=karatsuba_leaf)
     step = 1 << alpha
     sa, sb = split(a, alpha), split(b, alpha)
     A = [inner.forward(p) for p in sa.parts]
@@ -139,7 +136,25 @@ def kntt_multiply(a: Poly, b: Poly, alpha: int, inner=None) -> Poly:
 def hntt_multiply(a: Poly, b: Poly, alpha: int, beta: int, inner=None) -> Poly:
     """kntt with a beta-cropped inner transform and Karatsuba leaf products."""
     if inner is None:
-        inner = _inner_pair(a.ring, alpha, beta) if alpha else polymul.make_transform_pair(a.ring, beta)
+        inner = _inner_pair(a.ring, alpha, beta)
     elif inner.beta != beta:
         raise BadAlpha(f"inner pair has beta={inner.beta}, expected {beta}")
     return _strategy_multiply(a, b, alpha, inner, karatsuba_cross=True, karatsuba_leaf=True)
+
+
+class SplitExecutor:
+    """Plan executor of split-pt, split-k and hntt: the (cropped) inner pair
+    over the split ring, built on first use."""
+
+    def __init__(self, ring: RingSpec, alpha: int, beta: int, karatsuba_cross: bool,
+                 karatsuba_leaf: bool):
+        polymul.check_pair_ring(_small_ring(ring, alpha), beta)
+        self.ring, self.alpha, self.beta = ring, alpha, beta
+        self.karatsuba = (karatsuba_cross, karatsuba_leaf)
+
+    @cached_property
+    def inner(self) -> polymul.TransformPair:
+        return _inner_pair(self.ring, self.alpha, self.beta)
+
+    def multiply(self, a: Poly, b: Poly) -> Poly:
+        return _strategy_multiply(a, b, self.alpha, self.inner, *self.karatsuba)

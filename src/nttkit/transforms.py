@@ -306,37 +306,21 @@ def _run_passes(a, q, tw, spec, n, halving=False, on_level=None):
             zl = src[start : start + step * half : step]
             for b in range(nblocks):
                 base = b * 2 * flat
-                if chunk == 1:
+                for j in range(half):
+                    z = zl[j]
+                    off = base + j * chunk
                     if ct:
-                        for j in range(half):
-                            p = base + j
-                            t = zl[j] * a[p + flat] % q
+                        for p in range(off, off + chunk):
+                            t = z * a[p + flat] % q
                             u = a[p]
                             a[p] = (u + t) % q
                             a[p + flat] = (u - t) % q
                     else:
-                        for j in range(half):
-                            p = base + j
+                        for p in range(off, off + chunk):
                             u = a[p]
                             v = a[p + flat]
                             a[p] = (u + v) % q
-                            a[p + flat] = (u - v) * zl[j] % q
-                else:
-                    for j in range(half):
-                        z = zl[j]
-                        off = base + j * chunk
-                        if ct:
-                            for p in range(off, off + chunk):
-                                t = z * a[p + flat] % q
-                                u = a[p]
-                                a[p] = (u + t) % q
-                                a[p + flat] = (u - t) % q
-                        else:
-                            for p in range(off, off + chunk):
-                                u = a[p]
-                                v = a[p + flat]
-                                a[p] = (u + v) % q
-                                a[p + flat] = (u - v) * z % q
+                            a[p + flat] = (u - v) * z % q
         if halving:
             for j in range(n):
                 x = a[j]
@@ -507,12 +491,9 @@ def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False,
 # reordering
 
 
-def reorder(values, direction=NATURAL, chunk=1):
-    """Bit-reversal permutation of chunks; its own inverse.
-
-    ``direction`` only documents intent (to_natural / to_bit_reversed);
-    the permutation is identical both ways.
-    """
+def reorder(values, chunk=1):
+    """Bit-reversal permutation of chunks; its own inverse, so one function
+    serves both directions."""
     m = len(values) // chunk
     if m & (m - 1):
         raise SpecViolation("reorder needs a power-of-two chunk count")

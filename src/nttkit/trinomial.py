@@ -10,6 +10,7 @@ over the invertible residues mod n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -56,7 +57,8 @@ class TrinomialDomainPoly:
     plan: TrinomialPlan
 
 
-def make_plan(ring: RingSpec) -> TrinomialPlan:
+def check_ring(ring: RingSpec) -> None:
+    """The preconditions of make_plan, checked without building anything."""
     n, q = ring.n, ring.q
     if ring.form != TRINOMIAL:
         raise ParameterCondition("plan needs a trinomial ring")
@@ -64,6 +66,11 @@ def make_plan(ring: RingSpec) -> TrinomialPlan:
         raise ParameterCondition(f"q={q} must be prime")
     if (q - 1) % n != 0:
         raise ParameterCondition(f"q={q} fails q = 1 (mod n) for n={n}")
+
+
+def make_plan(ring: RingSpec) -> TrinomialPlan:
+    check_ring(ring)
+    n, q = ring.n, ring.q
     psi = find_root(n, q)
     zeta1 = pow(psi, n // 6, q)
     zeta2 = pow(zeta1, 5, q)
@@ -257,3 +264,18 @@ def trinomial_multiply(a: Poly, b: Poly, plan: TrinomialPlan) -> Poly:
             s = 3 * li
             vals[s : s + 3] = trinomial_pointwise(A.values[s : s + 3], B.values[s : s + 3], c, q)
     return trinomial_inverse(TrinomialDomainPoly(vals, plan), plan)
+
+
+class TrinomialExecutor:
+    """Plan executor of the trinomial route; its TrinomialPlan is built on first use."""
+
+    def __init__(self, ring: RingSpec):
+        check_ring(ring)
+        self.ring = ring
+
+    @cached_property
+    def plan(self) -> TrinomialPlan:
+        return make_plan(self.ring)
+
+    def multiply(self, a: Poly, b: Poly) -> Poly:
+        return trinomial_multiply(a, b, self.plan)

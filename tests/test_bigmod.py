@@ -5,7 +5,9 @@ from nttkit.bigmod import (
     FULL_SMALL,
     MATVEC,
     RnsBasis,
+    _check_dynamic_bound,
     bigprime_multiply,
+    bound_check,
     centered,
     composite_multiply,
     crt_recombine,
@@ -17,6 +19,7 @@ from nttkit.bigmod import (
 )
 from nttkit.errors import BoundTooSmall, NoSuchRoot, NotCoprime, ParameterCondition
 from nttkit.modarith import is_principal_root, find_root
+from nttkit.planner import make_plan, multiply
 from nttkit.polymul import oracle_multiply
 from nttkit.rings import Poly, RingSpec, XN_MINUS_1, XN_PLUS_1
 
@@ -100,9 +103,9 @@ def test_saber_three_backends_agree(trials, rng):
         a = Poly.random(SABER, rng)
         s = Poly.random_small(SABER, rng, 4)  # mu = 8
         want = oracle_multiply(a, s).coeffs
-        g1 = bigprime_multiply(a, s, 25166081, 2, SABER_PROFILE, debug_check=True)
-        g2 = rns_multiply(a, s, basis_rns, 0, SABER_PROFILE, debug_check=True)
-        g3 = composite_multiply(a, s, basis_comp, 2, SABER_PROFILE, debug_check=True)
+        g1 = bigprime_multiply(a, s, 25166081, 2, SABER_PROFILE)
+        g2 = rns_multiply(a, s, basis_rns, 0, SABER_PROFILE)
+        g3 = composite_multiply(a, s, basis_comp, 2, SABER_PROFILE)
         assert g1.coeffs == want
         assert g2.coeffs == want
         assert g3.coeffs == want
@@ -112,7 +115,7 @@ def test_lightsaber_preset(rng):
     for _ in range(5):
         a = Poly.random(SABER, rng)
         s = Poly.random_small(SABER, rng, 5)  # mu = 10
-        got = bigprime_multiply(a, s, 20972417, 2, (MATVEC, 2, 10), debug_check=True)
+        got = bigprime_multiply(a, s, 20972417, 2, (MATVEC, 2, 10))
         assert got.coeffs == oracle_multiply(a, s).coeffs
 
 
@@ -124,7 +127,7 @@ def test_self_lift_matches_plain(rng):
     pair = make_transform_pair(ring, 0)
     for _ in range(5):
         a, b = Poly.random(ring, rng), Poly.random(ring, rng)
-        got = bigprime_multiply(a, b, 7681, 0, (FULL_FULL,), unsafe_bound=True)
+        got = bigprime_multiply(a, b, 7681, 0, (FULL_FULL,))  # self-lift: no bound checks
         assert got.coeffs == ntt_multiply(a, b, pair).coeffs
 
 
@@ -163,13 +166,40 @@ def test_bound_errors():
     a = Poly([8] * 8, ring)  # centered magnitude 8, the worst case mod 17
     with pytest.raises(BoundTooSmall):
         bigprime_multiply(a, a, 257, 0, (FULL_FULL,))
-    # profile bound skipped but the dynamic one still trips (needs > 1024)
+    # a profile that understates the operand passes the static bound (136)
+    # but the operand check still trips (needs > 1024)
     with pytest.raises(BoundTooSmall):
-        bigprime_multiply(a, a, 257, 0, (FULL_FULL,), unsafe_bound=True)
+        bigprime_multiply(a, a, 257, 0, (FULL_SMALL, 2))
     with pytest.raises(ParameterCondition):
         bigprime_multiply(a, a, 2310, 0, (FULL_FULL,))  # composite N
     with pytest.raises(ParameterCondition):
         bigprime_multiply(a, a, 2357, 0, (FULL_FULL,))  # prime, 2357 % 8 != 1
+
+
+def test_operand_check_boundary():
+    # q = 16, centered |a| = 8, |b| = 2 over all 8 terms: 2*8*8*2 = 256 = N - 1
+    ring = RingSpec(XN_MINUS_1, 8, 16)
+    plan = make_plan(ring, "bigprime", N=257, allow_bigmod=True, profile=(FULL_SMALL, 2))
+    a, b = Poly([8] * 8, ring), Poly([2] * 8, ring)
+    assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs  # exact at the edge
+    la, lb = lift_centered(a, 257), lift_centered(b, 257)
+    _check_dynamic_bound(la, lb, 257)
+    with pytest.raises(BoundTooSmall):
+        _check_dynamic_bound(la, lb, 256)  # one step above N - 1
+    with pytest.raises(BoundTooSmall):
+        multiply(a, Poly([3] * 8, ring), plan)  # 2*8*8*3 = 384 > 256
+
+
+def test_profile_bound_is_strict():
+    ring = RingSpec(XN_MINUS_1, 8, 16)
+    bound = required_bound(8, 16, (FULL_SMALL, 2))
+    assert bound_check(bound, ring, (FULL_SMALL, 2), "N") == (f"N > bound {bound}", False)
+    assert bound_check(bound + 1, ring, (FULL_SMALL, 2), "N")[1]
+    # 257 is below 8*16*5/2 = 320: the plan refuses it, and so does the one-shot route
+    with pytest.raises(ParameterCondition):
+        make_plan(ring, "bigprime", N=257, allow_bigmod=True, profile=(FULL_SMALL, 5))
+    with pytest.raises(BoundTooSmall):
+        bigprime_multiply(Poly.zero(ring), Poly.zero(ring), 257, 0, (FULL_SMALL, 5))
 
 
 def test_ntru_style_big_prime(rng):

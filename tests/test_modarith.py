@@ -13,7 +13,6 @@ from nttkit.modarith import (
     is_principal_root,
     mod_inv,
     mod_mul,
-    mod_pow,
 )
 
 
@@ -22,14 +21,6 @@ def test_mod_mul_examples():
     assert mod_mul(1, 5, 17) == 5
     # 7680 = -1 mod 7681, squared
     assert mod_mul(7680, 7680, 7681) == 1
-
-
-def test_mod_pow_examples():
-    assert mod_pow(5, 0, 17) == 1
-    assert mod_pow(2, 4, 17) == 16
-    assert mod_pow(2, 8, 17) == 1  # 2 has order 8 mod 17
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 17)
 
 
 def test_mod_inv_examples():

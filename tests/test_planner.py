@@ -1,6 +1,9 @@
+import sys
+import threading
+
 import pytest
 
-from nttkit import embed, modarith
+from nttkit import bigmod, embed, modarith, planner, polymul, trinomial
 from nttkit.errors import NoStrategy, UnknownPreset
 from nttkit.planner import (
     GENERAL_PHI,
@@ -235,3 +238,98 @@ def test_embedding_auto_routes(rng):
     p3 = make_plan(odd, "schonhage")
     a, b = Poly.random(odd, rng), Poly.random(odd, rng)
     assert multiply(a, b, p3).coeffs == oracle_multiply(a, b).coeffs
+
+
+def test_preset_unknown_strategy_or_chain_tag(monkeypatch):
+    registry = planner._registry()
+    entry = dict(registry["ntru-701"], chain=[["zero_pad", 1536, "x^n-1"], ["warp", 3]])
+    monkeypatch.setitem(registry, "ntru-warp", entry)
+    with pytest.raises(UnknownPreset):
+        preset("ntru-warp")
+    monkeypatch.setitem(registry, "kyber-warp", dict(registry["kyber"], strategy="warp"))
+    with pytest.raises(UnknownPreset):
+        preset("kyber-warp")
+
+
+# every name through which a plan could build a table or search a root
+TABLE_BUILDERS = (
+    (polymul, "make_transform_pair"),
+    (polymul, "build_twiddles"),
+    (polymul, "find_root"),
+    (modarith, "build_twiddles"),
+    (modarith, "find_root"),
+    (bigmod, "find_principal_root_composite"),
+    (trinomial, "find_root"),
+    (trinomial, "make_plan"),
+)
+
+
+def test_tables_are_built_once_per_plan(monkeypatch, rng):
+    plans = {name: preset(name) for name in preset_names()}
+    for ring, plan in plans.values():
+        multiply(*sample_operands(ring, plan, rng), plan)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("table built inside a product")
+
+    for module, name in TABLE_BUILDERS:
+        monkeypatch.setattr(module, name, refuse)
+    for name, (ring, plan) in plans.items():
+        a, b = sample_operands(ring, plan, rng)
+        assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs, name
+
+
+def test_concurrent_first_multiply_on_a_fresh_plan(rng):
+    # more threads than cores race to build the same lazily built tables
+    ring, plan = preset("saber-m3")
+    operands = [sample_operands(ring, plan, rng) for _ in range(4)]
+    barrier = threading.Barrier(len(operands))
+    out = [None] * len(operands)
+
+    def first_multiply(i):
+        barrier.wait()
+        out[i] = multiply(*operands[i], plan)
+
+    threads = [threading.Thread(target=first_multiply, args=(i,)) for i in range(len(operands))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (a, b), got in zip(operands, out):
+        assert got is not None and got.coeffs == oracle_multiply(a, b).coeffs
+
+
+KYBER_RING = RingSpec(XN_PLUS_1, 256, 3329)
+FRESH_PLANS = {
+    "full": lambda: preset("dilithium"),
+    "incomplete": lambda: preset("kyber"),
+    "split-pt": lambda: (KYBER_RING, make_plan(KYBER_RING, "split-pt", alpha=1)),
+    "split-k": lambda: (KYBER_RING, make_plan(KYBER_RING, "split-k", alpha=1)),
+    "hntt": lambda: (KYBER_RING, make_plan(KYBER_RING, "hntt", alpha=1, beta=0)),
+    "bigprime": lambda: preset("saber-m4"),
+    "rns": lambda: preset("saber-avx2"),
+    "composite": lambda: preset("saber-m3"),
+    "embed": lambda: preset("ntru-701"),
+    "trinomial": lambda: (RingSpec(TRINOMIAL, 768, 7681),
+                          make_plan(RingSpec(TRINOMIAL, 768, 7681))),
+}
+
+
+@pytest.mark.parametrize("strategy", list(FRESH_PLANS))
+def test_first_multiply_counts_like_the_second(strategy, rng):
+    # building the plan's tables on its first multiply adds no counted work
+    ring, plan = FRESH_PLANS[strategy]()
+    assert plan.strategy == strategy
+    a, b = sample_operands(ring, plan, rng)
+    with modarith.counting() as first:
+        got = multiply(a, b, plan)
+    with modarith.counting() as second:
+        multiply(a, b, plan)
+    assert first == second and first.mults > 0
+    assert got.coeffs == oracle_multiply(a, b).coeffs
