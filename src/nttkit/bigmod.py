@@ -63,7 +63,6 @@ class LiftedPoly:
     """Centered lift of a Poly into Z_N, remembering its magnitude."""
 
     coeffs: tuple
-    origin_q: int
     modulus: int
     centered_bound: int
     effective_len: int  # coefficients up to the last nonzero one
@@ -77,7 +76,7 @@ def lift_centered(a: Poly, N: int) -> LiftedPoly:
     for i, c in enumerate(cent):
         if c:
             eff = i + 1
-    return LiftedPoly(tuple(c % N for c in cent), q, N, bound, eff)
+    return LiftedPoly(tuple(c % N for c in cent), N, bound, eff)
 
 
 def recover_centered(values, N: int, q: int):
@@ -89,8 +88,6 @@ def recover_centered(values, N: int, q: int):
 def _check_dynamic_bound(la: LiftedPoly, lb: LiftedPoly, N: int):
     # any wrapped-convolution coefficient sums at most min(eff_a, eff_b)
     # products, each bounded by the centered magnitudes
-    if N == la.origin_q:  # self-lift: arithmetic wraps mod q by design
-        return
     terms = min(la.effective_len, lb.effective_len)
     if 2 * terms * la.centered_bound * lb.centered_bound > N - 1:
         raise BoundTooSmall(
@@ -112,8 +109,10 @@ class LiftedExecutor:
     ``multiply`` is the one path of every large-modulus route: centered
     lift of both operands into Z_N, the operand-magnitude check, the
     route's own product there (``run``, on coefficient lists mod N) and
-    centered recovery mod q.  A self-lift (N == q) wraps mod q by design
-    and skips the check.  Subclasses build their tables on first use.
+    centered recovery mod q.  With N == q (an unlifted terminal) the
+    arithmetic wraps mod q by design: ``run`` gets the operands as they
+    are, with no lift, check or recovery.  Subclasses build their tables
+    on first use.
     """
 
     def __init__(self, ring: RingSpec, N: int):
@@ -122,6 +121,8 @@ class LiftedExecutor:
     def multiply(self, a: Poly, b: Poly) -> Poly:
         if a.ring != self.ring or b.ring != self.ring:
             raise RingMismatch("operands do not live in the executor's ring")
+        if self.N == self.ring.q:
+            return Poly(self.run(list(a.coeffs), list(b.coeffs)), self.ring)
         la, lb = lift_centered(a, self.N), lift_centered(b, self.N)
         _check_dynamic_bound(la, lb, self.N)
         c = self.run(list(la.coeffs), list(lb.coeffs))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from . import bigmod, modarith, polymul
+from . import bigmod, modarith, polymul, transforms
 from .errors import (
     BadShape,
     ChainMismatch,
@@ -23,9 +23,9 @@ from .errors import (
     RingMismatch,
     ShapeCondition,
 )
-from .modarith import bitrev, mod_inv
+from .modarith import mod_inv
 from .rings import XN_MINUS_1, XN_PLUS_1, Poly, RingSpec
-from .transforms import NttDomainPoly
+from .transforms import CYCLIC_BLOCK_PAIR, NttDomainPoly
 
 SCHOOLBOOK_FLOOR = 8  # inner rings at or below this length multiply directly
 
@@ -94,8 +94,8 @@ class GoodExecutor(bigmod.LiftedExecutor):
     inverses, unmap.
 
     Operands live in x^(h*2^k) - 1 over their own q and take the lift
-    path into Z_N (a self-lift when N == q).  The row pair is built on
-    first use.
+    path into Z_N (no lift when N == q).  The row pair is built on first
+    use.
     """
 
     def __init__(self, ring: RingSpec, h: int, k: int, N: int):
@@ -205,22 +205,11 @@ def _block_ntt(blocks, root_stride: int, q: int, inverse: bool):
     CT schedule, inverse the bit-reversed-input GS schedule (reorder-free
     pairing), with the final 1/len scaling left to the caller.
     """
-    m = len(blocks)
-    half = m // 2
-    levels = []
-    l = 1
-    while l <= half:
-        levels.append(l)
-        l <<= 1
-    if not inverse:
-        levels.reverse()
-    for L in levels:
-        nblocks = m // (2 * L)
-        pos = 0
-        for i in range(nblocks):
-            e = bitrev(i, nblocks) * L * root_stride
-            end = pos + L
-            for j in range(pos, end):
+    for _, L, exps in transforms.level_geometry(CYCLIC_BLOCK_PAIR[inverse], len(blocks)):
+        for i, e in enumerate(exps):
+            e *= root_stride
+            pos = 2 * L * i
+            for j in range(pos, pos + L):
                 if not inverse:
                     t = _neg_rotate(blocks[j + L], e, q)
                     u = blocks[j]
@@ -231,7 +220,6 @@ def _block_ntt(blocks, root_stride: int, q: int, inverse: bool):
                     v = blocks[j + L]
                     blocks[j] = _block_add(u, v, q)
                     blocks[j + L] = _neg_rotate(_block_sub(u, v, q), -e, q)
-            pos = end + L
     return blocks
 
 

@@ -269,9 +269,8 @@ class TransformPair:
     """Resolved forward/inverse stage for one x^n +- 1 ring and beta.
 
     Uses the reorder-free pairing: forward natural -> bit-reversed,
-    inverse bit-reversed -> natural.  Moduli below 2^31 also carry the
-    int64 kernel's schedules, built with the tables.  Immutable and
-    shareable.
+    inverse bit-reversed -> natural.  Each direction carries its
+    schedule, built with the tables.  Immutable and shareable.
     """
 
     ring: RingSpec
@@ -280,8 +279,8 @@ class TransformPair:
     inv_spec: TransformSpec
     fwd_tw: modarith.TwiddleTable
     inv_tw: modarith.TwiddleTable
-    fwd_sched: transforms.Schedule | None = field(default=None, compare=False, repr=False)
-    inv_sched: transforms.Schedule | None = field(default=None, compare=False, repr=False)
+    fwd_sched: transforms.Schedule = field(compare=False, repr=False)
+    inv_sched: transforms.Schedule = field(compare=False, repr=False)
 
     @cached_property
     def gammas(self) -> tuple:
@@ -292,7 +291,7 @@ class TransformPair:
         """Forward image of the monomial x (the split-ring y twiddles)."""
         y = Poly.from_ints([0, 1], self.ring)
         with modarith.uncounted():  # a table, not part of any product
-            return tuple(transforms.ntt_forward(y, self.fwd_tw, self.fwd_spec).values)
+            return tuple(self.forward(y).values)
 
     def forward(self, a: Poly) -> NttDomainPoly:
         return transforms.ntt_forward(a, self.fwd_tw, self.fwd_spec, schedule=self.fwd_sched)
@@ -335,10 +334,8 @@ def make_transform_pair(ring: RingSpec, beta: int = 0, root: int | None = None) 
     inv_tw = build_twiddles(root, order, q, BIT_REVERSED, inverse=True)
     fwd = TransformSpec(kind, CT, FORWARD, NATURAL, BIT_REVERSED, beta)
     inv = fwd.inverse_of()
-    scheds = ()
-    if modarith.vectorized(q):
-        scheds = (transforms.make_schedule(fwd, fwd_tw, n), transforms.make_schedule(inv, inv_tw, n))
-    pair = TransformPair(ring, beta, fwd, inv, fwd_tw, inv_tw, *scheds)
+    pair = TransformPair(ring, beta, fwd, inv, fwd_tw, inv_tw,
+                         transforms.make_schedule(fwd, fwd_tw, n), transforms.make_schedule(inv, inv_tw, n))
     # warm the stored-offline tables so later multiplies never pay for them
     _ = pair.gammas
     _ = pair.y_domain

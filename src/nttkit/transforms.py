@@ -19,16 +19,19 @@ Loop structure, with m = n / 2^beta chunks and chunk-level half-length L:
 Inverse transforms run the same structures with negated exponents and a
 final scaling by (n/2^beta)^-1.
 
-Two kernels run these levels and give identical values and op counts:
-the pure-Python reference ``_run_passes``, and an int64 numpy kernel
-(one reshape-and-broadcast per level over a precomputed ``Schedule``)
-used whenever the modulus is below 2^31.  Both read every twiddle as a
-strided slice of the table.
+``level_geometry`` is the only derivation of this structure: a
+``Schedule`` holds it per (spec, table, n), and ``butterfly_schedule``
+(``plan --trace``), the trinomial levels and the block transforms of
+the embeddings walk it too.  ``run_levels`` drives both kernels over a
+schedule with identical values and op counts: the pure-Python reference
+kernel on a list, and an int64 numpy kernel (one reshape-and-broadcast
+per level) on an array, used whenever the modulus is below 2^31.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,9 +46,6 @@ FORWARD = "forward"
 INVERSE = "inverse"
 NATURAL = modarith.NATURAL
 BIT_REVERSED = modarith.BIT_REVERSED
-
-bitrev = modarith.bitrev
-
 
 @dataclass(frozen=True)
 class TransformSpec:
@@ -164,20 +164,13 @@ def butterfly_gs_half(u: int, v: int, w: int, m: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# schedule
+# schedule: the one derivation of the level structure
 
 
-def _levels(spec: TransformSpec, m: int):
-    """Chunk-level half-lengths in execution order."""
-    ls = []
-    half = m // 2
-    l = 1
-    while l <= half:
-        ls.append(l)
-        l <<= 1
-    if spec.in_order == NATURAL:
-        ls.reverse()
-    return ls
+# the reorder-free cyclic pair with one twiddle per block in both
+# directions: the trinomial levels and the embeddings' block transforms
+CYCLIC_BLOCK_PAIR = (TransformSpec(CC, CT, FORWARD, NATURAL, BIT_REVERSED),
+                     TransformSpec(CC, GS, INVERSE, BIT_REVERSED, NATURAL))
 
 
 def _block_twiddled(spec: TransformSpec) -> bool:
@@ -185,30 +178,30 @@ def _block_twiddled(spec: TransformSpec) -> bool:
     return (spec.butterfly == CT) == (spec.in_order == NATURAL)
 
 
-def _twiddle_order(spec: TransformSpec) -> str:
-    return BIT_REVERSED if _block_twiddled(spec) else NATURAL
+def level_geometry(spec: TransformSpec, m: int):
+    """Yield (nblocks, half, exponents) per level over m chunks, in execution order.
 
-
-def _level_geometry(spec: TransformSpec, m: int):
-    """Yield (level, nblocks, half, start, step) in execution order.
-
-    Twiddle i of a level (per block or per offset, see _block_twiddled)
-    is ``tw.ordered(_twiddle_order(spec))[start + step * i]``: block
-    twiddles are strided slices of the bit-reversed table, offset
-    twiddles strided slices of the natural one, so no exponent is ever
-    bit-reversed at run time.
+    Levels shrink (half = m/2 .. 1) on natural input and grow on
+    bit-reversed input.  Exponents index the table root (negated by
+    inverse tables).  Block twiddle i is the ``bitrev_permutation`` entry
+    at its bit-reversed table index, 2*nblocks + 2i (negacyclic) or 2i;
+    offset twiddle j is its natural index itself, (2j+1)*nblocks or
+    j*nblocks.
     """
     nega = spec.conv_kind == NWC
     block_tw = _block_twiddled(spec)
-    for lvl, half in enumerate(_levels(spec, m)):
+    rev = modarith.bitrev_permutation(2 * m if nega else m) if block_tw else None
+    halves = [1 << k for k in range(m.bit_length() - 1)]
+    if spec.in_order == NATURAL:
+        halves.reverse()
+    for half in halves:
         nblocks = m // (2 * half)
         if block_tw:
-            # bit-reversed index of half*(2*brv(i)+1) resp. half*brv(i)
-            start, step = (2 * nblocks, 2) if nega else (0, 2)
+            start = 2 * nblocks if nega else 0
+            yield nblocks, half, tuple(rev[start : start + 2 * nblocks : 2])
         else:
-            # natural index (2j+1)*nblocks resp. j*nblocks
             start, step = (nblocks, 2 * nblocks) if nega else (0, nblocks)
-        yield lvl, nblocks, half, start, step
+            yield nblocks, half, tuple(range(start, start + step * half, step))
 
 
 def butterfly_schedule(spec: TransformSpec, n: int):
@@ -218,124 +211,93 @@ def butterfly_schedule(spec: TransformSpec, n: int):
     so replaying the schedule with butterfly_ct/butterfly_gs reproduces
     the kernel exactly.
     """
-    m = n >> spec.beta
-    nega = spec.conv_kind == NWC
     block_tw = _block_twiddled(spec)
-    for lvl, half in enumerate(_levels(spec, m)):
-        nblocks = m // (2 * half)
+    for lvl, (nblocks, half, exps) in enumerate(level_geometry(spec, n >> spec.beta)):
         for i in range(nblocks):
             base = i * 2 * half
-            if block_tw:
-                e = 2 * bitrev(i, nblocks) + 1 if nega else bitrev(i, nblocks)
-                e *= half
             for j in range(half):
-                if not block_tw:
-                    e = (2 * j + 1) * nblocks if nega else j * nblocks
-                yield lvl, base + j, base + j + half, e
+                yield lvl, base + j, base + j + half, exps[i if block_tw else j]
 
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """Per-level int64 twiddle vectors of one (spec, table, n), built once.
+    """The butterfly levels of one (spec, table, n), built once, never mutated.
 
-    ``levels[l] = (nblocks, half, twiddles)``, the twiddles shaped to
-    broadcast against the (nblocks, half, chunk) halves of level l.  Only
-    built for moduli below ``modarith.VECTOR_LIMIT``; never mutated.
+    ``levels[l] = (nblocks, half, exponents)`` in execution order, with
+    ``half`` counted in chunks of ``chunk`` coefficients.  Each kernel
+    reads its twiddles from it, built on first use: ``vectors`` (int64,
+    shaped to broadcast against the (nblocks, half, chunk) halves) or
+    ``passes`` (every butterfly's low position and twiddle).
     """
 
     spec: TransformSpec
     table: modarith.TwiddleTable
     n: int
+    chunk: int
     levels: tuple
+
+    def _twiddles(self, exps) -> list:
+        nat = self.table.ordered(NATURAL)
+        return [nat[e] for e in exps]
+
+    @cached_property
+    def vectors(self) -> tuple:
+        block_tw = _block_twiddled(self.spec)
+        return tuple(
+            np.array(self._twiddles(exps), dtype=np.int64)
+            .reshape((nblocks, 1, 1) if block_tw else (half, 1))
+            for nblocks, half, exps in self.levels
+        )
+
+    @cached_property
+    def passes(self) -> tuple:
+        block_tw = _block_twiddled(self.spec)
+        chunk = self.chunk
+        out = []
+        for nblocks, half, exps in self.levels:
+            flat = half * chunk
+            zs = self._twiddles(exps)
+            lows = [b * 2 * flat + r for b in range(nblocks) for r in range(flat)]
+            if block_tw:
+                per = [z for z in zs for _ in range(flat)]
+            else:
+                per = [zs[r // chunk] for _ in range(nblocks) for r in range(flat)]
+            out.append((lows, per))
+        return tuple(out)
 
 
 def make_schedule(spec: TransformSpec, tw, n: int) -> Schedule:
-    """Slice the table into the per-level twiddle vectors of ``spec``."""
-    if not modarith.vectorized(tw.modulus):
-        raise SpecViolation(f"modulus {tw.modulus} is too large for the int64 kernel")
-    m = n >> spec.beta
-    block_tw = _block_twiddled(spec)
-    src = np.array(tw.ordered(_twiddle_order(spec)), dtype=np.int64)
-    levels = []
-    for _, nblocks, half, start, step in _level_geometry(spec, m):
-        count = nblocks if block_tw else half
-        w = src[start : start + step * count : step]
-        levels.append((nblocks, half, w.reshape((nblocks, 1, 1) if block_tw else (half, 1))))
-    return Schedule(spec, tw, n, tuple(levels))
+    """The schedule of ``spec`` on a length-n buffer over table ``tw``."""
+    return Schedule(spec, tw, n, 1 << spec.beta, tuple(level_geometry(spec, n >> spec.beta)))
 
 
 # ---------------------------------------------------------------------------
-# in-place passes (reference kernel)
+# kernels and the per-level driver
 
 
-def _run_passes(a, q, tw, spec, n, halving=False, on_level=None):
-    """Apply all butterfly levels of ``spec`` to buffer ``a`` in place.
+def ct_pass(a, nblocks: int, half: int, chunk: int, tw, q: int) -> None:
+    """One CT level of the reference kernel on list ``a``, in place.
 
-    The pure-Python reference kernel; it also serves moduli of 2^31 and
-    above.  Allocates no length-n scratch; only per-level twiddle slices
-    of at most m/2 entries for the offset-twiddled variants.
+    ``tw`` is the level's (low positions, twiddles), one per butterfly.
     """
-    chunk = 1 << spec.beta
-    m = n >> spec.beta
-    ct = spec.butterfly == CT
-    block_tw = _block_twiddled(spec)
-    src = tw.ordered(_twiddle_order(spec))
-    ctr = modarith.active_counter()
-    half_q = (q + 1) >> 1
-    for lvl, nblocks, half, start, step in _level_geometry(spec, m):
-        flat = half * chunk
-        if block_tw:
-            pos = 0
-            for i in range(nblocks):
-                z = src[start + step * i]
-                end = pos + flat
-                if ct:
-                    for j in range(pos, end):
-                        t = z * a[j + flat] % q
-                        u = a[j]
-                        a[j] = (u + t) % q
-                        a[j + flat] = (u - t) % q
-                else:
-                    for j in range(pos, end):
-                        u = a[j]
-                        v = a[j + flat]
-                        a[j] = (u + v) % q
-                        a[j + flat] = (u - v) * z % q
-                pos = end + flat
-        else:
-            zl = src[start : start + step * half : step]
-            for b in range(nblocks):
-                base = b * 2 * flat
-                for j in range(half):
-                    z = zl[j]
-                    off = base + j * chunk
-                    if ct:
-                        for p in range(off, off + chunk):
-                            t = z * a[p + flat] % q
-                            u = a[p]
-                            a[p] = (u + t) % q
-                            a[p + flat] = (u - t) % q
-                    else:
-                        for p in range(off, off + chunk):
-                            u = a[p]
-                            v = a[p + flat]
-                            a[p] = (u + v) % q
-                            a[p + flat] = (u - v) * z % q
-        if halving:
-            for j in range(n):
-                x = a[j]
-                a[j] = ((x >> 1) + (x & 1) * half_q) % q
-        if ctr is not None:
-            nbf = nblocks * flat
-            ctr.mults += nbf
-            ctr.adds += nbf
-            ctr.subs += nbf
-        if on_level is not None:
-            on_level(lvl, a)
+    flat = half * chunk
+    for j, z in zip(*tw):
+        k = j + flat
+        t = z * a[k] % q
+        u = a[j]
+        a[j] = (u + t) % q
+        a[k] = (u - t) % q
 
 
-# ---------------------------------------------------------------------------
-# int64 kernel (moduli below modarith.VECTOR_LIMIT)
+def gs_pass(a, nblocks: int, half: int, chunk: int, tw, q: int) -> None:
+    """One GS level of the reference kernel on list ``a``, in place."""
+    flat = half * chunk
+    for j, z in zip(*tw):
+        k = j + flat
+        u = a[j]
+        v = a[k]
+        a[j] = (u + v) % q
+        a[k] = (u - v) * z % q
 
 
 def ct_level(x, nblocks: int, half: int, chunk: int, w, q: int) -> None:
@@ -364,49 +326,78 @@ def gs_level(x, nblocks: int, half: int, chunk: int, w, q: int) -> None:
     x %= q
 
 
-def _run_levels(x, q, sched: Schedule, halving=False, on_level=None) -> None:
-    """The int64 twin of _run_passes over a precomputed schedule, in place."""
-    spec = sched.spec
-    chunk = 1 << spec.beta
-    level = ct_level if spec.butterfly == CT else gs_level
-    ctr = modarith.active_counter()
+def buffer(values, q: int):
+    """A working copy of ``values`` for the kernel of modulus q: an int64
+    array below ``modarith.VECTOR_LIMIT``, else a list."""
+    return np.array(values, dtype=np.int64) if modarith.vectorized(q) else list(values)
+
+
+def values_of(buf, q: int, scale: int = 1) -> list:
+    """The buffer's values times ``scale`` mod q, as a list (an array in place)."""
+    if isinstance(buf, np.ndarray):
+        if scale != 1:
+            buf *= scale
+            buf %= q
+        return buf.tolist()
+    return buf if scale == 1 else [v * scale % q for v in buf]
+
+
+def _halve(buf, q: int) -> None:
+    """buf / 2 mod q in place, for odd q: shift, and add (q+1)/2 to odd entries."""
     half_q = (q + 1) >> 1
-    for lvl, (nblocks, half, w) in enumerate(sched.levels):
-        level(x, nblocks, half, chunk, w, q)
+    if isinstance(buf, np.ndarray):
+        odd = buf & 1
+        buf >>= 1
+        odd *= half_q
+        buf += odd
+        buf %= q
+    else:
+        for j, x in enumerate(buf):
+            buf[j] = ((x >> 1) + (x & 1) * half_q) % q
+
+
+def run_levels(buf, q: int, sched: Schedule, halving=False, on_level=None) -> None:
+    """Apply every level of ``sched`` to ``buf`` in place.
+
+    An int64 array runs the int64 kernel (one reshape-and-broadcast per
+    level), a list the pure-Python reference kernel (one loop over the
+    level's butterflies); both give the same values and op counts.
+    ``halving`` folds a division by 2 into each level (odd q only) and
+    ``on_level(level, values)`` sees the values after each level.
+    """
+    vec = isinstance(buf, np.ndarray)
+    if sched.spec.butterfly == CT:
+        level = ct_level if vec else ct_pass
+    else:
+        level = gs_level if vec else gs_pass
+    ctr = modarith.active_counter()
+    chunk = sched.chunk
+    for lvl, ((nblocks, half, _), tw) in enumerate(
+            zip(sched.levels, sched.vectors if vec else sched.passes)):
+        level(buf, nblocks, half, chunk, tw, q)
         if halving:
-            odd = x & 1
-            x >>= 1
-            odd *= half_q
-            x += odd
-            x %= q
+            _halve(buf, q)
         if ctr is not None:
             nbf = nblocks * half * chunk
             ctr.mults += nbf
             ctr.adds += nbf
             ctr.subs += nbf
         if on_level is not None:
-            on_level(lvl, x.tolist())
+            on_level(lvl, buf.tolist() if vec else buf)
 
 
 def _transform(values, q, tw, spec, n, schedule, halving=False, on_level=None, scale=1) -> list:
-    """Passes of ``spec`` on a copy of ``values``, then times ``scale``.
+    """Levels of ``spec`` on a copy of ``values``, then times ``scale``.
 
     The kernel is picked by the modulus alone.
     """
-    if not modarith.vectorized(q):
-        out = list(values)
-        _run_passes(out, q, tw, spec, n, halving=halving, on_level=on_level)
-        return out if scale == 1 else [v * scale % q for v in out]
     if schedule is None:
         schedule = make_schedule(spec, tw, n)
     elif schedule.table is not tw or schedule.spec != spec or schedule.n != n:
         raise SpecViolation("schedule was built for another table, spec or length")
-    x = np.array(values, dtype=np.int64)
-    _run_levels(x, q, schedule, halving=halving, on_level=on_level)
-    if scale != 1:
-        x *= scale
-        x %= q
-    return x.tolist()
+    buf = buffer(values, q)
+    run_levels(buf, q, schedule, halving=halving, on_level=on_level)
+    return values_of(buf, q, scale)
 
 
 def _check_table(tw, spec, n, q, expect_inverse):
@@ -438,11 +429,10 @@ def _check_ring_form(ring, spec):
 def ntt_forward(a, tw, spec: TransformSpec, on_level=None, schedule=None) -> NttDomainPoly:
     """Forward transform of a Poly; returns tagged transform-domain values.
 
-    The input is copied once into the result buffer and the butterfly
-    passes then run in place on it: the int64 kernel over ``schedule``
-    (built from ``tw`` when not given) for moduli below 2^31, else the
-    reference kernel.  ``on_level(level, values)`` sees the buffer after
-    each level.
+    The input is copied once into the result buffer and the levels of
+    ``schedule`` (built from ``tw`` when not given) then run in place on
+    it: on the int64 kernel for moduli below 2^31, else on the reference
+    kernel.  ``on_level(level, values)`` sees the buffer after each level.
     """
     if spec.direction != FORWARD:
         raise SpecViolation("ntt_forward requires a forward spec")
@@ -497,10 +487,9 @@ def reorder(values, chunk=1):
     m = len(values) // chunk
     if m & (m - 1):
         raise SpecViolation("reorder needs a power-of-two chunk count")
-    out = [0] * len(values)
-    for i in range(m):
-        j = bitrev(i, m)
-        out[i * chunk : (i + 1) * chunk] = values[j * chunk : (j + 1) * chunk]
+    out = []
+    for j in modarith.bitrev_permutation(m):
+        out += values[j * chunk : (j + 1) * chunk]
     return out
 
 
@@ -510,6 +499,13 @@ def reorder(values, chunk=1):
 # The merged transforms above fold the extra n multiplications into the
 # butterflies; these keep them explicit, which costs + n (forward) and
 # + n (inverse) multiplications and serves as a cross-check.
+
+
+def _psi_powers(psi_tw, order: str, n: int) -> tuple:
+    """psi^i for buffer position i, or psi^brv(i) when the buffer is bit-reversed."""
+    if order == NATURAL:
+        return psi_tw.ordered(NATURAL)[:n]
+    return psi_tw.ordered(BIT_REVERSED)[0 : 2 * n : 2]
 
 
 def nwc_forward_separate(a, cc_tw, psi_tw, spec: TransformSpec, on_level=None) -> NttDomainPoly:
@@ -524,11 +520,8 @@ def nwc_forward_separate(a, cc_tw, psi_tw, spec: TransformSpec, on_level=None) -
     if ctr is not None:
         ctr.forward_transforms += 1
         ctr.mults += n
-    if spec.in_order == NATURAL:
-        values = [a.coeffs[i] * psi_tw.power_of_base(i) % q for i in range(n)]
-    else:  # buffer arrives bit-reversed; scale positionwise to match
-        values = [a.coeffs[i] * psi_tw.power_of_base(bitrev(i, n)) % q for i in range(n)]
-    _run_passes(values, q, cc_tw, spec, n, on_level=on_level)
+    values = [c * p % q for c, p in zip(a.coeffs, _psi_powers(psi_tw, spec.in_order, n))]
+    run_levels(values, q, make_schedule(spec, cc_tw, n), on_level=on_level)
     return NttDomainPoly(values, spec, a.ring, 1)
 
 
@@ -548,14 +541,10 @@ def nwc_inverse_separate(ahat: NttDomainPoly, cc_tw_inv, psi_tw_inv, spec: Trans
     if ctr is not None:
         ctr.inverse_transforms += 1
     values = list(ahat.values)
-    _run_passes(values, q, cc_tw_inv, spec, n)
+    run_levels(values, q, make_schedule(spec, cc_tw_inv, n))
     s = modarith.mod_inv(n, q)
-    if spec.out_order == NATURAL:
-        for i in range(n):
-            values[i] = values[i] * s % q * psi_tw_inv.power_of_base(i) % q
-    else:
-        for i in range(n):
-            values[i] = values[i] * s % q * psi_tw_inv.power_of_base(bitrev(i, n)) % q
+    psi = _psi_powers(psi_tw_inv, spec.out_order, n)
+    values = [v * s % q * p % q for v, p in zip(values, psi)]
     if ctr is not None:
         ctr.mults += 2 * n
     return Poly(values, ahat.ring)

@@ -5,6 +5,12 @@ x^(n/2) - z2 with z1 + z2 = 1 and z1*z2 = 1 (one multiplication and one
 extra addition per pair); the remaining e-1 levels are ordinary radix-2
 butterflies, stopping at degree-2 leaves in x^3 - psi^j with j running
 over the invertible residues mod n.
+
+After the split, each half x^(n/2) - psi^t (t = 1 resp. 5, in units of
+n/6) is a cyclic transform of n/6 length-3 chunks twisted by psi^t: a
+block twiddle of the cyclic schedule with exponent e becomes
+psi^(t*half + 6e), and the leaves x^3 - psi^(t + 6*brv(p)).  Both halves
+run as one forward and one inverse ``transforms.Schedule``.
 """
 
 from __future__ import annotations
@@ -19,16 +25,14 @@ from . import modarith, transforms
 from .errors import ParameterCondition, PlanMismatch
 from .modarith import find_root, is_prime, mod_inv
 from .rings import TRINOMIAL, Poly, RingSpec
+from .transforms import CYCLIC_BLOCK_PAIR
 
 
 @dataclass(frozen=True)
 class TrinomialPlan:
-    """Roots, constants, leaf order and twiddle schedule for one (n, q).
+    """Roots, constants, leaf order and the radix-2 schedules for one (n, q).
 
-    ``levels`` holds one (nblocks, seg, twiddles, inverse twiddles) entry
-    per radix-2 level in forward order, one twiddle per block; ``arrays``
-    holds their int64 twins plus the leaf constants when q < 2^31.  All
-    of it is built by make_plan and never mutated.
+    Built by make_plan and never mutated.
     """
 
     ring: RingSpec
@@ -37,8 +41,12 @@ class TrinomialPlan:
     zeta2: int
     leaf_exponents: tuple  # exponent j of x^3 - psi^j per in-place leaf slot
     leaf_constants: tuple = field(compare=False, repr=False)  # psi^j per leaf slot
-    levels: tuple = field(compare=False, repr=False)
-    arrays: tuple | None = field(compare=False, repr=False)  # (levels, leaf constants)
+    forward: transforms.Schedule = field(compare=False, repr=False)
+    inverse: transforms.Schedule = field(compare=False, repr=False)
+
+    @cached_property
+    def leaf_vector(self):
+        return np.array(self.leaf_constants, dtype=np.int64)
 
     @property
     def n(self) -> int:
@@ -68,6 +76,16 @@ def check_ring(ring: RingSpec) -> None:
         raise ParameterCondition(f"q={q} fails q = 1 (mod n) for n={n}")
 
 
+_TWISTS = (1, 5)  # psi^(t*n/6) = zeta1, zeta2
+
+
+def _schedule(spec, tw, m: int) -> transforms.Schedule:
+    """Both split halves' twisted cyclic levels of m chunks as one schedule."""
+    levels = tuple((2 * nblocks, half, tuple(t * half + 6 * e for t in _TWISTS for e in exps))
+                   for nblocks, half, exps in transforms.level_geometry(spec, m))
+    return transforms.Schedule(spec, tw, 6 * m, 3, levels)
+
+
 def make_plan(ring: RingSpec) -> TrinomialPlan:
     check_ring(ring)
     n, q = ring.n, ring.q
@@ -76,45 +94,29 @@ def make_plan(ring: RingSpec) -> TrinomialPlan:
     zeta2 = pow(zeta1, 5, q)
     if (zeta1 + zeta2) % q != 1 or zeta1 * zeta2 % q != 1:
         raise ParameterCondition("zeta constants fail z1+z2 = z1*z2 = 1")
-    # block twiddles and leaf exponents follow the forward butterfly schedule
-    levels = []
-    exps = [n // 6, 5 * n // 6]
-    seg = n // 2
-    while seg > 3:
-        seg //= 2
-        halves = [e // 2 for e in exps]
-        fwd = tuple(pow(psi, h, q) for h in halves)
-        inv = tuple(pow(psi, (n - h) % n, q) for h in halves)
-        levels.append((len(exps), seg, fwd, inv))
-        exps = [x for h in halves for x in (h, h + n // 2)]
-    exps = tuple(e % n for e in exps)
-    if 3 * len(exps) != n or any(gcd(e, n) != 1 for e in exps):
+    m = n // 6  # length-3 chunks per split half
+    exps = tuple(t + 6 * e for t in _TWISTS for e in modarith.bitrev_permutation(m))
+    if sorted(exps) != [e for e in range(n) if gcd(e, n) == 1]:
         raise ParameterCondition(f"leaf exponents {exps} do not cover the units mod n={n}")
-    consts = tuple(pow(psi, e, q) for e in exps)
-    arrays = None
-    if modarith.vectorized(q):
-        vec_levels = tuple(
-            (np.array(fwd, dtype=np.int64).reshape(nb, 1, 1),
-             np.array(inv, dtype=np.int64).reshape(nb, 1, 1))
-            for nb, _, fwd, inv in levels
-        )
-        arrays = (vec_levels, np.array(consts, dtype=np.int64))
-    return TrinomialPlan(ring, psi, zeta1, zeta2, exps, consts, tuple(levels), arrays)
+    tw = modarith.build_twiddles(psi, n, q)
+    consts = tuple(tw.power_of_base(e) for e in exps)
+    return TrinomialPlan(ring, psi, zeta1, zeta2, exps, consts,
+                         _schedule(CYCLIC_BLOCK_PAIR[0], tw, m),
+                         _schedule(CYCLIC_BLOCK_PAIR[1], modarith.build_twiddles(psi, n, q, inverse=True), m))
 
 
 def trinomial_forward(a: Poly, plan: TrinomialPlan) -> TrinomialDomainPoly:
     if a.ring != plan.ring:
         raise PlanMismatch("polynomial ring does not match the plan")
     n, q = plan.n, plan.q
-    vec = plan.arrays is not None
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.forward_transforms += 1
     half = n // 2
     z1 = plan.zeta1
+    vals = transforms.buffer(a.coeffs, q)
     # split level: 1 mult, 2 adds, 1 sub per pair
-    if vec:
-        vals = np.array(a.coeffs, dtype=np.int64)
+    if isinstance(vals, np.ndarray):
         lo, hi = vals[:half], vals[half:]
         t = hi * z1
         t %= q
@@ -124,7 +126,6 @@ def trinomial_forward(a: Poly, plan: TrinomialPlan) -> TrinomialDomainPoly:
         lo += t
         lo %= q
     else:
-        vals = list(a.coeffs)
         for i in range(half):
             hi = vals[i + half]
             t = z1 * hi % q
@@ -134,56 +135,24 @@ def trinomial_forward(a: Poly, plan: TrinomialPlan) -> TrinomialDomainPoly:
         ctr.mults += half
         ctr.adds += 2 * half
         ctr.subs += half
-    for li, (nblocks, seg, tws, _) in enumerate(plan.levels):
-        if vec:
-            transforms.ct_level(vals, nblocks, seg, 1, plan.arrays[0][li][0], q)
-        else:
-            for si, z in enumerate(tws):
-                base = si * 2 * seg
-                for j in range(base, base + seg):
-                    t = z * vals[j + seg] % q
-                    u = vals[j]
-                    vals[j] = (u + t) % q
-                    vals[j + seg] = (u - t) % q
-        if ctr is not None:
-            work = seg * nblocks
-            ctr.mults += work
-            ctr.adds += work
-            ctr.subs += work
-    return TrinomialDomainPoly(vals.tolist() if vec else vals, plan)
+    transforms.run_levels(vals, q, plan.forward)
+    return TrinomialDomainPoly(transforms.values_of(vals, q), plan)
 
 
 def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan) -> Poly:
     if ahat.plan is not plan and ahat.plan != plan:
         raise PlanMismatch("domain values were produced under a different plan")
     n, q = plan.n, plan.q
-    vec = plan.arrays is not None
-    vals = np.array(ahat.values, dtype=np.int64) if vec else list(ahat.values)
+    vals = transforms.buffer(ahat.values, q)
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.inverse_transforms += 1
     half = n // 2
-    for li in reversed(range(len(plan.levels))):
-        nblocks, seg, _, itws = plan.levels[li]
-        if vec:
-            transforms.gs_level(vals, nblocks, seg, 1, plan.arrays[0][li][1], q)
-        else:
-            for si, zinv in enumerate(itws):
-                base = si * 2 * seg
-                for j in range(base, base + seg):
-                    u = vals[j]
-                    v = vals[j + seg]
-                    vals[j] = (u + v) % q
-                    vals[j + seg] = (u - v) * zinv % q
-        if ctr is not None:
-            work = seg * nblocks
-            ctr.mults += work
-            ctr.adds += work
-            ctr.subs += work
+    transforms.run_levels(vals, q, plan.inverse)
     # undo the split level exactly: invert [[1, z1], [1, z2]]
     z1, z2 = plan.zeta1, plan.zeta2
     det_inv = mod_inv((z2 - z1) % q, q)
-    if vec:
+    if isinstance(vals, np.ndarray):
         l, r = vals[:half].copy(), vals[half:].copy()
         x = z2 * l - z1 * r
         x %= q
@@ -204,16 +173,10 @@ def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan) -> Poly:
         ctr.mults += 4 * half
         ctr.adds += half
         ctr.subs += half
-    if plan.levels:
-        s = mod_inv(1 << len(plan.levels), q)
-        if vec:
-            vals *= s
-            vals %= q
-        else:
-            vals = [v * s % q for v in vals]
-        if ctr is not None:
-            ctr.mults += n
-    return Poly(vals.tolist() if vec else vals, plan.ring)
+    levels = len(plan.inverse.levels)
+    if levels and ctr is not None:
+        ctr.mults += n
+    return Poly(transforms.values_of(vals, q, mod_inv(1 << levels, q)), plan.ring)
 
 
 def trinomial_pointwise(u, v, psi_j: int, q: int) -> list:
@@ -251,8 +214,8 @@ def trinomial_multiply(a: Poly, b: Poly, plan: TrinomialPlan) -> Poly:
     A = trinomial_forward(a, plan)
     B = trinomial_forward(b, plan)
     q = plan.q
-    if plan.arrays is not None:
-        vals = _pointwise_vec(A.values, B.values, plan.arrays[1], q)
+    if modarith.vectorized(q):
+        vals = _pointwise_vec(A.values, B.values, plan.leaf_vector, q)
         ctr = modarith.active_counter()
         if ctr is not None:
             leaves = len(plan.leaf_constants)

@@ -190,6 +190,99 @@ def test_plan_trace_small(capsys):
     assert "level 0:" in out and "twiddle exponent" in out
 
 
+# the schedule text of `plan --trace` for n = 16, q = 97 (after the JSON
+# report line), pinned byte for byte
+TRACE_16_97 = {
+    "x^n+1": """\
+# butterfly schedule, CT natural->bit_reversed
+level 0:
+  ( 0, 8) twiddle exponent 8
+  ( 1, 9) twiddle exponent 8
+  ( 2,10) twiddle exponent 8
+  ( 3,11) twiddle exponent 8
+  ( 4,12) twiddle exponent 8
+  ( 5,13) twiddle exponent 8
+  ( 6,14) twiddle exponent 8
+  ( 7,15) twiddle exponent 8
+level 1:
+  ( 0, 4) twiddle exponent 4
+  ( 1, 5) twiddle exponent 4
+  ( 2, 6) twiddle exponent 4
+  ( 3, 7) twiddle exponent 4
+  ( 8,12) twiddle exponent 12
+  ( 9,13) twiddle exponent 12
+  (10,14) twiddle exponent 12
+  (11,15) twiddle exponent 12
+level 2:
+  ( 0, 2) twiddle exponent 2
+  ( 1, 3) twiddle exponent 2
+  ( 4, 6) twiddle exponent 10
+  ( 5, 7) twiddle exponent 10
+  ( 8,10) twiddle exponent 6
+  ( 9,11) twiddle exponent 6
+  (12,14) twiddle exponent 14
+  (13,15) twiddle exponent 14
+level 3:
+  ( 0, 1) twiddle exponent 1
+  ( 2, 3) twiddle exponent 9
+  ( 4, 5) twiddle exponent 5
+  ( 6, 7) twiddle exponent 13
+  ( 8, 9) twiddle exponent 3
+  (10,11) twiddle exponent 11
+  (12,13) twiddle exponent 7
+  (14,15) twiddle exponent 15
+""",
+    "x^n-1": """\
+# butterfly schedule, CT natural->bit_reversed
+level 0:
+  ( 0, 8) twiddle exponent 0
+  ( 1, 9) twiddle exponent 0
+  ( 2,10) twiddle exponent 0
+  ( 3,11) twiddle exponent 0
+  ( 4,12) twiddle exponent 0
+  ( 5,13) twiddle exponent 0
+  ( 6,14) twiddle exponent 0
+  ( 7,15) twiddle exponent 0
+level 1:
+  ( 0, 4) twiddle exponent 0
+  ( 1, 5) twiddle exponent 0
+  ( 2, 6) twiddle exponent 0
+  ( 3, 7) twiddle exponent 0
+  ( 8,12) twiddle exponent 4
+  ( 9,13) twiddle exponent 4
+  (10,14) twiddle exponent 4
+  (11,15) twiddle exponent 4
+level 2:
+  ( 0, 2) twiddle exponent 0
+  ( 1, 3) twiddle exponent 0
+  ( 4, 6) twiddle exponent 4
+  ( 5, 7) twiddle exponent 4
+  ( 8,10) twiddle exponent 2
+  ( 9,11) twiddle exponent 2
+  (12,14) twiddle exponent 6
+  (13,15) twiddle exponent 6
+level 3:
+  ( 0, 1) twiddle exponent 0
+  ( 2, 3) twiddle exponent 4
+  ( 4, 5) twiddle exponent 2
+  ( 6, 7) twiddle exponent 6
+  ( 8, 9) twiddle exponent 1
+  (10,11) twiddle exponent 5
+  (12,13) twiddle exponent 3
+  (14,15) twiddle exponent 7
+""",
+}
+
+
+@pytest.mark.parametrize("form", sorted(TRACE_16_97))
+def test_plan_trace_text_is_pinned(capsys, form):
+    code, out, _ = run(capsys, "plan", "--form", form, "-n", "16", "-q", "97", "--trace")
+    assert code == 0
+    report, text = out.split("\n", 1)
+    assert json.loads(report)["strategy"] == "full"
+    assert text == TRACE_16_97[form]
+
+
 def test_plan_trace_refused_for_large_n(capsys):
     code, _, err = run(capsys, "plan", "--preset", "kyber", "--trace")
     assert code == 2 and "n <= 16" in err

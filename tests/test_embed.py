@@ -1,6 +1,6 @@
 import pytest
 
-from nttkit import bigmod, modarith
+from nttkit import bigmod, modarith, planner
 from nttkit.embed import (
     EmbedChain,
     Good,
@@ -22,6 +22,7 @@ from nttkit.errors import BadShape, ChainMismatch, PadTooSmall, ParameterConditi
 from nttkit.polymul import (
     make_transform_pair,
     ntt_multiply,
+    oracle_multiply,
     reduce_mod_phi,
     schoolbook_cyclic,
     schoolbook_linear,
@@ -272,3 +273,26 @@ def test_ntru_chain_and_direct_good_agree(rng):
     got_chain = general_phi_multiply(a, b, chain)
     got_direct = zero_pad_multiply(a, b, 1536, lambda x, y: good_multiply(x, y, 3, 9, 5747201))
     assert got_chain.coeffs == got_direct.coeffs == schoolbook_cyclic(a, b).coeffs
+
+
+def test_unlifted_block_terminal_skips_the_lift(monkeypatch, rng):
+    # a Schoenhage terminal over q itself runs on the operands as they are;
+    # a lifted route still lifts both operands and recovers the product
+    lift, recover = bigmod.lift_centered, bigmod.recover_centered
+
+    def boom(*args):
+        raise AssertionError("an unlifted terminal must not lift or recover")
+
+    monkeypatch.setattr(bigmod, "lift_centered", boom)
+    monkeypatch.setattr(bigmod, "recover_centered", boom)
+    ring, plan = planner.preset("ntruprime-761-schonhage")
+    a, b = planner.sample_operands(ring, plan, rng)
+    assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
+
+    calls = []
+    monkeypatch.setattr(bigmod, "lift_centered", lambda *x: calls.append("lift") or lift(*x))
+    monkeypatch.setattr(bigmod, "recover_centered", lambda *x: calls.append("recover") or recover(*x))
+    ring, plan = planner.preset("ntru-701")
+    a, b = planner.sample_operands(ring, plan, rng)
+    assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
+    assert calls == ["lift", "lift", "recover"]

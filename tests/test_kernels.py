@@ -1,13 +1,14 @@
 """The int64 kernels against the pure-Python reference kernels.
 
-Values and OpCounter tallies must be identical: the transforms against
-``_run_passes``, the leaf products against ``basecase_mul`` and the
-trinomial transform and leaves against the plan's reference path.  The
-kernel is picked by the modulus alone, so the last tests pin the 2^31
-threshold with the primes on either side of it.
+Values and OpCounter tallies must be identical: the transforms on an
+int64 array against the same schedule run on a list, the leaf products
+against ``basecase_mul`` and the trinomial transform and leaves against
+the plan's reference path.  The kernel is picked by the modulus alone,
+so the last tests pin the 2^31 threshold with the primes on either side
+of it.
 """
 
-import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,14 +65,14 @@ def reference(values, q, tw, spec, n, halving=False):
     """(values, counter) of the reference kernel on a copy of values."""
     buf = list(values)
     with counting() as c:
-        transforms._run_passes(buf, q, tw, spec, n, halving=halving)
+        transforms.run_levels(buf, q, transforms.make_schedule(spec, tw, n), halving=halving)
     return buf, c
 
 
 def vector(values, q, tw, spec, n, halving=False):
     x = np.array(values, dtype=np.int64)
     with counting() as c:
-        transforms._run_levels(x, q, transforms.make_schedule(spec, tw, n), halving=halving)
+        transforms.run_levels(x, q, transforms.make_schedule(spec, tw, n), halving=halving)
     return x.tolist(), c
 
 
@@ -167,21 +168,30 @@ TRINOMIAL_RINGS = [RingSpec(TRINOMIAL, n, q) for n, q in
                    ((6, 7), (12, 13), (24, 73), (48, 97), (96, 193), (768, 7681))]
 
 
+def _boom(*args, **kwargs):
+    raise AssertionError("this kernel must not run for this modulus")
+
+
 @BUDGET
 @given(st.sampled_from(TRINOMIAL_RINGS), st.data())
 def test_trinomial_kernels_agree(ring, data):
     plan = trinomial.make_plan(ring)
-    ref_plan = dataclasses.replace(plan, arrays=None)  # the pure-Python path
-    assert plan.arrays is not None
+    assert modarith.vectorized(ring.q)
     a = Poly(data.draw(edge_or_random(ring.n, ring.q)), ring)
     b = Poly(data.draw(edge_or_random(ring.n, ring.q)), ring)
-    results = []
-    for p in (plan, ref_plan):
+
+    def run():
         with counting() as c:
-            fa = trinomial.trinomial_forward(a, p).values
-            back = trinomial.trinomial_inverse(trinomial.TrinomialDomainPoly(fa, p), p).coeffs
-            prod = trinomial.trinomial_multiply(a, b, p).coeffs
-        results.append((fa, back, prod, c))
+            fa = trinomial.trinomial_forward(a, plan).values
+            back = trinomial.trinomial_inverse(trinomial.TrinomialDomainPoly(fa, plan), plan).coeffs
+            prod = trinomial.trinomial_multiply(a, b, plan).coeffs
+        return fa, back, prod, c
+
+    results = [run()]
+    # the pure-Python path: lists everywhere, the int64 kernel must not run
+    with mock.patch.object(modarith, "vectorized", lambda m: False), \
+            mock.patch.multiple(transforms, ct_level=_boom, gs_level=_boom):
+        results.append(run())
     assert results[0] == results[1]
     assert results[0][1] == a.coeffs
     assert results[0][2] == oracle_multiply(a, b).coeffs
@@ -214,11 +224,9 @@ def prime_near_limit(direction):
     return q
 
 
-def _forbid(monkeypatch, name):
-    def boom(*args, **kwargs):
-        raise AssertionError(f"{name} must not run for this modulus")
-
-    monkeypatch.setattr(transforms, name, boom)
+def _forbid(monkeypatch, *names):
+    for name in names:
+        monkeypatch.setattr(transforms, name, _boom)
 
 
 @pytest.mark.parametrize("direction", [-1, +1], ids=["below", "above"])
@@ -227,13 +235,16 @@ def test_threshold_picks_the_kernel(direction, monkeypatch, rng):
     assert modarith.vectorized(q) == (q < 2**31) == (direction < 0)
     ring = RingSpec(XN_PLUS_1, N_EDGE, q)
     pair = make_transform_pair(ring, 1)
-    assert (pair.fwd_sched is None) == (direction > 0)
+    # every modulus has a schedule; its warm-up forward built only the
+    # chosen kernel's twiddles
+    sched = vars(pair.fwd_sched)
+    assert ("vectors" in sched, "passes" in sched) == (direction < 0, direction > 0)
     a = Poly.random(ring, rng)
     b = Poly([q - 1] * N_EDGE, ring)
     want, ref = reference(a.coeffs, q, pair.fwd_tw, pair.fwd_spec, N_EDGE)
     ref.forward_transforms = 1
     # the kernel not chosen for q must not run at all
-    _forbid(monkeypatch, "_run_passes" if direction < 0 else "_run_levels")
+    _forbid(monkeypatch, *(("ct_pass", "gs_pass") if direction < 0 else ("ct_level", "gs_level")))
     with counting() as c:
         got = pair.forward(a)
     assert (got.values, c) == (want, ref)

@@ -6,6 +6,7 @@ from nttkit.modarith import (
     BIT_REVERSED,
     NATURAL,
     bitrev,
+    bitrev_permutation,
     build_twiddles,
     counting,
     find_root,
@@ -116,6 +117,13 @@ def test_bitrev_involution():
         for b in range(n):
             assert bitrev(bitrev(b, n), n) == b
         n *= 2
+
+
+def test_bitrev_permutation_matches_bitrev():
+    # every twiddle exponent of the transforms comes from the permutation
+    for k in range(13):
+        n = 1 << k
+        assert bitrev_permutation(n) == [bitrev(i, n) for i in range(n)]
 
 
 def test_build_twiddles_examples():

@@ -16,6 +16,7 @@ from nttkit.transforms import (
     GS,
     INVERSE,
     NWC,
+    NttDomainPoly,
     TransformSpec,
     butterfly_ct,
     butterfly_gs,
@@ -398,43 +399,60 @@ def test_passes_run_in_place_without_scratch(rng):
     fs = TransformSpec(NWC, CT, FORWARD, NATURAL, BIT_REVERSED)
     inv = fs.inverse_of()
     buf = [rng.randrange(q) for _ in range(n)]
+    # the schedules' reference-kernel twiddles are tables, built beforehand
+    f_sched, i_sched = transforms.make_schedule(fs, ftw, n), transforms.make_schedule(inv, itw, n)
+    assert f_sched.passes and i_sched.passes
     # peak-over-final headroom: replacing the n value objects is inherent,
     # but a transient second length-n list would leave an 8 KiB+ gap
     tracemalloc.start()
-    transforms._run_passes(buf, q, ftw, fs, n)
+    transforms.run_levels(buf, q, f_sched)
     cur_f, peak_f = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     tracemalloc.start()
-    transforms._run_passes(buf, q, itw, inv, n)
+    transforms.run_levels(buf, q, i_sched)
     cur_i, peak_i = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak_f - cur_f < n * 2
     assert peak_i - cur_i < n * 2
 
 
+def _replay(spec, tw, values, n, q):
+    """Per-level states of butterfly_ct/gs applied over butterfly_schedule."""
+    manual = list(values)
+    by_level = {}
+    for lvl, lo, hi, e in butterfly_schedule(spec, n):
+        by_level.setdefault(lvl, []).append((lo, hi, e))
+    states = []
+    for lvl in sorted(by_level):
+        for lo, hi, e in by_level[lvl]:
+            w = tw.power_of_base(e)
+            if spec.butterfly == CT:
+                manual[lo], manual[hi] = butterfly_ct(manual[lo], manual[hi], w, q)
+            else:
+                manual[lo], manual[hi] = butterfly_gs(manual[lo], manual[hi], w, q)
+        states.append(list(manual))
+    return states
+
+
 def test_schedule_replay_matches_kernel(rng):
     # applying butterfly_ct/gs over the published schedule reproduces the
-    # kernel level by level (the per-level recurrence cross-check)
+    # kernel level by level (the per-level recurrence cross-check), for
+    # every forward spec and every inverse spec that pairs with it
     for kind in (CC, NWC):
         n, q = 16, 97
-        ftw, _ = tables_for(kind, n, q)
+        ftw, itw = tables_for(kind, n, q)
         ring = ring_for(kind, n, q)
         for fs in forward_specs(kind):
             a = Poly.random(ring, rng)
             states = []
             ntt_forward(a, ftw, fs, on_level=lambda lvl, vals: states.append(list(vals)))
-            manual = list(a.coeffs)
-            by_level = {}
-            for lvl, lo, hi, e in butterfly_schedule(fs, n):
-                by_level.setdefault(lvl, []).append((lo, hi, e))
-            for lvl in sorted(by_level):
-                for lo, hi, e in by_level[lvl]:
-                    w = ftw.power_of_base(e)
-                    if fs.butterfly == CT:
-                        manual[lo], manual[hi] = butterfly_ct(manual[lo], manual[hi], w, q)
-                    else:
-                        manual[lo], manual[hi] = butterfly_gs(manual[lo], manual[hi], w, q)
-                assert manual == states[lvl], (kind, fs.butterfly, fs.in_order, lvl)
+            assert _replay(fs, ftw, a.coeffs, n, q) == states, (kind, fs.butterfly, fs.in_order)
+            for inv in inverse_specs_for(fs):
+                ahat = NttDomainPoly(Poly.random(ring, rng).coeffs, fs, ring, 1)
+                states = []
+                ntt_inverse(ahat, itw, inv, on_level=lambda lvl, vals: states.append(list(vals)))
+                assert len(states) == 4
+                assert _replay(inv, itw, ahat.values, n, q) == states, (kind, inv.butterfly, inv.in_order)
 
 
 def test_recursive_split_recurrence(rng):
