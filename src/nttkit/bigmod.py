@@ -250,11 +250,6 @@ def rns_multiply(a: Poly, b: Poly, basis: RnsBasis, beta: int = 0, profile=(FULL
 # method 3: composite-modulus ring with a principal root
 
 
-def _order_k_elements(k: int, p: int):
-    """All order-k elements mod prime p (k | p - 1)."""
-    return modarith.root_candidates_prime(k, p)
-
-
 def find_principal_root_composite(k: int, basis: RnsBasis) -> int:
     """Smallest principal k-th root of unity mod the basis product.
 
@@ -265,7 +260,7 @@ def find_principal_root_composite(k: int, basis: RnsBasis) -> int:
     for p in basis.primes:
         if (p - 1) % k != 0:
             raise NoSuchRoot(f"{k} does not divide {p}-1 (gcd condition fails)")
-    sets = [_order_k_elements(k, p) for p in basis.primes]
+    sets = [modarith.root_candidates_prime(k, p) for p in basis.primes]
     best = min(crt_recombine(combo, basis) for combo in iterproduct(*sets))
     if not is_principal_root(best, k, basis.product):
         raise InvalidRoot(f"CRT lift {best} is not a principal {k}-th root mod {basis.product}")

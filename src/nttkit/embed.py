@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
+import numpy as np
+
 from . import bigmod, modarith, polymul, transforms
 from .errors import (
     BadShape,
@@ -24,7 +26,7 @@ from .errors import (
     ShapeCondition,
 )
 from .modarith import mod_inv
-from .rings import XN_MINUS_1, XN_PLUS_1, Poly, RingSpec
+from .rings import XN_MINUS_1, XN_PLUS_1, Poly, RingSpec, is_pow2
 from .transforms import CYCLIC_BLOCK_PAIR, NttDomainPoly
 
 SCHOOLBOOK_FLOOR = 8  # inner rings at or below this length multiply directly
@@ -111,19 +113,14 @@ class GoodExecutor(bigmod.LiftedExecutor):
         return polymul.make_transform_pair(RingSpec(XN_MINUS_1, 1 << self.k, self.N), 0)
 
     def run(self, x, y):
-        h, k, pair = self.h, self.k, self.pair
-        two_k = 1 << k
-        row_ring, col_ring = pair.ring, RingSpec(XN_MINUS_1, h, self.N)
-        da = [pair.forward(Poly(r, row_ring)) for r in good_map(x, h, k).rows]
-        db = [pair.forward(Poly(r, row_ring)) for r in good_map(y, h, k).rows]
-        out_vals = [[0] * two_k for _ in range(h)]
-        for j in range(two_k):
-            u = Poly([da[i].values[j] for i in range(h)], col_ring)
-            v = Poly([db[i].values[j] for i in range(h)], col_ring)
-            w = polymul.schoolbook_cyclic(u, v)
-            for i in range(h):
-                out_vals[i][j] = w.coeffs[i]
-        rows = [pair.inverse(NttDomainPoly(vals, pair.fwd_spec, row_ring, 1)).coeffs
+        h, k, pair, N = self.h, self.k, self.pair, self.N
+
+        def columns(coeffs):  # transformed rows, one column per leaf
+            return _array([pair.forward(Poly(r, pair.ring)).values
+                           for r in good_map(coeffs, h, k).rows], N).T
+
+        out_vals = _schoolbook_rows(columns(x), columns(y), N, 1).T.tolist()
+        rows = [pair.inverse(NttDomainPoly(vals, pair.fwd_spec, pair.ring, 1)).coeffs
                 for vals in out_vals]
         return good_unmap(GoodLayout(h, k, rows))
 
@@ -134,173 +131,168 @@ def good_multiply(a: Poly, b: Poly, h: int, k: int, inner_modulus: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# block vectors over Z_q[x]/(x^L + 1): helpers for the two block embeddings
+# block arrays: shape (batch, blocks, L), one residue of Z_q[x]/(x^L + 1)
+# per block, int64 below modarith.VECTOR_LIMIT and Python ints above
 
 
-def _neg_rotate(block, t: int, q: int):
-    """x^t * block in Z_q[x]/(x^L + 1); t may be any integer, L = len.
+def _array(values, q: int):
+    return np.array(values, dtype=np.int64 if modarith.vectorized(q) else object)
 
-    Pure rotate-and-negate: entries that wrap past x^L pick up a sign,
-    and t >= L flips every sign once more.  No multiplications.
+
+def block_shape_fault(step) -> str | None:
+    """Why a Schonhage or Nussbaumer step's shape cannot multiply, or None:
+    the block transform is radix 2, and Schoenhage blocks longer than the
+    floor take balanced Nussbaumer splits."""
+    m, n = step.m, step.n
+    if isinstance(step, Nussbaumer) and n < m:
+        return "need n >= m so x-products avoid wraparound"
+    if isinstance(step, Nussbaumer) and m < 2:  # m = 1 recurses on the same length
+        return "need m >= 2 for a strictly smaller inner ring"
+    if not is_pow2(2 * n):
+        return f"need 2n = {2 * n} a power of two for the radix-2 block transform"
+    if isinstance(step, Schonhage) and 2 * m > SCHOOLBOOK_FLOOR and not is_pow2(2 * m):
+        return f"need 2m = {2 * m} <= {SCHOOLBOOK_FLOOR} or a power of two for the block products"
+    return None
+
+
+def _block_modulus(a: Poly, b: Poly, step) -> int:
+    """Check two operands of a block embedding and its shape; returns q."""
+    if a.ring != b.ring:
+        raise RingMismatch("operands belong to different rings")
+    m, n, q = step.m, step.n, a.ring.q
+    form = XN_MINUS_1 if isinstance(step, Schonhage) else XN_PLUS_1
+    if a.ring.form != form or a.ring.n != 2 * m * n:
+        raise BadShape(f"ring must be {form} with n = 2mn = {2 * m * n}")
+    if isinstance(step, Schonhage) and (m < 1 or n < 1 or (2 * m) % n != 0):
+        raise BadShape("need n | 2m so x^(2m/n) has order 2n")
+    fault = block_shape_fault(step)
+    if fault:
+        raise ShapeCondition(fault)
+    if gcd(2 * n, q) != 1:
+        raise ParameterCondition(f"2n = {2 * n} must be invertible mod q = {q}")
+    return q
+
+
+def _rotate(X, t, q: int):
+    """x^t * X in Z_q[x]/(x^L + 1), L = X.shape[-1], one exponent per block
+    (``t`` broadcasts against X.shape[:-1]): a signed gather that counts one
+    subtraction per negated entry.  Entries that wrap past x^L change sign,
+    and t >= L (mod 2L) flips every sign once more."""
+    L = X.shape[-1]
+    t = np.asarray(t)[..., None] % (2 * L)
+    r, k = t % L, np.arange(L)
+    ctr = modarith.active_counter()
+    if ctr is not None:
+        ctr.subs += int(np.broadcast_to(np.minimum(t, 2 * L - t), X.shape[:-1] + (1,)).sum())
+    g = np.take_along_axis(X, np.broadcast_to((k - r) % L, X.shape), axis=-1)
+    return np.where((k < r) != (t >= L), (q - g) % q, g)
+
+
+def _schoolbook_rows(U, V, q: int, sign: int):
+    """Row-wise products of two (rows, L) arrays mod x^L - sign, uncounted.
+    Each product is reduced before summing, so int64 sums cannot overflow."""
+    rows, L = U.shape
+    t = np.zeros((rows, 2 * L - 1), dtype=U.dtype)
+    for i in range(L):
+        t[:, i : i + L] += U[:, i : i + 1] * V % q
+    out = t[:, :L]
+    out[:, : L - 1] += sign * t[:, L:]
+    return out % q
+
+
+def _block_ntt(X, stride: int, q: int, inverse: bool):
+    """In-place cyclic transform along axis 1 with twiddles x^(stride*e).
+
+    Forward runs the natural-input CT levels, inverse the bit-reversed-input
+    GS levels, without the 1/blocks scaling.  Each level is one reshape,
+    one signed rotation and one reduction; nothing is multiplied.
     """
-    L = len(block)
-    t %= 2 * L
-    neg = t >= L
-    if neg:
-        t -= L
+    batch, blocks, L = X.shape
     ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.subs += L - t if neg else t
-    head = block[L - t :]  # wraps: negated unless neg cancels it
-    tail = block[: L - t]
-    if neg:
-        return list(head) + [(q - x) % q for x in tail]
-    return [(q - x) % q for x in head] + list(tail)
+    for nblocks, half, exps in transforms.level_geometry(CYCLIC_BLOCK_PAIR[inverse], blocks):
+        y = X.reshape(batch, nblocks, 2, half, L)
+        u, v = y[:, :, 0], y[:, :, 1]
+        e = stride * np.array(exps)[:, None]  # one exponent per transform block
+        if inverse:
+            d = _rotate((u - v) % q, -e, q)
+            u += v
+            v[...] = d
+        else:
+            t = _rotate(v, e, q)
+            np.subtract(u, t, out=v)
+            u += t
+        X %= q
+        if ctr is not None:
+            ctr.adds += X.size // 2
+            ctr.subs += X.size // 2
+    return X
 
 
-def _block_add(u, v, q):
-    ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.adds += len(u)
-    return [(x + y) % q for x, y in zip(u, v)]
-
-
-def _block_sub(u, v, q):
-    ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.subs += len(u)
-    return [(x - y) % q for x, y in zip(u, v)]
-
-
-def _block_scale(u, s, q):
-    ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.mults += len(u)
-    return [x * s % q for x in u]
-
-
-def _nega_mul(u, v, q):
-    """Negacyclic block product with the recursion floor at length 8."""
-    L = len(u)
+def _nega_mul(U, V, q: int):
+    """Row-wise products in Z_q[x]/(x^L + 1), recursing on the whole batch."""
+    L = U.shape[1]
     if L <= SCHOOLBOOK_FLOOR:
-        ring = RingSpec(XN_PLUS_1, L, q) if L > 1 else None
-        if L == 1:
-            return [u[0] * v[0] % q]
-        return polymul.schoolbook_nwc(Poly(list(u), ring), Poly(list(v), ring)).coeffs
+        return _schoolbook_rows(U, V, q, -1)
     m = 1 << ((L.bit_length() - 2) // 2)  # balanced split, n >= m
-    n = L // (2 * m)
-    return nussbaumer_multiply(
-        Poly(list(u), RingSpec(XN_PLUS_1, L, q)),
-        Poly(list(v), RingSpec(XN_PLUS_1, L, q)),
-        m,
-        n,
-    ).coeffs
+    return _nussbaumer(U, V, m, L // (2 * m), q)
 
 
-def _block_ntt(blocks, root_stride: int, q: int, inverse: bool):
-    """In-place cyclic transform of a vector of x^L + 1 blocks.
-
-    Twiddles are powers of x^root_stride, i.e. pure negacyclic rotations;
-    no modular multiplications occur.  Forward runs the natural-input
-    CT schedule, inverse the bit-reversed-input GS schedule (reorder-free
-    pairing), with the final 1/len scaling left to the caller.
-    """
-    for _, L, exps in transforms.level_geometry(CYCLIC_BLOCK_PAIR[inverse], len(blocks)):
-        for i, e in enumerate(exps):
-            e *= root_stride
-            pos = 2 * L * i
-            for j in range(pos, pos + L):
-                if not inverse:
-                    t = _neg_rotate(blocks[j + L], e, q)
-                    u = blocks[j]
-                    blocks[j] = _block_add(u, t, q)
-                    blocks[j + L] = _block_sub(u, t, q)
-                else:
-                    u = blocks[j]
-                    v = blocks[j + L]
-                    blocks[j] = _block_add(u, v, q)
-                    blocks[j + L] = _neg_rotate(_block_sub(u, v, q), -e, q)
-    return blocks
-
-
-# ---------------------------------------------------------------------------
-# Schoenhage: x^(2mn) - 1 via (Z_q[x]/(x^2m + 1))[y]/(y^2n - 1)
+def _block_convolve(A, B, stride: int, q: int):
+    """Cyclic convolution along axis 1 of two block arrays: forward (both
+    in one batch), block products, inverse, 1/blocks scaling."""
+    blocks, L = A.shape[1:]
+    F = _block_ntt(np.concatenate((A, B)), stride, q, inverse=False).reshape(2, -1, L)
+    P = _block_ntt(_nega_mul(F[0], F[1], q).reshape(A.shape), stride, q, inverse=True)
+    ctr = modarith.active_counter()
+    if ctr is not None:
+        ctr.mults += P.size
+    P *= mod_inv(blocks, q)
+    P %= q
+    return P
 
 
 def schonhage_multiply(a: Poly, b: Poly, m: int, n: int) -> Poly:
-    """Cyclic product of length 2mn using the synthetic 4m-th root x.
+    """Cyclic product of length 2mn via (Z_q[x]/(x^2m + 1))[y]/(y^2n - 1).
 
-    Blocks of m coefficients become y-coefficients; the 2n-point cyclic
-    transform over Z_q[x]/(x^2m + 1) twiddles by rotations of x, block
-    products recurse (Nussbaumer) or fall back to schoolbook at the
-    floor, and y = x^m substitutes back at the end.
+    Blocks of m coefficients become y-coefficients; x^(2m/n) is the
+    synthetic 2n-th root, and y = x^m substitutes back at the end.
     """
-    if a.ring != b.ring:
-        raise RingMismatch("operands belong to different rings")
-    src = a.ring
-    q = src.q
-    if src.form != XN_MINUS_1 or src.n != 2 * m * n:
-        raise BadShape(f"ring must be x^(2mn) - 1 with 2mn = {2 * m * n}")
-    if m < 1 or n < 1 or (2 * m) % n != 0:
-        raise BadShape("need n | 2m so x^(2m/n) has order 2n")
-    if gcd(2 * n, q) != 1:
-        raise ParameterCondition(f"2n = {2 * n} must be invertible mod q = {q}")
-    L = 2 * m
-    stride = 2 * m // n  # x^stride has order 2n in x^2m + 1
-    blocks_a = [a.coeffs[j * m : (j + 1) * m] + [0] * m for j in range(2 * n)]
-    blocks_b = [b.coeffs[j * m : (j + 1) * m] + [0] * m for j in range(2 * n)]
-    _block_ntt(blocks_a, stride, q, inverse=False)
-    _block_ntt(blocks_b, stride, q, inverse=False)
-    prod = [_nega_mul(u, v, q) for u, v in zip(blocks_a, blocks_b)]
-    _block_ntt(prod, stride, q, inverse=True)
-    s = mod_inv(2 * n, q)
-    prod = [_block_scale(blk, s, q) for blk in prod]
-    out = [0] * (2 * m * n)
-    size = 2 * m * n
-    for j, blk in enumerate(prod):  # substitute y = x^m
-        base = m * j
-        for i, val in enumerate(blk):
-            if val:
-                out[(base + i) % size] = (out[(base + i) % size] + val) % q
-    return Poly(out, src)
+    q = _block_modulus(a, b, Schonhage(m, n))
+
+    def blocks(coeffs):  # block j: coefficients jm .. jm + m - 1, zero-padded to 2m
+        X = _array(coeffs, q).reshape(1, 2 * n, m)
+        return np.concatenate((X, np.zeros_like(X)), axis=2)
+
+    P = _block_convolve(blocks(a.coeffs), blocks(b.coeffs), 2 * m // n, q)[0]
+    # y = x^m: block j's upper half lands on block j + 1
+    return Poly(((P[:, :m] + np.roll(P[:, m:], 1, axis=0)) % q).ravel().tolist(), a.ring)
 
 
-# ---------------------------------------------------------------------------
-# Nussbaumer: x^(2mn) + 1 via (Z_q[y]/(y^2n + 1))[x]/(x^m - y)
+def _nussbaumer(U, V, m: int, n: int, q: int):
+    """Row-wise negacyclic products of two (rows, 2mn) arrays via
+    (Z_q[y]/(y^2n + 1))[x]/(x^m - y), y^2 the synthetic 2n-th root."""
+    rows, L = U.shape[0], 2 * n
+
+    def parts(X):  # part i collects coefficients congruent to i mod m, as a y-poly
+        P = np.zeros((rows, L, L), dtype=X.dtype)
+        P[:, :m] = X.reshape(rows, L, m).transpose(0, 2, 1)
+        return P
+
+    P = _block_convolve(parts(U), parts(V), 2, q)
+    c = min(m - 1, L - m)  # fold x^m = y: true x-degree is < 2m - 1 <= L
+    P[:, :c] += _rotate(P[:, m : m + c], 1, q)
+    P[:, :c] %= q
+    ctr = modarith.active_counter()
+    if ctr is not None:
+        ctr.adds += rows * c * L
+    return P[:, :m].transpose(0, 2, 1).reshape(rows, 2 * m * n)
 
 
 def nussbaumer_multiply(a: Poly, b: Poly, m: int, n: int) -> Poly:
     """Negacyclic product of length 2mn using the synthetic 4n-th root y."""
-    if a.ring != b.ring:
-        raise RingMismatch("operands belong to different rings")
-    src = a.ring
-    q = src.q
-    if src.form != XN_PLUS_1 or src.n != 2 * m * n:
-        raise BadShape(f"ring must be x^(2mn) + 1 with 2mn = {2 * m * n}")
-    if n < m:
-        raise ShapeCondition("need n >= m so x-products avoid wraparound")
-    if m < 2:  # m = 1 would recurse on an inner ring of the same length
-        raise ShapeCondition("need m >= 2 for a strictly smaller inner ring")
-    if gcd(2 * n, q) != 1:
-        raise ParameterCondition(f"2n = {2 * n} must be invertible mod q = {q}")
-    L = 2 * n
-    # part i collects coefficients congruent to i mod m, as a y-poly
-    parts_a = [list(a.coeffs[i::m]) for i in range(m)] + [[0] * L for _ in range(L - m)]
-    parts_b = [list(b.coeffs[i::m]) for i in range(m)] + [[0] * L for _ in range(L - m)]
-    _block_ntt(parts_a, 2, q, inverse=False)  # y^2 has order 2n in y^2n + 1
-    _block_ntt(parts_b, 2, q, inverse=False)
-    prod = [_nega_mul(u, v, q) for u, v in zip(parts_a, parts_b)]
-    _block_ntt(prod, 2, q, inverse=True)
-    s = mod_inv(L, q)
-    prod = [_block_scale(blk, s, q) for blk in prod]
-    # fold x^m = y: true x-degree is < 2m - 1 <= L
-    for t in range(m, min(2 * m - 1, L)):
-        prod[t - m] = _block_add(prod[t - m], _neg_rotate(prod[t], 1, q), q)
-    out = [0] * (2 * m * n)
-    for i in range(m):
-        for j in range(L):
-            out[m * j + i] = prod[i][j]
-    return Poly(out, src)
+    q = _block_modulus(a, b, Nussbaumer(m, n))
+    return Poly(_nussbaumer(_array([a.coeffs], q), _array([b.coeffs], q), m, n, q)[0].tolist(),
+                a.ring)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 from importlib import resources
+from math import gcd
 
 from . import bigmod, embed, polymul, splitting, trinomial
 from .errors import NoStrategy, ParameterCondition, ShapeCondition, UnknownPreset
@@ -316,11 +317,11 @@ def _chain_checks(ring: RingSpec, ex: embed.ChainExecutor, prof):
     mod = lift.modulus if lift else ring.q
     if isinstance(s, embed.Good):
         checks.append(_cong_check(mod, 1 << s.k, f"good rows over {mod}"))
-    elif isinstance(s, embed.Schonhage):
-        checks.append((f"schonhage shape 2mn = {2 * s.m * s.n}", pad.n_prime == 2 * s.m * s.n))
-        checks.append((f"2n = {2 * s.n} invertible mod {ring.q}", ring.q % 2 == 1))
-    elif isinstance(s, embed.Nussbaumer):
-        checks.append((f"nussbaumer shape 2mn = {2 * s.m * s.n}", pad.n_prime == 2 * s.m * s.n))
+    elif isinstance(s, (embed.Schonhage, embed.Nussbaumer)):
+        name = "schonhage" if isinstance(s, embed.Schonhage) else "nussbaumer"
+        checks.append((f"{name} shape 2mn = {2 * s.m * s.n}",
+                       pad.n_prime == 2 * s.m * s.n and embed.block_shape_fault(s) is None))
+        checks.append((f"2n = {2 * s.n} invertible mod {mod}", gcd(2 * s.n, mod) == 1))
     elif s is not None:
         need = (pad.n_prime >> s.beta) * (2 if pad.form == XN_PLUS_1 else 1)
         checks.append(_cong_check(mod, need, f"padded transform over {mod}"))

@@ -1,15 +1,19 @@
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from nttkit import bigmod, modarith, planner
+from nttkit import bigmod, modarith, planner, polymul
 from nttkit.embed import (
     EmbedChain,
     Good,
     LiftModulus,
+    Nussbaumer,
     PlainNtt,
     Schonhage,
     ZeroPad,
     _block_ntt,
-    _neg_rotate,
+    _rotate,
     general_phi_multiply,
     good_map,
     good_multiply,
@@ -123,17 +127,24 @@ def test_good_congruence_checked():
 
 def test_neg_rotate_behaviour():
     q = 17
+
+    def rot(blk, t):
+        return _rotate(np.array(blk), t, q).tolist()
+
     blk = [1, 2, 3, 4]
-    assert _neg_rotate(blk, 0, q) == [1, 2, 3, 4]
-    assert _neg_rotate(blk, 1, q) == [(17 - 4) % 17, 1, 2, 3]
-    assert _neg_rotate(blk, 4, q) == [(17 - x) % 17 for x in blk]  # x^L = -1
-    assert _neg_rotate(blk, 8, q) == blk  # full cycle, x^(2L) = 1
-    assert _neg_rotate(_neg_rotate(blk, 3, q), 5, q) == blk
-    assert _neg_rotate(_neg_rotate(blk, 3, q), 1, q) == [(17 - x) % 17 for x in blk]
+    assert rot(blk, 0) == [1, 2, 3, 4]
+    assert rot(blk, 1) == [(17 - 4) % 17, 1, 2, 3]
+    assert rot(blk, 4) == [(17 - x) % 17 for x in blk]  # x^L = -1
+    assert rot(blk, 8) == blk  # full cycle, x^(2L) = 1
+    assert rot(rot(blk, 3), 5) == blk
+    assert rot(rot(blk, 3), 1) == [(17 - x) % 17 for x in blk]
+    # one exponent per block: row i turns by x^i
+    rows = _rotate(np.array([blk] * 3), np.array([0, 1, 4]), q).tolist()
+    assert rows == [rot(blk, 0), rot(blk, 1), rot(blk, 4)]
 
 
 def test_block_transform_multiplies_nothing(rng):
-    blocks = [[rng.randrange(17) for _ in range(8)] for _ in range(8)]
+    blocks = np.array([[[rng.randrange(17) for _ in range(8)] for _ in range(8)]])
     with modarith.counting() as c:
         _block_ntt(blocks, 1, 17, inverse=False)
     assert c.mults == 0
@@ -192,6 +203,93 @@ def test_schonhage_with_nussbaumer_inside(rng):
     a, b = Poly.random(ring, rng), Poly.random(ring, rng)
     got = schonhage_multiply(a, b, 32, 32)
     assert got.coeffs == schoolbook_cyclic(a, b).coeffs
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (6, 3), (12, 4), (6, 2), (5, 1)])
+def test_schonhage_bad_block_shapes_raise(m, n):
+    # 2n not a power of two (radix-2 block transform), or 2m above the
+    # floor and not a power of two (Nussbaumer split of the blocks)
+    z = Poly.zero(RingSpec(XN_MINUS_1, 2 * m * n, 17))
+    with pytest.raises(ShapeCondition):
+        schonhage_multiply(z, z, m, n)
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 3), (3, 6)])
+def test_nussbaumer_bad_block_shapes_raise(m, n):
+    z = Poly.zero(RingSpec(XN_PLUS_1, 2 * m * n, 17))
+    with pytest.raises(ShapeCondition):
+        nussbaumer_multiply(z, z, m, n)
+
+
+def test_odd_block_shapes_still_multiply(rng):
+    for q in (17, 4591):
+        ring = RingSpec(XN_MINUS_1, 12, q)
+        for _ in range(10):
+            a, b = Poly.random(ring, rng), Poly.random(ring, rng)
+            assert schonhage_multiply(a, b, 3, 2).coeffs == schoolbook_cyclic(a, b).coeffs
+        for m, n in ((3, 4), (5, 8)):
+            ring = RingSpec(XN_PLUS_1, 2 * m * n, q)
+            for _ in range(10):
+                a, b = Poly.random(ring, rng), Poly.random(ring, rng)
+                assert nussbaumer_multiply(a, b, m, n).coeffs == schoolbook_nwc(a, b).coeffs
+
+
+BLOCK_BUDGET = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def block_cases(draw):
+    """(function, oracle, m, n, q, a, b) over valid shapes, odd m included,
+    with q below and above 2^31 (int64 and object block arrays)."""
+    n = 1 << draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        fn, oracle, form = schonhage_multiply, schoolbook_cyclic, XN_MINUS_1
+        ms = [m for m in (1, 2, 3, 4, 8, 16) if (2 * m) % n == 0 and 2 * m * n <= 256]
+    else:
+        n = max(n, 2)
+        fn, oracle, form = nussbaumer_multiply, schoolbook_nwc, XN_PLUS_1
+        ms = list(range(2, n + 1))
+    m = draw(st.sampled_from(ms))
+    q = draw(st.one_of(st.integers(1, (1 << 30) - 1), st.integers(1 << 30, (1 << 41) - 1))) * 2 + 1
+    size = 2 * m * n
+    operands = st.one_of(
+        st.just([0] * size),
+        st.just([1] + [0] * (size - 1)),
+        st.just([q - 1] * size),
+        st.lists(st.integers(0, q - 1), min_size=size, max_size=size),
+    )
+    return fn, oracle, m, n, RingSpec(form, size, q), draw(operands), draw(operands)
+
+
+@BLOCK_BUDGET
+@given(block_cases())
+def test_block_embeddings_match_oracle(case):
+    fn, oracle, m, n, ring, a, b = case
+    a, b = Poly(a, ring), Poly(b, ring)
+    assert fn(a, b, m, n).coeffs == oracle(a, b).coeffs
+
+
+def test_schonhage_preset_product_and_counts_pinned(monkeypatch, rng):
+    # the block route needs no schoolbook oracle, and its op counts are
+    # those of the per-block list code it replaced
+    ring, plan = planner.preset("ntruprime-761-schonhage")
+    a, b = planner.sample_operands(ring, plan, rng)
+    want = oracle_multiply(a, b)
+
+    def boom(*args):
+        raise AssertionError("the block route must not call the oracle")
+
+    monkeypatch.setattr(polymul, "schoolbook_nwc", boom)
+    monkeypatch.setattr(polymul, "schoolbook_cyclic", boom)
+    with modarith.counting() as c:
+        assert planner.multiply(a, b, plan) == want
+    assert (c.mults, c.adds, c.subs) == (86016, 441344, 531232)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +362,24 @@ def test_chain_validation():
     with pytest.raises(ChainMismatch):
         # terminal shape disagrees with the pad target
         general_phi_multiply(a, a, EmbedChain((ZeroPad(2048), Good(3, 9))))
+
+
+def test_chain_checks_block_shape_and_lift_modulus(rng):
+    # a Schoenhage shape the block transform cannot run fails at plan time
+    ring5 = RingSpec(XN_MINUS_X_MINUS_1, 5, 17)
+    with pytest.raises(ParameterCondition):
+        planner.make_plan(ring5, chain=(ZeroPad(18), Schonhage(3, 3)))
+    # 2n must be invertible mod the modulus the blocks run over: the lift
+    # modulus when there is one (q = 2048 is even, N is odd) ...
+    ring = RingSpec(XN_MINUS_1, 509, 2048)
+    plan = planner.make_plan(ring, chain=(ZeroPad(2048), LiftModulus(549755809793),
+                                          Schonhage(32, 32)))
+    a, b = Poly.random(ring, rng), Poly.random(ring, rng)
+    assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
+    # ... else q itself, for Nussbaumer terminals too
+    with pytest.raises(ParameterCondition):
+        planner.make_plan(RingSpec(XN_MINUS_X_MINUS_1, 5, 16),
+                          chain=(ZeroPad(16, XN_PLUS_1), Nussbaumer(2, 4)))
 
 
 def test_ntru_chain_and_direct_good_agree(rng):

@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = """
 import sys
 
-from nttkit import bigmod, trinomial
+from nttkit import bigmod, modarith, trinomial
 from nttkit.errors import NttError
 from nttkit.rings import TRINOMIAL, XN_MINUS_1, Poly, RingSpec
 
@@ -36,8 +36,10 @@ a = Poly([8] * 8, ring)
 # the lifted operands' products must fit in (N-1)/2
 expect(lambda: bigmod.bigprime_multiply(a, a, 257, 0, (bigmod.FULL_SMALL, 2)))
 # the CRT lift of the per-prime candidates must be a principal root
-bigmod._order_k_elements = lambda k, p: iter([1])
+candidates = modarith.root_candidates_prime
+modarith.root_candidates_prime = lambda k, p: iter([1])
 expect(lambda: bigmod.find_principal_root_composite(4, bigmod.RnsBasis((13, 17))))
+modarith.root_candidates_prime = candidates
 # the trinomial leaves must cover the units mod n; n = 18 is not 3*2^e,
 # so the ring is built without RingSpec's own check
 ring18 = object.__new__(RingSpec)
