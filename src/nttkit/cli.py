@@ -268,6 +268,11 @@ def cmd_bench(args) -> int:
         else:
             polymul.oracle_multiply(a, b)
         slow.append(time.perf_counter() - t0)
+    oracle = []
+    for a, b in pairs:
+        t0 = time.perf_counter()
+        polymul.oracle_multiply(a, b)
+        oracle.append(time.perf_counter() - t0)
     emit(
         {
             "command": "bench",
@@ -276,6 +281,7 @@ def cmd_bench(args) -> int:
             "trials": args.trials,
             "ntt_median_ms": round(statistics.median(fast) * 1000, 4),
             "schoolbook_median_ms": round(statistics.median(slow) * 1000, 4),
+            "oracle_median_ms": round(statistics.median(oracle) * 1000, 4),
             "version": __version__,
         },
         args.pretty,

@@ -117,9 +117,9 @@ class GoodExecutor(bigmod.LiftedExecutor):
 
         def columns(coeffs):  # transformed rows, one column per leaf
             return _array([pair.forward(Poly(r, pair.ring)).values
-                           for r in good_map(coeffs, h, k).rows], N).T
+                           for r in good_map(coeffs, h, k).rows], N)
 
-        out_vals = _schoolbook_rows(columns(x), columns(y), N, 1).T.tolist()
+        out_vals = _schoolbook_rows(columns(x), columns(y), N, 1).tolist()
         rows = [pair.inverse(NttDomainPoly(vals, pair.fwd_spec, pair.ring, 1)).coeffs
                 for vals in out_vals]
         return good_unmap(GoodLayout(h, k, rows))
@@ -131,8 +131,11 @@ def good_multiply(a: Poly, b: Poly, h: int, k: int, inner_modulus: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# block arrays: shape (batch, blocks, L), one residue of Z_q[x]/(x^L + 1)
-# per block, int64 below modarith.VECTOR_LIMIT and Python ints above
+# block arrays: shape (blocks, L, batch), one residue of Z_q[x]/(x^L + 1)
+# per block and batch column, int64 below modarith.VECTOR_LIMIT and Python
+# ints above.  The batch axis is last, so each gather copies whole rows and
+# each add runs over long contiguous runs.  Rows of products are (L, rows),
+# one column per product.
 
 
 def _array(values, q: int):
@@ -141,9 +144,14 @@ def _array(values, q: int):
 
 def block_shape_fault(step) -> str | None:
     """Why a Schonhage or Nussbaumer step's shape cannot multiply, or None:
-    the block transform is radix 2, and Schoenhage blocks longer than the
-    floor take balanced Nussbaumer splits."""
+    x^(2m/n) must be a 2n-th root for Schoenhage, the block transform is
+    radix 2, and Schoenhage blocks longer than the floor take balanced
+    Nussbaumer splits."""
     m, n = step.m, step.n
+    if m < 1 or n < 1:
+        return f"need m, n >= 1, got m = {m}, n = {n}"
+    if isinstance(step, Schonhage) and (2 * m) % n != 0:
+        return f"need n | 2m so x^(2m/n) has order 2n, got 2m = {2 * m}, n = {n}"
     if isinstance(step, Nussbaumer) and n < m:
         return "need n >= m so x-products avoid wraparound"
     if isinstance(step, Nussbaumer) and m < 2:  # m = 1 recurses on the same length
@@ -163,8 +171,6 @@ def _block_modulus(a: Poly, b: Poly, step) -> int:
     form = XN_MINUS_1 if isinstance(step, Schonhage) else XN_PLUS_1
     if a.ring.form != form or a.ring.n != 2 * m * n:
         raise BadShape(f"ring must be {form} with n = 2mn = {2 * m * n}")
-    if isinstance(step, Schonhage) and (m < 1 or n < 1 or (2 * m) % n != 0):
-        raise BadShape("need n | 2m so x^(2m/n) has order 2n")
     fault = block_shape_fault(step)
     if fault:
         raise ShapeCondition(fault)
@@ -173,126 +179,220 @@ def _block_modulus(a: Poly, b: Poly, step) -> int:
     return q
 
 
-def _rotate(X, t, q: int):
-    """x^t * X in Z_q[x]/(x^L + 1), L = X.shape[-1], one exponent per block
-    (``t`` broadcasts against X.shape[:-1]): a signed gather that counts one
-    subtraction per negated entry.  Entries that wrap past x^L change sign,
-    and t >= L (mod 2L) flips every sign once more."""
-    L = X.shape[-1]
-    t = np.asarray(t)[..., None] % (2 * L)
-    r, k = t % L, np.arange(L)
-    ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.subs += int(np.broadcast_to(np.minimum(t, 2 * L - t), X.shape[:-1] + (1,)).sum())
-    g = np.take_along_axis(X, np.broadcast_to((k - r) % L, X.shape), axis=-1)
-    return np.where((k < r) != (t >= L), (q - g) % q, g)
-
-
-def _schoolbook_rows(U, V, q: int, sign: int):
-    """Row-wise products of two (rows, L) arrays mod x^L - sign, uncounted.
-    Each product is reduced before summing, so int64 sums cannot overflow."""
-    rows, L = U.shape
-    t = np.zeros((rows, 2 * L - 1), dtype=U.dtype)
-    for i in range(L):
-        t[:, i : i + L] += U[:, i : i + 1] * V % q
-    out = t[:, :L]
-    out[:, : L - 1] += sign * t[:, L:]
-    return out % q
-
-
-def _block_ntt(X, stride: int, q: int, inverse: bool):
-    """In-place cyclic transform along axis 1 with twiddles x^(stride*e).
-
-    Forward runs the natural-input CT levels, inverse the bit-reversed-input
-    GS levels, without the 1/blocks scaling.  Each level is one reshape,
-    one signed rotation and one reduction; nothing is multiplied.
-    """
-    batch, blocks, L = X.shape
-    ctr = modarith.active_counter()
-    for nblocks, half, exps in transforms.level_geometry(CYCLIC_BLOCK_PAIR[inverse], blocks):
-        y = X.reshape(batch, nblocks, 2, half, L)
-        u, v = y[:, :, 0], y[:, :, 1]
-        e = stride * np.array(exps)[:, None]  # one exponent per transform block
-        if inverse:
-            d = _rotate((u - v) % q, -e, q)
-            u += v
-            v[...] = d
-        else:
-            t = _rotate(v, e, q)
-            np.subtract(u, t, out=v)
-            u += t
-        X %= q
-        if ctr is not None:
-            ctr.adds += X.size // 2
-            ctr.subs += X.size // 2
+def _mod(X, q: int):
+    """X mod q in place, as X - (X // q) * q: numpy divides an int64 array
+    by a scalar several times faster than it takes the remainder."""
+    Y = X // q
+    Y *= q
+    X -= Y
     return X
 
 
-def _nega_mul(U, V, q: int):
-    """Row-wise products in Z_q[x]/(x^L + 1), recursing on the whole batch."""
-    L = U.shape[1]
-    if L <= SCHOOLBOOK_FLOOR:
+def _rotation(t, L: int):
+    """Gather index and signs of x^t in Z[x]/(x^L + 1), one exponent per
+    entry of ``t``: (x^t X)[..., k] = sign[..., k] * X[..., index[..., k]].
+    Entries that wrap past x^L change sign, and t >= L (mod 2L) flips every
+    sign once more."""
+    t = np.asarray(t)[..., None] % (2 * L)
+    r, k = t % L, np.arange(L)
+    return (k - r) % L, 1 - 2 * ((k < r) ^ (t >= L))
+
+
+@dataclass(frozen=True)
+class BlockLevel:
+    """One butterfly level of a block transform, for every row alike.
+
+    ``index`` gathers, from the flat (blocks * L, batch) view, the rows
+    that the level rotates: the upper butterfly halves (forward) or the
+    compact (nblocks, half, L) differences u - v (inverse).  ``sign``
+    negates those that wrapped, and ``subs`` counts the negations of one
+    batch column.
+    """
+
+    nblocks: int
+    half: int
+    index: np.ndarray
+    sign: np.ndarray
+    subs: int
+
+
+@dataclass(frozen=True)
+class BlockDepth:
+    """One recursion depth of the block route: the (m, n) split whose 2n
+    blocks it transforms (of length 2m for a Schoenhage step, 2n for a
+    Nussbaumer one), and the levels of both directions."""
+
+    m: int
+    n: int
+    forward: tuple
+    inverse: tuple
+
+
+def _block_levels(blocks: int, L: int, stride: int, inverse: bool) -> tuple:
+    """The BlockLevels of one direction of a ``blocks``-point transform of
+    length-L blocks with twiddles x^(stride * e)."""
+    levels = []
+    for nblocks, half, exps in transforms.level_geometry(CYCLIC_BLOCK_PAIR[inverse], blocks):
+        e = stride * np.array(exps)  # one exponent per transform block
+        index, sign = _rotation(-e if inverse else e, L)
+        first = np.arange(nblocks) * half if inverse else (2 * np.arange(nblocks) + 1) * half
+        at = (first[:, None] + np.arange(half))[:, :, None] * L + index[:, None, :]
+        sign = np.repeat(sign[:, None, :], half, axis=1).reshape(-1, 1)
+        levels.append(BlockLevel(nblocks, half, at.ravel(), sign, int((sign < 0).sum())))
+    return tuple(levels)
+
+
+def block_schedule(step) -> tuple:
+    """The compiled block route of a Schonhage or Nussbaumer step: one
+    BlockDepth per recursion depth, outermost first.  The innermost
+    depth's block products run at the schoolbook floor.  Depends on the
+    shape alone, never on the modulus."""
+    m, n = step.m, step.n
+    L, stride = (2 * m, 2 * m // n) if isinstance(step, Schonhage) else (2 * n, 2)
+    depths = []
+    while True:
+        depths.append(BlockDepth(m, n, _block_levels(2 * n, L, stride, False),
+                                 _block_levels(2 * n, L, stride, True)))
+        if L <= SCHOOLBOOK_FLOOR:
+            return tuple(depths)
+        m = 1 << ((L.bit_length() - 2) // 2)  # balanced Nussbaumer split, n >= m
+        n, stride = L // (2 * m), 2
+        L = 2 * n
+
+
+def _schoolbook_rows(U, V, q: int, sign: int):
+    """Column-wise products of two (L, rows) arrays of residues mod
+    x^L - sign, uncounted.  Int64 columns sum their raw products while
+    L*(q-1)^2 < 2^63 and reduce once; others reduce each product first."""
+    L, rows = U.shape
+    lazy = U.dtype == np.int64 and L * (q - 1) ** 2 < 1 << 63
+    t = np.zeros((2 * L - 1, rows), dtype=U.dtype)
+    for i in range(L):
+        p = U[i] * V
+        t[i : i + L] += p if lazy else _mod(p, q)
+    out = t[:L]
+    out[: L - 1] += sign * t[L:]
+    return _mod(out, q)
+
+
+def _block_ntt(X, levels: tuple, q: int, inverse: bool):
+    """Cyclic transform along axis 0 of a block array, in place on a
+    contiguous copy when X is not contiguous, then one reduction.
+
+    Forward runs the natural-input CT levels, inverse the bit-reversed-input
+    GS levels, without the 1/blocks scaling.  Each level is one signed
+    gather, one add and one subtract; nothing is multiplied mod q.  On
+    int64 the entries stay below 2^l * q after l levels, so they are
+    reduced once at the end; Python ints are reduced after every level.
+    """
+    X = np.ascontiguousarray(X)
+    blocks, L, batch = X.shape
+    flat = X.reshape(blocks * L, batch)
+    ctr = modarith.active_counter()
+    for lv in levels:
+        y = X.reshape(lv.nblocks, 2, lv.half * L, batch)
+        u, v = y[:, 0], y[:, 1]
+        if inverse:
+            d = np.take((u - v).reshape(-1, batch), lv.index, axis=0)
+            d *= lv.sign
+            u += v
+            v[...] = d.reshape(v.shape)
+        else:
+            t = np.take(flat, lv.index, axis=0)
+            t *= lv.sign
+            t = t.reshape(v.shape)
+            np.subtract(u, t, out=v)
+            u += t
+        if X.dtype == object:
+            X %= q
+        if ctr is not None:
+            ctr.adds += X.size // 2
+            ctr.subs += X.size // 2 + batch * lv.subs
+    return _mod(X, q)
+
+
+def _nega_mul(U, V, schedule: tuple, q: int):
+    """Column-wise products in Z_q[x]/(x^L + 1) of two (L, rows) arrays,
+    recursing on the whole batch along ``schedule`` (empty at the floor)."""
+    if not schedule:
         return _schoolbook_rows(U, V, q, -1)
-    m = 1 << ((L.bit_length() - 2) // 2)  # balanced split, n >= m
-    return _nussbaumer(U, V, m, L // (2 * m), q)
+    return _nussbaumer(U, V, schedule, q)
 
 
-def _block_convolve(A, B, stride: int, q: int):
-    """Cyclic convolution along axis 1 of two block arrays: forward (both
-    in one batch), block products, inverse, 1/blocks scaling."""
-    blocks, L = A.shape[1:]
-    F = _block_ntt(np.concatenate((A, B)), stride, q, inverse=False).reshape(2, -1, L)
-    P = _block_ntt(_nega_mul(F[0], F[1], q).reshape(A.shape), stride, q, inverse=True)
+def _block_convolve(A, B, schedule: tuple, q: int):
+    """Cyclic convolution along axis 0 of two block arrays, transformed by
+    ``schedule[0]``: forward (both in one batch), block products, inverse,
+    1/blocks scaling."""
+    depth, inner = schedule[0], schedule[1:]
+    blocks, L, rows = A.shape
+    F = _block_ntt(np.concatenate((A, B), axis=2), depth.forward, q, False)
+
+    def products(X):  # one column per (block, batch column)
+        return X.transpose(1, 0, 2).reshape(L, blocks * rows)
+
+    P = _nega_mul(products(F[:, :, :rows]), products(F[:, :, rows:]), inner, q)
+    P = _block_ntt(P.reshape(L, blocks, rows).transpose(1, 0, 2), depth.inverse, q, True)
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.mults += P.size
     P *= mod_inv(blocks, q)
-    P %= q
-    return P
+    return _mod(P, q)
 
 
-def schonhage_multiply(a: Poly, b: Poly, m: int, n: int) -> Poly:
+def schonhage_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None = None) -> Poly:
     """Cyclic product of length 2mn via (Z_q[x]/(x^2m + 1))[y]/(y^2n - 1).
 
     Blocks of m coefficients become y-coefficients; x^(2m/n) is the
     synthetic 2n-th root, and y = x^m substitutes back at the end.
+    ``schedule`` is ``block_schedule(Schonhage(m, n))``, built here when
+    omitted.
     """
-    q = _block_modulus(a, b, Schonhage(m, n))
+    step = Schonhage(m, n)
+    q = _block_modulus(a, b, step)
 
     def blocks(coeffs):  # block j: coefficients jm .. jm + m - 1, zero-padded to 2m
-        X = _array(coeffs, q).reshape(1, 2 * n, m)
-        return np.concatenate((X, np.zeros_like(X)), axis=2)
+        X = _array(coeffs, q).reshape(2 * n, m, 1)
+        return np.concatenate((X, np.zeros_like(X)), axis=1)
 
-    P = _block_convolve(blocks(a.coeffs), blocks(b.coeffs), 2 * m // n, q)[0]
+    schedule = schedule or block_schedule(step)
+    P = _block_convolve(blocks(a.coeffs), blocks(b.coeffs), schedule, q)[..., 0]
     # y = x^m: block j's upper half lands on block j + 1
-    return Poly(((P[:, :m] + np.roll(P[:, m:], 1, axis=0)) % q).ravel().tolist(), a.ring)
+    return Poly(_mod(P[:, :m] + np.roll(P[:, m:], 1, axis=0), q).ravel().tolist(), a.ring)
 
 
-def _nussbaumer(U, V, m: int, n: int, q: int):
-    """Row-wise negacyclic products of two (rows, 2mn) arrays via
-    (Z_q[y]/(y^2n + 1))[x]/(x^m - y), y^2 the synthetic 2n-th root."""
-    rows, L = U.shape[0], 2 * n
+def _nussbaumer(U, V, schedule: tuple, q: int):
+    """Column-wise negacyclic products of two (2mn, rows) arrays via
+    (Z_q[y]/(y^2n + 1))[x]/(x^m - y), y^2 the synthetic 2n-th root, with
+    (m, n) the split of ``schedule[0]``."""
+    m, n = schedule[0].m, schedule[0].n
+    L, rows = 2 * n, U.shape[1]
 
     def parts(X):  # part i collects coefficients congruent to i mod m, as a y-poly
-        P = np.zeros((rows, L, L), dtype=X.dtype)
-        P[:, :m] = X.reshape(rows, L, m).transpose(0, 2, 1)
+        P = np.zeros((L, L, rows), dtype=X.dtype)
+        P[:m] = X.reshape(L, m, rows).transpose(1, 0, 2)
         return P
 
-    P = _block_convolve(parts(U), parts(V), 2, q)
+    P = _block_convolve(parts(U), parts(V), schedule, q)
     c = min(m - 1, L - m)  # fold x^m = y: true x-degree is < 2m - 1 <= L
-    P[:, :c] += _rotate(P[:, m : m + c], 1, q)
-    P[:, :c] %= q
+    P[:c, 1:] += P[m : m + c, :-1]
+    P[:c, 0] -= P[m : m + c, -1]  # y^L = -1
+    _mod(P[:c], q)
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.adds += rows * c * L
-    return P[:, :m].transpose(0, 2, 1).reshape(rows, 2 * m * n)
+        ctr.subs += rows * c
+    return P[:m].transpose(1, 0, 2).reshape(2 * m * n, rows)
 
 
-def nussbaumer_multiply(a: Poly, b: Poly, m: int, n: int) -> Poly:
-    """Negacyclic product of length 2mn using the synthetic 4n-th root y."""
-    q = _block_modulus(a, b, Nussbaumer(m, n))
-    return Poly(_nussbaumer(_array([a.coeffs], q), _array([b.coeffs], q), m, n, q)[0].tolist(),
-                a.ring)
+def nussbaumer_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None = None) -> Poly:
+    """Negacyclic product of length 2mn using the synthetic 4n-th root y.
+    ``schedule`` is ``block_schedule(Nussbaumer(m, n))``, built here when
+    omitted."""
+    step = Nussbaumer(m, n)
+    q = _block_modulus(a, b, step)
+    P = _nussbaumer(_array(a.coeffs, q)[:, None], _array(b.coeffs, q)[:, None],
+                    schedule or block_schedule(step), q)
+    return Poly(P[:, 0].tolist(), a.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +454,22 @@ class EmbedChain:
 
 
 class BlockExecutor(bigmod.LiftedExecutor):
-    """A Schoenhage or Nussbaumer terminal over Z_N (N == q: no lift); no tables."""
+    """A Schoenhage or Nussbaumer terminal over Z_N (N == q: no lift); its
+    block schedule is built on first use."""
 
     def __init__(self, ring: RingSpec, step, N: int):
         super().__init__(ring, N)
         self.step = step
         self.big = RingSpec(ring.form, ring.n, N)
 
+    @cached_property
+    def schedule(self) -> tuple:
+        return block_schedule(self.step)
+
     def run(self, x, y):
         s = self.step
         block = schonhage_multiply if isinstance(s, Schonhage) else nussbaumer_multiply
-        return block(Poly(x, self.big), Poly(y, self.big), s.m, s.n).coeffs
+        return block(Poly(x, self.big), Poly(y, self.big), s.m, s.n, self.schedule).coeffs
 
 
 class ChainExecutor:

@@ -144,6 +144,12 @@ def test_bench_reports_speedup(capsys):
     assert rep["ntt_median_ms"] < rep["schoolbook_median_ms"]
 
 
+def test_bench_reports_oracle_time(capsys):
+    code, out, _ = run(capsys, "bench", "--preset", "kyber", "--trials", "3")
+    assert code == 0
+    assert last_report(out)["oracle_median_ms"] > 0
+
+
 def test_mul_by_one_echoes_input(tmp_path, capsys, rng):
     ring = RingSpec(XN_PLUS_1, 64, 7681)
     a = Poly.random(ring, rng)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nttkit import bigmod, modarith, planner, polymul
+from nttkit import bigmod, embed, modarith, planner, polymul
 from nttkit.embed import (
+    SCHOOLBOOK_FLOOR,
     EmbedChain,
     Good,
     LiftModulus,
@@ -12,8 +13,10 @@ from nttkit.embed import (
     PlainNtt,
     Schonhage,
     ZeroPad,
+    _block_levels,
     _block_ntt,
-    _rotate,
+    _rotation,
+    _schoolbook_rows,
     general_phi_multiply,
     good_map,
     good_multiply,
@@ -129,7 +132,8 @@ def test_neg_rotate_behaviour():
     q = 17
 
     def rot(blk, t):
-        return _rotate(np.array(blk), t, q).tolist()
+        index, sign = _rotation(t, len(blk))
+        return (np.array(blk)[index] * sign % q).tolist()
 
     blk = [1, 2, 3, 4]
     assert rot(blk, 0) == [1, 2, 3, 4]
@@ -139,17 +143,18 @@ def test_neg_rotate_behaviour():
     assert rot(rot(blk, 3), 5) == blk
     assert rot(rot(blk, 3), 1) == [(17 - x) % 17 for x in blk]
     # one exponent per block: row i turns by x^i
-    rows = _rotate(np.array([blk] * 3), np.array([0, 1, 4]), q).tolist()
+    index, sign = _rotation(np.array([0, 1, 4]), len(blk))
+    rows = (np.array(blk)[index] * sign % q).tolist()
     assert rows == [rot(blk, 0), rot(blk, 1), rot(blk, 4)]
 
 
 def test_block_transform_multiplies_nothing(rng):
-    blocks = np.array([[[rng.randrange(17) for _ in range(8)] for _ in range(8)]])
+    blocks = np.array([[[rng.randrange(17)] for _ in range(8)] for _ in range(8)])
     with modarith.counting() as c:
-        _block_ntt(blocks, 1, 17, inverse=False)
+        _block_ntt(blocks, _block_levels(8, 8, 1, False), 17, inverse=False)
     assert c.mults == 0
     with modarith.counting() as ci:
-        _block_ntt(blocks, 1, 17, inverse=True)
+        _block_ntt(blocks, _block_levels(8, 8, 1, True), 17, inverse=True)
     assert ci.mults == 0
 
 
@@ -205,10 +210,11 @@ def test_schonhage_with_nussbaumer_inside(rng):
     assert got.coeffs == schoolbook_cyclic(a, b).coeffs
 
 
-@pytest.mark.parametrize("m, n", [(3, 3), (6, 3), (12, 4), (6, 2), (5, 1)])
+@pytest.mark.parametrize("m, n", [(3, 3), (6, 3), (12, 4), (6, 2), (5, 1), (1, 4)])
 def test_schonhage_bad_block_shapes_raise(m, n):
-    # 2n not a power of two (radix-2 block transform), or 2m above the
-    # floor and not a power of two (Nussbaumer split of the blocks)
+    # 2n not a power of two (radix-2 block transform), 2m above the floor
+    # and not a power of two (Nussbaumer split of the blocks), or n not
+    # dividing 2m (x^(2m/n) is no 2n-th root)
     z = Poly.zero(RingSpec(XN_MINUS_1, 2 * m * n, 17))
     with pytest.raises(ShapeCondition):
         schonhage_multiply(z, z, m, n)
@@ -292,6 +298,40 @@ def test_schonhage_preset_product_and_counts_pinned(monkeypatch, rng):
     assert (c.mults, c.adds, c.subs) == (86016, 441344, 531232)
 
 
+@pytest.mark.parametrize("q", [(1 << 30) - 1, (1 << 30) + 1, (1 << 31) - 1])
+def test_lazy_reduction_boundaries(q):
+    # 8*(q-1)^2 < 2^63 just below 2^30 (raw floor sums), = 2^63 at 2^30 + 1
+    # (each product reduced); 2^31 - 1 is the largest odd q on int64 arrays,
+    # where each block transform reduces once at its end
+    for fn, oracle, form, m, n in ((schonhage_multiply, schoolbook_cyclic, XN_MINUS_1, 16, 16),
+                                   (nussbaumer_multiply, schoolbook_nwc, XN_PLUS_1, 8, 16)):
+        ring = RingSpec(form, 2 * m * n, q)
+        a = Poly([q - 1] * ring.n, ring)
+        assert fn(a, a, m, n).coeffs == oracle(a, a).coeffs
+    # the floor itself on all-(q-1) columns: the top linear coefficient
+    # sums eight products of q - 1
+    ring = RingSpec(XN_PLUS_1, SCHOOLBOOK_FLOOR, q)
+    top = np.full((SCHOOLBOOK_FLOOR, 3), q - 1)
+    want = schoolbook_nwc(Poly([q - 1] * ring.n, ring), Poly([q - 1] * ring.n, ring)).coeffs
+    assert _schoolbook_rows(top, top.copy(), q, -1).T.tolist() == [want] * 3
+
+
+def test_block_schedule_built_on_first_multiply_only(monkeypatch, rng):
+    build = embed.block_schedule
+
+    def refuse(step):
+        raise AssertionError("block schedule built outside the first multiply")
+
+    monkeypatch.setattr(embed, "block_schedule", refuse)
+    ring, plan = planner.preset("ntruprime-761-schonhage")  # planning builds none
+    monkeypatch.setattr(embed, "block_schedule", build)
+    a, b = planner.sample_operands(ring, plan, rng)
+    assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
+    monkeypatch.setattr(embed, "block_schedule", refuse)
+    a, b = planner.sample_operands(ring, plan, rng)
+    assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
+
+
 # ---------------------------------------------------------------------------
 # chains
 
@@ -369,6 +409,9 @@ def test_chain_checks_block_shape_and_lift_modulus(rng):
     ring5 = RingSpec(XN_MINUS_X_MINUS_1, 5, 17)
     with pytest.raises(ParameterCondition):
         planner.make_plan(ring5, chain=(ZeroPad(18), Schonhage(3, 3)))
+    with pytest.raises(ParameterCondition):  # n does not divide 2m
+        planner.make_plan(RingSpec(XN_MINUS_X_MINUS_1, 3, 17),
+                          chain=(ZeroPad(8), Schonhage(1, 4)))
     # 2n must be invertible mod the modulus the blocks run over: the lift
     # modulus when there is one (q = 2048 is even, N is odd) ...
     ring = RingSpec(XN_MINUS_1, 509, 2048)
