@@ -248,6 +248,16 @@ def _schoolbook_baseline(a: Poly, b: Poly) -> list:
     return out
 
 
+def _median_ms(fn, pairs) -> float:
+    """Median wall time of ``fn(a, b)`` over ``pairs``, in ms."""
+    times = []
+    for a, b in pairs:
+        t0 = time.perf_counter()
+        fn(a, b)
+        times.append(time.perf_counter() - t0)
+    return round(statistics.median(times) * 1000, 4)
+
+
 def cmd_bench(args) -> int:
     name, ring, plan = _resolve_plan(args)
     rng = random.Random(args.seed)
@@ -255,33 +265,19 @@ def cmd_bench(args) -> int:
     for a, b in pairs[:1]:  # builds the plan's tables outside the timed calls
         planner.multiply(a, b, plan)
 
-    fast = []
-    for a, b in pairs:
-        t0 = time.perf_counter()
-        planner.multiply(a, b, plan)
-        fast.append(time.perf_counter() - t0)
-    slow = []
-    for a, b in pairs:
-        t0 = time.perf_counter()
-        if ring.form in ("x^n-1", "x^n+1"):
-            _schoolbook_baseline(a, b)
-        else:
-            polymul.oracle_multiply(a, b)
-        slow.append(time.perf_counter() - t0)
-    oracle = []
-    for a, b in pairs:
-        t0 = time.perf_counter()
-        polymul.oracle_multiply(a, b)
-        oracle.append(time.perf_counter() - t0)
+    baseline = _schoolbook_baseline if ring.form in ("x^n-1", "x^n+1") else polymul.oracle_multiply
+    fast = _median_ms(lambda a, b: planner.multiply(a, b, plan), pairs)
+    slow = _median_ms(baseline, pairs)
+    oracle = slow if baseline is polymul.oracle_multiply else _median_ms(polymul.oracle_multiply, pairs)
     emit(
         {
             "command": "bench",
             "target": name,
             "strategy": plan.describe(),
             "trials": args.trials,
-            "ntt_median_ms": round(statistics.median(fast) * 1000, 4),
-            "schoolbook_median_ms": round(statistics.median(slow) * 1000, 4),
-            "oracle_median_ms": round(statistics.median(oracle) * 1000, 4),
+            "ntt_median_ms": fast,
+            "schoolbook_median_ms": slow,
+            "oracle_median_ms": oracle,
             "version": __version__,
         },
         args.pretty,

@@ -163,8 +163,9 @@ def block_shape_fault(step) -> str | None:
     return None
 
 
-def _block_modulus(a: Poly, b: Poly, step) -> int:
-    """Check two operands of a block embedding and its shape; returns q."""
+def _block_modulus(a: Poly, b: Poly, step, schedule: tuple | None) -> int:
+    """Check two operands of a block embedding, its shape and the schedule
+    (empty: built later); returns q."""
     if a.ring != b.ring:
         raise RingMismatch("operands belong to different rings")
     m, n, q = step.m, step.n, a.ring.q
@@ -174,6 +175,8 @@ def _block_modulus(a: Poly, b: Poly, step) -> int:
     fault = block_shape_fault(step)
     if fault:
         raise ShapeCondition(fault)
+    if schedule and schedule[0].step != step:
+        raise ShapeCondition(f"schedule was built for {schedule[0].step}, not {step}")
     if gcd(2 * n, q) != 1:
         raise ParameterCondition(f"2n = {2 * n} must be invertible mod q = {q}")
     return q
@@ -218,12 +221,11 @@ class BlockLevel:
 
 @dataclass(frozen=True)
 class BlockDepth:
-    """One recursion depth of the block route: the (m, n) split whose 2n
-    blocks it transforms (of length 2m for a Schoenhage step, 2n for a
-    Nussbaumer one), and the levels of both directions."""
+    """One recursion depth of the block route: the Schonhage or Nussbaumer
+    step whose 2n blocks it transforms (of length 2m for a Schoenhage step,
+    2n for a Nussbaumer one), and the levels of both directions."""
 
-    m: int
-    n: int
+    step: object
     forward: tuple
     inverse: tuple
 
@@ -251,21 +253,22 @@ def block_schedule(step) -> tuple:
     L, stride = (2 * m, 2 * m // n) if isinstance(step, Schonhage) else (2 * n, 2)
     depths = []
     while True:
-        depths.append(BlockDepth(m, n, _block_levels(2 * n, L, stride, False),
+        depths.append(BlockDepth(step, _block_levels(2 * n, L, stride, False),
                                  _block_levels(2 * n, L, stride, True)))
         if L <= SCHOOLBOOK_FLOOR:
             return tuple(depths)
         m = 1 << ((L.bit_length() - 2) // 2)  # balanced Nussbaumer split, n >= m
         n, stride = L // (2 * m), 2
-        L = 2 * n
+        L, step = 2 * n, Nussbaumer(m, n)
 
 
 def _schoolbook_rows(U, V, q: int, sign: int):
     """Column-wise products of two (L, rows) arrays of residues mod
-    x^L - sign, uncounted.  Int64 columns sum their raw products while
-    L*(q-1)^2 < 2^63 and reduce once; others reduce each product first."""
+    x^L - sign, uncounted.  The raw products are summed and reduced once,
+    unless int64 sums could overflow (L*(q-1)^2 >= 2^63): then each
+    product is reduced first."""
     L, rows = U.shape
-    lazy = U.dtype == np.int64 and L * (q - 1) ** 2 < 1 << 63
+    lazy = U.dtype == object or L * (q - 1) ** 2 < 1 << 63
     t = np.zeros((2 * L - 1, rows), dtype=U.dtype)
     for i in range(L):
         p = U[i] * V
@@ -281,9 +284,9 @@ def _block_ntt(X, levels: tuple, q: int, inverse: bool):
 
     Forward runs the natural-input CT levels, inverse the bit-reversed-input
     GS levels, without the 1/blocks scaling.  Each level is one signed
-    gather, one add and one subtract; nothing is multiplied mod q.  On
-    int64 the entries stay below 2^l * q after l levels, so they are
-    reduced once at the end; Python ints are reduced after every level.
+    gather, one add and one subtract; nothing is multiplied mod q.  The
+    entries stay below 2^l * q after l levels (int64 cannot overflow below
+    modarith.VECTOR_LIMIT), so they are reduced once at the end.
     """
     X = np.ascontiguousarray(X)
     blocks, L, batch = X.shape
@@ -303,8 +306,6 @@ def _block_ntt(X, levels: tuple, q: int, inverse: bool):
             t = t.reshape(v.shape)
             np.subtract(u, t, out=v)
             u += t
-        if X.dtype == object:
-            X %= q
         if ctr is not None:
             ctr.adds += X.size // 2
             ctr.subs += X.size // 2 + batch * lv.subs
@@ -348,7 +349,7 @@ def schonhage_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None 
     omitted.
     """
     step = Schonhage(m, n)
-    q = _block_modulus(a, b, step)
+    q = _block_modulus(a, b, step, schedule)
 
     def blocks(coeffs):  # block j: coefficients jm .. jm + m - 1, zero-padded to 2m
         X = _array(coeffs, q).reshape(2 * n, m, 1)
@@ -363,8 +364,8 @@ def schonhage_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None 
 def _nussbaumer(U, V, schedule: tuple, q: int):
     """Column-wise negacyclic products of two (2mn, rows) arrays via
     (Z_q[y]/(y^2n + 1))[x]/(x^m - y), y^2 the synthetic 2n-th root, with
-    (m, n) the split of ``schedule[0]``."""
-    m, n = schedule[0].m, schedule[0].n
+    (m, n) taken from ``schedule[0].step``."""
+    m, n = schedule[0].step.m, schedule[0].step.n
     L, rows = 2 * n, U.shape[1]
 
     def parts(X):  # part i collects coefficients congruent to i mod m, as a y-poly
@@ -389,7 +390,7 @@ def nussbaumer_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None
     ``schedule`` is ``block_schedule(Nussbaumer(m, n))``, built here when
     omitted."""
     step = Nussbaumer(m, n)
-    q = _block_modulus(a, b, step)
+    q = _block_modulus(a, b, step, schedule)
     P = _nussbaumer(_array(a.coeffs, q)[:, None], _array(b.coeffs, q)[:, None],
                     schedule or block_schedule(step), q)
     return Poly(P[:, 0].tolist(), a.ring)

@@ -227,6 +227,19 @@ def test_nussbaumer_bad_block_shapes_raise(m, n):
         nussbaumer_multiply(z, z, m, n)
 
 
+def test_mismatched_block_schedule_raises():
+    # a schedule for another split, or for the other block embedding of the
+    # same split, is refused before it runs
+    cyc, nwc = (Poly.zero(RingSpec(form, 64, 17)) for form in (XN_MINUS_1, XN_PLUS_1))
+    with pytest.raises(ShapeCondition):
+        nussbaumer_multiply(nwc, nwc, 4, 8, embed.block_schedule(Nussbaumer(1, 32)))
+    with pytest.raises(ShapeCondition):
+        schonhage_multiply(cyc, cyc, 4, 8, embed.block_schedule(Schonhage(8, 4)))
+    with pytest.raises(ShapeCondition):
+        schonhage_multiply(cyc, cyc, 4, 8, embed.block_schedule(Nussbaumer(4, 8)))
+    assert nussbaumer_multiply(nwc, nwc, 4, 8, embed.block_schedule(Nussbaumer(4, 8))) == nwc
+
+
 def test_odd_block_shapes_still_multiply(rng):
     for q in (17, 4591):
         ring = RingSpec(XN_MINUS_1, 12, q)
