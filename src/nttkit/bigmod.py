@@ -2,7 +2,9 @@
 
 The product is computed exactly over the integers by working modulo a
 large N: either one NTT-friendly prime, a residue number system over
-several, or the composite N itself with a principal root of unity.
+several, or the composite N itself with a principal root of unity.  A
+residue number system is also how a planned route runs a working
+modulus N >= 2^31: on primes below 2^31, so its transforms stay int64.
 Coefficients cross the boundary in centered form; the two conversion
 functions below are the only places the sign convention appears.
 """
@@ -13,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iterproduct
 from math import prod
+
+import numpy as np
 
 from . import modarith, polymul
 from .errors import (
@@ -50,39 +54,49 @@ def required_bound(n: int, q: int, profile=(FULL_FULL,)) -> int:
 
 
 # ---------------------------------------------------------------------------
-# centered lifting
-
-
-def centered(x: int, q: int) -> int:
-    """Representative of x in [-q/2, q/2)."""
-    return x - q if x > (q - 1) // 2 else x
+# centered lifting and recovery
 
 
 @dataclass(frozen=True)
 class LiftedPoly:
-    """Centered lift of a Poly into Z_N, remembering its magnitude."""
+    """Centered lift of a Poly, remembering its magnitude."""
 
-    coeffs: tuple
-    modulus: int
+    coeffs: np.ndarray  # int64 representatives in [-q/2, q/2)
     centered_bound: int
     effective_len: int  # coefficients up to the last nonzero one
 
 
-def lift_centered(a: Poly, N: int) -> LiftedPoly:
+def lift_centered(a: Poly) -> LiftedPoly:
+    """The coefficients of ``a`` as int64 centered representatives (any
+    q <= 2^42 fits), with the magnitude and length the operand check reads."""
     q = a.ring.q
-    cent = [centered(c, q) for c in a.coeffs]
-    bound = max((abs(c) for c in cent), default=0)
-    eff = 0
-    for i, c in enumerate(cent):
-        if c:
-            eff = i + 1
-    return LiftedPoly(tuple(c % N for c in cent), N, bound, eff)
+    c = np.fromiter(a.coeffs, dtype=np.int64, count=len(a.coeffs))
+    c -= (c > (q - 1) // 2) * q
+    nonzero = np.flatnonzero(c)
+    eff = int(nonzero[-1]) + 1 if nonzero.size else 0
+    return LiftedPoly(c, int(np.abs(c).max()), eff)
 
 
-def recover_centered(values, N: int, q: int):
-    """Map canonical Z_N values back through [-N/2, N/2) into Z_q."""
-    half = (N - 1) // 2
-    return [(v - N if v > half else v) % q for v in values]
+def recover_centered(residues, moduli, q: int) -> list:
+    """Map one residue row per working modulus back into Z_q.
+
+    Garner's mixed-radix CRT gives the value v in [0, P), P the product
+    of the moduli, one modulus at a time; v then goes through [-P/2, P/2)
+    into Z_q.  With several moduli each is below 2^31, so every digit
+    product stays below 2^62, and v < P <= 2^42: all of it is int64.
+    """
+    rows = [np.fromiter(r, dtype=np.int64, count=len(r)) for r in residues]
+    v, P = rows[0], moduli[0]
+    for r, p in zip(rows[1:], moduli[1:]):
+        d = (r - v) % p
+        d *= modarith.mod_inv(P % p, p)
+        d %= p
+        d *= P
+        v = v + d
+        P *= p
+    v -= (v > (P - 1) // 2) * P
+    v %= q
+    return v.tolist()
 
 
 def _check_dynamic_bound(la: LiftedPoly, lb: LiftedPoly, N: int):
@@ -106,33 +120,46 @@ def bound_check(N: int, ring: RingSpec, profile, what: str) -> tuple:
 class LiftedExecutor:
     """Exact product of two ring elements, computed modulo a large N.
 
-    ``multiply`` is the one path of every large-modulus route: centered
-    lift of both operands into Z_N, the operand-magnitude check, the
-    route's own product there (``run``, on coefficient lists mod N) and
-    centered recovery mod q.  With N == q (an unlifted terminal) the
-    arithmetic wraps mod q by design: ``run`` gets the operands as they
-    are, with no lift, check or recovery.  Subclasses build their tables
-    on first use.
+    ``multiply`` is the one path of every large-modulus route.  The
+    working moduli are N itself or, in its place, a ``basis`` of distinct
+    primes below 2^31 (the planner's replacement for an N >= 2^31); P is
+    their product.  Both operands are lifted once, as centered int64
+    arrays; the operand-magnitude check runs on those against P; the
+    route runs once per working modulus (``run``, on coefficient lists
+    reduced mod that modulus, with that modulus's ``table``); Garner
+    recovery mod P, centered, gives the product mod q.  With N == q (an
+    unlifted terminal) the arithmetic wraps mod q by design: ``run``
+    gets the operands as they are, with no lift, check or recovery.
+    The per-modulus tables are built on first use.
     """
 
-    def __init__(self, ring: RingSpec, N: int):
+    def __init__(self, ring: RingSpec, N: int, basis=()):
         self.ring, self.N = ring, N
+        self.moduli = tuple(basis) or (N,)
+        if len(self.moduli) > 1 and not all(map(modarith.vectorized, self.moduli)):
+            raise ParameterCondition(f"basis {self.moduli}: every basis prime must be below 2^31")
+        self.P = prod(self.moduli)
+
+    @cached_property
+    def tables(self) -> tuple:
+        return tuple(self.table(p) for p in self.moduli)
 
     def multiply(self, a: Poly, b: Poly) -> Poly:
         if a.ring != self.ring or b.ring != self.ring:
             raise RingMismatch("operands do not live in the executor's ring")
         if self.N == self.ring.q:
-            return Poly(self.run(list(a.coeffs), list(b.coeffs)), self.ring)
-        la, lb = lift_centered(a, self.N), lift_centered(b, self.N)
-        _check_dynamic_bound(la, lb, self.N)
-        c = self.run(list(la.coeffs), list(lb.coeffs))
-        return Poly(recover_centered(c, self.N, self.ring.q), self.ring)
+            return Poly(self.run(list(a.coeffs), list(b.coeffs), self.tables[0]), self.ring)
+        la, lb = lift_centered(a), lift_centered(b)
+        _check_dynamic_bound(la, lb, self.P)
+        residues = [self.run((la.coeffs % p).tolist(), (lb.coeffs % p).tolist(), t)
+                    for p, t in zip(self.moduli, self.tables)]
+        return Poly(recover_centered(residues, self.moduli, self.ring.q), self.ring)
 
 
 def _one_shot(route: LiftedExecutor, a: Poly, b: Poly, profile) -> Poly:
     """Check the profile bound, then run a freshly built executor."""
     if route.N != a.ring.q:
-        desc, ok = bound_check(route.N, a.ring, profile, f"N={route.N}")
+        desc, ok = bound_check(route.P, a.ring, profile, f"N={route.P}")
         if not ok:
             raise BoundTooSmall(f"profile bound fails: {desc}")
     return route.multiply(a, b)
@@ -143,24 +170,22 @@ def _one_shot(route: LiftedExecutor, a: Poly, b: Poly, profile) -> Poly:
 
 
 class BigPrimeExecutor(LiftedExecutor):
-    """Plan executor of the big-prime route: one cropped pipeline over Z_N
-    itself; the pair is built on first use."""
+    """Plan executor of the big-prime and RNS routes: one cropped pipeline
+    per working modulus, its pair built on first use."""
 
     root = None  # make_transform_pair searches the smallest
 
-    def __init__(self, ring: RingSpec, N: int, beta: int = 0):
+    def __init__(self, ring: RingSpec, N: int, beta: int = 0, basis=()):
         polymul.check_pair_ring(ring, beta)
-        super().__init__(ring, N)
+        super().__init__(ring, N, basis)
         self.beta = beta
 
-    @cached_property
-    def pair(self) -> polymul.TransformPair:
-        big = RingSpec(self.ring.form, self.ring.n, self.N)
+    def table(self, p: int) -> polymul.TransformPair:
+        big = RingSpec(self.ring.form, self.ring.n, p)
         return polymul.make_transform_pair(big, self.beta, root=self.root)
 
-    def run(self, x, y):
-        big = self.pair.ring
-        return polymul.ntt_multiply(Poly(x, big), Poly(y, big), self.pair).coeffs
+    def run(self, x, y, pair):
+        return polymul.ntt_multiply(Poly(x, pair.ring), Poly(y, pair.ring), pair).coeffs
 
 
 def bigprime_multiply(a: Poly, b: Poly, N: int, beta: int = 0, profile=(FULL_FULL,)) -> Poly:
@@ -217,32 +242,17 @@ def crt_recombine(residues, basis: RnsBasis) -> int:
     return acc
 
 
-class RnsExecutor(LiftedExecutor):
-    """Plan executor of the RNS route: one pipeline per basis prime,
-    recombined coefficientwise by CRT; the pairs are built on first use."""
+class RnsExecutor(BigPrimeExecutor):
+    """Plan executor of the RNS route: the big-prime pipeline over each
+    basis prime, recombined by Garner's algorithm."""
 
     def __init__(self, ring: RingSpec, basis: RnsBasis, beta: int = 0):
-        polymul.check_pair_ring(ring, beta)
-        super().__init__(ring, basis.product)
-        self.basis, self.beta = basis, beta
-
-    @cached_property
-    def pairs(self) -> tuple:
-        form, n = self.ring.form, self.ring.n
-        return tuple(polymul.make_transform_pair(RingSpec(form, n, p), self.beta)
-                     for p in self.basis.primes)
-
-    def run(self, x, y):
-        per_prime = []
-        for p, pair in zip(self.basis.primes, self.pairs):
-            xp = Poly([c % p for c in x], pair.ring)
-            yp = Poly([c % p for c in y], pair.ring)
-            per_prime.append(polymul.ntt_multiply(xp, yp, pair).coeffs)
-        return [crt_recombine(col, self.basis) for col in zip(*per_prime)]
+        super().__init__(ring, basis.product, beta, basis.primes)
+        self.basis = basis
 
 
 def rns_multiply(a: Poly, b: Poly, basis: RnsBasis, beta: int = 0, profile=(FULL_FULL,)) -> Poly:
-    """Independent per-prime pipelines recombined coefficientwise by CRT."""
+    """Independent per-prime pipelines recombined by Garner's algorithm."""
     return _one_shot(RnsExecutor(a.ring, basis, beta), a, b, profile)
 
 

@@ -324,6 +324,8 @@ def cmd_plan(args) -> int:
         "checks": [f"{desc}: {'ok' if ok else 'FAIL'}" for desc, ok in plan.checks],
         "version": __version__,
     }
+    if plan.replaced_by:  # the primes that run in place of a modulus >= 2^31
+        report["basis"] = list(plan.replaced_by)
     emit(report, args.pretty)
     if args.trace:
         if ring.n > 16:

@@ -96,30 +96,32 @@ class GoodExecutor(bigmod.LiftedExecutor):
     inverses, unmap.
 
     Operands live in x^(h*2^k) - 1 over their own q and take the lift
-    path into Z_N (no lift when N == q).  The row pair is built on first
-    use.
+    path into Z_N (no lift when N == q), once per working modulus, each
+    below 2^31.  The row pairs are built on first use.
     """
 
-    def __init__(self, ring: RingSpec, h: int, k: int, N: int):
+    def __init__(self, ring: RingSpec, h: int, k: int, N: int, basis=()):
         if ring.form != XN_MINUS_1 or ring.n != h * (1 << k):
             raise BadShape(f"ring must be x^(h*2^k) - 1 of degree {h * (1 << k)}")
-        if (N - 1) % (1 << k) != 0:
-            raise ParameterCondition(f"inner modulus {N} fails N = 1 (mod 2^k)")
-        super().__init__(ring, N)
+        super().__init__(ring, N, basis)
+        for p in self.moduli:
+            if (p - 1) % (1 << k) != 0:
+                raise ParameterCondition(f"inner modulus {p} fails N = 1 (mod 2^k)")
+            if not modarith.vectorized(p):
+                raise ParameterCondition(f"inner modulus {p} is not below 2^31 (int64 column products)")
         self.h, self.k = h, k
 
-    @cached_property
-    def pair(self) -> polymul.TransformPair:
-        return polymul.make_transform_pair(RingSpec(XN_MINUS_1, 1 << self.k, self.N), 0)
+    def table(self, p: int) -> polymul.TransformPair:  # the row pair
+        return polymul.make_transform_pair(RingSpec(XN_MINUS_1, 1 << self.k, p), 0)
 
-    def run(self, x, y):
-        h, k, pair, N = self.h, self.k, self.pair, self.N
+    def run(self, x, y, pair):
+        h, k = self.h, self.k
 
         def columns(coeffs):  # transformed rows, one column per leaf
-            return _array([pair.forward(Poly(r, pair.ring)).values
-                           for r in good_map(coeffs, h, k).rows], N)
+            return np.array([pair.forward(Poly(r, pair.ring)).values
+                             for r in good_map(coeffs, h, k).rows], dtype=np.int64)
 
-        out_vals = _schoolbook_rows(columns(x), columns(y), N, 1).tolist()
+        out_vals = _schoolbook_rows(columns(x), columns(y), pair.ring.q, 1).tolist()
         rows = [pair.inverse(NttDomainPoly(vals, pair.fwd_spec, pair.ring, 1)).coeffs
                 for vals in out_vals]
         return good_unmap(GoodLayout(h, k, rows))
@@ -132,14 +134,10 @@ def good_multiply(a: Poly, b: Poly, h: int, k: int, inner_modulus: int) -> Poly:
 
 # ---------------------------------------------------------------------------
 # block arrays: shape (blocks, L, batch), one residue of Z_q[x]/(x^L + 1)
-# per block and batch column, int64 below modarith.VECTOR_LIMIT and Python
-# ints above.  The batch axis is last, so each gather copies whole rows and
-# each add runs over long contiguous runs.  Rows of products are (L, rows),
-# one column per product.
-
-
-def _array(values, q: int):
-    return np.array(values, dtype=np.int64 if modarith.vectorized(q) else object)
+# per block and batch column, int64 (q below modarith.VECTOR_LIMIT).  The
+# batch axis is last, so each gather copies whole rows and each add runs
+# over long contiguous runs.  Rows of products are (L, rows), one column
+# per product.
 
 
 def block_shape_fault(step) -> str | None:
@@ -164,8 +162,8 @@ def block_shape_fault(step) -> str | None:
 
 
 def _block_modulus(a: Poly, b: Poly, step, schedule: tuple | None) -> int:
-    """Check two operands of a block embedding, its shape and the schedule
-    (empty: built later); returns q."""
+    """Check two operands of a block embedding, its shape, the schedule
+    (empty: built later) and q (below 2^31, for int64 blocks); returns q."""
     if a.ring != b.ring:
         raise RingMismatch("operands belong to different rings")
     m, n, q = step.m, step.n, a.ring.q
@@ -179,6 +177,8 @@ def _block_modulus(a: Poly, b: Poly, step, schedule: tuple | None) -> int:
         raise ShapeCondition(f"schedule was built for {schedule[0].step}, not {step}")
     if gcd(2 * n, q) != 1:
         raise ParameterCondition(f"2n = {2 * n} must be invertible mod q = {q}")
+    if not modarith.vectorized(q):
+        raise ParameterCondition(f"q = {q} is not below 2^31: block arrays are int64")
     return q
 
 
@@ -268,7 +268,7 @@ def _schoolbook_rows(U, V, q: int, sign: int):
     unless int64 sums could overflow (L*(q-1)^2 >= 2^63): then each
     product is reduced first."""
     L, rows = U.shape
-    lazy = U.dtype == object or L * (q - 1) ** 2 < 1 << 63
+    lazy = L * (q - 1) ** 2 < 1 << 63
     t = np.zeros((2 * L - 1, rows), dtype=U.dtype)
     for i in range(L):
         p = U[i] * V
@@ -352,7 +352,7 @@ def schonhage_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None 
     q = _block_modulus(a, b, step, schedule)
 
     def blocks(coeffs):  # block j: coefficients jm .. jm + m - 1, zero-padded to 2m
-        X = _array(coeffs, q).reshape(2 * n, m, 1)
+        X = np.array(coeffs, dtype=np.int64).reshape(2 * n, m, 1)
         return np.concatenate((X, np.zeros_like(X)), axis=1)
 
     schedule = schedule or block_schedule(step)
@@ -391,8 +391,8 @@ def nussbaumer_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None
     omitted."""
     step = Nussbaumer(m, n)
     q = _block_modulus(a, b, step, schedule)
-    P = _nussbaumer(_array(a.coeffs, q)[:, None], _array(b.coeffs, q)[:, None],
-                    schedule or block_schedule(step), q)
+    P = _nussbaumer(np.array(a.coeffs, dtype=np.int64)[:, None],
+                    np.array(b.coeffs, dtype=np.int64)[:, None], schedule or block_schedule(step), q)
     return Poly(P[:, 0].tolist(), a.ring)
 
 
@@ -408,7 +408,11 @@ class ZeroPad:
 
 @dataclass(frozen=True)
 class LiftModulus:
+    """Lift into Z_modulus; ``basis``, when the planner fills it in, holds
+    the primes below 2^31 whose product runs in place of a modulus >= 2^31."""
+
     modulus: int
+    basis: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -455,28 +459,31 @@ class EmbedChain:
 
 
 class BlockExecutor(bigmod.LiftedExecutor):
-    """A Schoenhage or Nussbaumer terminal over Z_N (N == q: no lift); its
-    block schedule is built on first use."""
+    """A Schoenhage or Nussbaumer terminal over Z_N (N == q: no lift), run
+    once per working modulus; its block schedule, the same for every
+    modulus, is built on first use."""
 
-    def __init__(self, ring: RingSpec, step, N: int):
-        super().__init__(ring, N)
+    def __init__(self, ring: RingSpec, step, N: int, basis=()):
+        super().__init__(ring, N, basis)
         self.step = step
-        self.big = RingSpec(ring.form, ring.n, N)
 
     @cached_property
     def schedule(self) -> tuple:
         return block_schedule(self.step)
 
-    def run(self, x, y):
+    def table(self, p: int) -> RingSpec:  # the ring the blocks run over
+        return RingSpec(self.ring.form, self.ring.n, p)
+
+    def run(self, x, y, big):
         s = self.step
         block = schonhage_multiply if isinstance(s, Schonhage) else nussbaumer_multiply
-        return block(Poly(x, self.big), Poly(y, self.big), s.m, s.n, self.schedule).coeffs
+        return block(Poly(x, big), Poly(y, big), s.m, s.n, self.schedule).coeffs
 
 
 class ChainExecutor:
     """Plan executor of an embedding chain: pad into a wraparound-free ring,
-    run the terminal step there (over the lift modulus when there is one),
-    then reduce mod phi, mod q.
+    run the terminal step there (over the lift modulus, or the basis that
+    replaces it, when there is one), then reduce mod phi, mod q.
 
     The chain's shape is checked here; the terminal step's executor and
     its tables are built on first use.  ``step`` is the terminal step, or
@@ -505,13 +512,13 @@ class ChainExecutor:
     def terminal(self):
         ring, pad, step = self.ring, self.pad, self.step or PlainNtt()
         work = ring if self.in_place else RingSpec(pad.form, pad.n_prime, ring.q)
-        N = self.lift.modulus if self.lift else ring.q
+        N, basis = (self.lift.modulus, self.lift.basis) if self.lift else (ring.q, ())
         if isinstance(step, Good):
-            return GoodExecutor(work, step.h, step.k, N)
+            return GoodExecutor(work, step.h, step.k, N, basis)
         if not isinstance(step, PlainNtt):
-            return BlockExecutor(work, step, N)
+            return BlockExecutor(work, step, N, basis)
         if self.lift:
-            return bigmod.BigPrimeExecutor(work, N, step.beta)
+            return bigmod.BigPrimeExecutor(work, N, step.beta, basis)
         return polymul.DirectExecutor(work, step.beta)
 
     def multiply(self, a: Poly, b: Poly) -> Poly:

@@ -154,13 +154,15 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # no prime factor up to 37
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    # the first four bases alone are exact below 3,215,031,751 (Jaeschke)
-    for a in _MR_BASES if n >= 3_215_031_751 else _MR_BASES[:4]:
+    # bases 2, 7 and 61 alone are exact below 4,759,123,141 (Jaeschke)
+    for a in _MR_BASES if n >= 4_759_123_141 else (2, 7, 61):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
-from math import gcd
+from math import gcd, prod
 
 from . import bigmod, embed, polymul, splitting, trinomial
 from .errors import NoStrategy, ParameterCondition, ShapeCondition, UnknownPreset
-from .modarith import is_prime
+from .modarith import MODULUS_CEILING, is_prime, vectorized
 from .rings import TRINOMIAL, XN_MINUS_1, XN_PLUS_1, Poly, RingSpec, is_pow2
 from .transforms import NttDomainPoly
 
@@ -99,8 +100,18 @@ class NttPlan:
 
     @property
     def N(self) -> int:
-        """The big prime of a bigprime plan, else 0."""
+        """The big prime of a bigprime plan (as requested), else 0."""
         return self.executor.N if self.strategy == "bigprime" else 0
+
+    @property
+    def replaced_by(self) -> tuple:
+        """The primes below 2^31 that run in place of a requested working
+        modulus >= 2^31, or () when the plan runs the modulus it names."""
+        if self.strategy == "bigprime":
+            ex = self.executor
+            return ex.moduli if ex.moduli != (ex.N,) else ()
+        lift = getattr(self.executor, "lift", None)
+        return lift.basis if lift else ()
 
     @property
     def pair(self):
@@ -115,8 +126,8 @@ class NttPlan:
             bits.append(f"alpha={self.alpha}")
         if self.strategy == "hntt":
             bits.append(f"alpha={self.alpha}, beta={self.beta}")
-        if self.strategy in ("bigprime",):
-            bits.append(f"N={self.N}, beta={self.beta}")
+        if self.strategy == "bigprime":
+            bits.append(f"N={_replaced(self.N, self.replaced_by)}, beta={self.beta}")
         if self.strategy in ("rns", "composite"):
             bits.append(f"basis={'*'.join(str(p) for p in self.basis.primes)}, beta={self.beta}")
         if self.strategy == "embed":
@@ -124,9 +135,13 @@ class NttPlan:
         return " ".join(bits)
 
 
+def _replaced(N: int, basis: tuple) -> str:
+    """N, and the basis that runs in its place when there is one."""
+    return f"{N} -> {'*'.join(map(str, basis))}" if basis else str(N)
+
+
 _STEP_FORMATS = {
     embed.ZeroPad: "pad({0.n_prime},{0.form})",
-    embed.LiftModulus: "lift({0.modulus})",
     embed.Good: "good(h={0.h},k={0.k})",
     embed.Schonhage: "schonhage(m={0.m},n={0.n},inner=nussbaumer)",
     embed.Nussbaumer: "nussbaumer(m={0.m},n={0.n})",
@@ -135,7 +150,8 @@ _STEP_FORMATS = {
 
 
 def _describe_chain(chain: embed.EmbedChain) -> str:
-    return " -> ".join(_STEP_FORMATS[type(s)].format(s) for s in chain.steps)
+    return " -> ".join(f"lift({_replaced(s.modulus, s.basis)})" if isinstance(s, embed.LiftModulus)
+                       else _STEP_FORMATS[type(s)].format(s) for s in chain.steps)
 
 
 def search_prime(congruence: int, above: int) -> int:
@@ -146,6 +162,47 @@ def search_prime(congruence: int, above: int) -> int:
         p = c * congruence + 1
         if p > above and is_prime(p):
             return p
+
+
+def _ceil_root(x: int, k: int) -> int:
+    """Smallest r with r^k >= x, for x >= 1."""
+    r = max(round(x ** (1 / k)), 1)
+    while r ** k < x:
+        r += 1
+    while r > 1 and (r - 1) ** k >= x:
+        r -= 1
+    return r
+
+
+@lru_cache(maxsize=256)
+def search_basis(congruence: int, bound: int) -> tuple:
+    """The fewest primes below 2^31, each 1 (mod congruence), whose product
+    exceeds ``bound`` and stays within the 2^42 ceiling; deterministic.
+
+    For k = 1, 2, ... the k smallest such primes from ceil((bound+1)^(1/k))
+    upward are tried; their product exceeds the bound by construction.  A
+    result depends on its two arguments alone and is kept, so planning a
+    ring again runs no primality test.
+    """
+    if bound >= MODULUS_CEILING:
+        raise ParameterCondition(f"bound {bound} leaves no working modulus within 2^42")
+    for k in range(1, 27):  # 27 odd primes already exceed 2^42
+        primes, p = [], _ceil_root(bound + 1, k) - 1
+        for _ in range(k):
+            p = search_prime(congruence, p)
+            primes.append(p)
+        if vectorized(p) and prod(primes) <= MODULUS_CEILING:
+            return tuple(primes)
+    raise ParameterCondition(f"no basis of primes below 2^31 = 1 (mod {congruence}) "
+                             f"exceeds bound {bound} within 2^42")
+
+
+def _basis_checks(what: str, basis: tuple, ring: RingSpec, prof) -> list:
+    """The checks of a basis that runs in place of a working modulus >= 2^31."""
+    P = prod(basis)
+    return [(f"{what} >= 2^31 runs on basis {'*'.join(map(str, basis))}",
+             all(map(vectorized, basis))),
+            bigmod.bound_check(P, ring, prof, f"basis product {P}")]
 
 
 def _cong_check(q: int, need: int, what: str):
@@ -217,7 +274,11 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
             checks.append((f"N={bigN} prime", is_prime(bigN)))
             checks.append(_cong_check(bigN, order, "lifted transform"))
             checks.append(bigmod.bound_check(bigN, ring, prof, f"N={bigN}"))
-            return plan("bigprime", bigmod.BigPrimeExecutor(ring, bigN, b))
+            basis = () if vectorized(bigN) else search_basis(order, bound)
+            if basis:
+                checks.extend(_basis_checks(f"N={bigN}", basis, ring, prof))
+                checks.extend(_cong_check(p, order, f"basis prime {p}") for p in basis)
+            return plan("bigprime", bigmod.BigPrimeExecutor(ring, bigN, b, basis))
         if choice in ("rns", "composite"):
             bs = bigmod.RnsBasis(tuple(basis)) if basis is not None else _search_basis(order, bound)
             for p in bs.primes:
@@ -281,30 +342,37 @@ def _default_chain(ring: RingSpec, cls: RingClass, prefer: str, prof, N):
     raise NoStrategy(f"preference {prefer!r} does not apply to {cls.describe()}")
 
 
+def _terminal_congruence(chain: embed.EmbedChain) -> int:
+    """What every working modulus of the chain's terminal must be 1 mod:
+    2^k for Good, the padded transform order for a plain transform, and 2
+    (odd, so 2n is invertible) for the block terminals."""
+    pad = None  # ZeroPad comes first when there is one
+    for s in chain.steps:
+        if isinstance(s, embed.ZeroPad):
+            pad = s
+        elif isinstance(s, embed.Good):
+            return 1 << s.k
+        elif isinstance(s, embed.PlainNtt) and pad is not None:
+            return (pad.n_prime >> s.beta) * (2 if pad.form == XN_PLUS_1 else 1)
+    return 2
+
+
 def _resolve_chain(ring: RingSpec, chain, prof):
-    """Fill in searched moduli (lift(None)) deterministically."""
+    """Fill in a searched modulus (lift(None)) deterministically, and the
+    basis of primes below 2^31 that runs in place of a lift modulus >= 2^31."""
     if not isinstance(chain, embed.EmbedChain):
         chain = embed.EmbedChain(tuple(chain))
-    if all(not isinstance(s, embed.LiftModulus) or s.modulus is not None for s in chain.steps):
-        return chain
-    steps = []
-    terminal_cong = None
-    for s in chain.steps:
-        if isinstance(s, embed.Good):
-            terminal_cong = 1 << s.k
-        elif isinstance(s, embed.PlainNtt):
-            pad = next((p for p in chain.steps if isinstance(p, embed.ZeroPad)), None)
-            if pad is not None:
-                terminal_cong = pad.n_prime >> s.beta
-                if pad.form == XN_PLUS_1:
-                    terminal_cong *= 2
-    for s in chain.steps:
-        if isinstance(s, embed.LiftModulus) and s.modulus is None:
+    steps = chain.steps
+    for i, s in enumerate(steps):
+        if isinstance(s, embed.LiftModulus):
+            if s.basis or s.modulus == ring.q or s.modulus is not None and vectorized(s.modulus):
+                return chain
+            cong = _terminal_congruence(chain)
             bound = bigmod.required_bound(ring.n, ring.q, prof)
-            steps.append(embed.LiftModulus(search_prime(terminal_cong or 2, bound)))
-        else:
-            steps.append(s)
-    return embed.EmbedChain(tuple(steps))
+            N = s.modulus if s.modulus is not None else search_prime(cong, bound)
+            lift = embed.LiftModulus(N, () if vectorized(N) else search_basis(cong, bound))
+            return embed.EmbedChain(steps[:i] + (lift,) + steps[i + 1:])
+    return chain
 
 
 def _chain_checks(ring: RingSpec, ex: embed.ChainExecutor, prof):
@@ -312,19 +380,27 @@ def _chain_checks(ring: RingSpec, ex: embed.ChainExecutor, prof):
     pad, lift, s = ex.pad, ex.lift, ex.step
     checks = [(f"pad {pad.n_prime} >= 2n-1 = {2 * ring.n - 1}",
                pad.n_prime >= 2 * ring.n - 1 or pad.n_prime == ring.n)]
+    moduli = (ring.q,)
     if lift and lift.modulus != ring.q:  # self-lifts wrap mod q by design
         checks.append(bigmod.bound_check(lift.modulus, ring, prof, f"lift modulus {lift.modulus}"))
-    mod = lift.modulus if lift else ring.q
-    if isinstance(s, embed.Good):
-        checks.append(_cong_check(mod, 1 << s.k, f"good rows over {mod}"))
-    elif isinstance(s, (embed.Schonhage, embed.Nussbaumer)):
-        name = "schonhage" if isinstance(s, embed.Schonhage) else "nussbaumer"
-        checks.append((f"{name} shape 2mn = {2 * s.m * s.n}",
+        if lift.basis:
+            checks.extend(_basis_checks(f"lift modulus {lift.modulus}", lift.basis, ring, prof))
+        moduli = lift.basis or (lift.modulus,)
+    blocks = {embed.Schonhage: "schonhage", embed.Nussbaumer: "nussbaumer"}.get(type(s))
+    if blocks:
+        checks.append((f"{blocks} shape 2mn = {2 * s.m * s.n}",
                        pad.n_prime == 2 * s.m * s.n and embed.block_shape_fault(s) is None))
-        checks.append((f"2n = {2 * s.n} invertible mod {mod}", gcd(2 * s.n, mod) == 1))
-    elif s is not None:
-        need = (pad.n_prime >> s.beta) * (2 if pad.form == XN_PLUS_1 else 1)
-        checks.append(_cong_check(mod, need, f"padded transform over {mod}"))
+    good = isinstance(s, embed.Good)
+    for mod in moduli:
+        if blocks:
+            checks.append((f"2n = {2 * s.n} invertible mod {mod}", gcd(2 * s.n, mod) == 1))
+        elif good:
+            checks.append(_cong_check(mod, 1 << s.k, f"good rows over {mod}"))
+        elif s is not None:
+            need = (pad.n_prime >> s.beta) * (2 if pad.form == XN_PLUS_1 else 1)
+            checks.append(_cong_check(mod, need, f"padded transform over {mod}"))
+        if (blocks or good) and not vectorized(mod):
+            checks.append((f"terminal modulus {mod} < 2^31 (int64 arrays)", False))
     return checks
 
 

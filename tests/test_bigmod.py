@@ -1,5 +1,10 @@
-import pytest
+from math import isqrt, prod
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from nttkit import embed
 from nttkit.bigmod import (
     FULL_FULL,
     FULL_SMALL,
@@ -8,7 +13,6 @@ from nttkit.bigmod import (
     _check_dynamic_bound,
     bigprime_multiply,
     bound_check,
-    centered,
     composite_multiply,
     crt_recombine,
     find_principal_root_composite,
@@ -19,9 +23,9 @@ from nttkit.bigmod import (
 )
 from nttkit.errors import BoundTooSmall, NoSuchRoot, NotCoprime, ParameterCondition
 from nttkit.modarith import is_principal_root, find_root
-from nttkit.planner import make_plan, multiply
+from nttkit.planner import make_plan, multiply, search_basis, search_prime
 from nttkit.polymul import oracle_multiply
-from nttkit.rings import Poly, RingSpec, XN_MINUS_1, XN_PLUS_1
+from nttkit.rings import Poly, RingSpec, XN_MINUS_1, XN_MINUS_X_MINUS_1, XN_PLUS_1
 
 SABER = RingSpec(XN_PLUS_1, 256, 8192)
 SABER_PROFILE = (MATVEC, 3, 8)
@@ -39,15 +43,173 @@ def test_required_bound_values():
 
 def test_centered_lift_round_trip(rng):
     for q in (17, 8192, 3329):
-        for x in range(0, q, max(q // 50, 1)):
-            c = centered(x, q)
-            assert -q // 2 <= c <= q // 2
-            assert c % q == x
+        xs = list(range(0, q, max(q // 50, 1)))
+        cs = lift_centered(Poly(xs, RingSpec(XN_MINUS_1, len(xs), q))).coeffs.tolist()
+        assert all(-q // 2 <= c <= q // 2 and c % q == x for c, x in zip(cs, xs))
     ring = RingSpec(XN_PLUS_1, 16, 8192)
     a = Poly.random(ring, rng)
-    la = lift_centered(a, 25166081)
-    assert recover_centered(la.coeffs, 25166081, 8192) == a.coeffs
+    la = lift_centered(a)
+    assert recover_centered([la.coeffs % 25166081], (25166081,), 8192) == a.coeffs
     assert la.centered_bound <= 4096
+
+
+@pytest.mark.parametrize("q", [2, 3, 16, 17, 8192, (1 << 42) - 11])
+def test_centered_lift_at_the_half_way_point(q):
+    # (q-1)//2 is the largest value kept, (q+1)//2 the first one moved down
+    lo, hi = (q - 1) // 2, (q + 1) // 2
+    ring = RingSpec(XN_MINUS_1, 4, q)
+    la = lift_centered(Poly([lo, hi, 0, 0], ring))
+    assert la.coeffs.tolist() == [lo, hi - q, 0, 0]
+    assert la.centered_bound == max(lo, q - hi)
+    assert la.effective_len == 2
+    assert lift_centered(Poly([lo, 0, 0, 0], ring)).effective_len == (1 if lo else 0)
+
+
+@pytest.mark.parametrize("moduli", [(5, 13), (120833, 133121), (2097143, 2097133),
+                                    (16381, 16369, 16363), (25166081,)])
+@pytest.mark.parametrize("q", [8192, 3329, (1 << 42) - 11])
+def test_garner_recovery_at_the_edges(moduli, q):
+    # 0, P - 1 (= -1) and +-floor((P-1)/2), the ends of the centered range
+    P = prod(moduli)
+    h = (P - 1) // 2
+    values = [0, P - 1, h, P - h, 1, h - 1]
+    residues = [[v % p for v in values] for p in moduli]
+    assert recover_centered(residues, moduli, q) == [0, q - 1, h % q, -h % q, 1, (h - 1) % q]
+
+
+def test_operand_check_at_the_edge_of_a_two_prime_basis():
+    # basis 5*13 = 65; q = 16, centered |a| = 8, |b| = 1 over all 4 terms:
+    # 2*4*8*1 = 64 = P - 1, and every product coefficient is -32 = -(P-1)/2
+    ring = RingSpec(XN_MINUS_1, 4, 16)
+    plan = make_plan(ring, "rns", basis=(5, 13), allow_bigmod=True, profile=(FULL_SMALL, 2))
+    a, b = Poly([8] * 4, ring), Poly([1] * 4, ring)
+    assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs == [0] * 4
+    a1 = Poly([8, 8, 8, 0], ring)  # 2*3*8*1 = 48 < P - 1
+    assert multiply(a1, b, plan).coeffs == oracle_multiply(a1, b).coeffs
+    la, lb = lift_centered(a), lift_centered(b)
+    _check_dynamic_bound(la, lb, 65)
+    with pytest.raises(BoundTooSmall):
+        _check_dynamic_bound(la, lb, 64)  # the same operands against P = 64: 2*4*8*1 = P
+    with pytest.raises(BoundTooSmall):
+        multiply(a, Poly([1, 1, 1, 2], ring), plan)  # 2*4*8*2 = 128 > 64
+
+
+def test_operand_check_reads_the_basis_product():
+    # the profile understates the operands: 65537 replaces N and holds the
+    # profile bound 65536, not two full operands, although N would
+    ring = RingSpec(XN_MINUS_1, 16, 1 << 12)
+    N = search_prime(16, 1 << 31)
+    plan = make_plan(ring, "bigprime", N=N, allow_bigmod=True, profile=(FULL_SMALL, 2))
+    assert plan.replaced_by == (65537,)
+    a = Poly([1 << 11] * 16, ring)
+    with pytest.raises(BoundTooSmall):
+        multiply(a, a, plan)
+    s = Poly([1] * 16, ring)
+    assert multiply(a, s, plan).coeffs == oracle_multiply(a, s).coeffs
+
+
+def test_search_basis_values():
+    assert search_basis(2048, 2134900736) == (2134904833,)  # ntru-509's bound
+    assert search_basis(2048, 13774094336) == (120833, 133121)  # ntru-821's bound
+    assert search_basis(2, 2134900736) == (2134900739,)  # odd, for block terminals
+    # the search starts at ceil((bound+1)^(1/k)) itself
+    assert search_basis(2048, 2134904832) == (2134904833,)
+    assert search_basis(2048, 120833 ** 2 - 1) == (120833, 133121)
+    with pytest.raises(ParameterCondition):
+        search_basis(2, 1 << 42)
+
+
+def test_plans_beyond_the_modulus_ceiling_raise():
+    # the bounds n*q^2 are 2^50: no working modulus within 2^42 holds them
+    with pytest.raises(ParameterCondition):
+        make_plan(RingSpec(XN_MINUS_1, 1021, 1 << 20))
+    with pytest.raises(ParameterCondition):
+        make_plan(RingSpec(XN_PLUS_1, 1024, 1 << 20), "bigprime", allow_bigmod=True)
+
+
+def test_rns_basis_primes_must_be_below_2_31():
+    ring = RingSpec(XN_MINUS_1, 4, 16)
+    with pytest.raises(ParameterCondition):
+        rns_multiply(Poly.zero(ring), Poly.zero(ring), RnsBasis((5, 2147493889)), 0, (FULL_SMALL, 2))
+
+
+SWEEP = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def replaced_plans(draw):
+    """A big-prime plan or a lifted chain whose working modulus is >= 2^31:
+    a named one over a bound below 2^31 (one basis prime), or a searched
+    one over a bound of 2^33 or more (two), with its operand pairs and the
+    one-shot product at a single big N (the pure-Python kernel)."""
+    two = draw(st.booleans())
+    t = draw(st.integers(33, 38) if two else st.integers(12, 29))  # log2 of the bound
+    route = draw(st.sampled_from(["bigprime", "pad-pow2", "good", "schonhage"]))
+    if route == "bigprime":
+        form = draw(st.sampled_from([XN_MINUS_1, XN_PLUS_1]))
+        n = 1 << draw(st.integers(2, 6))
+    else:
+        form = draw(st.sampled_from([XN_MINUS_1, XN_MINUS_X_MINUS_1]))
+        n = draw(st.integers(3, 40).filter(lambda v: v & (v - 1)))
+    mu = 2 * draw(st.integers(0, 3))  # 0: full*full
+    prof = (FULL_SMALL, mu) if mu else (FULL_FULL,)
+    q = (1 << (t + 1)) // (n * mu) if mu else isqrt((1 << t) // n)
+    q = max(q + (q & 1), 2)  # even: unfriendly for the big-prime route
+    ring = RingSpec(form, n, q)
+    bound = required_bound(n, q, prof)
+    if route == "bigprime":
+        beta = draw(st.integers(0, 1))
+        order = (2 * n if form == XN_PLUS_1 else n) >> beta
+        named = None if two else search_prime(order, 1 << 31)
+        plan = make_plan(ring, "bigprime", beta=beta, N=named, allow_bigmod=True, profile=prof)
+        big = search_prime(order, max(bound, 1 << 31))
+
+        def one_shot(a, b):
+            return bigprime_multiply(a, b, big, beta, prof)
+    else:
+        if route == "good":
+            k = 0
+            while 3 << k < 2 * n - 1:
+                k += 1
+            n_pad, terminal, cong = 3 << k, embed.Good(3, k), 1 << k
+        else:
+            n_pad = 1 << (2 * n - 1).bit_length()
+            m = 1 << ((n_pad.bit_length() - 2) // 2)
+            terminal, cong = ((embed.PlainNtt(0), n_pad) if route == "pad-pow2"
+                              else (embed.Schonhage(m, n_pad // (2 * m)), 2))
+        named = None if two else search_prime(cong, 1 << 31)
+        plan = make_plan(ring, chain=(embed.ZeroPad(n_pad), embed.LiftModulus(named), terminal),
+                         profile=prof)
+        n_big = 1 << (2 * n - 1).bit_length()
+        big = search_prime(n_big, max(required_bound(n_big, q, prof), 1 << 31))
+
+        def one_shot(a, b):
+            return embed.zero_pad_multiply(
+                a, b, n_big, lambda x, y: bigprime_multiply(x, y, big, 0, prof))
+    full = st.one_of(st.just([q // 2] * n), st.just([q - 1] * n),
+                     st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    small = st.lists(st.integers(-(mu // 2), mu // 2), min_size=n, max_size=n).map(
+        lambda c: [v % q for v in c])
+    pairs = draw(st.lists(st.tuples(full, small if mu else full), min_size=1, max_size=2))
+    return plan, (2 if two else 1), [(Poly(a, ring), Poly(b, ring)) for a, b in pairs], one_shot
+
+
+@SWEEP
+@given(replaced_plans())
+def test_replaced_moduli_match_the_oracle_and_one_big_prime(case):
+    plan, primes, pairs, one_shot = case
+    basis = plan.replaced_by
+    assert len(basis) == primes and all(p < 1 << 31 for p in basis)
+    assert f"-> {'*'.join(map(str, basis))}" in plan.describe()
+    for a, b in pairs:
+        got = multiply(a, b, plan)
+        assert got.coeffs == oracle_multiply(a, b).coeffs == one_shot(a, b).coeffs
 
 
 def test_crt_recombine_example():
@@ -182,7 +344,7 @@ def test_operand_check_boundary():
     plan = make_plan(ring, "bigprime", N=257, allow_bigmod=True, profile=(FULL_SMALL, 2))
     a, b = Poly([8] * 8, ring), Poly([2] * 8, ring)
     assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs  # exact at the edge
-    la, lb = lift_centered(a, 257), lift_centered(b, 257)
+    la, lb = lift_centered(a), lift_centered(b)
     _check_dynamic_bound(la, lb, 257)
     with pytest.raises(BoundTooSmall):
         _check_dynamic_bound(la, lb, 256)  # one step above N - 1

@@ -188,6 +188,16 @@ def test_plan_output(capsys):
     assert rep["class"] == "pow2_partial_friendly(deficit=1)"
     assert rep["strategy"].startswith("incomplete")
     assert any("3329 = 1 (mod 256)" in c for c in rep["checks"])
+    assert "basis" not in rep
+
+
+def test_plan_output_names_the_replacing_basis(capsys):
+    code, out, _ = run(capsys, "plan", "--preset", "ntru-821")
+    assert code == 0
+    rep = last_report(out)
+    assert rep["basis"] == [120833, 133121]
+    assert "lift(549755809793 -> 120833*133121)" in rep["strategy"]
+    assert "lift modulus 549755809793 >= 2^31 runs on basis 120833*133121: ok" in rep["checks"]
 
 
 def test_plan_trace_small(capsys):

@@ -122,6 +122,8 @@ def test_good_congruence_checked():
     a = Poly.zero(ring)
     with pytest.raises(ParameterCondition):
         good_multiply(a, a, 3, 2, 19)  # 19 != 1 (mod 4)
+    with pytest.raises(ParameterCondition):  # int64 column products need N < 2^31
+        good_multiply(a, a, 3, 2, 2147483713)  # prime, 1 (mod 4)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +267,7 @@ BLOCK_BUDGET = settings(
 @st.composite
 def block_cases(draw):
     """(function, oracle, m, n, q, a, b) over valid shapes, odd m included,
-    with q below and above 2^31 (int64 and object block arrays)."""
+    with q below 2^31 (int64 block arrays) and above (refused)."""
     n = 1 << draw(st.integers(0, 4))
     if draw(st.booleans()):
         fn, oracle, form = schonhage_multiply, schoolbook_cyclic, XN_MINUS_1
@@ -291,7 +293,11 @@ def block_cases(draw):
 def test_block_embeddings_match_oracle(case):
     fn, oracle, m, n, ring, a, b = case
     a, b = Poly(a, ring), Poly(b, ring)
-    assert fn(a, b, m, n).coeffs == oracle(a, b).coeffs
+    if ring.q > 1 << 31:
+        with pytest.raises(ParameterCondition):
+            fn(a, b, m, n)
+    else:
+        assert fn(a, b, m, n).coeffs == oracle(a, b).coeffs
 
 
 def test_schonhage_preset_product_and_counts_pinned(monkeypatch, rng):
@@ -426,16 +432,25 @@ def test_chain_checks_block_shape_and_lift_modulus(rng):
         planner.make_plan(RingSpec(XN_MINUS_X_MINUS_1, 3, 17),
                           chain=(ZeroPad(8), Schonhage(1, 4)))
     # 2n must be invertible mod the modulus the blocks run over: the lift
-    # modulus when there is one (q = 2048 is even, N is odd) ...
+    # modulus when there is one (q = 2048 is even, N is odd), here the one
+    # odd prime below 2^31 that replaces it ...
     ring = RingSpec(XN_MINUS_1, 509, 2048)
     plan = planner.make_plan(ring, chain=(ZeroPad(2048), LiftModulus(549755809793),
                                           Schonhage(32, 32)))
+    (p,) = plan.replaced_by
+    assert p % 2 == 1 and p < 1 << 31 and "lift(549755809793 -> " in plan.describe()
     a, b = Poly.random(ring, rng), Poly.random(ring, rng)
     assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
     # ... else q itself, for Nussbaumer terminals too
     with pytest.raises(ParameterCondition):
         planner.make_plan(RingSpec(XN_MINUS_X_MINUS_1, 5, 16),
                           chain=(ZeroPad(16, XN_PLUS_1), Nussbaumer(2, 4)))
+    # unlifted block and Good terminals run int64 arrays: q must be below 2^31
+    with pytest.raises(ParameterCondition):
+        planner.make_plan(RingSpec(XN_MINUS_X_MINUS_1, 5, 2147483713),
+                          chain=(ZeroPad(16), Schonhage(2, 4)))
+    with pytest.raises(ParameterCondition):
+        planner.make_plan(RingSpec(XN_MINUS_1, 12, 2147483713), chain=(ZeroPad(12), Good(3, 2)))
 
 
 def test_ntru_chain_and_direct_good_agree(rng):

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from nttkit import bigmod, embed, modarith, planner, polymul, trinomial
+from nttkit import bigmod, embed, modarith, planner, polymul, transforms, trinomial
 from nttkit.errors import NoStrategy, UnknownPreset
 from nttkit.planner import (
     GENERAL_PHI,
@@ -137,6 +137,36 @@ def test_every_preset_plan_is_sound(rng):
         for _ in range(trials):
             a, b = sample_operands(ring, plan, rng)
             assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs, name
+
+
+def test_no_preset_product_runs_the_reference_kernel(monkeypatch, rng):
+    # every working modulus of a preset is below 2^31, lifts included
+    def refuse(*args):
+        raise AssertionError("a planned product ran the pure-Python kernel")
+
+    monkeypatch.setattr(transforms, "ct_pass", refuse)
+    monkeypatch.setattr(transforms, "gs_pass", refuse)
+    for name in preset_names():
+        ring, plan = preset(name)
+        a, b = sample_operands(ring, plan, rng)
+        assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs, name
+
+
+def test_replaced_modulus_is_named_in_the_plan():
+    _, plan = preset("ntru-509")
+    assert plan.replaced_by == (2134904833,)
+    assert "lift(549755809793 -> 2134904833)" in plan.describe()
+    assert ("lift modulus 549755809793 >= 2^31 runs on basis 2134904833", True) in plan.checks
+    _, plan = preset("ntru-701")
+    assert plan.replaced_by == () and "->" not in plan.describe().split("lift")[1].split(")")[0]
+    # a named big prime: the request stays on the plan, the basis runs
+    ring = RingSpec(XN_PLUS_1, 64, 8192)
+    N = search_prime(128, 1 << 33)  # the bound is 64 * 8192^2 = 2^32
+    plan = make_plan(ring, "bigprime", N=N, allow_bigmod=True)
+    basis = plan.replaced_by
+    assert plan.N == N and len(basis) == 2 and all((p - 1) % 128 == 0 for p in basis)
+    assert plan.describe() == f"bigprime N={N} -> {basis[0]}*{basis[1]}, beta=0"
+    assert all(ok for _, ok in plan.checks)
 
 
 def test_plan_checks_recorded():
