@@ -35,22 +35,29 @@ FULL_SMALL = "full*small"
 MATVEC = "matvec"
 
 
+_PROFILE_ARGS = {FULL_FULL: (), FULL_SMALL: ("mu",), MATVEC: ("k", "mu")}
+
+
 def required_bound(n: int, q: int, profile=(FULL_FULL,)) -> int:
     """Minimal admissible working modulus for an operand profile.
 
     full*full keeps the stated n*q^2 (centered operands would allow
-    half); full*small(mu) and matvec(k, mu) use k*n*q*mu/2.
+    half); full*small(mu) and matvec(k, mu) use k*n*q*mu/2, k = 1 for
+    full*small.  A malformed profile raises ParameterCondition.
     """
-    kind = profile[0]
+    kind, args = (profile[0], tuple(profile[1:])) if len(profile) else (None, ())
+    names = _PROFILE_ARGS.get(kind)
+    if names is None:
+        raise ParameterCondition(
+            f"unknown operand profile {profile!r}; kinds: {', '.join(_PROFILE_ARGS)}")
+    if len(args) != len(names) or not all(type(x) is int for x in args):
+        spell = ", ".join((repr(kind), *names))
+        raise ParameterCondition(
+            f"operand profile {profile!r}: expected ({spell}) with integer parameters")
     if kind == FULL_FULL:
         return n * q * q
-    if kind == FULL_SMALL:
-        (mu,) = profile[1:]
-        return n * q * mu // 2
-    if kind == MATVEC:
-        k, mu = profile[1:]
-        return k * n * q * mu // 2
-    raise ValueError(f"unknown operand profile {profile!r}")
+    k, mu = args if kind == MATVEC else (1, *args)
+    return k * n * q * mu // 2
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +219,8 @@ class RnsBasis:
             if not is_prime(p):
                 raise NotCoprime(f"basis element {p} is not prime")
         if self.product > MODULUS_CEILING:
-            raise ValueError("basis product exceeds the 2^42 modulus ceiling")
+            raise ParameterCondition(f"basis {self.primes}: product {self.product} exceeds the "
+                                     "2^42 modulus ceiling")
 
     @cached_property
     def product(self) -> int:

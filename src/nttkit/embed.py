@@ -118,12 +118,11 @@ class GoodExecutor(bigmod.LiftedExecutor):
         h, k = self.h, self.k
 
         def columns(coeffs):  # transformed rows, one column per leaf
-            return np.array([pair.forward(Poly(r, pair.ring)).values
-                             for r in good_map(coeffs, h, k).rows], dtype=np.int64)
+            return np.stack([pair.forward(Poly(r, pair.ring)).values
+                             for r in good_map(coeffs, h, k).rows])
 
-        out_vals = _schoolbook_rows(columns(x), columns(y), pair.ring.q, 1).tolist()
         rows = [pair.inverse(NttDomainPoly(vals, pair.fwd_spec, pair.ring, 1)).coeffs
-                for vals in out_vals]
+                for vals in _schoolbook_rows(columns(x), columns(y), pair.ring.q, 1)]
         return good_unmap(GoodLayout(h, k, rows))
 
 
@@ -358,7 +357,7 @@ def schonhage_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None 
     schedule = schedule or block_schedule(step)
     P = _block_convolve(blocks(a.coeffs), blocks(b.coeffs), schedule, q)[..., 0]
     # y = x^m: block j's upper half lands on block j + 1
-    return Poly(_mod(P[:, :m] + np.roll(P[:, m:], 1, axis=0), q).ravel().tolist(), a.ring)
+    return Poly.from_array(_mod(P[:, :m] + np.roll(P[:, m:], 1, axis=0), q).ravel(), a.ring)
 
 
 def _nussbaumer(U, V, schedule: tuple, q: int):
@@ -393,7 +392,7 @@ def nussbaumer_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None
     q = _block_modulus(a, b, step, schedule)
     P = _nussbaumer(np.array(a.coeffs, dtype=np.int64)[:, None],
                     np.array(b.coeffs, dtype=np.int64)[:, None], schedule or block_schedule(step), q)
-    return Poly(P[:, 0].tolist(), a.ring)
+    return Poly.from_array(P[:, 0], a.ring)
 
 
 # ---------------------------------------------------------------------------

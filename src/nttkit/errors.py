@@ -54,7 +54,8 @@ class BadAlpha(NttError):
 
 
 class ParameterCondition(NttError):
-    """A congruence or primality precondition on (n, q) fails."""
+    """A congruence or primality precondition on (n, q) fails, or a caller's
+    operand profile or basis is malformed."""
 
 
 class BoundTooSmall(NttError):

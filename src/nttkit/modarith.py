@@ -3,8 +3,8 @@
 All residues are canonical unsigned integers in [0, m).  Python integers
 are exact at any width, so products never wrap; the 2^42 modulus ceiling
 is still enforced because every downstream bound analysis assumes it.
-Below ``VECTOR_LIMIT`` the transforms and leaf products run as int64
-numpy kernels instead (see ``vectorized``).
+The transforms and leaf products work on numpy buffers, int64 below
+``VECTOR_LIMIT`` and Python ints above it (see ``vectorized``).
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ def check_modulus(m: int) -> int:
 
 
 def vectorized(m: int) -> bool:
-    """True when arithmetic mod m runs on the int64 numpy kernels.
+    """True when arithmetic mod m fits int64 buffers (else ``object`` ones).
 
-    The choice depends on the modulus alone; both kernels produce the
-    same canonical residues and the same operation counts.
+    The choice depends on the modulus alone; both dtypes give the same
+    canonical residues and the same operation counts.
     """
     return m < VECTOR_LIMIT
 

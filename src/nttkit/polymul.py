@@ -5,6 +5,11 @@ pipeline in the package.  They deliberately share no modular helpers
 with the fast path: reduction is inline ``% q`` (or vectorized int64
 numpy when provably overflow-free), and the wrap-around sums follow the
 convolution definitions directly instead of reusing reduce_mod_phi.
+
+The pipeline keeps its values in the transforms' working buffers
+(``transforms.buffer``) from forward transform to inverse: pointwise and
+leaf products take and return buffers, and ``basecase_mul`` stays as
+their scalar reference.
 """
 
 from __future__ import annotations
@@ -186,27 +191,27 @@ def leaf_ops(L: int, use_karatsuba: bool) -> tuple:
     return L * L + L - 1, L - 1, 0
 
 
-def leaf_products(u, v, gammas, q: int) -> list:
-    """basecase_mul on every length-L chunk at once (int64, q < 2^31).
+def leaf_products(u, v, gammas, q: int) -> np.ndarray:
+    """basecase_mul on every length-L chunk at once, uncounted.
 
-    ``u``/``v`` are flat value lists of m chunks, ``gammas`` the m leaf
-    constants.  Residues are canonical, so the result equals basecase_mul
-    with or without Karatsuba; the caller adds the operation counts.
+    ``u``/``v`` are flat buffers of m chunks and ``gammas`` the m leaf
+    constants, all of the buffer dtype mod q (``transforms.buffer``).
+    Residues are canonical, so the result equals basecase_mul with or
+    without Karatsuba; the caller adds the operation counts.
     """
     m = len(gammas)
     L = len(u) // m
-    U = np.array(u, dtype=np.int64).reshape(m, L)
-    V = np.array(v, dtype=np.int64).reshape(m, L)
-    t = np.zeros((m, 2 * L - 1), dtype=np.int64)
+    U, V = u.reshape(m, L), v.reshape(m, L)
+    t = np.zeros((m, 2 * L - 1), dtype=U.dtype)
     for i in range(L):
         t[:, i : i + L] += U[:, i : i + 1] * V % q
     t %= q
     out = t[:, :L]
-    hi = t[:, L:] * np.array(gammas, dtype=np.int64)[:, None]
+    hi = t[:, L:] * gammas[:, None]
     hi %= q
     out[:, : L - 1] += hi
     out %= q
-    return out.ravel().tolist()
+    return out.ravel()
 
 
 def leaf_gammas(spec: TransformSpec, tw, n: int) -> list:
@@ -228,35 +233,24 @@ def leaf_gammas(spec: TransformSpec, tw, n: int) -> list:
 
 
 def pointwise_mul(A: NttDomainPoly, B: NttDomainPoly, tw=None, use_karatsuba=False) -> NttDomainPoly:
-    """Per-leaf product of two transform-domain polys with equal spec."""
+    """Per-leaf product of two transform-domain polys with equal spec, on
+    their buffers; counted as basecase_mul would count it."""
     if not A.compatible(B):
         raise SpecMismatch("pointwise product needs equal spec and ring")
-    q = A.ring.q
-    n = A.ring.n
-    L = A.leaf_degree
-    ctr = modarith.active_counter()
+    q, n, L = A.ring.q, A.ring.n, A.leaf_degree
     if L == 1:
-        if ctr is not None:
-            ctr.mults += n
-        vals = [x * y % q for x, y in zip(A.values, B.values)]
-        return NttDomainPoly(vals, A.spec, A.ring, 1)
-    if tw is None:
+        vals = A.values * B.values % q
+    elif tw is None:
         raise SpecMismatch("leaf products need the forward twiddle table")
-    gammas = leaf_gammas(A.spec, tw, n)
-    if modarith.vectorized(q):
+    else:
+        gammas = transforms.buffer(leaf_gammas(A.spec, tw, n), q)
         vals = leaf_products(A.values, B.values, gammas, q)
-        if ctr is not None:
-            mults, adds, subs = leaf_ops(L, use_karatsuba)
-            ctr.mults += mults * len(gammas)
-            ctr.adds += adds * len(gammas)
-            ctr.subs += subs * len(gammas)
-        return NttDomainPoly(vals, A.spec, A.ring, L)
-    vals = [0] * n
-    for p, g in enumerate(gammas):
-        s = p * L
-        vals[s : s + L] = basecase_mul(
-            A.values[s : s + L], B.values[s : s + L], g, q, use_karatsuba
-        )
+    ctr = modarith.active_counter()
+    if ctr is not None:
+        mults, adds, subs = leaf_ops(L, use_karatsuba)
+        ctr.mults += mults * (n // L)
+        ctr.adds += adds * (n // L)
+        ctr.subs += subs * (n // L)
     return NttDomainPoly(vals, A.spec, A.ring, L)
 
 
@@ -283,15 +277,11 @@ class TransformPair:
     inv_sched: transforms.Schedule = field(compare=False, repr=False)
 
     @cached_property
-    def gammas(self) -> tuple:
-        return tuple(leaf_gammas(self.fwd_spec, self.fwd_tw, self.ring.n))
-
-    @cached_property
-    def y_domain(self) -> tuple:
-        """Forward image of the monomial x (the split-ring y twiddles)."""
+    def y_domain(self) -> np.ndarray:
+        """Forward image of the monomial x (the split-ring y twiddles), read-only."""
         y = Poly.from_ints([0, 1], self.ring)
         with modarith.uncounted():  # a table, not part of any product
-            return tuple(self.forward(y).values)
+            return transforms.read_only(self.forward(y).values)
 
     def forward(self, a: Poly) -> NttDomainPoly:
         return transforms.ntt_forward(a, self.fwd_tw, self.fwd_spec, schedule=self.fwd_sched)
@@ -336,9 +326,7 @@ def make_transform_pair(ring: RingSpec, beta: int = 0, root: int | None = None) 
     inv = fwd.inverse_of()
     pair = TransformPair(ring, beta, fwd, inv, fwd_tw, inv_tw,
                          transforms.make_schedule(fwd, fwd_tw, n), transforms.make_schedule(inv, inv_tw, n))
-    # warm the stored-offline tables so later multiplies never pay for them
-    _ = pair.gammas
-    _ = pair.y_domain
+    _ = pair.y_domain  # warm the stored-offline table so later multiplies never pay for it
     return pair
 
 

@@ -87,6 +87,18 @@ class Poly:
             raise ValueError("coefficients must be canonical in [0, q)")
 
     @classmethod
+    def from_array(cls, values, ring: RingSpec) -> "Poly":
+        """The Poly of a 1-D int64 or object array, range-checked once on
+        the array; its coefficients become a list of Python ints."""
+        if values.shape != (ring.n,):
+            raise ValueError(f"expected {ring.n} coefficients, got shape {values.shape}")
+        if values.min() < 0 or values.max() >= ring.q:
+            raise ValueError("coefficients must be canonical in [0, q)")
+        p = object.__new__(cls)  # checked above: skip the per-coefficient check
+        p.coeffs, p.ring = values.tolist(), ring
+        return p
+
+    @classmethod
     def from_ints(cls, ints, ring: RingSpec) -> "Poly":
         """Reduce arbitrary integers (shorter vectors are zero-padded)."""
         q = ring.q

@@ -73,8 +73,7 @@ def _inner_pair(parent: RingSpec, alpha: int, beta: int) -> polymul.TransformPai
 
 
 def _y_image(inner: polymul.TransformPair) -> NttDomainPoly:
-    vals = list(inner.y_domain)
-    return NttDomainPoly(vals, inner.fwd_spec, inner.ring, 1 << inner.beta)
+    return NttDomainPoly(inner.y_domain, inner.fwd_spec, inner.ring, 1 << inner.beta)
 
 
 def _strategy_multiply(a, b, alpha, inner, karatsuba_cross, karatsuba_leaf):

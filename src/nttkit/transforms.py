@@ -22,10 +22,12 @@ final scaling by (n/2^beta)^-1.
 ``level_geometry`` is the only derivation of this structure: a
 ``Schedule`` holds it per (spec, table, n), and ``butterfly_schedule``
 (``plan --trace``), the trinomial levels and the block transforms of
-the embeddings walk it too.  ``run_levels`` drives both kernels over a
-schedule with identical values and op counts: the pure-Python reference
-kernel on a list, and an int64 numpy kernel (one reshape-and-broadcast
-per level) on an array, used whenever the modulus is below 2^31.
+the embeddings walk it too.  ``run_levels`` drives the array kernel (one
+reshape-and-broadcast per level) on the working buffer that ``buffer``
+picks from the modulus alone: int64 below 2^31, ``object`` (Python ints)
+at or above.  The pure-Python kernel on a list stays as the test
+reference, with identical values and op counts.  A transform returns
+its buffer; only an inverse turns one back into a Poly.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import modarith
-from .errors import OrderMismatch, RingMismatch, SpecViolation
+from .errors import OrderMismatch, RingMismatch, SpecMismatch, SpecViolation
 
 CC = "CC"
 NWC = "NWC"
@@ -97,49 +99,48 @@ class TransformSpec:
 class NttDomainPoly:
     """Transform-domain values tagged with the spec that produced them.
 
-    ``values`` is a flat length-n buffer; chunk p of length leaf_degree
-    holds the image in the p-th residue ring of the cropped CRT map.
+    ``values`` is a flat length-n working buffer (see ``buffer``; a list
+    passed in is converted); chunk p of length leaf_degree holds the
+    image in the p-th residue ring of the cropped CRT map.  ``add``,
+    ``sub`` and ``scale`` return new values and never mutate these.
     """
 
-    values: list
+    values: np.ndarray
     spec: TransformSpec
     ring: object
     leaf_degree: int = 1
 
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=buffer_dtype(self.ring.q))
+
+    def __eq__(self, other) -> bool:  # the generated one would compare arrays elementwise
+        return (isinstance(other, NttDomainPoly) and self.compatible(other)
+                and self.leaf_degree == other.leaf_degree
+                and np.array_equal(self.values, other.values))
+
     def compatible(self, other: "NttDomainPoly") -> bool:
         return self.spec == other.spec and self.ring == other.ring
 
-    def add(self, other: "NttDomainPoly") -> "NttDomainPoly":
-        if not self.compatible(other):
-            from .errors import SpecMismatch
-
-            raise SpecMismatch("cannot combine values from different specs")
-        q = self.ring.q
+    def _apply(self, ufunc, other, tally: str) -> "NttDomainPoly":
+        """ufunc(values, other) mod q, counted as one ``tally`` op per value."""
+        if isinstance(other, NttDomainPoly):
+            if not self.compatible(other):
+                raise SpecMismatch("cannot combine values from different specs")
+            other = other.values
         c = modarith.active_counter()
         if c is not None:
-            c.adds += len(self.values)
-        vals = [(x + y) % q for x, y in zip(self.values, other.values)]
-        return NttDomainPoly(vals, self.spec, self.ring, self.leaf_degree)
+            setattr(c, tally, getattr(c, tally) + len(self.values))
+        return NttDomainPoly(ufunc(self.values, other) % self.ring.q, self.spec, self.ring,
+                             self.leaf_degree)
+
+    def add(self, other: "NttDomainPoly") -> "NttDomainPoly":
+        return self._apply(np.add, other, "adds")
 
     def sub(self, other: "NttDomainPoly") -> "NttDomainPoly":
-        if not self.compatible(other):
-            from .errors import SpecMismatch
-
-            raise SpecMismatch("cannot combine values from different specs")
-        q = self.ring.q
-        c = modarith.active_counter()
-        if c is not None:
-            c.subs += len(self.values)
-        vals = [(x - y) % q for x, y in zip(self.values, other.values)]
-        return NttDomainPoly(vals, self.spec, self.ring, self.leaf_degree)
+        return self._apply(np.subtract, other, "subs")
 
     def scale(self, s: int) -> "NttDomainPoly":
-        q = self.ring.q
-        c = modarith.active_counter()
-        if c is not None:
-            c.mults += len(self.values)
-        vals = [x * s % q for x in self.values]
-        return NttDomainPoly(vals, self.spec, self.ring, self.leaf_degree)
+        return self._apply(np.multiply, s % self.ring.q, "mults")
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +226,10 @@ class Schedule:
 
     ``levels[l] = (nblocks, half, exponents)`` in execution order, with
     ``half`` counted in chunks of ``chunk`` coefficients.  Each kernel
-    reads its twiddles from it, built on first use: ``vectors`` (int64,
-    shaped to broadcast against the (nblocks, half, chunk) halves) or
-    ``passes`` (every butterfly's low position and twiddle).
+    reads its twiddles from it, built on first use: ``vectors`` (read-only
+    arrays of the table modulus's buffer dtype, shaped to broadcast against
+    the (nblocks, half, chunk) halves) or ``passes`` (every butterfly's low
+    position and twiddle, for the reference kernel).
     """
 
     spec: TransformSpec
@@ -244,8 +246,8 @@ class Schedule:
     def vectors(self) -> tuple:
         block_tw = _block_twiddled(self.spec)
         return tuple(
-            np.array(self._twiddles(exps), dtype=np.int64)
-            .reshape((nblocks, 1, 1) if block_tw else (half, 1))
+            read_only(buffer(self._twiddles(exps), self.table.modulus)
+                    .reshape((nblocks, 1, 1) if block_tw else (half, 1)))
             for nblocks, half, exps in self.levels
         )
 
@@ -303,7 +305,7 @@ def gs_pass(a, nblocks: int, half: int, chunk: int, tw, q: int) -> None:
 def ct_level(x, nblocks: int, half: int, chunk: int, w, q: int) -> None:
     """One CT level in place: (u, v) -> (u + w*v, u - w*v) mod q.
 
-    ``x`` is a contiguous int64 array of nblocks*2*half*chunk canonical
+    ``x`` is a contiguous buffer of nblocks*2*half*chunk canonical
     residues; ``w`` broadcasts against shape (nblocks, half, chunk).  Both
     halves are reduced by one pass over ``x``.
     """
@@ -326,44 +328,40 @@ def gs_level(x, nblocks: int, half: int, chunk: int, w, q: int) -> None:
     x %= q
 
 
-def buffer(values, q: int):
-    """A working copy of ``values`` for the kernel of modulus q: an int64
-    array below ``modarith.VECTOR_LIMIT``, else a list."""
-    return np.array(values, dtype=np.int64) if modarith.vectorized(q) else list(values)
+def buffer_dtype(q: int):
+    """The working dtype mod q: int64 below ``modarith.VECTOR_LIMIT``, where
+    every product of two residues fits, else ``object`` (Python ints)."""
+    return np.int64 if modarith.vectorized(q) else object
 
 
-def values_of(buf, q: int, scale: int = 1) -> list:
-    """The buffer's values times ``scale`` mod q, as a list (an array in place)."""
-    if isinstance(buf, np.ndarray):
-        if scale != 1:
-            buf *= scale
-            buf %= q
-        return buf.tolist()
-    return buf if scale == 1 else [v * scale % q for v in buf]
+def buffer(values, q: int) -> np.ndarray:
+    """A fresh working buffer holding ``values``, of the dtype mod q."""
+    return np.array(values, dtype=buffer_dtype(q))
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: a cached table shared by every caller."""
+    a.flags.writeable = False
+    return a
 
 
 def _halve(buf, q: int) -> None:
     """buf / 2 mod q in place, for odd q: shift, and add (q+1)/2 to odd entries."""
-    half_q = (q + 1) >> 1
-    if isinstance(buf, np.ndarray):
-        odd = buf & 1
-        buf >>= 1
-        odd *= half_q
-        buf += odd
-        buf %= q
-    else:
-        for j, x in enumerate(buf):
-            buf[j] = ((x >> 1) + (x & 1) * half_q) % q
+    odd = buf & 1
+    buf >>= 1
+    odd *= (q + 1) >> 1
+    buf += odd
+    buf %= q
 
 
 def run_levels(buf, q: int, sched: Schedule, halving=False, on_level=None) -> None:
     """Apply every level of ``sched`` to ``buf`` in place.
 
-    An int64 array runs the int64 kernel (one reshape-and-broadcast per
+    A working buffer runs the array kernel (one reshape-and-broadcast per
     level), a list the pure-Python reference kernel (one loop over the
-    level's butterflies); both give the same values and op counts.
-    ``halving`` folds a division by 2 into each level (odd q only) and
-    ``on_level(level, values)`` sees the values after each level.
+    level's butterflies; it takes no halving); both give the same values
+    and op counts.  ``halving`` folds a division by 2 into each level (odd q
+    only) and ``on_level(level, values)`` sees the values after each level.
     """
     vec = isinstance(buf, np.ndarray)
     if sched.spec.butterfly == CT:
@@ -386,18 +384,15 @@ def run_levels(buf, q: int, sched: Schedule, halving=False, on_level=None) -> No
             on_level(lvl, buf.tolist() if vec else buf)
 
 
-def _transform(values, q, tw, spec, n, schedule, halving=False, on_level=None, scale=1) -> list:
-    """Levels of ``spec`` on a copy of ``values``, then times ``scale``.
-
-    The kernel is picked by the modulus alone.
-    """
+def _transform(values, q, tw, spec, n, schedule, halving=False, on_level=None) -> np.ndarray:
+    """Levels of ``spec`` on a fresh buffer holding ``values``; returns it."""
     if schedule is None:
         schedule = make_schedule(spec, tw, n)
     elif schedule.table is not tw or schedule.spec != spec or schedule.n != n:
         raise SpecViolation("schedule was built for another table, spec or length")
     buf = buffer(values, q)
     run_levels(buf, q, schedule, halving=halving, on_level=on_level)
-    return values_of(buf, q, scale)
+    return buf
 
 
 def _check_table(tw, spec, n, q, expect_inverse):
@@ -429,10 +424,10 @@ def _check_ring_form(ring, spec):
 def ntt_forward(a, tw, spec: TransformSpec, on_level=None, schedule=None) -> NttDomainPoly:
     """Forward transform of a Poly; returns tagged transform-domain values.
 
-    The input is copied once into the result buffer and the levels of
-    ``schedule`` (built from ``tw`` when not given) then run in place on
-    it: on the int64 kernel for moduli below 2^31, else on the reference
-    kernel.  ``on_level(level, values)`` sees the buffer after each level.
+    The coefficients are copied once into a working buffer (``buffer``)
+    and the levels of ``schedule`` (built from ``tw`` when not given) then
+    run in place on it; the result holds that buffer.  ``on_level(level,
+    values)`` sees the values after each level.
     """
     if spec.direction != FORWARD:
         raise SpecViolation("ntt_forward requires a forward spec")
@@ -442,8 +437,8 @@ def ntt_forward(a, tw, spec: TransformSpec, on_level=None, schedule=None) -> Ntt
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.forward_transforms += 1
-    values = _transform(a.coeffs, q, tw, spec, n, schedule, on_level=on_level)
-    return NttDomainPoly(values, spec, a.ring, 1 << spec.beta)
+    buf = _transform(a.coeffs, q, tw, spec, n, schedule, on_level=on_level)
+    return NttDomainPoly(buf, spec, a.ring, 1 << spec.beta)
 
 
 def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False, on_level=None,
@@ -452,7 +447,8 @@ def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False,
 
     The per-level factor 2 is deferred into one final scaling by
     (n/2^beta)^-1, or folded into each level when halving is set
-    (identical outputs, tested).  Kernel choice as in ntt_forward.
+    (identical outputs, tested).  ``ahat.values`` is copied, never
+    mutated; the result is range-checked once, on its buffer.
     """
     from .rings import Poly
 
@@ -470,11 +466,13 @@ def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False,
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.inverse_transforms += 1
-    scale = 1 if halving else modarith.mod_inv(n >> spec.beta, q)
-    values = _transform(ahat.values, q, tw_inv, spec, n, schedule, halving, on_level, scale)
-    if not halving and ctr is not None:
-        ctr.mults += n
-    return Poly(values, ahat.ring)
+    buf = _transform(ahat.values, q, tw_inv, spec, n, schedule, halving, on_level)
+    if not halving:
+        buf *= modarith.mod_inv(n >> spec.beta, q)
+        buf %= q
+        if ctr is not None:
+            ctr.mults += n
+    return Poly.from_array(buf, ahat.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +518,11 @@ def nwc_forward_separate(a, cc_tw, psi_tw, spec: TransformSpec, on_level=None) -
     if ctr is not None:
         ctr.forward_transforms += 1
         ctr.mults += n
-    values = [c * p % q for c, p in zip(a.coeffs, _psi_powers(psi_tw, spec.in_order, n))]
-    run_levels(values, q, make_schedule(spec, cc_tw, n), on_level=on_level)
-    return NttDomainPoly(values, spec, a.ring, 1)
+    buf = buffer(a.coeffs, q)
+    buf *= buffer(_psi_powers(psi_tw, spec.in_order, n), q)
+    buf %= q
+    run_levels(buf, q, make_schedule(spec, cc_tw, n), on_level=on_level)
+    return NttDomainPoly(buf, spec, a.ring, 1)
 
 
 def nwc_inverse_separate(ahat: NttDomainPoly, cc_tw_inv, psi_tw_inv, spec: TransformSpec):
@@ -540,11 +540,12 @@ def nwc_inverse_separate(ahat: NttDomainPoly, cc_tw_inv, psi_tw_inv, spec: Trans
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.inverse_transforms += 1
-    values = list(ahat.values)
-    run_levels(values, q, make_schedule(spec, cc_tw_inv, n))
-    s = modarith.mod_inv(n, q)
-    psi = _psi_powers(psi_tw_inv, spec.out_order, n)
-    values = [v * s % q * p % q for v, p in zip(values, psi)]
+    buf = buffer(ahat.values, q)
+    run_levels(buf, q, make_schedule(spec, cc_tw_inv, n))
+    buf *= modarith.mod_inv(n, q)
+    buf %= q
+    buf *= buffer(_psi_powers(psi_tw_inv, spec.out_order, n), q)
+    buf %= q
     if ctr is not None:
         ctr.mults += 2 * n
-    return Poly(values, ahat.ring)
+    return Poly.from_array(buf, ahat.ring)

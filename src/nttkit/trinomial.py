@@ -45,8 +45,9 @@ class TrinomialPlan:
     inverse: transforms.Schedule = field(compare=False, repr=False)
 
     @cached_property
-    def leaf_vector(self):
-        return np.array(self.leaf_constants, dtype=np.int64)
+    def leaf_vector(self) -> np.ndarray:
+        """The leaf constants as a read-only buffer mod q."""
+        return transforms.read_only(transforms.buffer(self.leaf_constants, self.q))
 
     @property
     def n(self) -> int:
@@ -59,10 +60,15 @@ class TrinomialPlan:
 
 @dataclass
 class TrinomialDomainPoly:
-    """Degree-2 leaf images, kept separate from the radix-2 domain type."""
+    """Degree-2 leaf images (a working buffer), kept separate from the
+    radix-2 domain type."""
 
-    values: list
+    values: np.ndarray
     plan: TrinomialPlan
+
+    def __eq__(self, other) -> bool:  # the generated one would compare arrays elementwise
+        return (isinstance(other, TrinomialDomainPoly) and self.plan == other.plan
+                and np.array_equal(self.values, other.values))
 
 
 def check_ring(ring: RingSpec) -> None:
@@ -113,30 +119,22 @@ def trinomial_forward(a: Poly, plan: TrinomialPlan) -> TrinomialDomainPoly:
     if ctr is not None:
         ctr.forward_transforms += 1
     half = n // 2
-    z1 = plan.zeta1
     vals = transforms.buffer(a.coeffs, q)
     # split level: 1 mult, 2 adds, 1 sub per pair
-    if isinstance(vals, np.ndarray):
-        lo, hi = vals[:half], vals[half:]
-        t = hi * z1
-        t %= q
-        hi += lo
-        hi -= t
-        hi %= q
-        lo += t
-        lo %= q
-    else:
-        for i in range(half):
-            hi = vals[i + half]
-            t = z1 * hi % q
-            vals[i + half] = (vals[i] + hi - t) % q
-            vals[i] = (vals[i] + t) % q
+    lo, hi = vals[:half], vals[half:]
+    t = hi * plan.zeta1
+    t %= q
+    hi += lo
+    hi -= t
+    hi %= q
+    lo += t
+    lo %= q
     if ctr is not None:
         ctr.mults += half
         ctr.adds += 2 * half
         ctr.subs += half
     transforms.run_levels(vals, q, plan.forward)
-    return TrinomialDomainPoly(transforms.values_of(vals, q), plan)
+    return TrinomialDomainPoly(vals, plan)
 
 
 def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan) -> Poly:
@@ -152,23 +150,14 @@ def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan) -> Poly:
     # undo the split level exactly: invert [[1, z1], [1, z2]]
     z1, z2 = plan.zeta1, plan.zeta2
     det_inv = mod_inv((z2 - z1) % q, q)
-    if isinstance(vals, np.ndarray):
-        l, r = vals[:half].copy(), vals[half:].copy()
-        x = z2 * l - z1 * r
-        x %= q
-        x *= det_inv
-        x %= q
-        vals[:half] = x
-        r -= l
-        r %= q
-        r *= det_inv
-        r %= q
-        vals[half:] = r
-    else:
-        for i in range(half):
-            l, r = vals[i], vals[i + half]
-            vals[i] = (z2 * l - z1 * r) % q * det_inv % q
-            vals[i + half] = (r - l) % q * det_inv % q
+    l, r = vals[:half].copy(), vals[half:]
+    x = z2 * l - z1 * r
+    x %= q
+    x *= det_inv
+    vals[:half] = x
+    r -= l
+    r %= q
+    r *= det_inv
     if ctr is not None:
         ctr.mults += 4 * half
         ctr.adds += half
@@ -176,7 +165,10 @@ def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan) -> Poly:
     levels = len(plan.inverse.levels)
     if levels and ctr is not None:
         ctr.mults += n
-    return Poly(transforms.values_of(vals, q, mod_inv(1 << levels, q)), plan.ring)
+    vals %= q
+    vals *= mod_inv(1 << levels, q)
+    vals %= q
+    return Poly.from_array(vals, plan.ring)
 
 
 def trinomial_pointwise(u, v, psi_j: int, q: int) -> list:
@@ -193,39 +185,31 @@ def trinomial_pointwise(u, v, psi_j: int, q: int) -> list:
     return [c0, c1, c2]
 
 
-def _pointwise_vec(u, v, psi, q: int) -> list:
-    """trinomial_pointwise on every leaf at once (int64, q < 2^31, uncounted).
+def _pointwise_vec(u, v, psi, q: int) -> np.ndarray:
+    """trinomial_pointwise on every leaf of two buffers at once, uncounted;
+    ``psi`` holds the leaf constants as a buffer mod q.
 
-    Every product is reduced before it is added, so no sum leaves int64.
+    Every product is reduced before it is added, so no int64 sum overflows.
     """
-    U = np.array(u, dtype=np.int64).reshape(-1, 3).T
-    V = np.array(v, dtype=np.int64).reshape(-1, 3).T
-    (u0, u1, u2), (v0, v1, v2) = U, V
-    out = np.empty_like(U)
+    (u0, u1, u2), (v0, v1, v2) = u.reshape(-1, 3).T, v.reshape(-1, 3).T
+    out = np.empty((3, len(psi)), dtype=u.dtype)
     out[0] = (u1 * v2 % q + u2 * v1 % q) * psi % q + u0 * v0 % q
     out[1] = u2 * v2 % q * psi % q + u0 * v1 % q + u1 * v0 % q
     out[2] = u0 * v2 % q + u1 * v1 % q + u2 * v0 % q
     out %= q
-    return out.T.ravel().tolist()
+    return out.T.ravel()
 
 
 def trinomial_multiply(a: Poly, b: Poly, plan: TrinomialPlan) -> Poly:
     """Forward both operands, multiply the degree-2 leaves, invert."""
     A = trinomial_forward(a, plan)
     B = trinomial_forward(b, plan)
-    q = plan.q
-    if modarith.vectorized(q):
-        vals = _pointwise_vec(A.values, B.values, plan.leaf_vector, q)
-        ctr = modarith.active_counter()
-        if ctr is not None:
-            leaves = len(plan.leaf_constants)
-            ctr.mults += 11 * leaves
-            ctr.adds += 5 * leaves
-    else:
-        vals = [0] * plan.n
-        for li, c in enumerate(plan.leaf_constants):
-            s = 3 * li
-            vals[s : s + 3] = trinomial_pointwise(A.values[s : s + 3], B.values[s : s + 3], c, q)
+    vals = _pointwise_vec(A.values, B.values, plan.leaf_vector, plan.q)
+    ctr = modarith.active_counter()
+    if ctr is not None:
+        leaves = len(plan.leaf_constants)
+        ctr.mults += 11 * leaves
+        ctr.adds += 5 * leaves
     return trinomial_inverse(TrinomialDomainPoly(vals, plan), plan)
 
 

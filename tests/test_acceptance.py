@@ -101,9 +101,9 @@ def test_criterion_2_convolution_theorems():
                 for _ in range(TRIALS):
                     a, b = Poly.random(ring, rng), Poly.random(ring, rng)
                     c = oracle_multiply(a, b)
-                    A = ntt_forward(a, ftw, fs).values
-                    B = ntt_forward(b, ftw, fs).values
-                    C = ntt_forward(c, ftw, fs).values
+                    A = ntt_forward(a, ftw, fs).values.tolist()
+                    B = ntt_forward(b, ftw, fs).values.tolist()
+                    C = ntt_forward(c, ftw, fs).values.tolist()
                     assert C == [x * y % q for x, y in zip(A, B)], (kind, n, q)
     elapsed = time.monotonic() - t0
     assert elapsed < 60, f"criterion 2 took {elapsed:.1f}s (budget 60s)"
@@ -158,7 +158,7 @@ def test_criterion_4_preset_oracle_equivalence(name):
     global _preset_start
     if _preset_start is None:
         _preset_start = time.monotonic()
-    rng = random.Random(hash(name) & 0xFFFF)
+    rng = random.Random(f"acceptance-4:{name}")  # str seeds do not depend on PYTHONHASHSEED
     ring, plan = planner.preset(name)
     if name.startswith(("saber", "lightsaber")):
         # the working modulus must exceed the stated k*n*q*mu/2 bound
@@ -263,12 +263,12 @@ def test_criterion_8_direct_definition_oracle():
                             a = Poly.random(ring, rng)
                             ref = ref_fn(a.coeffs, root, q)
                             if i_o == NATURAL:
-                                got = ntt_forward(a, ftw, fs).values
+                                got = ntt_forward(a, ftw, fs).values.tolist()
                                 want = [ref[bitrev(p, n)] for p in range(n)]
                             else:
                                 from nttkit.transforms import reorder
 
-                                got = ntt_forward(Poly(reorder(a.coeffs), ring), ftw, fs).values
+                                got = ntt_forward(Poly(reorder(a.coeffs), ring), ftw, fs).values.tolist()
                                 want = ref
                             assert got == want, (kind, bf, n, q, i_o)
                             checked += 1

@@ -41,6 +41,18 @@ def test_required_bound_values():
     assert required_bound(701, 8192, (FULL_SMALL, 2)) == 701 * 8192
 
 
+@pytest.mark.parametrize("profile", [
+    ("full*other",), (), ("full*full", 2), ("full*small",), ("full*small", 2, 3),
+    ("matvec",), ("matvec", 3), ("matvec", 3, 8, 1), ("matvec", "3", 8),
+])
+def test_malformed_profiles_raise_typed_errors(profile):
+    # unknown kinds, wrong arity for each kind and non-integer parameters
+    with pytest.raises(ParameterCondition, match="profile"):
+        required_bound(256, 8192, profile)
+    with pytest.raises(ParameterCondition, match="profile"):
+        make_plan(SABER, "bigprime", allow_bigmod=True, profile=profile)
+
+
 def test_centered_lift_round_trip(rng):
     for q in (17, 8192, 3329):
         xs = list(range(0, q, max(q // 50, 1)))
@@ -235,6 +247,10 @@ def test_basis_validation():
         RnsBasis((7681, 7681))
     with pytest.raises(NotCoprime):
         RnsBasis((7681, 3330))  # composite element
+    # the 2^42 ceiling at its boundary: 2097143 * 2097169 = 2^42 + 16777063
+    with pytest.raises(ParameterCondition, match=r"basis \(2097143, 2097169\).*2\^42"):
+        RnsBasis((2097143, 2097169))
+    assert RnsBasis((2097133, 2097169)).product == 2**42 - 4194627
 
 
 def test_principal_root_gcd_condition():

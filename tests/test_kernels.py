@@ -1,11 +1,13 @@
-"""The int64 kernels against the pure-Python reference kernels.
+"""The array kernels against the pure-Python reference kernels.
 
-Values and OpCounter tallies must be identical: the transforms on an
-int64 array against the same schedule run on a list, the leaf products
-against ``basecase_mul`` and the trinomial transform and leaves against
-the plan's reference path.  The kernel is picked by the modulus alone,
-so the last tests pin the 2^31 threshold with the primes on either side
-of it.
+Values and OpCounter tallies must be identical: the transforms on a
+working buffer against the same schedule run on a list, the leaf
+products against ``basecase_mul`` and the trinomial transform and leaves
+against ``trinomial_pointwise`` and the oracle.  Every sweep runs twice:
+over primes below 2^31 (int64 buffers) and over primes up to the 2^42
+ceiling (``object`` buffers of Python ints).  The buffer is picked by the
+modulus alone, so the last tests pin the 2^31 threshold with the primes
+on either side of it.
 """
 
 from unittest import mock
@@ -33,6 +35,10 @@ BUDGET = settings(
 
 # NTT-friendly primes below 2^31 with 2-adic orders from 2^8 to 2^27
 PRIMES = (257, 3329, 7681, 12289, 8380417, 2013265921)
+# and at or above 2^31, up to the 2^42 ceiling, with 2-adic orders 2^20-2^22
+BIG_PRIMES = (2151677953, 1099516870657, 4396975915009)
+# one more input of every sweep: the side of 2^31 its modulus comes from
+SIDES = st.sampled_from((PRIMES, BIG_PRIMES))
 
 
 def two_adic(q):
@@ -50,37 +56,48 @@ def edge_or_random(n, q):
 
 
 @st.composite
-def transform_cases(draw):
+def transform_cases(draw, primes):
     """(kind, n, q, beta, values) with q admitting the table order."""
     kind = draw(st.sampled_from((CC, NWC)))
     logn = draw(st.integers(1, 7))
     n = 1 << logn
     beta = draw(st.integers(0, max(logn - 1, 0)))
     order = (2 * n if kind == NWC else n) >> beta
-    q = draw(st.sampled_from([p for p in PRIMES if two_adic(p) % order == 0]))
+    q = draw(st.sampled_from([p for p in primes if two_adic(p) % order == 0]))
     return kind, n, q, beta, draw(edge_or_random(n, q))
 
 
+def buffer_dtype(q):
+    return np.int64 if q < 2**31 else object
+
+
 def reference(values, q, tw, spec, n, halving=False):
-    """(values, counter) of the reference kernel on a copy of values."""
+    """(values, counter) of the reference kernel on a list copy of values;
+    ``halving`` halves every value after each level, as the array kernel does."""
     buf = list(values)
+
+    def halve(level, vals):
+        vals[:] = [modarith.mod_half(x, q) for x in vals]
+
     with counting() as c:
-        transforms.run_levels(buf, q, transforms.make_schedule(spec, tw, n), halving=halving)
+        transforms.run_levels(buf, q, transforms.make_schedule(spec, tw, n),
+                              on_level=halve if halving else None)
     return buf, c
 
 
 def vector(values, q, tw, spec, n, halving=False):
-    x = np.array(values, dtype=np.int64)
+    x = transforms.buffer(values, q)
+    assert x.dtype == buffer_dtype(q)
     with counting() as c:
         transforms.run_levels(x, q, transforms.make_schedule(spec, tw, n), halving=halving)
     return x.tolist(), c
 
 
 @BUDGET
-@given(transform_cases(), st.sampled_from((modarith.BIT_REVERSED, modarith.NATURAL)))
-def test_transform_kernels_agree(case, storage):
+@given(SIDES, st.data(), st.sampled_from((modarith.BIT_REVERSED, modarith.NATURAL)))
+def test_transform_kernels_agree(primes, data, storage):
     # every spec variant: CC/NWC x CT/GS x input order, forward and inverse
-    kind, n, q, beta, values = case
+    kind, n, q, beta, values = data.draw(transform_cases(primes))
     ftw, itw = tables_for(kind, n, q, beta, storage)
     for fs in forward_specs(kind, beta):
         assert vector(values, q, ftw, fs, n) == reference(values, q, ftw, fs, n)
@@ -92,10 +109,10 @@ def test_transform_kernels_agree(case, storage):
 
 
 @BUDGET
-@given(transform_cases(), st.booleans())
-def test_public_transforms_match_reference(case, halving):
-    # ntt_forward/ntt_inverse (int64 path here) against the reference passes
-    kind, n, q, beta, values = case
+@given(SIDES, st.data(), st.booleans())
+def test_public_transforms_match_reference(primes, data, halving):
+    # ntt_forward/ntt_inverse on their buffers against the reference passes
+    kind, n, q, beta, values = data.draw(transform_cases(primes))
     ftw, itw = tables_for(kind, n, q, beta)
     ring = ring_for(kind, n, q)
     fs = forward_specs(kind, beta)[0]
@@ -104,10 +121,11 @@ def test_public_transforms_match_reference(case, halving):
         ahat = transforms.ntt_forward(Poly(values, ring), ftw, fs)
     want, rf = reference(values, q, ftw, fs, n)
     rf.forward_transforms += 1
-    assert (ahat.values, cf) == (want, rf)
+    assert ahat.values.dtype == buffer_dtype(q)
+    assert (ahat.values.tolist(), cf) == (want, rf)
     with counting() as ci:
         back = transforms.ntt_inverse(ahat, itw, inv, halving=halving)
-    want, ri = reference(ahat.values, q, itw, inv, n, halving=halving)
+    want, ri = reference(ahat.values.tolist(), q, itw, inv, n, halving=halving)
     ri.inverse_transforms += 1
     if not halving:
         s = modarith.mod_inv(n >> beta, q)
@@ -118,10 +136,10 @@ def test_public_transforms_match_reference(case, halving):
 
 
 @st.composite
-def leaf_cases(draw):
+def leaf_cases(draw, primes):
     L = draw(st.sampled_from((2, 4, 8)))
     m = draw(st.integers(1, 16))
-    q = draw(st.sampled_from(PRIMES))
+    q = draw(st.sampled_from(primes))
     u = draw(edge_or_random(m * L, q))
     v = draw(edge_or_random(m * L, q))
     gammas = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
@@ -129,26 +147,27 @@ def leaf_cases(draw):
 
 
 @BUDGET
-@given(leaf_cases(), st.booleans())
-def test_leaf_products_match_basecase(case, karatsuba):
-    L, q, u, v, gammas = case
+@given(SIDES, st.data(), st.booleans())
+def test_leaf_products_match_basecase(primes, data, karatsuba):
+    L, q, u, v, gammas = data.draw(leaf_cases(primes))
     with counting() as ref:
         want = []
         for p, g in enumerate(gammas):
             want += basecase_mul(u[p * L : (p + 1) * L], v[p * L : (p + 1) * L], g, q, karatsuba)
-    assert polymul.leaf_products(u, v, gammas, q) == want
+    buf = transforms.buffer
+    assert polymul.leaf_products(buf(u, q), buf(v, q), buf(gammas, q), q).tolist() == want
     mults, adds, subs = polymul.leaf_ops(L, karatsuba)
     m = len(gammas)
     assert OpCounter(mults * m, adds * m, subs * m) == ref
 
 
 @BUDGET
-@given(st.sampled_from((XN_MINUS_1, XN_PLUS_1)), st.integers(2, 6), st.data())
-def test_pointwise_mul_matches_basecase(form, logn, data):
+@given(SIDES, st.sampled_from((XN_MINUS_1, XN_PLUS_1)), st.integers(2, 6), st.data())
+def test_pointwise_mul_matches_basecase(primes, form, logn, data):
     n = 1 << logn
     beta = data.draw(st.integers(1, logn - 1))
     order = (2 * n if form == XN_PLUS_1 else n) >> beta
-    q = data.draw(st.sampled_from([p for p in PRIMES if two_adic(p) % order == 0]))
+    q = data.draw(st.sampled_from([p for p in primes if two_adic(p) % order == 0]))
     karatsuba = data.draw(st.booleans())
     pair = make_transform_pair(RingSpec(form, n, q), beta)
     A = NttDomainPoly(data.draw(edge_or_random(n, q)), pair.fwd_spec, pair.ring, 1 << beta)
@@ -156,16 +175,20 @@ def test_pointwise_mul_matches_basecase(form, logn, data):
     with counting() as got_c:
         got = pair.pointwise(A, B, use_karatsuba=karatsuba)
     L = 1 << beta
+    a_vals, b_vals = A.values.tolist(), B.values.tolist()
     with counting() as ref_c:
         want = []
-        for p, g in enumerate(pair.gammas):
+        for p, g in enumerate(polymul.leaf_gammas(pair.fwd_spec, pair.fwd_tw, n)):
             s = slice(p * L, (p + 1) * L)
-            want += basecase_mul(A.values[s], B.values[s], g, q, karatsuba)
-    assert (got.values, got_c) == (want, ref_c)
+            want += basecase_mul(a_vals[s], b_vals[s], g, q, karatsuba)
+    assert got.values.dtype == buffer_dtype(q)
+    assert (got.values.tolist(), got_c) == (want, ref_c)
 
 
+# q = 1 (mod 768) covers every n = 3*2^e dividing 768; the last two are above 2^31
 TRINOMIAL_RINGS = [RingSpec(TRINOMIAL, n, q) for n, q in
-                   ((6, 7), (12, 13), (24, 73), (48, 97), (96, 193), (768, 7681))]
+                   ((6, 7), (12, 13), (24, 73), (48, 97), (96, 193), (768, 7681),
+                    (6, 2147492353), (96, 2147492353), (768, 4393751546881))]
 
 
 def _boom(*args, **kwargs):
@@ -175,38 +198,41 @@ def _boom(*args, **kwargs):
 @BUDGET
 @given(st.sampled_from(TRINOMIAL_RINGS), st.data())
 def test_trinomial_kernels_agree(ring, data):
-    plan = trinomial.make_plan(ring)
-    assert modarith.vectorized(ring.q)
     a = Poly(data.draw(edge_or_random(ring.n, ring.q)), ring)
     b = Poly(data.draw(edge_or_random(ring.n, ring.q)), ring)
 
     def run():
+        plan = trinomial.make_plan(ring)
         with counting() as c:
             fa = trinomial.trinomial_forward(a, plan).values
             back = trinomial.trinomial_inverse(trinomial.TrinomialDomainPoly(fa, plan), plan).coeffs
             prod = trinomial.trinomial_multiply(a, b, plan).coeffs
-        return fa, back, prod, c
+        assert fa.dtype == transforms.buffer_dtype(ring.q)
+        return fa.tolist(), back, prod, c
 
-    results = [run()]
-    # the pure-Python path: lists everywhere, the int64 kernel must not run
-    with mock.patch.object(modarith, "vectorized", lambda m: False), \
-            mock.patch.multiple(transforms, ct_level=_boom, gs_level=_boom):
-        results.append(run())
+    # the reference kernel never runs; the buffer is picked from q alone
+    with mock.patch.multiple(transforms, ct_pass=_boom, gs_pass=_boom):
+        results = [run()]
+        # the same stages on object buffers (Python ints) for every modulus
+        with mock.patch.object(transforms, "buffer_dtype", lambda q: object):
+            results.append(run())
     assert results[0] == results[1]
     assert results[0][1] == a.coeffs
     assert results[0][2] == oracle_multiply(a, b).coeffs
 
 
 @BUDGET
-@given(st.sampled_from(PRIMES), st.integers(1, 40), st.data())
-def test_trinomial_leaves_match_pointwise(q, leaves, data):
+@given(SIDES, st.data(), st.integers(1, 40))
+def test_trinomial_leaves_match_pointwise(primes, data, leaves):
+    q = data.draw(st.sampled_from(primes))
     u = data.draw(edge_or_random(3 * leaves, q))
     v = data.draw(edge_or_random(3 * leaves, q))
     psi = data.draw(st.lists(st.integers(0, q - 1), min_size=leaves, max_size=leaves))
     want = []
     for i, c in enumerate(psi):
         want += trinomial.trinomial_pointwise(u[3 * i : 3 * i + 3], v[3 * i : 3 * i + 3], c, q)
-    assert trinomial._pointwise_vec(u, v, np.array(psi, dtype=np.int64), q) == want
+    buf = transforms.buffer
+    assert trinomial._pointwise_vec(buf(u, q), buf(v, q), buf(psi, q), q).tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +259,85 @@ def _forbid(monkeypatch, *names):
 def test_threshold_picks_the_kernel(direction, monkeypatch, rng):
     q = prime_near_limit(direction)
     assert modarith.vectorized(q) == (q < 2**31) == (direction < 0)
+    dtype = np.int64 if direction < 0 else object
     ring = RingSpec(XN_PLUS_1, N_EDGE, q)
-    pair = make_transform_pair(ring, 1)
-    # every modulus has a schedule; its warm-up forward built only the
-    # chosen kernel's twiddles
-    sched = vars(pair.fwd_sched)
-    assert ("vectors" in sched, "passes" in sched) == (direction < 0, direction > 0)
     a = Poly.random(ring, rng)
     b = Poly([q - 1] * N_EDGE, ring)
+    pair = make_transform_pair(ring, 1)
     want, ref = reference(a.coeffs, q, pair.fwd_tw, pair.fwd_spec, N_EDGE)
     ref.forward_transforms = 1
-    # the kernel not chosen for q must not run at all
-    _forbid(monkeypatch, *(("ct_pass", "gs_pass") if direction < 0 else ("ct_level", "gs_level")))
+    # either side of 2^31 runs the array kernel, never the reference one
+    _forbid(monkeypatch, "ct_pass", "gs_pass")
+    assert "passes" not in vars(pair.fwd_sched)
+    assert all(w.dtype == dtype and not w.flags.writeable for w in pair.fwd_sched.vectors)
+    assert pair.y_domain.dtype == dtype and not pair.y_domain.flags.writeable
     with counting() as c:
         got = pair.forward(a)
-    assert (got.values, c) == (want, ref)
+    assert got.values.dtype == dtype
+    assert (got.values.tolist(), c) == (want, ref)
     assert ntt_multiply(a, b, pair, use_karatsuba=True) == oracle_multiply(a, b)
+
+
+@pytest.mark.parametrize("q", [7681, BIG_PRIMES[0]], ids=["int64", "object"])
+def test_poly_boundary_refuses_non_canonical_results(q):
+    ring = RingSpec(XN_MINUS_1, 4, q)
+    ok = transforms.buffer([0, 1, 2, q - 1], q)
+    assert Poly.from_array(ok, ring) == Poly([0, 1, 2, q - 1], ring)
+    assert all(type(c) is int for c in Poly.from_array(ok, ring).coeffs)
+    for bad in (-1, q):
+        with pytest.raises(ValueError, match="canonical"):
+            Poly.from_array(transforms.buffer([0, 1, bad, 3], q), ring)
+    with pytest.raises(ValueError, match="coefficients"):
+        Poly.from_array(transforms.buffer([0, 1, 2], q), ring)
+
+
+def test_stages_leave_their_inputs_alone(rng):
+    # no stage mutates the buffer it is given; cached tables are read-only
+    ring = RingSpec(XN_PLUS_1, 64, 7681)
+    pair = make_transform_pair(ring, 1)
+    A, B = pair.forward(Poly.random(ring, rng)), pair.forward(Poly.random(ring, rng))
+    before = (A.values.copy(), B.values.copy())
+    pair.pointwise(A, B, use_karatsuba=True)
+    A.add(B), A.sub(B), A.scale(5)
+    pair.inverse(A), pair.inverse(B, halving=True)
+    assert (A.values.tolist(), B.values.tolist()) == (before[0].tolist(), before[1].tolist())
+    # domain values compare by value, whatever the buffer
+    assert A == NttDomainPoly(before[0].tolist(), A.spec, ring, 2) and A != B and A != A.values
+    with pytest.raises(ValueError):
+        pair.y_domain[0] = 1
+
+
+def test_shared_tables_under_threads(rng):
+    # threads share one plan's cached read-only arrays (twiddle vectors,
+    # y_domain); each product must still equal the one computed alone
+    import sys
+    import threading
+
+    from nttkit.planner import make_plan, multiply
+
+    ring = RingSpec(XN_PLUS_1, 64, 7681)
+    plan = make_plan(ring, "hntt", alpha=1, beta=1)
+    pairs = [(Poly.random(ring, rng), Poly.random(ring, rng)) for _ in range(6)]
+    want = [multiply(a, b, plan).coeffs for a, b in pairs]
+    errors = []
+    barrier = threading.Barrier(6)
+
+    def run(i):
+        barrier.wait(timeout=30)
+        for _ in range(40):
+            a, b = pairs[i]
+            if multiply(a, b, plan).coeffs != want[i]:
+                errors.append(i)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -152,6 +152,28 @@ def test_no_preset_product_runs_the_reference_kernel(monkeypatch, rng):
         assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs, name
 
 
+@pytest.mark.parametrize("prefer, q, kw", [
+    ("full", 2151677953, {}),
+    ("incomplete", 2151677953, {"beta": 2}),
+    ("hntt", 1099516870657, {"alpha": 1, "beta": 1}),
+    ("composite", 8192, {"basis": (65537, 114689), "allow_bigmod": True}),
+])
+def test_plans_at_or_above_2_31_run_the_array_kernel(monkeypatch, rng, prefer, q, kw):
+    # a transform modulus >= 2^31 runs object buffers, not the reference kernel
+    def refuse(*args):
+        raise AssertionError("a planned product ran the pure-Python kernel")
+
+    monkeypatch.setattr(transforms, "ct_pass", refuse)
+    monkeypatch.setattr(transforms, "gs_pass", refuse)
+    ring = RingSpec(XN_PLUS_1, 64, q)
+    plan = make_plan(ring, prefer, **kw)
+    assert plan.strategy == prefer
+    assert (plan.basis.product if plan.basis else q) >= 2**31
+    edge = Poly([q - 1] * ring.n, ring)
+    for a, b in [(Poly.random(ring, rng), Poly.random(ring, rng)), (edge, edge)]:
+        assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs
+
+
 def test_replaced_modulus_is_named_in_the_plan():
     _, plan = preset("ntru-509")
     assert plan.replaced_by == (2134904833,)
@@ -233,7 +255,7 @@ def test_sample_domain_uniform_properties():
     pair = plan.pair
     one = sample_ntt_domain_uniform(ring, pair, 42)
     two = sample_ntt_domain_uniform(ring, pair, 42)
-    assert one.values == two.values  # reproducible
+    assert one.values.tolist() == two.values.tolist()  # reproducible
     assert all(0 <= v < ring.q for v in one.values)
     seen = {tuple(sample_ntt_domain_uniform(ring, pair, s).values) for s in range(64)}
     assert len(seen) == 64  # distinct seeds separate

@@ -54,7 +54,8 @@ def test_delta_transforms_to_constants():
     plan = make_plan(ring)
     d = Poly.from_ints([1], ring)
     dd = trinomial_forward(d, plan)
-    assert dd.values == [1, 0, 0, 1, 0, 0]
+    assert dd.values.tolist() == [1, 0, 0, 1, 0, 0]
+    assert dd == TrinomialDomainPoly([1, 0, 0, 1, 0, 0], plan) != trinomial_forward(Poly.zero(ring), plan)
     assert trinomial_inverse(dd, plan).coeffs == d.coeffs
 
 
