@@ -232,18 +232,22 @@ def leaf_gammas(spec: TransformSpec, tw, n: int) -> list:
     return list(nat[1 : 2 * m : 2] if nega else nat[:m])
 
 
-def pointwise_mul(A: NttDomainPoly, B: NttDomainPoly, tw=None, use_karatsuba=False) -> NttDomainPoly:
+def pointwise_mul(A: NttDomainPoly, B: NttDomainPoly, gammas=None, use_karatsuba=False) -> NttDomainPoly:
     """Per-leaf product of two transform-domain polys with equal spec, on
-    their buffers; counted as basecase_mul would count it."""
+    their buffers; counted as basecase_mul would count it.
+
+    ``gammas`` holds the leaf constants (``leaf_gammas``) as a buffer mod
+    q, as ``TransformPair.leaf_vector`` caches them; leaves of degree 1
+    need none.
+    """
     if not A.compatible(B):
         raise SpecMismatch("pointwise product needs equal spec and ring")
     q, n, L = A.ring.q, A.ring.n, A.leaf_degree
     if L == 1:
         vals = A.values * B.values % q
-    elif tw is None:
-        raise SpecMismatch("leaf products need the forward twiddle table")
+    elif gammas is None:
+        raise SpecMismatch("leaf products need the leaf constants")
     else:
-        gammas = transforms.buffer(leaf_gammas(A.spec, tw, n), q)
         vals = leaf_products(A.values, B.values, gammas, q)
     ctr = modarith.active_counter()
     if ctr is not None:
@@ -264,7 +268,8 @@ class TransformPair:
 
     Uses the reorder-free pairing: forward natural -> bit-reversed,
     inverse bit-reversed -> natural.  Each direction carries its
-    schedule, built with the tables.  Immutable and shareable.
+    schedule, built with the tables; the leaf constants and the image of
+    x are read-only buffers cached on first use.  Immutable and shareable.
     """
 
     ring: RingSpec
@@ -275,6 +280,12 @@ class TransformPair:
     inv_tw: modarith.TwiddleTable
     fwd_sched: transforms.Schedule = field(compare=False, repr=False)
     inv_sched: transforms.Schedule = field(compare=False, repr=False)
+
+    @cached_property
+    def leaf_vector(self) -> np.ndarray:
+        """The leaf constants (``leaf_gammas``) as a read-only buffer mod q."""
+        return transforms.read_only(
+            transforms.buffer(leaf_gammas(self.fwd_spec, self.fwd_tw, self.ring.n), self.ring.q))
 
     @cached_property
     def y_domain(self) -> np.ndarray:
@@ -292,7 +303,7 @@ class TransformPair:
         )
 
     def pointwise(self, A, B, use_karatsuba=False) -> NttDomainPoly:
-        return pointwise_mul(A, B, self.fwd_tw, use_karatsuba)
+        return pointwise_mul(A, B, self.leaf_vector, use_karatsuba)
 
 
 def check_pair_ring(ring: RingSpec, beta: int) -> None:

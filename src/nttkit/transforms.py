@@ -22,12 +22,23 @@ final scaling by (n/2^beta)^-1.
 ``level_geometry`` is the only derivation of this structure: a
 ``Schedule`` holds it per (spec, table, n), and ``butterfly_schedule``
 (``plan --trace``), the trinomial levels and the block transforms of
-the embeddings walk it too.  ``run_levels`` drives the array kernel (one
-reshape-and-broadcast per level) on the working buffer that ``buffer``
-picks from the modulus alone: int64 below 2^31, ``object`` (Python ints)
-at or above.  The pure-Python kernel on a list stays as the test
-reference, with identical values and op counts.  A transform returns
-its buffer; only an inverse turns one back into a Poly.
+the embeddings walk it too.  ``run_levels`` drives the array kernels on
+the working buffer that ``buffer`` picks from the modulus alone: int64
+below 2^31, ``object`` (Python ints) at or above.
+
+On int64 buffers the levels run as merged stages (Seiler, eprint
+2018/039): each group of at most k consecutive levels is one batched
+``np.matmul`` with a read-only stack of 2^k x 2^k matrices, then one
+``% q``.  ``stage_width`` picks k from the modulus alone, the largest k up
+to ``STAGE_CAP`` with 2^k (q-1)^2 < 2^63, so no matmul row sum leaves
+int64.  A schedule builds its stage matrices on its first transform, by
+running each group's own levels on one-hot inputs.  The levels run one
+at a time (one reshape-and-broadcast each) where k is below 2, on
+``object`` buffers, for an ``on_level`` caller and on a schedule built
+for one call.  The pure-Python kernel on a list stays as the test
+reference.  All three give identical values, and op counts always count
+the radix-2 levels.  A transform returns its buffer; only an inverse
+turns one back into a Poly.
 """
 
 from __future__ import annotations
@@ -226,10 +237,13 @@ class Schedule:
 
     ``levels[l] = (nblocks, half, exponents)`` in execution order, with
     ``half`` counted in chunks of ``chunk`` coefficients.  Each kernel
-    reads its twiddles from it, built on first use: ``vectors`` (read-only
-    arrays of the table modulus's buffer dtype, shaped to broadcast against
-    the (nblocks, half, chunk) halves) or ``passes`` (every butterfly's low
-    position and twiddle, for the reference kernel).
+    reads its twiddles from it, built on first use: ``stages`` and
+    ``halving_stages`` (the merged int64 stages, see ``Stage``),
+    ``vectors`` (read-only arrays of the table modulus's buffer dtype,
+    shaped to broadcast against the (nblocks, half, chunk) halves) or
+    ``passes`` (every butterfly's low position and twiddle, for the
+    reference kernel).  ``merge`` is off for a schedule built for one
+    call: its stage matrices could not pay for themselves.
     """
 
     spec: TransformSpec
@@ -237,6 +251,7 @@ class Schedule:
     n: int
     chunk: int
     levels: tuple
+    merge: bool = True
 
     def _twiddles(self, exps) -> list:
         nat = self.table.ordered(NATURAL)
@@ -267,10 +282,107 @@ class Schedule:
             out.append((lows, per))
         return tuple(out)
 
+    @cached_property
+    def stages(self) -> tuple:
+        return self._stages(halving=False)
 
-def make_schedule(spec: TransformSpec, tw, n: int) -> Schedule:
+    @cached_property
+    def halving_stages(self) -> tuple:
+        return self._stages(halving=True)
+
+    def _stages(self, halving: bool) -> tuple:
+        """The levels as merged stages; () when there are none or
+        ``stage_width`` is below 2.
+
+        Each group's own levels run once on 2^k one-hot inputs, batched
+        along a last axis that stands in for the chunk: column c of a
+        stage matrix is the group's image of unit vector c.
+        """
+        q = self.table.modulus
+        k = stage_width(q)
+        if k < 2 or not self.levels:
+            return ()
+        block_tw = _block_twiddled(self.spec)
+        level = ct_level if self.spec.butterfly == CT else gs_level
+        out = []
+        with modarith.uncounted():
+            for lo, hi in _groups(len(self.levels), k):
+                group, width = self.levels[lo:hi], 1 << (hi - lo)
+                blocks = min(nblocks for nblocks, _, _ in group)
+                bottom = min(half for _, half, _ in group)
+                # x[b, i, s, c] = (i == c): one one-hot input per column c, at
+                # every offset s, or at one when block twiddles ignore the offset
+                span = 1 if block_tw else bottom
+                x = np.broadcast_to(np.eye(width, dtype=np.int64)[:, None, :],
+                                    (blocks, width, span, width)).copy()
+                for (nblocks, half, _), w in zip(group, self.vectors[lo:hi]):
+                    level(x, nblocks, half * span // bottom, width, w, q)
+                    if halving:
+                        _halve(x, q)
+                if block_tw:
+                    mats = x[:, :, 0, :]
+                else:  # the same matrices in every block, one per offset
+                    mats = np.repeat(x[0].transpose(1, 0, 2), self.chunk, axis=0)
+                out.append(Stage(blocks, bottom * self.chunk, block_tw,
+                                 read_only(np.ascontiguousarray(mats))))
+        return tuple(out)
+
+
+def make_schedule(spec: TransformSpec, tw, n: int, merge: bool = True) -> Schedule:
     """The schedule of ``spec`` on a length-n buffer over table ``tw``."""
-    return Schedule(spec, tw, n, 1 << spec.beta, tuple(level_geometry(spec, n >> spec.beta)))
+    return Schedule(spec, tw, n, 1 << spec.beta, tuple(level_geometry(spec, n >> spec.beta)),
+                    merge)
+
+
+# ---------------------------------------------------------------------------
+# merged stages: k levels as one batched int64 matmul
+
+# The widest stage: 2^k multiply-adds per value grow faster than the
+# numpy calls they save beyond k = 4 (timed at n = 256 .. 1024).
+STAGE_CAP = 4
+
+
+def stage_width(q: int) -> int:
+    """Levels per merged stage mod q: the largest k <= ``STAGE_CAP`` with
+    2^k (q-1)^2 < 2^63, so no row sum of a stage matmul leaves int64.
+
+    Below 2 (q above 1518500250) the levels run one by one.
+    """
+    k = 0
+    while k < STAGE_CAP and (q - 1) ** 2 << (k + 1) < 2**63:
+        k += 1
+    return k
+
+
+def _groups(count: int, k: int):
+    """(lo, hi) of ceil(count/k) runs of consecutive levels, as even as possible."""
+    g = -(-count // k)
+    bounds = [count * i // g for i in range(g + 1)]
+    return zip(bounds, bounds[1:])
+
+
+@dataclass(frozen=True)
+class Stage:
+    """Consecutive levels as one map on the buffer seen as (blocks, 2^k, span).
+
+    ``matrices`` is a read-only (blocks, 2^k, 2^k) int64 stack indexed by
+    block when the levels take one twiddle per block, else a
+    (span, 2^k, 2^k) stack indexed by offset, applied to the
+    (span, 2^k, blocks) transpose.
+    """
+
+    blocks: int
+    span: int
+    by_block: bool
+    matrices: np.ndarray
+
+    def apply(self, buf, q: int) -> None:
+        """The stage on int64 ``buf`` of canonical residues, in place: one
+        matmul, one reduction."""
+        x = buf.reshape(self.blocks, -1, self.span)
+        if not self.by_block:
+            x = x.transpose(2, 1, 0)
+        np.remainder(np.matmul(self.matrices, x), q, out=x)
 
 
 # ---------------------------------------------------------------------------
@@ -357,37 +469,46 @@ def _halve(buf, q: int) -> None:
 def run_levels(buf, q: int, sched: Schedule, halving=False, on_level=None) -> None:
     """Apply every level of ``sched`` to ``buf`` in place.
 
-    A working buffer runs the array kernel (one reshape-and-broadcast per
-    level), a list the pure-Python reference kernel (one loop over the
-    level's butterflies; it takes no halving); both give the same values
-    and op counts.  ``halving`` folds a division by 2 into each level (odd q
-    only) and ``on_level(level, values)`` sees the values after each level.
+    An int64 buffer runs the merged stages (one matmul per group of
+    levels, see ``stage_width``); a buffer mod a q too wide to merge, an
+    ``object`` buffer, a one-call schedule (``merge`` off) or an
+    ``on_level`` caller runs the array kernel one level at a time (one
+    reshape-and-broadcast per level); a list runs the pure-Python
+    reference kernel (one loop over the level's butterflies; it takes no
+    halving).  All give the same values and op counts, which count the
+    radix-2 levels.  ``halving`` folds a division by 2 into each level (odd
+    q only) and ``on_level(level, values)`` sees the values after each level.
     """
     vec = isinstance(buf, np.ndarray)
-    if sched.spec.butterfly == CT:
-        level = ct_level if vec else ct_pass
-    else:
-        level = gs_level if vec else gs_pass
+    stages = ()
+    if vec and on_level is None and sched.merge and buf.dtype == np.int64:
+        stages = sched.halving_stages if halving else sched.stages
+    for stage in stages:
+        stage.apply(buf, q)
+    if not stages:
+        if sched.spec.butterfly == CT:
+            level = ct_level if vec else ct_pass
+        else:
+            level = gs_level if vec else gs_pass
+        for lvl, ((nblocks, half, _), tw) in enumerate(
+                zip(sched.levels, sched.vectors if vec else sched.passes)):
+            level(buf, nblocks, half, sched.chunk, tw, q)
+            if halving:
+                _halve(buf, q)
+            if on_level is not None:
+                on_level(lvl, buf.tolist() if vec else buf)
     ctr = modarith.active_counter()
-    chunk = sched.chunk
-    for lvl, ((nblocks, half, _), tw) in enumerate(
-            zip(sched.levels, sched.vectors if vec else sched.passes)):
-        level(buf, nblocks, half, chunk, tw, q)
-        if halving:
-            _halve(buf, q)
-        if ctr is not None:
-            nbf = nblocks * half * chunk
-            ctr.mults += nbf
-            ctr.adds += nbf
-            ctr.subs += nbf
-        if on_level is not None:
-            on_level(lvl, buf.tolist() if vec else buf)
+    if ctr is not None:  # one butterfly per chunk pair on every level
+        nbf = sum(nblocks * half for nblocks, half, _ in sched.levels) * sched.chunk
+        ctr.mults += nbf
+        ctr.adds += nbf
+        ctr.subs += nbf
 
 
 def _transform(values, q, tw, spec, n, schedule, halving=False, on_level=None) -> np.ndarray:
     """Levels of ``spec`` on a fresh buffer holding ``values``; returns it."""
     if schedule is None:
-        schedule = make_schedule(spec, tw, n)
+        schedule = make_schedule(spec, tw, n, merge=False)
     elif schedule.table is not tw or schedule.spec != spec or schedule.n != n:
         raise SpecViolation("schedule was built for another table, spec or length")
     buf = buffer(values, q)
@@ -521,7 +642,7 @@ def nwc_forward_separate(a, cc_tw, psi_tw, spec: TransformSpec, on_level=None) -
     buf = buffer(a.coeffs, q)
     buf *= buffer(_psi_powers(psi_tw, spec.in_order, n), q)
     buf %= q
-    run_levels(buf, q, make_schedule(spec, cc_tw, n), on_level=on_level)
+    run_levels(buf, q, make_schedule(spec, cc_tw, n, merge=False), on_level=on_level)
     return NttDomainPoly(buf, spec, a.ring, 1)
 
 
@@ -541,7 +662,7 @@ def nwc_inverse_separate(ahat: NttDomainPoly, cc_tw_inv, psi_tw_inv, spec: Trans
     if ctr is not None:
         ctr.inverse_transforms += 1
     buf = buffer(ahat.values, q)
-    run_levels(buf, q, make_schedule(spec, cc_tw_inv, n))
+    run_levels(buf, q, make_schedule(spec, cc_tw_inv, n, merge=False))
     buf *= modarith.mod_inv(n, q)
     buf %= q
     buf *= buffer(_psi_powers(psi_tw_inv, spec.out_order, n), q)

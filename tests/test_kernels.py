@@ -6,8 +6,14 @@ products against ``basecase_mul`` and the trinomial transform and leaves
 against ``trinomial_pointwise`` and the oracle.  Every sweep runs twice:
 over primes below 2^31 (int64 buffers) and over primes up to the 2^42
 ceiling (``object`` buffers of Python ints).  The buffer is picked by the
-modulus alone, so the last tests pin the 2^31 threshold with the primes
-on either side of it.
+modulus alone, so the tests after the sweeps pin the 2^31 threshold with
+the primes on either side of it.
+
+The merged int64 stages are swept against the reference kernel on
+generated (n, q) for every spec, beta, halving mode and stage width,
+trinomial chunk-3 schedules included; the width rule is pinned at each
+of its boundaries, and every preset that can merge is shown to run no
+per-level kernel.
 """
 
 from unittest import mock
@@ -341,3 +347,224 @@ def test_shared_tables_under_threads(rng):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+# ---------------------------------------------------------------------------
+# merged stages: groups of levels as one int64 matmul each
+
+
+def friendly_prime(start, order):
+    """The smallest prime q = 1 (mod order) at or above ``start``."""
+    q = start - start % order + 1
+    while q < start or not is_prime(q):
+        q += order
+    return q
+
+
+def merged(values, q, sched, halving=False):
+    """(values, counter) of ``run_levels`` on an int64 buffer, with the
+    per-level kernel forbidden once the stage matrices are built."""
+    stages = sched.halving_stages if halving else sched.stages
+    assert stages, "this schedule does not merge"
+    x = transforms.buffer(values, q)
+    with mock.patch.multiple(transforms, ct_level=_boom, gs_level=_boom), counting() as c:
+        transforms.run_levels(x, q, sched, halving=halving)
+    return x.tolist(), c
+
+
+def check_widths(sched, k):
+    """Every stage spans at most k levels, and ceil(levels/k) stages cover them."""
+    widths = [s.matrices.shape[-1] for s in sched.stages]
+    assert len(widths) == -(-len(sched.levels) // k)
+    assert sum(w.bit_length() - 1 for w in widths) == len(sched.levels)
+    assert all(w <= 1 << k for w in widths)
+    assert all(not s.matrices.flags.writeable for s in sched.stages)
+
+
+@st.composite
+def merge_cases(draw):
+    """(kind, n, q, beta, k, values) with q generated, not a preset."""
+    kind = draw(st.sampled_from((CC, NWC)))
+    logn = draw(st.integers(2, 8))
+    n = 1 << logn
+    beta = draw(st.integers(0, logn - 1))
+    order = (2 * n if kind == NWC else n) >> beta
+    q = friendly_prime(draw(st.integers(2, 2**29)), order)
+    k = draw(st.integers(2, transforms.STAGE_CAP))
+    return kind, n, q, beta, k, draw(edge_or_random(n, q))
+
+
+@BUDGET
+@given(merge_cases())
+def test_merged_stages_match_reference(case):
+    # every spec (block- and offset-twiddled), beta, halving mode and width
+    kind, n, q, beta, k, values = case
+    ftw, itw = tables_for(kind, n, q, beta)
+    with mock.patch.object(transforms, "STAGE_CAP", k):
+        for fs in forward_specs(kind, beta):
+            sched = transforms.make_schedule(fs, ftw, n)
+            check_widths(sched, k)
+            assert merged(values, q, sched) == reference(values, q, ftw, fs, n)
+            for inv in inverse_specs_for(fs):
+                sched = transforms.make_schedule(inv, itw, n)
+                for halving in (False, True):
+                    got = merged(values, q, sched, halving)
+                    assert got == reference(values, q, itw, inv, n, halving=halving)
+
+
+@st.composite
+def trinomial_merge_cases(draw):
+    e = draw(st.integers(2, 7))
+    n = 3 << e
+    q = friendly_prime(draw(st.integers(2, 2**29)), n)
+    return RingSpec(TRINOMIAL, n, q), draw(st.integers(2, transforms.STAGE_CAP))
+
+
+@BUDGET
+@given(trinomial_merge_cases(), st.data())
+def test_merged_trinomial_stages_match_reference(case, data):
+    # the chunk-3 schedules of both split halves, forward and inverse
+    ring, k = case
+    values = data.draw(edge_or_random(ring.n, ring.q))
+    a, b = (Poly(data.draw(edge_or_random(ring.n, ring.q)), ring) for _ in range(2))
+    with mock.patch.object(transforms, "STAGE_CAP", k):  # read when the stages are built
+        plan = trinomial.make_plan(ring)
+        for sched in (plan.forward, plan.inverse):
+            check_widths(sched, k)
+            with counting() as c:
+                want = list(values)
+                transforms.run_levels(want, ring.q, sched)
+            assert merged(values, ring.q, sched) == (want, c)
+    with mock.patch.multiple(transforms, ct_level=_boom, gs_level=_boom):
+        assert trinomial.trinomial_multiply(a, b, plan) == oracle_multiply(a, b)
+
+
+def width_boundary(k):
+    """The largest q with 2^k (q-1)^2 < 2^63."""
+    from math import isqrt
+
+    return isqrt((2**63 - 1) >> k) + 1
+
+
+@pytest.mark.parametrize("k", range(2, transforms.STAGE_CAP + 1))
+def test_width_rule_at_its_boundary(k):
+    top = width_boundary(k)
+    assert (top - 1) ** 2 << k < 2**63 <= top**2 << k
+    assert transforms.stage_width(top) == k
+    assert transforms.stage_width(top + 1) == k - 1
+    # a full-width stage of all q-1 on all q-1 is exact at the boundary ...
+    ones = np.full((1, 1 << k, 1 << k), top - 1, dtype=np.int64)
+    x = np.full(1 << k, top - 1, dtype=np.int64)
+    transforms.Stage(1, 1, True, ones).apply(x, top)
+    assert x.tolist() == [(top - 1) ** 2 * 2**k % top] * (1 << k)
+    # ... and would wrap one past it, which the rule refuses
+    ones[:] = top
+    x[:] = top
+    with np.errstate(over="ignore"):
+        transforms.Stage(1, 1, True, ones).apply(x, top + 1)
+    assert x.tolist() != [top**2 * 2**k % (top + 1)] * (1 << k)
+
+
+def _friendly_around(bound, order):
+    """The largest prime q <= bound and the smallest above it, both 1 mod order."""
+    below = bound - (bound - 1) % order
+    while not is_prime(below):
+        below -= order
+    return below, friendly_prime(bound + 1, order)
+
+
+@pytest.mark.parametrize("k", range(2, transforms.STAGE_CAP + 1))
+@pytest.mark.parametrize("form", [XN_PLUS_1, XN_MINUS_1])
+def test_width_rule_primes_match_object_buffers(k, form, rng):
+    # the primes on either side of the k boundary: int64 stages of width
+    # k (resp. k-1) equal object buffers on worst-case operands
+    n = 64
+    for q, width in zip(_friendly_around(width_boundary(k), 2 * n), (k, k - 1)):
+        assert transforms.stage_width(q) == width
+        ring = RingSpec(form, n, q)
+        ops = [Poly([q - 1] * n, ring), Poly([1] + [0] * (n - 1), ring),
+               Poly([0, 1] * (n // 2), ring), Poly.random(ring, rng)]
+
+        def run():
+            pair = make_transform_pair(ring, 0)
+            fwd = [pair.forward(a) for a in ops]
+            back = [pair.inverse(A, halving=h).coeffs for A in fwd for h in (False, True)]
+            prods = [ntt_multiply(ops[0], b, pair).coeffs for b in ops]
+            return [A.values.tolist() for A in fwd], back, prods, pair
+
+        got = run()
+        sched = got[3].fwd_sched
+        assert len(sched.stages) == (0 if width < 2 else -(-len(sched.levels) // width))
+        with mock.patch.object(transforms, "buffer_dtype", lambda q: object):
+            want = run()
+        assert got[:3] == want[:3]
+        assert got[2] == [oracle_multiply(ops[0], b).coeffs for b in ops]
+
+
+# every preset whose working moduli all have a stage width of at least 2
+MERGED_PRESETS = ("dilithium", "falcon-1024", "falcon-512", "kyber", "kyber-r1",
+                  "lightsaber-m4", "ntru-677", "ntru-701", "ntru-821", "ntruprime-653-good",
+                  "ntruprime-761-good", "ntruprime-857-good", "saber-avx2", "saber-m3",
+                  "saber-m4")
+
+
+def test_presets_run_the_merged_stages(rng):
+    from nttkit.planner import multiply, preset, preset_names, sample_operands
+
+    runs, seen = {}, {}
+    run_levels = transforms.run_levels
+
+    def record(buf, q, sched, *args, **kwargs):
+        seen[name].add(q)
+        return run_levels(buf, q, sched, *args, **kwargs)
+
+    with mock.patch.object(transforms, "run_levels", record):
+        for name in preset_names():
+            seen[name] = set()
+            ring, plan = preset(name)
+            runs[name] = (plan, sample_operands(ring, plan, rng))
+            multiply(*runs[name][1], plan)  # builds every table and stage
+    merge = {name for name, qs in seen.items()
+             if qs and min(map(transforms.stage_width, qs)) >= 2}
+    assert merge == set(MERGED_PRESETS)
+    # the per-level kernel never runs for them ...
+    with mock.patch.multiple(transforms, ct_level=_boom, gs_level=_boom):
+        for name in MERGED_PRESETS:
+            plan, (a, b) = runs[name]
+            assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs, name
+    # ... and still does for ntru-509 (2134904833 is too wide to merge)
+    assert transforms.stage_width(max(seen["ntru-509"])) < 2
+    calls = []
+    ct_level = transforms.ct_level
+    with mock.patch.object(transforms, "ct_level",
+                           lambda *args: calls.append(args) or ct_level(*args)):
+        plan, (a, b) = runs["ntru-509"]
+        assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs
+    assert calls
+
+
+def test_on_level_and_one_shot_calls_run_level_by_level(rng):
+    ring = RingSpec(XN_PLUS_1, 64, 7681)
+    pair = make_transform_pair(ring, 1)
+    a = Poly.random(ring, rng)
+    assert pair.fwd_sched.stages
+    # an on_level caller sees every level, on the pair's own schedule
+    seen = []
+    with mock.patch.object(transforms.Stage, "apply", _boom), counting() as c:
+        got = transforms.ntt_forward(a, pair.fwd_tw, pair.fwd_spec, schedule=pair.fwd_sched,
+                                     on_level=lambda lvl, vals: seen.append(lvl))
+    assert seen == list(range(len(pair.fwd_sched.levels)))
+    with counting() as merged_c:
+        assert got == pair.forward(a)
+    assert c == merged_c
+    # a schedule built for one call never builds stage matrices
+    ftw, itw = tables_for(CC, 64, 7681)
+    psi = modarith.find_root(128, 7681)
+    psi_f = modarith.build_twiddles(psi, 128, 7681, modarith.BIT_REVERSED)
+    psi_i = modarith.build_twiddles(psi, 128, 7681, modarith.BIT_REVERSED, inverse=True)
+    fs = forward_specs(CC)[0]
+    with mock.patch.object(transforms.Schedule, "_stages", _boom):
+        ahat = transforms.ntt_forward(a, pair.fwd_tw, pair.fwd_spec)
+        assert transforms.ntt_inverse(ahat, pair.inv_tw, pair.inv_spec) == a
+        sh = transforms.nwc_forward_separate(a, ftw, psi_f, fs)
+        assert transforms.nwc_inverse_separate(sh, itw, psi_i, inverse_specs_for(fs)[-1]) == a

@@ -171,7 +171,7 @@ def test_pointwise_rejects_mixed_specs(rng):
     with pytest.raises(SpecMismatch):
         pointwise_mul(a, b)
     with pytest.raises(SpecMismatch):
-        pointwise_mul(b, b)  # beta > 0 without a table
+        pointwise_mul(b, b)  # beta > 0 without the leaf constants
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +237,15 @@ def test_twisted_pipeline_multiplies_cyclic(rng):
     itw = build_twiddles(root, n >> beta, q, inverse=True)
     fs_gs = TransformSpec(CC, GS, FORWARD, NATURAL, BIT_REVERSED, beta)
     fs_ct = TransformSpec(CC, CT, FORWARD, NATURAL, BIT_REVERSED, beta)
-    from nttkit.transforms import ntt_inverse
+    from nttkit.transforms import buffer, ntt_inverse
 
+    gammas = buffer(leaf_gammas(fs_gs, ftw, n), q)
     for _ in range(10):
         a, b = Poly.random(ring, rng), Poly.random(ring, rng)
         A = ntt_forward(a, ftw, fs_gs)
         assert A.values.tolist() == ntt_forward(a, ftw, fs_ct).values.tolist()
         B = ntt_forward(b, ftw, fs_gs)
-        C = pointwise_mul(A, B, ftw)
+        C = pointwise_mul(A, B, gammas)
         got = ntt_inverse(C, itw, fs_gs.inverse_of())
         assert got.coeffs == schoolbook_cyclic(a, b).coeffs
 
