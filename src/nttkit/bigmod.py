@@ -66,44 +66,45 @@ def required_bound(n: int, q: int, profile=(FULL_FULL,)) -> int:
 
 @dataclass(frozen=True)
 class LiftedPoly:
-    """Centered lift of a Poly, remembering its magnitude."""
+    """Centered lift of a coefficient array, remembering its magnitude."""
 
     coeffs: np.ndarray  # int64 representatives in [-q/2, q/2)
     centered_bound: int
     effective_len: int  # coefficients up to the last nonzero one
 
 
-def lift_centered(a: Poly) -> LiftedPoly:
-    """The coefficients of ``a`` as int64 centered representatives (any
-    q <= 2^42 fits), with the magnitude and length the operand check reads."""
-    q = a.ring.q
-    c = np.fromiter(a.coeffs, dtype=np.int64, count=len(a.coeffs))
+def lift_centered(x: np.ndarray, q: int) -> LiftedPoly:
+    """The canonical residues ``x`` mod q as a fresh int64 array of
+    centered representatives (any q <= 2^42 fits), with the magnitude and
+    length the operand check reads."""
+    c = np.array(x, dtype=np.int64)
     c -= (c > (q - 1) // 2) * q
     nonzero = np.flatnonzero(c)
     eff = int(nonzero[-1]) + 1 if nonzero.size else 0
     return LiftedPoly(c, int(np.abs(c).max()), eff)
 
 
-def recover_centered(residues, moduli, q: int) -> list:
-    """Map one residue row per working modulus back into Z_q.
+def recover_centered(residues, moduli, q: int) -> np.ndarray:
+    """Map one residue array per working modulus back into Z_q, as an
+    int64 array; the residues are never mutated.
 
     Garner's mixed-radix CRT gives the value v in [0, P), P the product
     of the moduli, one modulus at a time; v then goes through [-P/2, P/2)
     into Z_q.  With several moduli each is below 2^31, so every digit
-    product stays below 2^62, and v < P <= 2^42: all of it is int64.
+    product stays below 2^62, and v < P <= 2^42: all of it is int64 (an
+    ``object`` residue buffer of a lone modulus >= 2^31 converts).
     """
-    rows = [np.fromiter(r, dtype=np.int64, count=len(r)) for r in residues]
-    v, P = rows[0], moduli[0]
-    for r, p in zip(rows[1:], moduli[1:]):
+    v, P = np.array(residues[0], dtype=np.int64), moduli[0]
+    for r, p in zip(residues[1:], moduli[1:]):
         d = (r - v) % p
         d *= modarith.mod_inv(P % p, p)
         d %= p
         d *= P
-        v = v + d
+        v += d
         P *= p
     v -= (v > (P - 1) // 2) * P
     v %= q
-    return v.tolist()
+    return v
 
 
 def _check_dynamic_bound(la: LiftedPoly, lb: LiftedPoly, N: int):
@@ -127,17 +128,18 @@ def bound_check(N: int, ring: RingSpec, profile, what: str) -> tuple:
 class LiftedExecutor:
     """Exact product of two ring elements, computed modulo a large N.
 
-    ``multiply`` is the one path of every large-modulus route.  The
-    working moduli are N itself or, in its place, a ``basis`` of distinct
-    primes below 2^31 (the planner's replacement for an N >= 2^31); P is
-    their product.  Both operands are lifted once, as centered int64
-    arrays; the operand-magnitude check runs on those against P; the
-    route runs once per working modulus (``run``, on coefficient lists
-    reduced mod that modulus, with that modulus's ``table``); Garner
-    recovery mod P, centered, gives the product mod q.  With N == q (an
-    unlifted terminal) the arithmetic wraps mod q by design: ``run``
-    gets the operands as they are, with no lift, check or recovery.
-    The per-modulus tables are built on first use.
+    ``product`` is the one path of every large-modulus route, on int64
+    coefficient arrays; ``multiply`` wraps it for Polys.  The working
+    moduli are N itself or, in its place, a ``basis`` of distinct primes
+    below 2^31 (the planner's replacement for an N >= 2^31); P is their
+    product.  Both operands are lifted once, as centered int64 arrays;
+    the operand-magnitude check runs on those against P; the route runs
+    once per working modulus (``run``, on the lifted arrays reduced mod
+    that modulus, with that modulus's ``table``, returning the product's
+    buffer); Garner recovery mod P, centered, gives the product mod q.
+    With N == q (an unlifted terminal) the arithmetic wraps mod q by
+    design: ``run`` gets the operands as they are, with no lift, check or
+    recovery.  The per-modulus tables are built on first use.
     """
 
     def __init__(self, ring: RingSpec, N: int, basis=()):
@@ -154,13 +156,18 @@ class LiftedExecutor:
     def multiply(self, a: Poly, b: Poly) -> Poly:
         if a.ring != self.ring or b.ring != self.ring:
             raise RingMismatch("operands do not live in the executor's ring")
+        return Poly.from_array(self.product(a.to_array(), b.to_array()), self.ring)
+
+    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The ring product of two int64 arrays of canonical coefficients,
+        as a buffer of canonical residues mod q."""
         if self.N == self.ring.q:
-            return Poly(self.run(list(a.coeffs), list(b.coeffs), self.tables[0]), self.ring)
-        la, lb = lift_centered(a), lift_centered(b)
+            return self.run(x, y, self.tables[0])
+        q = self.ring.q
+        la, lb = lift_centered(x, q), lift_centered(y, q)
         _check_dynamic_bound(la, lb, self.P)
-        residues = [self.run((la.coeffs % p).tolist(), (lb.coeffs % p).tolist(), t)
-                    for p, t in zip(self.moduli, self.tables)]
-        return Poly(recover_centered(residues, self.moduli, self.ring.q), self.ring)
+        residues = [self.run(la.coeffs % p, lb.coeffs % p, t) for p, t in zip(self.moduli, self.tables)]
+        return recover_centered(residues, self.moduli, q)
 
 
 def _one_shot(route: LiftedExecutor, a: Poly, b: Poly, profile) -> Poly:
@@ -192,7 +199,7 @@ class BigPrimeExecutor(LiftedExecutor):
         return polymul.make_transform_pair(big, self.beta, root=self.root)
 
     def run(self, x, y, pair):
-        return polymul.ntt_multiply(Poly(x, pair.ring), Poly(y, pair.ring), pair).coeffs
+        return pair.product(x, y)
 
 
 def bigprime_multiply(a: Poly, b: Poly, N: int, beta: int = 0, profile=(FULL_FULL,)) -> Poly:

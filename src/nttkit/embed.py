@@ -40,55 +40,49 @@ def zero_pad_multiply(a: Poly, b: Poly, n_prime: int, backend, form: str = XN_MI
     """Multiply in x^n_prime +- 1 (no wraparound), then reduce to the source.
 
     ``backend(a', b')`` multiplies two Polys in the padded ring over the
-    source modulus and returns the product there.
+    source modulus and returns the product there; ``padded_product`` pads
+    and folds.
     """
     if a.ring != b.ring:
         raise RingMismatch("operands belong to different rings")
-    src = a.ring
-    if n_prime < 2 * src.n - 1:
-        raise PadTooSmall(f"n'={n_prime} cannot hold a degree-{2 * src.n - 2} product")
-    big = RingSpec(form, n_prime, src.q)
-    ap = Poly(a.coeffs + [0] * (n_prime - src.n), big)
-    bp = Poly(b.coeffs + [0] * (n_prime - src.n), big)
-    c = backend(ap, bp)
-    return polymul.reduce_mod_phi(c.coeffs, src)
+    big = RingSpec(form, n_prime, a.ring.q)
+
+    def product(x, y):
+        return backend(Poly.from_array(x, big), Poly.from_array(y, big)).to_array()
+
+    return Poly.from_array(padded_product(a.to_array(), b.to_array(), a.ring, n_prime, product),
+                           a.ring)
+
+
+def padded_product(x, y, ring: RingSpec, n_prime: int, product) -> np.ndarray:
+    """x*y in ``ring`` for two int64 coefficient arrays: ``product`` runs
+    on their zero-padded length-n_prime copies, whose product has no
+    wraparound, and its 2n - 1 low coefficients fold mod phi
+    (``polymul.fold_mod_phi``)."""
+    n = ring.n
+    if n_prime < 2 * n - 1:
+        raise PadTooSmall(f"n'={n_prime} cannot hold a degree-{2 * n - 2} product")
+    xp, yp = np.zeros((2, n_prime), dtype=np.int64)
+    xp[:n], yp[:n] = x, y
+    return polymul.fold_mod_phi(product(xp, yp)[: 2 * n - 1], ring)
 
 
 # ---------------------------------------------------------------------------
 # Good's re-indexing
 
 
-@dataclass
-class GoodLayout:
-    """h x 2^k matrix view of a length h*2^k cyclic polynomial."""
-
-    h: int
-    k: int
-    rows: list  # rows[i][j] = a_l with i = l mod h, j = l mod 2^k
-
-
-def good_map(coeffs, h: int, k: int) -> GoodLayout:
+def good_index(h: int, k: int) -> np.ndarray:
+    """Good's re-indexing of a length h*2^k cyclic polynomial, as one
+    read-only (h, 2^k) gather index: entry (i, j) is the l with l = i
+    (mod h) and l = j (mod 2^k), so ``x[index]`` is the h x 2^k matrix of
+    x, and ``out[index] = rows`` maps a matrix back."""
+    if h < 1 or h % 2 == 0:
+        raise BadShape(f"need odd h, got h={h}")
     two_k = 1 << k
-    if h % 2 == 0 or len(coeffs) != h * two_k:
-        raise BadShape(f"need odd h and length h*2^k, got h={h}, len={len(coeffs)}")
-    rows = [[0] * two_k for _ in range(h)]
-    for l, c in enumerate(coeffs):
-        rows[l % h][l % two_k] = c
-    return GoodLayout(h, k, rows)
-
-
-def good_unmap(layout: GoodLayout) -> list:
-    """Inverse re-indexing: l = (2^-k mod h)*2^k*i + (h^-1 mod 2^k)*h*j."""
-    h, two_k = layout.h, 1 << layout.k
-    n = h * two_k
-    u = mod_inv(two_k % h, h) * two_k % n
-    v = mod_inv(h % two_k, two_k) * h % n
-    out = [0] * n
-    for i in range(h):
-        row = layout.rows[i]
-        for j in range(two_k):
-            out[(u * i + v * j) % n] = row[j]
-    return out
+    l = np.arange(h * two_k)
+    index = np.empty((h, two_k), dtype=np.intp)
+    index[l % h, l % two_k] = l
+    return transforms.read_only(index)
 
 
 class GoodExecutor(bigmod.LiftedExecutor):
@@ -97,7 +91,8 @@ class GoodExecutor(bigmod.LiftedExecutor):
 
     Operands live in x^(h*2^k) - 1 over their own q and take the lift
     path into Z_N (no lift when N == q), once per working modulus, each
-    below 2^31.  The row pairs are built on first use.
+    below 2^31.  The row pairs and the gather index are built on first
+    use.
     """
 
     def __init__(self, ring: RingSpec, h: int, k: int, N: int, basis=()):
@@ -111,19 +106,23 @@ class GoodExecutor(bigmod.LiftedExecutor):
                 raise ParameterCondition(f"inner modulus {p} is not below 2^31 (int64 column products)")
         self.h, self.k = h, k
 
+    @cached_property
+    def index(self) -> np.ndarray:
+        return good_index(self.h, self.k)
+
     def table(self, p: int) -> polymul.TransformPair:  # the row pair
         return polymul.make_transform_pair(RingSpec(XN_MINUS_1, 1 << self.k, p), 0)
 
     def run(self, x, y, pair):
-        h, k = self.h, self.k
+        index = self.index
 
-        def columns(coeffs):  # transformed rows, one column per leaf
-            return np.stack([pair.forward(Poly(r, pair.ring)).values
-                             for r in good_map(coeffs, h, k).rows])
+        def columns(v):  # transformed rows, one column per leaf
+            return np.stack([pair.forward(r).values for r in v[index]])
 
-        rows = [pair.inverse(NttDomainPoly(vals, pair.fwd_spec, pair.ring, 1)).coeffs
-                for vals in _schoolbook_rows(columns(x), columns(y), pair.ring.q, 1)]
-        return good_unmap(GoodLayout(h, k, rows))
+        out = np.empty(len(x), dtype=np.int64)
+        out[index] = [pair.inverse(NttDomainPoly(vals, pair.fwd_spec, pair.ring, 1), as_buffer=True)
+                      for vals in _schoolbook_rows(columns(x), columns(y), pair.ring.q, 1)]
+        return out
 
 
 def good_multiply(a: Poly, b: Poly, h: int, k: int, inner_modulus: int) -> Poly:
@@ -160,14 +159,12 @@ def block_shape_fault(step) -> str | None:
     return None
 
 
-def _block_modulus(a: Poly, b: Poly, step, schedule: tuple | None) -> int:
-    """Check two operands of a block embedding, its shape, the schedule
-    (empty: built later) and q (below 2^31, for int64 blocks); returns q."""
-    if a.ring != b.ring:
-        raise RingMismatch("operands belong to different rings")
-    m, n, q = step.m, step.n, a.ring.q
+def _block_modulus(ring: RingSpec, step, schedule: tuple | None) -> int:
+    """Check a ring of a block embedding, its shape, the schedule (empty:
+    built later) and q (below 2^31, for int64 blocks); returns q."""
+    m, n, q = step.m, step.n, ring.q
     form = XN_MINUS_1 if isinstance(step, Schonhage) else XN_PLUS_1
-    if a.ring.form != form or a.ring.n != 2 * m * n:
+    if ring.form != form or ring.n != 2 * m * n:
         raise BadShape(f"ring must be {form} with n = 2mn = {2 * m * n}")
     fault = block_shape_fault(step)
     if fault:
@@ -179,6 +176,13 @@ def _block_modulus(a: Poly, b: Poly, step, schedule: tuple | None) -> int:
     if not modarith.vectorized(q):
         raise ParameterCondition(f"q = {q} is not below 2^31: block arrays are int64")
     return q
+
+
+def _operand_modulus(a: Poly, b: Poly, step, schedule: tuple | None) -> int:
+    """``_block_modulus`` of two operands' common ring."""
+    if a.ring != b.ring:
+        raise RingMismatch("operands belong to different rings")
+    return _block_modulus(a.ring, step, schedule)
 
 
 def _mod(X, q: int):
@@ -277,7 +281,7 @@ def _schoolbook_rows(U, V, q: int, sign: int):
     return _mod(out, q)
 
 
-def _block_ntt(X, levels: tuple, q: int, inverse: bool):
+def _block_ntt(X, levels: tuple, q: int, inverse: bool, live: int | None = None):
     """Cyclic transform along axis 0 of a block array, in place on a
     contiguous copy when X is not contiguous, then one reduction.
 
@@ -285,16 +289,23 @@ def _block_ntt(X, levels: tuple, q: int, inverse: bool):
     GS levels, without the 1/blocks scaling.  Each level is one signed
     gather, one add and one subtract; nothing is multiplied mod q.  The
     entries stay below 2^l * q after l levels (int64 cannot overflow below
-    modarith.VECTOR_LIMIT), so they are reduced once at the end.
+    modarith.VECTOR_LIMIT), so they are reduced once at the end.  When only
+    the first ``live`` blocks of a forward input can be nonzero, each
+    level whose halves are at least ``live`` blocks long has all-zero
+    lower inputs, so it copies its upper halves (counted as the butterflies
+    it stands for).
     """
     X = np.ascontiguousarray(X)
     blocks, L, batch = X.shape
     flat = X.reshape(blocks * L, batch)
     ctr = modarith.active_counter()
+    live = blocks if live is None else live
     for lv in levels:
         y = X.reshape(lv.nblocks, 2, lv.half * L, batch)
         u, v = y[:, 0], y[:, 1]
-        if inverse:
+        if not inverse and live <= lv.half:  # v = 0: (u + x^e v, u - x^e v) = (u, u)
+            v[...] = u
+        elif inverse:
             d = np.take((u - v).reshape(-1, batch), lv.index, axis=0)
             d *= lv.sign
             u += v
@@ -319,13 +330,14 @@ def _nega_mul(U, V, schedule: tuple, q: int):
     return _nussbaumer(U, V, schedule, q)
 
 
-def _block_convolve(A, B, schedule: tuple, q: int):
+def _block_convolve(A, B, schedule: tuple, q: int, live: int | None = None):
     """Cyclic convolution along axis 0 of two block arrays, transformed by
     ``schedule[0]``: forward (both in one batch), block products, inverse,
-    1/blocks scaling."""
+    1/blocks scaling.  Only the first ``live`` blocks (default: all) of
+    A and B may be nonzero."""
     depth, inner = schedule[0], schedule[1:]
     blocks, L, rows = A.shape
-    F = _block_ntt(np.concatenate((A, B), axis=2), depth.forward, q, False)
+    F = _block_ntt(np.concatenate((A, B), axis=2), depth.forward, q, False, live)
 
     def products(X):  # one column per (block, batch column)
         return X.transpose(1, 0, 2).reshape(L, blocks * rows)
@@ -339,25 +351,33 @@ def _block_convolve(A, B, schedule: tuple, q: int):
     return _mod(P, q)
 
 
-def schonhage_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None = None) -> Poly:
-    """Cyclic product of length 2mn via (Z_q[x]/(x^2m + 1))[y]/(y^2n - 1).
+def _schonhage(x, y, schedule: tuple, q: int):
+    """Cyclic product of two length-2mn int64 arrays via
+    (Z_q[x]/(x^2m + 1))[y]/(y^2n - 1), with (m, n) taken from
+    ``schedule[0].step``.
 
     Blocks of m coefficients become y-coefficients; x^(2m/n) is the
     synthetic 2n-th root, and y = x^m substitutes back at the end.
-    ``schedule`` is ``block_schedule(Schonhage(m, n))``, built here when
-    omitted.
     """
-    step = Schonhage(m, n)
-    q = _block_modulus(a, b, step, schedule)
+    m, n = schedule[0].step.m, schedule[0].step.n
 
-    def blocks(coeffs):  # block j: coefficients jm .. jm + m - 1, zero-padded to 2m
-        X = np.array(coeffs, dtype=np.int64).reshape(2 * n, m, 1)
+    def blocks(v):  # block j: coefficients jm .. jm + m - 1, zero-padded to 2m
+        X = v.reshape(2 * n, m, 1)
         return np.concatenate((X, np.zeros_like(X)), axis=1)
 
-    schedule = schedule or block_schedule(step)
-    P = _block_convolve(blocks(a.coeffs), blocks(b.coeffs), schedule, q)[..., 0]
+    P = _block_convolve(blocks(x), blocks(y), schedule, q)[..., 0]
     # y = x^m: block j's upper half lands on block j + 1
-    return Poly.from_array(_mod(P[:, :m] + np.roll(P[:, m:], 1, axis=0), q).ravel(), a.ring)
+    return _mod(P[:, :m] + np.roll(P[:, m:], 1, axis=0), q).ravel()
+
+
+def schonhage_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None = None) -> Poly:
+    """Cyclic product of length 2mn via (Z_q[x]/(x^2m + 1))[y]/(y^2n - 1).
+    ``schedule`` is ``block_schedule(Schonhage(m, n))``, built here when
+    omitted."""
+    step = Schonhage(m, n)
+    q = _operand_modulus(a, b, step, schedule)
+    P = _schonhage(a.to_array(), b.to_array(), schedule or block_schedule(step), q)
+    return Poly.from_array(P, a.ring)
 
 
 def _nussbaumer(U, V, schedule: tuple, q: int):
@@ -372,7 +392,7 @@ def _nussbaumer(U, V, schedule: tuple, q: int):
         P[:m] = X.reshape(L, m, rows).transpose(1, 0, 2)
         return P
 
-    P = _block_convolve(parts(U), parts(V), schedule, q)
+    P = _block_convolve(parts(U), parts(V), schedule, q, live=m)
     c = min(m - 1, L - m)  # fold x^m = y: true x-degree is < 2m - 1 <= L
     P[:c, 1:] += P[m : m + c, :-1]
     P[:c, 0] -= P[m : m + c, -1]  # y^L = -1
@@ -389,9 +409,8 @@ def nussbaumer_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None
     ``schedule`` is ``block_schedule(Nussbaumer(m, n))``, built here when
     omitted."""
     step = Nussbaumer(m, n)
-    q = _block_modulus(a, b, step, schedule)
-    P = _nussbaumer(np.array(a.coeffs, dtype=np.int64)[:, None],
-                    np.array(b.coeffs, dtype=np.int64)[:, None], schedule or block_schedule(step), q)
+    q = _operand_modulus(a, b, step, schedule)
+    P = _nussbaumer(a.to_array()[:, None], b.to_array()[:, None], schedule or block_schedule(step), q)
     return Poly.from_array(P[:, 0], a.ring)
 
 
@@ -459,8 +478,8 @@ class EmbedChain:
 
 class BlockExecutor(bigmod.LiftedExecutor):
     """A Schoenhage or Nussbaumer terminal over Z_N (N == q: no lift), run
-    once per working modulus; its block schedule, the same for every
-    modulus, is built on first use."""
+    once per working modulus on the block core; its block schedule, the
+    same for every modulus, is built on first use."""
 
     def __init__(self, ring: RingSpec, step, N: int, basis=()):
         super().__init__(ring, N, basis)
@@ -470,19 +489,20 @@ class BlockExecutor(bigmod.LiftedExecutor):
     def schedule(self) -> tuple:
         return block_schedule(self.step)
 
-    def table(self, p: int) -> RingSpec:  # the ring the blocks run over
-        return RingSpec(self.ring.form, self.ring.n, p)
+    def table(self, p: int) -> int:  # the modulus the blocks run over, checked
+        return _block_modulus(RingSpec(self.ring.form, self.ring.n, p), self.step, ())
 
-    def run(self, x, y, big):
-        s = self.step
-        block = schonhage_multiply if isinstance(s, Schonhage) else nussbaumer_multiply
-        return block(Poly(x, big), Poly(y, big), s.m, s.n, self.schedule).coeffs
+    def run(self, x, y, p):
+        if isinstance(self.step, Schonhage):
+            return _schonhage(x, y, self.schedule, p)
+        return _nussbaumer(x[:, None], y[:, None], self.schedule, p)[:, 0]
 
 
 class ChainExecutor:
     """Plan executor of an embedding chain: pad into a wraparound-free ring,
     run the terminal step there (over the lift modulus, or the basis that
-    replaces it, when there is one), then reduce mod phi, mod q.
+    replaces it, when there is one), then fold mod phi, mod q.  Operands
+    become int64 arrays once, and the product a Poly once.
 
     The chain's shape is checked here; the terminal step's executor and
     its tables are built on first use.  ``step`` is the terminal step, or
@@ -521,11 +541,14 @@ class ChainExecutor:
         return polymul.DirectExecutor(work, step.beta)
 
     def multiply(self, a: Poly, b: Poly) -> Poly:
-        if a.ring != b.ring:
-            raise RingMismatch("operands belong to different rings")
+        if a.ring != self.ring or b.ring != self.ring:
+            raise RingMismatch("operands do not live in the plan's ring")
+        x, y = a.to_array(), b.to_array()
         if self.in_place:  # ring already has the terminal shape: no embedding
-            return self.terminal.multiply(a, b)
-        return zero_pad_multiply(a, b, self.pad.n_prime, self.terminal.multiply, self.pad.form)
+            c = self.terminal.product(x, y)
+        else:
+            c = padded_product(x, y, self.ring, self.pad.n_prime, self.terminal.product)
+        return Poly.from_array(c, self.ring)
 
 
 def general_phi_multiply(a: Poly, b: Poly, chain: EmbedChain) -> Poly:

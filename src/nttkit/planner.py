@@ -379,7 +379,7 @@ def _chain_checks(ring: RingSpec, ex: embed.ChainExecutor, prof):
     """The chain's checks, in step order, from the steps its executor parsed."""
     pad, lift, s = ex.pad, ex.lift, ex.step
     checks = [(f"pad {pad.n_prime} >= 2n-1 = {2 * ring.n - 1}",
-               pad.n_prime >= 2 * ring.n - 1 or pad.n_prime == ring.n)]
+               pad.n_prime >= 2 * ring.n - 1 or ex.in_place)]
     moduli = (ring.q,)
     if lift and lift.modulus != ring.q:  # self-lifts wrap mod q by design
         checks.append(bigmod.bound_check(lift.modulus, ring, prof, f"lift modulus {lift.modulus}"))

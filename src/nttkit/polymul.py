@@ -3,8 +3,10 @@
 The schoolbook functions are the verification oracles for every fast
 pipeline in the package.  They deliberately share no modular helpers
 with the fast path: reduction is inline ``% q`` (or vectorized int64
-numpy when provably overflow-free), and the wrap-around sums follow the
-convolution definitions directly instead of reusing reduce_mod_phi.
+numpy when provably overflow-free), the wrap-around sums follow the
+convolution definitions directly, and the other forms reduce with the
+scalar ``reduce_mod_phi``, which no fast path calls (the embedding
+chains fold with ``fold_mod_phi``).
 
 The pipeline keeps its values in the transforms' working buffers
 (``transforms.buffer``) from forward transform to inverse: pointwise and
@@ -133,6 +135,52 @@ def reduce_mod_phi(c, ring: RingSpec) -> Poly:
                 for j in range(n):
                     work[i - n + j] = (work[i - n + j] - v * phi[j]) % q
     return Poly(work[:n], ring)
+
+
+def fold_mod_phi(c, ring: RingSpec) -> np.ndarray:
+    """The remainder of c by the ring's phi, mod q, for an array of
+    canonical residues: ``reduce_mod_phi`` vectorized, returned as a
+    length-n buffer (``transforms.buffer``).
+
+    With x^n = r(x) mod phi, one pass replaces the coefficients from x^n
+    up, hi(x) x^n, by hi(x) r(x): one shifted add, subtract or
+    multiply-add per nonzero term of r over all of hi at once.  A pass
+    shortens c by n - deg r, so the named forms (r has one or two terms)
+    fold in a few passes.  Where the passes would take more numpy calls
+    than there are coefficients above x^(n-1) (a dense r, GENERAL), those
+    fold one at a time instead, from the top, each vectorized over r.
+    """
+    n, q = ring.n, ring.q
+    w = transforms.buffer(c, q)
+    if len(w) < n:
+        w = np.concatenate((w, np.zeros(n - len(w), dtype=w.dtype)))
+    terms = ring.reduction_terms
+    top = terms[-1][0] if terms else 0
+    excess = len(w) - n
+    if len(terms) * -(-excess // (n - top)) > excess:
+        r = np.zeros(n, dtype=w.dtype)
+        for j, t in terms:
+            r[j] = t
+        for i in range(len(w) - 1, n - 1, -1):
+            seg = w[i - n : i]
+            seg += w[i] * r
+            seg %= q
+        return w[:n]
+    while len(w) > n:
+        hi = w[n:]
+        out = np.zeros(max(n, top + len(hi)), dtype=w.dtype)
+        out[:n] = w[:n]
+        for j, t in terms:
+            seg = out[j : j + len(hi)]
+            if t == 1:
+                seg += hi
+            elif t == q - 1:
+                seg -= hi
+            else:
+                seg += hi * t % q
+        out %= q
+        w = out
+    return w
 
 
 def oracle_multiply(a: Poly, b: Poly) -> Poly:
@@ -290,20 +338,30 @@ class TransformPair:
     @cached_property
     def y_domain(self) -> np.ndarray:
         """Forward image of the monomial x (the split-ring y twiddles), read-only."""
-        y = Poly.from_ints([0, 1], self.ring)
+        y = [0, 1] + [0] * (self.ring.n - 2)
         with modarith.uncounted():  # a table, not part of any product
             return transforms.read_only(self.forward(y).values)
 
-    def forward(self, a: Poly) -> NttDomainPoly:
-        return transforms.ntt_forward(a, self.fwd_tw, self.fwd_spec, schedule=self.fwd_sched)
+    def forward(self, a) -> NttDomainPoly:
+        """Forward transform of a Poly of the pair's ring, or of an array
+        or list of its coefficients."""
+        ring = None if isinstance(a, Poly) else self.ring
+        return transforms.ntt_forward(a, self.fwd_tw, self.fwd_spec, schedule=self.fwd_sched,
+                                      ring=ring)
 
-    def inverse(self, ahat: NttDomainPoly, halving=False) -> Poly:
-        return transforms.ntt_inverse(
-            ahat, self.inv_tw, self.inv_spec, halving=halving, schedule=self.inv_sched
-        )
+    def inverse(self, ahat: NttDomainPoly, halving=False, as_buffer=False):
+        return transforms.ntt_inverse(ahat, self.inv_tw, self.inv_spec, halving=halving,
+                                      schedule=self.inv_sched, as_buffer=as_buffer)
 
     def pointwise(self, A, B, use_karatsuba=False) -> NttDomainPoly:
         return pointwise_mul(A, B, self.leaf_vector, use_karatsuba)
+
+    def product(self, x, y, use_karatsuba=False, halving=False) -> np.ndarray:
+        """x*y in the pair's ring, for arrays or lists of canonical
+        coefficients: both forward transforms, the leaf products and the
+        inverse, on buffers; returns the product's buffer."""
+        C = self.pointwise(self.forward(x), self.forward(y), use_karatsuba)
+        return self.inverse(C, halving=halving, as_buffer=True)
 
 
 def check_pair_ring(ring: RingSpec, beta: int) -> None:
@@ -345,10 +403,7 @@ def ntt_multiply(a: Poly, b: Poly, pair: TransformPair, use_karatsuba=False, hal
     """forward(a) o forward(b), leaf products, inverse; exact in the ring."""
     if a.ring != pair.ring or b.ring != pair.ring:
         raise RingMismatch("operands do not live in the pair's ring")
-    A = pair.forward(a)
-    B = pair.forward(b)
-    C = pair.pointwise(A, B, use_karatsuba)
-    return pair.inverse(C, halving=halving)
+    return Poly.from_array(pair.product(a.coeffs, b.coeffs, use_karatsuba, halving), pair.ring)
 
 
 class DirectExecutor:
@@ -364,3 +419,7 @@ class DirectExecutor:
 
     def multiply(self, a: Poly, b: Poly) -> Poly:
         return ntt_multiply(a, b, self.pair)
+
+    def product(self, x, y) -> np.ndarray:
+        """``multiply`` on coefficient arrays, returning the product's buffer."""
+        return self.pair.product(x, y)

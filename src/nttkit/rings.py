@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import FormMismatch
 from .modarith import check_modulus
@@ -52,6 +55,12 @@ class RingSpec:
         elif self.phi is not None:
             raise FormMismatch("phi is only stored for general rings")
 
+    @cached_property
+    def reduction_terms(self) -> tuple:
+        """(j, r_j) for each nonzero coefficient of x^n mod phi, mod q (r_j =
+        -phi_j), ascending in j; built once per ring."""
+        return tuple((j, -c % self.q) for j, c in enumerate(self.phi_coeffs()[: self.n]) if c)
+
     def phi_coeffs(self) -> list:
         """Ascending coefficients of phi, reduced mod q."""
         n, q = self.n, self.q
@@ -97,6 +106,10 @@ class Poly:
         p = object.__new__(cls)  # checked above: skip the per-coefficient check
         p.coeffs, p.ring = values.tolist(), ring
         return p
+
+    def to_array(self) -> np.ndarray:
+        """The coefficients as a fresh int64 array (every q up to 2^42 fits)."""
+        return np.array(self.coeffs, dtype=np.int64)
 
     @classmethod
     def from_ints(cls, ints, ring: RingSpec) -> "Poly":

@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from . import modarith
-from .errors import OrderMismatch, RingMismatch, SpecMismatch, SpecViolation
+from .errors import LengthMismatch, OrderMismatch, RingMismatch, SpecMismatch, SpecViolation
 
 CC = "CC"
 NWC = "NWC"
@@ -542,8 +542,10 @@ def _check_ring_form(ring, spec):
         raise SpecViolation(f"{spec.conv_kind} transform over ring form {form!r}")
 
 
-def ntt_forward(a, tw, spec: TransformSpec, on_level=None, schedule=None) -> NttDomainPoly:
-    """Forward transform of a Poly; returns tagged transform-domain values.
+def ntt_forward(a, tw, spec: TransformSpec, on_level=None, schedule=None, ring=None) -> NttDomainPoly:
+    """Forward transform of a Poly, or, with ``ring``, of a length-n
+    array or list of canonical residues over that ring; returns tagged
+    transform-domain values.
 
     The coefficients are copied once into a working buffer (``buffer``)
     and the levels of ``schedule`` (built from ``tw`` when not given) then
@@ -552,24 +554,29 @@ def ntt_forward(a, tw, spec: TransformSpec, on_level=None, schedule=None) -> Ntt
     """
     if spec.direction != FORWARD:
         raise SpecViolation("ntt_forward requires a forward spec")
-    n, q = a.ring.n, a.ring.q
+    if ring is None:
+        ring, a = a.ring, a.coeffs
+    n, q = ring.n, ring.q
+    if len(a) != n:
+        raise LengthMismatch(f"expected {n} coefficients, got {len(a)}")
     _check_table(tw, spec, n, q, expect_inverse=False)
-    _check_ring_form(a.ring, spec)
+    _check_ring_form(ring, spec)
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.forward_transforms += 1
-    buf = _transform(a.coeffs, q, tw, spec, n, schedule, on_level=on_level)
-    return NttDomainPoly(buf, spec, a.ring, 1 << spec.beta)
+    buf = _transform(a, q, tw, spec, n, schedule, on_level=on_level)
+    return NttDomainPoly(buf, spec, ring, 1 << spec.beta)
 
 
 def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False, on_level=None,
-                schedule=None):
-    """Inverse transform back to a Poly; exact inverse of ntt_forward.
+                schedule=None, as_buffer=False):
+    """Inverse transform back to a Poly, or with ``as_buffer`` to its
+    buffer of canonical residues; exact inverse of ntt_forward.
 
     The per-level factor 2 is deferred into one final scaling by
     (n/2^beta)^-1, or folded into each level when halving is set
     (identical outputs, tested).  ``ahat.values`` is copied, never
-    mutated; the result is range-checked once, on its buffer.
+    mutated; a Poly result is range-checked once, on its buffer.
     """
     from .rings import Poly
 
@@ -593,7 +600,7 @@ def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False,
         buf %= q
         if ctr is not None:
             ctr.mults += n
-    return Poly.from_array(buf, ahat.ring)
+    return buf if as_buffer else Poly.from_array(buf, ahat.ring)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,20 @@ from nttkit.embed import (
     _rotation,
     _schoolbook_rows,
     general_phi_multiply,
-    good_map,
+    good_index,
     good_multiply,
-    good_unmap,
     nussbaumer_multiply,
     schonhage_multiply,
     zero_pad_multiply,
 )
-from nttkit.errors import BadShape, ChainMismatch, PadTooSmall, ParameterCondition, ShapeCondition
+from nttkit.errors import (
+    BadShape,
+    ChainMismatch,
+    PadTooSmall,
+    ParameterCondition,
+    RingMismatch,
+    ShapeCondition,
+)
 from nttkit.polymul import (
     make_transform_pair,
     ntt_multiply,
@@ -35,7 +41,7 @@ from nttkit.polymul import (
     schoolbook_linear,
     schoolbook_nwc,
 )
-from nttkit.rings import Poly, RingSpec, XN_MINUS_1, XN_MINUS_X_MINUS_1, XN_PLUS_1
+from nttkit.rings import GENERAL, Poly, RingSpec, XN_MINUS_1, XN_MINUS_X_MINUS_1, XN_PLUS_1
 
 
 # ---------------------------------------------------------------------------
@@ -80,25 +86,33 @@ def test_zero_pad_zero_operand(rng):
 
 
 def test_good_map_example():
-    lay = good_map(list(range(12)), 3, 2)
-    assert lay.rows[2][1] == 5  # l=5 -> (5 mod 3, 5 mod 4)
+    index = good_index(3, 2)
+    x = np.arange(12)
+    assert x[index][2, 1] == 5  # l=5 -> (5 mod 3, 5 mod 4)
     # inverse index formula: (4^-1 mod 3)*4*2 + (3^-1 mod 4)*3*1 = 17 = 5 (mod 12)
-    assert good_unmap(lay) == list(range(12))
+    assert index[2, 1] == (1 * 4 * 2 + 3 * 3 * 1) % 12
+    out = np.empty(12, dtype=np.int64)
+    out[index] = x[index]
+    assert out.tolist() == list(range(12))
 
 
 def test_good_bijection(rng):
     for h in (1, 3, 5, 7, 9):
         for k in range(1, 10):
             n = h << k
-            coeffs = [rng.randrange(1 << 20) for _ in range(n)]
-            assert good_unmap(good_map(coeffs, h, k)) == coeffs
+            index = good_index(h, k)
+            assert sorted(index.ravel().tolist()) == list(range(n))
+            coeffs = np.array([rng.randrange(1 << 20) for _ in range(n)])
+            out = np.empty_like(coeffs)
+            out[index] = coeffs[index]
+            assert out.tolist() == coeffs.tolist()
 
 
 def test_good_rejects_bad_shape():
     with pytest.raises(BadShape):
-        good_map([0] * 12, 4, 2)  # even h
+        good_index(4, 2)  # even h
     with pytest.raises(BadShape):
-        good_map([0] * 10, 3, 2)  # wrong length
+        embed.GoodExecutor(RingSpec(XN_MINUS_1, 10, 7681), 3, 2, 7681)  # wrong length
 
 
 def test_good_multiply_small(rng):
@@ -483,3 +497,74 @@ def test_unlifted_block_terminal_skips_the_lift(monkeypatch, rng):
     a, b = planner.sample_operands(ring, plan, rng)
     assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
     assert calls == ["lift", "lift", "recover"]
+
+
+CHAIN_PRESETS = ("ntru-701", "ntru-509", "ntruprime-761-good", "ntruprime-761-schonhage")
+
+
+@pytest.mark.parametrize("name", CHAIN_PRESETS)
+def test_chain_plan_refuses_another_ring(name, rng):
+    # a plan's checks hold for its own ring only: a degree-300 ring over the
+    # same q is refused, even when both operands live in it
+    ring, plan = planner.preset(name)
+    other = RingSpec(XN_MINUS_1, 300, ring.q)
+    x = Poly.random(other, rng)
+    with pytest.raises(RingMismatch):
+        planner.multiply(x, x, plan)
+    with pytest.raises(RingMismatch):
+        planner.multiply(Poly.random(ring, rng), x, plan)
+
+
+def _lifted_and_embedded_plans():
+    names = [n for n in planner.preset_names()
+             if planner.preset(n)[1].strategy in ("bigprime", "rns", "composite", "embed")]
+    general = RingSpec(GENERAL, 12, 7681, (3, 0, 5, 7680, 0, 0, 1, 0, 2, 0, 0, 4, 1))
+    return [planner.preset(n) for n in names] + [(general, planner.make_plan(general))]
+
+
+def test_no_poly_is_validated_mid_product(monkeypatch, rng):
+    # operands are built first; from then on a product converts each operand
+    # once and builds its result with Poly.from_array, which skips the
+    # per-coefficient check, and every table is built once, on first use
+    cases = [(plan, *planner.sample_operands(ring, plan, rng)) for ring, plan in _lifted_and_embedded_plans()]
+    assert any(plan.ring.form == GENERAL for plan, _, _ in cases)
+    wants = [oracle_multiply(a, b) for _, a, b in cases]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("validated or built mid-product")
+
+    monkeypatch.setattr(Poly, "__post_init__", boom)
+    for (plan, a, b), want in zip(cases, wants):
+        assert planner.multiply(a, b, plan) == want, plan.describe()
+    monkeypatch.setattr(embed, "block_schedule", boom)
+    monkeypatch.setattr(embed, "good_index", boom)
+    monkeypatch.setattr(polymul, "make_transform_pair", boom)
+    for (plan, a, b), want in zip(cases, wants):
+        assert planner.multiply(b, a, plan) == want, plan.describe()
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (2, 2), (4, 4), (3, 8), (8, 8)])
+def test_forward_block_transform_copies_levels_of_zero_parts(m, n):
+    # with only the first m parts nonzero, the levels whose halves hold at
+    # least m parts copy: the same values and the same counts as butterflies
+    rng = np.random.default_rng(m * 100 + n)
+    q, L, blocks = 7681, 2 * n, 2 * n
+    X = np.zeros((blocks, L, 3), dtype=np.int64)
+    X[:m] = rng.integers(0, q, size=(m, L, 3))
+    levels = _block_levels(blocks, L, 2, False)
+    with modarith.counting() as full_ctr:
+        full = _block_ntt(X.copy(), levels, q, False)
+    with modarith.counting() as live_ctr:
+        live = _block_ntt(X.copy(), levels, q, False, live=m)
+    assert np.array_equal(full, live)
+    assert (full_ctr.adds, full_ctr.subs) == (live_ctr.adds, live_ctr.subs)
+
+
+def test_plan_refuses_a_pad_to_the_same_length_in_another_form():
+    # ZeroPad(n) keeps the ring only when the form matches; x^8 - 1 cannot
+    # hold a degree-14 product of x^8 - x - 1, so the plan fails its check
+    with pytest.raises(ParameterCondition, match="pad 8 >= 2n-1 = 15"):
+        planner.make_plan(RingSpec(XN_MINUS_X_MINUS_1, 8, 7681), chain=(ZeroPad(8, XN_MINUS_1),))
+    ring = RingSpec(XN_MINUS_1, 12, 7681)
+    plan = planner.make_plan(ring, chain=(ZeroPad(12, XN_MINUS_1), Good(3, 2)))
+    assert ("pad 12 >= 2n-1 = 23", True) in plan.checks

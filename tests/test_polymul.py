@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import ref_poly_mul_linear
 
@@ -6,6 +9,7 @@ from nttkit.errors import FormMismatch, LengthMismatch, ModulusMismatch, SpecMis
 from nttkit.modarith import counting
 from nttkit.polymul import (
     basecase_mul,
+    fold_mod_phi,
     leaf_gammas,
     make_transform_pair,
     ntt_multiply,
@@ -100,6 +104,55 @@ def test_reduce_examples():
     tring = RingSpec(TRINOMIAL, 6, 7)
     xn6 = [0] * 6 + [1]
     assert reduce_mod_phi(xn6, tring).coeffs == [6, 0, 0, 1, 0, 0]  # x^6 = x^3 - 1
+
+
+FOLD_BUDGET = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def fold_cases(draw):
+    """(ring, c): a ring of every form, q below 2^31 (int64) and above
+    (object buffers), and c of length up to 4n + 4 with canonical entries."""
+    form = draw(st.sampled_from((XN_MINUS_1, XN_PLUS_1, TRINOMIAL, XN_MINUS_X_MINUS_1, GENERAL)))
+    q = draw(st.one_of(st.integers(2, 1 << 13), st.integers(1 << 13, (1 << 31) - 1),
+                       st.integers(1 << 31, 1 << 42)))
+    if form == TRINOMIAL:
+        n = 3 << draw(st.integers(1, 3))
+    else:
+        n = draw(st.integers(2, 24))
+    phi = None
+    if form == GENERAL:  # dense, sparse or named-like, monic
+        low = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+        sparse = st.lists(st.sampled_from((0, 0, 0, 1, q - 1)), min_size=n, max_size=n)
+        phi = tuple(draw(st.one_of(low, sparse))) + (1,)
+    ring = RingSpec(form, n, q, phi)
+    size = draw(st.integers(0, 4 * n + 4))
+    c = draw(st.one_of(st.just([q - 1] * size),
+                       st.lists(st.integers(0, q - 1), min_size=size, max_size=size)))
+    return ring, c
+
+
+@FOLD_BUDGET
+@given(fold_cases())
+def test_fold_matches_reduce_mod_phi(case):
+    ring, c = case
+    got = fold_mod_phi(np.array(c, dtype=np.int64), ring)
+    assert got.shape == (ring.n,)
+    assert got.tolist() == reduce_mod_phi(c, ring).coeffs
+
+
+def test_fold_at_the_padded_lengths():
+    # the chain folds 2n - 1 coefficients; x^n - 1 at ntru-509 takes 2048
+    ntru = RingSpec(XN_MINUS_1, 509, 2048)
+    for ring, size in ((ntru, 2048), (ntru, 1017), (RingSpec(XN_MINUS_X_MINUS_1, 761, 4591), 1521)):
+        c = [ring.q - 1] * size
+        assert fold_mod_phi(np.array(c), ring).tolist() == reduce_mod_phi(c, ring).coeffs
 
 
 def test_reduce_general_matches_named(rng):
