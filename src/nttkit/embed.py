@@ -26,6 +26,7 @@ from .errors import (
     ShapeCondition,
 )
 from .modarith import mod_inv
+from .polymul import _mod
 from .rings import XN_MINUS_1, XN_PLUS_1, Poly, RingSpec, is_pow2
 from .transforms import CYCLIC_BLOCK_PAIR, NttDomainPoly
 
@@ -121,7 +122,7 @@ class GoodExecutor(bigmod.LiftedExecutor):
 
         out = np.empty(len(x), dtype=np.int64)
         out[index] = [pair.inverse(NttDomainPoly(vals, pair.fwd_spec, pair.ring, 1), as_buffer=True)
-                      for vals in _schoolbook_rows(columns(x), columns(y), pair.ring.q, 1)]
+                      for vals in polymul.leaf_products(columns(x), columns(y), 1, pair.ring.q)]
         return out
 
 
@@ -183,15 +184,6 @@ def _operand_modulus(a: Poly, b: Poly, step, schedule: tuple | None) -> int:
     if a.ring != b.ring:
         raise RingMismatch("operands belong to different rings")
     return _block_modulus(a.ring, step, schedule)
-
-
-def _mod(X, q: int):
-    """X mod q in place, as X - (X // q) * q: numpy divides an int64 array
-    by a scalar several times faster than it takes the remainder."""
-    Y = X // q
-    Y *= q
-    X -= Y
-    return X
 
 
 def _rotation(t, L: int):
@@ -265,22 +257,6 @@ def block_schedule(step) -> tuple:
         L, step = 2 * n, Nussbaumer(m, n)
 
 
-def _schoolbook_rows(U, V, q: int, sign: int):
-    """Column-wise products of two (L, rows) arrays of residues mod
-    x^L - sign, uncounted.  The raw products are summed and reduced once,
-    unless int64 sums could overflow (L*(q-1)^2 >= 2^63): then each
-    product is reduced first."""
-    L, rows = U.shape
-    lazy = L * (q - 1) ** 2 < 1 << 63
-    t = np.zeros((2 * L - 1, rows), dtype=U.dtype)
-    for i in range(L):
-        p = U[i] * V
-        t[i : i + L] += p if lazy else _mod(p, q)
-    out = t[:L]
-    out[: L - 1] += sign * t[L:]
-    return _mod(out, q)
-
-
 def _block_ntt(X, levels: tuple, q: int, inverse: bool, live: int | None = None):
     """Cyclic transform along axis 0 of a block array, in place on a
     contiguous copy when X is not contiguous, then one reduction.
@@ -322,19 +298,13 @@ def _block_ntt(X, levels: tuple, q: int, inverse: bool, live: int | None = None)
     return _mod(X, q)
 
 
-def _nega_mul(U, V, schedule: tuple, q: int):
-    """Column-wise products in Z_q[x]/(x^L + 1) of two (L, rows) arrays,
-    recursing on the whole batch along ``schedule`` (empty at the floor)."""
-    if not schedule:
-        return _schoolbook_rows(U, V, q, -1)
-    return _nussbaumer(U, V, schedule, q)
-
-
 def _block_convolve(A, B, schedule: tuple, q: int, live: int | None = None):
     """Cyclic convolution along axis 0 of two block arrays, transformed by
-    ``schedule[0]``: forward (both in one batch), block products, inverse,
-    1/blocks scaling.  Only the first ``live`` blocks (default: all) of
-    A and B may be nonzero."""
+    ``schedule[0]``: forward (both in one batch), block products in
+    Z_q[x]/(x^L + 1) (recursing on the whole batch along the rest of
+    ``schedule``, the leaf kernel at the floor), inverse, 1/blocks
+    scaling.  Only the first ``live`` blocks (default: all) of A and B
+    may be nonzero."""
     depth, inner = schedule[0], schedule[1:]
     blocks, L, rows = A.shape
     F = _block_ntt(np.concatenate((A, B), axis=2), depth.forward, q, False, live)
@@ -342,7 +312,8 @@ def _block_convolve(A, B, schedule: tuple, q: int, live: int | None = None):
     def products(X):  # one column per (block, batch column)
         return X.transpose(1, 0, 2).reshape(L, blocks * rows)
 
-    P = _nega_mul(products(F[:, :, :rows]), products(F[:, :, rows:]), inner, q)
+    U, V = products(F[:, :, :rows]), products(F[:, :, rows:])
+    P = _nussbaumer(U, V, inner, q) if inner else polymul.leaf_products(U, V, -1, q)
     P = _block_ntt(P.reshape(L, blocks, rows).transpose(1, 0, 2), depth.inverse, q, True)
     ctr = modarith.active_counter()
     if ctr is not None:

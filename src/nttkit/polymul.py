@@ -9,9 +9,12 @@ scalar ``reduce_mod_phi``, which no fast path calls (the embedding
 chains fold with ``fold_mod_phi``).
 
 The pipeline keeps its values in the transforms' working buffers
-(``transforms.buffer``) from forward transform to inverse: pointwise and
-leaf products take and return buffers, and ``basecase_mul`` stays as
-their scalar reference.
+(``transforms.buffer``) from forward transform to inverse.
+``leaf_products`` is the one kernel for the step every route takes
+between its transforms, column-wise products mod x^L - gamma: the
+incomplete and split routes' leaves (``pointwise_mul``), the trinomial
+leaves, Good's columns and the block floor of the embeddings.
+``basecase_mul`` stays as its scalar reference.
 """
 
 from __future__ import annotations
@@ -239,27 +242,47 @@ def leaf_ops(L: int, use_karatsuba: bool) -> tuple:
     return L * L + L - 1, L - 1, 0
 
 
-def leaf_products(u, v, gammas, q: int) -> np.ndarray:
-    """basecase_mul on every length-L chunk at once, uncounted.
+def _mod(X, q: int):
+    """X mod q in place, as X - (X // q) * q: numpy divides an int64 array
+    by a scalar several times faster than it takes the remainder."""
+    Y = X // q
+    Y *= q
+    X -= Y
+    return X
 
-    ``u``/``v`` are flat buffers of m chunks and ``gammas`` the m leaf
-    constants, all of the buffer dtype mod q (``transforms.buffer``).
-    Residues are canonical, so the result equals basecase_mul with or
-    without Karatsuba; the caller adds the operation counts.
+
+def leaf_products(U, V, gamma, q: int) -> np.ndarray:
+    """Column-wise products mod x^L - gamma of two (L, rows) arrays of
+    canonical residues mod q, uncounted: ``basecase_mul`` on every column
+    at once, returned as a fresh (L, rows) array of canonical residues.
+
+    ``gamma`` is +1 or -1 for every column, or a buffer of one constant
+    mod q per column.  The caller adds the operation counts.
+
+    Lazy rule: linear coefficient k sums min(k + 1, 2L - 1 - k) raw
+    products u_i v_j, each at most (q-1)^2.  Folding x^L = gamma adds
+    coefficient k + L (L - 1 - k products) to coefficient k < L - 1: raw
+    for gamma = +-1, and for a constant per column reduced below q, then
+    times gamma, at most (q-1)^2.  Either way no sum exceeds L (q-1)^2 in
+    magnitude, so while L (q-1)^2 < 2^63 the raw products are summed in
+    int64 and reduced once.  Otherwise each product is reduced first, and
+    the sums stay below L q + (q-1)^2 < 2^63 (int64 only runs q < 2^31).
+    ``object`` arrays (Python ints) cannot overflow and always sum lazily.
     """
-    m = len(gammas)
-    L = len(u) // m
-    U, V = u.reshape(m, L), v.reshape(m, L)
-    t = np.zeros((m, 2 * L - 1), dtype=U.dtype)
+    L, rows = U.shape
+    lazy = U.dtype == object or L * (q - 1) ** 2 < 1 << 63
+    t = np.zeros((2 * L - 1, rows), dtype=U.dtype)
     for i in range(L):
-        t[:, i : i + L] += U[:, i : i + 1] * V % q
-    t %= q
-    out = t[:, :L]
-    hi = t[:, L:] * gammas[:, None]
-    hi %= q
-    out[:, : L - 1] += hi
-    out %= q
-    return out.ravel()
+        p = U[i] * V
+        t[i : i + L] += p if lazy else _mod(p, q)
+    out = t[:L]
+    if np.ndim(gamma):
+        hi = _mod(t[L:], q)
+        hi *= gamma
+    else:
+        hi = gamma * t[L:]
+    out[: L - 1] += hi
+    return _mod(out, q)
 
 
 def leaf_gammas(spec: TransformSpec, tw, n: int) -> list:
@@ -296,7 +319,8 @@ def pointwise_mul(A: NttDomainPoly, B: NttDomainPoly, gammas=None, use_karatsuba
     elif gammas is None:
         raise SpecMismatch("leaf products need the leaf constants")
     else:
-        vals = leaf_products(A.values, B.values, gammas, q)
+        U, V = (X.values.reshape(-1, L).T for X in (A, B))
+        vals = leaf_products(U, V, gammas, q).T.ravel()
     ctr = modarith.active_counter()
     if ctr is not None:
         mults, adds, subs = leaf_ops(L, use_karatsuba)
@@ -337,10 +361,16 @@ class TransformPair:
 
     @cached_property
     def y_domain(self) -> np.ndarray:
-        """Forward image of the monomial x (the split-ring y twiddles), read-only."""
-        y = [0, 1] + [0] * (self.ring.n - 2)
-        with modarith.uncounted():  # a table, not part of any product
-            return transforms.read_only(self.forward(y).values)
+        """Forward image of the monomial x (the split-ring y twiddles), read-only.
+
+        Chunk p holds x mod x^L - gamma_p: the leaf constant itself at
+        beta = 0 (L = 1), and x, i.e. [0, 1, 0, ...], for L >= 2.
+        """
+        if self.beta == 0:
+            return self.leaf_vector
+        y = np.zeros(self.ring.n, dtype=transforms.buffer_dtype(self.ring.q))
+        y[1 :: 1 << self.beta] = 1
+        return transforms.read_only(y)
 
     def forward(self, a) -> NttDomainPoly:
         """Forward transform of a Poly of the pair's ring, or of an array
@@ -393,10 +423,8 @@ def make_transform_pair(ring: RingSpec, beta: int = 0, root: int | None = None) 
     inv_tw = build_twiddles(root, order, q, BIT_REVERSED, inverse=True)
     fwd = TransformSpec(kind, CT, FORWARD, NATURAL, BIT_REVERSED, beta)
     inv = fwd.inverse_of()
-    pair = TransformPair(ring, beta, fwd, inv, fwd_tw, inv_tw,
+    return TransformPair(ring, beta, fwd, inv, fwd_tw, inv_tw,
                          transforms.make_schedule(fwd, fwd_tw, n), transforms.make_schedule(inv, inv_tw, n))
-    _ = pair.y_domain  # warm the stored-offline table so later multiplies never pay for it
-    return pair
 
 
 def ntt_multiply(a: Poly, b: Poly, pair: TransformPair, use_karatsuba=False, halving=False) -> Poly:

@@ -2,9 +2,11 @@
 
 Splitting depth alpha sends Z_q[x]/(x^n +- 1) into 2^alpha interleaved
 sub-polynomials over Z_q[y]/(y^(n/2^alpha) +- 1) with x^(2^alpha) = y; a
-pure reordering both ways.  The three strategies differ only in how the
-cross products of the sub-polynomials are accumulated in the transform
-domain:
+pure reordering both ways.  On a length-n coefficient array, part i is
+column i of its (n/2^alpha, 2^alpha) reshape, and the parts of the
+product are written back into the columns of one such array.  The three
+strategies differ only in how the cross products of the sub-polynomials
+are accumulated in the transform domain:
 
 * pt:  plain sums; the y-shifted images come from the evaluated-y
        diagonal, so a product costs 2^(alpha+1) forward and 2^alpha
@@ -16,22 +18,14 @@ domain:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from . import polymul
+import numpy as np
+
+from . import polymul, transforms
 from .errors import BadAlpha, RingMismatch
 from .rings import XN_MINUS_1, XN_PLUS_1, Poly, RingSpec
 from .transforms import NttDomainPoly
-
-
-@dataclass
-class SplitPoly:
-    """2^alpha interleaved parts of a parent polynomial."""
-
-    parts: list
-    alpha: int
-    parent: RingSpec
 
 
 def _small_ring(parent: RingSpec, alpha: int) -> RingSpec:
@@ -43,51 +37,13 @@ def _small_ring(parent: RingSpec, alpha: int) -> RingSpec:
     return RingSpec(parent.form, parent.n >> alpha, parent.q)
 
 
-def split(a: Poly, alpha: int) -> SplitPoly:
-    """parts[i][j] = a_{2^alpha * j + i}; the identity mapping at alpha=0."""
-    small = _small_ring(a.ring, alpha)
+def _split_product(x, y, alpha, inner, karatsuba_cross, karatsuba_leaf) -> np.ndarray:
+    """x*y for two length-n arrays of canonical coefficients, through the
+    inner pair over the split ring; returns the product's buffer."""
     step = 1 << alpha
-    parts = [a.coeffs[i::step] for i in range(step)]
-    return SplitPoly([Poly(p, small) for p in parts], alpha, a.ring)
-
-
-def unsplit(s: SplitPoly) -> Poly:
-    step = 1 << s.alpha
-    out = [0] * s.parent.n
-    for i, part in enumerate(s.parts):
-        out[i::step] = part.coeffs
-    return Poly(out, s.parent)
-
-
-def shift_by_y(part: Poly) -> Poly:
-    """Multiply by y in the small ring: rotate up, wrap with the form's sign."""
-    q = part.ring.q
-    wrapped = part.coeffs[-1]
-    if part.ring.form == XN_PLUS_1:
-        wrapped = (-wrapped) % q
-    return Poly([wrapped] + part.coeffs[:-1], part.ring)
-
-
-def _inner_pair(parent: RingSpec, alpha: int, beta: int) -> polymul.TransformPair:
-    return polymul.make_transform_pair(_small_ring(parent, alpha), beta)
-
-
-def _y_image(inner: polymul.TransformPair) -> NttDomainPoly:
-    return NttDomainPoly(inner.y_domain, inner.fwd_spec, inner.ring, 1 << inner.beta)
-
-
-def _strategy_multiply(a, b, alpha, inner, karatsuba_cross, karatsuba_leaf):
-    if a.ring != b.ring:
-        raise RingMismatch("operands belong to different rings")
-    if inner is None:
-        inner = _inner_pair(a.ring, alpha, 0)
-    if alpha == 0:
-        return polymul.ntt_multiply(a, b, inner, use_karatsuba=karatsuba_leaf)
-    step = 1 << alpha
-    sa, sb = split(a, alpha), split(b, alpha)
-    A = [inner.forward(p) for p in sa.parts]
-    B = [inner.forward(p) for p in sb.parts]
-    yhat = _y_image(inner)
+    A = [inner.forward(p) for p in x.reshape(-1, step).T]
+    B = [inner.forward(p) for p in y.reshape(-1, step).T]
+    yhat = NttDomainPoly(inner.y_domain, inner.fwd_spec, inner.ring, 1 << inner.beta)
     pw = lambda X, Y: inner.pointwise(X, Y, use_karatsuba=karatsuba_leaf)
 
     # degree sums S_d = sum_{l+k=d} A_l o B_k, d = 0 .. 2*step-2
@@ -102,7 +58,7 @@ def _strategy_multiply(a, b, alpha, inner, karatsuba_cross, karatsuba_leaf):
             acc(2 * i, diag[i])
         for i in range(step):
             for j in range(i + 1, step):
-                cross = inner.pointwise(A[i].add(A[j]), B[i].add(B[j]), karatsuba_leaf)
+                cross = pw(A[i].add(A[j]), B[i].add(B[j]))
                 acc(i + j, cross.sub(diag[i]).sub(diag[j]))
     else:
         # y-shifted images of a, computed once per multiplicand
@@ -113,37 +69,48 @@ def _strategy_multiply(a, b, alpha, inner, karatsuba_cross, karatsuba_leaf):
             for l in range(i + 1, step):
                 acc(i, pw(Adot[l], B[step + i - l]))
 
-    parts = []
+    out = np.empty((len(x) >> alpha, step), dtype=transforms.buffer_dtype(inner.ring.q))
     for i in range(step):
         total = sums[i]
-        if karatsuba_cross and step + i < len(sums) and sums[step + i] is not None:
+        if karatsuba_cross and step + i < len(sums):
             total = total.add(pw(yhat, sums[step + i]))
-        parts.append(inner.inverse(total))
-    return unsplit(SplitPoly(parts, alpha, a.ring))
+        out[:, i] = inner.inverse(total, as_buffer=True)
+    return out.ravel()
+
+
+def _strategy_multiply(a, b, alpha, beta, inner, karatsuba_cross, karatsuba_leaf):
+    if a.ring != b.ring:
+        raise RingMismatch("operands belong to different rings")
+    small = _small_ring(a.ring, alpha)
+    if inner is None:
+        inner = polymul.make_transform_pair(small, beta)
+    elif inner.ring != small:  # the pair takes the bare-array parts to be over its own ring
+        raise RingMismatch(f"inner pair is over {inner.ring}, the split ring is {small}")
+    c = _split_product(a.to_array(), b.to_array(), alpha, inner, karatsuba_cross, karatsuba_leaf)
+    return Poly.from_array(c, a.ring)
 
 
 def ptntt_multiply(a: Poly, b: Poly, alpha: int, inner=None) -> Poly:
     """Split, transform all parts, accumulate plain cross sums, gather."""
-    return _strategy_multiply(a, b, alpha, inner, karatsuba_cross=False, karatsuba_leaf=False)
+    return _strategy_multiply(a, b, alpha, 0, inner, karatsuba_cross=False, karatsuba_leaf=False)
 
 
 def kntt_multiply(a: Poly, b: Poly, alpha: int, inner=None) -> Poly:
     """ptntt with one-iteration Karatsuba across symmetric part pairs."""
-    return _strategy_multiply(a, b, alpha, inner, karatsuba_cross=True, karatsuba_leaf=False)
+    return _strategy_multiply(a, b, alpha, 0, inner, karatsuba_cross=True, karatsuba_leaf=False)
 
 
 def hntt_multiply(a: Poly, b: Poly, alpha: int, beta: int, inner=None) -> Poly:
     """kntt with a beta-cropped inner transform and Karatsuba leaf products."""
-    if inner is None:
-        inner = _inner_pair(a.ring, alpha, beta)
-    elif inner.beta != beta:
+    if inner is not None and inner.beta != beta:
         raise BadAlpha(f"inner pair has beta={inner.beta}, expected {beta}")
-    return _strategy_multiply(a, b, alpha, inner, karatsuba_cross=True, karatsuba_leaf=True)
+    return _strategy_multiply(a, b, alpha, beta, inner, karatsuba_cross=True, karatsuba_leaf=True)
 
 
 class SplitExecutor:
     """Plan executor of split-pt, split-k and hntt: the (cropped) inner pair
-    over the split ring, built on first use."""
+    over the split ring, built on first use.  ``product`` is the route on
+    int64 coefficient arrays; ``multiply`` wraps it for Polys."""
 
     def __init__(self, ring: RingSpec, alpha: int, beta: int, karatsuba_cross: bool,
                  karatsuba_leaf: bool):
@@ -153,7 +120,14 @@ class SplitExecutor:
 
     @cached_property
     def inner(self) -> polymul.TransformPair:
-        return _inner_pair(self.ring, self.alpha, self.beta)
+        return polymul.make_transform_pair(_small_ring(self.ring, self.alpha), self.beta)
 
     def multiply(self, a: Poly, b: Poly) -> Poly:
-        return _strategy_multiply(a, b, self.alpha, self.inner, *self.karatsuba)
+        if a.ring != self.ring or b.ring != self.ring:
+            raise RingMismatch("operands do not live in the executor's ring")
+        return Poly.from_array(self.product(a.to_array(), b.to_array()), self.ring)
+
+    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The ring product of two int64 arrays of canonical coefficients,
+        as a buffer of canonical residues mod q."""
+        return _split_product(x, y, self.alpha, self.inner, *self.karatsuba)

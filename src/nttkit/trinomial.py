@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from . import modarith, transforms
+from . import modarith, polymul, transforms
 from .errors import ParameterCondition, PlanMismatch
 from .modarith import find_root, is_prime, mod_inv
 from .rings import TRINOMIAL, Poly, RingSpec
@@ -185,26 +185,12 @@ def trinomial_pointwise(u, v, psi_j: int, q: int) -> list:
     return [c0, c1, c2]
 
 
-def _pointwise_vec(u, v, psi, q: int) -> np.ndarray:
-    """trinomial_pointwise on every leaf of two buffers at once, uncounted;
-    ``psi`` holds the leaf constants as a buffer mod q.
-
-    Every product is reduced before it is added, so no int64 sum overflows.
-    """
-    (u0, u1, u2), (v0, v1, v2) = u.reshape(-1, 3).T, v.reshape(-1, 3).T
-    out = np.empty((3, len(psi)), dtype=u.dtype)
-    out[0] = (u1 * v2 % q + u2 * v1 % q) * psi % q + u0 * v0 % q
-    out[1] = u2 * v2 % q * psi % q + u0 * v1 % q + u1 * v0 % q
-    out[2] = u0 * v2 % q + u1 * v1 % q + u2 * v0 % q
-    out %= q
-    return out.T.ravel()
-
-
 def trinomial_multiply(a: Poly, b: Poly, plan: TrinomialPlan) -> Poly:
     """Forward both operands, multiply the degree-2 leaves, invert."""
     A = trinomial_forward(a, plan)
     B = trinomial_forward(b, plan)
-    vals = _pointwise_vec(A.values, B.values, plan.leaf_vector, plan.q)
+    U, V = A.values.reshape(-1, 3).T, B.values.reshape(-1, 3).T
+    vals = polymul.leaf_products(U, V, plan.leaf_vector, plan.q).T.ravel()
     ctr = modarith.active_counter()
     if ctr is not None:
         leaves = len(plan.leaf_constants)

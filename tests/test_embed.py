@@ -16,7 +16,6 @@ from nttkit.embed import (
     _block_levels,
     _block_ntt,
     _rotation,
-    _schoolbook_rows,
     general_phi_multiply,
     good_index,
     good_multiply,
@@ -33,6 +32,7 @@ from nttkit.errors import (
     ShapeCondition,
 )
 from nttkit.polymul import (
+    basecase_mul,
     make_transform_pair,
     ntt_multiply,
     oracle_multiply,
@@ -42,6 +42,7 @@ from nttkit.polymul import (
     schoolbook_nwc,
 )
 from nttkit.rings import GENERAL, Poly, RingSpec, XN_MINUS_1, XN_MINUS_X_MINUS_1, XN_PLUS_1
+from nttkit.trinomial import trinomial_pointwise
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +332,10 @@ def test_schonhage_preset_product_and_counts_pinned(monkeypatch, rng):
     assert (c.mults, c.adds, c.subs) == (86016, 441344, 531232)
 
 
-@pytest.mark.parametrize("q", [(1 << 30) - 1, (1 << 30) + 1, (1 << 31) - 1])
+# the odd q nearest each side of L*(q-1)^2 < 2^63 for the leaf lengths the
+# routes use: 8 (block floor), 4 (incomplete beta = 2), 3 (Good h = 3, trinomial)
+@pytest.mark.parametrize("q", [(1 << 30) - 1, (1 << 30) + 1, (1 << 31) - 1,
+                               1518500249, 1518500251, 1753413057, 1753413059])
 def test_lazy_reduction_boundaries(q):
     # 8*(q-1)^2 < 2^63 just below 2^30 (raw floor sums), = 2^63 at 2^30 + 1
     # (each product reduced); 2^31 - 1 is the largest odd q on int64 arrays,
@@ -341,12 +345,14 @@ def test_lazy_reduction_boundaries(q):
         ring = RingSpec(form, 2 * m * n, q)
         a = Poly([q - 1] * ring.n, ring)
         assert fn(a, a, m, n).coeffs == oracle(a, a).coeffs
-    # the floor itself on all-(q-1) columns: the top linear coefficient
-    # sums eight products of q - 1
-    ring = RingSpec(XN_PLUS_1, SCHOOLBOOK_FLOOR, q)
-    top = np.full((SCHOOLBOOK_FLOOR, 3), q - 1)
-    want = schoolbook_nwc(Poly([q - 1] * ring.n, ring), Poly([q - 1] * ring.n, ring)).coeffs
-    assert _schoolbook_rows(top, top.copy(), q, -1).T.tolist() == [want] * 3
+    # the leaf kernel itself on all-(q-1) columns, whose top linear
+    # coefficient sums L products of q - 1, for every kind of gamma
+    for L in (3, 4, SCHOOLBOOK_FLOOR):
+        ref = trinomial_pointwise if L == 3 else basecase_mul  # basecase_mul takes powers of two
+        top = np.full((L, 3), q - 1)
+        for gamma, g in ((np.full(3, q - 1), q - 1), (-1, q - 1), (1, 1)):
+            want = ref([q - 1] * L, [q - 1] * L, g, q)
+            assert polymul.leaf_products(top, top.copy(), gamma, q).T.tolist() == [want] * 3
 
 
 def test_block_schedule_built_on_first_multiply_only(monkeypatch, rng):

@@ -161,7 +161,8 @@ def test_leaf_products_match_basecase(primes, data, karatsuba):
         for p, g in enumerate(gammas):
             want += basecase_mul(u[p * L : (p + 1) * L], v[p * L : (p + 1) * L], g, q, karatsuba)
     buf = transforms.buffer
-    assert polymul.leaf_products(buf(u, q), buf(v, q), buf(gammas, q), q).tolist() == want
+    U, V = buf(u, q).reshape(-1, L).T, buf(v, q).reshape(-1, L).T
+    assert polymul.leaf_products(U, V, buf(gammas, q), q).T.ravel().tolist() == want
     mults, adds, subs = polymul.leaf_ops(L, karatsuba)
     m = len(gammas)
     assert OpCounter(mults * m, adds * m, subs * m) == ref
@@ -238,7 +239,8 @@ def test_trinomial_leaves_match_pointwise(primes, data, leaves):
     for i, c in enumerate(psi):
         want += trinomial.trinomial_pointwise(u[3 * i : 3 * i + 3], v[3 * i : 3 * i + 3], c, q)
     buf = transforms.buffer
-    assert trinomial._pointwise_vec(buf(u, q), buf(v, q), buf(psi, q), q).tolist() == want
+    U, V = buf(u, q).reshape(-1, 3).T, buf(v, q).reshape(-1, 3).T
+    assert polymul.leaf_products(U, V, buf(psi, q), q).T.ravel().tolist() == want
 
 
 # ---------------------------------------------------------------------------

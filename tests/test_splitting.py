@@ -1,17 +1,11 @@
 import pytest
 
 from nttkit import modarith
-from nttkit.errors import BadAlpha, ParameterCondition
+from nttkit.errors import BadAlpha, NttError, ParameterCondition
+from nttkit.modarith import OpCounter
 from nttkit.polymul import make_transform_pair, ntt_multiply, oracle_multiply
 from nttkit.rings import Poly, RingSpec, XN_MINUS_1, XN_PLUS_1
-from nttkit.splitting import (
-    hntt_multiply,
-    kntt_multiply,
-    ptntt_multiply,
-    shift_by_y,
-    split,
-    unsplit,
-)
+from nttkit.splitting import hntt_multiply, kntt_multiply, ptntt_multiply
 
 KYBER = RingSpec(XN_PLUS_1, 256, 3329)
 
@@ -20,60 +14,41 @@ def kyber_inner(beta=0, alpha=1):
     return make_transform_pair(RingSpec(XN_PLUS_1, 256 >> alpha, 3329), beta)
 
 
-def test_split_identity_at_zero(rng):
-    a = Poly.random(KYBER, rng)
-    s = split(a, 0)
-    assert len(s.parts) == 1 and s.parts[0].coeffs == a.coeffs
-
-
-def test_split_index_formula():
-    ring = RingSpec(XN_PLUS_1, 8, 17)
-    a = Poly(list(range(8)), ring)
-    s = split(a, 1)
-    assert [p.coeffs for p in s.parts] == [[0, 2, 4, 6], [1, 3, 5, 7]]
-
-
-def test_split_round_trip(rng):
-    ring = RingSpec(XN_PLUS_1, 64, 97)
-    for alpha in (0, 1, 2, 3):
-        a = Poly.random(ring, rng)
-        assert unsplit(split(a, alpha)).coeffs == a.coeffs
-
-
 def test_split_rejects_bad_alpha():
     ring = RingSpec(XN_PLUS_1, 8, 17)
     with pytest.raises(BadAlpha):
-        split(Poly([0] * 8, ring), 4)  # 2^4 does not divide 8
+        ptntt_multiply(Poly([0] * 8, ring), Poly([0] * 8, ring), 4)  # 2^4 does not divide 8
 
 
-def test_shift_by_y_examples():
-    small = RingSpec(XN_PLUS_1, 4, 17)
-    assert shift_by_y(Poly([5, 0, 0, 0], small)).coeffs == [0, 5, 0, 0]
-    assert shift_by_y(Poly([0, 0, 0, 5], small)).coeffs == [(-5) % 17, 0, 0, 0]
-    cyc = RingSpec(XN_MINUS_1, 4, 17)
-    assert shift_by_y(Poly([0, 0, 0, 5], cyc)).coeffs == [5, 0, 0, 0]
+@pytest.mark.parametrize("inner_ring", [RingSpec(XN_PLUS_1, 128, 7681),  # another modulus
+                                        RingSpec(XN_MINUS_1, 128, 3329),  # another form
+                                        RingSpec(XN_PLUS_1, 64, 3329)],  # another length
+                         ids=["modulus", "form", "length"])
+def test_mismatched_inner_pair_refused(inner_ring, rng):
+    # the parts reach the inner pair as bare arrays, so the pair's own ring
+    # must be checked against the split ring: a 7681 pair would otherwise
+    # multiply a q = 3329 ring silently wrong
+    inner = make_transform_pair(inner_ring, 0)
+    a, b = Poly.random(KYBER, rng), Poly.random(KYBER, rng)
+    for fn in (ptntt_multiply, kntt_multiply):
+        with pytest.raises(NttError):
+            fn(a, b, 1, inner)
+    with pytest.raises(NttError):
+        hntt_multiply(a, b, 1, 0, inner)
 
 
-def test_shift_full_cycle_negates(rng):
-    small = RingSpec(XN_PLUS_1, 8, 97)
-    part = Poly.random(small, rng)
-    y = part
-    for _ in range(8):
-        y = shift_by_y(y)
-    assert y.coeffs == [(-c) % 97 for c in part.coeffs]
-
-
-def test_shift_matches_transform_domain(rng):
-    # NTT(y * part) == NTT(y) o NTT(part): the evaluated-y diagonal used
-    # by the strategies equals an explicit coefficient-domain shift
-    inner = kyber_inner()
-    ring = inner.ring
-    part = Poly.random(ring, rng)
-    lhs = inner.forward(shift_by_y(part)).values.tolist()
-    yhat = list(inner.y_domain)
-    A = inner.forward(part).values.tolist()
-    q = ring.q
-    assert lhs == [x * y % q for x, y in zip(A, yhat)]
+@pytest.mark.parametrize("form", [XN_PLUS_1, XN_MINUS_1])
+def test_y_domain_is_forward_of_x(form):
+    # the closed form (leaf constants at beta = 0, x in every chunk above)
+    # equals the forward transform of the monomial x, for every beta
+    q = 12289  # 1 (mod 4096): every order below
+    for logn in range(4, 10):
+        n = 1 << logn
+        x = Poly([0, 1] + [0] * (n - 2), RingSpec(form, n, q))
+        for beta in range(logn):
+            pair = make_transform_pair(x.ring, beta)
+            assert not pair.y_domain.flags.writeable
+            assert pair.y_domain.tolist() == pair.forward(x).values.tolist(), (n, beta)
 
 
 def test_alpha_zero_reduces_to_plain(rng):
@@ -178,3 +153,17 @@ def test_hntt_alpha_beta_grid(rng):
         a, b = Poly.random(ring, rng), Poly.random(ring, rng)
         got = hntt_multiply(a, b, alpha, beta, inner)
         assert got.coeffs == oracle_multiply(a, b).coeffs, (alpha, beta)
+
+
+def test_split_route_tallies(rng):
+    # every tally of one kyber-ring product per strategy (no preset pins them)
+    a, b = Poly.random(KYBER, rng), Poly.random(KYBER, rng)
+    want = oracle_multiply(a, b)
+    for run, tally in (
+        (lambda: ptntt_multiply(a, b, 1), OpCounter(3584, 2944, 2688, 4, 2)),
+        (lambda: kntt_multiply(a, b, 1), OpCounter(3456, 3072, 2944, 4, 2)),
+        (lambda: hntt_multiply(a, b, 1, 1), OpCounter(3584, 3456, 3072, 4, 2)),
+    ):
+        with modarith.counting() as c:
+            assert run() == want
+        assert c == tally
