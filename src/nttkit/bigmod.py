@@ -1,4 +1,4 @@
-"""Large-modulus multiplication for NTT-unfriendly coefficient moduli.
+"""Large-modulus multiplication, and the executor every plan runs on.
 
 The product is computed exactly over the integers by working modulo a
 large N: either one NTT-friendly prime, a residue number system over
@@ -7,6 +7,8 @@ residue number system is also how a planned route runs a working
 modulus N >= 2^31: on primes below 2^31, so its transforms stay int64.
 Coefficients cross the boundary in centered form; the two conversion
 functions below are the only places the sign convention appears.
+``LiftedExecutor`` is the base of every plan executor; the unlifted
+routes run on it with N == q.
 """
 
 from __future__ import annotations
@@ -126,20 +128,21 @@ def bound_check(N: int, ring: RingSpec, profile, what: str) -> tuple:
 
 
 class LiftedExecutor:
-    """Exact product of two ring elements, computed modulo a large N.
+    """Exact product of two ring elements modulo a working modulus N: the
+    base of every plan executor.
 
-    ``product`` is the one path of every large-modulus route, on int64
-    coefficient arrays; ``multiply`` wraps it for Polys.  The working
-    moduli are N itself or, in its place, a ``basis`` of distinct primes
-    below 2^31 (the planner's replacement for an N >= 2^31); P is their
-    product.  Both operands are lifted once, as centered int64 arrays;
-    the operand-magnitude check runs on those against P; the route runs
-    once per working modulus (``run``, on the lifted arrays reduced mod
-    that modulus, with that modulus's ``table``, returning the product's
-    buffer); Garner recovery mod P, centered, gives the product mod q.
-    With N == q (an unlifted terminal) the arithmetic wraps mod q by
-    design: ``run`` gets the operands as they are, with no lift, check or
-    recovery.  The per-modulus tables are built on first use.
+    A route defines ``__init__`` (its checks), ``table(p)`` (its tables
+    mod one working modulus p, built on first use and kept in ``tables``)
+    and ``run(x, y, table)`` (its product of two arrays mod p, returned as
+    a buffer).  ``product`` is the one path of every route, on int64
+    coefficient arrays; ``multiply`` is the only ring check and the only
+    Poly conversion of a planned product.  The working moduli are N, or a
+    ``basis`` of distinct primes below 2^31 in its place, with product P.
+    Both operands are lifted once, centered, and checked against P; the
+    route runs once per working modulus; Garner recovery mod P, centered,
+    gives the product mod q.  With N == q (the direct, split, trinomial
+    and chain routes, and an unlifted terminal) the arithmetic wraps mod
+    q by design, and ``run`` gets the operands as they are.
     """
 
     def __init__(self, ring: RingSpec, N: int, basis=()):
@@ -184,8 +187,9 @@ def _one_shot(route: LiftedExecutor, a: Poly, b: Poly, profile) -> Poly:
 
 
 class BigPrimeExecutor(LiftedExecutor):
-    """Plan executor of the big-prime and RNS routes: one cropped pipeline
-    per working modulus, its pair built on first use."""
+    """Plan executor of the big-prime and RNS routes, one cropped pipeline
+    per working modulus, and, with N == q, of the full and incomplete
+    routes."""
 
     root = None  # make_transform_pair searches the smallest
 

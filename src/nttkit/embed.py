@@ -6,6 +6,8 @@ larger wraparound-free ring, the odd-times-power-of-two re-indexing
 indeterminate itself (Schoenhage for x^N - 1, Nussbaumer for x^N + 1),
 which place no root-of-unity condition on the coefficient modulus.
 Chains compose these steps and finish with the source-ring reduction.
+Each executor is a ``bigmod.LiftedExecutor``; a chain's, over q, holds
+its terminal step's executor as its one table.
 """
 
 from __future__ import annotations
@@ -469,15 +471,13 @@ class BlockExecutor(bigmod.LiftedExecutor):
         return _nussbaumer(x[:, None], y[:, None], self.schedule, p)[:, 0]
 
 
-class ChainExecutor:
-    """Plan executor of an embedding chain: pad into a wraparound-free ring,
-    run the terminal step there (over the lift modulus, or the basis that
-    replaces it, when there is one), then fold mod phi, mod q.  Operands
-    become int64 arrays once, and the product a Poly once.
-
-    The chain's shape is checked here; the terminal step's executor and
-    its tables are built on first use.  ``step`` is the terminal step, or
-    None when the chain names none (a plain transform then).
+class ChainExecutor(bigmod.LiftedExecutor):
+    """Plan executor of an embedding chain, over q: pad into a
+    wraparound-free ring, run the terminal step there (over the lift
+    modulus, or the basis that replaces it, when there is one), then fold
+    mod phi, mod q.  The chain's shape is checked here; its table is the
+    terminal step's executor.  ``step`` is the terminal step, or None when
+    the chain names none (a plain transform then).
     """
 
     def __init__(self, ring: RingSpec, chain: EmbedChain):
@@ -496,30 +496,23 @@ class ChainExecutor:
             expected = step.h << step.k if isinstance(step, Good) else 2 * step.m * step.n
             if pad.n_prime != expected:
                 raise ChainMismatch(f"terminal step expects length {expected}, pad gives {pad.n_prime}")
-        self.ring, self.chain, self.pad, self.lift, self.step = ring, chain, pad, lift, step
+        super().__init__(ring, ring.q)
+        self.chain, self.pad, self.lift, self.step = chain, pad, lift, step
 
-    @cached_property
-    def terminal(self):
+    def table(self, p: int) -> bigmod.LiftedExecutor:  # the terminal step's executor
         ring, pad, step = self.ring, self.pad, self.step or PlainNtt()
         work = ring if self.in_place else RingSpec(pad.form, pad.n_prime, ring.q)
         N, basis = (self.lift.modulus, self.lift.basis) if self.lift else (ring.q, ())
         if isinstance(step, Good):
             return GoodExecutor(work, step.h, step.k, N, basis)
-        if not isinstance(step, PlainNtt):
-            return BlockExecutor(work, step, N, basis)
-        if self.lift:
+        if isinstance(step, PlainNtt):
             return bigmod.BigPrimeExecutor(work, N, step.beta, basis)
-        return polymul.DirectExecutor(work, step.beta)
+        return BlockExecutor(work, step, N, basis)
 
-    def multiply(self, a: Poly, b: Poly) -> Poly:
-        if a.ring != self.ring or b.ring != self.ring:
-            raise RingMismatch("operands do not live in the plan's ring")
-        x, y = a.to_array(), b.to_array()
+    def run(self, x, y, terminal):
         if self.in_place:  # ring already has the terminal shape: no embedding
-            c = self.terminal.product(x, y)
-        else:
-            c = padded_product(x, y, self.ring, self.pad.n_prime, self.terminal.product)
-        return Poly.from_array(c, self.ring)
+            return terminal.product(x, y)
+        return padded_product(x, y, self.ring, self.pad.n_prime, terminal.product)
 
 
 def general_phi_multiply(a: Poly, b: Poly, chain: EmbedChain) -> Poly:

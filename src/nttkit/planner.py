@@ -16,7 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from math import gcd, prod
 
-from . import bigmod, embed, polymul, splitting, trinomial
+from . import bigmod, embed, splitting, trinomial
 from .errors import NoStrategy, ParameterCondition, ShapeCondition, UnknownPreset
 from .modarith import MODULUS_CEILING, is_prime, vectorized
 from .rings import TRINOMIAL, XN_MINUS_1, XN_PLUS_1, Poly, RingSpec, is_pow2
@@ -116,7 +116,7 @@ class NttPlan:
     @property
     def pair(self):
         """The transform pair of a direct (full/incomplete) plan, else None."""
-        return self.executor.pair if isinstance(self.executor, polymul.DirectExecutor) else None
+        return self.executor.tables[0] if self.strategy in ("full", "incomplete") else None
 
     def describe(self) -> str:
         bits = [self.strategy]
@@ -239,14 +239,14 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
 
     if cls.kind == POW2_FULL and prefer in ("auto", "full"):
         checks.append(_cong_check(q, _full_order(ring.form, n), "full transform"))
-        return plan("full", polymul.DirectExecutor(ring, 0))
+        return plan("full", bigmod.BigPrimeExecutor(ring, q))
 
     if cls.kind in (POW2_FULL, POW2_PARTIAL):
         t = cls.deficit
         if prefer in ("auto", "incomplete"):
             b = beta if beta is not None else t
             checks.append(_cong_check(q, _full_order(ring.form, n) >> b, f"incomplete beta={b}"))
-            return plan("incomplete", polymul.DirectExecutor(ring, b))
+            return plan("incomplete", bigmod.BigPrimeExecutor(ring, q, b))
         if prefer in ("split-pt", "split-k"):
             a_ = alpha if alpha is not None else t
             checks.append(_cong_check(q, _full_order(ring.form, n) >> a_, f"split alpha={a_}"))

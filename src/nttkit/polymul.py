@@ -433,21 +433,3 @@ def ntt_multiply(a: Poly, b: Poly, pair: TransformPair, use_karatsuba=False, hal
         raise RingMismatch("operands do not live in the pair's ring")
     return Poly.from_array(pair.product(a.coeffs, b.coeffs, use_karatsuba, halving), pair.ring)
 
-
-class DirectExecutor:
-    """Plan executor of the full and incomplete routes; the pair is built on first use."""
-
-    def __init__(self, ring: RingSpec, beta: int):
-        check_pair_ring(ring, beta)
-        self.ring, self.beta = ring, beta
-
-    @cached_property
-    def pair(self) -> TransformPair:
-        return make_transform_pair(self.ring, self.beta)
-
-    def multiply(self, a: Poly, b: Poly) -> Poly:
-        return ntt_multiply(a, b, self.pair)
-
-    def product(self, x, y) -> np.ndarray:
-        """``multiply`` on coefficient arrays, returning the product's buffer."""
-        return self.pair.product(x, y)

@@ -14,15 +14,16 @@ are accumulated in the transform domain:
 * k:   one-iteration Karatsuba on symmetric cross-product pairs.
 * h:   k plus a cropped (incomplete) inner transform and Karatsuba leaf
        products, weakening the congruence to 2n/2^(alpha+beta).
+
+A plan runs ``SplitExecutor``, a ``bigmod.LiftedExecutor`` over q whose
+one table is the inner pair.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from . import polymul, transforms
+from . import bigmod, polymul, transforms
 from .errors import BadAlpha, RingMismatch
 from .rings import XN_MINUS_1, XN_PLUS_1, Poly, RingSpec
 from .transforms import NttDomainPoly
@@ -107,27 +108,19 @@ def hntt_multiply(a: Poly, b: Poly, alpha: int, beta: int, inner=None) -> Poly:
     return _strategy_multiply(a, b, alpha, beta, inner, karatsuba_cross=True, karatsuba_leaf=True)
 
 
-class SplitExecutor:
-    """Plan executor of split-pt, split-k and hntt: the (cropped) inner pair
-    over the split ring, built on first use.  ``product`` is the route on
-    int64 coefficient arrays; ``multiply`` wraps it for Polys."""
+class SplitExecutor(bigmod.LiftedExecutor):
+    """Plan executor of split-pt, split-k and hntt, over q: its table is
+    the (cropped) inner pair over the split ring."""
 
     def __init__(self, ring: RingSpec, alpha: int, beta: int, karatsuba_cross: bool,
                  karatsuba_leaf: bool):
         polymul.check_pair_ring(_small_ring(ring, alpha), beta)
-        self.ring, self.alpha, self.beta = ring, alpha, beta
+        super().__init__(ring, ring.q)
+        self.alpha, self.beta = alpha, beta
         self.karatsuba = (karatsuba_cross, karatsuba_leaf)
 
-    @cached_property
-    def inner(self) -> polymul.TransformPair:
+    def table(self, p: int) -> polymul.TransformPair:
         return polymul.make_transform_pair(_small_ring(self.ring, self.alpha), self.beta)
 
-    def multiply(self, a: Poly, b: Poly) -> Poly:
-        if a.ring != self.ring or b.ring != self.ring:
-            raise RingMismatch("operands do not live in the executor's ring")
-        return Poly.from_array(self.product(a.to_array(), b.to_array()), self.ring)
-
-    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The ring product of two int64 arrays of canonical coefficients,
-        as a buffer of canonical residues mod q."""
-        return _split_product(x, y, self.alpha, self.inner, *self.karatsuba)
+    def run(self, x, y, inner):
+        return _split_product(x, y, self.alpha, inner, *self.karatsuba)

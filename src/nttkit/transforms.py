@@ -33,12 +33,12 @@ On int64 buffers the levels run as merged stages (Seiler, eprint
 to ``STAGE_CAP`` with 2^k (q-1)^2 < 2^63, so no matmul row sum leaves
 int64.  A schedule builds its stage matrices on its first transform, by
 running each group's own levels on one-hot inputs.  The levels run one
-at a time (one reshape-and-broadcast each) where k is below 2, on
-``object`` buffers, for an ``on_level`` caller and on a schedule built
-for one call.  The pure-Python kernel on a list stays as the test
-reference.  All three give identical values, and op counts always count
-the radix-2 levels.  A transform returns its buffer; only an inverse
-turns one back into a Poly.
+at a time (one reshape-and-broadcast each) only on ``object`` buffers,
+for an ``on_level`` caller and on a schedule built for one call.  The
+pure-Python kernel on a list stays as the test reference.  All three
+give identical values, and op counts always count the radix-2 levels.
+A transform returns its buffer; only an inverse turns one back into a
+Poly.
 """
 
 from __future__ import annotations
@@ -291,8 +291,8 @@ class Schedule:
         return self._stages(halving=True)
 
     def _stages(self, halving: bool) -> tuple:
-        """The levels as merged stages; () when there are none or
-        ``stage_width`` is below 2.
+        """The levels as merged stages; () when there are none or q is
+        at or above 2^31 (``stage_width`` 0).
 
         Each group's own levels run once on 2^k one-hot inputs, batched
         along a last axis that stands in for the chunk: column c of a
@@ -300,7 +300,7 @@ class Schedule:
         """
         q = self.table.modulus
         k = stage_width(q)
-        if k < 2 or not self.levels:
+        if not k or not self.levels:
             return ()
         block_tw = _block_twiddled(self.spec)
         level = ct_level if self.spec.butterfly == CT else gs_level
@@ -346,7 +346,8 @@ def stage_width(q: int) -> int:
     """Levels per merged stage mod q: the largest k <= ``STAGE_CAP`` with
     2^k (q-1)^2 < 2^63, so no row sum of a stage matmul leaves int64.
 
-    Below 2 (q above 1518500250) the levels run one by one.
+    At least 1 for every q below 2^31, since 2 (q-1)^2 < 2^63 there: every
+    int64 buffer runs stages, one level each for q above 1518500250.
     """
     k = 0
     while k < STAGE_CAP and (q - 1) ** 2 << (k + 1) < 2**63:
@@ -470,14 +471,14 @@ def run_levels(buf, q: int, sched: Schedule, halving=False, on_level=None) -> No
     """Apply every level of ``sched`` to ``buf`` in place.
 
     An int64 buffer runs the merged stages (one matmul per group of
-    levels, see ``stage_width``); a buffer mod a q too wide to merge, an
-    ``object`` buffer, a one-call schedule (``merge`` off) or an
-    ``on_level`` caller runs the array kernel one level at a time (one
-    reshape-and-broadcast per level); a list runs the pure-Python
-    reference kernel (one loop over the level's butterflies; it takes no
-    halving).  All give the same values and op counts, which count the
-    radix-2 levels.  ``halving`` folds a division by 2 into each level (odd
-    q only) and ``on_level(level, values)`` sees the values after each level.
+    levels, see ``stage_width``); an ``object`` buffer, a one-call
+    schedule (``merge`` off) or an ``on_level`` caller runs the array
+    kernel one level at a time (one reshape-and-broadcast per level); a
+    list runs the pure-Python reference kernel (one loop over the level's
+    butterflies; it takes no halving).  All give the same values and op
+    counts, which count the radix-2 levels.  ``halving`` folds a division
+    by 2 into each level (odd q only) and ``on_level(level, values)`` sees
+    the values after each level.
     """
     vec = isinstance(buf, np.ndarray)
     stages = ()

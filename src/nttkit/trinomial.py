@@ -11,6 +11,8 @@ n/6) is a cyclic transform of n/6 length-3 chunks twisted by psi^t: a
 block twiddle of the cyclic schedule with exponent e becomes
 psi^(t*half + 6e), and the leaves x^3 - psi^(t + 6*brv(p)).  Both halves
 run as one forward and one inverse ``transforms.Schedule``.
+A plan runs ``TrinomialExecutor``, a ``bigmod.LiftedExecutor`` over q
+whose one table is the ``TrinomialPlan``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from math import gcd
 
 import numpy as np
 
-from . import modarith, polymul, transforms
-from .errors import ParameterCondition, PlanMismatch
+from . import bigmod, modarith, polymul, transforms
+from .errors import LengthMismatch, ParameterCondition, PlanMismatch
 from .modarith import find_root, is_prime, mod_inv
 from .rings import TRINOMIAL, Poly, RingSpec
 from .transforms import CYCLIC_BLOCK_PAIR
@@ -111,15 +113,18 @@ def make_plan(ring: RingSpec) -> TrinomialPlan:
                          _schedule(CYCLIC_BLOCK_PAIR[1], modarith.build_twiddles(psi, n, q, inverse=True), m))
 
 
-def trinomial_forward(a: Poly, plan: TrinomialPlan) -> TrinomialDomainPoly:
-    if a.ring != plan.ring:
+def trinomial_forward(a, plan: TrinomialPlan, ring=None) -> TrinomialDomainPoly:
+    """Forward transform of a Poly, or, with ``ring``, of a length-n array
+    or list of canonical residues over that ring, into a fresh buffer."""
+    if ring is None:
+        ring, a = a.ring, a.coeffs
+    if ring != plan.ring:
         raise PlanMismatch("polynomial ring does not match the plan")
     n, q = plan.n, plan.q
-    ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.forward_transforms += 1
+    if len(a) != n:
+        raise LengthMismatch(f"expected {n} coefficients, got {len(a)}")
     half = n // 2
-    vals = transforms.buffer(a.coeffs, q)
+    vals = transforms.buffer(a, q)
     # split level: 1 mult, 2 adds, 1 sub per pair
     lo, hi = vals[:half], vals[half:]
     t = hi * plan.zeta1
@@ -129,7 +134,9 @@ def trinomial_forward(a: Poly, plan: TrinomialPlan) -> TrinomialDomainPoly:
     hi %= q
     lo += t
     lo %= q
+    ctr = modarith.active_counter()
     if ctr is not None:
+        ctr.forward_transforms += 1
         ctr.mults += half
         ctr.adds += 2 * half
         ctr.subs += half
@@ -137,14 +144,13 @@ def trinomial_forward(a: Poly, plan: TrinomialPlan) -> TrinomialDomainPoly:
     return TrinomialDomainPoly(vals, plan)
 
 
-def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan) -> Poly:
+def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan, as_buffer=False):
+    """Inverse transform back to a Poly, or with ``as_buffer`` to its
+    buffer of canonical residues; ``ahat.values`` is never mutated."""
     if ahat.plan is not plan and ahat.plan != plan:
         raise PlanMismatch("domain values were produced under a different plan")
     n, q = plan.n, plan.q
     vals = transforms.buffer(ahat.values, q)
-    ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.inverse_transforms += 1
     half = n // 2
     transforms.run_levels(vals, q, plan.inverse)
     # undo the split level exactly: invert [[1, z1], [1, z2]]
@@ -158,17 +164,17 @@ def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan) -> Poly:
     r -= l
     r %= q
     r *= det_inv
-    if ctr is not None:
-        ctr.mults += 4 * half
+    levels = len(plan.inverse.levels)
+    ctr = modarith.active_counter()
+    if ctr is not None:  # the unsplit, and the final scaling when there are levels
+        ctr.inverse_transforms += 1
+        ctr.mults += 4 * half + (n if levels else 0)
         ctr.adds += half
         ctr.subs += half
-    levels = len(plan.inverse.levels)
-    if levels and ctr is not None:
-        ctr.mults += n
     vals %= q
     vals *= mod_inv(1 << levels, q)
     vals %= q
-    return Poly.from_array(vals, plan.ring)
+    return vals if as_buffer else Poly.from_array(vals, plan.ring)
 
 
 def trinomial_pointwise(u, v, psi_j: int, q: int) -> list:
@@ -185,10 +191,10 @@ def trinomial_pointwise(u, v, psi_j: int, q: int) -> list:
     return [c0, c1, c2]
 
 
-def trinomial_multiply(a: Poly, b: Poly, plan: TrinomialPlan) -> Poly:
-    """Forward both operands, multiply the degree-2 leaves, invert."""
-    A = trinomial_forward(a, plan)
-    B = trinomial_forward(b, plan)
+def _leaf_product(A: TrinomialDomainPoly, B: TrinomialDomainPoly) -> np.ndarray:
+    """The degree-2 leaf products of two forward images, inverted: the
+    product's buffer."""
+    plan = A.plan
     U, V = A.values.reshape(-1, 3).T, B.values.reshape(-1, 3).T
     vals = polymul.leaf_products(U, V, plan.leaf_vector, plan.q).T.ravel()
     ctr = modarith.active_counter()
@@ -196,19 +202,25 @@ def trinomial_multiply(a: Poly, b: Poly, plan: TrinomialPlan) -> Poly:
         leaves = len(plan.leaf_constants)
         ctr.mults += 11 * leaves
         ctr.adds += 5 * leaves
-    return trinomial_inverse(TrinomialDomainPoly(vals, plan), plan)
+    return trinomial_inverse(TrinomialDomainPoly(vals, plan), plan, as_buffer=True)
 
 
-class TrinomialExecutor:
-    """Plan executor of the trinomial route; its TrinomialPlan is built on first use."""
+def trinomial_multiply(a: Poly, b: Poly, plan: TrinomialPlan) -> Poly:
+    """Forward both operands, multiply the degree-2 leaves, invert."""
+    return Poly.from_array(_leaf_product(trinomial_forward(a, plan), trinomial_forward(b, plan)),
+                           plan.ring)
+
+
+class TrinomialExecutor(bigmod.LiftedExecutor):
+    """Plan executor of the trinomial route, over q: its table is the
+    TrinomialPlan."""
 
     def __init__(self, ring: RingSpec):
         check_ring(ring)
-        self.ring = ring
+        super().__init__(ring, ring.q)
 
-    @cached_property
-    def plan(self) -> TrinomialPlan:
+    def table(self, p: int) -> TrinomialPlan:
         return make_plan(self.ring)
 
-    def multiply(self, a: Poly, b: Poly) -> Poly:
-        return trinomial_multiply(a, b, self.plan)
+    def run(self, x, y, plan):
+        return _leaf_product(trinomial_forward(x, plan, self.ring), trinomial_forward(y, plan, self.ring))

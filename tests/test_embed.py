@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nttkit import bigmod, embed, modarith, planner, polymul
+from nttkit import bigmod, embed, modarith, planner, polymul, trinomial
 from nttkit.embed import (
     SCHOOLBOOK_FLOOR,
     EmbedChain,
@@ -41,7 +41,7 @@ from nttkit.polymul import (
     schoolbook_linear,
     schoolbook_nwc,
 )
-from nttkit.rings import GENERAL, Poly, RingSpec, XN_MINUS_1, XN_MINUS_X_MINUS_1, XN_PLUS_1
+from nttkit.rings import GENERAL, TRINOMIAL, Poly, RingSpec, XN_MINUS_1, XN_MINUS_X_MINUS_1, XN_PLUS_1
 from nttkit.trinomial import trinomial_pointwise
 
 
@@ -505,14 +505,27 @@ def test_unlifted_block_terminal_skips_the_lift(monkeypatch, rng):
     assert calls == ["lift", "lift", "recover"]
 
 
-CHAIN_PRESETS = ("ntru-701", "ntru-509", "ntruprime-761-good", "ntruprime-761-schonhage")
+# every preset, a split plan and a trinomial plan: one plan of every executor
+PLAN_NAMES = (*planner.preset_names(), "kyber-hntt", "trinomial-768")
 
 
-@pytest.mark.parametrize("name", CHAIN_PRESETS)
+def _plan(name):
+    """(ring, plan) of a preset, of hntt (alpha = beta = 1) on the kyber
+    ring, or of the n = 768, q = 7681 trinomial ring."""
+    if name == "kyber-hntt":
+        ring = planner.preset("kyber")[0]
+        return ring, planner.make_plan(ring, "hntt", alpha=1, beta=1)
+    if name == "trinomial-768":
+        ring = RingSpec(TRINOMIAL, 768, 7681)
+        return ring, planner.make_plan(ring)
+    return planner.preset(name)
+
+
+@pytest.mark.parametrize("name", PLAN_NAMES)
 def test_chain_plan_refuses_another_ring(name, rng):
     # a plan's checks hold for its own ring only: a degree-300 ring over the
-    # same q is refused, even when both operands live in it
-    ring, plan = planner.preset(name)
+    # same q is refused, even when both operands live in it, by every route
+    ring, plan = _plan(name)
     other = RingSpec(XN_MINUS_1, 300, ring.q)
     x = Poly.random(other, rng)
     with pytest.raises(RingMismatch):
@@ -521,18 +534,16 @@ def test_chain_plan_refuses_another_ring(name, rng):
         planner.multiply(Poly.random(ring, rng), x, plan)
 
 
-def _lifted_and_embedded_plans():
-    names = [n for n in planner.preset_names()
-             if planner.preset(n)[1].strategy in ("bigprime", "rns", "composite", "embed")]
+def _every_plan():
     general = RingSpec(GENERAL, 12, 7681, (3, 0, 5, 7680, 0, 0, 1, 0, 2, 0, 0, 4, 1))
-    return [planner.preset(n) for n in names] + [(general, planner.make_plan(general))]
+    return [_plan(n) for n in PLAN_NAMES] + [(general, planner.make_plan(general))]
 
 
 def test_no_poly_is_validated_mid_product(monkeypatch, rng):
     # operands are built first; from then on a product converts each operand
     # once and builds its result with Poly.from_array, which skips the
     # per-coefficient check, and every table is built once, on first use
-    cases = [(plan, *planner.sample_operands(ring, plan, rng)) for ring, plan in _lifted_and_embedded_plans()]
+    cases = [(plan, *planner.sample_operands(ring, plan, rng)) for ring, plan in _every_plan()]
     assert any(plan.ring.form == GENERAL for plan, _, _ in cases)
     wants = [oracle_multiply(a, b) for _, a, b in cases]
 
@@ -545,6 +556,7 @@ def test_no_poly_is_validated_mid_product(monkeypatch, rng):
     monkeypatch.setattr(embed, "block_schedule", boom)
     monkeypatch.setattr(embed, "good_index", boom)
     monkeypatch.setattr(polymul, "make_transform_pair", boom)
+    monkeypatch.setattr(trinomial, "make_plan", boom)
     for (plan, a, b), want in zip(cases, wants):
         assert planner.multiply(b, a, plan) == want, plan.describe()
 

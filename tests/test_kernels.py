@@ -12,8 +12,8 @@ the primes on either side of it.
 The merged int64 stages are swept against the reference kernel on
 generated (n, q) for every spec, beta, halving mode and stage width,
 trinomial chunk-3 schedules included; the width rule is pinned at each
-of its boundaries, and every preset that can merge is shown to run no
-per-level kernel.
+of its boundaries, and every preset that runs a transform is shown to
+run no per-level kernel.
 """
 
 from unittest import mock
@@ -284,6 +284,14 @@ def test_threshold_picks_the_kernel(direction, monkeypatch, rng):
     assert got.values.dtype == dtype
     assert (got.values.tolist(), c) == (want, ref)
     assert ntt_multiply(a, b, pair, use_karatsuba=True) == oracle_multiply(a, b)
+    if direction < 0:
+        # the top of int64 still merges: stages of width 1, one per level ...
+        assert transforms.stage_width(q) == 1
+        for sched in (pair.fwd_sched, pair.inv_sched):
+            assert len(sched.stages) == len(sched.levels)
+        # ... and the all-(q-1) product runs on them alone
+        _forbid(monkeypatch, "ct_level", "gs_level")
+        assert ntt_multiply(a, b, pair, use_karatsuba=True) == oracle_multiply(a, b)
 
 
 @pytest.mark.parametrize("q", [7681, BIG_PRIMES[0]], ids=["int64", "object"])
@@ -392,7 +400,7 @@ def merge_cases(draw):
     beta = draw(st.integers(0, logn - 1))
     order = (2 * n if kind == NWC else n) >> beta
     q = friendly_prime(draw(st.integers(2, 2**29)), order)
-    k = draw(st.integers(2, transforms.STAGE_CAP))
+    k = draw(st.integers(1, transforms.STAGE_CAP))
     return kind, n, q, beta, k, draw(edge_or_random(n, q))
 
 
@@ -419,7 +427,7 @@ def trinomial_merge_cases(draw):
     e = draw(st.integers(2, 7))
     n = 3 << e
     q = friendly_prime(draw(st.integers(2, 2**29)), n)
-    return RingSpec(TRINOMIAL, n, q), draw(st.integers(2, transforms.STAGE_CAP))
+    return RingSpec(TRINOMIAL, n, q), draw(st.integers(1, transforms.STAGE_CAP))
 
 
 @BUDGET
@@ -448,10 +456,12 @@ def width_boundary(k):
     return isqrt((2**63 - 1) >> k) + 1
 
 
-@pytest.mark.parametrize("k", range(2, transforms.STAGE_CAP + 1))
+@pytest.mark.parametrize("k", range(1, transforms.STAGE_CAP + 1))
 def test_width_rule_at_its_boundary(k):
     top = width_boundary(k)
     assert (top - 1) ** 2 << k < 2**63 <= top**2 << k
+    if k == 1:  # every modulus of an int64 buffer merges
+        assert top == modarith.VECTOR_LIMIT
     assert transforms.stage_width(top) == k
     assert transforms.stage_width(top + 1) == k - 1
     # a full-width stage of all q-1 on all q-1 is exact at the boundary ...
@@ -496,18 +506,19 @@ def test_width_rule_primes_match_object_buffers(k, form, rng):
 
         got = run()
         sched = got[3].fwd_sched
-        assert len(sched.stages) == (0 if width < 2 else -(-len(sched.levels) // width))
+        assert len(sched.stages) == -(-len(sched.levels) // width)
         with mock.patch.object(transforms, "buffer_dtype", lambda q: object):
             want = run()
         assert got[:3] == want[:3]
         assert got[2] == [oracle_multiply(ops[0], b).coeffs for b in ops]
 
 
-# every preset whose working moduli all have a stage width of at least 2
+# every preset that runs a transform: each of its working moduli is below
+# 2^31, so has a stage width of at least 1
 MERGED_PRESETS = ("dilithium", "falcon-1024", "falcon-512", "kyber", "kyber-r1",
-                  "lightsaber-m4", "ntru-677", "ntru-701", "ntru-821", "ntruprime-653-good",
-                  "ntruprime-761-good", "ntruprime-857-good", "saber-avx2", "saber-m3",
-                  "saber-m4")
+                  "lightsaber-m4", "ntru-509", "ntru-677", "ntru-701", "ntru-821",
+                  "ntruprime-653-good", "ntruprime-761-good", "ntruprime-857-good", "saber-avx2",
+                  "saber-m3", "saber-m4")
 
 
 def test_presets_run_the_merged_stages(rng):
@@ -527,22 +538,13 @@ def test_presets_run_the_merged_stages(rng):
             runs[name] = (plan, sample_operands(ring, plan, rng))
             multiply(*runs[name][1], plan)  # builds every table and stage
     merge = {name for name, qs in seen.items()
-             if qs and min(map(transforms.stage_width, qs)) >= 2}
+             if qs and min(map(transforms.stage_width, qs)) >= 1}
     assert merge == set(MERGED_PRESETS)
-    # the per-level kernel never runs for them ...
+    # the per-level kernel never runs for them
     with mock.patch.multiple(transforms, ct_level=_boom, gs_level=_boom):
         for name in MERGED_PRESETS:
             plan, (a, b) = runs[name]
             assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs, name
-    # ... and still does for ntru-509 (2134904833 is too wide to merge)
-    assert transforms.stage_width(max(seen["ntru-509"])) < 2
-    calls = []
-    ct_level = transforms.ct_level
-    with mock.patch.object(transforms, "ct_level",
-                           lambda *args: calls.append(args) or ct_level(*args)):
-        plan, (a, b) = runs["ntru-509"]
-        assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs
-    assert calls
 
 
 def test_on_level_and_one_shot_calls_run_level_by_level(rng):

@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from nttkit.errors import ParameterCondition, PlanMismatch
+from nttkit.errors import LengthMismatch, ParameterCondition, PlanMismatch
 from nttkit.polymul import reduce_mod_phi, schoolbook_linear
 from nttkit.rings import Poly, RingSpec, TRINOMIAL
 from nttkit.trinomial import (
@@ -66,6 +66,10 @@ def test_round_trip(n, q, rng):
     for _ in range(10):
         a = Poly.random(ring, rng)
         assert trinomial_inverse(trinomial_forward(a, plan), plan).coeffs == a.coeffs
+        # the array path of a plan's executor: same images, a buffer back
+        ahat = trinomial_forward(a.to_array(), plan, ring)
+        assert ahat == trinomial_forward(a, plan)
+        assert trinomial_inverse(ahat, plan, as_buffer=True).tolist() == a.coeffs
 
 
 def test_inverse_linearity(rng):
@@ -118,3 +122,7 @@ def test_plan_mismatch_guard(rng):
         trinomial_inverse(ah, p2)
     with pytest.raises(PlanMismatch):
         trinomial_forward(a, p2)
+    with pytest.raises(PlanMismatch):
+        trinomial_forward(a.to_array(), p2, a.ring)
+    with pytest.raises(LengthMismatch):
+        trinomial_forward(a.to_array()[:3], p1, a.ring)
