@@ -6,7 +6,8 @@ several, or the composite N itself with a principal root of unity.  A
 residue number system is also how a planned route runs a working
 modulus N >= 2^31: on primes below 2^31, so its transforms stay int64.
 Coefficients cross the boundary in centered form; the two conversion
-functions below are the only places the sign convention appears.
+functions below are the only places the sign convention appears, and
+``garner`` is the one CRT, for recovery and the composite root search.
 ``LiftedExecutor`` is the base of every plan executor; the unlifted
 routes run on it with N == q.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iterproduct
 from math import prod
 
 import numpy as np
@@ -86,17 +86,15 @@ def lift_centered(x: np.ndarray, q: int) -> LiftedPoly:
     return LiftedPoly(c, int(np.abs(c).max()), eff)
 
 
-def recover_centered(residues, moduli, q: int) -> np.ndarray:
-    """Map one residue array per working modulus back into Z_q, as an
-    int64 array; the residues are never mutated.
-
-    Garner's mixed-radix CRT gives the value v in [0, P), P the product
-    of the moduli, one modulus at a time; v then goes through [-P/2, P/2)
-    into Z_q.  With several moduli each is below 2^31, so every digit
-    product stays below 2^62, and v < P <= 2^42: all of it is int64 (an
-    ``object`` residue buffer of a lone modulus >= 2^31 converts).
+def garner(residues, moduli) -> np.ndarray:
+    """Per array entry, the v in [0, P) with v = residues[i] mod moduli[i],
+    P <= 2^42 the product of the distinct primes ``moduli``, by Garner's
+    mixed-radix CRT, one modulus at a time; the residues are never mutated.
+    The result is int64 while every modulus after the first is below 2^31,
+    so each digit product stays below 2^62, and ``object`` otherwise.
     """
-    v, P = np.array(residues[0], dtype=np.int64), moduli[0]
+    dtype = np.int64 if all(map(modarith.vectorized, moduli[1:])) else object
+    v, P = np.array(residues[0], dtype=dtype), moduli[0]
     for r, p in zip(residues[1:], moduli[1:]):
         d = (r - v) % p
         d *= modarith.mod_inv(P % p, p)
@@ -104,6 +102,18 @@ def recover_centered(residues, moduli, q: int) -> np.ndarray:
         d *= P
         v += d
         P *= p
+    return v
+
+
+def recover_centered(residues, moduli, q: int) -> np.ndarray:
+    """Map one residue array per working modulus back into Z_q, as an
+    int64 array; the residues are never mutated.
+
+    ``garner`` gives v in [0, P); v then goes through [-P/2, P/2) into Z_q.
+    With several moduli each is below 2^31, so all of it is int64 (an
+    ``object`` residue buffer of a lone modulus >= 2^31 converts).
+    """
+    v, P = garner(residues, moduli), prod(moduli)
     v -= (v > (P - 1) // 2) * P
     v %= q
     return v
@@ -237,29 +247,6 @@ class RnsBasis:
     def product(self) -> int:
         return prod(self.primes)
 
-    @cached_property
-    def _garner(self) -> tuple:
-        N = self.product
-        out = []
-        for p in self.primes:
-            M = N // p
-            out.append((M, modarith.mod_inv(M % p, p)))
-        return tuple(out)
-
-    def reduce(self, value: int) -> tuple:
-        return tuple(value % p for p in self.primes)
-
-
-def crt_recombine(residues, basis: RnsBasis) -> int:
-    """The unique value in [0, N) matching every residue."""
-    if len(residues) != len(basis.primes):
-        raise ValueError("residue count does not match the basis")
-    N = basis.product
-    acc = 0
-    for r, p, (M, Minv) in zip(residues, basis.primes, basis._garner):
-        acc = (acc + (r * Minv % p) * M) % N
-    return acc
-
 
 class RnsExecutor(BigPrimeExecutor):
     """Plan executor of the RNS route: the big-prime pipeline over each
@@ -289,8 +276,8 @@ def find_principal_root_composite(k: int, basis: RnsBasis) -> int:
     for p in basis.primes:
         if (p - 1) % k != 0:
             raise NoSuchRoot(f"{k} does not divide {p}-1 (gcd condition fails)")
-    sets = [modarith.root_candidates_prime(k, p) for p in basis.primes]
-    best = min(crt_recombine(combo, basis) for combo in iterproduct(*sets))
+    sets = [list(modarith.root_candidates_prime(k, p)) for p in basis.primes]
+    best = int(garner(np.meshgrid(*sets), basis.primes).min())
     if not is_principal_root(best, k, basis.product):
         raise InvalidRoot(f"CRT lift {best} is not a principal {k}-th root mod {basis.product}")
     return best

@@ -337,7 +337,7 @@ def cmd_plan(args) -> int:
         spec = plan.pair.fwd_spec
         print(f"# butterfly schedule, {spec.butterfly} {spec.in_order}->{spec.out_order}")
         cur = None
-        for lvl, lo, hi, e in transforms.butterfly_schedule(spec, ring.n):
+        for lvl, lo, hi, e in transforms.butterfly_schedule(plan.pair.fwd_sched):
             if lvl != cur:
                 print(f"level {lvl}:")
                 cur = lvl

@@ -12,7 +12,7 @@ its terminal step's executor as its one table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 
@@ -431,22 +431,52 @@ class PlainNtt:
 
 @dataclass(frozen=True)
 class EmbedChain:
-    """Ordered embedding steps: optional ZeroPad, optional LiftModulus,
-    then one terminal multiplier (PlainNtt when omitted)."""
+    """Ordered embedding steps: ZeroPad, optional LiftModulus, optional
+    terminal multiplier, parsed once, here, into ``pad``, ``lift`` (or
+    None) and ``terminal`` (``PlainNtt()`` when the chain names none)."""
 
     steps: tuple
+    pad: ZeroPad = field(init=False, repr=False, compare=False)
+    lift: LiftModulus | None = field(init=False, repr=False, compare=False)
+    terminal: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen_terminal = False
-        for i, s in enumerate(self.steps):
-            if isinstance(s, ZeroPad) and i != 0:
+        if not self.steps or not isinstance(self.steps[0], ZeroPad):
+            raise ChainMismatch("general-phi chains start with ZeroPad")
+        pad, lift, terminal = self.steps[0], None, None
+        for s in self.steps[1:]:
+            if isinstance(s, ZeroPad):
                 raise ChainMismatch("ZeroPad must be the first step")
-            if isinstance(s, LiftModulus) and i > 1:
-                raise ChainMismatch("LiftModulus must precede the terminal step")
-            if isinstance(s, (Good, Schonhage, Nussbaumer, PlainNtt)):
-                if seen_terminal:
+            if isinstance(s, LiftModulus):
+                if lift is not None or terminal is not None:
+                    raise ChainMismatch("LiftModulus must precede the terminal step")
+                lift = s
+            elif isinstance(s, (Good, Schonhage, Nussbaumer, PlainNtt)):
+                if terminal is not None:
                     raise ChainMismatch("chain has more than one terminal step")
-                seen_terminal = True
+                terminal = s
+            else:
+                raise ChainMismatch(f"unknown chain step {s!r}")
+        if isinstance(terminal, (Good, Schonhage, Nussbaumer)):
+            expected = (terminal.h << terminal.k if isinstance(terminal, Good)
+                        else 2 * terminal.m * terminal.n)
+            if pad.n_prime != expected:
+                raise ChainMismatch(f"terminal step expects length {expected}, pad gives {pad.n_prime}")
+        object.__setattr__(self, "pad", pad)
+        object.__setattr__(self, "lift", lift)
+        object.__setattr__(self, "terminal", terminal or PlainNtt())
+
+    @property
+    def congruence(self) -> int:
+        """What every working modulus of the terminal must be 1 mod: 2^k for
+        Good, the padded transform order for a plain transform, and 2 (odd,
+        so 2n is invertible) for the block terminals."""
+        s = self.terminal
+        if isinstance(s, Good):
+            return 1 << s.k
+        if isinstance(s, PlainNtt):
+            return (self.pad.n_prime >> s.beta) * (2 if self.pad.form == XN_PLUS_1 else 1)
+        return 2
 
 
 class BlockExecutor(bigmod.LiftedExecutor):
@@ -475,32 +505,18 @@ class ChainExecutor(bigmod.LiftedExecutor):
     """Plan executor of an embedding chain, over q: pad into a
     wraparound-free ring, run the terminal step there (over the lift
     modulus, or the basis that replaces it, when there is one), then fold
-    mod phi, mod q.  The chain's shape is checked here; its table is the
-    terminal step's executor.  ``step`` is the terminal step, or None when
-    the chain names none (a plain transform then).
+    mod phi, mod q.  ``pad``, ``lift`` and ``step`` are the chain's
+    parsed steps; ``step`` is its terminal, a plain transform when the
+    chain names none.  Its table is the terminal step's executor.
     """
 
     def __init__(self, ring: RingSpec, chain: EmbedChain):
-        pad = lift = step = None
-        for s in chain.steps:
-            if isinstance(s, ZeroPad):
-                pad = s
-            elif isinstance(s, LiftModulus):
-                lift = s
-            else:
-                step = s
-        if pad is None:
-            raise ChainMismatch("general-phi chains start with ZeroPad")
-        self.in_place = pad.n_prime == ring.n and pad.form == ring.form
-        if isinstance(step, (Good, Schonhage, Nussbaumer)):
-            expected = step.h << step.k if isinstance(step, Good) else 2 * step.m * step.n
-            if pad.n_prime != expected:
-                raise ChainMismatch(f"terminal step expects length {expected}, pad gives {pad.n_prime}")
         super().__init__(ring, ring.q)
-        self.chain, self.pad, self.lift, self.step = chain, pad, lift, step
+        self.chain, self.pad, self.lift, self.step = chain, chain.pad, chain.lift, chain.terminal
+        self.in_place = chain.pad.n_prime == ring.n and chain.pad.form == ring.form
 
     def table(self, p: int) -> bigmod.LiftedExecutor:  # the terminal step's executor
-        ring, pad, step = self.ring, self.pad, self.step or PlainNtt()
+        ring, pad, step = self.ring, self.pad, self.step
         work = ring if self.in_place else RingSpec(pad.form, pad.n_prime, ring.q)
         N, basis = (self.lift.modulus, self.lift.basis) if self.lift else (ring.q, ())
         if isinstance(step, Good):

@@ -25,9 +25,6 @@ VECTOR_LIMIT = 1 << 31
 NATURAL = "natural"
 BIT_REVERSED = "bit_reversed"
 
-PRIMITIVE = "primitive"
-PRINCIPAL = "principal"
-
 
 def check_modulus(m: int) -> int:
     if not 2 <= m <= MODULUS_CEILING:
@@ -239,8 +236,9 @@ def root_candidates_prime(k: int, m: int):
     return (pow(r0, j, m) for j in range(1, k + 1) if gcd(j, k) == 1)
 
 
-def find_root(k: int, m: int, kind: str = PRIMITIVE) -> int:
-    """Smallest residue that is a primitive/principal k-th root mod m.
+def find_root(k: int, m: int) -> int:
+    """Smallest principal k-th root of unity mod m; for prime m, where
+    primitive and principal coincide, the smallest primitive one.
 
     For prime m the order-k elements are exactly the powers r0^j with
     gcd(j, k) = 1 of any one of them, so taking the minimum over that set
@@ -249,8 +247,6 @@ def find_root(k: int, m: int, kind: str = PRIMITIVE) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if kind not in (PRIMITIVE, PRINCIPAL):
-        raise ValueError(f"unknown root kind {kind!r}")
     check_modulus(m)
     if not is_prime(m):
         from . import bigmod  # deferred: bigmod depends on this module
@@ -259,10 +255,8 @@ def find_root(k: int, m: int, kind: str = PRIMITIVE) -> int:
     if (m - 1) % k != 0:
         raise NoSuchRoot(f"{k} does not divide {m}-1")
     best = min(root_candidates_prime(k, m))
-    # primitive and principal coincide for prime m; verify the request
-    test = is_primitive_root if kind == PRIMITIVE else is_principal_root
-    if not test(best, k, m):
-        raise NoSuchRoot(f"no {kind} {k}-th root mod {m}")
+    if not is_primitive_root(best, k, m):
+        raise NoSuchRoot(f"no primitive {k}-th root mod {m}")
     return best
 
 

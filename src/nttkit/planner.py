@@ -17,7 +17,7 @@ from importlib import resources
 from math import gcd, prod
 
 from . import bigmod, embed, splitting, trinomial
-from .errors import NoStrategy, ParameterCondition, ShapeCondition, UnknownPreset
+from .errors import NoStrategy, ParameterCondition, RingMismatch, ShapeCondition, UnknownPreset
 from .modarith import MODULUS_CEILING, is_prime, vectorized
 from .rings import TRINOMIAL, XN_MINUS_1, XN_PLUS_1, Poly, RingSpec, is_pow2
 from .transforms import NttDomainPoly
@@ -290,7 +290,7 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
 
     # non-power-of-two or general phi: embedding chains
     if chain is None:
-        chain = _default_chain(ring, cls, prefer, prof, N)
+        chain = _default_chain(ring, cls, prefer, N)
     executor = embed.ChainExecutor(ring, _resolve_chain(ring, chain, prof))
     checks.extend(_chain_checks(ring, executor, prof))
     return plan("embed", executor)
@@ -315,24 +315,22 @@ def _good_target(n2: int):
     return 3, k
 
 
-def _default_chain(ring: RingSpec, cls: RingClass, prefer: str, prof, N):
+def _default_chain(ring: RingSpec, cls: RingClass, prefer: str, N):
+    """The chain ``prefer`` names; ``_resolve_chain`` searches a lift left None."""
     n, q = ring.n, ring.q
     if cls.kind == NON_POW2 and cls.k > 0 and cls.h in (3, 5, 7, 9) and ring.form == XN_MINUS_1 \
             and prefer in ("auto", "good"):
         # already the Good shape: no padding step needed
-        bigN = N if N is not None else (q if (q - 1) % (1 << cls.k) == 0
-                                        else search_prime(1 << cls.k, bigmod.required_bound(n, q, prof)))
+        bigN = N if N is not None else (q if (q - 1) % (1 << cls.k) == 0 else None)
         return embed.EmbedChain((embed.ZeroPad(n, XN_MINUS_1), embed.LiftModulus(bigN),
                                  embed.Good(cls.h, cls.k)))
     if prefer in ("auto", "good"):
         h, k = _good_target(2 * n)
-        bigN = N if N is not None else search_prime(1 << k, bigmod.required_bound(n, q, prof))
-        return embed.EmbedChain((embed.ZeroPad(h << k, XN_MINUS_1), embed.LiftModulus(bigN),
+        return embed.EmbedChain((embed.ZeroPad(h << k, XN_MINUS_1), embed.LiftModulus(N),
                                  embed.Good(h, k)))
     if prefer == "pad-pow2":
         np_ = 1 << (2 * n - 1).bit_length()
-        bigN = N if N is not None else search_prime(np_, bigmod.required_bound(n, q, prof))
-        return embed.EmbedChain((embed.ZeroPad(np_, XN_MINUS_1), embed.LiftModulus(bigN),
+        return embed.EmbedChain((embed.ZeroPad(np_, XN_MINUS_1), embed.LiftModulus(N),
                                  embed.PlainNtt(0)))
     if prefer == "schonhage":
         np_ = 1 << (2 * n - 1).bit_length()
@@ -342,44 +340,25 @@ def _default_chain(ring: RingSpec, cls: RingClass, prefer: str, prof, N):
     raise NoStrategy(f"preference {prefer!r} does not apply to {cls.describe()}")
 
 
-def _terminal_congruence(chain: embed.EmbedChain) -> int:
-    """What every working modulus of the chain's terminal must be 1 mod:
-    2^k for Good, the padded transform order for a plain transform, and 2
-    (odd, so 2n is invertible) for the block terminals."""
-    pad = None  # ZeroPad comes first when there is one
-    for s in chain.steps:
-        if isinstance(s, embed.ZeroPad):
-            pad = s
-        elif isinstance(s, embed.Good):
-            return 1 << s.k
-        elif isinstance(s, embed.PlainNtt) and pad is not None:
-            return (pad.n_prime >> s.beta) * (2 if pad.form == XN_PLUS_1 else 1)
-    return 2
-
-
 def _resolve_chain(ring: RingSpec, chain, prof):
-    """Fill in a searched modulus (lift(None)) deterministically, and the
-    basis of primes below 2^31 that runs in place of a lift modulus >= 2^31."""
+    """Fill in a searched modulus (lift(None), 1 mod the chain's congruence)
+    and the basis of primes below 2^31 that runs in place of one >= 2^31."""
     if not isinstance(chain, embed.EmbedChain):
         chain = embed.EmbedChain(tuple(chain))
-    steps = chain.steps
-    for i, s in enumerate(steps):
-        if isinstance(s, embed.LiftModulus):
-            if s.basis or s.modulus == ring.q or s.modulus is not None and vectorized(s.modulus):
-                return chain
-            cong = _terminal_congruence(chain)
-            bound = bigmod.required_bound(ring.n, ring.q, prof)
-            N = s.modulus if s.modulus is not None else search_prime(cong, bound)
-            lift = embed.LiftModulus(N, () if vectorized(N) else search_basis(cong, bound))
-            return embed.EmbedChain(steps[:i] + (lift,) + steps[i + 1:])
-    return chain
+    s = chain.lift
+    if s is None or s.basis or s.modulus == ring.q or s.modulus is not None and vectorized(s.modulus):
+        return chain
+    cong, bound = chain.congruence, bigmod.required_bound(ring.n, ring.q, prof)
+    N = s.modulus if s.modulus is not None else search_prime(cong, bound)
+    lift = embed.LiftModulus(N, () if vectorized(N) else search_basis(cong, bound))
+    return embed.EmbedChain(tuple(lift if t is s else t for t in chain.steps))
 
 
 def _chain_checks(ring: RingSpec, ex: embed.ChainExecutor, prof):
-    """The chain's checks, in step order, from the steps its executor parsed."""
-    pad, lift, s = ex.pad, ex.lift, ex.step
-    checks = [(f"pad {pad.n_prime} >= 2n-1 = {2 * ring.n - 1}",
-               pad.n_prime >= 2 * ring.n - 1 or ex.in_place)]
+    """The chain's checks, in step order, from its parsed steps."""
+    chain, lift, s = ex.chain, ex.lift, ex.step
+    checks = [(f"pad {ex.pad.n_prime} >= 2n-1 = {2 * ring.n - 1}",
+               ex.pad.n_prime >= 2 * ring.n - 1 or ex.in_place)]
     moduli = (ring.q,)
     if lift and lift.modulus != ring.q:  # self-lifts wrap mod q by design
         checks.append(bigmod.bound_check(lift.modulus, ring, prof, f"lift modulus {lift.modulus}"))
@@ -388,17 +367,14 @@ def _chain_checks(ring: RingSpec, ex: embed.ChainExecutor, prof):
         moduli = lift.basis or (lift.modulus,)
     blocks = {embed.Schonhage: "schonhage", embed.Nussbaumer: "nussbaumer"}.get(type(s))
     if blocks:
-        checks.append((f"{blocks} shape 2mn = {2 * s.m * s.n}",
-                       pad.n_prime == 2 * s.m * s.n and embed.block_shape_fault(s) is None))
+        checks.append((f"{blocks} shape 2mn = {2 * s.m * s.n}", embed.block_shape_fault(s) is None))
     good = isinstance(s, embed.Good)
     for mod in moduli:
         if blocks:
             checks.append((f"2n = {2 * s.n} invertible mod {mod}", gcd(2 * s.n, mod) == 1))
-        elif good:
-            checks.append(_cong_check(mod, 1 << s.k, f"good rows over {mod}"))
-        elif s is not None:
-            need = (pad.n_prime >> s.beta) * (2 if pad.form == XN_PLUS_1 else 1)
-            checks.append(_cong_check(mod, need, f"padded transform over {mod}"))
+        else:
+            what = "good rows" if good else "padded transform"
+            checks.append(_cong_check(mod, chain.congruence, f"{what} over {mod}"))
         if (blocks or good) and not vectorized(mod):
             checks.append((f"terminal modulus {mod} < 2^31 (int64 arrays)", False))
     return checks
@@ -504,6 +480,8 @@ def matvec_multiply(Ahat, s, plan) -> list:
     """
     pair = _as_pair(plan)
     k = len(s)
+    if k == 0:
+        raise ShapeCondition("matvec needs a non-empty vector")
     if any(len(row) != k for row in Ahat):
         raise ShapeCondition("matrix row length does not match the vector")
     shat = [pair.forward(sj) for sj in s]
@@ -519,6 +497,8 @@ def matvec_multiply(Ahat, s, plan) -> list:
 def sample_ntt_domain_uniform(ring: RingSpec, plan, seed) -> NttDomainPoly:
     """Seeded uniform values taken directly as transform-domain data."""
     pair = _as_pair(plan)
+    if ring != pair.ring:
+        raise RingMismatch(f"ring {ring} is not the plan's ring {pair.ring}")
     rng = random.Random(seed)
     vals = [rng.randrange(ring.q) for _ in range(ring.n)]
     return NttDomainPoly(vals, pair.fwd_spec, ring, 1 << pair.beta)

@@ -21,8 +21,8 @@ final scaling by (n/2^beta)^-1.
 
 ``level_geometry`` is the only derivation of this structure: a
 ``Schedule`` holds it per (spec, table, n), and ``butterfly_schedule``
-(``plan --trace``), the trinomial levels and the block transforms of
-the embeddings walk it too.  ``run_levels`` drives the array kernels on
+(``plan --trace``) walks a schedule's levels; the trinomial levels and
+the block transforms of the embeddings walk it too.  ``run_levels`` drives the array kernels on
 the working buffer that ``buffer`` picks from the modulus alone: int64
 below 2^31, ``object`` (Python ints) at or above.
 
@@ -216,15 +216,16 @@ def level_geometry(spec: TransformSpec, m: int):
             yield nblocks, half, tuple(range(start, start + step * half, step))
 
 
-def butterfly_schedule(spec: TransformSpec, n: int):
-    """Yield (level, lo, hi, exponent) for each chunk butterfly, in order.
+def butterfly_schedule(sched: Schedule):
+    """Yield (level, lo, hi, exponent) for each chunk butterfly of a
+    schedule's levels, in order.
 
     Exponents index the table root directly (negated by inverse tables),
     so replaying the schedule with butterfly_ct/butterfly_gs reproduces
     the kernel exactly.
     """
-    block_tw = _block_twiddled(spec)
-    for lvl, (nblocks, half, exps) in enumerate(level_geometry(spec, n >> spec.beta)):
+    block_tw = _block_twiddled(sched.spec)
+    for lvl, (nblocks, half, exps) in enumerate(sched.levels):
         for i in range(nblocks):
             base = i * 2 * half
             for j in range(half):

@@ -15,8 +15,8 @@ from nttkit.bigmod import (
     bigprime_multiply,
     bound_check,
     composite_multiply,
-    crt_recombine,
     find_principal_root_composite,
+    garner,
     lift_centered,
     recover_centered,
     required_bound,
@@ -227,22 +227,35 @@ def test_replaced_moduli_match_the_oracle_and_one_big_prime(case):
         assert got.coeffs == oracle_multiply(a, b).coeffs == one_shot(a, b).coeffs
 
 
-def test_crt_recombine_example():
-    basis = RnsBasis((7681, 10753))
-    assert basis.product == 82593793
-    assert basis.reduce(12345) == (4664, 1592)
-    assert crt_recombine((4664, 1592), basis) == 12345
+def _residues(values, moduli):
+    return [np.array([v % p for v in values]) for p in moduli]
 
 
-def test_crt_recombine_inverts_reduction(rng):
-    basis = RnsBasis((7681, 3329))
-    for _ in range(200):
-        v = rng.randrange(basis.product)
-        assert crt_recombine(basis.reduce(v), basis) == v
+def test_garner_example():
+    moduli = (7681, 10753)
+    assert prod(moduli) == 82593793
+    residues = _residues([12345], moduli)
+    assert [r.tolist() for r in residues] == [[4664], [1592]]
+    assert garner(residues, moduli).tolist() == [12345]
+
+
+def test_garner_inverts_reduction(rng):
+    moduli = (7681, 3329)
+    values = [rng.randrange(prod(moduli)) for _ in range(200)]
+    assert garner(_residues(values, moduli), moduli).tolist() == values
     # exhaustively for a small basis: every value in [0, N)
-    tiny = RnsBasis((3, 5))
-    for v in range(15):
-        assert crt_recombine(tiny.reduce(v), tiny) == v
+    assert garner(_residues(range(15), (3, 5)), (3, 5)).tolist() == list(range(15))
+
+
+def test_garner_above_2_31_matches_python_crt(rng):
+    # a second modulus >= 2^31 overflows int64 digit products: object values
+    moduli = (17, search_prime(8, 1 << 36))
+    P = prod(moduli)
+    values = [0, 1, P - 1, (P - 1) // 2] + [rng.randrange(P) for _ in range(50)]
+    got = garner(_residues(values, moduli), moduli)
+    assert got.dtype == object
+    crt = [sum((v % p) * (P // p) * pow(P // p, -1, p) for p in moduli) % P for v in values]
+    assert got.tolist() == crt == values
 
 
 def test_basis_validation():
@@ -262,6 +275,15 @@ def test_principal_root_gcd_condition():
         find_principal_root_composite(512, basis)
     r = find_principal_root_composite(256, basis)
     assert is_principal_root(r, 256, basis.product)
+
+
+def test_principal_root_matches_exhaustive_search():
+    # the minimum over the CRT lifts of the per-prime roots is the smallest
+    # principal root found by an ascending search
+    basis = RnsBasis((13, 17))
+    for k in (2, 4):
+        brute = next(x for x in range(1, 221) if is_principal_root(x, k, 221))
+        assert find_principal_root_composite(k, basis) == brute, k
 
 
 def test_principal_root_single_prime_equals_find_root():

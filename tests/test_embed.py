@@ -431,11 +431,25 @@ def test_chain_pad_only(rng):
         assert got.coeffs == want.coeffs
 
 
+def test_chain_pad_only_searches_a_lift_for_the_padded_transform(rng):
+    # a chain without a terminal runs a plain transform of the padded
+    # length, so a searched lift modulus must be 1 mod 16
+    ring = RingSpec(XN_MINUS_X_MINUS_1, 5, 2048)
+    plan = planner.make_plan(ring, chain=(ZeroPad(16), LiftModulus(None)))
+    N = plan.chain.lift.modulus
+    assert (f"padded transform over {N}: {N} = 1 (mod 16)", True) in plan.checks
+    for _ in range(10):
+        a, b = Poly.random(ring, rng), Poly.random(ring, rng)
+        assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
+
+
 def test_chain_validation():
     with pytest.raises(ChainMismatch):
         EmbedChain((Schonhage(2, 2), ZeroPad(8)))  # pad not first
     with pytest.raises(ChainMismatch):
         EmbedChain((ZeroPad(8), Schonhage(2, 2), PlainNtt(0)))  # two terminals
+    with pytest.raises(ChainMismatch):  # a step of no known type
+        planner.make_plan(RingSpec(XN_MINUS_X_MINUS_1, 5, 7681), chain=(ZeroPad(16), "bogus"))
     ring = ntruprime_ring()
     a = Poly.zero(ring)
     with pytest.raises(ChainMismatch):

@@ -4,7 +4,7 @@ import threading
 import pytest
 
 from nttkit import bigmod, embed, modarith, planner, polymul, transforms, trinomial
-from nttkit.errors import NoStrategy, UnknownPreset
+from nttkit.errors import NoStrategy, RingMismatch, ShapeCondition, UnknownPreset
 from nttkit.planner import (
     GENERAL_PHI,
     NON_POW2,
@@ -248,6 +248,18 @@ def test_matvec_oracle_and_counts(rng):
         for j in range(k):
             acc = acc.add(oracle_multiply(pair.inverse(Ahat[i][j]), s[j]))
         assert rows[i].coeffs == acc.coeffs
+
+
+def test_matvec_refuses_an_empty_vector():
+    ring, plan = preset("kyber")
+    with pytest.raises(ShapeCondition):
+        matvec_multiply([[]], [], plan)
+
+
+def test_sample_domain_uniform_refuses_another_ring():
+    ring, plan = preset("kyber")
+    with pytest.raises(RingMismatch):
+        sample_ntt_domain_uniform(RingSpec(XN_PLUS_1, 256, 7681), plan, 42)
 
 
 def test_sample_domain_uniform_properties():

@@ -420,7 +420,7 @@ def _replay(spec, tw, values, n, q):
     """Per-level states of butterfly_ct/gs applied over butterfly_schedule."""
     manual = list(values)
     by_level = {}
-    for lvl, lo, hi, e in butterfly_schedule(spec, n):
+    for lvl, lo, hi, e in butterfly_schedule(transforms.make_schedule(spec, tw, n)):
         by_level.setdefault(lvl, []).append((lo, hi, e))
     states = []
     for lvl in sorted(by_level):
