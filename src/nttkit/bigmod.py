@@ -266,18 +266,26 @@ def rns_multiply(a: Poly, b: Poly, basis: RnsBasis, beta: int = 0, profile=(FULL
 # method 3: composite-modulus ring with a principal root
 
 
+ROOT_SEARCH_CHUNK = 1 << 16  # CRT lifts per chunk of the composite root search
+
+
 def find_principal_root_composite(k: int, basis: RnsBasis) -> int:
     """Smallest principal k-th root of unity mod the basis product.
 
     A residue is principal mod N exactly when it reduces to a principal
     (= primitive, the factors being prime) k-th root mod every basis
     prime, so the candidate set is the CRT lift of the per-prime sets.
+    The grid of lifts runs in chunks of the first prime's candidates, as
+    many per chunk as keep it within ``ROOT_SEARCH_CHUNK`` lifts (at least
+    one), so its memory does not grow with the number of primes.
     """
     for p in basis.primes:
         if (p - 1) % k != 0:
             raise NoSuchRoot(f"{k} does not divide {p}-1 (gcd condition fails)")
-    sets = [list(modarith.root_candidates_prime(k, p)) for p in basis.primes]
-    best = int(garner(np.meshgrid(*sets), basis.primes).min())
+    first, *rest = [list(modarith.root_candidates_prime(k, p)) for p in basis.primes]
+    step = max(1, ROOT_SEARCH_CHUNK // prod(map(len, rest)))
+    best = min(int(garner(np.meshgrid(first[i : i + step], *rest), basis.primes).min())
+               for i in range(0, len(first), step))
     if not is_principal_root(best, k, basis.product):
         raise InvalidRoot(f"CRT lift {best} is not a principal {k}-th root mod {basis.product}")
     return best

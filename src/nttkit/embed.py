@@ -8,10 +8,19 @@ which place no root-of-unity condition on the coefficient modulus.
 Chains compose these steps and finish with the source-ring reduction.
 Each executor is a ``bigmod.LiftedExecutor``; a chain's, over q, holds
 its terminal step's executor as its one table.
+
+The block embeddings run in a ``BlockWorkspace``, int64 buffers shaped
+by the block schedule, so a product allocates nothing of the route's
+size.  A ``BlockExecutor`` owns a pool of them: none when the plan is
+built, one built on a product that finds the pool empty, one per thread
+that multiplied at once at most (4.2 MiB each for Schonhage(32, 32)).
+A workspace serves one product at a time; the one-shot functions build
+one per call.
 """
 
 from __future__ import annotations
 
+import queue
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
@@ -219,10 +228,12 @@ class BlockLevel:
 @dataclass(frozen=True)
 class BlockDepth:
     """One recursion depth of the block route: the Schonhage or Nussbaumer
-    step whose 2n blocks it transforms (of length 2m for a Schoenhage step,
-    2n for a Nussbaumer one), and the levels of both directions."""
+    step whose 2n blocks it transforms, their length L (2m for a
+    Schoenhage step, 2n for a Nussbaumer one), and the levels of both
+    directions."""
 
     step: object
+    L: int
     forward: tuple
     inverse: tuple
 
@@ -250,7 +261,7 @@ def block_schedule(step) -> tuple:
     L, stride = (2 * m, 2 * m // n) if isinstance(step, Schonhage) else (2 * n, 2)
     depths = []
     while True:
-        depths.append(BlockDepth(step, _block_levels(2 * n, L, stride, False),
+        depths.append(BlockDepth(step, L, _block_levels(2 * n, L, stride, False),
                                  _block_levels(2 * n, L, stride, True)))
         if L <= SCHOOLBOOK_FLOOR:
             return tuple(depths)
@@ -259,22 +270,62 @@ def block_schedule(step) -> tuple:
         L, step = 2 * n, Nussbaumer(m, n)
 
 
-def _block_ntt(X, levels: tuple, q: int, inverse: bool, live: int | None = None):
+class BlockWorkspace:
+    """The int64 buffers one block product runs in, shaped by a block
+    schedule alone.  Depth d, whose 2n blocks of length L each carry
+    ``rows`` batch columns (1 at the top, 2n * rows one depth down), has:
+
+    - ``forward[d]``, (2n, L, 2 rows): both operands' blocks, A's columns
+      then B's, transformed in place;
+    - ``inverse[d]``, (2n, L, rows): their block products, transformed
+      back and scaled in place;
+    - ``scratch[d]``, 2n * L * 2 rows entries: the gathers and quotients
+      of both transforms, and at the floor the leaf kernel's scratch;
+
+    and the floor has the leaf kernel's accumulator ``acc``, (2L - 1, 2n,
+    rows).  A product writes only into these, so it allocates nothing of
+    the route's size; one workspace serves one product at a time.
+    """
+
+    def __init__(self, schedule: tuple):
+        self.schedule = schedule
+        self.forward, self.inverse, self.scratch = [], [], []
+        rows = 1
+        for depth in schedule:
+            blocks, L = 2 * depth.step.n, depth.L
+            self.forward.append(np.empty((blocks, L, 2 * rows), dtype=np.int64))
+            self.inverse.append(np.empty((blocks, L, rows), dtype=np.int64))
+            self.scratch.append(np.empty(blocks * L * 2 * rows, dtype=np.int64))
+            floor, rows = (2 * L - 1, blocks, rows), blocks * rows
+        self.acc = np.empty(floor, dtype=np.int64)
+
+
+def _block_ntt(X, levels: tuple, q: int, inverse: bool, live: int | None = None,
+               work=None, reduce: bool = True):
     """Cyclic transform along axis 0 of a block array, in place on a
-    contiguous copy when X is not contiguous, then one reduction.
+    contiguous copy when X is not contiguous; returns it reduced, or with
+    ``reduce`` False as the levels leave it.
 
     Forward runs the natural-input CT levels, inverse the bit-reversed-input
     GS levels, without the 1/blocks scaling.  Each level is one signed
-    gather, one add and one subtract; nothing is multiplied mod q.  The
-    entries stay below 2^l * q after l levels (int64 cannot overflow below
-    modarith.VECTOR_LIMIT), so they are reduced once at the end.  When only
+    gather, one add and one subtract; nothing is multiplied mod q.  On
+    canonical input the entries stay at most 2^l (q-1) in magnitude after
+    l levels (int64 cannot overflow below modarith.VECTOR_LIMIT), so they
+    are reduced once at the end.  ``work``, X.size int64 entries, takes
+    the gathers and quotients (fresh when omitted); the gathers use
+    ``mode="clip"`` (every index is in range) because ``np.take`` copies
+    through a fresh buffer into ``out`` in its default mode.  When only
     the first ``live`` blocks of a forward input can be nonzero, each
     level whose halves are at least ``live`` blocks long has all-zero
-    lower inputs, so it copies its upper halves (counted as the butterflies
-    it stands for).
+    lower inputs, so it copies its upper halves (counted as the
+    butterflies it stands for).
     """
     X = np.ascontiguousarray(X)
     blocks, L, batch = X.shape
+    if work is None:
+        work = np.empty(X.size, dtype=X.dtype)
+    half = X.size // 2
+    gathered = work[:half].reshape(-1, batch)
     flat = X.reshape(blocks * L, batch)
     ctr = modarith.active_counter()
     live = blocks if live is None else live
@@ -284,12 +335,13 @@ def _block_ntt(X, levels: tuple, q: int, inverse: bool, live: int | None = None)
         if not inverse and live <= lv.half:  # v = 0: (u + x^e v, u - x^e v) = (u, u)
             v[...] = u
         elif inverse:
-            d = np.take((u - v).reshape(-1, batch), lv.index, axis=0)
-            d *= lv.sign
+            d = np.subtract(u, v, out=work[half:].reshape(u.shape))
+            t = np.take(d.reshape(-1, batch), lv.index, axis=0, out=gathered, mode="clip")
+            t *= lv.sign
             u += v
-            v[...] = d.reshape(v.shape)
+            v[...] = t.reshape(v.shape)
         else:
-            t = np.take(flat, lv.index, axis=0)
+            t = np.take(flat, lv.index, axis=0, out=gathered, mode="clip")
             t *= lv.sign
             t = t.reshape(v.shape)
             np.subtract(u, t, out=v)
@@ -297,48 +349,73 @@ def _block_ntt(X, levels: tuple, q: int, inverse: bool, live: int | None = None)
         if ctr is not None:
             ctr.adds += X.size // 2
             ctr.subs += X.size // 2 + batch * lv.subs
-    return _mod(X, q)
+    return _mod(X, q, work.reshape(X.shape)) if reduce else X
 
 
-def _block_convolve(A, B, schedule: tuple, q: int, live: int | None = None):
-    """Cyclic convolution along axis 0 of two block arrays, transformed by
-    ``schedule[0]``: forward (both in one batch), block products in
-    Z_q[x]/(x^L + 1) (recursing on the whole batch along the rest of
-    ``schedule``, the leaf kernel at the floor), inverse, 1/blocks
-    scaling.  Only the first ``live`` blocks (default: all) of A and B
-    may be nonzero."""
-    depth, inner = schedule[0], schedule[1:]
-    blocks, L, rows = A.shape
-    F = _block_ntt(np.concatenate((A, B), axis=2), depth.forward, q, False, live)
+def _scale_unreduced(X, s: int, q: int, work):
+    """X * s mod q in place, reduced once: for |X| (q-1) < 2^63."""
+    X *= s
+    return _mod(X, q, work)
 
-    def products(X):  # one column per (block, batch column)
-        return X.transpose(1, 0, 2).reshape(L, blocks * rows)
 
-    U, V = products(F[:, :, :rows]), products(F[:, :, rows:])
-    P = _nussbaumer(U, V, inner, q) if inner else polymul.leaf_products(U, V, -1, q)
-    P = _block_ntt(P.reshape(L, blocks, rows).transpose(1, 0, 2), depth.inverse, q, True)
+def _scale_reduced(X, s: int, q: int, work):
+    """X * s mod q in place for any int64 X, reduced before the product."""
+    _mod(X, q, work)
+    X *= s
+    return _mod(X, q, work)
+
+
+def _block_convolve(ws: BlockWorkspace, d: int, q: int, live: int | None = None):
+    """Cyclic convolution along axis 0 of the two block arrays that
+    ``ws.forward[d]`` holds, by ``ws.schedule[d]``: forward (both in one
+    batch), block products in Z_q[x]/(x^L + 1) (an inner Nussbaumer split
+    of every column, or the leaf kernel at the floor), inverse, 1/blocks
+    scaling; returns ``ws.inverse[d]``.  Only the first ``live`` blocks
+    (default: all) of A and B may be nonzero.
+
+    One reduction per depth: the inverse takes canonical block products,
+    so after its l levels no entry exceeds 2^l (q-1) in magnitude, and
+    times 1/blocks (canonical, at most q-1) 2^l (q-1)^2.  While that stays
+    below 2^63 the unreduced output is scaled and reduced once; otherwise
+    it is reduced first.
+    """
+    depth = ws.schedule[d]
+    F, P, work = ws.forward[d], ws.inverse[d], ws.scratch[d]
+    blocks, L, rows = P.shape
+    _block_ntt(F, depth.forward, q, False, live, work)
+    if d + 1 < len(ws.schedule):
+        # part j of the inner split takes coefficients i*m + j of each column
+        m = ws.schedule[d + 1].step.m
+        np.copyto(ws.forward[d + 1][:m].reshape(m, L // m, 2, blocks, rows),
+                  F.reshape(blocks, L // m, m, 2, rows).transpose(2, 1, 3, 0, 4))
+        np.copyto(P.reshape(blocks, L // m, m, rows).transpose(2, 1, 0, 3),
+                  _nussbaumer(ws, d + 1, q).reshape(m, L // m, blocks, rows))
+    else:  # one column per (block, batch column)
+        U, V = (F[:, :, s].transpose(1, 0, 2) for s in (slice(rows), slice(rows, None)))
+        np.copyto(P, polymul.leaf_products(U, V, -1, q, ws.acc, work.reshape(2, L, blocks, rows))
+                  .transpose(1, 0, 2))
+    _block_ntt(P, depth.inverse, q, True, work=work[: P.size], reduce=False)
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.mults += P.size
-    P *= mod_inv(blocks, q)
-    return _mod(P, q)
+    lazy = (1 << len(depth.inverse)) * (q - 1) ** 2 < 1 << 63
+    scale = _scale_unreduced if lazy else _scale_reduced
+    return scale(P, mod_inv(blocks, q), q, work[: P.size].reshape(P.shape))
 
 
-def _schonhage(x, y, schedule: tuple, q: int):
+def _schonhage(x, y, ws: BlockWorkspace, q: int):
     """Cyclic product of two length-2mn int64 arrays via
     (Z_q[x]/(x^2m + 1))[y]/(y^2n - 1), with (m, n) taken from
-    ``schedule[0].step``.
+    ``ws.schedule[0].step``, as a fresh array.
 
     Blocks of m coefficients become y-coefficients; x^(2m/n) is the
     synthetic 2n-th root, and y = x^m substitutes back at the end.
     """
-    m, n = schedule[0].step.m, schedule[0].step.n
-
-    def blocks(v):  # block j: coefficients jm .. jm + m - 1, zero-padded to 2m
-        X = v.reshape(2 * n, m, 1)
-        return np.concatenate((X, np.zeros_like(X)), axis=1)
-
-    P = _block_convolve(blocks(x), blocks(y), schedule, q)[..., 0]
+    m, n = ws.schedule[0].step.m, ws.schedule[0].step.n
+    F = ws.forward[0]  # block j: coefficients jm .. jm + m - 1, zero-padded to 2m
+    F[:, :m, 0], F[:, :m, 1] = x.reshape(2 * n, m), y.reshape(2 * n, m)
+    F[:, m:] = 0
+    P = _block_convolve(ws, 0, q)[..., 0]
     # y = x^m: block j's upper half lands on block j + 1
     return _mod(P[:, :m] + np.roll(P[:, m:], 1, axis=0), q).ravel()
 
@@ -346,45 +423,60 @@ def _schonhage(x, y, schedule: tuple, q: int):
 def schonhage_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None = None) -> Poly:
     """Cyclic product of length 2mn via (Z_q[x]/(x^2m + 1))[y]/(y^2n - 1).
     ``schedule`` is ``block_schedule(Schonhage(m, n))``, built here when
-    omitted."""
-    step = Schonhage(m, n)
-    q = _operand_modulus(a, b, step, schedule)
-    P = _schonhage(a.to_array(), b.to_array(), schedule or block_schedule(step), q)
-    return Poly.from_array(P, a.ring)
+    omitted; the product runs in a workspace built for this call."""
+    return _block_one_shot(a, b, Schonhage(m, n), schedule)
 
 
-def _nussbaumer(U, V, schedule: tuple, q: int):
-    """Column-wise negacyclic products of two (2mn, rows) arrays via
+def _nussbaumer(ws: BlockWorkspace, d: int, q: int):
+    """Column-wise negacyclic products of depth d via
     (Z_q[y]/(y^2n + 1))[x]/(x^m - y), y^2 the synthetic 2n-th root, with
-    (m, n) taken from ``schedule[0].step``."""
-    m, n = schedule[0].step.m, schedule[0].step.n
-    L, rows = 2 * n, U.shape[1]
-
-    def parts(X):  # part i collects coefficients congruent to i mod m, as a y-poly
-        P = np.zeros((L, L, rows), dtype=X.dtype)
-        P[:m] = X.reshape(L, m, rows).transpose(1, 0, 2)
-        return P
-
-    P = _block_convolve(parts(U), parts(V), schedule, q, live=m)
+    (m, n) taken from ``ws.schedule[d].step``.  The caller has put both
+    operands' parts, the (2n, rows) y-polynomials of the coefficients
+    congruent to j mod m, in ``ws.forward[d][:m]``; returns the m parts
+    of the products, an (m, 2n, rows) view of ``ws.inverse[d]``."""
+    m, L = ws.schedule[d].step.m, ws.schedule[d].L
+    ws.forward[d][m:] = 0
+    P = _block_convolve(ws, d, q, live=m)
+    rows = P.shape[2]
     c = min(m - 1, L - m)  # fold x^m = y: true x-degree is < 2m - 1 <= L
     P[:c, 1:] += P[m : m + c, :-1]
     P[:c, 0] -= P[m : m + c, -1]  # y^L = -1
-    _mod(P[:c], q)
+    _mod(P[:c], q, ws.scratch[d][: c * L * rows].reshape(c, L, rows))
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.adds += rows * c * L
         ctr.subs += rows * c
-    return P[:m].transpose(1, 0, 2).reshape(2 * m * n, rows)
+    return P[:m]
+
+
+def _nussbaumer_product(x, y, ws: BlockWorkspace, q: int):
+    """Negacyclic product of two length-2mn int64 arrays by
+    ``_nussbaumer`` on one column, as a fresh array."""
+    m, L = ws.schedule[0].step.m, ws.schedule[0].L
+    F = ws.forward[0]  # part j: coefficients i*m + j, one per y-degree i
+    F[:m, :, 0], F[:m, :, 1] = x.reshape(L, m).T, y.reshape(L, m).T
+    return _nussbaumer(ws, 0, q)[:, :, 0].T.flatten()
+
+
+def _block_product(x, y, ws: BlockWorkspace, q: int):
+    """The product of the workspace's step, Schoenhage or Nussbaumer."""
+    if isinstance(ws.schedule[0].step, Schonhage):
+        return _schonhage(x, y, ws, q)
+    return _nussbaumer_product(x, y, ws, q)
 
 
 def nussbaumer_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None = None) -> Poly:
     """Negacyclic product of length 2mn using the synthetic 4n-th root y.
     ``schedule`` is ``block_schedule(Nussbaumer(m, n))``, built here when
-    omitted."""
-    step = Nussbaumer(m, n)
+    omitted; the product runs in a workspace built for this call."""
+    return _block_one_shot(a, b, Nussbaumer(m, n), schedule)
+
+
+def _block_one_shot(a: Poly, b: Poly, step, schedule: tuple | None) -> Poly:
+    """A block product of two Polys in a workspace built for it."""
     q = _operand_modulus(a, b, step, schedule)
-    P = _nussbaumer(a.to_array()[:, None], b.to_array()[:, None], schedule or block_schedule(step), q)
-    return Poly.from_array(P[:, 0], a.ring)
+    ws = BlockWorkspace(schedule or block_schedule(step))
+    return Poly.from_array(_block_product(a.to_array(), b.to_array(), ws, q), a.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +574,21 @@ class EmbedChain:
 class BlockExecutor(bigmod.LiftedExecutor):
     """A Schoenhage or Nussbaumer terminal over Z_N (N == q: no lift), run
     once per working modulus on the block core; its block schedule, the
-    same for every modulus, is built on first use."""
+    same for every modulus, is built on first use.
+
+    The executor owns a pool of ``BlockWorkspace``s, empty when the plan
+    is built.  Each product takes one from the pool, or builds one when
+    the pool is empty, and puts it back when it ends, raised or not, so
+    no two threads ever share a workspace and the pool holds at most one
+    per thread that multiplied at once.  A workspace serves every working
+    modulus; for ``ntruprime-761-schonhage`` (Schonhage(32, 32)) it holds
+    4.2 MiB.
+    """
 
     def __init__(self, ring: RingSpec, step, N: int, basis=()):
         super().__init__(ring, N, basis)
         self.step = step
+        self.workspaces = queue.SimpleQueue()
 
     @cached_property
     def schedule(self) -> tuple:
@@ -496,9 +598,14 @@ class BlockExecutor(bigmod.LiftedExecutor):
         return _block_modulus(RingSpec(self.ring.form, self.ring.n, p), self.step, ())
 
     def run(self, x, y, p):
-        if isinstance(self.step, Schonhage):
-            return _schonhage(x, y, self.schedule, p)
-        return _nussbaumer(x[:, None], y[:, None], self.schedule, p)[:, 0]
+        try:
+            ws = self.workspaces.get_nowait()
+        except queue.Empty:
+            ws = BlockWorkspace(self.schedule)
+        try:
+            return _block_product(x, y, ws, p)
+        finally:
+            self.workspaces.put(ws)
 
 
 class ChainExecutor(bigmod.LiftedExecutor):

@@ -242,22 +242,29 @@ def leaf_ops(L: int, use_karatsuba: bool) -> tuple:
     return L * L + L - 1, L - 1, 0
 
 
-def _mod(X, q: int):
+def _mod(X, q: int, scratch=None):
     """X mod q in place, as X - (X // q) * q: numpy divides an int64 array
-    by a scalar several times faster than it takes the remainder."""
-    Y = X // q
+    by a scalar several times faster than it takes the remainder.  The
+    quotients go to ``scratch`` (X's shape and dtype) when given, else to
+    a fresh array."""
+    Y = np.floor_divide(X, q, out=scratch)
     Y *= q
     X -= Y
     return X
 
 
-def leaf_products(U, V, gamma, q: int) -> np.ndarray:
-    """Column-wise products mod x^L - gamma of two (L, rows) arrays of
+def leaf_products(U, V, gamma, q: int, acc=None, scratch=None) -> np.ndarray:
+    """Column-wise products mod x^L - gamma of two (L, ...) arrays of
     canonical residues mod q, uncounted: ``basecase_mul`` on every column
-    at once, returned as a fresh (L, rows) array of canonical residues.
+    (every index of the trailing axes) at once, returned as an (L, ...)
+    array of canonical residues.
 
     ``gamma`` is +1 or -1 for every column, or a buffer of one constant
-    mod q per column.  The caller adds the operation counts.
+    mod q per column.  The caller adds the operation counts.  ``acc``, a
+    (2L - 1, ...) accumulator, and ``scratch``, a (2, L, ...) array, both
+    of U's dtype, are the kernel's working memory: when a caller passes
+    them the result is ``acc[:L]`` and nothing of the operands' size is
+    allocated; otherwise both are fresh.
 
     Lazy rule: linear coefficient k sums min(k + 1, 2L - 1 - k) raw
     products u_i v_j, each at most (q-1)^2.  Folding x^L = gamma adds
@@ -269,20 +276,25 @@ def leaf_products(U, V, gamma, q: int) -> np.ndarray:
     the sums stay below L q + (q-1)^2 < 2^63 (int64 only runs q < 2^31).
     ``object`` arrays (Python ints) cannot overflow and always sum lazily.
     """
-    L, rows = U.shape
+    L, cols = U.shape[0], U.shape[1:]
     lazy = U.dtype == object or L * (q - 1) ** 2 < 1 << 63
-    t = np.zeros((2 * L - 1, rows), dtype=U.dtype)
+    if acc is None:
+        acc = np.empty((2 * L - 1, *cols), dtype=U.dtype)
+    p, y = np.empty((2, L, *cols), dtype=U.dtype) if scratch is None else scratch
+    out, hi = acc[:L], acc[L:]
+    hi[...] = 0
     for i in range(L):
-        p = U[i] * V
-        t[i : i + L] += p if lazy else _mod(p, q)
-    out = t[:L]
+        t = out if i == 0 else p  # the first products fill the low coefficients
+        np.multiply(U[i], V, out=t)
+        if not lazy:
+            _mod(t, q, y)
+        if i:
+            acc[i : i + L] += t
     if np.ndim(gamma):
-        hi = _mod(t[L:], q)
-        hi *= gamma
-    else:
-        hi = gamma * t[L:]
+        _mod(hi, q, y[: L - 1])
+    hi *= gamma
     out[: L - 1] += hi
-    return _mod(out, q)
+    return _mod(out, q, y)
 
 
 def leaf_gammas(spec: TransformSpec, tw, n: int) -> list:

@@ -298,6 +298,32 @@ def test_find_root_delegates_for_composite():
     assert r == find_principal_root_composite(128, RnsBasis((7681, 3329)))
 
 
+def test_composite_root_search_memory_is_bounded():
+    # 128^3 CRT lifts for order 256 on three primes: one grid would peak
+    # near 112 MiB; chunks of the first prime's candidates stay far below
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        root = find_principal_root_composite(256, RnsBasis((7681, 10753, 11777)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert root == 204207
+    assert peak < 16 << 20, peak
+
+
+def test_two_prime_root_search_is_one_chunk(monkeypatch):
+    # saber-m3's basis lifts 64 x 64 candidates: one garner call, as before
+    from nttkit import bigmod
+
+    want = find_root(128, 7681 * 3329)
+    calls = []
+    monkeypatch.setattr(bigmod, "garner", lambda r, m: calls.append(np.size(r[0])) or garner(r, m))
+    assert find_principal_root_composite(128, RnsBasis((7681, 3329))) == want
+    assert calls == [64 * 64]
+
+
 @pytest.mark.parametrize("trials", [10])
 def test_saber_three_backends_agree(trials, rng):
     basis_rns = RnsBasis((7681, 10753))

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -306,6 +309,8 @@ def block_cases(draw):
 @BLOCK_BUDGET
 @given(block_cases())
 def test_block_embeddings_match_oracle(case):
+    # the one-shot functions, and a chain plan that pads x^(mn) - x - 1
+    # into the block ring over q itself: one block code path for both
     fn, oracle, m, n, ring, a, b = case
     a, b = Poly(a, ring), Poly(b, ring)
     if ring.q > 1 << 31:
@@ -313,6 +318,17 @@ def test_block_embeddings_match_oracle(case):
             fn(a, b, m, n)
     else:
         assert fn(a, b, m, n).coeffs == oracle(a, b).coeffs
+    if m * n < 2:  # x - x - 1 is no ring
+        return
+    small = RingSpec(XN_MINUS_X_MINUS_1, m * n, ring.q)
+    chain = (ZeroPad(ring.n, ring.form), (Schonhage if fn is schonhage_multiply else Nussbaumer)(m, n))
+    if ring.q > 1 << 31:
+        with pytest.raises(ParameterCondition):
+            planner.make_plan(small, chain=chain)
+    else:
+        x, y = Poly(a.coeffs[: m * n], small), Poly(b.coeffs[: m * n], small)
+        plan = planner.make_plan(small, chain=chain)
+        assert planner.multiply(x, y, plan).coeffs == oracle_multiply(x, y).coeffs
 
 
 def test_schonhage_preset_product_and_counts_pinned(monkeypatch, rng):
@@ -353,6 +369,71 @@ def test_lazy_reduction_boundaries(q):
         for gamma, g in ((np.full(3, q - 1), q - 1), (-1, q - 1), (1, 1)):
             want = ref([q - 1] * L, [q - 1] * L, g, q)
             assert polymul.leaf_products(top, top.copy(), gamma, q).T.tolist() == [want] * 3
+
+
+# Schonhage(2, 2) runs l = 2 inverse levels: 4 (q-1)^2 < 2^63 holds for
+# q = 1518500249, so the unreduced output is scaled and reduced once, and
+# fails for q = 1518500251, so it is reduced first
+@pytest.mark.parametrize("q, other", [(1518500249, "_scale_reduced"),
+                                      (1518500251, "_scale_unreduced")])
+def test_inverse_scaling_bound(monkeypatch, q, other):
+    assert ((1 << 2) * (q - 1) ** 2 < 1 << 63) == (other == "_scale_reduced")
+
+    def boom(*args):
+        raise AssertionError(f"{other} must not run at q = {q}")
+
+    monkeypatch.setattr(embed, other, boom)
+    ring = RingSpec(XN_MINUS_1, 8, q)
+    a = Poly([q - 1] * ring.n, ring)
+    assert schonhage_multiply(a, a, 2, 2).coeffs == schoolbook_cyclic(a, a).coeffs
+
+
+def test_block_products_touch_no_fresh_pages(rng):
+    # after a warm-up product every buffer of the route's size is reused
+    resource = pytest.importorskip("resource")
+    ring, plan = planner.preset("ntruprime-761-schonhage")
+    a, b = planner.sample_operands(ring, plan, rng)
+    want = oracle_multiply(a, b)
+    assert planner.multiply(a, b, plan) == want
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        planner.multiply(a, b, plan)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
+    assert faults <= 10, faults
+
+
+def test_threads_never_share_a_block_workspace(rng):
+    # planning builds no workspace; two threads multiplying at once each
+    # take their own, and give it back
+    ring, plan = planner.preset("ntruprime-761-schonhage")
+    block = plan.executor.tables[0]  # the chain's terminal executor
+    assert block.workspaces.empty()
+    cases = [planner.sample_operands(ring, plan, rng) for _ in range(4)]
+    wants = [oracle_multiply(a, b) for a, b in cases]
+    barrier = threading.Barrier(2)
+    results = [[], []]
+
+    def run(k):
+        barrier.wait()
+        for i in range(20):
+            a, b = cases[(i + k) % 4]
+            results[k].append(planner.multiply(a, b, plan) == wants[(i + k) % 4])
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[True] * 20] * 2
+    assert 1 <= block.workspaces.qsize() <= 2
+    ws = block.workspaces.get()  # 4.2 MiB for Schonhage(32, 32)
+    assert sum(a.nbytes for a in (*ws.forward, *ws.inverse, *ws.scratch, ws.acc)) == 4423680
 
 
 def test_block_schedule_built_on_first_multiply_only(monkeypatch, rng):
