@@ -13,7 +13,7 @@ The block embeddings run in a ``BlockWorkspace``, int64 buffers shaped
 by the block schedule, so a product allocates nothing of the route's
 size.  A ``BlockExecutor`` owns a pool of them: none when the plan is
 built, one built on a product that finds the pool empty, one per thread
-that multiplied at once at most (4.2 MiB each for Schonhage(32, 32)).
+that multiplied at once at most (5.2 MiB each for Schonhage(32, 32)).
 A workspace serves one product at a time; the one-shot functions build
 one per call.
 """
@@ -126,14 +126,14 @@ class GoodExecutor(bigmod.LiftedExecutor):
         return polymul.make_transform_pair(RingSpec(XN_MINUS_1, 1 << self.k, p), 0)
 
     def run(self, x, y, pair):
-        index = self.index
-
-        def columns(v):  # transformed rows, one column per leaf
-            return np.stack([pair.forward(r).values for r in v[index]])
-
+        """Both operands' h rows forward as one batch, the cyclic products
+        of their columns (one per leaf), the h product rows back as one
+        inverse batch."""
+        h, index = self.h, self.index
+        X = pair.forward(np.concatenate((x[index], y[index]))).values
+        P = polymul.leaf_products(X[:h], X[h:], 1, pair.ring.q)
         out = np.empty(len(x), dtype=np.int64)
-        out[index] = [pair.inverse(NttDomainPoly(vals, pair.fwd_spec, pair.ring, 1), as_buffer=True)
-                      for vals in polymul.leaf_products(columns(x), columns(y), 1, pair.ring.q)]
+        out[index] = pair.inverse(NttDomainPoly(P, pair.fwd_spec, pair.ring, 1), as_buffer=True)
         return out
 
 
@@ -282,9 +282,11 @@ class BlockWorkspace:
     - ``scratch[d]``, 2n * L * 2 rows entries: the gathers and quotients
       of both transforms, and at the floor the leaf kernel's scratch;
 
-    and the floor has the leaf kernel's accumulator ``acc``, (2L - 1, 2n,
-    rows).  A product writes only into these, so it allocates nothing of
-    the route's size; one workspace serves one product at a time.
+    and the floor has the leaf kernel's operands ``floor``, (2, L, 2n,
+    rows), both halves of its forward array copied contiguous, and its
+    accumulator ``acc``, (2L - 1, 2n, rows).  A product writes only into
+    these, so it allocates nothing of the route's size; one workspace
+    serves one product at a time.
     """
 
     def __init__(self, schedule: tuple):
@@ -296,8 +298,9 @@ class BlockWorkspace:
             self.forward.append(np.empty((blocks, L, 2 * rows), dtype=np.int64))
             self.inverse.append(np.empty((blocks, L, rows), dtype=np.int64))
             self.scratch.append(np.empty(blocks * L * 2 * rows, dtype=np.int64))
-            floor, rows = (2 * L - 1, blocks, rows), blocks * rows
-        self.acc = np.empty(floor, dtype=np.int64)
+            floor, rows = (L, blocks, rows), blocks * rows
+        self.floor = np.empty((2, *floor), dtype=np.int64)
+        self.acc = np.empty((2 * floor[0] - 1, *floor[1:]), dtype=np.int64)
 
 
 def _block_ntt(X, levels: tuple, q: int, inverse: bool, live: int | None = None,
@@ -390,8 +393,9 @@ def _block_convolve(ws: BlockWorkspace, d: int, q: int, live: int | None = None)
                   F.reshape(blocks, L // m, m, 2, rows).transpose(2, 1, 3, 0, 4))
         np.copyto(P.reshape(blocks, L // m, m, rows).transpose(2, 1, 0, 3),
                   _nussbaumer(ws, d + 1, q).reshape(m, L // m, blocks, rows))
-    else:  # one column per (block, batch column)
-        U, V = (F[:, :, s].transpose(1, 0, 2) for s in (slice(rows), slice(rows, None)))
+    else:  # one column per (block, batch column), on contiguous operands
+        np.copyto(ws.floor, F.reshape(blocks, L, 2, rows).transpose(2, 1, 0, 3))
+        U, V = ws.floor
         np.copyto(P, polymul.leaf_products(U, V, -1, q, ws.acc, work.reshape(2, L, blocks, rows))
                   .transpose(1, 0, 2))
     _block_ntt(P, depth.inverse, q, True, work=work[: P.size], reduce=False)
@@ -582,7 +586,7 @@ class BlockExecutor(bigmod.LiftedExecutor):
     no two threads ever share a workspace and the pool holds at most one
     per thread that multiplied at once.  A workspace serves every working
     modulus; for ``ntruprime-761-schonhage`` (Schonhage(32, 32)) it holds
-    4.2 MiB.
+    5.2 MiB.
     """
 
     def __init__(self, ring: RingSpec, step, N: int, basis=()):

@@ -16,8 +16,15 @@ from functools import lru_cache
 from importlib import resources
 from math import gcd, prod
 
-from . import bigmod, embed, splitting, trinomial
-from .errors import NoStrategy, ParameterCondition, RingMismatch, ShapeCondition, UnknownPreset
+from . import bigmod, embed, polymul, splitting, trinomial
+from .errors import (
+    NoStrategy,
+    ParameterCondition,
+    RingMismatch,
+    ShapeCondition,
+    SpecMismatch,
+    UnknownPreset,
+)
 from .modarith import MODULUS_CEILING, is_prime, vectorized
 from .rings import TRINOMIAL, XN_MINUS_1, XN_PLUS_1, Poly, RingSpec, is_pow2
 from .transforms import NttDomainPoly
@@ -472,26 +479,25 @@ def _as_pair(plan_or_pair):
 
 
 def matvec_multiply(Ahat, s, plan) -> list:
-    """INTT(sum_j Ahat[i][j] o NTT(s_j)) per row: k forward + k inverse.
-
-    Ahat rows hold transform-domain values (as sampled or cached);
-    only the vector is transformed, and each row sum costs one inverse.
-    Accepts a resolved plan or a bare transform pair.
-    """
+    """INTT(sum_j Ahat[i][j] o NTT(s_j)) per row, for a plan or a bare pair:
+    the s_j forward as one batch, the row sums one ``pointwise_sums``, the
+    rows back as one inverse batch.  Before any arithmetic, Ahat entries
+    of another spec, ring or leaf degree raise SpecMismatch and s_j over
+    another ring RingMismatch."""
     pair = _as_pair(plan)
-    k = len(s)
-    if k == 0:
-        raise ShapeCondition("matvec needs a non-empty vector")
-    if any(len(row) != k for row in Ahat):
-        raise ShapeCondition("matrix row length does not match the vector")
-    shat = [pair.forward(sj) for sj in s]
-    out = []
-    for row in Ahat:
-        acc = pair.pointwise(row[0], shat[0])
-        for j in range(1, k):
-            acc = acc.add(pair.pointwise(row[j], shat[j]))
-        out.append(pair.inverse(acc))
-    return out
+    ring, tags = pair.ring, (pair.fwd_spec, pair.ring, 1 << pair.beta)
+    if not s or any(len(row) != len(s) for row in Ahat):
+        raise ShapeCondition("matvec needs a non-empty vector as long as every matrix row")
+    if not all(isinstance(a, NttDomainPoly) and (a.spec, a.ring, a.leaf_degree) == tags
+               for row in Ahat for a in row):
+        raise SpecMismatch("matrix entry is not in the plan's transform domain")
+    if not all(isinstance(sj, Poly) and sj.ring == ring for sj in s):
+        raise RingMismatch(f"vector entry is not a polynomial over {ring}")
+    if not Ahat:
+        return []
+    A = NttDomainPoly([[a.values for a in row] for row in Ahat], *tags)
+    rows = polymul.pointwise_sums(A, pair.forward([sj.coeffs for sj in s]), pair.leaf_vector)
+    return [Poly.from_array(r, ring) for r in pair.inverse(rows, as_buffer=True)]
 
 
 def sample_ntt_domain_uniform(ring: RingSpec, plan, seed) -> NttDomainPoly:

@@ -14,7 +14,9 @@ The pipeline keeps its values in the transforms' working buffers
 between its transforms, column-wise products mod x^L - gamma: the
 incomplete and split routes' leaves (``pointwise_mul``), the trinomial
 leaves, Good's columns and the block floor of the embeddings.
-``basecase_mul`` stays as its scalar reference.
+``basecase_mul`` stays as its scalar reference.  ``pointwise_sums`` is
+the transform-domain row sum of the module-lattice matvec and the
+split routes' plain cross sums.
 """
 
 from __future__ import annotations
@@ -256,8 +258,8 @@ def _mod(X, q: int, scratch=None):
 def leaf_products(U, V, gamma, q: int, acc=None, scratch=None) -> np.ndarray:
     """Column-wise products mod x^L - gamma of two (L, ...) arrays of
     canonical residues mod q, uncounted: ``basecase_mul`` on every column
-    (every index of the trailing axes) at once, returned as an (L, ...)
-    array of canonical residues.
+    (every index of the trailing axes, which broadcast) at once, returned
+    as an (L, ...) array of canonical residues.
 
     ``gamma`` is +1 or -1 for every column, or a buffer of one constant
     mod q per column.  The caller adds the operation counts.  ``acc``, a
@@ -276,7 +278,7 @@ def leaf_products(U, V, gamma, q: int, acc=None, scratch=None) -> np.ndarray:
     the sums stay below L q + (q-1)^2 < 2^63 (int64 only runs q < 2^31).
     ``object`` arrays (Python ints) cannot overflow and always sum lazily.
     """
-    L, cols = U.shape[0], U.shape[1:]
+    L, cols = U.shape[0], U.shape[1:] if U.shape == V.shape else np.broadcast(U[0], V[0]).shape
     lazy = U.dtype == object or L * (q - 1) ** 2 < 1 << 63
     if acc is None:
         acc = np.empty((2 * L - 1, *cols), dtype=U.dtype)
@@ -315,10 +317,22 @@ def leaf_gammas(spec: TransformSpec, tw, n: int) -> list:
     return list(nat[1 : 2 * m : 2] if nega else nat[:m])
 
 
+def _count_leaves(L: int, use_karatsuba: bool, leaves: int) -> None:
+    """Count ``leaves`` leaf products of length L, as basecase_mul would."""
+    ctr = modarith.active_counter()
+    if ctr is not None:
+        mults, adds, subs = leaf_ops(L, use_karatsuba)
+        ctr.mults += mults * leaves
+        ctr.adds += adds * leaves
+        ctr.subs += subs * leaves
+
+
 def pointwise_mul(A: NttDomainPoly, B: NttDomainPoly, gammas=None, use_karatsuba=False) -> NttDomainPoly:
     """Per-leaf product of two transform-domain polys with equal spec, on
     their buffers; counted as basecase_mul would count it.
 
+    Either operand may be a batch: the leading axes of both broadcast, as
+    numpy broadcasts, and every product of the batch is counted.
     ``gammas`` holds the leaf constants (``leaf_gammas``) as a buffer mod
     q, as ``TransformPair.leaf_vector`` caches them; leaves of degree 1
     need none.
@@ -330,16 +344,53 @@ def pointwise_mul(A: NttDomainPoly, B: NttDomainPoly, gammas=None, use_karatsuba
         vals = A.values * B.values % q
     elif gammas is None:
         raise SpecMismatch("leaf products need the leaf constants")
+    else:  # leaf coefficient l of every leaf of every row along axis 0, batches aligned
+        k = max(A.values.ndim, B.values.ndim)
+        U, V = (v.reshape((1,) * (k - v.ndim) + v.shape[:-1] + (n // L, L)).transpose(k, *range(k))
+                for v in (A.values, B.values))
+        P = leaf_products(U, V, gammas, q)
+        vals = P.transpose(*range(1, P.ndim), 0).reshape(*P.shape[1:-1], n)
+    _count_leaves(L, use_karatsuba, vals.size // L)
+    return NttDomainPoly(vals, A.spec, A.ring, L)
+
+
+def _sums_raw(A: NttDomainPoly, B: NttDomainPoly) -> np.ndarray:
+    """``pointwise_sums`` of degree-1 leaves from the raw products."""
+    if not A.compatible(B):
+        raise SpecMismatch("pointwise product needs equal spec and ring")
+    P = A.values * B.values
+    _count_leaves(1, False, P.size)
+    return P.sum(axis=-2)
+
+
+def _sums_reduced(A: NttDomainPoly, B: NttDomainPoly, gammas) -> np.ndarray:
+    """``pointwise_sums`` from the reduced products of ``pointwise_mul``."""
+    return pointwise_mul(A, B, gammas).values.sum(axis=-2)
+
+
+def pointwise_sums(A: NttDomainPoly, B: NttDomainPoly, gammas=None) -> NttDomainPoly:
+    """Row sums S_i = sum_j A_ij o B_j of transform-domain values: A a
+    (rows, cols, n) batch, B a (cols, n) one; returns the (rows, n) batch.
+    Counted as rows*cols ``pointwise_mul`` products and cols - 1
+    additions of n values per row.
+
+    Summing rule: with leaves of degree 1 a sum takes cols raw products
+    a_ij b_j, each at most (q-1)^2, so while cols (q-1)^2 < 2^63 they are
+    summed in int64 and reduced once.  Otherwise, and for leaves of
+    degree L >= 2 (``leaf_products``), each product is reduced first, and
+    the sum of cols canonical residues stays below cols q < 2^63 (int64
+    only runs q < 2^31).  ``object`` buffers cannot overflow and always
+    sum raw.
+    """
+    q, cols = A.ring.q, B.values.shape[-2]
+    if A.leaf_degree == 1 and (A.values.dtype == object or cols * (q - 1) ** 2 < 1 << 63):
+        S = _sums_raw(A, B)
     else:
-        U, V = (X.values.reshape(-1, L).T for X in (A, B))
-        vals = leaf_products(U, V, gammas, q).T.ravel()
+        S = _sums_reduced(A, B, gammas)
     ctr = modarith.active_counter()
     if ctr is not None:
-        mults, adds, subs = leaf_ops(L, use_karatsuba)
-        ctr.mults += mults * (n // L)
-        ctr.adds += adds * (n // L)
-        ctr.subs += subs * (n // L)
-    return NttDomainPoly(vals, A.spec, A.ring, L)
+        ctr.adds += S.size * (cols - 1)
+    return NttDomainPoly(_mod(S, q), A.spec, A.ring, A.leaf_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +451,11 @@ class TransformPair:
 
     def product(self, x, y, use_karatsuba=False, halving=False) -> np.ndarray:
         """x*y in the pair's ring, for arrays or lists of canonical
-        coefficients: both forward transforms, the leaf products and the
-        inverse, on buffers; returns the product's buffer."""
-        C = self.pointwise(self.forward(x), self.forward(y), use_karatsuba)
+        coefficients: both forward transforms as one batch of two, the
+        leaf products and the inverse, on buffers; returns the product's
+        buffer."""
+        X = self.forward((x, y))
+        C = self.pointwise(X.rows(0), X.rows(1), use_karatsuba)
         return self.inverse(C, halving=halving, as_buffer=True)
 
 

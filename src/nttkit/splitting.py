@@ -21,9 +21,11 @@ one table is the inner pair.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from . import bigmod, polymul, transforms
+from . import bigmod, modarith, polymul, transforms
 from .errors import BadAlpha, RingMismatch
 from .rings import XN_MINUS_1, XN_PLUS_1, Poly, RingSpec
 from .transforms import NttDomainPoly
@@ -32,51 +34,49 @@ from .transforms import NttDomainPoly
 def _small_ring(parent: RingSpec, alpha: int) -> RingSpec:
     if parent.form not in (XN_MINUS_1, XN_PLUS_1):
         raise RingMismatch("splitting applies to x^n - 1 and x^n + 1 rings")
-    step = 1 << alpha
-    if alpha < 0 or parent.n % step:
+    if alpha < 0 or parent.n % (1 << alpha):
         raise BadAlpha(f"2^{alpha} does not divide n={parent.n}")
     return RingSpec(parent.form, parent.n >> alpha, parent.q)
 
 
+@lru_cache(maxsize=None)
+def _cross_layout(step: int) -> tuple:
+    """Read-only index arrays of ``step`` parts: the pairs i < j, the 0/1
+    matrix summing the diagonal and pair products by degree, and the
+    gather of A_0 .. A_(step-1), y A_1 .. y A_(step-1) into the plain sums."""
+    d = np.arange(step)
+    i, j = np.triu_indices(step, 1)
+    by_degree = (np.arange(2 * step - 1)[:, None] == np.concatenate((2 * d, i + j))).astype(int)
+    return tuple(map(transforms.read_only, (i, j, by_degree, (d[:, None] - d) % (2 * step - 1))))
+
+
 def _split_product(x, y, alpha, inner, karatsuba_cross, karatsuba_leaf) -> np.ndarray:
     """x*y for two length-n arrays of canonical coefficients, through the
-    inner pair over the split ring; returns the product's buffer."""
-    step = 1 << alpha
-    A = [inner.forward(p) for p in x.reshape(-1, step).T]
-    B = [inner.forward(p) for p in y.reshape(-1, step).T]
-    yhat = NttDomainPoly(inner.y_domain, inner.fwd_spec, inner.ring, 1 << inner.beta)
-    pw = lambda X, Y: inner.pointwise(X, Y, use_karatsuba=karatsuba_leaf)
-
-    # degree sums S_d = sum_{l+k=d} A_l o B_k, d = 0 .. 2*step-2
-    sums = [None] * (2 * step - 1)
-
-    def acc(d, term):
-        sums[d] = term if sums[d] is None else sums[d].add(term)
-
+    inner pair over the split ring, as a buffer: the 2^(alpha+1) parts go
+    forward as one batch, the cross sums are array arithmetic over it,
+    and the 2^alpha parts of the product come back as one batch."""
+    step, q = 1 << alpha, inner.ring.q
+    i, j, by_degree, shifted = _cross_layout(step)
+    dom = lambda v: NttDomainPoly(v, inner.fwd_spec, inner.ring, 1 << inner.beta)
+    X = inner.forward(np.concatenate((x.reshape(-1, step).T, y.reshape(-1, step).T)))
+    A, B, yhat = X.rows(slice(step)), X.rows(slice(step, None)), dom(inner.y_domain)
+    pw = lambda U, V: inner.pointwise(U, V, use_karatsuba=karatsuba_leaf)
     if karatsuba_cross:
-        diag = [pw(A[i], B[i]) for i in range(step)]
-        for i in range(step):
-            acc(2 * i, diag[i])
-        for i in range(step):
-            for j in range(i + 1, step):
-                cross = pw(A[i].add(A[j]), B[i].add(B[j]))
-                acc(i + j, cross.sub(diag[i]).sub(diag[j]))
-    else:
-        # y-shifted images of a, computed once per multiplicand
-        Adot = [None] + [pw(A[l], yhat) for l in range(1, step)]
-        for i in range(step):
-            for l in range(i + 1):
-                acc(i, pw(A[l], B[i - l]))
-            for l in range(i + 1, step):
-                acc(i, pw(Adot[l], B[step + i - l]))
-
-    out = np.empty((len(x) >> alpha, step), dtype=transforms.buffer_dtype(inner.ring.q))
-    for i in range(step):
-        total = sums[i]
-        if karatsuba_cross and step + i < len(sums):
-            total = total.add(pw(yhat, sums[step + i]))
-        out[:, i] = inner.inverse(total, as_buffer=True)
-    return out.ravel()
+        # S_d = sum_{l+k=d} A_l o B_k from the diagonal and one Karatsuba
+        # product per pair; part i of the product is S_i + y S_(step+i)
+        diag = pw(A, B)
+        cross = pw(A.rows(i).add(A.rows(j)), B.rows(i).add(B.rows(j)))
+        terms = np.concatenate((diag.values, cross.sub(diag.rows(i)).sub(diag.rows(j)).values))
+        S = by_degree @ terms % q
+        ctr = modarith.active_counter()
+        if ctr is not None:  # every term after the first of each sum
+            ctr.adds += (len(terms) - len(S)) * S.shape[1]
+        S[: step - 1] = dom(S[: step - 1]).add(pw(yhat, dom(S[step:]))).values
+        sums = dom(S[:step])
+    else:  # S_i = sum_(l <= i) A_l o B_(i-l) + sum_(l > i) y A_l o B_(step+i-l)
+        images = np.concatenate((A.values, pw(A.rows(slice(1, None)), yhat).values))
+        sums = polymul.pointwise_sums(dom(images[shifted]), B, inner.leaf_vector)
+    return inner.inverse(sums, as_buffer=True).T.ravel()
 
 
 def _strategy_multiply(a, b, alpha, beta, inner, karatsuba_cross, karatsuba_leaf):

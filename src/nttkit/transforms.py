@@ -26,6 +26,14 @@ the block transforms of the embeddings walk it too.  ``run_levels`` drives the a
 the working buffer that ``buffer`` picks from the modulus alone: int64
 below 2^31, ``object`` (Python ints) at or above.
 
+Every array kernel takes one leading batch axis: a buffer is one row of
+n residues or a (batch, n) array of rows, transformed alike by the same
+code (a length-n buffer is a batch of one).  A merged stage is still one
+``np.matmul``, its read-only matrix stack broadcast over the batch, and
+one reduction, whatever the batch size; the per-level kernels, the
+halving and the inverse scaling broadcast the same way.  Op counts count
+every row.
+
 On int64 buffers the levels run as merged stages (Seiler, eprint
 2018/039): each group of at most k consecutive levels is one batched
 ``np.matmul`` with a read-only stack of 2^k x 2^k matrices, then one
@@ -110,10 +118,11 @@ class TransformSpec:
 class NttDomainPoly:
     """Transform-domain values tagged with the spec that produced them.
 
-    ``values`` is a flat length-n working buffer (see ``buffer``; a list
-    passed in is converted); chunk p of length leaf_degree holds the
-    image in the p-th residue ring of the cropped CRT map.  ``add``,
-    ``sub`` and ``scale`` return new values and never mutate these.
+    ``values`` is a length-n working buffer (see ``buffer``; a list
+    passed in is converted), or a batch of them along leading axes;
+    chunk p of length leaf_degree holds the image in the p-th residue
+    ring of the cropped CRT map.  ``add``, ``sub`` and ``scale`` return
+    new values and never mutate these.
     """
 
     values: np.ndarray
@@ -132,6 +141,10 @@ class NttDomainPoly:
     def compatible(self, other: "NttDomainPoly") -> bool:
         return self.spec == other.spec and self.ring == other.ring
 
+    def rows(self, index) -> "NttDomainPoly":
+        """The batch rows ``values[index]`` under the same tags."""
+        return NttDomainPoly(self.values[index], self.spec, self.ring, self.leaf_degree)
+
     def _apply(self, ufunc, other, tally: str) -> "NttDomainPoly":
         """ufunc(values, other) mod q, counted as one ``tally`` op per value."""
         if isinstance(other, NttDomainPoly):
@@ -140,7 +153,7 @@ class NttDomainPoly:
             other = other.values
         c = modarith.active_counter()
         if c is not None:
-            setattr(c, tally, getattr(c, tally) + len(self.values))
+            setattr(c, tally, getattr(c, tally) + self.values.size)
         return NttDomainPoly(ufunc(self.values, other) % self.ring.q, self.spec, self.ring,
                              self.leaf_degree)
 
@@ -365,12 +378,12 @@ def _groups(count: int, k: int):
 
 @dataclass(frozen=True)
 class Stage:
-    """Consecutive levels as one map on the buffer seen as (blocks, 2^k, span).
+    """Consecutive levels as one map on each row seen as (blocks, 2^k, span).
 
     ``matrices`` is a read-only (blocks, 2^k, 2^k) int64 stack indexed by
     block when the levels take one twiddle per block, else a
     (span, 2^k, 2^k) stack indexed by offset, applied to the
-    (span, 2^k, blocks) transpose.
+    (span, 2^k, blocks) transpose; either broadcasts over the rows.
     """
 
     blocks: int
@@ -379,11 +392,12 @@ class Stage:
     matrices: np.ndarray
 
     def apply(self, buf, q: int) -> None:
-        """The stage on int64 ``buf`` of canonical residues, in place: one
-        matmul, one reduction."""
-        x = buf.reshape(self.blocks, -1, self.span)
+        """The stage on contiguous int64 ``buf`` of canonical residues, one
+        row or a batch of rows, in place: one matmul, the matrix stack
+        broadcast over the batch, and one reduction."""
+        x = buf.reshape(*buf.shape[:-1], self.blocks, self.matrices.shape[-1], self.span)
         if not self.by_block:
-            x = x.transpose(2, 1, 0)
+            x = x.swapaxes(-1, -3)
         np.remainder(np.matmul(self.matrices, x), q, out=x)
 
 
@@ -419,12 +433,12 @@ def gs_pass(a, nblocks: int, half: int, chunk: int, tw, q: int) -> None:
 def ct_level(x, nblocks: int, half: int, chunk: int, w, q: int) -> None:
     """One CT level in place: (u, v) -> (u + w*v, u - w*v) mod q.
 
-    ``x`` is a contiguous buffer of nblocks*2*half*chunk canonical
+    ``x`` is a contiguous buffer of rows of nblocks*2*half*chunk canonical
     residues; ``w`` broadcasts against shape (nblocks, half, chunk).  Both
     halves are reduced by one pass over ``x``.
     """
-    y = x.reshape(nblocks, 2, half, chunk)
-    u, v = y[:, 0], y[:, 1]
+    y = x.reshape(-1, nblocks, 2, half, chunk)
+    u, v = y[:, :, 0], y[:, :, 1]
     t = v * w
     t %= q
     np.subtract(u, t, out=v)
@@ -434,8 +448,8 @@ def ct_level(x, nblocks: int, half: int, chunk: int, w, q: int) -> None:
 
 def gs_level(x, nblocks: int, half: int, chunk: int, w, q: int) -> None:
     """One GS level in place: (u, v) -> (u + v, (u - v)*w) mod q."""
-    y = x.reshape(nblocks, 2, half, chunk)
-    u, v = y[:, 0], y[:, 1]
+    y = x.reshape(-1, nblocks, 2, half, chunk)
+    u, v = y[:, :, 0], y[:, :, 1]
     d = u - v
     u += v
     np.multiply(d, w, out=v)
@@ -469,7 +483,8 @@ def _halve(buf, q: int) -> None:
 
 
 def run_levels(buf, q: int, sched: Schedule, halving=False, on_level=None) -> None:
-    """Apply every level of ``sched`` to ``buf`` in place.
+    """Apply every level of ``sched`` to ``buf`` in place: one length-n
+    row, or every row of a (batch, n) array at once.
 
     An int64 buffer runs the merged stages (one matmul per group of
     levels, see ``stage_width``); an ``object`` buffer, a one-call
@@ -477,9 +492,9 @@ def run_levels(buf, q: int, sched: Schedule, halving=False, on_level=None) -> No
     kernel one level at a time (one reshape-and-broadcast per level); a
     list runs the pure-Python reference kernel (one loop over the level's
     butterflies; it takes no halving).  All give the same values and op
-    counts, which count the radix-2 levels.  ``halving`` folds a division
-    by 2 into each level (odd q only) and ``on_level(level, values)`` sees
-    the values after each level.
+    counts, which count the radix-2 levels of every row.  ``halving``
+    folds a division by 2 into each level (odd q only) and
+    ``on_level(level, values)`` sees the values after each level.
     """
     vec = isinstance(buf, np.ndarray)
     stages = ()
@@ -501,19 +516,19 @@ def run_levels(buf, q: int, sched: Schedule, halving=False, on_level=None) -> No
                 on_level(lvl, buf.tolist() if vec else buf)
     ctr = modarith.active_counter()
     if ctr is not None:  # one butterfly per chunk pair on every level
-        nbf = sum(nblocks * half for nblocks, half, _ in sched.levels) * sched.chunk
+        rows = buf.size // sched.n if vec else 1
+        nbf = sum(nblocks * half for nblocks, half, _ in sched.levels) * sched.chunk * rows
         ctr.mults += nbf
         ctr.adds += nbf
         ctr.subs += nbf
 
 
-def _transform(values, q, tw, spec, n, schedule, halving=False, on_level=None) -> np.ndarray:
-    """Levels of ``spec`` on a fresh buffer holding ``values``; returns it."""
+def _transform(buf, q, tw, spec, n, schedule, halving=False, on_level=None) -> np.ndarray:
+    """Levels of ``spec`` on the rows of ``buf``, in place; returns it."""
     if schedule is None:
         schedule = make_schedule(spec, tw, n, merge=False)
     elif schedule.table is not tw or schedule.spec != spec or schedule.n != n:
         raise SpecViolation("schedule was built for another table, spec or length")
-    buf = buffer(values, q)
     run_levels(buf, q, schedule, halving=halving, on_level=on_level)
     return buf
 
@@ -544,36 +559,45 @@ def _check_ring_form(ring, spec):
         raise SpecViolation(f"{spec.conv_kind} transform over ring form {form!r}")
 
 
+def rows_buffer(values, n: int, q: int) -> np.ndarray:
+    """A fresh working buffer of ``values``, one length-n row or a batch of
+    rows along leading axes."""
+    buf = buffer(values, q)
+    if buf.ndim == 0 or buf.shape[-1] != n:
+        raise LengthMismatch(f"expected rows of {n} coefficients, got shape {buf.shape}")
+    return buf
+
+
 def ntt_forward(a, tw, spec: TransformSpec, on_level=None, schedule=None, ring=None) -> NttDomainPoly:
     """Forward transform of a Poly, or, with ``ring``, of a length-n
-    array or list of canonical residues over that ring; returns tagged
-    transform-domain values.
+    array or list of canonical residues over that ring, or of a (batch,
+    n) array of them; returns tagged transform-domain values.
 
     The coefficients are copied once into a working buffer (``buffer``)
     and the levels of ``schedule`` (built from ``tw`` when not given) then
-    run in place on it; the result holds that buffer.  ``on_level(level,
-    values)`` sees the values after each level.
+    run in place on it, on every row at once; the result holds that
+    buffer.  ``on_level(level, values)`` sees the values after each level.
     """
     if spec.direction != FORWARD:
         raise SpecViolation("ntt_forward requires a forward spec")
     if ring is None:
         ring, a = a.ring, a.coeffs
     n, q = ring.n, ring.q
-    if len(a) != n:
-        raise LengthMismatch(f"expected {n} coefficients, got {len(a)}")
+    buf = rows_buffer(a, n, q)
     _check_table(tw, spec, n, q, expect_inverse=False)
     _check_ring_form(ring, spec)
     ctr = modarith.active_counter()
     if ctr is not None:
-        ctr.forward_transforms += 1
-    buf = _transform(a, q, tw, spec, n, schedule, on_level=on_level)
+        ctr.forward_transforms += buf.size // n
+    _transform(buf, q, tw, spec, n, schedule, on_level=on_level)
     return NttDomainPoly(buf, spec, ring, 1 << spec.beta)
 
 
 def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False, on_level=None,
                 schedule=None, as_buffer=False):
     """Inverse transform back to a Poly, or with ``as_buffer`` to its
-    buffer of canonical residues; exact inverse of ntt_forward.
+    buffer of canonical residues; exact inverse of ntt_forward.  A batch
+    of rows runs at once and needs ``as_buffer``.
 
     The per-level factor 2 is deferred into one final scaling by
     (n/2^beta)^-1, or folded into each level when halving is set
@@ -593,15 +617,16 @@ def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False,
     _check_table(tw_inv, spec, n, q, expect_inverse=True)
     if halving and q % 2 == 0:
         raise SpecViolation("halving mode needs an odd modulus")
+    buf = rows_buffer(ahat.values, n, q)
     ctr = modarith.active_counter()
     if ctr is not None:
-        ctr.inverse_transforms += 1
-    buf = _transform(ahat.values, q, tw_inv, spec, n, schedule, halving, on_level)
+        ctr.inverse_transforms += buf.size // n
+    _transform(buf, q, tw_inv, spec, n, schedule, halving, on_level)
     if not halving:
         buf *= modarith.mod_inv(n >> spec.beta, q)
         buf %= q
         if ctr is not None:
-            ctr.mults += n
+            ctr.mults += buf.size
     return buf if as_buffer else Poly.from_array(buf, ahat.ring)
 
 

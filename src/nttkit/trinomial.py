@@ -24,7 +24,7 @@ from math import gcd
 import numpy as np
 
 from . import bigmod, modarith, polymul, transforms
-from .errors import LengthMismatch, ParameterCondition, PlanMismatch
+from .errors import ParameterCondition, PlanMismatch
 from .modarith import find_root, is_prime, mod_inv
 from .rings import TRINOMIAL, Poly, RingSpec
 from .transforms import CYCLIC_BLOCK_PAIR
@@ -115,18 +115,17 @@ def make_plan(ring: RingSpec) -> TrinomialPlan:
 
 def trinomial_forward(a, plan: TrinomialPlan, ring=None) -> TrinomialDomainPoly:
     """Forward transform of a Poly, or, with ``ring``, of a length-n array
-    or list of canonical residues over that ring, into a fresh buffer."""
+    or list of canonical residues over that ring, or of a (batch, n)
+    array of them, into a fresh buffer; every row runs at once."""
     if ring is None:
         ring, a = a.ring, a.coeffs
     if ring != plan.ring:
         raise PlanMismatch("polynomial ring does not match the plan")
     n, q = plan.n, plan.q
-    if len(a) != n:
-        raise LengthMismatch(f"expected {n} coefficients, got {len(a)}")
-    half = n // 2
-    vals = transforms.buffer(a, q)
+    vals = transforms.rows_buffer(a, n, q)
+    half, pairs = n // 2, vals.size // 2
     # split level: 1 mult, 2 adds, 1 sub per pair
-    lo, hi = vals[:half], vals[half:]
+    lo, hi = vals[..., :half], vals[..., half:]
     t = hi * plan.zeta1
     t %= q
     hi += lo
@@ -136,41 +135,42 @@ def trinomial_forward(a, plan: TrinomialPlan, ring=None) -> TrinomialDomainPoly:
     lo %= q
     ctr = modarith.active_counter()
     if ctr is not None:
-        ctr.forward_transforms += 1
-        ctr.mults += half
-        ctr.adds += 2 * half
-        ctr.subs += half
+        ctr.forward_transforms += vals.size // n
+        ctr.mults += pairs
+        ctr.adds += 2 * pairs
+        ctr.subs += pairs
     transforms.run_levels(vals, q, plan.forward)
     return TrinomialDomainPoly(vals, plan)
 
 
 def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan, as_buffer=False):
     """Inverse transform back to a Poly, or with ``as_buffer`` to its
-    buffer of canonical residues; ``ahat.values`` is never mutated."""
+    buffer of canonical residues; ``ahat.values`` is never mutated.  A
+    batch of rows runs at once and needs ``as_buffer``."""
     if ahat.plan is not plan and ahat.plan != plan:
         raise PlanMismatch("domain values were produced under a different plan")
     n, q = plan.n, plan.q
     vals = transforms.buffer(ahat.values, q)
-    half = n // 2
+    half, pairs = n // 2, vals.size // 2
     transforms.run_levels(vals, q, plan.inverse)
     # undo the split level exactly: invert [[1, z1], [1, z2]]
     z1, z2 = plan.zeta1, plan.zeta2
     det_inv = mod_inv((z2 - z1) % q, q)
-    l, r = vals[:half].copy(), vals[half:]
+    l, r = vals[..., :half].copy(), vals[..., half:]
     x = z2 * l - z1 * r
     x %= q
     x *= det_inv
-    vals[:half] = x
+    vals[..., :half] = x
     r -= l
     r %= q
     r *= det_inv
     levels = len(plan.inverse.levels)
     ctr = modarith.active_counter()
     if ctr is not None:  # the unsplit, and the final scaling when there are levels
-        ctr.inverse_transforms += 1
-        ctr.mults += 4 * half + (n if levels else 0)
-        ctr.adds += half
-        ctr.subs += half
+        ctr.inverse_transforms += vals.size // n
+        ctr.mults += 4 * pairs + (vals.size if levels else 0)
+        ctr.adds += pairs
+        ctr.subs += pairs
     vals %= q
     vals *= mod_inv(1 << levels, q)
     vals %= q
@@ -191,11 +191,11 @@ def trinomial_pointwise(u, v, psi_j: int, q: int) -> list:
     return [c0, c1, c2]
 
 
-def _leaf_product(A: TrinomialDomainPoly, B: TrinomialDomainPoly) -> np.ndarray:
-    """The degree-2 leaf products of two forward images, inverted: the
-    product's buffer."""
-    plan = A.plan
-    U, V = A.values.reshape(-1, 3).T, B.values.reshape(-1, 3).T
+def _leaf_product(X: TrinomialDomainPoly) -> np.ndarray:
+    """The degree-2 leaf products of a batch of two forward images,
+    inverted: the product's buffer."""
+    plan = X.plan
+    U, V = (v.reshape(-1, 3).T for v in X.values)
     vals = polymul.leaf_products(U, V, plan.leaf_vector, plan.q).T.ravel()
     ctr = modarith.active_counter()
     if ctr is not None:
@@ -206,8 +206,11 @@ def _leaf_product(A: TrinomialDomainPoly, B: TrinomialDomainPoly) -> np.ndarray:
 
 
 def trinomial_multiply(a: Poly, b: Poly, plan: TrinomialPlan) -> Poly:
-    """Forward both operands, multiply the degree-2 leaves, invert."""
-    return Poly.from_array(_leaf_product(trinomial_forward(a, plan), trinomial_forward(b, plan)),
+    """Forward both operands as one batch, multiply the degree-2 leaves,
+    invert."""
+    if a.ring != b.ring:
+        raise PlanMismatch("operands belong to different rings")
+    return Poly.from_array(_leaf_product(trinomial_forward([a.coeffs, b.coeffs], plan, a.ring)),
                            plan.ring)
 
 
@@ -223,4 +226,4 @@ class TrinomialExecutor(bigmod.LiftedExecutor):
         return make_plan(self.ring)
 
     def run(self, x, y, plan):
-        return _leaf_product(trinomial_forward(x, plan, self.ring), trinomial_forward(y, plan, self.ring))
+        return _leaf_product(trinomial_forward((x, y), plan, self.ring))

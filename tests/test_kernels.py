@@ -13,7 +13,9 @@ The merged int64 stages are swept against the reference kernel on
 generated (n, q) for every spec, beta, halving mode and stage width,
 trinomial chunk-3 schedules included; the width rule is pinned at each
 of its boundaries, and every preset that runs a transform is shown to
-run no per-level kernel.
+run no per-level kernel.  A (batch, n) buffer runs every kernel once for
+all its rows and must equal row-by-row runs and the reference kernel,
+with op counts per row.
 """
 
 from unittest import mock
@@ -447,6 +449,78 @@ def test_merged_trinomial_stages_match_reference(case, data):
             assert merged(values, ring.q, sched) == (want, c)
     with mock.patch.multiple(transforms, ct_level=_boom, gs_level=_boom):
         assert trinomial.trinomial_multiply(a, b, plan) == oracle_multiply(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the batch axis: a (batch, n) buffer runs every kernel once for all rows
+
+@st.composite
+def batch_cases(draw):
+    """(kind, n, q, beta, k, rows): a generated q below 2^31 (stage width
+    k) or a prime above 2^31 (``object`` buffers), and 1-4 operand rows."""
+    kind = draw(st.sampled_from((CC, NWC)))
+    logn = draw(st.integers(1, 6))
+    n = 1 << logn
+    beta = draw(st.integers(0, logn - 1))
+    order = (2 * n if kind == NWC else n) >> beta
+    if draw(st.booleans()):
+        q = friendly_prime(draw(st.integers(2, 2**29)), order)
+    else:
+        q = draw(st.sampled_from([p for p in BIG_PRIMES if two_adic(p) % order == 0]))
+    k = draw(st.integers(1, transforms.STAGE_CAP))
+    return kind, n, q, beta, k, draw(st.lists(edge_or_random(n, q), min_size=1, max_size=4))
+
+
+@BUDGET
+@given(batch_cases())
+def test_run_levels_on_a_batch_matches_each_row(case):
+    # every spec, beta, halving mode and width, merged stages and the
+    # per-level kernel (a one-call schedule), int64 and object buffers
+    kind, n, q, beta, k, rows = case
+    ftw, itw = tables_for(kind, n, q, beta)
+    runs = []
+    for fs in forward_specs(kind, beta):
+        runs.append((fs, ftw, False))
+        runs += [(inv, itw, h) for inv in inverse_specs_for(fs) for h in (False, True)
+                 if q % 2 or not h]
+    with mock.patch.object(transforms, "STAGE_CAP", k):
+        for spec, tw, halving in runs:
+            for merge in (True, False):
+                sched = transforms.make_schedule(spec, tw, n, merge)
+                batch = transforms.buffer(rows, q)
+                assert batch.shape == (len(rows), n) and batch.dtype == buffer_dtype(q)
+                with counting() as c:
+                    transforms.run_levels(batch, q, sched, halving=halving)
+                for r, got in zip(rows, batch.tolist()):
+                    x = transforms.buffer(r, q)
+                    transforms.run_levels(x, q, sched, halving=halving)
+                    want, one = reference(r, q, tw, spec, n, halving)
+                    assert got == x.tolist() == want
+                assert (c.mults, c.adds, c.subs) == (len(rows) * one.mults,
+                                                     len(rows) * one.adds, len(rows) * one.subs)
+
+
+@BUDGET
+@given(batch_cases(), st.booleans())
+def test_public_transforms_on_a_batch_match_each_row(case, halving):
+    # ntt_forward/ntt_inverse and the batched leaf products, counted per row
+    kind, n, q, beta, _, rows = case
+    ring = ring_for(kind, n, q)
+    pair = make_transform_pair(ring, beta)
+    halving = halving and q % 2 == 1
+    with counting() as c:
+        A = pair.forward(transforms.buffer(rows, q))
+        C = pair.pointwise(A, A.rows(0))
+        back = pair.inverse(C, halving=halving, as_buffer=True)
+    a0 = pair.forward(Poly(rows[0], ring))
+    with counting() as one:  # the same work, one row at a time
+        for r, got_a, got_c, got_back in zip(rows, A.values, C.values, back):
+            a = pair.forward(Poly(r, ring))
+            c_one = pair.pointwise(a, a0)
+            assert got_a.tolist() == a.values.tolist()
+            assert got_c.tolist() == c_one.values.tolist()
+            assert got_back.tolist() == pair.inverse(c_one, halving=halving).coeffs
+    assert c == one and c.forward_transforms == len(rows)
 
 
 def width_boundary(k):

@@ -4,7 +4,7 @@ import threading
 import pytest
 
 from nttkit import bigmod, embed, modarith, planner, polymul, transforms, trinomial
-from nttkit.errors import NoStrategy, RingMismatch, ShapeCondition, UnknownPreset
+from nttkit.errors import NoStrategy, RingMismatch, ShapeCondition, SpecMismatch, UnknownPreset
 from nttkit.planner import (
     GENERAL_PHI,
     NON_POW2,
@@ -23,6 +23,7 @@ from nttkit.planner import (
 )
 from nttkit.polymul import oracle_multiply
 from nttkit.rings import Poly, RingSpec, TRINOMIAL, XN_MINUS_1, XN_MINUS_X_MINUS_1, XN_PLUS_1
+from nttkit.transforms import NttDomainPoly
 
 
 def test_classify_examples():
@@ -254,6 +255,124 @@ def test_matvec_refuses_an_empty_vector():
     ring, plan = preset("kyber")
     with pytest.raises(ShapeCondition):
         matvec_multiply([[]], [], plan)
+
+
+# every s_j outside the plan's ring is one refusal, whichever field differs
+@pytest.mark.parametrize("other", [RingSpec(XN_PLUS_1, 256, 7681), RingSpec(XN_PLUS_1, 128, 3329),
+                                   RingSpec(XN_MINUS_1, 256, 3329)], ids=["q", "n", "form"])
+def test_matvec_refuses_a_vector_over_another_ring(other, rng):
+    ring, plan = preset("kyber")
+    ahat = sample_ntt_domain_uniform(ring, plan, 1)
+    s = [Poly.random(ring, rng), Poly.random(other, rng)]
+    with modarith.counting() as c, pytest.raises(RingMismatch):
+        matvec_multiply([[ahat, ahat]], s, plan)
+    assert c == modarith.OpCounter()
+
+
+def _foreign_entries(ring, pair):
+    """Transform-domain entries outside the pair's domain: its inverse
+    spec, another beta, another ring and another leaf degree."""
+    vals = sample_ntt_domain_uniform(ring, pair, 2).values
+    other = RingSpec(XN_PLUS_1, 256, 7681)
+    cropped = transforms.TransformSpec(transforms.NWC, transforms.CT, transforms.FORWARD,
+                                       transforms.NATURAL, transforms.BIT_REVERSED, 2)
+    return {"spec": NttDomainPoly(vals, pair.inv_spec, ring, 2),
+            "beta": NttDomainPoly(vals, cropped, ring, 2),
+            "ring": NttDomainPoly(vals, pair.fwd_spec, other, 2),
+            "leaf degree": NttDomainPoly(vals, pair.fwd_spec, ring, 1)}
+
+
+@pytest.mark.parametrize("field", ["spec", "beta", "ring", "leaf degree"])
+def test_matvec_refuses_a_foreign_matrix_entry_before_any_arithmetic(field, rng):
+    ring, plan = preset("kyber")
+    pair = plan.pair
+    good = sample_ntt_domain_uniform(ring, pair, 1)
+    s = [Poly.random(ring, rng) for _ in range(2)]
+    with modarith.counting() as c, pytest.raises(SpecMismatch):
+        matvec_multiply([[good, good], [good, _foreign_entries(ring, pair)[field]]], s, pair)
+    assert c == modarith.OpCounter()
+
+
+def _row_sum_boundary(q):
+    """The largest cols with cols (q-1)^2 < 2^63."""
+    cols = ((1 << 63) - 1) // (q - 1) ** 2
+    assert cols * (q - 1) ** 2 < 1 << 63 <= (cols + 1) * (q - 1) ** 2
+    return cols
+
+
+# the smallest primes = 1 (mod 16) (an 8-point negacyclic pair) with
+# (q-1)^2 above 2^63 / 4 (a row sums 3 raw products) and 2^63 / 3 (2)
+@pytest.mark.parametrize("q, cols", [(1518500449, 3), (1753413121, 2)])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_matvec_row_sum_rule_at_its_boundary(monkeypatch, q, cols, extra):
+    assert modarith.is_prime(q) and _row_sum_boundary(q) == cols
+    cols += extra
+    other = "_sums_raw" if extra else "_sums_reduced"
+
+    def boom(*args):
+        raise AssertionError(f"{other} must not run for {cols} columns at q = {q}")
+
+    monkeypatch.setattr(polymul, other, boom)
+    ring = RingSpec(XN_PLUS_1, 8, q)
+    pair = polymul.make_transform_pair(ring, 0)
+    # all q-1 on both sides of every transform-domain product: each raw
+    # product is (q-1)^2, and a row sums cols of them
+    top = NttDomainPoly([q - 1] * 8, pair.fwd_spec, ring)
+    s = [pair.inverse(top)] * cols
+    assert all(v == q - 1 for v in pair.forward(s[0]).values.tolist())
+    rows = matvec_multiply([[top] * cols] * 2, s, pair)
+    want = Poly.zero(ring)
+    for _ in range(cols):
+        want = want.add(oracle_multiply(pair.inverse(top), s[0]))
+    assert [r.coeffs for r in rows] == [want.coeffs] * 2
+
+
+# (mults, adds, subs, forward, inverse) of one product or matvec: the
+# batched transforms, leaves and cross sums count what one polynomial at
+# a time counted
+OP_COUNTS = {
+    "matvec kyber 3x3": (11904, 8064, 5376, 3, 3),
+    "matvec dilithium 6x5": (20480, 17408, 11264, 5, 6),
+    "good ntru-701": (22272, 20736, 20736, 6, 3),
+    "hntt alpha=1 beta=1": (3584, 3456, 3072, 4, 2),
+    "hntt alpha=0 beta=1": (3456, 3072, 2944, 2, 1),
+    "hntt alpha=3 beta=0": (3552, 4608, 3712, 16, 8),
+    "split-pt alpha=2": (3776, 3072, 2304, 8, 4),
+    "split-pt alpha=3": (4448, 3712, 1920, 16, 8),
+    "trinomial nttru-768": (13952, 11264, 9216, 2, 1),
+}
+
+
+def _op_count_case(name, rng):
+    """(ring, a thunk running the case) for an OP_COUNTS entry."""
+    kyber_ring = RingSpec(XN_PLUS_1, 256, 3329)
+    if name.startswith("matvec"):
+        ring, plan = preset(name.split()[1])
+        rows, cols = map(int, name.split()[2].split("x"))
+        A = [[sample_ntt_domain_uniform(ring, plan, cols * i + j) for j in range(cols)]
+             for i in range(rows)]
+        s = [Poly.random(ring, rng) for _ in range(cols)]
+        return lambda: matvec_multiply(A, s, plan)
+    if name.startswith("good"):
+        ring, plan = preset(name.split()[1])
+    elif name.startswith("trinomial"):
+        ring = RingSpec(TRINOMIAL, 768, 7681)
+        plan = make_plan(ring, "trinomial")
+    else:
+        ring = kyber_ring
+        kw = dict(arg.split("=") for arg in name.split()[1:])
+        plan = make_plan(ring, name.split()[0], **{k: int(v) for k, v in kw.items()})
+    a, b = sample_operands(ring, plan, rng)
+    return lambda: multiply(a, b, plan)
+
+
+@pytest.mark.parametrize("name", sorted(OP_COUNTS))
+def test_op_counts_are_pinned(name, rng):
+    run = _op_count_case(name, rng)
+    run()  # tables built outside the count
+    with modarith.counting() as c:
+        run()
+    assert (c.mults, c.adds, c.subs, c.forward_transforms, c.inverse_transforms) == OP_COUNTS[name]
 
 
 def test_sample_domain_uniform_refuses_another_ring():
