@@ -145,8 +145,9 @@ class LiftedExecutor:
     mod one working modulus p, built on first use and kept in ``tables``)
     and ``run(x, y, table)`` (its product of two arrays mod p, returned as
     a buffer).  ``product`` is the one path of every route, on int64
-    coefficient arrays; ``multiply`` is the only ring check and the only
-    Poly conversion of a planned product.  The working moduli are N, or a
+    coefficient arrays; ``multiply`` is the only ring check of a planned
+    product, and it reads the operands' ``Poly.array`` and builds the one
+    Poly of the product.  The working moduli are N, or a
     ``basis`` of distinct primes below 2^31 in its place, with product P.
     Both operands are lifted once, centered, and checked against P; the
     route runs once per working modulus; Garner recovery mod P, centered,
@@ -169,7 +170,7 @@ class LiftedExecutor:
     def multiply(self, a: Poly, b: Poly) -> Poly:
         if a.ring != self.ring or b.ring != self.ring:
             raise RingMismatch("operands do not live in the executor's ring")
-        return Poly.from_array(self.product(a.to_array(), b.to_array()), self.ring)
+        return Poly(self.product(a.array, b.array), self.ring)
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The ring product of two int64 arrays of canonical coefficients,

@@ -141,7 +141,7 @@ def cmd_verify(args) -> int:
         a, b = planner.sample_operands(ring, plan, rng)
         got = planner.multiply(a, b, plan)
         want = polymul.oracle_multiply(a, b)
-        return got.coeffs == want.coeffs
+        return got == want
 
     t0 = time.perf_counter()
     workers = _thread_count()
@@ -212,7 +212,7 @@ def cmd_count_ops(args) -> int:
         cc_itw = modarith.build_twiddles(omega, n, q, modarith.BIT_REVERSED, inverse=True)
         psi_tw = modarith.build_twiddles(psi, 2 * n, q)
         psi_itw = modarith.build_twiddles(psi, 2 * n, q, inverse=True)
-        ap = Poly(a.coeffs, cc_ring)
+        ap = Poly(a.array, cc_ring)
         with modarith.counting() as cs:
             sh = transforms.nwc_forward_separate(ap, cc_tw, psi_tw, cc_f)
         with modarith.counting() as cs2:

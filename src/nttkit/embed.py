@@ -60,10 +60,9 @@ def zero_pad_multiply(a: Poly, b: Poly, n_prime: int, backend, form: str = XN_MI
     big = RingSpec(form, n_prime, a.ring.q)
 
     def product(x, y):
-        return backend(Poly.from_array(x, big), Poly.from_array(y, big)).to_array()
+        return backend(Poly(x, big), Poly(y, big)).array
 
-    return Poly.from_array(padded_product(a.to_array(), b.to_array(), a.ring, n_prime, product),
-                           a.ring)
+    return Poly(padded_product(a.array, b.array, a.ring, n_prime, product), a.ring)
 
 
 def padded_product(x, y, ring: RingSpec, n_prime: int, product) -> np.ndarray:
@@ -480,7 +479,7 @@ def _block_one_shot(a: Poly, b: Poly, step, schedule: tuple | None) -> Poly:
     """A block product of two Polys in a workspace built for it."""
     q = _operand_modulus(a, b, step, schedule)
     ws = BlockWorkspace(schedule or block_schedule(step))
-    return Poly.from_array(_block_product(a.to_array(), b.to_array(), ws, q), a.ring)
+    return Poly(_block_product(a.array, b.array, ws, q), a.ring)
 
 
 # ---------------------------------------------------------------------------

@@ -496,8 +496,8 @@ def matvec_multiply(Ahat, s, plan) -> list:
     if not Ahat:
         return []
     A = NttDomainPoly([[a.values for a in row] for row in Ahat], *tags)
-    rows = polymul.pointwise_sums(A, pair.forward([sj.coeffs for sj in s]), pair.leaf_vector)
-    return [Poly.from_array(r, ring) for r in pair.inverse(rows, as_buffer=True)]
+    rows = polymul.pointwise_sums(A, pair.forward([sj.array for sj in s]), pair.leaf_vector)
+    return [Poly(r, ring) for r in pair.inverse(rows, as_buffer=True)]
 
 
 def sample_ntt_domain_uniform(ring: RingSpec, plan, seed) -> NttDomainPoly:

@@ -438,9 +438,8 @@ class TransformPair:
     def forward(self, a) -> NttDomainPoly:
         """Forward transform of a Poly of the pair's ring, or of an array
         or list of its coefficients."""
-        ring = None if isinstance(a, Poly) else self.ring
         return transforms.ntt_forward(a, self.fwd_tw, self.fwd_spec, schedule=self.fwd_sched,
-                                      ring=ring)
+                                      ring=None if isinstance(a, Poly) else self.ring)
 
     def inverse(self, ahat: NttDomainPoly, halving=False, as_buffer=False):
         return transforms.ntt_inverse(ahat, self.inv_tw, self.inv_spec, halving=halving,
@@ -496,5 +495,5 @@ def ntt_multiply(a: Poly, b: Poly, pair: TransformPair, use_karatsuba=False, hal
     """forward(a) o forward(b), leaf products, inverse; exact in the ring."""
     if a.ring != pair.ring or b.ring != pair.ring:
         raise RingMismatch("operands do not live in the pair's ring")
-    return Poly.from_array(pair.product(a.coeffs, b.coeffs, use_karatsuba, halving), pair.ring)
+    return Poly(pair.product(a.array, b.array, use_karatsuba, halving), pair.ring)
 

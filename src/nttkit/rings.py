@@ -1,4 +1,8 @@
-"""Quotient-ring descriptors and coefficient-vector polynomials."""
+"""Quotient-ring descriptors and coefficient-vector polynomials.
+
+A ``Poly`` is one checked, read-only int64 array, which every product
+path reads and returns; ``Poly.coeffs`` builds a list on demand.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FormMismatch
+from .errors import FormMismatch, RingMismatch
 from .modarith import check_modulus
 
 XN_MINUS_1 = "x^n-1"
@@ -81,35 +85,42 @@ class RingSpec:
         return c
 
 
-@dataclass
 class Poly:
-    """Length-n canonical coefficient vector over its ring (ascending)."""
+    """Length-n canonical coefficient vector over its ring (ascending).
 
-    coeffs: list
-    ring: RingSpec
+    The constructor takes a list or an array of integers (Python or
+    numpy), checks length, integrality and range once, on the whole
+    array, and keeps a fresh read-only int64 copy as ``array`` (every q up
+    to 2^42 fits).  ``coeffs`` is a new list of Python ints on every read.
+    """
 
-    def __post_init__(self):
-        n, q = self.ring.n, self.ring.q
-        if len(self.coeffs) != n:
-            raise ValueError(f"expected {n} coefficients, got {len(self.coeffs)}")
-        if any(not 0 <= c < q for c in self.coeffs):
+    __slots__ = ("array", "ring")
+
+    def __init__(self, values, ring: RingSpec):
+        a = np.asarray(values)
+        if a.dtype.kind not in "iu":  # floats, or ints past int64 (object): check each
+            a = np.array(values, dtype=object)
+            if not all(isinstance(v, (int, np.integer)) for v in a.flat):
+                raise ValueError("coefficients must be integers")
+        if a.shape != (ring.n,):
+            raise ValueError(f"expected {ring.n} coefficients, got shape {a.shape}")
+        if a.min() < 0 or a.max() >= ring.q:
             raise ValueError("coefficients must be canonical in [0, q)")
+        self.array = a.astype(np.int64)
+        self.array.flags.writeable = False
+        self.ring = ring
 
-    @classmethod
-    def from_array(cls, values, ring: RingSpec) -> "Poly":
-        """The Poly of a 1-D int64 or object array, range-checked once on
-        the array; its coefficients become a list of Python ints."""
-        if values.shape != (ring.n,):
-            raise ValueError(f"expected {ring.n} coefficients, got shape {values.shape}")
-        if values.min() < 0 or values.max() >= ring.q:
-            raise ValueError("coefficients must be canonical in [0, q)")
-        p = object.__new__(cls)  # checked above: skip the per-coefficient check
-        p.coeffs, p.ring = values.tolist(), ring
-        return p
+    @property
+    def coeffs(self) -> list:
+        return self.array.tolist()
 
-    def to_array(self) -> np.ndarray:
-        """The coefficients as a fresh int64 array (every q up to 2^42 fits)."""
-        return np.array(self.coeffs, dtype=np.int64)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.ring == other.ring and np.array_equal(self.array, other.array)
+
+    def __repr__(self) -> str:
+        return f"Poly({self.coeffs!r}, {self.ring!r})"
 
     @classmethod
     def from_ints(cls, ints, ring: RingSpec) -> "Poly":
@@ -136,21 +147,16 @@ class Poly:
     @classmethod
     def random_small(cls, ring: RingSpec, rng, bound: int) -> "Poly":
         """Uniform centered coefficients in [-bound, bound], stored canonically."""
-        q = ring.q
-        return cls([rng.randint(-bound, bound) % q for _ in range(ring.n)], ring)
+        return cls([rng.randint(-bound, bound) % ring.q for _ in range(ring.n)], ring)
 
     def add(self, other: "Poly") -> "Poly":
         self._check(other)
-        q = self.ring.q
-        return Poly([(x + y) % q for x, y in zip(self.coeffs, other.coeffs)], self.ring)
+        return Poly((self.array + other.array) % self.ring.q, self.ring)
 
     def sub(self, other: "Poly") -> "Poly":
         self._check(other)
-        q = self.ring.q
-        return Poly([(x - y) % q for x, y in zip(self.coeffs, other.coeffs)], self.ring)
+        return Poly((self.array - other.array) % self.ring.q, self.ring)
 
     def _check(self, other):
         if self.ring != other.ring:
-            from .errors import RingMismatch
-
             raise RingMismatch("polynomials belong to different rings")

@@ -87,8 +87,8 @@ def _strategy_multiply(a, b, alpha, beta, inner, karatsuba_cross, karatsuba_leaf
         inner = polymul.make_transform_pair(small, beta)
     elif inner.ring != small:  # the pair takes the bare-array parts to be over its own ring
         raise RingMismatch(f"inner pair is over {inner.ring}, the split ring is {small}")
-    c = _split_product(a.to_array(), b.to_array(), alpha, inner, karatsuba_cross, karatsuba_leaf)
-    return Poly.from_array(c, a.ring)
+    return Poly(_split_product(a.array, b.array, alpha, inner, karatsuba_cross, karatsuba_leaf),
+                a.ring)
 
 
 def ptntt_multiply(a: Poly, b: Poly, alpha: int, inner=None) -> Poly:

@@ -58,6 +58,7 @@ import numpy as np
 
 from . import modarith
 from .errors import LengthMismatch, OrderMismatch, RingMismatch, SpecMismatch, SpecViolation
+from .rings import XN_MINUS_1, XN_PLUS_1, Poly
 
 CC = "CC"
 NWC = "NWC"
@@ -548,14 +549,9 @@ def _check_table(tw, spec, n, q, expect_inverse):
 
 
 def _check_ring_form(ring, spec):
-    # rings module is import-light here on purpose; duck-typed ring
-    form = getattr(ring, "form", None)
-    if form is None:
-        return
-    from . import rings
-
-    want = rings.XN_PLUS_1 if spec.conv_kind == NWC else rings.XN_MINUS_1
-    if form != want:
+    form = getattr(ring, "form", None)  # duck-typed ring: no form, no check
+    want = XN_PLUS_1 if spec.conv_kind == NWC else XN_MINUS_1
+    if form is not None and form != want:
         raise SpecViolation(f"{spec.conv_kind} transform over ring form {form!r}")
 
 
@@ -581,7 +577,7 @@ def ntt_forward(a, tw, spec: TransformSpec, on_level=None, schedule=None, ring=N
     if spec.direction != FORWARD:
         raise SpecViolation("ntt_forward requires a forward spec")
     if ring is None:
-        ring, a = a.ring, a.coeffs
+        ring, a = a.ring, a.array
     n, q = ring.n, ring.q
     buf = rows_buffer(a, n, q)
     _check_table(tw, spec, n, q, expect_inverse=False)
@@ -604,8 +600,6 @@ def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False,
     (identical outputs, tested).  ``ahat.values`` is copied, never
     mutated; a Poly result is range-checked once, on its buffer.
     """
-    from .rings import Poly
-
     if spec.direction != INVERSE:
         raise SpecViolation("ntt_inverse requires an inverse spec")
     fs = ahat.spec
@@ -627,7 +621,7 @@ def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False,
         buf %= q
         if ctr is not None:
             ctr.mults += buf.size
-    return buf if as_buffer else Poly.from_array(buf, ahat.ring)
+    return buf if as_buffer else Poly(buf, ahat.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +667,7 @@ def nwc_forward_separate(a, cc_tw, psi_tw, spec: TransformSpec, on_level=None) -
     if ctr is not None:
         ctr.forward_transforms += 1
         ctr.mults += n
-    buf = buffer(a.coeffs, q)
+    buf = buffer(a.array, q)
     buf *= buffer(_psi_powers(psi_tw, spec.in_order, n), q)
     buf %= q
     run_levels(buf, q, make_schedule(spec, cc_tw, n, merge=False), on_level=on_level)
@@ -682,8 +676,6 @@ def nwc_forward_separate(a, cc_tw, psi_tw, spec: TransformSpec, on_level=None) -
 
 def nwc_inverse_separate(ahat: NttDomainPoly, cc_tw_inv, psi_tw_inv, spec: TransformSpec):
     """Plain cyclic inverse transform followed by psi^-1 post-scaling."""
-    from .rings import Poly
-
     if spec.conv_kind != CC or spec.direction != INVERSE or spec.beta != 0:
         raise SpecViolation("separate postprocessing wraps a full cyclic spec")
     n, q = ahat.ring.n, ahat.ring.q
@@ -703,4 +695,4 @@ def nwc_inverse_separate(ahat: NttDomainPoly, cc_tw_inv, psi_tw_inv, spec: Trans
     buf %= q
     if ctr is not None:
         ctr.mults += 2 * n
-    return Poly.from_array(buf, ahat.ring)
+    return Poly(buf, ahat.ring)

@@ -118,7 +118,7 @@ def trinomial_forward(a, plan: TrinomialPlan, ring=None) -> TrinomialDomainPoly:
     or list of canonical residues over that ring, or of a (batch, n)
     array of them, into a fresh buffer; every row runs at once."""
     if ring is None:
-        ring, a = a.ring, a.coeffs
+        ring, a = a.ring, a.array
     if ring != plan.ring:
         raise PlanMismatch("polynomial ring does not match the plan")
     n, q = plan.n, plan.q
@@ -174,7 +174,7 @@ def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan, as_buffer=
     vals %= q
     vals *= mod_inv(1 << levels, q)
     vals %= q
-    return vals if as_buffer else Poly.from_array(vals, plan.ring)
+    return vals if as_buffer else Poly(vals, plan.ring)
 
 
 def trinomial_pointwise(u, v, psi_j: int, q: int) -> list:
@@ -210,8 +210,7 @@ def trinomial_multiply(a: Poly, b: Poly, plan: TrinomialPlan) -> Poly:
     invert."""
     if a.ring != b.ring:
         raise PlanMismatch("operands belong to different rings")
-    return Poly.from_array(_leaf_product(trinomial_forward([a.coeffs, b.coeffs], plan, a.ring)),
-                           plan.ring)
+    return Poly(_leaf_product(trinomial_forward((a.array, b.array), plan, a.ring)), plan.ring)
 
 
 class TrinomialExecutor(bigmod.LiftedExecutor):

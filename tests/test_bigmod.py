@@ -61,7 +61,7 @@ def test_centered_lift_round_trip(rng):
         assert all(-q // 2 <= c <= q // 2 and c % q == x for c, x in zip(cs, xs))
     ring = RingSpec(XN_PLUS_1, 16, 8192)
     a = Poly.random(ring, rng)
-    la = lift_centered(a.to_array(), 8192)
+    la = lift_centered(a.array, 8192)
     assert recover_centered([la.coeffs % 25166081], (25166081,), 8192).tolist() == a.coeffs
     assert la.centered_bound <= 4096
 
@@ -71,7 +71,7 @@ def test_centered_lift_at_the_half_way_point(q):
     # (q-1)//2 is the largest value kept, (q+1)//2 the first one moved down
     lo, hi = (q - 1) // 2, (q + 1) // 2
     ring = RingSpec(XN_MINUS_1, 4, q)
-    la = lift_centered(Poly([lo, hi, 0, 0], ring).to_array(), q)
+    la = lift_centered(Poly([lo, hi, 0, 0], ring).array, q)
     assert la.coeffs.tolist() == [lo, hi - q, 0, 0]
     assert la.centered_bound == max(lo, q - hi)
     assert la.effective_len == 2
@@ -101,7 +101,7 @@ def test_operand_check_at_the_edge_of_a_two_prime_basis():
     assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs == [0] * 4
     a1 = Poly([8, 8, 8, 0], ring)  # 2*3*8*1 = 48 < P - 1
     assert multiply(a1, b, plan).coeffs == oracle_multiply(a1, b).coeffs
-    la, lb = lift_centered(a.to_array(), 16), lift_centered(b.to_array(), 16)
+    la, lb = lift_centered(a.array, 16), lift_centered(b.array, 16)
     _check_dynamic_bound(la, lb, 65)
     with pytest.raises(BoundTooSmall):
         _check_dynamic_bound(la, lb, 64)  # the same operands against P = 64: 2*4*8*1 = P
@@ -411,7 +411,7 @@ def test_operand_check_boundary():
     plan = make_plan(ring, "bigprime", N=257, allow_bigmod=True, profile=(FULL_SMALL, 2))
     a, b = Poly([8] * 8, ring), Poly([2] * 8, ring)
     assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs  # exact at the edge
-    la, lb = lift_centered(a.to_array(), 16), lift_centered(b.to_array(), 16)
+    la, lb = lift_centered(a.array, 16), lift_centered(b.array, 16)
     _check_dynamic_bound(la, lb, 257)
     with pytest.raises(BoundTooSmall):
         _check_dynamic_bound(la, lb, 256)  # one step above N - 1

@@ -78,10 +78,10 @@ def test_verify_detects_mismatch(capsys, monkeypatch):
     # corrupt the pipeline; the in-process oracle must catch it
     real = planner.multiply
 
-    def broken(a, b, plan, **kw):
-        c = real(a, b, plan, **kw)
-        c.coeffs[0] = (c.coeffs[0] + 1) % a.ring.q
-        return c
+    def broken(a, b, plan, **kw):  # a Poly is read-only: return a corrupted copy
+        c = real(a, b, plan, **kw).coeffs
+        c[0] = (c[0] + 1) % a.ring.q
+        return Poly(c, a.ring)
 
     monkeypatch.setattr(cli.planner, "multiply", broken)
     code, out, _ = run(capsys, "verify", "--preset", "kyber", "--trials", "3")

@@ -635,25 +635,58 @@ def _every_plan():
 
 
 def test_no_poly_is_validated_mid_product(monkeypatch, rng):
-    # operands are built first; from then on a product converts each operand
-    # once and builds its result with Poly.from_array, which skips the
-    # per-coefficient check, and every table is built once, on first use
+    # operands are built first; from then on a product reads their arrays
+    # and constructs exactly one Poly, its result, and every table is built
+    # once, on first use
     cases = [(plan, *planner.sample_operands(ring, plan, rng)) for ring, plan in _every_plan()]
     assert any(plan.ring.form == GENERAL for plan, _, _ in cases)
     wants = [oracle_multiply(a, b) for _, a, b in cases]
+    built, init = [], Poly.__init__
+
+    def counted(self, values, ring):
+        built.append(ring)
+        init(self, values, ring)
 
     def boom(*args, **kwargs):
-        raise AssertionError("validated or built mid-product")
+        raise AssertionError("built mid-product")
 
-    monkeypatch.setattr(Poly, "__post_init__", boom)
+    monkeypatch.setattr(Poly, "__init__", counted)
+    for swap in (False, True):
+        for (plan, a, b), want in zip(cases, wants):
+            built.clear()
+            assert planner.multiply(*((b, a) if swap else (a, b)), plan) == want, plan.describe()
+            assert built == [plan.ring], plan.describe()
+        monkeypatch.setattr(embed, "block_schedule", boom)
+        monkeypatch.setattr(embed, "good_index", boom)
+        monkeypatch.setattr(polymul, "make_transform_pair", boom)
+        monkeypatch.setattr(trinomial, "make_plan", boom)
+
+
+def test_no_list_on_the_product_path(monkeypatch, rng):
+    # every planned product and matvec reads Poly.array; only the oracle
+    # (run before the patch) reads the list ``coeffs``
+    cases = [(plan, *planner.sample_operands(ring, plan, rng)) for ring, plan in _every_plan()]
+    wants = [oracle_multiply(a, b) for _, a, b in cases]
+    matvecs = []
+    for name, k, l, bound in (("kyber", 3, 3, 2), ("dilithium", 6, 5, 4)):
+        ring, plan = planner.preset(name)
+        Ahat = [[planner.sample_ntt_domain_uniform(ring, plan, 7 * i + j) for j in range(l)]
+                for i in range(k)]
+        s = [Poly.random_small(ring, rng, bound) for _ in range(l)]
+        rows = [Poly.zero(ring) for _ in range(k)]
+        for i, row in enumerate(Ahat):
+            for a, sj in zip(row, s):
+                rows[i] = rows[i].add(oracle_multiply(plan.pair.inverse(a), sj))
+        matvecs.append((plan, Ahat, s, rows))
+
+    def boom(self):
+        raise AssertionError("Poly.coeffs read on the product path")
+
+    monkeypatch.setattr(Poly, "coeffs", property(boom))
     for (plan, a, b), want in zip(cases, wants):
         assert planner.multiply(a, b, plan) == want, plan.describe()
-    monkeypatch.setattr(embed, "block_schedule", boom)
-    monkeypatch.setattr(embed, "good_index", boom)
-    monkeypatch.setattr(polymul, "make_transform_pair", boom)
-    monkeypatch.setattr(trinomial, "make_plan", boom)
-    for (plan, a, b), want in zip(cases, wants):
-        assert planner.multiply(b, a, plan) == want, plan.describe()
+    for plan, Ahat, s, rows in matvecs:
+        assert planner.matvec_multiply(Ahat, s, plan) == rows, plan.describe()
 
 
 @pytest.mark.parametrize("m, n", [(2, 4), (2, 2), (4, 4), (3, 8), (8, 8)])

@@ -300,13 +300,51 @@ def test_threshold_picks_the_kernel(direction, monkeypatch, rng):
 def test_poly_boundary_refuses_non_canonical_results(q):
     ring = RingSpec(XN_MINUS_1, 4, q)
     ok = transforms.buffer([0, 1, 2, q - 1], q)
-    assert Poly.from_array(ok, ring) == Poly([0, 1, 2, q - 1], ring)
-    assert all(type(c) is int for c in Poly.from_array(ok, ring).coeffs)
+    assert Poly(ok, ring) == Poly([0, 1, 2, q - 1], ring)
+    assert all(type(c) is int for c in Poly(ok, ring).coeffs)
     for bad in (-1, q):
         with pytest.raises(ValueError, match="canonical"):
-            Poly.from_array(transforms.buffer([0, 1, bad, 3], q), ring)
+            Poly(transforms.buffer([0, 1, bad, 3], q), ring)
     with pytest.raises(ValueError, match="coefficients"):
-        Poly.from_array(transforms.buffer([0, 1, 2], q), ring)
+        Poly(transforms.buffer([0, 1, 2], q), ring)
+
+
+def test_poly_checks_every_entry_at_the_boundaries():
+    q = 7681
+    ring = RingSpec(XN_MINUS_1, 4, q)
+    assert Poly([0, 1, 2, q - 1], ring).coeffs == [0, 1, 2, q - 1]
+    for arr in (np.array([0, 1, 2, q - 1], dtype=np.int32), np.array([0, 1, 2, q - 1], dtype=np.uint64),
+                [np.int16(0), np.int64(1), np.uint32(2), q - 1]):
+        p = Poly(arr, ring)
+        assert p.array.dtype == np.int64 and p.coeffs == [0, 1, 2, q - 1]
+    for bad in (-1, q, 2**63, 2**64):
+        for values in ([0, 1, bad, 3], np.array([0, 1, bad, 3], dtype=object)):
+            with pytest.raises(ValueError, match="canonical"):
+                Poly(values, ring)
+    with pytest.raises(ValueError, match="canonical"):
+        Poly(np.array([0, 1, 2**63, 3], dtype=np.uint64), ring)
+    for bad in (0.5, 1.0, np.float64(1.0)):
+        for values in ([0, 1, bad, 3], np.array([0, 1, bad, 3])):
+            with pytest.raises(ValueError, match="integers"):
+                Poly(values, ring)
+    for values in ([0, 1, 2], [0, 1, 2, 3, 4], [[0, 1], [2, 3]], np.zeros((1, 4), dtype=np.int64)):
+        with pytest.raises(ValueError, match="coefficients"):
+            Poly(values, ring)
+
+
+def test_poly_keeps_its_own_read_only_array():
+    ring = RingSpec(XN_MINUS_1, 4, 7681)
+    src_list, src_array = [1, 2, 3, 4], np.array([1, 2, 3, 4])
+    a, b = Poly(src_list, ring), Poly(src_array, ring)
+    src_list[0], src_array[0] = 9, 9
+    assert a.coeffs == b.coeffs == [1, 2, 3, 4]
+    a.coeffs[1] = 9  # a fresh list each read
+    assert a.coeffs == [1, 2, 3, 4]
+    with pytest.raises(ValueError):
+        a.array[0] = 5
+    with pytest.raises(AttributeError):
+        a.coeffs = [5, 6, 7, 8]
+    assert a == b and a != Poly([1, 2, 3, 5], ring) and a != Poly(src_list, RingSpec(XN_PLUS_1, 4, 7681))
 
 
 def test_stages_leave_their_inputs_alone(rng):

@@ -67,7 +67,7 @@ def test_round_trip(n, q, rng):
         a = Poly.random(ring, rng)
         assert trinomial_inverse(trinomial_forward(a, plan), plan).coeffs == a.coeffs
         # the array path of a plan's executor: same images, a buffer back
-        ahat = trinomial_forward(a.to_array(), plan, ring)
+        ahat = trinomial_forward(a.array, plan, ring)
         assert ahat == trinomial_forward(a, plan)
         assert trinomial_inverse(ahat, plan, as_buffer=True).tolist() == a.coeffs
 
@@ -123,6 +123,6 @@ def test_plan_mismatch_guard(rng):
     with pytest.raises(PlanMismatch):
         trinomial_forward(a, p2)
     with pytest.raises(PlanMismatch):
-        trinomial_forward(a.to_array(), p2, a.ring)
+        trinomial_forward(a.array, p2, a.ring)
     with pytest.raises(LengthMismatch):
-        trinomial_forward(a.to_array()[:3], p1, a.ring)
+        trinomial_forward(a.array[:3], p1, a.ring)
