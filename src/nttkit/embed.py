@@ -131,6 +131,7 @@ class GoodExecutor(bigmod.LiftedExecutor):
         h, index = self.h, self.index
         X = pair.forward(np.concatenate((x[index], y[index]))).values
         P = polymul.leaf_products(X[:h], X[h:], 1, pair.ring.q)
+        polymul._count_leaves(h, False, P.size // h)
         out = np.empty(len(x), dtype=np.int64)
         out[index] = pair.inverse(NttDomainPoly(P, pair.fwd_spec, pair.ring, 1), as_buffer=True)
         return out
@@ -397,6 +398,7 @@ def _block_convolve(ws: BlockWorkspace, d: int, q: int, live: int | None = None)
         U, V = ws.floor
         np.copyto(P, polymul.leaf_products(U, V, -1, q, ws.acc, work.reshape(2, L, blocks, rows))
                   .transpose(1, 0, 2))
+        polymul._count_leaves(L, False, blocks * rows)
     _block_ntt(P, depth.inverse, q, True, work=work[: P.size], reduce=False)
     ctr = modarith.active_counter()
     if ctr is not None:

@@ -262,9 +262,10 @@ def leaf_products(U, V, gamma, q: int, acc=None, scratch=None) -> np.ndarray:
     as an (L, ...) array of canonical residues.
 
     ``gamma`` is +1 or -1 for every column, or a buffer of one constant
-    mod q per column.  The caller adds the operation counts.  ``acc``, a
-    (2L - 1, ...) accumulator, and ``scratch``, a (2, L, ...) array, both
-    of U's dtype, are the kernel's working memory: when a caller passes
+    mod q per column.  The caller adds the operation counts
+    (``_count_leaves``).  ``acc``, a (2L - 1, ...) accumulator, and
+    ``scratch``, a (2, L, ...) array, both of U's dtype, are the kernel's
+    working memory: when a caller passes
     them the result is ``acc[:L]`` and nothing of the operands' size is
     allocated; otherwise both are fresh.
 

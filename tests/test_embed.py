@@ -332,8 +332,9 @@ def test_block_embeddings_match_oracle(case):
 
 
 def test_schonhage_preset_product_and_counts_pinned(monkeypatch, rng):
-    # the block route needs no schoolbook oracle, and its op counts are
-    # those of the per-block list code it replaced
+    # the block route needs no schoolbook oracle; its op counts are those
+    # of the per-block list code it replaced plus its 8192 length-8 floor
+    # products, counted as basecase_mul counts them
     ring, plan = planner.preset("ntruprime-761-schonhage")
     a, b = planner.sample_operands(ring, plan, rng)
     want = oracle_multiply(a, b)
@@ -345,7 +346,7 @@ def test_schonhage_preset_product_and_counts_pinned(monkeypatch, rng):
     monkeypatch.setattr(polymul, "schoolbook_cyclic", boom)
     with modarith.counting() as c:
         assert planner.multiply(a, b, plan) == want
-    assert (c.mults, c.adds, c.subs) == (86016, 441344, 531232)
+    assert (c.mults, c.adds, c.subs) == (667648, 498688, 531232)
 
 
 # the odd q nearest each side of L*(q-1)^2 < 2^63 for the leaf lengths the
@@ -714,3 +715,27 @@ def test_plan_refuses_a_pad_to_the_same_length_in_another_form():
     ring = RingSpec(XN_MINUS_1, 12, 7681)
     plan = planner.make_plan(ring, chain=(ZeroPad(12, XN_MINUS_1), Good(3, 2)))
     assert ("pad 12 >= 2n-1 = 23", True) in plan.checks
+
+
+@pytest.mark.parametrize("name", ["ntru-701", "ntruprime-761-schonhage"])
+def test_every_leaf_batch_is_counted(name, monkeypatch, rng):
+    # Good's column products and the block floor count each column as
+    # basecase_mul would, per working modulus
+    ring, plan = _plan(name)
+    a, b = planner.sample_operands(ring, plan, rng)
+    with modarith.counting() as counted:
+        want = planner.multiply(a, b, plan)
+    seen, real = [], polymul.leaf_products
+
+    def recording(U, V, *args, **kwargs):
+        seen.append((U.shape[0], np.broadcast(U[0], V[0]).size))
+        return real(U, V, *args, **kwargs)
+
+    monkeypatch.setattr(polymul, "leaf_products", recording)
+    monkeypatch.setattr(polymul, "_count_leaves", lambda *args: None)
+    with modarith.counting() as bare:
+        assert planner.multiply(a, b, plan) == want
+    assert seen
+    for i, tally in enumerate(("mults", "adds", "subs")):
+        extra = sum(polymul.leaf_ops(L, False)[i] * cols for L, cols in seen)
+        assert getattr(counted, tally) - getattr(bare, tally) == extra, tally
