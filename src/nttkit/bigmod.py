@@ -145,9 +145,9 @@ class LiftedExecutor:
     mod one working modulus p, built on first use and kept in ``tables``)
     and ``run(x, y, table)`` (its product of two arrays mod p, returned as
     a buffer).  ``product`` is the one path of every route, on int64
-    coefficient arrays; ``multiply`` is the only ring check of a planned
-    product, and it reads the operands' ``Poly.array`` and builds the one
-    Poly of the product.  The working moduli are N, or a
+    coefficient arrays; ``multiply``, the only ring check of a planned
+    product, passes it each operand's ``Poly.array`` and builds the one
+    Poly of the result.  The working moduli are N, or a
     ``basis`` of distinct primes below 2^31 in its place, with product P.
     Both operands are lifted once, centered, and checked against P; the
     route runs once per working modulus; Garner recovery mod P, centered,

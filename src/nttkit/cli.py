@@ -84,7 +84,7 @@ def parse_poly_file(text: str) -> Poly:
 def format_poly_file(p: Poly) -> str:
     lines = [f"ring {p.ring.form} n={p.ring.n} q={p.ring.q}"]
     for i in range(0, p.ring.n, 16):
-        lines.append(" ".join(str(c) for c in p.coeffs[i : i + 16]))
+        lines.append(" ".join(map(str, p.array[i : i + 16])))
     return "\n".join(lines) + "\n"
 
 

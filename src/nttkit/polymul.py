@@ -265,9 +265,9 @@ def leaf_products(U, V, gamma, q: int, acc=None, scratch=None) -> np.ndarray:
     mod q per column.  The caller adds the operation counts
     (``_count_leaves``).  ``acc``, a (2L - 1, ...) accumulator, and
     ``scratch``, a (2, L, ...) array, both of U's dtype, are the kernel's
-    working memory: when a caller passes
-    them the result is ``acc[:L]`` and nothing of the operands' size is
-    allocated; otherwise both are fresh.
+    working memory: when a caller passes them the result is ``acc[:L]``
+    and nothing of the operands' size is allocated; otherwise both are
+    fresh.
 
     Lazy rule: linear coefficient k sums min(k + 1, 2L - 1 - k) raw
     products u_i v_j, each at most (q-1)^2.  Folding x^L = gamma adds
@@ -439,8 +439,9 @@ class TransformPair:
     def forward(self, a) -> NttDomainPoly:
         """Forward transform of a Poly of the pair's ring, or of an array
         or list of its coefficients."""
+        ring = None if isinstance(a, Poly) else self.ring
         return transforms.ntt_forward(a, self.fwd_tw, self.fwd_spec, schedule=self.fwd_sched,
-                                      ring=None if isinstance(a, Poly) else self.ring)
+                                      ring=ring)
 
     def inverse(self, ahat: NttDomainPoly, halving=False, as_buffer=False):
         return transforms.ntt_inverse(ahat, self.inv_tw, self.inv_spec, halving=halving,

@@ -1,8 +1,6 @@
-"""Quotient-ring descriptors and coefficient-vector polynomials.
-
-A ``Poly`` is one checked, read-only int64 array, which every product
-path reads and returns; ``Poly.coeffs`` builds a list on demand.
-"""
+"""Quotient-ring descriptors and coefficient-vector polynomials: a ``Poly``
+is one checked, read-only int64 array, which every product path reads
+and returns."""
 
 from __future__ import annotations
 
@@ -88,10 +86,10 @@ class RingSpec:
 class Poly:
     """Length-n canonical coefficient vector over its ring (ascending).
 
-    The constructor takes a list or an array of integers (Python or
-    numpy), checks length, integrality and range once, on the whole
-    array, and keeps a fresh read-only int64 copy as ``array`` (every q up
-    to 2^42 fits).  ``coeffs`` is a new list of Python ints on every read.
+    The constructor checks a list or an array of integers (Python or
+    numpy) once, as a whole: length, integrality and range.  ``array`` is
+    its fresh read-only int64 copy (every q up to 2^42 fits); ``coeffs``
+    is a new list of Python ints on every read.
     """
 
     __slots__ = ("array", "ring")
@@ -115,9 +113,8 @@ class Poly:
         return self.array.tolist()
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.ring == other.ring and np.array_equal(self.array, other.array)
+        return (isinstance(other, Poly) and self.ring == other.ring
+                and np.array_equal(self.array, other.array))
 
     def __repr__(self) -> str:
         return f"Poly({self.coeffs!r}, {self.ring!r})"
@@ -147,16 +144,16 @@ class Poly:
     @classmethod
     def random_small(cls, ring: RingSpec, rng, bound: int) -> "Poly":
         """Uniform centered coefficients in [-bound, bound], stored canonically."""
-        return cls([rng.randint(-bound, bound) % ring.q for _ in range(ring.n)], ring)
+        q = ring.q
+        return cls([rng.randint(-bound, bound) % q for _ in range(ring.n)], ring)
 
     def add(self, other: "Poly") -> "Poly":
-        self._check(other)
-        return Poly((self.array + other.array) % self.ring.q, self.ring)
+        return self._apply(np.add, other)
 
     def sub(self, other: "Poly") -> "Poly":
-        self._check(other)
-        return Poly((self.array - other.array) % self.ring.q, self.ring)
+        return self._apply(np.subtract, other)
 
-    def _check(self, other):
+    def _apply(self, ufunc, other: "Poly") -> "Poly":
         if self.ring != other.ring:
             raise RingMismatch("polynomials belong to different rings")
+        return Poly(ufunc(self.array, other.array) % self.ring.q, self.ring)

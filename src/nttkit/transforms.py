@@ -549,9 +549,12 @@ def _check_table(tw, spec, n, q, expect_inverse):
 
 
 def _check_ring_form(ring, spec):
-    form = getattr(ring, "form", None)  # duck-typed ring: no form, no check
+    # duck-typed ring
+    form = getattr(ring, "form", None)
+    if form is None:
+        return
     want = XN_PLUS_1 if spec.conv_kind == NWC else XN_MINUS_1
-    if form is not None and form != want:
+    if form != want:
         raise SpecViolation(f"{spec.conv_kind} transform over ring form {form!r}")
 
 
