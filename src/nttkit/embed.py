@@ -39,7 +39,7 @@ from .errors import (
 from .modarith import mod_inv
 from .polymul import _mod
 from .rings import XN_MINUS_1, XN_PLUS_1, Poly, RingSpec, is_pow2
-from .transforms import CYCLIC_BLOCK_PAIR, NttDomainPoly
+from .transforms import CYCLIC_BLOCK_PAIR
 
 SCHOOLBOOK_FLOOR = 8  # inner rings at or below this length multiply directly
 
@@ -128,12 +128,13 @@ class GoodExecutor(bigmod.LiftedExecutor):
         """Both operands' h rows forward as one batch, the cyclic products
         of their columns (one per leaf), the h product rows back as one
         inverse batch."""
-        h, index = self.h, self.index
-        X = pair.forward(np.concatenate((x[index], y[index]))).values
-        P = polymul.leaf_products(X[:h], X[h:], 1, pair.ring.q)
+        h, index, q = self.h, self.index, pair.ring.q
+        X = transforms.forward_rows(transforms.buffer(np.concatenate((x[index], y[index])), q),
+                                    pair.fwd_sched)
+        P = polymul.leaf_products(X[:h], X[h:], 1, q)
         polymul._count_leaves(h, False, P.size // h)
         out = np.empty(len(x), dtype=np.int64)
-        out[index] = pair.inverse(NttDomainPoly(P, pair.fwd_spec, pair.ring, 1), as_buffer=True)
+        out[index] = transforms.inverse_rows(P, pair.inv_sched)
         return out
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from math import gcd, prod
 
-from . import bigmod, embed, polymul, splitting, trinomial
+from . import bigmod, embed, polymul, splitting, transforms, trinomial
 from .errors import (
     NoStrategy,
     ParameterCondition,
@@ -481,9 +481,9 @@ def _as_pair(plan_or_pair):
 def matvec_multiply(Ahat, s, plan) -> list:
     """INTT(sum_j Ahat[i][j] o NTT(s_j)) per row, for a plan or a bare pair:
     the s_j forward as one batch, the row sums one ``pointwise_sums``, the
-    rows back as one inverse batch.  Before any arithmetic, Ahat entries
-    of another spec, ring or leaf degree raise SpecMismatch and s_j over
-    another ring RingMismatch."""
+    rows back as one inverse batch, on bare buffers.  Before any
+    arithmetic, Ahat entries of another spec, ring or leaf degree raise
+    SpecMismatch and s_j over another ring RingMismatch."""
     pair = _as_pair(plan)
     ring, tags = pair.ring, (pair.fwd_spec, pair.ring, 1 << pair.beta)
     if not s or any(len(row) != len(s) for row in Ahat):
@@ -495,9 +495,11 @@ def matvec_multiply(Ahat, s, plan) -> list:
         raise RingMismatch(f"vector entry is not a polynomial over {ring}")
     if not Ahat:
         return []
-    A = NttDomainPoly([[a.values for a in row] for row in Ahat], *tags)
-    rows = polymul.pointwise_sums(A, pair.forward([sj.array for sj in s]), pair.leaf_vector)
-    return [Poly(r, ring) for r in pair.inverse(rows, as_buffer=True)]
+    q = ring.q
+    A = transforms.buffer([[a.values for a in row] for row in Ahat], q)
+    S = transforms.forward_rows(transforms.buffer([sj.array for sj in s], q), pair.fwd_sched)
+    rows = polymul.pointwise_sums(A, S, 1 << pair.beta, pair.leaf_vector, q)
+    return [Poly(r, ring) for r in transforms.inverse_rows(rows, pair.inv_sched)]
 
 
 def sample_ntt_domain_uniform(ring: RingSpec, plan, seed) -> NttDomainPoly:

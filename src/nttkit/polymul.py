@@ -8,15 +8,19 @@ convolution definitions directly, and the other forms reduce with the
 scalar ``reduce_mod_phi``, which no fast path calls (the embedding
 chains fold with ``fold_mod_phi``).
 
-The pipeline keeps its values in the transforms' working buffers
-(``transforms.buffer``) from forward transform to inverse.
+The pipeline keeps its values in bare working buffers
+(``transforms.buffer``) from forward transform to inverse: a planned
+product runs ``transforms.forward_rows``, ``pointwise_rows`` and
+``transforms.inverse_rows`` on tables that ``TransformPair`` checked
+once, when it was built.  ``pointwise_mul`` and ``NttDomainPoly`` are
+the checked, tagged form of the same step at the public API.
 ``leaf_products`` is the one kernel for the step every route takes
 between its transforms, column-wise products mod x^L - gamma: the
-incomplete and split routes' leaves (``pointwise_mul``), the trinomial
+incomplete and split routes' leaves (``pointwise_rows``), the trinomial
 leaves, Good's columns and the block floor of the embeddings.
 ``basecase_mul`` stays as its scalar reference.  ``pointwise_sums`` is
-the transform-domain row sum of the module-lattice matvec and the
-split routes' plain cross sums.
+the transform-domain row sum, on buffers, of the module-lattice matvec
+and the split routes' plain cross sums.
 """
 
 from __future__ import annotations
@@ -328,52 +332,44 @@ def _count_leaves(L: int, use_karatsuba: bool, leaves: int) -> None:
         ctr.subs += subs * leaves
 
 
-def pointwise_mul(A: NttDomainPoly, B: NttDomainPoly, gammas=None, use_karatsuba=False) -> NttDomainPoly:
-    """Per-leaf product of two transform-domain polys with equal spec, on
-    their buffers; counted as basecase_mul would count it.
+def pointwise_rows(A, B, L: int, gammas, q: int, use_karatsuba=False) -> np.ndarray:
+    """The array core of ``pointwise_mul``: per-leaf products of two
+    buffers of transform-domain rows, leaves of degree L, as a fresh
+    contiguous buffer, counted as basecase_mul would count them.
 
-    Either operand may be a batch: the leading axes of both broadcast, as
-    numpy broadcasts, and every product of the batch is counted.
-    ``gammas`` holds the leaf constants (``leaf_gammas``) as a buffer mod
-    q, as ``TransformPair.leaf_vector`` caches them; leaves of degree 1
-    need none.
+    The leading axes of both broadcast, as numpy broadcasts.  ``gammas``
+    holds the leaf constants as a buffer mod q (``leaf_vector``); leaves
+    of degree 1 ignore it.
     """
-    if not A.compatible(B):
-        raise SpecMismatch("pointwise product needs equal spec and ring")
-    q, n, L = A.ring.q, A.ring.n, A.leaf_degree
     if L == 1:
-        vals = A.values * B.values % q
-    elif gammas is None:
-        raise SpecMismatch("leaf products need the leaf constants")
+        vals = A * B % q
     else:  # leaf coefficient l of every leaf of every row along axis 0, batches aligned
-        k = max(A.values.ndim, B.values.ndim)
+        k, n = max(A.ndim, B.ndim), A.shape[-1]
         U, V = (v.reshape((1,) * (k - v.ndim) + v.shape[:-1] + (n // L, L)).transpose(k, *range(k))
-                for v in (A.values, B.values))
+                for v in (A, B))
         P = leaf_products(U, V, gammas, q)
         vals = P.transpose(*range(1, P.ndim), 0).reshape(*P.shape[1:-1], n)
     _count_leaves(L, use_karatsuba, vals.size // L)
-    return NttDomainPoly(vals, A.spec, A.ring, L)
+    return vals
 
 
-def _sums_raw(A: NttDomainPoly, B: NttDomainPoly) -> np.ndarray:
-    """``pointwise_sums`` of degree-1 leaves from the raw products."""
+def pointwise_mul(A: NttDomainPoly, B: NttDomainPoly, gammas=None, use_karatsuba=False) -> NttDomainPoly:
+    """Per-leaf product of two transform-domain polys with equal spec
+    (``pointwise_rows`` on their values); either may be a batch."""
     if not A.compatible(B):
         raise SpecMismatch("pointwise product needs equal spec and ring")
-    P = A.values * B.values
-    _count_leaves(1, False, P.size)
-    return P.sum(axis=-2)
+    L = A.leaf_degree
+    if L > 1 and gammas is None:
+        raise SpecMismatch("leaf products need the leaf constants")
+    return NttDomainPoly(pointwise_rows(A.values, B.values, L, gammas, A.ring.q, use_karatsuba),
+                         A.spec, A.ring, L)
 
 
-def _sums_reduced(A: NttDomainPoly, B: NttDomainPoly, gammas) -> np.ndarray:
-    """``pointwise_sums`` from the reduced products of ``pointwise_mul``."""
-    return pointwise_mul(A, B, gammas).values.sum(axis=-2)
-
-
-def pointwise_sums(A: NttDomainPoly, B: NttDomainPoly, gammas=None) -> NttDomainPoly:
-    """Row sums S_i = sum_j A_ij o B_j of transform-domain values: A a
-    (rows, cols, n) batch, B a (cols, n) one; returns the (rows, n) batch.
-    Counted as rows*cols ``pointwise_mul`` products and cols - 1
-    additions of n values per row.
+def pointwise_sums(A, B, L: int, gammas, q: int) -> np.ndarray:
+    """Row sums S_i = sum_j A_ij o B_j of transform-domain buffers, leaves
+    of degree L: A a (rows, cols, n) batch, B a (cols, n) one; returns the
+    (rows, n) buffer.  Counted as rows*cols ``pointwise_rows`` products
+    and cols - 1 additions of n values per row.
 
     Summing rule: with leaves of degree 1 a sum takes cols raw products
     a_ij b_j, each at most (q-1)^2, so while cols (q-1)^2 < 2^63 they are
@@ -383,15 +379,17 @@ def pointwise_sums(A: NttDomainPoly, B: NttDomainPoly, gammas=None) -> NttDomain
     only runs q < 2^31).  ``object`` buffers cannot overflow and always
     sum raw.
     """
-    q, cols = A.ring.q, B.values.shape[-2]
-    if A.leaf_degree == 1 and (A.values.dtype == object or cols * (q - 1) ** 2 < 1 << 63):
-        S = _sums_raw(A, B)
+    cols = B.shape[-2]
+    if L == 1 and (A.dtype == object or cols * (q - 1) ** 2 < 1 << 63):
+        P = A * B
+        _count_leaves(1, False, P.size)
     else:
-        S = _sums_reduced(A, B, gammas)
+        P = pointwise_rows(A, B, L, gammas, q)
+    S = P.sum(axis=-2)
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.adds += S.size * (cols - 1)
-    return NttDomainPoly(_mod(S, q), A.spec, A.ring, A.leaf_degree)
+    return _mod(S, q)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +402,10 @@ class TransformPair:
 
     Uses the reorder-free pairing: forward natural -> bit-reversed,
     inverse bit-reversed -> natural.  Each direction carries its
-    schedule, built with the tables; the leaf constants and the image of
-    x are read-only buffers cached on first use.  Immutable and shareable.
+    schedule, built with the tables and checked with them once, when the
+    pair is built, so ``product`` runs the array cores unchecked; the leaf
+    constants and the image of x are read-only buffers cached on first
+    use.  Immutable and shareable.
     """
 
     ring: RingSpec
@@ -416,6 +416,11 @@ class TransformPair:
     inv_tw: modarith.TwiddleTable
     fwd_sched: transforms.Schedule = field(compare=False, repr=False)
     inv_sched: transforms.Schedule = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        transforms.forward_schedule(self.fwd_tw, self.fwd_spec, self.ring, self.fwd_sched)
+        transforms.inverse_schedule(self.inv_tw, self.inv_spec, self.fwd_spec, self.ring,
+                                    self.inv_sched)
 
     @cached_property
     def leaf_vector(self) -> np.ndarray:
@@ -451,13 +456,14 @@ class TransformPair:
         return pointwise_mul(A, B, self.leaf_vector, use_karatsuba)
 
     def product(self, x, y, use_karatsuba=False, halving=False) -> np.ndarray:
-        """x*y in the pair's ring, for arrays or lists of canonical
-        coefficients: both forward transforms as one batch of two, the
-        leaf products and the inverse, on buffers; returns the product's
-        buffer."""
-        X = self.forward((x, y))
-        C = self.pointwise(X.rows(0), X.rows(1), use_karatsuba)
-        return self.inverse(C, halving=halving, as_buffer=True)
+        """x*y in the pair's ring, for two length-n arrays of canonical
+        coefficients, unchecked: both forward transforms as one batch of
+        two, the leaf products and the inverse, on bare buffers; returns
+        the product's buffer."""
+        q = self.ring.q
+        X = transforms.forward_rows(transforms.buffer((x, y), q), self.fwd_sched)
+        C = pointwise_rows(X[0], X[1], 1 << self.beta, self.leaf_vector, q, use_karatsuba)
+        return transforms.inverse_rows(C, self.inv_sched, halving)
 
 
 def check_pair_ring(ring: RingSpec, beta: int) -> None:

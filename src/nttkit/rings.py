@@ -83,6 +83,21 @@ class RingSpec:
         return c
 
 
+def canonical(values, q: int) -> np.ndarray:
+    """``values``, a list or an array of any shape, as an integer array
+    (numpy ints, or ``object`` past int64), checked once as a whole: every
+    entry an integer (Python or numpy) and canonical in [0, q).  The one
+    check of coefficients and transform-domain values from outside."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":  # floats, or ints past int64 (object): check each
+        a = np.array(values, dtype=object)
+        if not all(isinstance(v, (int, np.integer)) for v in a.flat):
+            raise ValueError("coefficients must be integers")
+    if a.size and (a.min() < 0 or a.max() >= q):
+        raise ValueError("coefficients must be canonical in [0, q)")
+    return a
+
+
 class Poly:
     """Length-n canonical coefficient vector over its ring (ascending).
 
@@ -95,15 +110,9 @@ class Poly:
     __slots__ = ("array", "ring")
 
     def __init__(self, values, ring: RingSpec):
-        a = np.asarray(values)
-        if a.dtype.kind not in "iu":  # floats, or ints past int64 (object): check each
-            a = np.array(values, dtype=object)
-            if not all(isinstance(v, (int, np.integer)) for v in a.flat):
-                raise ValueError("coefficients must be integers")
+        a = canonical(values, ring.q)
         if a.shape != (ring.n,):
             raise ValueError(f"expected {ring.n} coefficients, got shape {a.shape}")
-        if a.min() < 0 or a.max() >= ring.q:
-            raise ValueError("coefficients must be canonical in [0, q)")
         self.array = a.astype(np.int64)
         self.array.flags.writeable = False
         self.ring = ring

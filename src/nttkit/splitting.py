@@ -15,8 +15,11 @@ are accumulated in the transform domain:
 * h:   k plus a cropped (incomplete) inner transform and Karatsuba leaf
        products, weakening the congruence to 2n/2^(alpha+beta).
 
-A plan runs ``SplitExecutor``, a ``bigmod.LiftedExecutor`` over q whose
-one table is the inner pair.
+The parts go through the inner pair's array cores as bare buffers, and
+the cross sums are arithmetic on them (``transforms.mod_op``,
+``polymul.pointwise_rows`` and ``polymul.pointwise_sums``), on int64 or
+``object`` buffers alike.  A plan runs ``SplitExecutor``, a
+``bigmod.LiftedExecutor`` over q whose one table is the inner pair.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import numpy as np
 from . import bigmod, modarith, polymul, transforms
 from .errors import BadAlpha, RingMismatch
 from .rings import XN_MINUS_1, XN_PLUS_1, Poly, RingSpec
-from .transforms import NttDomainPoly
 
 
 def _small_ring(parent: RingSpec, alpha: int) -> RingSpec:
@@ -55,28 +57,30 @@ def _split_product(x, y, alpha, inner, karatsuba_cross, karatsuba_leaf) -> np.nd
     inner pair over the split ring, as a buffer: the 2^(alpha+1) parts go
     forward as one batch, the cross sums are array arithmetic over it,
     and the 2^alpha parts of the product come back as one batch."""
-    step, q = 1 << alpha, inner.ring.q
+    step, q, L = 1 << alpha, inner.ring.q, 1 << inner.beta
     i, j, by_degree, shifted = _cross_layout(step)
-    dom = lambda v: NttDomainPoly(v, inner.fwd_spec, inner.ring, 1 << inner.beta)
-    X = inner.forward(np.concatenate((x.reshape(-1, step).T, y.reshape(-1, step).T)))
-    A, B, yhat = X.rows(slice(step)), X.rows(slice(step, None)), dom(inner.y_domain)
-    pw = lambda U, V: inner.pointwise(U, V, use_karatsuba=karatsuba_leaf)
+    parts = np.concatenate((x.reshape(-1, step).T, y.reshape(-1, step).T))
+    X = transforms.forward_rows(transforms.buffer(parts, q), inner.fwd_sched)
+    A, B, yhat = X[:step], X[step:], inner.y_domain
+    pw = lambda U, V: polymul.pointwise_rows(U, V, L, inner.leaf_vector, q, karatsuba_leaf)
+    add = lambda u, v: transforms.mod_op(np.add, u, v, q, "adds")
+    sub = lambda u, v: transforms.mod_op(np.subtract, u, v, q, "subs")
     if karatsuba_cross:
         # S_d = sum_{l+k=d} A_l o B_k from the diagonal and one Karatsuba
         # product per pair; part i of the product is S_i + y S_(step+i)
         diag = pw(A, B)
-        cross = pw(A.rows(i).add(A.rows(j)), B.rows(i).add(B.rows(j)))
-        terms = np.concatenate((diag.values, cross.sub(diag.rows(i)).sub(diag.rows(j)).values))
+        cross = pw(add(A[i], A[j]), add(B[i], B[j]))
+        terms = np.concatenate((diag, sub(sub(cross, diag[i]), diag[j])))
         S = by_degree @ terms % q
         ctr = modarith.active_counter()
         if ctr is not None:  # every term after the first of each sum
             ctr.adds += (len(terms) - len(S)) * S.shape[1]
-        S[: step - 1] = dom(S[: step - 1]).add(pw(yhat, dom(S[step:]))).values
-        sums = dom(S[:step])
+        S[: step - 1] = add(S[: step - 1], pw(yhat, S[step:]))
+        sums = S[:step]
     else:  # S_i = sum_(l <= i) A_l o B_(i-l) + sum_(l > i) y A_l o B_(step+i-l)
-        images = np.concatenate((A.values, pw(A.rows(slice(1, None)), yhat).values))
-        sums = polymul.pointwise_sums(dom(images[shifted]), B, inner.leaf_vector)
-    return inner.inverse(sums, as_buffer=True).T.ravel()
+        images = np.concatenate((A, pw(A[1:], yhat)))
+        sums = polymul.pointwise_sums(images[shifted], B, L, inner.leaf_vector, q)
+    return transforms.inverse_rows(sums, inner.inv_sched).T.ravel()
 
 
 def _strategy_multiply(a, b, alpha, beta, inner, karatsuba_cross, karatsuba_leaf):

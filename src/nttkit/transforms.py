@@ -45,8 +45,14 @@ at a time (one reshape-and-broadcast each) only on ``object`` buffers,
 for an ``on_level`` caller and on a schedule built for one call.  The
 pure-Python kernel on a list stays as the test reference.  All three
 give identical values, and op counts always count the radix-2 levels.
-A transform returns its buffer; only an inverse turns one back into a
-Poly.
+
+``forward_rows`` and ``inverse_rows`` are the array cores of a
+transform: counted, in place on a bare buffer, and unchecked, as every
+planned route calls them between its forward transform and its
+inverse.  ``ntt_forward`` and ``ntt_inverse`` are the public layer over
+them: they check the table, spec, ring and schedule, check outside
+values once as ``Poly`` checks its coefficients, and tag the result as
+an ``NttDomainPoly`` (an inverse may return a Poly).
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ import numpy as np
 
 from . import modarith
 from .errors import LengthMismatch, OrderMismatch, RingMismatch, SpecMismatch, SpecViolation
-from .rings import XN_MINUS_1, XN_PLUS_1, Poly
+from .rings import XN_MINUS_1, XN_PLUS_1, Poly, canonical
 
 CC = "CC"
 NWC = "NWC"
@@ -119,11 +125,12 @@ class TransformSpec:
 class NttDomainPoly:
     """Transform-domain values tagged with the spec that produced them.
 
-    ``values`` is a length-n working buffer (see ``buffer``; a list
-    passed in is converted), or a batch of them along leading axes;
-    chunk p of length leaf_degree holds the image in the p-th residue
-    ring of the cropped CRT map.  ``add``, ``sub`` and ``scale`` return
-    new values and never mutate these.
+    ``values`` is a length-n row of canonical residues, or a batch of
+    them along leading axes, checked on construction (``checked_rows``)
+    and held as a working buffer (see ``buffer``); chunk p of length
+    leaf_degree holds the image in the p-th residue ring of the cropped
+    CRT map.  ``add``, ``sub`` and ``scale`` return new values and never
+    mutate these.  Planned products pass the same buffers bare.
     """
 
     values: np.ndarray
@@ -132,7 +139,8 @@ class NttDomainPoly:
     leaf_degree: int = 1
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=buffer_dtype(self.ring.q))
+        q = self.ring.q
+        self.values = np.asarray(checked_rows(self.values, self.ring.n, q), dtype=buffer_dtype(q))
 
     def __eq__(self, other) -> bool:  # the generated one would compare arrays elementwise
         return (isinstance(other, NttDomainPoly) and self.compatible(other)
@@ -147,16 +155,12 @@ class NttDomainPoly:
         return NttDomainPoly(self.values[index], self.spec, self.ring, self.leaf_degree)
 
     def _apply(self, ufunc, other, tally: str) -> "NttDomainPoly":
-        """ufunc(values, other) mod q, counted as one ``tally`` op per value."""
         if isinstance(other, NttDomainPoly):
             if not self.compatible(other):
                 raise SpecMismatch("cannot combine values from different specs")
             other = other.values
-        c = modarith.active_counter()
-        if c is not None:
-            setattr(c, tally, getattr(c, tally) + self.values.size)
-        return NttDomainPoly(ufunc(self.values, other) % self.ring.q, self.spec, self.ring,
-                             self.leaf_degree)
+        return NttDomainPoly(mod_op(ufunc, self.values, other, self.ring.q, tally), self.spec,
+                             self.ring, self.leaf_degree)
 
     def add(self, other: "NttDomainPoly") -> "NttDomainPoly":
         return self._apply(np.add, other, "adds")
@@ -457,6 +461,14 @@ def gs_level(x, nblocks: int, half: int, chunk: int, w, q: int) -> None:
     x %= q
 
 
+def mod_op(ufunc, u, v, q: int, tally: str) -> np.ndarray:
+    """ufunc(u, v) mod q, a fresh buffer, counted as one ``tally`` op per entry of u."""
+    c = modarith.active_counter()
+    if c is not None:
+        setattr(c, tally, getattr(c, tally) + u.size)
+    return ufunc(u, v) % q
+
+
 def buffer_dtype(q: int):
     """The working dtype mod q: int64 below ``modarith.VECTOR_LIMIT``, where
     every product of two residues fits, else ``object`` (Python ints)."""
@@ -524,14 +536,43 @@ def run_levels(buf, q: int, sched: Schedule, halving=False, on_level=None) -> No
         ctr.subs += nbf
 
 
-def _transform(buf, q, tw, spec, n, schedule, halving=False, on_level=None) -> np.ndarray:
-    """Levels of ``spec`` on the rows of ``buf``, in place; returns it."""
-    if schedule is None:
-        schedule = make_schedule(spec, tw, n, merge=False)
-    elif schedule.table is not tw or schedule.spec != spec or schedule.n != n:
-        raise SpecViolation("schedule was built for another table, spec or length")
-    run_levels(buf, q, schedule, halving=halving, on_level=on_level)
+def forward_rows(buf, sched: Schedule, on_level=None) -> np.ndarray:
+    """The array core of ``ntt_forward``: the levels of ``sched`` on the
+    rows of contiguous working buffer ``buf``, in place and counted,
+    unchecked; returns ``buf``."""
+    ctr = modarith.active_counter()
+    if ctr is not None:
+        ctr.forward_transforms += buf.size // sched.n
+    run_levels(buf, sched.table.modulus, sched, on_level=on_level)
     return buf
+
+
+def inverse_rows(buf, sched: Schedule, halving=False, on_level=None) -> np.ndarray:
+    """The array core of ``ntt_inverse`` (see ``forward_rows``).  The
+    per-level factor 2 is deferred into one final scaling by 2^-levels,
+    i.e. (n/2^beta)^-1, when there are levels, or folded into each level
+    when halving is set (odd q only; identical outputs, tested)."""
+    q = sched.table.modulus
+    if halving and q % 2 == 0:
+        raise SpecViolation("halving mode needs an odd modulus")
+    ctr = modarith.active_counter()
+    if ctr is not None:
+        ctr.inverse_transforms += buf.size // sched.n
+    run_levels(buf, q, sched, halving=halving, on_level=on_level)
+    if not halving and sched.levels:
+        buf *= modarith.mod_inv(1 << len(sched.levels), q)
+        buf %= q
+        if ctr is not None:
+            ctr.mults += buf.size
+    return buf
+
+
+def _checked_schedule(schedule, tw, spec, n: int) -> Schedule:
+    if schedule is None:
+        return make_schedule(spec, tw, n, merge=False)
+    if schedule.table is not tw or schedule.spec != spec or schedule.n != n:
+        raise SpecViolation("schedule was built for another table, spec or length")
+    return schedule
 
 
 def _check_table(tw, spec, n, q, expect_inverse):
@@ -548,83 +589,74 @@ def _check_table(tw, spec, n, q, expect_inverse):
         raise OrderMismatch("table direction does not match the transform")
 
 
-def _check_ring_form(ring, spec):
-    # duck-typed ring
+def forward_schedule(tw, spec: TransformSpec, ring, schedule=None) -> Schedule:
+    """Every check of ``ntt_forward`` on its table, spec, ring (duck-typed)
+    and schedule; returns the schedule to run, one built for one call
+    when none is given."""
+    if spec.direction != FORWARD:
+        raise SpecViolation("ntt_forward requires a forward spec")
+    _check_table(tw, spec, ring.n, ring.q, expect_inverse=False)
     form = getattr(ring, "form", None)
-    if form is None:
-        return
-    want = XN_PLUS_1 if spec.conv_kind == NWC else XN_MINUS_1
-    if form != want:
+    if form is not None and form != (XN_PLUS_1 if spec.conv_kind == NWC else XN_MINUS_1):
         raise SpecViolation(f"{spec.conv_kind} transform over ring form {form!r}")
+    return _checked_schedule(schedule, tw, spec, ring.n)
 
 
-def rows_buffer(values, n: int, q: int) -> np.ndarray:
-    """A fresh working buffer of ``values``, one length-n row or a batch of
-    rows along leading axes."""
-    buf = buffer(values, q)
-    if buf.ndim == 0 or buf.shape[-1] != n:
-        raise LengthMismatch(f"expected rows of {n} coefficients, got shape {buf.shape}")
-    return buf
+def inverse_schedule(tw_inv, spec: TransformSpec, fs: TransformSpec, ring,
+                     schedule=None) -> Schedule:
+    """``forward_schedule`` for ``ntt_inverse``: ``spec`` must undo forward spec ``fs``."""
+    if spec.direction != INVERSE:
+        raise SpecViolation("ntt_inverse requires an inverse spec")
+    if fs.conv_kind != spec.conv_kind or fs.beta != spec.beta:
+        raise SpecViolation("inverse spec does not pair with the forward spec")
+    if spec.in_order != fs.out_order:
+        raise SpecViolation("inverse input ordering must match forward output")
+    _check_table(tw_inv, spec, ring.n, ring.q, expect_inverse=True)
+    return _checked_schedule(schedule, tw_inv, spec, ring.n)
+
+
+def checked_rows(values, n: int, q: int) -> np.ndarray:
+    """Outside ``values`` as an integer array of rows of n canonical
+    residues mod q, checked with the ``ValueError``s of ``Poly``."""
+    a = canonical(values, q)
+    if a.ndim == 0 or a.shape[-1] != n:
+        raise LengthMismatch(f"expected rows of {n} coefficients, got shape {a.shape}")
+    return a
 
 
 def ntt_forward(a, tw, spec: TransformSpec, on_level=None, schedule=None, ring=None) -> NttDomainPoly:
     """Forward transform of a Poly, or, with ``ring``, of a length-n
-    array or list of canonical residues over that ring, or of a (batch,
-    n) array of them; returns tagged transform-domain values.
+    array or list of canonical residues over that ring (checked as
+    ``Poly`` checks them), or of a (batch, n) array of them; returns
+    tagged transform-domain values.
 
     The coefficients are copied once into a working buffer (``buffer``)
     and the levels of ``schedule`` (built from ``tw`` when not given) then
-    run in place on it, on every row at once; the result holds that
-    buffer.  ``on_level(level, values)`` sees the values after each level.
+    run in place on it, on every row at once (``forward_rows``); the
+    result holds that buffer.  ``on_level(level, values)`` sees the values
+    after each level.
     """
-    if spec.direction != FORWARD:
-        raise SpecViolation("ntt_forward requires a forward spec")
     if ring is None:
         ring, a = a.ring, a.array
-    n, q = ring.n, ring.q
-    buf = rows_buffer(a, n, q)
-    _check_table(tw, spec, n, q, expect_inverse=False)
-    _check_ring_form(ring, spec)
-    ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.forward_transforms += buf.size // n
-    _transform(buf, q, tw, spec, n, schedule, on_level=on_level)
+    else:
+        a = checked_rows(a, ring.n, ring.q)
+    sched = forward_schedule(tw, spec, ring, schedule)
+    buf = forward_rows(buffer(a, ring.q), sched, on_level)
     return NttDomainPoly(buf, spec, ring, 1 << spec.beta)
 
 
 def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False, on_level=None,
                 schedule=None, as_buffer=False):
     """Inverse transform back to a Poly, or with ``as_buffer`` to its
-    buffer of canonical residues; exact inverse of ntt_forward.  A batch
-    of rows runs at once and needs ``as_buffer``.
-
-    The per-level factor 2 is deferred into one final scaling by
-    (n/2^beta)^-1, or folded into each level when halving is set
-    (identical outputs, tested).  ``ahat.values`` is copied, never
-    mutated; a Poly result is range-checked once, on its buffer.
+    buffer of canonical residues; exact inverse of ntt_forward, run by
+    ``inverse_rows`` on a copy of ``ahat.values``, which is never
+    mutated.  A batch of rows runs at once and needs ``as_buffer``; a
+    Poly result is range-checked once, on its buffer.
     """
-    if spec.direction != INVERSE:
-        raise SpecViolation("ntt_inverse requires an inverse spec")
-    fs = ahat.spec
-    if fs.conv_kind != spec.conv_kind or fs.beta != spec.beta:
-        raise SpecViolation("inverse spec does not pair with the forward spec")
-    if spec.in_order != fs.out_order:
-        raise SpecViolation("inverse input ordering must match forward output")
-    n, q = ahat.ring.n, ahat.ring.q
-    _check_table(tw_inv, spec, n, q, expect_inverse=True)
-    if halving and q % 2 == 0:
-        raise SpecViolation("halving mode needs an odd modulus")
-    buf = rows_buffer(ahat.values, n, q)
-    ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.inverse_transforms += buf.size // n
-    _transform(buf, q, tw_inv, spec, n, schedule, halving, on_level)
-    if not halving:
-        buf *= modarith.mod_inv(n >> spec.beta, q)
-        buf %= q
-        if ctr is not None:
-            ctr.mults += buf.size
-    return buf if as_buffer else Poly(buf, ahat.ring)
+    ring = ahat.ring
+    sched = inverse_schedule(tw_inv, spec, ahat.spec, ring, schedule)
+    buf = inverse_rows(buffer(ahat.values, ring.q), sched, halving, on_level)
+    return buf if as_buffer else Poly(buf, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -666,14 +698,9 @@ def nwc_forward_separate(a, cc_tw, psi_tw, spec: TransformSpec, on_level=None) -
     if psi_tw.order != 2 * n or psi_tw.inverse:
         raise OrderMismatch("psi table must hold 2n forward powers")
     _check_table(cc_tw, spec, n, q, expect_inverse=False)
-    ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.forward_transforms += 1
-        ctr.mults += n
-    buf = buffer(a.array, q)
-    buf *= buffer(_psi_powers(psi_tw, spec.in_order, n), q)
-    buf %= q
-    run_levels(buf, q, make_schedule(spec, cc_tw, n, merge=False), on_level=on_level)
+    buf = mod_op(np.multiply, buffer(a.array, q), buffer(_psi_powers(psi_tw, spec.in_order, n), q),
+                 q, "mults")
+    forward_rows(buf, make_schedule(spec, cc_tw, n, merge=False), on_level)
     return NttDomainPoly(buf, spec, a.ring, 1)
 
 
@@ -687,15 +714,6 @@ def nwc_inverse_separate(ahat: NttDomainPoly, cc_tw_inv, psi_tw_inv, spec: Trans
     _check_table(cc_tw_inv, spec, n, q, expect_inverse=True)
     if spec.in_order != ahat.spec.out_order:
         raise SpecViolation("inverse input ordering must match forward output")
-    ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.inverse_transforms += 1
-    buf = buffer(ahat.values, q)
-    run_levels(buf, q, make_schedule(spec, cc_tw_inv, n, merge=False))
-    buf *= modarith.mod_inv(n, q)
-    buf %= q
-    buf *= buffer(_psi_powers(psi_tw_inv, spec.out_order, n), q)
-    buf %= q
-    if ctr is not None:
-        ctr.mults += 2 * n
-    return Poly(buf, ahat.ring)
+    buf = inverse_rows(buffer(ahat.values, q), make_schedule(spec, cc_tw_inv, n, merge=False))
+    return Poly(mod_op(np.multiply, buf, buffer(_psi_powers(psi_tw_inv, spec.out_order, n), q), q,
+                       "mults"), ahat.ring)

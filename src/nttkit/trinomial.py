@@ -12,7 +12,8 @@ block twiddle of the cyclic schedule with exponent e becomes
 psi^(t*half + 6e), and the leaves x^3 - psi^(t + 6*brv(p)).  Both halves
 run as one forward and one inverse ``transforms.Schedule``.
 A plan runs ``TrinomialExecutor``, a ``bigmod.LiftedExecutor`` over q
-whose one table is the ``TrinomialPlan``.
+whose one table is the ``TrinomialPlan``, on bare buffers;
+``trinomial_forward`` and ``trinomial_inverse`` tag them at the public API.
 """
 
 from __future__ import annotations
@@ -62,11 +63,17 @@ class TrinomialPlan:
 
 @dataclass
 class TrinomialDomainPoly:
-    """Degree-2 leaf images (a working buffer), kept separate from the
-    radix-2 domain type."""
+    """Degree-2 leaf images, kept separate from the radix-2 domain type:
+    rows of n canonical residues, checked on construction as
+    ``NttDomainPoly`` checks them and held as a working buffer."""
 
     values: np.ndarray
     plan: TrinomialPlan
+
+    def __post_init__(self):
+        q = self.plan.q
+        self.values = np.asarray(transforms.checked_rows(self.values, self.plan.n, q),
+                                 dtype=transforms.buffer_dtype(q))
 
     def __eq__(self, other) -> bool:  # the generated one would compare arrays elementwise
         return (isinstance(other, TrinomialDomainPoly) and self.plan == other.plan
@@ -113,17 +120,10 @@ def make_plan(ring: RingSpec) -> TrinomialPlan:
                          _schedule(CYCLIC_BLOCK_PAIR[1], modarith.build_twiddles(psi, n, q, inverse=True), m))
 
 
-def trinomial_forward(a, plan: TrinomialPlan, ring=None) -> TrinomialDomainPoly:
-    """Forward transform of a Poly, or, with ``ring``, of a length-n array
-    or list of canonical residues over that ring, or of a (batch, n)
-    array of them, into a fresh buffer; every row runs at once."""
-    if ring is None:
-        ring, a = a.ring, a.array
-    if ring != plan.ring:
-        raise PlanMismatch("polynomial ring does not match the plan")
-    n, q = plan.n, plan.q
-    vals = transforms.rows_buffer(a, n, q)
-    half, pairs = n // 2, vals.size // 2
+def _forward_rows(vals, plan: TrinomialPlan) -> np.ndarray:
+    """The array core of ``trinomial_forward``: the split level and the
+    radix-2 levels on the rows of ``vals``, in place and counted, unchecked."""
+    q, half, pairs = plan.q, plan.n // 2, vals.size // 2
     # split level: 1 mult, 2 adds, 1 sub per pair
     lo, hi = vals[..., :half], vals[..., half:]
     t = hi * plan.zeta1
@@ -135,24 +135,17 @@ def trinomial_forward(a, plan: TrinomialPlan, ring=None) -> TrinomialDomainPoly:
     lo %= q
     ctr = modarith.active_counter()
     if ctr is not None:
-        ctr.forward_transforms += vals.size // n
         ctr.mults += pairs
         ctr.adds += 2 * pairs
         ctr.subs += pairs
-    transforms.run_levels(vals, q, plan.forward)
-    return TrinomialDomainPoly(vals, plan)
+    return transforms.forward_rows(vals, plan.forward)
 
 
-def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan, as_buffer=False):
-    """Inverse transform back to a Poly, or with ``as_buffer`` to its
-    buffer of canonical residues; ``ahat.values`` is never mutated.  A
-    batch of rows runs at once and needs ``as_buffer``."""
-    if ahat.plan is not plan and ahat.plan != plan:
-        raise PlanMismatch("domain values were produced under a different plan")
-    n, q = plan.n, plan.q
-    vals = transforms.buffer(ahat.values, q)
-    half, pairs = n // 2, vals.size // 2
-    transforms.run_levels(vals, q, plan.inverse)
+def _inverse_rows(vals, plan: TrinomialPlan) -> np.ndarray:
+    """The array core of ``trinomial_inverse``: the radix-2 levels with
+    their scaling, then the unsplit (see ``_forward_rows``)."""
+    q, half, pairs = plan.q, plan.n // 2, vals.size // 2
+    transforms.inverse_rows(vals, plan.inverse)
     # undo the split level exactly: invert [[1, z1], [1, z2]]
     z1, z2 = plan.zeta1, plan.zeta2
     det_inv = mod_inv((z2 - z1) % q, q)
@@ -164,16 +157,36 @@ def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan, as_buffer=
     r -= l
     r %= q
     r *= det_inv
-    levels = len(plan.inverse.levels)
     ctr = modarith.active_counter()
-    if ctr is not None:  # the unsplit, and the final scaling when there are levels
-        ctr.inverse_transforms += vals.size // n
-        ctr.mults += 4 * pairs + (vals.size if levels else 0)
+    if ctr is not None:
+        ctr.mults += 4 * pairs
         ctr.adds += pairs
         ctr.subs += pairs
     vals %= q
-    vals *= mod_inv(1 << levels, q)
-    vals %= q
+    return vals
+
+
+def trinomial_forward(a, plan: TrinomialPlan, ring=None) -> TrinomialDomainPoly:
+    """Forward transform of a Poly, or, with ``ring``, of a length-n array
+    or list of canonical residues over that ring (checked as ``Poly``
+    checks them), or of a (batch, n) array of them, into a fresh buffer;
+    every row runs at once (``_forward_rows``)."""
+    if ring is None:
+        ring, a = a.ring, a.array
+    else:
+        a = transforms.checked_rows(a, ring.n, ring.q)
+    if ring != plan.ring:
+        raise PlanMismatch("polynomial ring does not match the plan")
+    return TrinomialDomainPoly(_forward_rows(transforms.buffer(a, plan.q), plan), plan)
+
+
+def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan, as_buffer=False):
+    """Inverse transform back to a Poly, or with ``as_buffer`` to its
+    buffer of canonical residues; ``ahat.values`` is never mutated.  A
+    batch of rows runs at once and needs ``as_buffer``."""
+    if ahat.plan is not plan and ahat.plan != plan:
+        raise PlanMismatch("domain values were produced under a different plan")
+    vals = _inverse_rows(transforms.buffer(ahat.values, plan.q), plan)
     return vals if as_buffer else Poly(vals, plan.ring)
 
 
@@ -191,26 +204,26 @@ def trinomial_pointwise(u, v, psi_j: int, q: int) -> list:
     return [c0, c1, c2]
 
 
-def _leaf_product(X: TrinomialDomainPoly) -> np.ndarray:
-    """The degree-2 leaf products of a batch of two forward images,
-    inverted: the product's buffer."""
-    plan = X.plan
-    U, V = (v.reshape(-1, 3).T for v in X.values)
+def _product(x, y, plan: TrinomialPlan) -> np.ndarray:
+    """x*y for two arrays of canonical coefficients, unchecked, on bare
+    buffers: both forward as one batch, the degree-2 leaves, the inverse."""
+    X = _forward_rows(transforms.buffer((x, y), plan.q), plan)
+    U, V = (v.reshape(-1, 3).T for v in X)
     vals = polymul.leaf_products(U, V, plan.leaf_vector, plan.q).T.ravel()
     ctr = modarith.active_counter()
     if ctr is not None:
         leaves = len(plan.leaf_constants)
         ctr.mults += 11 * leaves
         ctr.adds += 5 * leaves
-    return trinomial_inverse(TrinomialDomainPoly(vals, plan), plan, as_buffer=True)
+    return _inverse_rows(vals, plan)
 
 
 def trinomial_multiply(a: Poly, b: Poly, plan: TrinomialPlan) -> Poly:
     """Forward both operands as one batch, multiply the degree-2 leaves,
     invert."""
-    if a.ring != b.ring:
-        raise PlanMismatch("operands belong to different rings")
-    return Poly(_leaf_product(trinomial_forward((a.array, b.array), plan, a.ring)), plan.ring)
+    if a.ring != plan.ring or b.ring != plan.ring:
+        raise PlanMismatch("operands do not live in the plan's ring")
+    return Poly(_product(a.array, b.array, plan), plan.ring)
 
 
 class TrinomialExecutor(bigmod.LiftedExecutor):
@@ -225,4 +238,4 @@ class TrinomialExecutor(bigmod.LiftedExecutor):
         return make_plan(self.ring)
 
     def run(self, x, y, plan):
-        return _leaf_product(trinomial_forward((x, y), plan, self.ring))
+        return _product(x, y, plan)

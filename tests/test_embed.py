@@ -45,6 +45,7 @@ from nttkit.polymul import (
     schoolbook_nwc,
 )
 from nttkit.rings import GENERAL, TRINOMIAL, Poly, RingSpec, XN_MINUS_1, XN_MINUS_X_MINUS_1, XN_PLUS_1
+from nttkit.transforms import NttDomainPoly
 from nttkit.trinomial import trinomial_pointwise
 
 
@@ -669,7 +670,8 @@ def test_no_poly_is_validated_mid_product(monkeypatch, rng):
 
 def test_no_list_on_the_product_path(monkeypatch, rng):
     # every planned product and matvec reads Poly.array; only the oracle
-    # (run before the patch) reads the list ``coeffs``
+    # (run before the patch) reads the list ``coeffs``, and only the
+    # sampled matvec inputs are NttDomainPolys
     cases = [(plan, *planner.sample_operands(ring, plan, rng)) for ring, plan in _every_plan()]
     wants = [oracle_multiply(a, b) for _, a, b in cases]
     matvecs = []
@@ -684,14 +686,22 @@ def test_no_list_on_the_product_path(monkeypatch, rng):
                 rows[i] = rows[i].add(oracle_multiply(plan.pair.inverse(a), sj))
         matvecs.append((plan, Ahat, s, rows))
 
-    def boom(self):
-        raise AssertionError("Poly.coeffs read on the product path")
+    def boom(self, *args):
+        raise AssertionError("Poly.coeffs read, or a tagged domain poly built, on the product path")
+
+    def run_all():
+        for (plan, a, b), want in zip(cases, wants):
+            assert planner.multiply(a, b, plan) == want, plan.describe()
+        for plan, Ahat, s, rows in matvecs:
+            assert planner.matvec_multiply(Ahat, s, plan) == rows, plan.describe()
 
     monkeypatch.setattr(Poly, "coeffs", property(boom))
-    for (plan, a, b), want in zip(cases, wants):
-        assert planner.multiply(a, b, plan) == want, plan.describe()
-    for plan, Ahat, s, rows in matvecs:
-        assert planner.matvec_multiply(Ahat, s, plan) == rows, plan.describe()
+    run_all()
+    # bare buffers from forward transform to inverse: no route tags its
+    # intermediate values
+    monkeypatch.setattr(NttDomainPoly, "__init__", boom)
+    monkeypatch.setattr(trinomial.TrinomialDomainPoly, "__init__", boom)
+    run_all()
 
 
 @pytest.mark.parametrize("m, n", [(2, 4), (2, 2), (4, 4), (3, 8), (8, 8)])

@@ -332,6 +332,35 @@ def test_poly_checks_every_entry_at_the_boundaries():
             Poly(values, ring)
 
 
+@pytest.mark.parametrize("q", [7681, BIG_PRIMES[0]], ids=["int64", "object"])
+def test_transform_domain_entries_check_at_the_boundaries(q):
+    # the NttDomainPoly and TrinomialDomainPoly constructors and list or
+    # array input to ntt_forward, TransformPair.forward and
+    # trinomial_forward check their values once, with the ValueErrors of
+    # Poly, on int64 and on object buffers
+    ring, tri = RingSpec(XN_PLUS_1, 4, q), RingSpec(TRINOMIAL, 6, q)
+    pair, plan = make_transform_pair(ring, 0), trinomial.make_plan(tri)
+    entries = ((4, lambda v: NttDomainPoly(v, pair.fwd_spec, ring)),
+               (4, lambda v: transforms.ntt_forward(v, pair.fwd_tw, pair.fwd_spec, ring=ring)),
+               (4, pair.forward),
+               (6, lambda v: trinomial.trinomial_forward(v, plan, tri)),
+               (6, lambda v: trinomial.TrinomialDomainPoly(v, plan)))
+    for n, entry in entries:
+        good = [0, 1, q - 1] + [3] * (n - 3)
+        entry(good), entry(np.array([good] * 2))
+        for bad, match in ((0.5, "integers"), (1.0, "integers"), (-1, "canonical"),
+                           (q, "canonical"), (q + 5, "canonical"), (2**63, "canonical")):
+            row = [0, 1, bad] + [3] * (n - 3)
+            dtype = np.uint64 if bad == 2**63 else None  # numpy would infer float64
+            for values in (row, [good, row]):
+                for arg in (values, np.array(values, dtype=object), np.array(values, dtype=dtype)):
+                    with pytest.raises(ValueError, match=match):
+                        entry(arg)
+    assert (pair.forward([0, 1, 2, q - 1]) == pair.forward(Poly([0, 1, 2, q - 1], ring))
+            == NttDomainPoly(pair.forward(Poly([0, 1, 2, q - 1], ring)).values.tolist(),
+                             pair.fwd_spec, ring))
+
+
 def test_poly_keeps_its_own_read_only_array():
     ring = RingSpec(XN_MINUS_1, 4, 7681)
     src_list, src_array = [1, 2, 3, 4], np.array([1, 2, 3, 4])

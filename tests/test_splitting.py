@@ -64,17 +64,21 @@ def test_alpha_zero_reduces_to_plain(rng):
 @pytest.mark.parametrize("form", [XN_PLUS_1, XN_MINUS_1])
 @pytest.mark.parametrize("alpha", [1, 2, 3])
 def test_strategies_match_oracle(form, alpha, rng):
-    n, q = 64, 257  # 256 = 4n supports alpha+beta up to the grid below
-    need = (2 * n if form == XN_PLUS_1 else n) >> alpha
-    if (q - 1) % need:
-        pytest.skip("congruence unavailable")
-    ring = RingSpec(form, n, q)
-    for _ in range(5):
-        a, b = Poly.random(ring, rng), Poly.random(ring, rng)
-        want = oracle_multiply(a, b).coeffs
-        assert ptntt_multiply(a, b, alpha).coeffs == want
-        assert kntt_multiply(a, b, alpha).coeffs == want
-        assert hntt_multiply(a, b, alpha, 0).coeffs == want
+    # 257 = 4n + 1 supports alpha+beta up to the grid below on int64
+    # buffers; 2151677953 = 1 (mod 2^22), above 2^31, on object buffers
+    n = 64
+    for q in (257, 2151677953):
+        need = (2 * n if form == XN_PLUS_1 else n) >> alpha
+        if (q - 1) % need:
+            pytest.skip("congruence unavailable")
+        ring = RingSpec(form, n, q)
+        top = Poly([q - 1] * n, ring)
+        pairs = [(Poly.random(ring, rng), Poly.random(ring, rng)) for _ in range(5)]
+        for a, b in pairs + [(top, top), (pairs[0][0], top)]:
+            want = oracle_multiply(a, b).coeffs
+            assert ptntt_multiply(a, b, alpha).coeffs == want
+            assert kntt_multiply(a, b, alpha).coeffs == want
+            assert hntt_multiply(a, b, alpha, 0).coeffs == want
 
 
 def test_all_strategies_identical_products(rng):
