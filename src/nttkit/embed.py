@@ -129,12 +129,12 @@ class GoodExecutor(bigmod.LiftedExecutor):
         of their columns (one per leaf), the h product rows back as one
         inverse batch."""
         h, index, q = self.h, self.index, pair.ring.q
-        X = transforms.forward_rows(transforms.buffer(np.concatenate((x[index], y[index])), q),
-                                    pair.fwd_sched)
+        X = transforms.ntt_forward(transforms.buffer(np.concatenate((x[index], y[index])), q),
+                                   pair.fwd_tw, pair.fwd_spec, schedule=pair.fwd_sched)
         P = polymul.leaf_products(X[:h], X[h:], 1, q)
         polymul._count_leaves(h, False, P.size // h)
         out = np.empty(len(x), dtype=np.int64)
-        out[index] = transforms.inverse_rows(P, pair.inv_sched)
+        out[index] = transforms.ntt_inverse(P, pair.inv_tw, pair.inv_spec, schedule=pair.inv_sched)
         return out
 
 

@@ -497,9 +497,11 @@ def matvec_multiply(Ahat, s, plan) -> list:
         return []
     q = ring.q
     A = transforms.buffer([[a.values for a in row] for row in Ahat], q)
-    S = transforms.forward_rows(transforms.buffer([sj.array for sj in s], q), pair.fwd_sched)
+    S = transforms.ntt_forward(transforms.buffer([sj.array for sj in s], q), pair.fwd_tw,
+                               pair.fwd_spec, schedule=pair.fwd_sched)
     rows = polymul.pointwise_sums(A, S, 1 << pair.beta, pair.leaf_vector, q)
-    return [Poly(r, ring) for r in transforms.inverse_rows(rows, pair.inv_sched)]
+    rows = transforms.ntt_inverse(rows, pair.inv_tw, pair.inv_spec, schedule=pair.inv_sched)
+    return [Poly(r, ring) for r in rows]
 
 
 def sample_ntt_domain_uniform(ring: RingSpec, plan, seed) -> NttDomainPoly:

@@ -10,9 +10,9 @@ chains fold with ``fold_mod_phi``).
 
 The pipeline keeps its values in bare working buffers
 (``transforms.buffer``) from forward transform to inverse: a planned
-product runs ``transforms.forward_rows``, ``pointwise_rows`` and
-``transforms.inverse_rows`` on tables that ``TransformPair`` checked
-once, when it was built.  ``pointwise_mul`` and ``NttDomainPoly`` are
+product runs ``transforms.ntt_forward`` and ``ntt_inverse`` on bare
+buffers (their array cores) and ``pointwise_rows``, on tables that
+``TransformPair`` checked once, when it was built.  ``pointwise_mul`` and ``NttDomainPoly`` are
 the checked, tagged form of the same step at the public API.
 ``leaf_products`` is the one kernel for the step every route takes
 between its transforms, column-wise products mod x^L - gamma: the
@@ -461,9 +461,11 @@ class TransformPair:
         two, the leaf products and the inverse, on bare buffers; returns
         the product's buffer."""
         q = self.ring.q
-        X = transforms.forward_rows(transforms.buffer((x, y), q), self.fwd_sched)
+        X = transforms.ntt_forward(transforms.buffer((x, y), q), self.fwd_tw, self.fwd_spec,
+                                   schedule=self.fwd_sched)
         C = pointwise_rows(X[0], X[1], 1 << self.beta, self.leaf_vector, q, use_karatsuba)
-        return transforms.inverse_rows(C, self.inv_sched, halving)
+        return transforms.ntt_inverse(C, self.inv_tw, self.inv_spec, halving,
+                                      schedule=self.inv_sched)
 
 
 def check_pair_ring(ring: RingSpec, beta: int) -> None:

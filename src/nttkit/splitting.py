@@ -60,7 +60,8 @@ def _split_product(x, y, alpha, inner, karatsuba_cross, karatsuba_leaf) -> np.nd
     step, q, L = 1 << alpha, inner.ring.q, 1 << inner.beta
     i, j, by_degree, shifted = _cross_layout(step)
     parts = np.concatenate((x.reshape(-1, step).T, y.reshape(-1, step).T))
-    X = transforms.forward_rows(transforms.buffer(parts, q), inner.fwd_sched)
+    X = transforms.ntt_forward(transforms.buffer(parts, q), inner.fwd_tw, inner.fwd_spec,
+                               schedule=inner.fwd_sched)
     A, B, yhat = X[:step], X[step:], inner.y_domain
     pw = lambda U, V: polymul.pointwise_rows(U, V, L, inner.leaf_vector, q, karatsuba_leaf)
     add = lambda u, v: transforms.mod_op(np.add, u, v, q, "adds")
@@ -80,7 +81,8 @@ def _split_product(x, y, alpha, inner, karatsuba_cross, karatsuba_leaf) -> np.nd
     else:  # S_i = sum_(l <= i) A_l o B_(i-l) + sum_(l > i) y A_l o B_(step+i-l)
         images = np.concatenate((A, pw(A[1:], yhat)))
         sums = polymul.pointwise_sums(images[shifted], B, L, inner.leaf_vector, q)
-    return transforms.inverse_rows(sums, inner.inv_sched).T.ravel()
+    return transforms.ntt_inverse(sums, inner.inv_tw, inner.inv_spec,
+                                  schedule=inner.inv_sched).T.ravel()
 
 
 def _strategy_multiply(a, b, alpha, beta, inner, karatsuba_cross, karatsuba_leaf):

@@ -47,12 +47,15 @@ pure-Python kernel on a list stays as the test reference.  All three
 give identical values, and op counts always count the radix-2 levels.
 
 ``forward_rows`` and ``inverse_rows`` are the array cores of a
-transform: counted, in place on a bare buffer, and unchecked, as every
-planned route calls them between its forward transform and its
-inverse.  ``ntt_forward`` and ``ntt_inverse`` are the public layer over
-them: they check the table, spec, ring and schedule, check outside
-values once as ``Poly`` checks its coefficients, and tag the result as
-an ``NttDomainPoly`` (an inverse may return a Poly).
+transform: counted, in place on a bare buffer, and unchecked.
+``ntt_forward`` and ``ntt_inverse`` are the one entry to them: given a
+bare buffer (an ndarray, with no ring) they run the core on it and
+return it, as every planned route calls them between its forward
+transform and its inverse, so that a transform is one call whichever
+route runs it.  Given a Poly, or outside values with their ring, they
+are the public layer: they check the table, spec, ring and schedule,
+check outside values once as ``Poly`` checks its coefficients, and tag
+the result as an ``NttDomainPoly`` (an inverse may return a Poly).
 """
 
 from __future__ import annotations
@@ -570,7 +573,8 @@ def inverse_rows(buf, sched: Schedule, halving=False, on_level=None) -> np.ndarr
 def _checked_schedule(schedule, tw, spec, n: int) -> Schedule:
     if schedule is None:
         return make_schedule(spec, tw, n, merge=False)
-    if schedule.table is not tw or schedule.spec != spec or schedule.n != n:
+    if schedule.table is not tw or schedule.n != n or (schedule.spec is not spec
+                                                        and schedule.spec != spec):
         raise SpecViolation("schedule was built for another table, spec or length")
     return schedule
 
@@ -635,7 +639,14 @@ def ntt_forward(a, tw, spec: TransformSpec, on_level=None, schedule=None, ring=N
     run in place on it, on every row at once (``forward_rows``); the
     result holds that buffer.  ``on_level(level, values)`` sees the values
     after each level.
+
+    A bare working buffer (an ndarray, no ``ring``) is the planned
+    routes' core: transformed in place and returned, with only the
+    schedule checked against ``tw`` and ``spec``; the route's
+    ``TransformPair`` checked the table, spec and ring when it was built.
     """
+    if ring is None and isinstance(a, np.ndarray):
+        return forward_rows(a, _checked_schedule(schedule, tw, spec, a.shape[-1]), on_level)
     if ring is None:
         ring, a = a.ring, a.array
     else:
@@ -652,7 +663,13 @@ def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False,
     ``inverse_rows`` on a copy of ``ahat.values``, which is never
     mutated.  A batch of rows runs at once and needs ``as_buffer``; a
     Poly result is range-checked once, on its buffer.
+
+    A bare working buffer ``ahat`` is inverted in place and returned, as
+    in ``ntt_forward``.
     """
+    if isinstance(ahat, np.ndarray):
+        return inverse_rows(ahat, _checked_schedule(schedule, tw_inv, spec, ahat.shape[-1]),
+                            halving, on_level)
     ring = ahat.ring
     sched = inverse_schedule(tw_inv, spec, ahat.spec, ring, schedule)
     buf = inverse_rows(buffer(ahat.values, ring.q), sched, halving, on_level)

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from test_transforms import forward_specs, inverse_specs_for, ring_for, tables_for
 
 from nttkit import modarith, polymul, transforms, trinomial
+from nttkit.errors import SpecViolation
 from nttkit.modarith import OpCounter, counting, is_prime
 from nttkit.polymul import basecase_mul, make_transform_pair, ntt_multiply, oracle_multiply
 from nttkit.rings import TRINOMIAL, XN_MINUS_1, XN_PLUS_1, Poly, RingSpec
@@ -686,6 +687,29 @@ def test_presets_run_the_merged_stages(rng):
         for name in MERGED_PRESETS:
             plan, (a, b) = runs[name]
             assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs, name
+
+
+def test_public_transforms_on_a_bare_buffer_run_the_core_in_place(rng):
+    # the planned routes' entry: a bare buffer, no ring, transformed in
+    # place and returned untagged, with the counts of the tagged call
+    for q in (7681, 2151677953):  # int64 and object buffers
+        ring = RingSpec(XN_PLUS_1, 64, q)
+        pair = make_transform_pair(ring, 1)
+        a = Poly.random(ring, rng)
+        buf = transforms.buffer(a.array, q)
+        with counting() as c:
+            got = transforms.ntt_forward(buf, pair.fwd_tw, pair.fwd_spec, schedule=pair.fwd_sched)
+        assert got is buf and type(got) is np.ndarray
+        with counting() as tagged_c:
+            assert got.tolist() == pair.forward(a).values.tolist()
+        assert c == tagged_c
+        back = transforms.ntt_inverse(got, pair.inv_tw, pair.inv_spec, schedule=pair.inv_sched)
+        assert back is got and back.tolist() == a.coeffs
+        # the schedule must still be the one built from the table and spec
+        with pytest.raises(SpecViolation):
+            transforms.ntt_forward(buf, pair.inv_tw, pair.fwd_spec, schedule=pair.fwd_sched)
+        with pytest.raises(SpecViolation):
+            transforms.ntt_inverse(buf, pair.inv_tw, pair.inv_spec, schedule=pair.fwd_sched)
 
 
 def test_on_level_and_one_shot_calls_run_level_by_level(rng):
