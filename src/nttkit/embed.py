@@ -9,21 +9,21 @@ Chains compose these steps and finish with the source-ring reduction.
 Each executor is a ``bigmod.LiftedExecutor``; a chain's, over q, holds
 its terminal step's executor as its one table.
 
-The block embeddings run in a ``BlockWorkspace``, int64 buffers shaped
-by the block schedule, so a product allocates nothing of the route's
-size.  A ``BlockExecutor`` owns a pool of them: none when the plan is
-built, one built on a product that finds the pool empty, one per thread
-that multiplied at once at most (5.2 MiB each for Schonhage(32, 32)).
-A workspace serves one product at a time; the one-shot functions build
-one per call.
+The block embeddings run in a ``BlockWorkspace``, int32 or int64 buffers
+(``block_route``) shaped by the block schedule, so a product allocates
+nothing of the route's size.  A ``BlockExecutor`` owns a pool of them
+per dtype: none when the plan is built, one built on a product that
+finds its pool empty, one per thread that multiplied at once at most
+(2.6 MiB each for Schonhage(32, 32) over q = 4591, int32).  A workspace
+serves one product at a time; the one-shot functions build one per call.
 """
 
 from __future__ import annotations
 
 import queue
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -145,10 +145,10 @@ def good_multiply(a: Poly, b: Poly, h: int, k: int, inner_modulus: int) -> Poly:
 
 # ---------------------------------------------------------------------------
 # block arrays: shape (blocks, L, batch), one residue of Z_q[x]/(x^L + 1)
-# per block and batch column, int64 (q below modarith.VECTOR_LIMIT).  The
-# batch axis is last, so each gather copies whole rows and each add runs
-# over long contiguous runs.  Rows of products are (L, rows), one column
-# per product.
+# per block and batch column, int32 or int64 as ``block_route`` picks for
+# q.  The batch axis is last, so each gather copies whole rows and each
+# add runs over long contiguous runs.  Rows of products are (L, rows),
+# one column per product.
 
 
 def block_shape_fault(step) -> str | None:
@@ -174,7 +174,7 @@ def block_shape_fault(step) -> str | None:
 
 def _block_modulus(ring: RingSpec, step, schedule: tuple | None) -> int:
     """Check a ring of a block embedding, its shape, the schedule (empty:
-    built later) and q (below 2^31, for int64 blocks); returns q."""
+    built later) and q (below 2^31, for int32 or int64 blocks); returns q."""
     m, n, q = step.m, step.n, ring.q
     form = XN_MINUS_1 if isinstance(step, Schonhage) else XN_PLUS_1
     if ring.form != form or ring.n != 2 * m * n:
@@ -187,15 +187,8 @@ def _block_modulus(ring: RingSpec, step, schedule: tuple | None) -> int:
     if gcd(2 * n, q) != 1:
         raise ParameterCondition(f"2n = {2 * n} must be invertible mod q = {q}")
     if not modarith.vectorized(q):
-        raise ParameterCondition(f"q = {q} is not below 2^31: block arrays are int64")
+        raise ParameterCondition(f"q = {q} is not below 2^31: block arrays are int32 or int64")
     return q
-
-
-def _operand_modulus(a: Poly, b: Poly, step, schedule: tuple | None) -> int:
-    """``_block_modulus`` of two operands' common ring."""
-    if a.ring != b.ring:
-        raise RingMismatch("operands belong to different rings")
-    return _block_modulus(a.ring, step, schedule)
 
 
 def _rotation(t, L: int):
@@ -271,15 +264,77 @@ def block_schedule(step) -> tuple:
         L, step = 2 * n, Nussbaumer(m, n)
 
 
+BLOCK_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))  # the buffer classes, narrowest first
+
+
+@dataclass(frozen=True)
+class BlockRoute:
+    """A block schedule compiled for a working modulus q (``block_route``):
+    its buffer class ``dtype``, its ``depths`` with the level signs in it,
+    where a product reduces (``reduce``, see ``_reductions``) and ``scale``,
+    1 over the block counts of all depths mod q, the product's one scaling."""
+
+    q: int
+    dtype: np.dtype
+    depths: tuple
+    reduce: tuple
+    scale: int
+
+
+def _reductions(schedule: tuple, q: int, limit: int) -> tuple | None:
+    """Per depth, whether a product over q reduces after its forward
+    transform, its inverse and its fold to keep every entry below ``limit``
+    in magnitude; None if a step passes it even on reduced input.
+
+    A bound on every entry walks the steps in order from q - 1: each
+    forward level that is not a copy, each inverse level and each fold
+    doubles it; the leaf products take canonical operands, peak as
+    ``polymul.leaf_rule`` says and return canonical residues; the final
+    scale, in int64, multiplies by q - 1.  A reduction (to q - 1) goes
+    right before a step that would reach the limit, and nowhere else."""
+    top, D = q - 1, len(schedule)
+    steps = [1 << sum(lv.half < (d.step.m if isinstance(d.step, Nussbaumer) else 2 * d.step.n)
+                      for lv in d.forward) for d in schedule]  # forward, outermost first
+    steps += [0] + [g for d in schedule[::-1] for g in (1 << len(d.inverse), 2)] + [top]
+    bound, before = top, []  # before[i]: reduce the input of step i
+    for i, g in enumerate(steps):
+        lim = 1 << 63 if i == len(steps) - 1 else limit
+        before.append(bound > top if g == 0 else bound * g >= lim)
+        peak = polymul.leaf_rule(schedule[-1].L, q, lim)[1] if g == 0 else (top if before[-1] else bound) * g
+        if peak >= lim:
+            return None
+        bound = top if g == 0 else peak
+    # step D + 1 + 2j is depth D-1-j's inverse, step D + 2 + 2j its fold
+    return tuple(zip(before[1 : D + 1], before[3 * D : D + 1 : -2], before[3 * D + 1 : D + 2 : -2]))
+
+
+def block_route(schedule: tuple, q: int) -> BlockRoute:
+    """``schedule`` compiled for q, in the first of ``BLOCK_DTYPES`` whose
+    limit (``polymul.dtype_limit``) the walk of ``_reductions`` keeps."""
+    for dtype in BLOCK_DTYPES:
+        reduce = _reductions(schedule, q, polymul.dtype_limit(dtype))
+        if reduce is not None:
+            break
+    else:
+        raise ParameterCondition(f"q = {q}: the block route's bounds pass 2^63")
+
+    def signed(levels):
+        return tuple(replace(lv, sign=lv.sign.astype(dtype)) for lv in levels)
+
+    depths = tuple(replace(d, forward=signed(d.forward), inverse=signed(d.inverse)) for d in schedule)
+    return BlockRoute(q, dtype, depths, reduce, mod_inv(prod(2 * d.step.n for d in schedule), q))
+
+
 class BlockWorkspace:
-    """The int64 buffers one block product runs in, shaped by a block
-    schedule alone.  Depth d, whose 2n blocks of length L each carry
-    ``rows`` batch columns (1 at the top, 2n * rows one depth down), has:
+    """The buffers one block product runs in, of the modulus's ``dtype``
+    (``block_route``) and shaped by a block schedule.  Depth d, whose 2n
+    blocks of length L each carry ``rows`` batch columns (1 at the top,
+    2n * rows one depth down), has:
 
     - ``forward[d]``, (2n, L, 2 rows): both operands' blocks, A's columns
       then B's, transformed in place;
     - ``inverse[d]``, (2n, L, rows): their block products, transformed
-      back and scaled in place;
+      back in place;
     - ``scratch[d]``, 2n * L * 2 rows entries: the gathers and quotients
       of both transforms, and at the floor the leaf kernel's scratch;
 
@@ -290,18 +345,17 @@ class BlockWorkspace:
     serves one product at a time.
     """
 
-    def __init__(self, schedule: tuple):
-        self.schedule = schedule
+    def __init__(self, schedule: tuple, dtype):
         self.forward, self.inverse, self.scratch = [], [], []
         rows = 1
         for depth in schedule:
             blocks, L = 2 * depth.step.n, depth.L
-            self.forward.append(np.empty((blocks, L, 2 * rows), dtype=np.int64))
-            self.inverse.append(np.empty((blocks, L, rows), dtype=np.int64))
-            self.scratch.append(np.empty(blocks * L * 2 * rows, dtype=np.int64))
+            self.forward.append(np.empty((blocks, L, 2 * rows), dtype=dtype))
+            self.inverse.append(np.empty((blocks, L, rows), dtype=dtype))
+            self.scratch.append(np.empty(blocks * L * 2 * rows, dtype=dtype))
             floor, rows = (L, blocks, rows), blocks * rows
-        self.floor = np.empty((2, *floor), dtype=np.int64)
-        self.acc = np.empty((2 * floor[0] - 1, *floor[1:]), dtype=np.int64)
+        self.floor = np.empty((2, *floor), dtype=dtype)
+        self.acc = np.empty((2 * floor[0] - 1, *floor[1:]), dtype=dtype)
 
 
 def _block_ntt(X, levels: tuple, q: int, inverse: bool, live: int | None = None,
@@ -312,10 +366,10 @@ def _block_ntt(X, levels: tuple, q: int, inverse: bool, live: int | None = None,
 
     Forward runs the natural-input CT levels, inverse the bit-reversed-input
     GS levels, without the 1/blocks scaling.  Each level is one signed
-    gather, one add and one subtract; nothing is multiplied mod q.  On
-    canonical input the entries stay at most 2^l (q-1) in magnitude after
-    l levels (int64 cannot overflow below modarith.VECTOR_LIMIT), so they
-    are reduced once at the end.  ``work``, X.size int64 entries, takes
+    gather, one add and one subtract in X's dtype, the levels' signs in
+    it; nothing is multiplied mod q, and nothing reduced between levels,
+    each of which at most doubles the largest magnitude (``_reductions``
+    places the reductions).  ``work``, X.size entries of X's dtype, takes
     the gathers and quotients (fresh when omitted); the gathers use
     ``mode="clip"`` (every index is in range) because ``np.take`` copies
     through a fresh buffer into ``out`` in its default mode.  When only
@@ -356,74 +410,35 @@ def _block_ntt(X, levels: tuple, q: int, inverse: bool, live: int | None = None,
     return _mod(X, q, work.reshape(X.shape)) if reduce else X
 
 
-def _scale_unreduced(X, s: int, q: int, work):
-    """X * s mod q in place, reduced once: for |X| (q-1) < 2^63."""
-    X *= s
-    return _mod(X, q, work)
-
-
-def _scale_reduced(X, s: int, q: int, work):
-    """X * s mod q in place for any int64 X, reduced before the product."""
-    _mod(X, q, work)
-    X *= s
-    return _mod(X, q, work)
-
-
-def _block_convolve(ws: BlockWorkspace, d: int, q: int, live: int | None = None):
+def _block_convolve(ws: BlockWorkspace, route: BlockRoute, d: int, live: int | None = None):
     """Cyclic convolution along axis 0 of the two block arrays that
-    ``ws.forward[d]`` holds, by ``ws.schedule[d]``: forward (both in one
+    ``ws.forward[d]`` holds, by ``route.depths[d]``: forward (both in one
     batch), block products in Z_q[x]/(x^L + 1) (an inner Nussbaumer split
-    of every column, or the leaf kernel at the floor), inverse, 1/blocks
-    scaling; returns ``ws.inverse[d]``.  Only the first ``live`` blocks
-    (default: all) of A and B may be nonzero.
-
-    One reduction per depth: the inverse takes canonical block products,
-    so after its l levels no entry exceeds 2^l (q-1) in magnitude, and
-    times 1/blocks (canonical, at most q-1) 2^l (q-1)^2.  While that stays
-    below 2^63 the unreduced output is scaled and reduced once; otherwise
-    it is reduced first.
-    """
-    depth = ws.schedule[d]
+    of every column, or the leaf kernel at the floor), inverse; returns
+    ``ws.inverse[d]``.  Only the first ``live`` blocks (default: all) of
+    A and B may be nonzero.  The 1/blocks scaling, left to the route's
+    one final scale, is counted here as the scaling it stands for."""
+    depth, (after_forward, after_inverse, _) = route.depths[d], route.reduce[d]
     F, P, work = ws.forward[d], ws.inverse[d], ws.scratch[d]
     blocks, L, rows = P.shape
-    _block_ntt(F, depth.forward, q, False, live, work)
-    if d + 1 < len(ws.schedule):
+    _block_ntt(F, depth.forward, route.q, False, live, work, after_forward)
+    if d + 1 < len(route.depths):
         # part j of the inner split takes coefficients i*m + j of each column
-        m = ws.schedule[d + 1].step.m
+        m = route.depths[d + 1].step.m
         np.copyto(ws.forward[d + 1][:m].reshape(m, L // m, 2, blocks, rows),
                   F.reshape(blocks, L // m, m, 2, rows).transpose(2, 1, 3, 0, 4))
         np.copyto(P.reshape(blocks, L // m, m, rows).transpose(2, 1, 0, 3),
-                  _nussbaumer(ws, d + 1, q).reshape(m, L // m, blocks, rows))
+                  _nussbaumer(ws, route, d + 1).reshape(m, L // m, blocks, rows))
     else:  # one column per (block, batch column), on contiguous operands
         np.copyto(ws.floor, F.reshape(blocks, L, 2, rows).transpose(2, 1, 0, 3))
         U, V = ws.floor
-        np.copyto(P, polymul.leaf_products(U, V, -1, q, ws.acc, work.reshape(2, L, blocks, rows))
+        np.copyto(P, polymul.leaf_products(U, V, -1, route.q, ws.acc, work.reshape(2, L, blocks, rows))
                   .transpose(1, 0, 2))
         polymul._count_leaves(L, False, blocks * rows)
-    _block_ntt(P, depth.inverse, q, True, work=work[: P.size], reduce=False)
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.mults += P.size
-    lazy = (1 << len(depth.inverse)) * (q - 1) ** 2 < 1 << 63
-    scale = _scale_unreduced if lazy else _scale_reduced
-    return scale(P, mod_inv(blocks, q), q, work[: P.size].reshape(P.shape))
-
-
-def _schonhage(x, y, ws: BlockWorkspace, q: int):
-    """Cyclic product of two length-2mn int64 arrays via
-    (Z_q[x]/(x^2m + 1))[y]/(y^2n - 1), with (m, n) taken from
-    ``ws.schedule[0].step``, as a fresh array.
-
-    Blocks of m coefficients become y-coefficients; x^(2m/n) is the
-    synthetic 2n-th root, and y = x^m substitutes back at the end.
-    """
-    m, n = ws.schedule[0].step.m, ws.schedule[0].step.n
-    F = ws.forward[0]  # block j: coefficients jm .. jm + m - 1, zero-padded to 2m
-    F[:, :m, 0], F[:, :m, 1] = x.reshape(2 * n, m), y.reshape(2 * n, m)
-    F[:, m:] = 0
-    P = _block_convolve(ws, 0, q)[..., 0]
-    # y = x^m: block j's upper half lands on block j + 1
-    return _mod(P[:, :m] + np.roll(P[:, m:], 1, axis=0), q).ravel()
+    return _block_ntt(P, depth.inverse, route.q, True, work=work[: P.size], reduce=after_inverse)
 
 
 def schonhage_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None = None) -> Poly:
@@ -433,21 +448,22 @@ def schonhage_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None 
     return _block_one_shot(a, b, Schonhage(m, n), schedule)
 
 
-def _nussbaumer(ws: BlockWorkspace, d: int, q: int):
+def _nussbaumer(ws: BlockWorkspace, route: BlockRoute, d: int):
     """Column-wise negacyclic products of depth d via
     (Z_q[y]/(y^2n + 1))[x]/(x^m - y), y^2 the synthetic 2n-th root, with
-    (m, n) taken from ``ws.schedule[d].step``.  The caller has put both
+    (m, n) taken from ``route.depths[d].step``.  The caller has put both
     operands' parts, the (2n, rows) y-polynomials of the coefficients
     congruent to j mod m, in ``ws.forward[d][:m]``; returns the m parts
-    of the products, an (m, 2n, rows) view of ``ws.inverse[d]``."""
-    m, L = ws.schedule[d].step.m, ws.schedule[d].L
+    of the unscaled products, an (m, 2n, rows) view of ``ws.inverse[d]``."""
+    m, L = route.depths[d].step.m, route.depths[d].L
     ws.forward[d][m:] = 0
-    P = _block_convolve(ws, d, q, live=m)
+    P = _block_convolve(ws, route, d, live=m)
     rows = P.shape[2]
     c = min(m - 1, L - m)  # fold x^m = y: true x-degree is < 2m - 1 <= L
     P[:c, 1:] += P[m : m + c, :-1]
     P[:c, 0] -= P[m : m + c, -1]  # y^L = -1
-    _mod(P[:c], q, ws.scratch[d][: c * L * rows].reshape(c, L, rows))
+    if route.reduce[d][2]:
+        _mod(P[:m], route.q, ws.scratch[d][: P[:m].size].reshape(m, L, rows))
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.adds += rows * c * L
@@ -455,20 +471,24 @@ def _nussbaumer(ws: BlockWorkspace, d: int, q: int):
     return P[:m]
 
 
-def _nussbaumer_product(x, y, ws: BlockWorkspace, q: int):
-    """Negacyclic product of two length-2mn int64 arrays by
-    ``_nussbaumer`` on one column, as a fresh array."""
-    m, L = ws.schedule[0].step.m, ws.schedule[0].L
-    F = ws.forward[0]  # part j: coefficients i*m + j, one per y-degree i
-    F[:m, :, 0], F[:m, :, 1] = x.reshape(L, m).T, y.reshape(L, m).T
-    return _nussbaumer(ws, 0, q)[:, :, 0].T.flatten()
-
-
-def _block_product(x, y, ws: BlockWorkspace, q: int):
-    """The product of the workspace's step, Schoenhage or Nussbaumer."""
-    if isinstance(ws.schedule[0].step, Schonhage):
-        return _schonhage(x, y, ws, q)
-    return _nussbaumer_product(x, y, ws, q)
+def _block_product(x, y, ws: BlockWorkspace, route: BlockRoute):
+    """The product of two length-2mn int64 arrays by the route's step, as a
+    fresh int64 array: cyclic via (Z_q[x]/(x^2m + 1))[y]/(y^2n - 1) for
+    Schoenhage (blocks of m coefficients become y-coefficients, x^(2m/n)
+    is the synthetic 2n-th root, y = x^m substitutes back at the end),
+    negacyclic by ``_nussbaumer`` on one column; scaled last, in int64."""
+    m, L, F = route.depths[0].step.m, route.depths[0].L, ws.forward[0]
+    if isinstance(route.depths[0].step, Nussbaumer):  # part j: coefficients i*m + j, one per y-degree i
+        F[:m, :, 0], F[:m, :, 1] = x.reshape(L, m).T, y.reshape(L, m).T
+        out = _nussbaumer(ws, route, 0)[:, :, 0].T
+    else:  # block j: coefficients jm .. jm + m - 1, zero-padded to 2m
+        F[:, :m, 0], F[:, :m, 1] = x.reshape(-1, m), y.reshape(-1, m)
+        F[:, m:] = 0
+        P = _block_convolve(ws, route, 0)[..., 0]
+        out = P[:, :m] + np.roll(P[:, m:], 1, axis=0)  # y = x^m: upper halves move one block up
+        if route.reduce[0][2]:
+            _mod(out, route.q)
+    return _mod(np.multiply(out, route.scale, dtype=np.int64), route.q).ravel()
 
 
 def nussbaumer_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None = None) -> Poly:
@@ -480,9 +500,10 @@ def nussbaumer_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None
 
 def _block_one_shot(a: Poly, b: Poly, step, schedule: tuple | None) -> Poly:
     """A block product of two Polys in a workspace built for it."""
-    q = _operand_modulus(a, b, step, schedule)
-    ws = BlockWorkspace(schedule or block_schedule(step))
-    return Poly(_block_product(a.array, b.array, ws, q), a.ring)
+    if a.ring != b.ring:
+        raise RingMismatch("operands belong to different rings")
+    route = block_route(schedule or block_schedule(step), _block_modulus(a.ring, step, schedule))
+    return Poly(_block_product(a.array, b.array, BlockWorkspace(route.depths, route.dtype), route), a.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -580,38 +601,41 @@ class EmbedChain:
 class BlockExecutor(bigmod.LiftedExecutor):
     """A Schoenhage or Nussbaumer terminal over Z_N (N == q: no lift), run
     once per working modulus on the block core; its block schedule, the
-    same for every modulus, is built on first use.
+    same for every modulus, is built on first use, and its table mod p is
+    that schedule compiled for p (``block_route``).
 
-    The executor owns a pool of ``BlockWorkspace``s, empty when the plan
-    is built.  Each product takes one from the pool, or builds one when
-    the pool is empty, and puts it back when it ends, raised or not, so
-    no two threads ever share a workspace and the pool holds at most one
-    per thread that multiplied at once.  A workspace serves every working
-    modulus; for ``ntruprime-761-schonhage`` (Schonhage(32, 32)) it holds
-    5.2 MiB.
+    The executor owns a pool of ``BlockWorkspace``s per dtype, empty when
+    the plan is built.  Each product takes one of its route's dtype, or
+    builds one when that pool is empty, and puts it back when it ends,
+    raised or not, so no two threads ever share a workspace and a pool
+    holds at most one per thread that multiplied at once.  A workspace
+    serves every working modulus of its dtype; for
+    ``ntruprime-761-schonhage`` (int32) it holds 2.6 MiB.
     """
 
     def __init__(self, ring: RingSpec, step, N: int, basis=()):
         super().__init__(ring, N, basis)
         self.step = step
-        self.workspaces = queue.SimpleQueue()
+        self.workspaces = {dtype: queue.SimpleQueue() for dtype in BLOCK_DTYPES}
 
     @cached_property
     def schedule(self) -> tuple:
         return block_schedule(self.step)
 
-    def table(self, p: int) -> int:  # the modulus the blocks run over, checked
-        return _block_modulus(RingSpec(self.ring.form, self.ring.n, p), self.step, ())
+    def table(self, p: int) -> BlockRoute:
+        ring = RingSpec(self.ring.form, self.ring.n, p)
+        return block_route(self.schedule, _block_modulus(ring, self.step, ()))
 
-    def run(self, x, y, p):
+    def run(self, x, y, route):
+        pool = self.workspaces[route.dtype]
         try:
-            ws = self.workspaces.get_nowait()
+            ws = pool.get_nowait()
         except queue.Empty:
-            ws = BlockWorkspace(self.schedule)
+            ws = BlockWorkspace(self.schedule, route.dtype)
         try:
-            return _block_product(x, y, ws, p)
+            return _block_product(x, y, ws, route)
         finally:
-            self.workspaces.put(ws)
+            pool.put(ws)
 
 
 class ChainExecutor(bigmod.LiftedExecutor):

@@ -259,6 +259,18 @@ def _mod(X, q: int, scratch=None):
     return X
 
 
+def dtype_limit(dtype) -> int | None:
+    """What entries of ``dtype`` stay below in magnitude: 2^31 (int32), 2^63 (int64), None (object)."""
+    return None if dtype == object else 1 << 8 * np.dtype(dtype).itemsize - 1
+
+
+def leaf_rule(L: int, q: int, limit: int | None) -> tuple:
+    """(lazy, peak) of ``leaf_products`` on canonical length-L columns whose dtype
+    holds magnitudes below ``limit``: whether it sums raw products, and its largest."""
+    lazy = limit is None or L * (q - 1) ** 2 < limit
+    return lazy, L * (q - 1) ** 2 if lazy else (q - 1) * (q - 1 + L)
+
+
 def leaf_products(U, V, gamma, q: int, acc=None, scratch=None) -> np.ndarray:
     """Column-wise products mod x^L - gamma of two (L, ...) arrays of
     canonical residues mod q, uncounted: ``basecase_mul`` on every column
@@ -278,13 +290,14 @@ def leaf_products(U, V, gamma, q: int, acc=None, scratch=None) -> np.ndarray:
     coefficient k + L (L - 1 - k products) to coefficient k < L - 1: raw
     for gamma = +-1, and for a constant per column reduced below q, then
     times gamma, at most (q-1)^2.  Either way no sum exceeds L (q-1)^2 in
-    magnitude, so while L (q-1)^2 < 2^63 the raw products are summed in
-    int64 and reduced once.  Otherwise each product is reduced first, and
-    the sums stay below L q + (q-1)^2 < 2^63 (int64 only runs q < 2^31).
+    magnitude, so while L (q-1)^2 stays below U's ``dtype_limit`` (2^31
+    for int32, 2^63 for int64) the raw products are summed and reduced
+    once.  Otherwise each product is reduced first, and no entry passes
+    (q-1)(q-1+L) (``leaf_rule``; int64 runs q < 2^31, where that fits).
     ``object`` arrays (Python ints) cannot overflow and always sum lazily.
     """
     L, cols = U.shape[0], U.shape[1:] if U.shape == V.shape else np.broadcast(U[0], V[0]).shape
-    lazy = U.dtype == object or L * (q - 1) ** 2 < 1 << 63
+    lazy = leaf_rule(L, q, dtype_limit(U.dtype))[0]
     if acc is None:
         acc = np.empty((2 * L - 1, *cols), dtype=U.dtype)
     p, y = np.empty((2, L, *cols), dtype=U.dtype) if scratch is None else scratch

@@ -124,16 +124,16 @@ class TransformSpec:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class NttDomainPoly:
     """Transform-domain values tagged with the spec that produced them.
 
     ``values`` is a length-n row of canonical residues, or a batch of
     them along leading axes, checked on construction (``checked_rows``)
-    and held as a working buffer (see ``buffer``); chunk p of length
-    leaf_degree holds the image in the p-th residue ring of the cropped
-    CRT map.  ``add``, ``sub`` and ``scale`` return new values and never
-    mutate these.  Planned products pass the same buffers bare.
+    and held as a fresh read-only working buffer (``frozen_rows``); chunk
+    p of length leaf_degree holds the image in the p-th residue ring of
+    the cropped CRT map.  Frozen: no assignment or in-place write after
+    construction skips the check.  Planned products pass bare buffers.
     """
 
     values: np.ndarray
@@ -142,8 +142,7 @@ class NttDomainPoly:
     leaf_degree: int = 1
 
     def __post_init__(self):
-        q = self.ring.q
-        self.values = np.asarray(checked_rows(self.values, self.ring.n, q), dtype=buffer_dtype(q))
+        object.__setattr__(self, "values", frozen_rows(self.values, self.ring.n, self.ring.q))
 
     def __eq__(self, other) -> bool:  # the generated one would compare arrays elementwise
         return (isinstance(other, NttDomainPoly) and self.compatible(other)
@@ -626,6 +625,11 @@ def checked_rows(values, n: int, q: int) -> np.ndarray:
     if a.ndim == 0 or a.shape[-1] != n:
         raise LengthMismatch(f"expected rows of {n} coefficients, got shape {a.shape}")
     return a
+
+
+def frozen_rows(values, n: int, q: int) -> np.ndarray:
+    """``checked_rows`` as a fresh read-only buffer mod q."""
+    return read_only(buffer(checked_rows(values, n, q), q))
 
 
 def ntt_forward(a, tw, spec: TransformSpec, on_level=None, schedule=None, ring=None) -> NttDomainPoly:

@@ -61,19 +61,17 @@ class TrinomialPlan:
         return self.ring.q
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrinomialDomainPoly:
     """Degree-2 leaf images, kept separate from the radix-2 domain type:
-    rows of n canonical residues, checked on construction as
-    ``NttDomainPoly`` checks them and held as a working buffer."""
+    rows of n canonical residues, checked and frozen on construction as
+    ``NttDomainPoly`` checks and freezes them."""
 
     values: np.ndarray
     plan: TrinomialPlan
 
     def __post_init__(self):
-        q = self.plan.q
-        self.values = np.asarray(transforms.checked_rows(self.values, self.plan.n, q),
-                                 dtype=transforms.buffer_dtype(q))
+        object.__setattr__(self, "values", transforms.frozen_rows(self.values, self.plan.n, self.plan.q))
 
     def __eq__(self, other) -> bool:  # the generated one would compare arrays elementwise
         return (isinstance(other, TrinomialDomainPoly) and self.plan == other.plan

@@ -286,7 +286,8 @@ BLOCK_BUDGET = settings(
 @st.composite
 def block_cases(draw):
     """(function, oracle, m, n, q, a, b) over valid shapes, odd m included,
-    with q below 2^31 (int64 block arrays) and above (refused)."""
+    with q on both sides of the int32 rule (the floor's leaf peak passes
+    2^31 near q = 46340), below 2^31 and above (refused)."""
     n = 1 << draw(st.integers(0, 4))
     if draw(st.booleans()):
         fn, oracle, form = schonhage_multiply, schoolbook_cyclic, XN_MINUS_1
@@ -296,7 +297,8 @@ def block_cases(draw):
         fn, oracle, form = nussbaumer_multiply, schoolbook_nwc, XN_PLUS_1
         ms = list(range(2, n + 1))
     m = draw(st.sampled_from(ms))
-    q = draw(st.one_of(st.integers(1, (1 << 30) - 1), st.integers(1 << 30, (1 << 41) - 1))) * 2 + 1
+    q = draw(st.one_of(st.integers(1, (1 << 30) - 1), st.integers(1 << 30, (1 << 41) - 1),
+                       st.integers(23100, 23250))) * 2 + 1
     size = 2 * m * n
     operands = st.one_of(
         st.just([0] * size),
@@ -311,14 +313,17 @@ def block_cases(draw):
 @given(block_cases())
 def test_block_embeddings_match_oracle(case):
     # the one-shot functions, and a chain plan that pads x^(mn) - x - 1
-    # into the block ring over q itself: one block code path for both
+    # into the block ring over q itself: one block code path for both;
+    # all-(q-1) operands on every q, in int32 or int64 blocks
     fn, oracle, m, n, ring, a, b = case
     a, b = Poly(a, ring), Poly(b, ring)
     if ring.q > 1 << 31:
         with pytest.raises(ParameterCondition):
             fn(a, b, m, n)
     else:
+        top = Poly([ring.q - 1] * ring.n, ring)
         assert fn(a, b, m, n).coeffs == oracle(a, b).coeffs
+        assert fn(top, top, m, n).coeffs == oracle(top, top).coeffs
     if m * n < 2:  # x - x - 1 is no ring
         return
     small = RingSpec(XN_MINUS_X_MINUS_1, m * n, ring.q)
@@ -350,16 +355,37 @@ def test_schonhage_preset_product_and_counts_pinned(monkeypatch, rng):
     assert (c.mults, c.adds, c.subs) == (667648, 498688, 531232)
 
 
+def _only_workspaces_of(monkeypatch, dtype):
+    """Make a block workspace of any other dtype than ``dtype`` raise."""
+    build = embed.BlockWorkspace
+
+    def only(schedule, dt):
+        if dt != dtype:
+            raise AssertionError(f"a {dt} workspace was built where {dtype} runs")
+        return build(schedule, dt)
+
+    monkeypatch.setattr(embed, "BlockWorkspace", only)
+
+
 # the odd q nearest each side of L*(q-1)^2 < 2^63 for the leaf lengths the
-# routes use: 8 (block floor), 4 (incomplete beta = 2), 3 (Good h = 3, trinomial)
+# routes use: 8 (block floor), 4 (incomplete beta = 2), 3 (Good h = 3,
+# trinomial), and of the int32 rule of the two block routes below
 @pytest.mark.parametrize("q", [(1 << 30) - 1, (1 << 30) + 1, (1 << 31) - 1,
-                               1518500249, 1518500251, 1753413057, 1753413059])
-def test_lazy_reduction_boundaries(q):
+                               1518500249, 1518500251, 1753413057, 1753413059,
+                               16383, 16385, 46337, 46339])
+def test_lazy_reduction_boundaries(monkeypatch, q):
     # 8*(q-1)^2 < 2^63 just below 2^30 (raw floor sums), = 2^63 at 2^30 + 1
-    # (each product reduced); 2^31 - 1 is the largest odd q on int64 arrays,
-    # where each block transform reduces once at its end
-    for fn, oracle, form, m, n in ((schonhage_multiply, schoolbook_cyclic, XN_MINUS_1, 16, 16),
-                                   (nussbaumer_multiply, schoolbook_nwc, XN_PLUS_1, 8, 16)):
+    # (each product reduced); 2^31 - 1 is the largest odd q a block route
+    # takes.  Both routes below end in length-8 floors, so their walk keeps
+    # int32 while the floor's peak does: 8 (q-1)^2 < 2^31 up to q = 16383
+    # (raw sums), then (q-1)(q+7) < 2^31 up to q = 46337 (each product
+    # reduced); from 46339 they run int64, and the int32 path raises
+    dtype = np.int32 if q <= 46337 else np.int64
+    _only_workspaces_of(monkeypatch, dtype)
+    for fn, oracle, form, step in ((schonhage_multiply, schoolbook_cyclic, XN_MINUS_1, Schonhage(16, 16)),
+                                   (nussbaumer_multiply, schoolbook_nwc, XN_PLUS_1, Nussbaumer(8, 16))):
+        m, n = step.m, step.n
+        assert embed.block_route(embed.block_schedule(step), q).dtype == dtype
         ring = RingSpec(form, 2 * m * n, q)
         a = Poly([q - 1] * ring.n, ring)
         assert fn(a, a, m, n).coeffs == oracle(a, a).coeffs
@@ -373,21 +399,41 @@ def test_lazy_reduction_boundaries(q):
             assert polymul.leaf_products(top, top.copy(), gamma, q).T.tolist() == [want] * 3
 
 
-# Schonhage(2, 2) runs l = 2 inverse levels: 4 (q-1)^2 < 2^63 holds for
-# q = 1518500249, so the unreduced output is scaled and reduced once, and
-# fails for q = 1518500251, so it is reduced first
-@pytest.mark.parametrize("q, other", [(1518500249, "_scale_reduced"),
-                                      (1518500251, "_scale_unreduced")])
-def test_inverse_scaling_bound(monkeypatch, q, other):
-    assert ((1 << 2) * (q - 1) ** 2 < 1 << 63) == (other == "_scale_reduced")
-
-    def boom(*args):
-        raise AssertionError(f"{other} must not run at q = {q}")
-
-    monkeypatch.setattr(embed, other, boom)
+# Schonhage(2, 2) is one depth of 4 blocks of length 4.  Its walk: the
+# forward transform leaves 2^2 (q-1); the leaf products take canonical
+# operands (a reduction) and peak at 4 (q-1)^2 summing raw products, or at
+# (q-1)(q+3) reducing each first, once the raw sums would reach the limit
+# (in int64 at q = 1518500251); then inverse 2^2 (q-1), fold 2^3 (q-1) and
+# the final scale, in int64, 2^3 (q-1)^2
+@pytest.mark.parametrize("q", [46339, 46341, 1518500249, 1518500251, (1 << 30) - 1, (1 << 30) + 1])
+def test_block_walk_boundaries(monkeypatch, q):
+    int32 = (q - 1) * (q + 3) < 1 << 31  # up to q = 46339, on reduce-first leaves past q = 23171
+    before_scale = 8 * (q - 1) ** 2 >= 1 << 63  # from q = 2^30 + 1
+    assert polymul.leaf_rule(4, q, 1 << 63)[0] == (4 * (q - 1) ** 2 < 1 << 63)
+    route = embed.block_route(embed.block_schedule(Schonhage(2, 2)), q)
+    assert route.dtype == (np.int32 if int32 else np.int64)
+    assert route.reduce == ((True, False, before_scale),)
+    _only_workspaces_of(monkeypatch, route.dtype)
     ring = RingSpec(XN_MINUS_1, 8, q)
     a = Poly([q - 1] * ring.n, ring)
     assert schonhage_multiply(a, a, 2, 2).coeffs == schoolbook_cyclic(a, a).coeffs
+
+
+def test_preset_block_route_reduces_three_times(monkeypatch, rng):
+    # q = 4591 on Schonhage(32, 32): every bound of the walk stays below
+    # 2^31, and the int32 product reduces before the floor, in the leaf
+    # kernel and once after the final scale
+    route = embed.block_route(embed.block_schedule(Schonhage(32, 32)), 4591)
+    assert route.dtype == np.int32
+    assert route.reduce == ((False, False, False), (False, False, False), (True, False, False))
+    ring, plan = planner.preset("ntruprime-761-schonhage")
+    a, b = planner.sample_operands(ring, plan, rng)
+    want = oracle_multiply(a, b)
+    reduced, real = [], polymul._mod
+    monkeypatch.setattr(embed, "_mod", lambda *args: reduced.append(args[0].dtype) or real(*args))
+    monkeypatch.setattr(polymul, "_mod", lambda *args: reduced.append(args[0].dtype) or real(*args))
+    assert planner.multiply(a, b, plan) == want
+    assert reduced == [np.int32, np.int32, np.int64]  # the last one on the scaled int64 product
 
 
 def test_block_products_touch_no_fresh_pages(rng):
@@ -406,36 +452,43 @@ def test_block_products_touch_no_fresh_pages(rng):
 
 def test_threads_never_share_a_block_workspace(rng):
     # planning builds no workspace; two threads multiplying at once each
-    # take their own, and give it back
-    ring, plan = planner.preset("ntruprime-761-schonhage")
-    block = plan.executor.tables[0]  # the chain's terminal executor
-    assert block.workspaces.empty()
-    cases = [planner.sample_operands(ring, plan, rng) for _ in range(4)]
-    wants = [oracle_multiply(a, b) for a, b in cases]
-    barrier = threading.Barrier(2)
-    results = [[], []]
+    # take their own of the modulus's dtype, and give it back: the preset
+    # (q = 4591) runs int32, the same chain over q = 65537 int64
+    preset = planner.preset("ntruprime-761-schonhage")
+    ring = RingSpec(XN_MINUS_X_MINUS_1, 761, 65537)
+    wide = ring, planner.make_plan(ring, chain=(ZeroPad(2048), Schonhage(32, 32)))
+    # 2.6 MiB (int32) and 5.2 MiB (int64) for Schonhage(32, 32)
+    for (ring, plan), dtype, size in ((preset, np.int32, 2736128), (wide, np.int64, 5472256)):
+        block = plan.executor.tables[0]  # the chain's terminal executor
+        assert all(pool.empty() for pool in block.workspaces.values())
+        cases = [planner.sample_operands(ring, plan, rng) for _ in range(4)]
+        wants = [oracle_multiply(a, b) for a, b in cases]
+        barrier = threading.Barrier(2)
+        results = [[], []]
 
-    def run(k):
-        barrier.wait()
-        for i in range(20):
-            a, b = cases[(i + k) % 4]
-            results[k].append(planner.multiply(a, b, plan) == wants[(i + k) % 4])
+        def run(k):
+            barrier.wait()
+            for i in range(20):
+                a, b = cases[(i + k) % 4]
+                results[k].append(planner.multiply(a, b, plan) == wants[(i + k) % 4])
 
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert results == [[True] * 20] * 2
-    assert 1 <= block.workspaces.qsize() <= 2
-    ws = block.workspaces.get()  # 4.2 MiB for Schonhage(32, 32)
-    assert sum(a.nbytes for a in (*ws.forward, *ws.inverse, *ws.scratch, ws.acc)) == 4423680
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[True] * 20] * 2
+        pool = block.workspaces[np.dtype(dtype)]
+        assert 1 <= pool.qsize() <= 2
+        assert all(other.empty() for d, other in block.workspaces.items() if d != dtype)
+        ws = pool.get()
+        assert sum(a.nbytes for a in (*ws.forward, *ws.inverse, *ws.scratch, ws.floor, ws.acc)) == size
 
 
 def test_block_schedule_built_on_first_multiply_only(monkeypatch, rng):

@@ -18,6 +18,7 @@ all its rows and must equal row-by-row runs and the reference kernel,
 with op counts per row.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -375,6 +376,30 @@ def test_poly_keeps_its_own_read_only_array():
     with pytest.raises(AttributeError):
         a.coeffs = [5, 6, 7, 8]
     assert a == b and a != Poly([1, 2, 3, 5], ring) and a != Poly(src_list, RingSpec(XN_PLUS_1, 4, 7681))
+
+
+@pytest.mark.parametrize("q", [7681, BIG_PRIMES[0]], ids=["int64", "object"])
+def test_domain_values_are_frozen(q):
+    # an assignment or an in-place write after construction would skip the
+    # check: both raise, on both tagged types, and the constructor keeps
+    # its own copy of an array it is given
+    ring, tri = RingSpec(XN_PLUS_1, 4, q), RingSpec(TRINOMIAL, 6, q)
+    pair, plan = make_transform_pair(ring, 0), trinomial.make_plan(tri)
+    src4, src6 = np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3, 4, 5])
+    for dom, src in ((NttDomainPoly(src4, pair.fwd_spec, ring), src4),
+                     (pair.forward([0, 1, 2, 3]), None),
+                     (trinomial.TrinomialDomainPoly(src6, plan), src6),
+                     (trinomial.trinomial_forward([0, 1, 2, 3, 4, 5], plan, tri), None)):
+        before = dom.values.tolist()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dom.values = [0.7] * len(before)
+        with pytest.raises(ValueError, match="read-only"):
+            dom.values[0] = q + 5
+        with pytest.raises(ValueError, match="read-only"):
+            dom.values += 1
+        if src is not None:
+            src[0] = 7
+        assert dom.values.tolist() == before
 
 
 def test_stages_leave_their_inputs_alone(rng):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import ref_poly_mul_linear
 
+from nttkit import polymul
 from nttkit.errors import FormMismatch, LengthMismatch, ModulusMismatch, SpecMismatch
 from nttkit.modarith import counting
 from nttkit.polymul import (
@@ -301,6 +302,36 @@ def test_twisted_pipeline_multiplies_cyclic(rng):
         C = pointwise_mul(A, B, gammas)
         got = ntt_inverse(C, itw, fs_gs.inverse_of())
         assert got.coeffs == schoolbook_cyclic(a, b).coeffs
+
+
+@pytest.mark.parametrize("q, lazy", [(16383, True), (16385, False)])
+def test_leaf_products_take_their_limit_from_the_dtype(monkeypatch, q, lazy):
+    # at L = 8 on int32 columns, 8 (q-1)^2 < 2^31 up to q = 16383: raw
+    # products are summed and reduced once; from q = 16385 each product is
+    # reduced before it is added.  The other path raises: a lazy product
+    # reduces once, the result, and a reduce-first one L + 1 times
+    L = 8
+    assert (L * (q - 1) ** 2 < 1 << 31) == lazy
+    assert [polymul.dtype_limit(d) for d in (np.int32, np.int64, object)] == [1 << 31, 1 << 63, None]
+    assert polymul.leaf_rule(L, q, 1 << 63) == (True, L * (q - 1) ** 2)
+    reduced, real = [], polymul._mod
+
+    def counted(*args):
+        reduced.append(1)
+        if len(reduced) > (1 if lazy else L + 1):
+            raise AssertionError("the other path of the lazy rule ran")
+        return real(*args)
+
+    monkeypatch.setattr(polymul, "_mod", counted)
+    rows = np.random.default_rng(q).integers(0, q, size=(2, L, 5))
+    rows[:, :, 0] = q - 1
+    for gamma, g in ((-1, q - 1), (1, 1)):
+        reduced.clear()
+        U, V = rows.astype(np.int32)
+        got = polymul.leaf_products(U, V, gamma, q)
+        assert got.dtype == np.int32 and len(reduced) == (1 if lazy else L + 1)
+        want = [basecase_mul(u, v, g, q) for u, v in zip(rows[0].T.tolist(), rows[1].T.tolist())]
+        assert got.T.tolist() == want
 
 
 def test_leaf_gammas_match_table(rng):
