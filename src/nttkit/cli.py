@@ -205,18 +205,13 @@ def cmd_count_ops(args) -> int:
         # separate pre/post-processing variants cost + n each
         psi = pair.fwd_tw.root
         omega = psi * psi % q
-        cc_ring = RingSpec("x^n-1", n, q)
-        cc_f = transforms.TransformSpec("CC", "CT", "forward", "natural", "bit_reversed")
-        cc_i = cc_f.inverse_of()
-        cc_tw = modarith.build_twiddles(omega, n, q, modarith.BIT_REVERSED)
-        cc_itw = modarith.build_twiddles(omega, n, q, modarith.BIT_REVERSED, inverse=True)
+        cc = polymul.make_transform_pair(RingSpec("x^n-1", n, q), root=omega)
         psi_tw = modarith.build_twiddles(psi, 2 * n, q)
         psi_itw = modarith.build_twiddles(psi, 2 * n, q, inverse=True)
-        ap = Poly(a.array, cc_ring)
         with modarith.counting() as cs:
-            sh = transforms.nwc_forward_separate(ap, cc_tw, psi_tw, cc_f)
+            sh = transforms.nwc_forward_separate(Poly(a.array, cc.ring), cc.fwd_tw, psi_tw, cc.fwd_spec)
         with modarith.counting() as cs2:
-            transforms.nwc_inverse_separate(sh, cc_itw, psi_itw, cc_i)
+            transforms.nwc_inverse_separate(sh, cc.inv_tw, psi_itw, cc.inv_spec)
         report["separate_forward_mults"] = cs.mults
         report["separate_forward_expected"] = expect_fwd + n
         report["separate_inverse_mults"] = cs2.mults

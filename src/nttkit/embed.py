@@ -15,7 +15,7 @@ nothing of the route's size.  A ``BlockExecutor`` owns a pool of them
 per dtype: none when the plan is built, one built on a product that
 finds its pool empty, one per thread that multiplied at once at most
 (2.6 MiB each for Schonhage(32, 32) over q = 4591, int32).  A workspace
-serves one product at a time; the one-shot functions build one per call.
+serves one product at a time; each one-shot runs its own executor.
 """
 
 from __future__ import annotations
@@ -172,9 +172,9 @@ def block_shape_fault(step) -> str | None:
     return None
 
 
-def _block_modulus(ring: RingSpec, step, schedule: tuple | None) -> int:
-    """Check a ring of a block embedding, its shape, the schedule (empty:
-    built later) and q (below 2^31, for int32 or int64 blocks); returns q."""
+def _block_modulus(ring: RingSpec, step) -> int:
+    """Check a ring of a block embedding, its shape and q (below 2^31, for
+    int32 or int64 blocks); returns q."""
     m, n, q = step.m, step.n, ring.q
     form = XN_MINUS_1 if isinstance(step, Schonhage) else XN_PLUS_1
     if ring.form != form or ring.n != 2 * m * n:
@@ -182,8 +182,6 @@ def _block_modulus(ring: RingSpec, step, schedule: tuple | None) -> int:
     fault = block_shape_fault(step)
     if fault:
         raise ShapeCondition(fault)
-    if schedule and schedule[0].step != step:
-        raise ShapeCondition(f"schedule was built for {schedule[0].step}, not {step}")
     if gcd(2 * n, q) != 1:
         raise ParameterCondition(f"2n = {2 * n} must be invertible mod q = {q}")
     if not modarith.vectorized(q):
@@ -441,13 +439,6 @@ def _block_convolve(ws: BlockWorkspace, route: BlockRoute, d: int, live: int | N
     return _block_ntt(P, depth.inverse, route.q, True, work=work[: P.size], reduce=after_inverse)
 
 
-def schonhage_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None = None) -> Poly:
-    """Cyclic product of length 2mn via (Z_q[x]/(x^2m + 1))[y]/(y^2n - 1).
-    ``schedule`` is ``block_schedule(Schonhage(m, n))``, built here when
-    omitted; the product runs in a workspace built for this call."""
-    return _block_one_shot(a, b, Schonhage(m, n), schedule)
-
-
 def _nussbaumer(ws: BlockWorkspace, route: BlockRoute, d: int):
     """Column-wise negacyclic products of depth d via
     (Z_q[y]/(y^2n + 1))[x]/(x^m - y), y^2 the synthetic 2n-th root, with
@@ -489,21 +480,6 @@ def _block_product(x, y, ws: BlockWorkspace, route: BlockRoute):
         if route.reduce[0][2]:
             _mod(out, route.q)
     return _mod(np.multiply(out, route.scale, dtype=np.int64), route.q).ravel()
-
-
-def nussbaumer_multiply(a: Poly, b: Poly, m: int, n: int, schedule: tuple | None = None) -> Poly:
-    """Negacyclic product of length 2mn using the synthetic 4n-th root y.
-    ``schedule`` is ``block_schedule(Nussbaumer(m, n))``, built here when
-    omitted; the product runs in a workspace built for this call."""
-    return _block_one_shot(a, b, Nussbaumer(m, n), schedule)
-
-
-def _block_one_shot(a: Poly, b: Poly, step, schedule: tuple | None) -> Poly:
-    """A block product of two Polys in a workspace built for it."""
-    if a.ring != b.ring:
-        raise RingMismatch("operands belong to different rings")
-    route = block_route(schedule or block_schedule(step), _block_modulus(a.ring, step, schedule))
-    return Poly(_block_product(a.array, b.array, BlockWorkspace(route.depths, route.dtype), route), a.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +575,10 @@ class EmbedChain:
 
 
 class BlockExecutor(bigmod.LiftedExecutor):
-    """A Schoenhage or Nussbaumer terminal over Z_N (N == q: no lift), run
-    once per working modulus on the block core; its block schedule, the
-    same for every modulus, is built on first use, and its table mod p is
-    that schedule compiled for p (``block_route``).
+    """A Schoenhage or Nussbaumer step over Z_N (N == q: no lift), a chain's
+    terminal or a one-shot's product, run once per working modulus on the
+    block core; its schedule, the same for every modulus, is built on first
+    use, and its table mod p is that schedule compiled for p (``block_route``).
 
     The executor owns a pool of ``BlockWorkspace``s per dtype, empty when
     the plan is built.  Each product takes one of its route's dtype, or
@@ -623,8 +599,8 @@ class BlockExecutor(bigmod.LiftedExecutor):
         return block_schedule(self.step)
 
     def table(self, p: int) -> BlockRoute:
-        ring = RingSpec(self.ring.form, self.ring.n, p)
-        return block_route(self.schedule, _block_modulus(ring, self.step, ()))
+        q = _block_modulus(RingSpec(self.ring.form, self.ring.n, p), self.step)
+        return block_route(self.schedule, q)
 
     def run(self, x, y, route):
         pool = self.workspaces[route.dtype]
@@ -636,6 +612,18 @@ class BlockExecutor(bigmod.LiftedExecutor):
             return _block_product(x, y, ws, route)
         finally:
             pool.put(ws)
+
+
+def schonhage_multiply(a: Poly, b: Poly, m: int, n: int) -> Poly:
+    """Cyclic product of length 2mn via (Z_q[x]/(x^2m + 1))[y]/(y^2n - 1),
+    on a block executor built for the call."""
+    return BlockExecutor(a.ring, Schonhage(m, n), a.ring.q).multiply(a, b)
+
+
+def nussbaumer_multiply(a: Poly, b: Poly, m: int, n: int) -> Poly:
+    """Negacyclic product of length 2mn using the synthetic 4n-th root y,
+    on a block executor built for the call."""
+    return BlockExecutor(a.ring, Nussbaumer(m, n), a.ring.q).multiply(a, b)
 
 
 class ChainExecutor(bigmod.LiftedExecutor):

@@ -18,7 +18,7 @@ are accumulated in the transform domain:
 The parts go through the inner pair's array cores as bare buffers, and
 the cross sums are arithmetic on them (``transforms.mod_op``,
 ``polymul.pointwise_rows`` and ``polymul.pointwise_sums``), on int64 or
-``object`` buffers alike.  A plan runs ``SplitExecutor``, a
+``object`` buffers alike.  Plans and one-shots run ``SplitExecutor``, a
 ``bigmod.LiftedExecutor`` over q whose one table is the inner pair.
 """
 
@@ -85,38 +85,9 @@ def _split_product(x, y, alpha, inner, karatsuba_cross, karatsuba_leaf) -> np.nd
                                   schedule=inner.inv_sched).T.ravel()
 
 
-def _strategy_multiply(a, b, alpha, beta, inner, karatsuba_cross, karatsuba_leaf):
-    if a.ring != b.ring:
-        raise RingMismatch("operands belong to different rings")
-    small = _small_ring(a.ring, alpha)
-    if inner is None:
-        inner = polymul.make_transform_pair(small, beta)
-    elif inner.ring != small:  # the pair takes the bare-array parts to be over its own ring
-        raise RingMismatch(f"inner pair is over {inner.ring}, the split ring is {small}")
-    return Poly(_split_product(a.array, b.array, alpha, inner, karatsuba_cross, karatsuba_leaf),
-                a.ring)
-
-
-def ptntt_multiply(a: Poly, b: Poly, alpha: int, inner=None) -> Poly:
-    """Split, transform all parts, accumulate plain cross sums, gather."""
-    return _strategy_multiply(a, b, alpha, 0, inner, karatsuba_cross=False, karatsuba_leaf=False)
-
-
-def kntt_multiply(a: Poly, b: Poly, alpha: int, inner=None) -> Poly:
-    """ptntt with one-iteration Karatsuba across symmetric part pairs."""
-    return _strategy_multiply(a, b, alpha, 0, inner, karatsuba_cross=True, karatsuba_leaf=False)
-
-
-def hntt_multiply(a: Poly, b: Poly, alpha: int, beta: int, inner=None) -> Poly:
-    """kntt with a beta-cropped inner transform and Karatsuba leaf products."""
-    if inner is not None and inner.beta != beta:
-        raise BadAlpha(f"inner pair has beta={inner.beta}, expected {beta}")
-    return _strategy_multiply(a, b, alpha, beta, inner, karatsuba_cross=True, karatsuba_leaf=True)
-
-
 class SplitExecutor(bigmod.LiftedExecutor):
-    """Plan executor of split-pt, split-k and hntt, over q: its table is
-    the (cropped) inner pair over the split ring."""
+    """Executor of split-pt, split-k and hntt plans and one-shots, over q:
+    its table is the (cropped) inner pair over the split ring."""
 
     def __init__(self, ring: RingSpec, alpha: int, beta: int, karatsuba_cross: bool,
                  karatsuba_leaf: bool):
@@ -130,3 +101,18 @@ class SplitExecutor(bigmod.LiftedExecutor):
 
     def run(self, x, y, inner):
         return _split_product(x, y, self.alpha, inner, *self.karatsuba)
+
+
+def ptntt_multiply(a: Poly, b: Poly, alpha: int) -> Poly:
+    """Split, transform all parts, accumulate plain cross sums, gather."""
+    return SplitExecutor(a.ring, alpha, 0, False, False).multiply(a, b)
+
+
+def kntt_multiply(a: Poly, b: Poly, alpha: int) -> Poly:
+    """ptntt with one-iteration Karatsuba across symmetric part pairs."""
+    return SplitExecutor(a.ring, alpha, 0, True, False).multiply(a, b)
+
+
+def hntt_multiply(a: Poly, b: Poly, alpha: int, beta: int) -> Poly:
+    """kntt with a beta-cropped inner transform and Karatsuba leaf products."""
+    return SplitExecutor(a.ring, alpha, beta, True, True).multiply(a, b)

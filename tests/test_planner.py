@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from nttkit import bigmod, embed, modarith, planner, polymul, transforms, trinomial
+from nttkit import bigmod, embed, modarith, planner, polymul, splitting, transforms, trinomial
 from nttkit.errors import NoStrategy, RingMismatch, ShapeCondition, SpecMismatch, UnknownPreset
 from nttkit.planner import (
     GENERAL_PHI,
@@ -518,3 +518,40 @@ def test_first_multiply_counts_like_the_second(strategy, rng):
         multiply(a, b, plan)
     assert first == second and first.mults > 0
     assert got.coeffs == oracle_multiply(a, b).coeffs
+
+
+def test_one_shots_run_their_plan_executor(monkeypatch, rng):
+    # each split and block one-shot is one run of the executor a plan runs:
+    # one ``run`` per product, and the plan's product and op tallies
+    runs = []
+    for cls in (splitting.SplitExecutor, embed.BlockExecutor):
+        def counted(self, x, y, table, real=cls.run):
+            runs.append(type(self))
+            return real(self, x, y, table)
+
+        monkeypatch.setattr(cls, "run", counted)
+    kyber, split = RingSpec(XN_PLUS_1, 256, 3329), splitting.SplitExecutor
+    cases = [
+        (lambda a, b: splitting.ptntt_multiply(a, b, 1), kyber, dict(prefer="split-pt", alpha=1), split),
+        (lambda a, b: splitting.kntt_multiply(a, b, 1), kyber, dict(prefer="split-k", alpha=1), split),
+        (lambda a, b: splitting.hntt_multiply(a, b, 1, 1), kyber,
+         dict(prefer="hntt", alpha=1, beta=1), split),
+    ]
+    for one_shot, step, form in ((embed.schonhage_multiply, embed.Schonhage(3, 2), XN_MINUS_1),
+                                 (embed.nussbaumer_multiply, embed.Nussbaumer(3, 4), XN_PLUS_1),
+                                 (embed.nussbaumer_multiply, embed.Nussbaumer(5, 8), XN_PLUS_1)):
+        ring = RingSpec(form, 2 * step.m * step.n, 4591)  # not a power of two: a chain plan
+        cases.append((lambda a, b, f=one_shot, s=step: f(a, b, s.m, s.n), ring,
+                      dict(chain=(embed.ZeroPad(ring.n, form), step)), embed.BlockExecutor))
+    for one_shot, ring, how, executor in cases:
+        a, b = Poly.random(ring, rng), Poly.random(ring, rng)
+        plan = make_plan(ring, **how)
+        want = oracle_multiply(a, b)
+        tallies = []
+        for run in (lambda: one_shot(a, b), lambda: multiply(a, b, plan)):
+            runs.clear()
+            with modarith.counting() as c:
+                assert run() == want, how
+            assert runs == [executor], how
+            tallies.append(c)
+        assert tallies[0] == tallies[1] and tallies[0].mults > 0, how

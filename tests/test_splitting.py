@@ -1,7 +1,7 @@
 import pytest
 
 from nttkit import modarith
-from nttkit.errors import BadAlpha, NttError, ParameterCondition
+from nttkit.errors import BadAlpha, ParameterCondition
 from nttkit.modarith import OpCounter
 from nttkit.polymul import make_transform_pair, ntt_multiply, oracle_multiply
 from nttkit.rings import Poly, RingSpec, XN_MINUS_1, XN_PLUS_1
@@ -10,31 +10,10 @@ from nttkit.splitting import hntt_multiply, kntt_multiply, ptntt_multiply
 KYBER = RingSpec(XN_PLUS_1, 256, 3329)
 
 
-def kyber_inner(beta=0, alpha=1):
-    return make_transform_pair(RingSpec(XN_PLUS_1, 256 >> alpha, 3329), beta)
-
-
 def test_split_rejects_bad_alpha():
     ring = RingSpec(XN_PLUS_1, 8, 17)
     with pytest.raises(BadAlpha):
         ptntt_multiply(Poly([0] * 8, ring), Poly([0] * 8, ring), 4)  # 2^4 does not divide 8
-
-
-@pytest.mark.parametrize("inner_ring", [RingSpec(XN_PLUS_1, 128, 7681),  # another modulus
-                                        RingSpec(XN_MINUS_1, 128, 3329),  # another form
-                                        RingSpec(XN_PLUS_1, 64, 3329)],  # another length
-                         ids=["modulus", "form", "length"])
-def test_mismatched_inner_pair_refused(inner_ring, rng):
-    # the parts reach the inner pair as bare arrays, so the pair's own ring
-    # must be checked against the split ring: a 7681 pair would otherwise
-    # multiply a q = 3329 ring silently wrong
-    inner = make_transform_pair(inner_ring, 0)
-    a, b = Poly.random(KYBER, rng), Poly.random(KYBER, rng)
-    for fn in (ptntt_multiply, kntt_multiply):
-        with pytest.raises(NttError):
-            fn(a, b, 1, inner)
-    with pytest.raises(NttError):
-        hntt_multiply(a, b, 1, 0, inner)
 
 
 @pytest.mark.parametrize("form", [XN_PLUS_1, XN_MINUS_1])
@@ -56,9 +35,9 @@ def test_alpha_zero_reduces_to_plain(rng):
     pair = make_transform_pair(ring, 0)
     a, b = Poly.random(ring, rng), Poly.random(ring, rng)
     want = ntt_multiply(a, b, pair).coeffs
-    assert ptntt_multiply(a, b, 0, pair).coeffs == want
-    assert kntt_multiply(a, b, 0, pair).coeffs == want
-    assert hntt_multiply(a, b, 0, 0, pair).coeffs == want
+    assert ptntt_multiply(a, b, 0).coeffs == want
+    assert kntt_multiply(a, b, 0).coeffs == want
+    assert hntt_multiply(a, b, 0, 0).coeffs == want
 
 
 @pytest.mark.parametrize("form", [XN_PLUS_1, XN_MINUS_1])
@@ -84,16 +63,15 @@ def test_strategies_match_oracle(form, alpha, rng):
 def test_all_strategies_identical_products(rng):
     # plain(beta=1), pt(1), k(1), h(1,0), h(0,1) all equal on shared inputs
     pair_b1 = make_transform_pair(KYBER, 1)
-    inner_full = kyber_inner()
     for _ in range(5):
         a, b = Poly.random(KYBER, rng), Poly.random(KYBER, rng)
         want = oracle_multiply(a, b).coeffs
         outs = [
             ntt_multiply(a, b, pair_b1).coeffs,
-            ptntt_multiply(a, b, 1, inner_full).coeffs,
-            kntt_multiply(a, b, 1, inner_full).coeffs,
-            hntt_multiply(a, b, 1, 0, inner_full).coeffs,
-            hntt_multiply(a, b, 0, 1, pair_b1).coeffs,
+            ptntt_multiply(a, b, 1).coeffs,
+            kntt_multiply(a, b, 1).coeffs,
+            hntt_multiply(a, b, 1, 0).coeffs,
+            hntt_multiply(a, b, 0, 1).coeffs,
         ]
         assert all(o == want for o in outs)
 
@@ -105,31 +83,28 @@ def test_parameter_condition_raised():
 
 
 def test_pt_transform_counts(rng):
-    inner = kyber_inner()
     a, b = Poly.random(KYBER, rng), Poly.random(KYBER, rng)
     with modarith.counting() as c:
-        ptntt_multiply(a, b, 1, inner)
+        ptntt_multiply(a, b, 1)
     assert c.forward_transforms == 4  # 2^(alpha+1)
     assert c.inverse_transforms == 2  # 2^alpha
 
-    inner2 = make_transform_pair(RingSpec(XN_PLUS_1, 64, 3329), 0)
     ring = RingSpec(XN_PLUS_1, 256, 3329)
     a, b = Poly.random(ring, rng), Poly.random(ring, rng)
     with modarith.counting() as c2:
-        ptntt_multiply(a, b, 2, inner2)
+        ptntt_multiply(a, b, 2)
     assert (c2.forward_transforms, c2.inverse_transforms) == (8, 4)
 
 
 def test_karatsuba_drops_pointwise_products(rng):
     # alpha=1: 4 pointwise products + 1 y-product (pt) vs 3 + 1 (k)
-    inner = kyber_inner()
     m = 128
     transform_mults = 4 * (m * 7 // 2) + 2 * (m * 7 // 2 + m)
     a, b = Poly.random(KYBER, rng), Poly.random(KYBER, rng)
     with modarith.counting() as cp:
-        r1 = ptntt_multiply(a, b, 1, inner)
+        r1 = ptntt_multiply(a, b, 1)
     with modarith.counting() as ck:
-        r2 = kntt_multiply(a, b, 1, inner)
+        r2 = kntt_multiply(a, b, 1)
     assert r1.coeffs == r2.coeffs  # accumulation never changes results
     assert cp.mults - transform_mults == 5 * m
     assert ck.mults - transform_mults == 4 * m
@@ -139,12 +114,11 @@ def test_hntt_count_equivalence_with_incomplete(rng):
     # alpha-round splitting with beta=0 and the beta'=alpha cropped
     # pipeline agree in outputs and in total multiplication counts
     pair_b1 = make_transform_pair(KYBER, 1)
-    inner_full = kyber_inner()
     a, b = Poly.random(KYBER, rng), Poly.random(KYBER, rng)
     with modarith.counting() as c1:
         r1 = ntt_multiply(a, b, pair_b1, use_karatsuba=True)
     with modarith.counting() as c2:
-        r2 = hntt_multiply(a, b, 1, 0, inner_full)
+        r2 = hntt_multiply(a, b, 1, 0)
     assert r1.coeffs == r2.coeffs
     assert c1.mults == c2.mults
 
@@ -152,10 +126,8 @@ def test_hntt_count_equivalence_with_incomplete(rng):
 def test_hntt_alpha_beta_grid(rng):
     ring = RingSpec(XN_PLUS_1, 256, 3329)
     for alpha, beta in ((1, 1), (2, 1), (1, 2), (0, 3)):
-        inner_ring = RingSpec(XN_PLUS_1, 256 >> alpha, 3329)
-        inner = make_transform_pair(inner_ring, beta)
         a, b = Poly.random(ring, rng), Poly.random(ring, rng)
-        got = hntt_multiply(a, b, alpha, beta, inner)
+        got = hntt_multiply(a, b, alpha, beta)
         assert got.coeffs == oracle_multiply(a, b).coeffs, (alpha, beta)
 
 

@@ -15,9 +15,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = """
 import sys
 
-from nttkit import bigmod, modarith, trinomial
+from nttkit import bigmod, embed, modarith, splitting, trinomial
 from nttkit.errors import NttError
-from nttkit.rings import TRINOMIAL, XN_MINUS_1, Poly, RingSpec
+from nttkit.rings import TRINOMIAL, XN_MINUS_1, XN_PLUS_1, Poly, RingSpec
 
 print("optimize", sys.flags.optimize)
 
@@ -46,6 +46,14 @@ ring18 = object.__new__(RingSpec)
 for k, v in dict(form=TRINOMIAL, n=18, q=19, phi=None).items():
     object.__setattr__(ring18, k, v)
 expect(lambda: trinomial.make_plan(ring18))
+# the split and block one-shots run their executors' checks: 2^alpha must
+# divide n, the block shape must multiply, and both operands share a ring
+nwc = Poly.zero(RingSpec(XN_PLUS_1, 8, 17))
+expect(lambda: splitting.ptntt_multiply(nwc, nwc, 4))
+z18 = Poly.zero(RingSpec(XN_MINUS_1, 18, 17))
+expect(lambda: embed.schonhage_multiply(z18, z18, 3, 3))
+expect(lambda: splitting.kntt_multiply(nwc, Poly.zero(RingSpec(XN_PLUS_1, 8, 97)), 1))
+expect(lambda: embed.schonhage_multiply(a, Poly.zero(RingSpec(XN_MINUS_1, 8, 97)), 2, 2))
 """
 
 
@@ -65,6 +73,10 @@ def test_checks_raise_typed_errors_under_python_O():
         "BoundTooSmall",
         "InvalidRoot",
         "ParameterCondition",
+        "BadAlpha",
+        "ShapeCondition",
+        "RingMismatch",
+        "RingMismatch",
     ]
 
 
