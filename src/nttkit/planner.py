@@ -227,8 +227,9 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
     full / incomplete / split-pt / split-k / hntt for friendly rings,
     bigprime / rns / composite for unfriendly ones (these require
     allow_bigmod when reached through "auto"), good / pad-pow2 /
-    schonhage for embeddings, and trinomial for that ring form.
-    The plan's tables are built on its first multiply.
+    schonhage for embeddings, and trinomial for that ring form.  A given
+    ``chain`` is the plan's embedding chain on every ring class, power
+    of two or not.  The plan's tables are built on its first multiply.
     """
     cls = classify(ring)
     n, q = ring.n, ring.q
@@ -239,6 +240,14 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
         if not all(ok for _, ok in checks):
             raise ParameterCondition(f"{strategy} preconditions fail: {checks}")
         return NttPlan(strategy, ring, executor, prof, sample_b, tuple(checks))
+
+    def chained(chain):
+        executor = embed.ChainExecutor(ring, _resolve_chain(ring, chain, prof))
+        checks.extend(_chain_checks(ring, executor, prof))
+        return plan("embed", executor)
+
+    if chain is not None:  # a given chain runs on every ring class
+        return chained(chain)
 
     if ring.form == TRINOMIAL and prefer in ("auto", "trinomial"):
         checks.append(_cong_check(q, n, "trinomial order"))
@@ -296,11 +305,7 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
         raise NoStrategy(f"preference {prefer!r} does not apply to {cls.describe()}")
 
     # non-power-of-two or general phi: embedding chains
-    if chain is None:
-        chain = _default_chain(ring, cls, prefer, N)
-    executor = embed.ChainExecutor(ring, _resolve_chain(ring, chain, prof))
-    checks.extend(_chain_checks(ring, executor, prof))
-    return plan("embed", executor)
+    return chained(_default_chain(ring, cls, prefer, N))
 
 
 def _search_basis(order: int, bound: int) -> bigmod.RnsBasis:

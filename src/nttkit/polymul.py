@@ -264,54 +264,74 @@ def dtype_limit(dtype) -> int | None:
     return None if dtype == object else 1 << 8 * np.dtype(dtype).itemsize - 1
 
 
-def leaf_rule(L: int, q: int, limit: int | None) -> tuple:
-    """(lazy, peak) of ``leaf_products`` on canonical length-L columns whose dtype
-    holds magnitudes below ``limit``: whether it sums raw products, and its largest."""
-    lazy = limit is None or L * (q - 1) ** 2 < limit
-    return lazy, L * (q - 1) ** 2 if lazy else (q - 1) * (q - 1 + L)
+def leaf_rule(L: int, q: int, limit: int | None, bound: int | None = None) -> tuple:
+    """(lazy, peak) of ``leaf_products`` on length-L columns of magnitude at
+    most ``bound`` (q - 1 when omitted: canonical) whose dtype holds
+    magnitudes below ``limit``: whether it sums raw products, lazy while
+    L bound^2 < limit, and its largest entry.  Otherwise it reduces each
+    product first, which takes canonical operands."""
+    b = q - 1 if bound is None else bound
+    lazy = limit is None or L * b * b < limit
+    return lazy, L * b * b if lazy else (q - 1) * (q - 1 + L)
 
 
-def leaf_products(U, V, gamma, q: int, acc=None, scratch=None) -> np.ndarray:
+def leaf_products(U, V, gamma, q: int, acc=None, scratch=None, bound: int | None = None) -> np.ndarray:
     """Column-wise products mod x^L - gamma of two (L, ...) arrays of
-    canonical residues mod q, uncounted: ``basecase_mul`` on every column
-    (every index of the trailing axes, which broadcast) at once, returned
-    as an (L, ...) array of canonical residues.
+    residues mod q, uncounted: ``basecase_mul`` on every column (every
+    index of the trailing axes, which broadcast) at once, returned as an
+    (L, ...) array of canonical residues.
 
     ``gamma`` is +1 or -1 for every column, or a buffer of one constant
-    mod q per column.  The caller adds the operation counts
-    (``_count_leaves``).  ``acc``, a (2L - 1, ...) accumulator, and
-    ``scratch``, a (2, L, ...) array, both of U's dtype, are the kernel's
-    working memory: when a caller passes them the result is ``acc[:L]``
-    and nothing of the operands' size is allocated; otherwise both are
-    fresh.
+    mod q per column (any other constant takes the buffer's path).  The
+    operands are canonical, or of magnitude at most ``bound`` where
+    ``leaf_rule`` finds that bound lazy.  The caller adds the operation
+    counts (``_count_leaves``).  ``acc``, the accumulator, (L, ...) for
+    gamma = +-1 and (2L - 1, ...) otherwise, and ``scratch``, a
+    (2, L, ...) array, both of U's dtype, are the kernel's working
+    memory: when a caller passes them the result is ``acc[:L]`` and
+    nothing of the operands' size is allocated; otherwise both are fresh.
 
     Lazy rule: linear coefficient k sums min(k + 1, 2L - 1 - k) raw
-    products u_i v_j, each at most (q-1)^2.  Folding x^L = gamma adds
-    coefficient k + L (L - 1 - k products) to coefficient k < L - 1: raw
-    for gamma = +-1, and for a constant per column reduced below q, then
-    times gamma, at most (q-1)^2.  Either way no sum exceeds L (q-1)^2 in
-    magnitude, so while L (q-1)^2 stays below U's ``dtype_limit`` (2^31
-    for int32, 2^63 for int64) the raw products are summed and reduced
-    once.  Otherwise each product is reduced first, and no entry passes
-    (q-1)(q-1+L) (``leaf_rule``; int64 runs q < 2^31, where that fits).
-    ``object`` arrays (Python ints) cannot overflow and always sum lazily.
+    products u_i v_j, each at most bound^2 in magnitude.  Folding
+    x^L = gamma adds coefficient k + L (L - 1 - k products) to coefficient
+    k < L - 1: raw for gamma = +-1, each wrapped product added to or
+    subtracted from its coefficient as it is made, and for a constant per
+    column the high coefficients summed, reduced below q, then times
+    gamma, at most (q-1)^2.  Either way no sum exceeds L bound^2 in
+    magnitude, so while that stays below U's ``dtype_limit`` (2^31 for
+    int32, 2^63 for int64) the raw products are summed and reduced once.
+    Otherwise each product of canonical operands is reduced first, and no
+    entry passes (q-1)(q-1+L) (``leaf_rule``; int64 runs q < 2^31, where
+    that fits).  ``object`` arrays (Python ints) cannot overflow and
+    always sum lazily.
     """
     L, cols = U.shape[0], U.shape[1:] if U.shape == V.shape else np.broadcast(U[0], V[0]).shape
-    lazy = leaf_rule(L, q, dtype_limit(U.dtype))[0]
+    lazy = leaf_rule(L, q, dtype_limit(U.dtype), bound)[0]
+    wrapped = np.ndim(gamma) == 0 and gamma in (1, -1)
     if acc is None:
-        acc = np.empty((2 * L - 1, *cols), dtype=U.dtype)
+        acc = np.empty((L if wrapped else 2 * L - 1, *cols), dtype=U.dtype)
     p, y = np.empty((2, L, *cols), dtype=U.dtype) if scratch is None else scratch
-    out, hi = acc[:L], acc[L:]
+    out = acc[:L]
+    np.multiply(U[0], V, out=out)  # the first products fill the low coefficients
+    if not lazy:
+        _mod(out, q, y)
+    if wrapped:  # x^L = +-1: products i + j >= L wrap straight into out
+        wrap = np.add if gamma == 1 else np.subtract
+        for i in range(1, L):
+            np.multiply(U[i], V, out=p)
+            if not lazy:
+                _mod(p, q, y)
+            out[i:] += p[: L - i]
+            wrap(out[:i], p[L - i :], out=out[:i])
+        return _mod(out, q, y)
+    hi = acc[L:]
     hi[...] = 0
-    for i in range(L):
-        t = out if i == 0 else p  # the first products fill the low coefficients
-        np.multiply(U[i], V, out=t)
+    for i in range(1, L):
+        np.multiply(U[i], V, out=p)
         if not lazy:
-            _mod(t, q, y)
-        if i:
-            acc[i : i + L] += t
-    if np.ndim(gamma):
-        _mod(hi, q, y[: L - 1])
+            _mod(p, q, y)
+        acc[i : i + L] += p
+    _mod(hi, q, y[: L - 1])
     hi *= gamma
     out[: L - 1] += hi
     return _mod(out, q, y)

@@ -172,10 +172,10 @@ def test_neg_rotate_behaviour():
 def test_block_transform_multiplies_nothing(rng):
     blocks = np.array([[[rng.randrange(17)] for _ in range(8)] for _ in range(8)])
     with modarith.counting() as c:
-        _block_ntt(blocks, _block_levels(8, 8, 1, False), 17, inverse=False)
+        _block_ntt(blocks, _block_levels(8, 8, 1, False), inverse=False)
     assert c.mults == 0
     with modarith.counting() as ci:
-        _block_ntt(blocks, _block_levels(8, 8, 1, True), 17, inverse=True)
+        _block_ntt(blocks, _block_levels(8, 8, 1, True), inverse=True)
     assert ci.mults == 0
 
 
@@ -389,11 +389,13 @@ def test_lazy_reduction_boundaries(monkeypatch, q):
 
 
 # Schonhage(2, 2) is one depth of 4 blocks of length 4.  Its walk: the
-# forward transform leaves 2^2 (q-1); the leaf products take canonical
-# operands (a reduction) and peak at 4 (q-1)^2 summing raw products, or at
-# (q-1)(q+3) reducing each first, once the raw sums would reach the limit
-# (in int64 at q = 1518500251); then inverse 2^2 (q-1), fold 2^3 (q-1) and
-# the final scale, in int64, 2^3 (q-1)^2
+# forward transform leaves 2^2 (q-1), which lazy leaves take while
+# 4 (2^2 (q-1))^2 stays below the limit (in int64 up to q = 379625063).
+# Past that its input is already canonical, so all blocks are reduced
+# after it, and the leaf products peak at 4 (q-1)^2 summing raw products,
+# or at (q-1)(q+3) reducing each first, once the raw sums would reach the
+# limit (in int64 at q = 1518500251); then inverse 2^2 (q-1), fold
+# 2^3 (q-1) and the final scale, in int64, 2^3 (q-1)^2
 @pytest.mark.parametrize("q", [46339, 46341, 1518500249, 1518500251, (1 << 30) - 1, (1 << 30) + 1])
 def test_block_walk_boundaries(monkeypatch, q):
     int32 = (q - 1) * (q + 3) < 1 << 31  # up to q = 46339, on reduce-first leaves past q = 23171
@@ -401,7 +403,9 @@ def test_block_walk_boundaries(monkeypatch, q):
     assert polymul.leaf_rule(4, q, 1 << 63)[0] == (4 * (q - 1) ** 2 < 1 << 63)
     route = embed.block_route(embed.block_schedule(Schonhage(2, 2)), q)
     assert route.dtype == (np.int32 if int32 else np.int64)
-    assert route.reduce == ((True, False, before_scale),)
+    after_forward = 4 * (4 * (q - 1)) ** 2 >= (1 << 31 if int32 else 1 << 63)  # all but 46341
+    assert route.reduce == ((False, after_forward, False, before_scale),)
+    assert route.leaf_bound == (q - 1 if after_forward else 4 * (q - 1))
     _only_workspaces_of(monkeypatch, route.dtype)
     ring = RingSpec(XN_MINUS_1, 8, q)
     a = Poly([q - 1] * ring.n, ring)
@@ -410,11 +414,13 @@ def test_block_walk_boundaries(monkeypatch, q):
 
 def test_preset_block_route_reduces_three_times(monkeypatch, rng):
     # q = 4591 on Schonhage(32, 32): every bound of the walk stays below
-    # 2^31, and the int32 product reduces before the floor, in the leaf
-    # kernel and once after the final scale
+    # 2^31, and the int32 product reduces the floor's two live input
+    # blocks before its forward transform, the leaf sums once, and the
+    # product once more after the final scale
     route = embed.block_route(embed.block_schedule(Schonhage(32, 32)), 4591)
     assert route.dtype == np.int32
-    assert route.reduce == ((False, False, False), (False, False, False), (True, False, False))
+    assert route.reduce == ((False,) * 4, (False,) * 4, (True, False, False, False))
+    assert route.leaf_bound == 2 * 4590
     ring, plan = planner.preset("ntruprime-761-schonhage")
     a, b = planner.sample_operands(ring, plan, rng)
     want = oracle_multiply(a, b)
@@ -423,6 +429,75 @@ def test_preset_block_route_reduces_three_times(monkeypatch, rng):
     monkeypatch.setattr(polymul, "_mod", lambda *args: reduced.append(args[0].dtype) or real(*args))
     assert planner.multiply(a, b, plan) == want
     assert reduced == [np.int32, np.int32, np.int64]  # the last one on the scaled int64 product
+
+
+@pytest.mark.parametrize("q, live_input", [(8191, True), (8193, False)])
+def test_floor_reduces_its_live_input_while_the_leaves_take_it(monkeypatch, q, live_input):
+    # Schonhage(32, 32)'s floor forward transform has one level that is
+    # not a copy, so a reduction of its two live input blocks leaves
+    # 2 (q-1)-bounded leaf operands, which lazy int32 leaves take while
+    # 8 (2 (q-1))^2 < 2^31, up to q = 8191; from q = 8193 all eight
+    # blocks are reduced after the transform.  The other placement raises
+    schedule = embed.block_schedule(Schonhage(32, 32))
+    route = embed.block_route(schedule, q)
+    assert route.dtype == np.int32
+    assert route.reduce[:2] == ((False,) * 4,) * 2
+    assert route.reduce[2] == (live_input, not live_input, False, False)
+    assert route.leaf_bound == (2 if live_input else 1) * (q - 1)
+    assert polymul.leaf_rule(8, q, 1 << 31, 2 * (q - 1))[0] == live_input
+    floor = schedule[-1]
+    other = (2 * floor.step.n if live_input else floor.live, floor.L, 2 * 1024)
+    real = embed._mod
+
+    def placed(X, *args):
+        if X.shape == other:
+            raise AssertionError(f"the floor reduced {X.shape[0]} input blocks")
+        return real(X, *args)
+
+    monkeypatch.setattr(embed, "_mod", placed)
+    ring = RingSpec(XN_MINUS_1, 2048, q)
+    rng = np.random.default_rng(q)
+    for a in (Poly([q - 1] * ring.n, ring), Poly(rng.integers(0, q, ring.n), ring)):
+        b = Poly(rng.integers(0, q, ring.n), ring)
+        assert schonhage_multiply(a, b, 32, 32).coeffs == schoolbook_cyclic(a, b).coeffs
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (3, 8), (5, 8), (6, 8)])
+def test_nussbaumer_zeroes_only_the_parts_the_copies_skip(m, n, rng):
+    # m not a power of two: the forward transform's copy levels rewrite
+    # every part from 2^ceil(log2 m) on, so only parts m .. 2^ceil(log2 m)
+    # - 1 are zeroed; a workspace full of stale values still multiplies
+    ring = RingSpec(XN_PLUS_1, 2 * m * n, 4591)
+    ex = embed.BlockExecutor(ring, Nussbaumer(m, n), ring.q)
+    route = ex.table(ring.q)
+    ws = embed.BlockWorkspace(ex.schedule, route.dtype)
+    for buf in (*ws.forward, *ws.inverse, *ws.scratch, ws.floor, ws.acc):
+        buf[...] = 12345
+    ex.workspaces[route.dtype].put(ws)
+    for _ in range(3):
+        a, b = Poly.random(ring, rng), Poly.random(ring, rng)
+        assert ex.multiply(a, b).coeffs == schoolbook_nwc(a, b).coeffs
+    assert ws.forward[0][n:].max() != 12345  # rewritten by the copies, never zeroed
+
+
+@pytest.mark.parametrize("half", [1, 2, 4, 8])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_inverse_block_transform_prunes_levels_past_keep(half, extra):
+    # with only the first keep blocks read, the levels whose halves hold at
+    # least keep blocks add only: keep = half prunes the level of that half
+    # and every later one, keep = half + 1 only the later ones; the kept
+    # blocks and the counts are those of the full inverse
+    keep, blocks, L, q = half + extra, 16, 8, 7681
+    rng = np.random.default_rng(keep)
+    X = rng.integers(0, q, size=(blocks, L, 3))
+    levels = _block_levels(blocks, L, 2, True)
+    assert sum(lv.half >= keep for lv in levels) == 4 - half.bit_length() + 1 - extra
+    with modarith.counting() as full_ctr:
+        full = _block_ntt(X.copy(), levels, True)
+    with modarith.counting() as kept_ctr:
+        kept = _block_ntt(X.copy(), levels, True, keep=keep)
+    assert np.array_equal(full[:keep], kept[:keep])
+    assert (full_ctr.adds, full_ctr.subs) == (kept_ctr.adds, kept_ctr.subs)
 
 
 def test_block_products_touch_no_fresh_pages(rng):
@@ -446,8 +521,8 @@ def test_threads_never_share_a_block_workspace(rng):
     preset = planner.preset("ntruprime-761-schonhage")
     ring = RingSpec(XN_MINUS_X_MINUS_1, 761, 65537)
     wide = ring, planner.make_plan(ring, chain=(ZeroPad(2048), Schonhage(32, 32)))
-    # 2.6 MiB (int32) and 5.2 MiB (int64) for Schonhage(32, 32)
-    for (ring, plan), dtype, size in ((preset, np.int32, 2736128), (wide, np.int64, 5472256)):
+    # 2.4 MiB (int32) and 4.8 MiB (int64) for Schonhage(32, 32)
+    for (ring, plan), dtype, size in ((preset, np.int32, 2506752), (wide, np.int64, 5013504)):
         block = plan.executor.tables[0]  # the chain's terminal executor
         assert all(pool.empty() for pool in block.workspaces.values())
         cases = [planner.sample_operands(ring, plan, rng) for _ in range(4)]
@@ -522,6 +597,19 @@ def test_chain_schonhage_route(rng):
     got = general_phi_multiply(a, b, chain)
     assert got.coeffs == ref_ntruprime(a, b)
     assert got.coeffs == reduce_mod_phi(schoolbook_linear(a, b), ring).coeffs
+
+
+@pytest.mark.parametrize("ring, chain", [
+    (RingSpec(XN_MINUS_1, 2048, 4591), (ZeroPad(2048), Schonhage(32, 32))),
+    (RingSpec(XN_PLUS_1, 256, 3329), (ZeroPad(256, XN_PLUS_1), Nussbaumer(8, 16))),
+])
+def test_a_given_chain_plans_a_power_of_two_ring(ring, chain, rng):
+    # x^2048 - 1 over 4591 has an incomplete transform and x^256 + 1 over
+    # 3329 is kyber's ring, yet the chain given is the plan
+    plan = planner.make_plan(ring, chain=chain)
+    assert plan.strategy == "embed" and plan.chain.steps == chain
+    a, b = Poly.random(ring, rng), Poly.random(ring, rng)
+    assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
 
 
 def test_chain_good_route(rng):
@@ -756,9 +844,9 @@ def test_forward_block_transform_copies_levels_of_zero_parts(m, n):
     X[:m] = rng.integers(0, q, size=(m, L, 3))
     levels = _block_levels(blocks, L, 2, False)
     with modarith.counting() as full_ctr:
-        full = _block_ntt(X.copy(), levels, q, False)
+        full = _block_ntt(X.copy(), levels, False)
     with modarith.counting() as live_ctr:
-        live = _block_ntt(X.copy(), levels, q, False, live=m)
+        live = _block_ntt(X.copy(), levels, False, live=m)
     assert np.array_equal(full, live)
     assert (full_ctr.adds, full_ctr.subs) == (live_ctr.adds, live_ctr.subs)
 

@@ -334,6 +334,38 @@ def test_leaf_products_take_their_limit_from_the_dtype(monkeypatch, q, lazy):
         assert got.T.tolist() == want
 
 
+@pytest.mark.parametrize("q", [16383, 16385])
+def test_leaf_products_wrap_plus_minus_one_as_the_gamma_buffer_does(q):
+    # gamma = +-1 adds or subtracts each wrapped product into the result;
+    # an all-(+-1) gamma buffer takes the accumulator path.  Both sides of
+    # the int32 lazy boundary, and the op counts, are the same
+    L, cols = 8, 7
+    rows = np.random.default_rng(q).integers(0, q, size=(2, L, cols))
+    rows[:, :, 0] = q - 1
+    U, V = rows.astype(np.int32)
+    for g in (1, -1):
+        got = polymul.leaf_products(U, V, g, q)
+        want = polymul.leaf_products(U, V, np.full(cols, g % q, dtype=np.int32), q)
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+        acc, scratch = np.empty((L, cols), np.int32), np.empty((2, L, cols), np.int32)
+        assert np.shares_memory(polymul.leaf_products(U, V, g, q, acc, scratch), acc)
+        assert np.array_equal(acc, want)
+
+
+def test_leaf_products_take_operands_within_a_lazy_bound():
+    # operands of magnitude up to 2 (q-1), signed, sum raw products while
+    # L (2 (q-1))^2 < 2^31: at L = 8 up to q = 8191; past it the operands
+    # must be canonical
+    L, q, bound = 8, 8191, 2 * 8190
+    assert polymul.leaf_rule(L, q, 1 << 31, bound) == (True, L * bound ** 2)
+    assert not polymul.leaf_rule(L, 8193, 1 << 31, 2 * 8192)[0]
+    U, V = np.random.default_rng(1).integers(-bound, bound + 1, size=(2, L, 9)).astype(np.int32)
+    U[:, 0], V[:, 0] = bound, -bound
+    for gamma in (-1, 1, np.full(9, 5, dtype=np.int32)):
+        want = polymul.leaf_products(U % q, V % q, gamma, q)
+        assert np.array_equal(polymul.leaf_products(U, V, gamma, q, bound=bound), want)
+
+
 def test_leaf_gammas_match_table(rng):
     n, q, beta = 256, 3329, 1
     ring = RingSpec(XN_PLUS_1, n, q)

@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = """
 import sys
 
-from nttkit import bigmod, embed, modarith, splitting, trinomial
+from nttkit import bigmod, embed, modarith, planner, splitting, trinomial
 from nttkit.errors import NttError
 from nttkit.rings import TRINOMIAL, XN_MINUS_1, XN_PLUS_1, Poly, RingSpec
 
@@ -54,6 +54,9 @@ z18 = Poly.zero(RingSpec(XN_MINUS_1, 18, 17))
 expect(lambda: embed.schonhage_multiply(z18, z18, 3, 3))
 expect(lambda: splitting.kntt_multiply(nwc, Poly.zero(RingSpec(XN_PLUS_1, 8, 97)), 1))
 expect(lambda: embed.schonhage_multiply(a, Poly.zero(RingSpec(XN_MINUS_1, 8, 97)), 2, 2))
+# a given chain is checked on a power-of-two ring too: Schonhage(1, 3)
+# has length 6, and the pad 8
+expect(lambda: planner.make_plan(ring, chain=(embed.ZeroPad(8), embed.Schonhage(1, 3))))
 """
 
 
@@ -77,6 +80,7 @@ def test_checks_raise_typed_errors_under_python_O():
         "ShapeCondition",
         "RingMismatch",
         "RingMismatch",
+        "ChainMismatch",
     ]
 
 
