@@ -37,14 +37,49 @@ every row.
 On int64 buffers the levels run as merged stages (Seiler, eprint
 2018/039): each group of at most k consecutive levels is one batched
 ``np.matmul`` with a read-only stack of 2^k x 2^k matrices, then one
-``% q``.  ``stage_width`` picks k from the modulus alone, the largest k up
-to ``STAGE_CAP`` with 2^k (q-1)^2 < 2^63, so no matmul row sum leaves
-int64.  A schedule builds its stage matrices on its first transform, by
-running each group's own levels on one-hot inputs.  The levels run one
-at a time (one reshape-and-broadcast each) only on ``object`` buffers,
-for an ``on_level`` caller and on a schedule built for one call.  The
-pure-Python kernel on a list stays as the test reference.  All three
-give identical values, and op counts always count the radix-2 levels.
+reduction.  ``Schedule.stage_class`` fixes the stages' class once per
+schedule, from q and the level count alone (``stage_class``):
+
+* int64, k = ``stage_width``: the largest k up to ``STAGE_CAP`` with
+  2^k (q-1)^2 < 2^63, so no matmul row sum leaves int64, then ``% q``;
+* float64, k = ``FLOAT_WIDTH``, on schedules of at least
+  ``FLOAT_LEVELS`` levels or where q holds the int64 width below
+  ``STAGE_CAP``: one BLAS matmul of centered float64 matrices, then
+  y -= rint(y (1/q)) q (after van der Hoeven, Lecerf and Quintin,
+  "Modular SIMD arithmetic in Mathemagix", ACM TOMS 2016), with the
+  matrices split in 16-bit limbs ("float64-limb") where one would not
+  be exact.  The buffer turns float64 once before the first stage and
+  back to canonical int64 once after the last.
+
+The float64 bounds, with h = q//2.  Every integer of magnitude at most
+2^53 is a float64, so integer sums are exact in any order while every
+partial sum stays within 2^53.  The reduction of such a y: y (1/q) is
+rounded twice, each time by a relative 2^-53, so it is off y/q by less
+than 2^53/q 2^-52 = 2/q; rint then picks a Q within 1/2 + 2/q of y/q,
+so |y - Qq| < q/2 + 2, at most h + 2: an entry may sit just past q/2.
+Qq is exact too when |y| + q <= 2^53.  A stage's input is a canonical
+residue or such an output, so at most q - 1 in magnitude (h + 2 <= q - 1
+as q >= 5), and its matrix entries are centered, at most h:
+
+* one matrix: each sum is at most 2^k h (q-1), so 2^k h (q-1) + q <= 2^53
+  (``float_fits``);
+* limbs, M = Mh 2^16 + Ml with |Ml| <= 2^15 and |Mh| <= H = (h + 2^15) >> 16:
+  Mh x is at most 2^k H (q-1); reduced, times 2^16, plus Ml x it is at
+  most (h+2) 2^16 + 2^(k+15) (q-1) <= (q-1) (2^16 + 2^(k+15)); both plus
+  q at most 2^53 (``limb_fits``), which every q below 2^31 meets at k = 5.
+
+With one matrix, inputs of at most b give sums of at most 2^k h b, so a
+stage may skip its reduction where the next stage's sums stay within
+2^53 - q anyway (``_reductions``): for q = 12289 the first of two
+stages does.  The last stage always reduces.
+
+A schedule builds its stage matrices on its first transform, from each
+level's 2 x 2 butterfly matrices, which wider groups multiply entrywise
+(``Schedule._matrices``).  The levels run one at a time (one
+reshape-and-broadcast each) only on ``object`` buffers, for an
+``on_level`` caller and on a schedule built for one call.  The
+pure-Python kernel on a list stays as the test reference.  All give
+identical values, and op counts always count the radix-2 levels.
 
 ``forward_rows`` and ``inverse_rows`` are the array cores of a
 transform: counted, in place on a bare buffer, and unchecked.
@@ -62,6 +97,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -189,12 +225,6 @@ def butterfly_gs(u: int, v: int, w: int, m: int) -> tuple:
     return modarith.mod_add(u, v, m), modarith.mod_mul(modarith.mod_sub(u, v, m), w, m)
 
 
-def butterfly_gs_half(u: int, v: int, w: int, m: int) -> tuple:
-    """GS butterfly with the per-level halving folded in (odd m only)."""
-    s, d = butterfly_gs(u, v, w, m)
-    return modarith.mod_half(s, m), modarith.mod_half(d, m)
-
-
 # ---------------------------------------------------------------------------
 # schedule: the one derivation of the level structure
 
@@ -259,7 +289,8 @@ class Schedule:
     ``levels[l] = (nblocks, half, exponents)`` in execution order, with
     ``half`` counted in chunks of ``chunk`` coefficients.  Each kernel
     reads its twiddles from it, built on first use: ``stages`` and
-    ``halving_stages`` (the merged int64 stages, see ``Stage``),
+    ``halving_stages`` (the merged stages of ``stage_class``, see
+    ``Stage`` and ``FloatStage``),
     ``vectors`` (read-only arrays of the table modulus's buffer dtype,
     shaped to broadcast against the (nblocks, half, chunk) halves) or
     ``passes`` (every butterfly's low position and twiddle, for the
@@ -311,42 +342,111 @@ class Schedule:
     def halving_stages(self) -> tuple:
         return self._stages(halving=True)
 
-    def _stages(self, halving: bool) -> tuple:
-        """The levels as merged stages; () when there are none or q is
-        at or above 2^31 (``stage_width`` 0).
+    @cached_property
+    def stage_class(self) -> tuple:
+        """(class, width) of the merged stages, e.g. ("int64", 4),
+        ("float64", 5) or ("float64-limb", 5): ``stage_class`` of the
+        table modulus and the level count, decided once."""
+        return stage_class(self.table.modulus, len(self.levels))
 
-        Each group's own levels run once on 2^k one-hot inputs, batched
-        along a last axis that stands in for the chunk: column c of a
-        stage matrix is the group's image of unit vector c.
-        """
+    def _stages(self, halving: bool) -> tuple:
+        """The levels as merged stages of ``stage_class``; () when there
+        are none or q is at or above 2^31 (width 0).  The int64 and limb
+        classes build canonical int64 matrices, and the limb class then
+        splits them; the single-matrix float64 class builds centered
+        float64 ones, exact as every product stays below 2^53, and
+        reduces only where ``_reductions`` says."""
         q = self.table.modulus
-        k = stage_width(q)
+        cls, k = self.stage_class
         if not k or not self.levels:
             return ()
         block_tw = _block_twiddled(self.spec)
-        level = ct_level if self.spec.butterfly == CT else gs_level
+        groups = list(_groups(len(self.levels), k)) if cls == INT64 else self._float_groups(k)
+        reduces = (_reductions(q, [hi - lo for lo, hi in groups]) if cls == FLOAT64
+                   else [True] * len(groups))
         out = []
         with modarith.uncounted():
-            for lo, hi in _groups(len(self.levels), k):
-                group, width = self.levels[lo:hi], 1 << (hi - lo)
-                blocks = min(nblocks for nblocks, _, _ in group)
-                bottom = min(half for _, half, _ in group)
-                # x[b, i, s, c] = (i == c): one one-hot input per column c, at
-                # every offset s, or at one when block twiddles ignore the offset
-                span = 1 if block_tw else bottom
-                x = np.broadcast_to(np.eye(width, dtype=np.int64)[:, None, :],
-                                    (blocks, width, span, width)).copy()
-                for (nblocks, half, _), w in zip(group, self.vectors[lo:hi]):
-                    level(x, nblocks, half * span // bottom, width, w, q)
-                    if halving:
-                        _halve(x, q)
-                if block_tw:
-                    mats = x[:, :, 0, :]
-                else:  # the same matrices in every block, one per offset
-                    mats = np.repeat(x[0].transpose(1, 0, 2), self.chunk, axis=0)
-                out.append(Stage(blocks, bottom * self.chunk, block_tw,
-                                 read_only(np.ascontiguousarray(mats))))
+            for (lo, hi), reduce in zip(groups, reduces):
+                shape = (*self._geometry(lo, hi), block_tw)
+                if cls == FLOAT64:
+                    # centered: this class runs at least FLOAT_LEVELS levels,
+                    # so every group combines two or more of them
+                    mats = self._matrices(lo, hi, halving, np.float64)
+                    out.append(FloatStage(*shape, read_only(mats), None, reduce))
+                elif cls == INT64:
+                    out.append(Stage(*shape, read_only(self._matrices(lo, hi, halving, np.int64))))
+                else:
+                    out.append(FloatStage(*shape, *_limbs(self._matrices(lo, hi, halving, np.int64),
+                                                          q)))
         return tuple(out)
+
+    def _geometry(self, lo: int, hi: int) -> tuple:
+        """(blocks, span) of the stage of levels lo..hi-1 (see ``Stage``)."""
+        group = self.levels[lo:hi]
+        return (min(nblocks for nblocks, _, _ in group),
+                min(half for _, half, _ in group) * self.chunk)
+
+    def _float_groups(self, k: int) -> list:
+        """``_groups`` of width k with their sizes ascending or descending,
+        whichever holds fewer matrix entries: a stage of w levels holds
+        one 2^w x 2^w matrix per block, or per offset."""
+        sizes = sorted(hi - lo for lo, hi in _groups(len(self.levels), k))
+        by_block = _block_twiddled(self.spec)
+
+        def groups(sizes):
+            edges = list(accumulate(sizes, initial=0))
+            return list(zip(edges, edges[1:]))
+
+        def entries(groups):
+            return sum(self._geometry(lo, hi)[0 if by_block else 1] << 2 * (hi - lo)
+                       for lo, hi in groups)
+
+        return min(groups(sizes), groups(sizes[::-1]), key=entries)
+
+    def _matrices(self, lo: int, hi: int, halving: bool, dtype) -> np.ndarray:
+        """The matrix stack of levels lo..hi-1 as one stage, one matrix per
+        block or per offset (see ``Stage``), in ``dtype``.
+
+        One level is its 2 x 2 butterfly matrices, canonical.  Wider groups
+        multiply the stacks of their two halves A (first) and B entrywise:
+        A's levels move the high position bits ph (levels shrink) or the
+        low ones pl (levels grow) and B's the others, so each entry
+        M[(ph, pl), (ch, cl)] is one product, A[ph, ch] B[pl, cl] taken at
+        the block or offset the bits left over select, reduced canonical
+        (int64) or centered (float64, exact while q^2 < 2^53: products
+        below 2^51 reduce to at most q//2).
+        """
+        q = self.table.modulus
+        block_tw = _block_twiddled(self.spec)
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            A, B = (self._matrices(lo, mid, halving, dtype),
+                    self._matrices(mid, hi, halving, dtype))
+            a, b = 1 << (mid - lo), 1 << (hi - mid)
+            if self.spec.in_order == NATURAL and block_tw:  # [i, ph, pl, ch, cl]
+                M = A[:, :, None, :, None] * B.reshape(-1, a, b, 1, b)
+            elif self.spec.in_order == NATURAL:  # A[(cl, s), ph, ch] B[s, pl, cl]
+                M = A.reshape(b, -1, a, a).transpose(1, 2, 3, 0)[:, :, None] * B[:, None, :, None]
+            elif block_tw:  # B[i, ph, ch] A[(i, ch), pl, cl]
+                M = B[:, :, None, :, None] * A.reshape(-1, b, a, a).transpose(0, 2, 1, 3)[:, None]
+            else:  # B[(pl, s), ph, ch] A[s, pl, cl]
+                M = B.reshape(a, -1, b, b).transpose(1, 2, 0, 3)[..., None] * A[:, None, :, None]
+            return _reduce(M, q).reshape(-1, a * b, a * b)
+        # one level: its butterfly matrix per block or offset, (u, v) ->
+        # (u + w v, u - w v) for CT and (u + v, (u - v) w) for GS
+        w = self.vectors[lo].reshape(-1)
+        m = np.ones((len(w), 2, 2), dtype=dtype)
+        if self.spec.butterfly == CT:
+            m[:, 0, 1] = w
+        else:
+            m[:, 1, 0] = w
+        m[:, 1, 1] = q - w
+        if halving:
+            m *= (q + 1) >> 1
+            _reduce(m, q)
+        # block twiddles: one matrix per block; else the same in every
+        # block, one per offset
+        return m if block_tw else np.repeat(m, self.chunk, axis=0)
 
 
 def make_schedule(spec: TransformSpec, tw, n: int, merge: bool = True) -> Schedule:
@@ -356,24 +456,74 @@ def make_schedule(spec: TransformSpec, tw, n: int, merge: bool = True) -> Schedu
 
 
 # ---------------------------------------------------------------------------
-# merged stages: k levels as one batched int64 matmul
+# merged stages: k levels as one batched matmul, int64 or float64
 
-# The widest stage: 2^k multiply-adds per value grow faster than the
-# numpy calls they save beyond k = 4 (timed at n = 256 .. 1024).
+# The widest int64 stage: numpy's int64 matmul has no BLAS path, and its
+# 2^k multiply-adds per value grow faster than the numpy calls they save
+# beyond k = 4 (timed at n = 256 .. 1024).
 STAGE_CAP = 4
+# The float64 class: BLAS matmuls of width 2^FLOAT_WIDTH.  It pays on
+# schedules of at least FLOAT_LEVELS levels, and where q holds the int64
+# width below STAGE_CAP (near 2^31 the int64 class runs one level per
+# stage).  Per product against the int64 class, interleaved in one
+# process (2-vCPU VM): 2048 points mod 2134904833 (ntru-509) 0.63 of
+# its time, mod 120833 and 133121 (ntru-821) 0.71, Good's rows 0.69-0.82,
+# falcon-1024 0.53, falcon-512 0.71 (but 1.14 in the benchmark's rounds,
+# with cold caches).  At 256 points (8 levels) it loses: one forward row
+# takes 29 us against 22 us for kyber and dilithium; two rows break even.
+FLOAT_WIDTH = 5
+FLOAT_LEVELS = 9
+LIMB = 1 << 16
+INT64 = "int64"
+FLOAT64 = "float64"
+FLOAT64_LIMB = "float64-limb"
+_EXACT = 1 << 53  # every integer of magnitude up to 2^53 is a float64
 
 
 def stage_width(q: int) -> int:
-    """Levels per merged stage mod q: the largest k <= ``STAGE_CAP`` with
+    """Levels per int64 stage mod q: the largest k <= ``STAGE_CAP`` with
     2^k (q-1)^2 < 2^63, so no row sum of a stage matmul leaves int64.
 
     At least 1 for every q below 2^31, since 2 (q-1)^2 < 2^63 there: every
-    int64 buffer runs stages, one level each for q above 1518500250.
+    int64 buffer can run stages, one level each for q above 1518500250.
     """
     k = 0
     while k < STAGE_CAP and (q - 1) ** 2 << (k + 1) < 2**63:
         k += 1
     return k
+
+
+def float_fits(q: int, k: int) -> bool:
+    """The single-matrix float64 bound: 2^k (q//2) (q-1) + q <= 2^53
+    (derived in the module docstring)."""
+    return ((q // 2) * (q - 1) << k) + q <= _EXACT
+
+
+def limb_fits(q: int, k: int) -> bool:
+    """The limb-split float64 bound: 2^k H (q-1) + q <= 2^53 with
+    H = (q//2 + 2^15) >> 16, and (q-1) (2^16 + 2^(k+15)) + q <= 2^53
+    (derived in the module docstring)."""
+    high = ((q // 2 + (LIMB >> 1)) >> 16) * (q - 1) << k
+    return max(high, (q - 1) * (LIMB + (LIMB << k >> 1))) + q <= _EXACT
+
+
+def stage_class(q: int, levels: int) -> tuple:
+    """(class, width) of the merged stages of a ``levels``-level schedule
+    mod q, from q and the level count alone.
+
+    Float64 (``FLOAT_WIDTH`` levels per stage, one matrix where
+    ``float_fits``, else two 16-bit limbs where ``limb_fits``) when q
+    has an int64 width and the schedule has at least ``FLOAT_LEVELS``
+    levels or q holds that width below ``STAGE_CAP``; otherwise int64 at
+    ``stage_width``, which is 0, no stages, from 2^31 up.
+    """
+    k = stage_width(q)
+    if k and (levels >= FLOAT_LEVELS or k < STAGE_CAP):
+        if float_fits(q, FLOAT_WIDTH):
+            return FLOAT64, FLOAT_WIDTH
+        if limb_fits(q, FLOAT_WIDTH):
+            return FLOAT64_LIMB, FLOAT_WIDTH
+    return INT64, k
 
 
 def _groups(count: int, k: int):
@@ -406,6 +556,80 @@ class Stage:
         if not self.by_block:
             x = x.swapaxes(-1, -3)
         np.remainder(np.matmul(self.matrices, x), q, out=x)
+
+
+@dataclass(frozen=True)
+class FloatStage(Stage):
+    """A ``Stage`` on float64 buffers.
+
+    ``matrices`` holds the centered stage matrices as float64, or, in
+    the limb class, their low 16-bit limbs, with ``high`` the high ones:
+    M = high 2^16 + low, each limb stack read-only.  ``reduce`` off
+    leaves the sums unreduced (single matrix only, see ``_reductions``).
+    """
+
+    high: np.ndarray | None = None
+    reduce: bool = True
+
+    def apply(self, buf, q: int) -> None:
+        """The stage on contiguous float64 ``buf`` in place, one row or a
+        batch of rows: one BLAS matmul (two for limbs, combined as
+        (high x mod q) 2^16 + low x), then ``reduce_centered``, which
+        leaves entries at most q//2 + 2 in magnitude."""
+        x = buf.reshape(*buf.shape[:-1], self.blocks, self.matrices.shape[-1], self.span)
+        if not self.by_block:
+            x = x.swapaxes(-1, -3)
+        y = np.matmul(self.matrices, x)
+        if self.high is not None:
+            t = reduce_centered(np.matmul(self.high, x), q)
+            t *= LIMB
+            y += t
+        x[...] = reduce_centered(y, q) if self.reduce else y
+
+
+def _reductions(q: int, widths) -> list:
+    """Whether each single-matrix float64 stage, of 2^w-wide matrices for
+    w in ``widths``, reduces its sums: where the next stage's sums could
+    pass 2^53 - q without it, and after the last.  A stage maps inputs
+    of magnitude at most b to sums of at most 2^w (q//2) b."""
+    h, bound, out = q // 2, q - 1, []
+    for i, w in enumerate(widths):
+        bound = h * bound << w
+        out.append(i + 1 == len(widths) or (h * bound << widths[i + 1]) + q > _EXACT)
+        if out[-1]:
+            bound = h + 2
+    return out
+
+
+def reduce_centered(y, q: int) -> np.ndarray:
+    """y - rint(y/q) q in place on float64 ``y`` of integers below 2^53 in
+    magnitude: at most q//2 + 2 in magnitude after (see the module
+    docstring); returns ``y``."""
+    t = y * (1.0 / q)
+    np.rint(t, out=t)
+    t *= q
+    y -= t
+    return y
+
+
+def _reduce(m, q: int) -> np.ndarray:
+    """``m`` reduced in place: canonical (int64) or centered (float64)."""
+    if m.dtype == np.int64:
+        m %= q
+        return m
+    return reduce_centered(m, q)
+
+
+def _limbs(mats, q: int) -> tuple:
+    """(low, high) read-only float64 16-bit limbs of canonical int64
+    ``mats`` centered: mats = high 2^16 + low, |low| <= 2^15."""
+    c = (q // 2 - mats) >> 63  # -1 where mats > q//2
+    c &= q
+    np.subtract(mats, c, out=c)
+    low = ((c + (LIMB >> 1)) & (LIMB - 1)) - (LIMB >> 1)
+    c -= low
+    c >>= 16
+    return read_only(low.astype(np.float64)), read_only(c.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -501,22 +725,32 @@ def run_levels(buf, q: int, sched: Schedule, halving=False, on_level=None) -> No
     """Apply every level of ``sched`` to ``buf`` in place: one length-n
     row, or every row of a (batch, n) array at once.
 
-    An int64 buffer runs the merged stages (one matmul per group of
-    levels, see ``stage_width``); an ``object`` buffer, a one-call
-    schedule (``merge`` off) or an ``on_level`` caller runs the array
-    kernel one level at a time (one reshape-and-broadcast per level); a
-    list runs the pure-Python reference kernel (one loop over the level's
-    butterflies; it takes no halving).  All give the same values and op
-    counts, which count the radix-2 levels of every row.  ``halving``
-    folds a division by 2 into each level (odd q only) and
-    ``on_level(level, values)`` sees the values after each level.
+    An int64 buffer runs the merged stages of the schedule's
+    ``stage_class`` (one matmul per group of levels); the float64
+    classes run on one float64 copy of it, taken once before the first
+    stage, and write it back canonical after the last.  An
+    ``object`` buffer, a one-call schedule (``merge`` off) or an
+    ``on_level`` caller runs the array kernel one level at a time (one
+    reshape-and-broadcast per level); a list runs the pure-Python
+    reference kernel (one loop over the level's butterflies; it takes no
+    halving).  All give the same values and op counts, which count the
+    radix-2 levels of every row.  ``halving`` folds a division by 2 into
+    each level (odd q only) and ``on_level(level, values)`` sees the
+    values after each level.
     """
     vec = isinstance(buf, np.ndarray)
     stages = ()
     if vec and on_level is None and sched.merge and buf.dtype == np.int64:
         stages = sched.halving_stages if halving else sched.stages
-    for stage in stages:
-        stage.apply(buf, q)
+    if stages and sched.stage_class[0] != INT64:
+        f = buf.astype(np.float64)
+        for stage in stages:
+            stage.apply(f, q)
+        buf[...] = f  # centered: add q to the negative entries
+        buf += (buf >> 63) & q
+    else:
+        for stage in stages:
+            stage.apply(buf, q)
     if not stages:
         if sched.spec.butterfly == CT:
             level = ct_level if vec else ct_pass

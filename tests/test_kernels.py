@@ -33,7 +33,7 @@ from nttkit.errors import SpecViolation
 from nttkit.modarith import OpCounter, counting, is_prime
 from nttkit.polymul import basecase_mul, make_transform_pair, ntt_multiply, oracle_multiply
 from nttkit.rings import TRINOMIAL, XN_MINUS_1, XN_PLUS_1, Poly, RingSpec
-from nttkit.transforms import CC, NWC, NttDomainPoly
+from nttkit.transforms import CC, NWC, NttDomainPoly, read_only
 
 BUDGET = settings(
     max_examples=60,
@@ -289,12 +289,15 @@ def test_threshold_picks_the_kernel(direction, monkeypatch, rng):
     assert (got.values.tolist(), c) == (want, ref)
     assert ntt_multiply(a, b, pair, use_karatsuba=True) == oracle_multiply(a, b)
     if direction < 0:
-        # the top of int64 still merges: stages of width 1, one per level ...
+        # the top of int64 has an int64 stage width of 1, so it merges as
+        # float64 limb stages of FLOAT_WIDTH levels ...
         assert transforms.stage_width(q) == 1
         for sched in (pair.fwd_sched, pair.inv_sched):
-            assert len(sched.stages) == len(sched.levels)
+            assert sched.stage_class == (transforms.FLOAT64_LIMB, transforms.FLOAT_WIDTH)
+            assert len(sched.stages) == 1
         # ... and the all-(q-1) product runs on them alone
         _forbid(monkeypatch, "ct_level", "gs_level")
+        monkeypatch.setattr(transforms.Stage, "apply", _boom)
         assert ntt_multiply(a, b, pair, use_karatsuba=True) == oracle_multiply(a, b)
 
 
@@ -455,7 +458,7 @@ def test_shared_tables_under_threads(rng):
 
 
 # ---------------------------------------------------------------------------
-# merged stages: groups of levels as one int64 matmul each
+# merged stages: groups of levels as one int64 or float64 matmul each
 
 
 def friendly_prime(start, order):
@@ -466,35 +469,64 @@ def friendly_prime(start, order):
     return q
 
 
+def other_class(sched):
+    """The stage type of the class ``sched`` does not run, to patch to raise."""
+    return transforms.FloatStage if sched.stage_class[0] == transforms.INT64 else transforms.Stage
+
+
 def merged(values, q, sched, halving=False):
     """(values, counter) of ``run_levels`` on an int64 buffer, with the
-    per-level kernel forbidden once the stage matrices are built."""
+    per-level kernel and the other stage class forbidden once the stage
+    matrices are built."""
     stages = sched.halving_stages if halving else sched.stages
     assert stages, "this schedule does not merge"
     x = transforms.buffer(values, q)
-    with mock.patch.multiple(transforms, ct_level=_boom, gs_level=_boom), counting() as c:
+    with mock.patch.multiple(transforms, ct_level=_boom, gs_level=_boom), \
+            mock.patch.object(other_class(sched), "apply", _boom), counting() as c:
         transforms.run_levels(x, q, sched, halving=halving)
     return x.tolist(), c
 
 
-def check_widths(sched, k):
-    """Every stage spans at most k levels, and ceil(levels/k) stages cover them."""
-    widths = [s.matrices.shape[-1] for s in sched.stages]
-    assert len(widths) == -(-len(sched.levels) // k)
-    assert sum(w.bit_length() - 1 for w in widths) == len(sched.levels)
+def check_widths(sched):
+    """The schedule's class is the rule's, every stage spans at most its
+    width k of levels, and ceil(levels/k) stages cover them."""
+    q, levels = sched.table.modulus, len(sched.levels)
+    cls, k = sched.stage_class
+    assert (cls, k) == transforms.stage_class(q, levels)
+    stages = sched.stages
+    widths = [s.matrices.shape[-1] for s in stages]
+    assert len(widths) == -(-levels // k)
+    assert sum(w.bit_length() - 1 for w in widths) == levels
     assert all(w <= 1 << k for w in widths)
-    assert all(not s.matrices.flags.writeable for s in sched.stages)
+    assert all(type(s) is (transforms.Stage if cls == transforms.INT64 else transforms.FloatStage)
+               for s in stages)
+    limbs = [s.high for s in stages if getattr(s, "high", None) is not None]
+    assert len(limbs) == (len(stages) if cls == transforms.FLOAT64_LIMB else 0)
+    assert all(not m.flags.writeable for m in [s.matrices for s in stages] + limbs)
+    # the magnitudes the float64 bounds assume: centered, or 16-bit low limbs
+    top = {transforms.INT64: q - 1, transforms.FLOAT64: q // 2, transforms.FLOAT64_LIMB: 2**15}
+    assert all(np.abs(s.matrices).max() <= top[cls] for s in stages)
+    assert all(np.abs(m).max() <= (q // 2 + 2**15) >> 16 for m in limbs)
+
+
+# every n up to 2^11; the long schedules (at least FLOAT_LEVELS levels)
+# drawn less often, as their reference runs cost the most
+LOGN = st.one_of(st.integers(2, 8), st.integers(9, 11))
+# every q below 2^31, often above 2^24.5 (float64 limbs) and 2^29.5 (the
+# int64 width below STAGE_CAP)
+Q_START = st.one_of(st.integers(2, 2**29), st.integers(2**29, 2**31 - 2**27))
 
 
 @st.composite
 def merge_cases(draw):
-    """(kind, n, q, beta, k, values) with q generated, not a preset."""
+    """(kind, n, q, beta, k, values) with q generated, not a preset, and k
+    the ``STAGE_CAP`` to run with."""
     kind = draw(st.sampled_from((CC, NWC)))
-    logn = draw(st.integers(2, 8))
+    logn = draw(LOGN)
     n = 1 << logn
     beta = draw(st.integers(0, logn - 1))
     order = (2 * n if kind == NWC else n) >> beta
-    q = friendly_prime(draw(st.integers(2, 2**29)), order)
+    q = friendly_prime(draw(Q_START), order)
     k = draw(st.integers(1, transforms.STAGE_CAP))
     return kind, n, q, beta, k, draw(edge_or_random(n, q))
 
@@ -502,13 +534,13 @@ def merge_cases(draw):
 @BUDGET
 @given(merge_cases())
 def test_merged_stages_match_reference(case):
-    # every spec (block- and offset-twiddled), beta, halving mode and width
+    # every spec (block- and offset-twiddled), beta, halving mode, class and width
     kind, n, q, beta, k, values = case
     ftw, itw = tables_for(kind, n, q, beta)
     with mock.patch.object(transforms, "STAGE_CAP", k):
         for fs in forward_specs(kind, beta):
             sched = transforms.make_schedule(fs, ftw, n)
-            check_widths(sched, k)
+            check_widths(sched)
             assert merged(values, q, sched) == reference(values, q, ftw, fs, n)
             for inv in inverse_specs_for(fs):
                 sched = transforms.make_schedule(inv, itw, n)
@@ -535,7 +567,7 @@ def test_merged_trinomial_stages_match_reference(case, data):
     with mock.patch.object(transforms, "STAGE_CAP", k):  # read when the stages are built
         plan = trinomial.make_plan(ring)
         for sched in (plan.forward, plan.inverse):
-            check_widths(sched, k)
+            check_widths(sched)
             with counting() as c:
                 want = list(values)
                 transforms.run_levels(want, ring.q, sched)
@@ -549,15 +581,16 @@ def test_merged_trinomial_stages_match_reference(case, data):
 
 @st.composite
 def batch_cases(draw):
-    """(kind, n, q, beta, k, rows): a generated q below 2^31 (stage width
-    k) or a prime above 2^31 (``object`` buffers), and 1-4 operand rows."""
+    """(kind, n, q, beta, k, rows): a generated q below 2^31 (int64 stages
+    with ``STAGE_CAP`` k, or float64 ones) or a prime above 2^31
+    (``object`` buffers), and 1-4 operand rows."""
     kind = draw(st.sampled_from((CC, NWC)))
-    logn = draw(st.integers(1, 6))
+    logn = draw(st.one_of(st.integers(1, 6), st.integers(9, 11)))
     n = 1 << logn
     beta = draw(st.integers(0, logn - 1))
     order = (2 * n if kind == NWC else n) >> beta
     if draw(st.booleans()):
-        q = friendly_prime(draw(st.integers(2, 2**29)), order)
+        q = friendly_prime(draw(Q_START), order)
     else:
         q = draw(st.sampled_from([p for p in BIG_PRIMES if two_adic(p) % order == 0]))
     k = draw(st.integers(1, transforms.STAGE_CAP))
@@ -567,8 +600,8 @@ def batch_cases(draw):
 @BUDGET
 @given(batch_cases())
 def test_run_levels_on_a_batch_matches_each_row(case):
-    # every spec, beta, halving mode and width, merged stages and the
-    # per-level kernel (a one-call schedule), int64 and object buffers
+    # every spec, beta, halving mode, class and width, merged stages and
+    # the per-level kernel (a one-call schedule), int64 and object buffers
     kind, n, q, beta, k, rows = case
     ftw, itw = tables_for(kind, n, q, beta)
     runs = []
@@ -578,16 +611,16 @@ def test_run_levels_on_a_batch_matches_each_row(case):
                  if q % 2 or not h]
     with mock.patch.object(transforms, "STAGE_CAP", k):
         for spec, tw, halving in runs:
+            wants = [reference(r, q, tw, spec, n, halving) for r in rows]
             for merge in (True, False):
                 sched = transforms.make_schedule(spec, tw, n, merge)
                 batch = transforms.buffer(rows, q)
                 assert batch.shape == (len(rows), n) and batch.dtype == buffer_dtype(q)
                 with counting() as c:
                     transforms.run_levels(batch, q, sched, halving=halving)
-                for r, got in zip(rows, batch.tolist()):
+                for r, got, (want, one) in zip(rows, batch.tolist(), wants):
                     x = transforms.buffer(r, q)
                     transforms.run_levels(x, q, sched, halving=halving)
-                    want, one = reference(r, q, tw, spec, n, halving)
                     assert got == x.tolist() == want
                 assert (c.mults, c.adds, c.subs) == (len(rows) * one.mults,
                                                      len(rows) * one.adds, len(rows) * one.subs)
@@ -652,11 +685,17 @@ def _friendly_around(bound, order):
     return below, friendly_prime(bound + 1, order)
 
 
+def _int64_only(q, levels):
+    return transforms.INT64, transforms.stage_width(q)
+
+
 @pytest.mark.parametrize("k", range(2, transforms.STAGE_CAP + 1))
 @pytest.mark.parametrize("form", [XN_PLUS_1, XN_MINUS_1])
 def test_width_rule_primes_match_object_buffers(k, form, rng):
     # the primes on either side of the k boundary: int64 stages of width
-    # k (resp. k-1) equal object buffers on worst-case operands
+    # k (resp. k-1), the int64 class forced, and the class the rule picks
+    # (float64 limbs below width STAGE_CAP) equal object buffers on
+    # worst-case operands, each with the other stage class raising
     n = 64
     for q, width in zip(_friendly_around(width_boundary(k), 2 * n), (k, k - 1)):
         assert transforms.stage_width(q) == width
@@ -671,21 +710,181 @@ def test_width_rule_primes_match_object_buffers(k, form, rng):
             prods = [ntt_multiply(ops[0], b, pair).coeffs for b in ops]
             return [A.values.tolist() for A in fwd], back, prods, pair
 
-        got = run()
+        with mock.patch.object(transforms, "stage_class", _int64_only), \
+                mock.patch.object(transforms.FloatStage, "apply", _boom):
+            got = run()
         sched = got[3].fwd_sched
         assert len(sched.stages) == -(-len(sched.levels) // width)
+        picked = transforms.stage_class(q, len(sched.levels))
+        assert picked[0] == (transforms.INT64 if width == transforms.STAGE_CAP
+                             else transforms.FLOAT64_LIMB)
+        with mock.patch.object(transforms.FloatStage if picked[0] == transforms.INT64
+                               else transforms.Stage, "apply", _boom):
+            rule = run()
+        assert rule[3].fwd_sched.stage_class == picked
         with mock.patch.object(transforms, "buffer_dtype", lambda q: object):
             want = run()
-        assert got[:3] == want[:3]
+        assert got[:3] == rule[:3] == want[:3]
         assert got[2] == [oracle_multiply(ops[0], b).coeffs for b in ops]
 
 
+# ---------------------------------------------------------------------------
+# the float64 classes at their boundaries
+
+INT64_4 = (transforms.INT64, 4)
+FLOAT64_5 = (transforms.FLOAT64, transforms.FLOAT_WIDTH)
+
+
+def largest(fits, k=transforms.FLOAT_WIDTH):
+    """The largest q with fits(q, k); both float64 bounds fall as q grows."""
+    lo, hi = 2, 1 << 40
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid, k) else (lo, mid)
+    return lo
+
+
+def float_stage(M, x, q, limb):
+    """One ``FloatStage`` of canonical int64 matrix ``M`` on canonical rows
+    ``x``, every float64 error raising, as canonical lists."""
+    if limb:
+        low, high = transforms._limbs(M[None], q)
+    else:
+        low, high = np.where(M > q // 2, M - q, M)[None].astype(np.float64), None
+    f = x.astype(np.float64)
+    with np.errstate(all="raise"):
+        transforms.FloatStage(1, 1, True, low, high).apply(f, q)
+    assert np.abs(f).max() <= q // 2 + 2
+    return (f.astype(np.int64) % q).tolist()
+
+
+@pytest.mark.parametrize("fits, limb", [(transforms.float_fits, False),
+                                        (transforms.limb_fits, True)], ids=["single", "limb"])
+def test_float_bounds_at_their_boundary(fits, limb, rng):
+    # at the largest q the bound admits, and at the primes on either side
+    # of it, one stage is exact on every matrix entry +-q//2 against
+    # inputs all q-1, and on random ones; the rule refuses one past it
+    k = transforms.FLOAT_WIDTH
+    w, top = 1 << k, largest(fits)
+    below, above = _friendly_around(top, 2)
+    assert fits(top, k) and fits(below, k) and not fits(top + 1, k) and not fits(above, k)
+    assert limb or transforms.limb_fits(above, k)
+    for q in (top, below):
+        h = q // 2
+        ms = [np.full((w, w), h), np.full((w, w), q - h),
+              np.array([[rng.randrange(q) for _ in range(w)] for _ in range(w)])]
+        xs = np.array([[q - 1] * w, [(q - 1) // 2] * w, [(q + 1) // 2] * w,
+                       [rng.randrange(q) for _ in range(w)]])
+        for M in ms:
+            want = (xs.astype(object) @ M.T.astype(object) % q).tolist()
+            assert float_stage(M, xs, q, limb) == want
+    # the class one past: limbs above the single bound, no stage at all
+    # (object buffers) above the limb bound, which lies above 2^31
+    assert transforms.stage_class(above, transforms.FLOAT_LEVELS) == (
+        (transforms.INT64, 0) if limb else (transforms.FLOAT64_LIMB, k))
+    assert not limb or above > modarith.VECTOR_LIMIT
+
+
+def test_lazy_reduction_at_its_boundary():
+    # two single-matrix stages 2^5 wide, every entry q//2, on inputs all
+    # q-1: up to the largest q whose first reduction the walk skips, the
+    # unreduced sums (2^5 (q//2))^2 (q-1) are exact; one past, it reduces
+    k = transforms.FLOAT_WIDTH
+    w, top = 1 << k, largest(lambda q, k: transforms._reductions(q, [k, k]) == [False, True])
+    assert transforms._reductions(top + 1, [k, k]) == [True, True]
+    for q, first in ((top, False), (top + 1, True)):
+        h = q // 2
+        M = read_only(np.full((1, w, w), float(h)))
+        f = np.full((3, w), float(q - 1))
+        with np.errstate(all="raise"):
+            for reduce in (first, True):
+                transforms.FloatStage(1, 1, True, M, None, reduce).apply(f, q)
+        assert np.abs(f).max() <= h + 2
+        assert (f.astype(np.int64) % q).tolist() == [[(h * w) ** 2 * (q - 1) % q] * w] * 3
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["below", "above"])
+def test_lazy_reduction_primes(side, rng):
+    # a 512-point schedule (stages of 5 and 4 levels) on the primes on
+    # either side of the largest q whose first reduction is skipped
+    top = largest(lambda q, k: not transforms._reductions(q, [5, 4])[0])
+    q = _friendly_around(top, 1024)[side]
+    class_side(NWC, 512, q, FLOAT64_5, rng)
+    ftw, itw = tables_for(NWC, 512, q)
+    for spec, tw in ((forward_specs(NWC)[0], ftw), (inverse_specs_for(forward_specs(NWC)[0])[-1], itw)):
+        sched = transforms.make_schedule(spec, tw, 512)
+        assert [s.reduce for s in sched.stages] == [bool(side), True]
+
+
+def class_side(kind, n, q, want, rng):
+    """Every kernel of one side of a class boundary: the merged stages (the
+    other class raising) on batches of 1-4 rows, all q-1, all (q-1)/2,
+    all (q+1)/2 and random, with halving on and off, equal the reference
+    kernel and object buffers."""
+    ftw, itw = tables_for(kind, n, q)
+    fs = forward_specs(kind)[0]
+    rows = [[q - 1] * n, [(q - 1) // 2] * n, [(q + 1) // 2] * n,
+            [rng.randrange(q) for _ in range(n)]]
+    for spec, tw, halvings in ((fs, ftw, (False,)),
+                               (inverse_specs_for(fs)[-1], itw, (False, True))):
+        sched = transforms.make_schedule(spec, tw, n)
+        assert sched.stage_class == want
+        for halving in halvings:
+            wants = [reference(r, q, tw, spec, n, halving)[0] for r in rows]
+            for b in range(1, 5):
+                with np.errstate(all="raise"):
+                    assert merged(rows[:b], q, sched, halving)[0] == wants[:b]
+            obj = np.array(rows, dtype=object)
+            transforms.run_levels(obj, q, sched, halving=halving)
+            assert obj.tolist() == wants
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["below", "above"])
+@pytest.mark.parametrize("kind", [CC, NWC])
+def test_single_bound_primes(kind, side, rng):
+    # a 512-point schedule (FLOAT_LEVELS levels) on the primes on either
+    # side of the single-matrix bound: one matrix, then limbs
+    n = 512
+    q = _friendly_around(largest(transforms.float_fits), 1024)[side]
+    cls = (transforms.FLOAT64, transforms.FLOAT64_LIMB)[side]
+    class_side(kind, n, q, (cls, transforms.FLOAT_WIDTH), rng)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["below", "above"])
+def test_class_threshold_primes(side, rng):
+    # the int64 width on either side of STAGE_CAP at 64 points: int64,
+    # then float64 limbs; and 8 against FLOAT_LEVELS = 9 levels at one q
+    q = _friendly_around(width_boundary(transforms.STAGE_CAP), 128)[side]
+    float_cls = (transforms.FLOAT64_LIMB, transforms.FLOAT_WIDTH)
+    class_side(NWC, 64, q, (float_cls if side else INT64_4), rng)
+    n = (256, 512)[side]
+    assert len(transforms.make_schedule(forward_specs(NWC)[0], tables_for(NWC, n, 12289)[0],
+                                        n).levels) == transforms.FLOAT_LEVELS - 1 + side
+    class_side(NWC, n, 12289, (FLOAT64_5 if side else INT64_4), rng)
+
+
 # every preset that runs a transform: each of its working moduli is below
-# 2^31, so has a stage width of at least 1
-MERGED_PRESETS = ("dilithium", "falcon-1024", "falcon-512", "kyber", "kyber-r1",
-                  "lightsaber-m4", "ntru-509", "ntru-677", "ntru-701", "ntru-821",
-                  "ntruprime-653-good", "ntruprime-761-good", "ntruprime-857-good", "saber-avx2",
-                  "saber-m3", "saber-m4")
+# 2^31, so has a stage width of at least 1, and the stage class of every
+# schedule mod each of them.  n = 256 stays int64 at width 4; the longer
+# schedules run float64, in limbs for 2134904833
+PRESET_CLASSES = {
+    "dilithium": {8380417: INT64_4},
+    "falcon-1024": {12289: FLOAT64_5},
+    "falcon-512": {12289: FLOAT64_5},
+    "kyber": {3329: INT64_4},
+    "kyber-r1": {7681: INT64_4},
+    "lightsaber-m4": {20972417: INT64_4},
+    "ntru-509": {2134904833: (transforms.FLOAT64_LIMB, transforms.FLOAT_WIDTH)},
+    "ntru-677": {1389569: FLOAT64_5},
+    "ntru-701": {5747201: FLOAT64_5},
+    "ntru-821": {120833: FLOAT64_5, 133121: FLOAT64_5},
+    "ntruprime-653-good": {3018241: FLOAT64_5},
+    "ntruprime-761-good": {6984193: FLOAT64_5},
+    "ntruprime-857-good": {4435969: FLOAT64_5},
+    "saber-avx2": {7681: INT64_4, 10753: INT64_4},
+    "saber-m3": {25570049: INT64_4},
+    "saber-m4": {25166081: INT64_4},
+}
 
 
 def test_presets_run_the_merged_stages(rng):
@@ -695,23 +894,27 @@ def test_presets_run_the_merged_stages(rng):
     run_levels = transforms.run_levels
 
     def record(buf, q, sched, *args, **kwargs):
-        seen[name].add(q)
+        seen[name].setdefault(q, set()).add(sched.stage_class)
         return run_levels(buf, q, sched, *args, **kwargs)
 
     with mock.patch.object(transforms, "run_levels", record):
         for name in preset_names():
-            seen[name] = set()
+            seen[name] = {}
             ring, plan = preset(name)
             runs[name] = (plan, sample_operands(ring, plan, rng))
             multiply(*runs[name][1], plan)  # builds every table and stage
-    merge = {name for name, qs in seen.items()
-             if qs and min(map(transforms.stage_width, qs)) >= 1}
-    assert merge == set(MERGED_PRESETS)
-    # the per-level kernel never runs for them
+    merge = {name: {q: cls for q, (cls,) in classes.items()}
+             for name, classes in seen.items()
+             if classes and min(map(transforms.stage_width, classes)) >= 1}
+    assert merge == PRESET_CLASSES
+    # the per-level kernel and the other stage class never run for them
     with mock.patch.multiple(transforms, ct_level=_boom, gs_level=_boom):
-        for name in MERGED_PRESETS:
+        for name, classes in PRESET_CLASSES.items():
             plan, (a, b) = runs[name]
-            assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs, name
+            ((cls, _),) = set(classes.values())  # one class for every modulus of a preset
+            other = transforms.FloatStage if cls == transforms.INT64 else transforms.Stage
+            with mock.patch.object(other, "apply", _boom):
+                assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs, name
 
 
 def test_public_transforms_on_a_bare_buffer_run_the_core_in_place(rng):

@@ -20,7 +20,6 @@ from nttkit.transforms import (
     TransformSpec,
     butterfly_ct,
     butterfly_gs,
-    butterfly_gs_half,
     butterfly_schedule,
     ntt_forward,
     ntt_inverse,
@@ -123,15 +122,6 @@ def test_butterfly_composition_identity(rng):
         x, y = butterfly_ct(u, v, w, q)
         s, d = butterfly_gs(x, y, mod_inv(w, q), q)
         assert (s, d) == (2 * u % q, 2 * v % q)
-
-
-def test_butterfly_gs_half(rng):
-    for _ in range(100):
-        q = 3329
-        u, v, w = rng.randrange(q), rng.randrange(q), rng.randrange(1, q)
-        s, d = butterfly_gs(u, v, w, q)
-        sh, dh = butterfly_gs_half(u, v, w, q)
-        assert sh == s * mod_inv(2, q) % q and dh == d * mod_inv(2, q) % q
 
 
 # ---------------------------------------------------------------------------
