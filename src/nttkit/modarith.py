@@ -12,6 +12,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 from .errors import InvalidRoot, NoSuchRoot, NotInvertible
@@ -132,11 +133,6 @@ def mod_inv(a: int, m: int) -> int:
         return pow(a, -1, m)
     except ValueError:
         raise NotInvertible(f"{a} has no inverse mod {m}") from None
-
-
-def mod_half(x: int, m: int) -> int:
-    """x/2 mod m for odd m, via shift and conditional add."""
-    return ((x >> 1) + (x & 1) * ((m + 1) >> 1)) % m
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +291,10 @@ class TwiddleTable:
     inverse tables the exponents are negated.  ``reordered`` holds the
     same powers in the other order (empty unless the order is a power of
     two), built with the table, so that every twiddle vector a transform
-    level needs is a strided slice of one of the two.  Safe to share
-    across threads once built.
+    level needs is a strided slice of one of the two.  ``schedules`` keeps
+    the transform schedules built over this table, one per (spec, n)
+    (``transforms.make_schedule``).  Safe to share across threads once
+    built.
     """
 
     root: int
@@ -312,6 +310,10 @@ class TwiddleTable:
         if not self.reordered and k & (k - 1) == 0 and len(self.powers) == k:
             rev = bitrev_permutation(k)
             object.__setattr__(self, "reordered", tuple(map(self.powers.__getitem__, rev)))
+
+    @cached_property
+    def schedules(self) -> dict:
+        return {}
 
     def ordered(self, storage_order: str) -> tuple:
         """All powers in the given storage order."""

@@ -17,28 +17,27 @@ Loop structure, with m = n / 2^beta chunks and chunk-level half-length L:
   exponent (m/2L)*j resp. (m/2L)*(2j+1), shared by all blocks.
 
 Inverse transforms run the same structures with negated exponents and a
-final scaling by (n/2^beta)^-1.
+final scaling by (n/2^beta)^-1, which the last stage carries.
 
 ``level_geometry`` is the only derivation of this structure: a
 ``Schedule`` holds it per (spec, table, n), and ``butterfly_schedule``
 (``plan --trace``) walks a schedule's levels; the trinomial levels and
-the block transforms of the embeddings walk it too.  ``run_levels`` drives the array kernels on
-the working buffer that ``buffer`` picks from the modulus alone: int64
-below 2^31, ``object`` (Python ints) at or above.
+the block transforms of the embeddings walk it too.  ``run_levels`` runs
+a schedule's merged stages on the working buffer that ``buffer`` picks
+from the modulus alone: int64 below 2^31, ``object`` (Python ints) at or
+above.
 
-Every array kernel takes one leading batch axis: a buffer is one row of
-n residues or a (batch, n) array of rows, transformed alike by the same
-code (a length-n buffer is a batch of one).  A merged stage is still one
+Every stage takes one leading batch axis: a buffer is one row of n
+residues or a (batch, n) array of rows, transformed alike by the same
+code (a length-n buffer is a batch of one).  A merged stage is one
 ``np.matmul``, its read-only matrix stack broadcast over the batch, and
-one reduction, whatever the batch size; the per-level kernels, the
-halving and the inverse scaling broadcast the same way.  Op counts count
-every row.
+one reduction, whatever the batch size.  Op counts count every row.
 
-On int64 buffers the levels run as merged stages (Seiler, eprint
-2018/039): each group of at most k consecutive levels is one batched
-``np.matmul`` with a read-only stack of 2^k x 2^k matrices, then one
-reduction.  ``Schedule.stage_class`` fixes the stages' class once per
-schedule, from q and the level count alone (``stage_class``):
+The levels run as merged stages (Seiler, eprint 2018/039): each group of
+at most k consecutive levels is one batched ``np.matmul`` with a
+read-only stack of 2^k x 2^k matrices, then one reduction.
+``Schedule.stage_class`` fixes the stages' class once per schedule, from
+q and the level count alone (``stage_class``):
 
 * int64, k = ``stage_width``: the largest k up to ``STAGE_CAP`` with
   2^k (q-1)^2 < 2^63, so no matmul row sum leaves int64, then ``% q``;
@@ -49,7 +48,10 @@ schedule, from q and the level count alone (``stage_class``):
   "Modular SIMD arithmetic in Mathemagix", ACM TOMS 2016), with the
   matrices split in 16-bit limbs ("float64-limb") where one would not
   be exact.  The buffer turns float64 once before the first stage and
-  back to canonical int64 once after the last.
+  back to canonical int64 once after the last;
+* object, k = ``OBJECT_WIDTH``, from 2^31 up, where q has no int64
+  width: the int64 class's matmul and ``% q`` on Python ints, which
+  cannot overflow.
 
 The float64 bounds, with h = q//2.  Every integer of magnitude at most
 2^53 is a float64, so integer sums are exact in any order while every
@@ -75,11 +77,13 @@ stages does.  The last stage always reduces.
 
 A schedule builds its stage matrices on its first transform, from each
 level's 2 x 2 butterfly matrices, which wider groups multiply entrywise
-(``Schedule._matrices``).  The levels run one at a time (one
-reshape-and-broadcast each) only on ``object`` buffers, for an
-``on_level`` caller and on a schedule built for one call.  The
-pure-Python kernel on a list stays as the test reference.  All give
-identical values, and op counts always count the radix-2 levels.
+(``Schedule._matrices``); an inverse schedule's last group also carries
+the factor 2^-levels, so no pass scales the buffer after the stages.
+``make_schedule`` keeps one schedule per (spec, n) on its twiddle table,
+so a one-call transform on a reused table builds its stages once.  An
+``on_level`` caller runs the pure-Python reference kernel on a list copy
+of each row, which stays the test reference.  Both give identical
+values, and op counts always count the radix-2 levels.
 
 ``forward_rows`` and ``inverse_rows`` are the array cores of a
 transform: counted, in place on a bare buffer, and unchecked.
@@ -96,7 +100,7 @@ the result as an ``NttDomainPoly`` (an inverse may return a Poly).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -240,6 +244,12 @@ def _block_twiddled(spec: TransformSpec) -> bool:
     return (spec.butterfly == CT) == (spec.in_order == NATURAL)
 
 
+@cache
+def _bitrev(m: int) -> tuple:
+    """``modarith.bitrev_permutation(m)``, computed once per length."""
+    return tuple(modarith.bitrev_permutation(m))
+
+
 def level_geometry(spec: TransformSpec, m: int):
     """Yield (nblocks, half, exponents) per level over m chunks, in execution order.
 
@@ -252,7 +262,7 @@ def level_geometry(spec: TransformSpec, m: int):
     """
     nega = spec.conv_kind == NWC
     block_tw = _block_twiddled(spec)
-    rev = modarith.bitrev_permutation(2 * m if nega else m) if block_tw else None
+    rev = _bitrev(2 * m if nega else m) if block_tw else None
     halves = [1 << k for k in range(m.bit_length() - 1)]
     if spec.in_order == NATURAL:
         halves.reverse()
@@ -260,7 +270,7 @@ def level_geometry(spec: TransformSpec, m: int):
         nblocks = m // (2 * half)
         if block_tw:
             start = 2 * nblocks if nega else 0
-            yield nblocks, half, tuple(rev[start : start + 2 * nblocks : 2])
+            yield nblocks, half, rev[start : start + 2 * nblocks : 2]
         else:
             start, step = (nblocks, 2 * nblocks) if nega else (0, nblocks)
             yield nblocks, half, tuple(range(start, start + step * half, step))
@@ -288,14 +298,10 @@ class Schedule:
 
     ``levels[l] = (nblocks, half, exponents)`` in execution order, with
     ``half`` counted in chunks of ``chunk`` coefficients.  Each kernel
-    reads its twiddles from it, built on first use: ``stages`` and
-    ``halving_stages`` (the merged stages of ``stage_class``, see
-    ``Stage`` and ``FloatStage``),
-    ``vectors`` (read-only arrays of the table modulus's buffer dtype,
-    shaped to broadcast against the (nblocks, half, chunk) halves) or
-    ``passes`` (every butterfly's low position and twiddle, for the
-    reference kernel).  ``merge`` is off for a schedule built for one
-    call: its stage matrices could not pay for themselves.
+    reads its twiddles from it, built on first use: ``stages`` (the
+    merged stages of ``stage_class``, see ``Stage`` and ``FloatStage``)
+    or ``passes`` (every butterfly's low position and twiddle, for the
+    reference kernel).
     """
 
     spec: TransformSpec
@@ -303,20 +309,10 @@ class Schedule:
     n: int
     chunk: int
     levels: tuple
-    merge: bool = True
 
     def _twiddles(self, exps) -> list:
         nat = self.table.ordered(NATURAL)
         return [nat[e] for e in exps]
-
-    @cached_property
-    def vectors(self) -> tuple:
-        block_tw = _block_twiddled(self.spec)
-        return tuple(
-            read_only(buffer(self._twiddles(exps), self.table.modulus)
-                    .reshape((nblocks, 1, 1) if block_tw else (half, 1)))
-            for nblocks, half, exps in self.levels
-        )
 
     @cached_property
     def passes(self) -> tuple:
@@ -335,49 +331,58 @@ class Schedule:
         return tuple(out)
 
     @cached_property
-    def stages(self) -> tuple:
-        return self._stages(halving=False)
+    def factor(self) -> int:
+        """The scale that ends the schedule's map: 2^-levels mod q, i.e.
+        (n/2^beta)^-1, on an inverse schedule, else 1."""
+        if self.spec.direction == FORWARD:
+            return 1
+        return modarith.mod_inv(1 << len(self.levels), self.table.modulus)
 
     @cached_property
-    def halving_stages(self) -> tuple:
-        return self._stages(halving=True)
+    def stages(self) -> tuple:
+        return self._stages()
 
     @cached_property
     def stage_class(self) -> tuple:
         """(class, width) of the merged stages, e.g. ("int64", 4),
-        ("float64", 5) or ("float64-limb", 5): ``stage_class`` of the
-        table modulus and the level count, decided once."""
+        ("float64", 5), ("float64-limb", 5) or ("object", 2):
+        ``stage_class`` of the table modulus and the level count, decided
+        once."""
         return stage_class(self.table.modulus, len(self.levels))
 
-    def _stages(self, halving: bool) -> tuple:
-        """The levels as merged stages of ``stage_class``; () when there
-        are none or q is at or above 2^31 (width 0).  The int64 and limb
-        classes build canonical int64 matrices, and the limb class then
-        splits them; the single-matrix float64 class builds centered
-        float64 ones, exact as every product stays below 2^53, and
-        reduces only where ``_reductions`` says."""
+    def _stages(self) -> tuple:
+        """The levels as merged stages of ``stage_class``, the last one
+        times ``factor``; () when there are none.  The int64, limb and
+        object classes build canonical matrices (of Python ints for
+        object), and the limb class then splits them; the single-matrix
+        float64 class builds centered float64 ones, exact as every
+        product stays below 2^53, and reduces only where ``_reductions``
+        says."""
         q = self.table.modulus
         cls, k = self.stage_class
-        if not k or not self.levels:
+        if not self.levels:
             return ()
         block_tw = _block_twiddled(self.spec)
-        groups = list(_groups(len(self.levels), k)) if cls == INT64 else self._float_groups(k)
+        floats = cls in (FLOAT64, FLOAT64_LIMB)
+        groups = self._float_groups(k) if floats else list(_groups(len(self.levels), k))
         reduces = (_reductions(q, [hi - lo for lo, hi in groups]) if cls == FLOAT64
                    else [True] * len(groups))
+        dtype = {FLOAT64: np.float64, OBJECT: object}.get(cls, np.int64)
         out = []
         with modarith.uncounted():
             for (lo, hi), reduce in zip(groups, reduces):
                 shape = (*self._geometry(lo, hi), block_tw)
+                # centered in the float64 class: it runs at least
+                # FLOAT_LEVELS levels, so every group combines two or more
+                mats = self._matrices(lo, hi, dtype)
+                if hi == len(self.levels) and self.factor != 1:
+                    mats = _reduce(mats * self.factor, q)
                 if cls == FLOAT64:
-                    # centered: this class runs at least FLOAT_LEVELS levels,
-                    # so every group combines two or more of them
-                    mats = self._matrices(lo, hi, halving, np.float64)
                     out.append(FloatStage(*shape, read_only(mats), None, reduce))
-                elif cls == INT64:
-                    out.append(Stage(*shape, read_only(self._matrices(lo, hi, halving, np.int64))))
+                elif cls == FLOAT64_LIMB:
+                    out.append(FloatStage(*shape, *_limbs(mats, q)))
                 else:
-                    out.append(FloatStage(*shape, *_limbs(self._matrices(lo, hi, halving, np.int64),
-                                                          q)))
+                    out.append(Stage(*shape, read_only(mats)))
         return tuple(out)
 
     def _geometry(self, lo: int, hi: int) -> tuple:
@@ -403,7 +408,7 @@ class Schedule:
 
         return min(groups(sizes), groups(sizes[::-1]), key=entries)
 
-    def _matrices(self, lo: int, hi: int, halving: bool, dtype) -> np.ndarray:
+    def _matrices(self, lo: int, hi: int, dtype) -> np.ndarray:
         """The matrix stack of levels lo..hi-1 as one stage, one matrix per
         block or per offset (see ``Stage``), in ``dtype``.
 
@@ -413,15 +418,14 @@ class Schedule:
         low ones pl (levels grow) and B's the others, so each entry
         M[(ph, pl), (ch, cl)] is one product, A[ph, ch] B[pl, cl] taken at
         the block or offset the bits left over select, reduced canonical
-        (int64) or centered (float64, exact while q^2 < 2^53: products
-        below 2^51 reduce to at most q//2).
+        (int64, object) or centered (float64, exact while q^2 < 2^53:
+        products below 2^51 reduce to at most q//2).
         """
         q = self.table.modulus
         block_tw = _block_twiddled(self.spec)
         if hi - lo > 1:
             mid = (lo + hi) // 2
-            A, B = (self._matrices(lo, mid, halving, dtype),
-                    self._matrices(mid, hi, halving, dtype))
+            A, B = self._matrices(lo, mid, dtype), self._matrices(mid, hi, dtype)
             a, b = 1 << (mid - lo), 1 << (hi - mid)
             if self.spec.in_order == NATURAL and block_tw:  # [i, ph, pl, ch, cl]
                 M = A[:, :, None, :, None] * B.reshape(-1, a, b, 1, b)
@@ -434,29 +438,31 @@ class Schedule:
             return _reduce(M, q).reshape(-1, a * b, a * b)
         # one level: its butterfly matrix per block or offset, (u, v) ->
         # (u + w v, u - w v) for CT and (u + v, (u - v) w) for GS
-        w = self.vectors[lo].reshape(-1)
+        w = np.array(self._twiddles(self.levels[lo][2]), dtype=dtype)
         m = np.ones((len(w), 2, 2), dtype=dtype)
         if self.spec.butterfly == CT:
             m[:, 0, 1] = w
         else:
             m[:, 1, 0] = w
         m[:, 1, 1] = q - w
-        if halving:
-            m *= (q + 1) >> 1
-            _reduce(m, q)
         # block twiddles: one matrix per block; else the same in every
         # block, one per offset
         return m if block_tw else np.repeat(m, self.chunk, axis=0)
 
 
-def make_schedule(spec: TransformSpec, tw, n: int, merge: bool = True) -> Schedule:
-    """The schedule of ``spec`` on a length-n buffer over table ``tw``."""
-    return Schedule(spec, tw, n, 1 << spec.beta, tuple(level_geometry(spec, n >> spec.beta)),
-                    merge)
+def make_schedule(spec: TransformSpec, tw, n: int) -> Schedule:
+    """The schedule of ``spec`` on a length-n buffer over table ``tw``:
+    one per (spec, n), kept on the table (``TwiddleTable.schedules``), so
+    every caller on that table shares its stages."""
+    sched = tw.schedules.get((spec, n))
+    if sched is None:
+        sched = tw.schedules.setdefault((spec, n), Schedule(
+            spec, tw, n, 1 << spec.beta, tuple(level_geometry(spec, n >> spec.beta))))
+    return sched
 
 
 # ---------------------------------------------------------------------------
-# merged stages: k levels as one batched matmul, int64 or float64
+# merged stages: k levels as one batched matmul, int64, float64 or object
 
 # The widest int64 stage: numpy's int64 matmul has no BLAS path, and its
 # 2^k multiply-adds per value grow faster than the numpy calls they save
@@ -473,10 +479,17 @@ STAGE_CAP = 4
 # takes 29 us against 22 us for kyber and dilithium; two rows break even.
 FLOAT_WIDTH = 5
 FLOAT_LEVELS = 9
+# The object class, from 2^31 up: its entries are Python ints, so a wider
+# stage saves numpy calls but adds Python multiply-adds per entry.  k = 2
+# was the fastest on full NWC products mod 2151677953 at 64-1024 points;
+# k = 1 and k = 3 took 1.10-1.28 times its time at 256 and 1024 points
+# (interleaved in one process, 2-vCPU VM).
+OBJECT_WIDTH = 2
 LIMB = 1 << 16
 INT64 = "int64"
 FLOAT64 = "float64"
 FLOAT64_LIMB = "float64-limb"
+OBJECT = "object"
 _EXACT = 1 << 53  # every integer of magnitude up to 2^53 is a float64
 
 
@@ -515,10 +528,13 @@ def stage_class(q: int, levels: int) -> tuple:
     ``float_fits``, else two 16-bit limbs where ``limb_fits``) when q
     has an int64 width and the schedule has at least ``FLOAT_LEVELS``
     levels or q holds that width below ``STAGE_CAP``; otherwise int64 at
-    ``stage_width``, which is 0, no stages, from 2^31 up.
+    ``stage_width``; object at ``OBJECT_WIDTH`` from 2^31 up, where that
+    width is 0.
     """
     k = stage_width(q)
-    if k and (levels >= FLOAT_LEVELS or k < STAGE_CAP):
+    if not k:
+        return OBJECT, OBJECT_WIDTH
+    if levels >= FLOAT_LEVELS or k < STAGE_CAP:
         if float_fits(q, FLOAT_WIDTH):
             return FLOAT64, FLOAT_WIDTH
         if limb_fits(q, FLOAT_WIDTH):
@@ -537,8 +553,9 @@ def _groups(count: int, k: int):
 class Stage:
     """Consecutive levels as one map on each row seen as (blocks, 2^k, span).
 
-    ``matrices`` is a read-only (blocks, 2^k, 2^k) int64 stack indexed by
-    block when the levels take one twiddle per block, else a
+    ``matrices`` is a read-only (blocks, 2^k, 2^k) int64 (or, in the
+    object class, Python-int) stack indexed by block when the levels take
+    one twiddle per block, else a
     (span, 2^k, 2^k) stack indexed by offset, applied to the
     (span, 2^k, blocks) transpose; either broadcasts over the rows.
     """
@@ -549,9 +566,9 @@ class Stage:
     matrices: np.ndarray
 
     def apply(self, buf, q: int) -> None:
-        """The stage on contiguous int64 ``buf`` of canonical residues, one
-        row or a batch of rows, in place: one matmul, the matrix stack
-        broadcast over the batch, and one reduction."""
+        """The stage on contiguous ``buf`` of canonical residues, of the
+        matrices' dtype, one row or a batch of rows, in place: one matmul,
+        the matrix stack broadcast over the batch, and one reduction."""
         x = buf.reshape(*buf.shape[:-1], self.blocks, self.matrices.shape[-1], self.span)
         if not self.by_block:
             x = x.swapaxes(-1, -3)
@@ -613,11 +630,11 @@ def reduce_centered(y, q: int) -> np.ndarray:
 
 
 def _reduce(m, q: int) -> np.ndarray:
-    """``m`` reduced in place: canonical (int64) or centered (float64)."""
-    if m.dtype == np.int64:
-        m %= q
-        return m
-    return reduce_centered(m, q)
+    """``m`` reduced in place: canonical (int64, object) or centered (float64)."""
+    if m.dtype == np.float64:
+        return reduce_centered(m, q)
+    m %= q
+    return m
 
 
 def _limbs(mats, q: int) -> tuple:
@@ -633,7 +650,7 @@ def _limbs(mats, q: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# kernels and the per-level driver
+# the reference kernel and the driver
 
 
 def ct_pass(a, nblocks: int, half: int, chunk: int, tw, q: int) -> None:
@@ -661,32 +678,6 @@ def gs_pass(a, nblocks: int, half: int, chunk: int, tw, q: int) -> None:
         a[k] = (u - v) * z % q
 
 
-def ct_level(x, nblocks: int, half: int, chunk: int, w, q: int) -> None:
-    """One CT level in place: (u, v) -> (u + w*v, u - w*v) mod q.
-
-    ``x`` is a contiguous buffer of rows of nblocks*2*half*chunk canonical
-    residues; ``w`` broadcasts against shape (nblocks, half, chunk).  Both
-    halves are reduced by one pass over ``x``.
-    """
-    y = x.reshape(-1, nblocks, 2, half, chunk)
-    u, v = y[:, :, 0], y[:, :, 1]
-    t = v * w
-    t %= q
-    np.subtract(u, t, out=v)
-    u += t
-    x %= q
-
-
-def gs_level(x, nblocks: int, half: int, chunk: int, w, q: int) -> None:
-    """One GS level in place: (u, v) -> (u + v, (u - v)*w) mod q."""
-    y = x.reshape(-1, nblocks, 2, half, chunk)
-    u, v = y[:, :, 0], y[:, :, 1]
-    d = u - v
-    u += v
-    np.multiply(d, w, out=v)
-    x %= q
-
-
 def mod_op(ufunc, u, v, q: int, tally: str) -> np.ndarray:
     """ufunc(u, v) mod q, a fresh buffer, counted as one ``tally`` op per entry of u."""
     c = modarith.active_counter()
@@ -712,57 +703,49 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _halve(buf, q: int) -> None:
-    """buf / 2 mod q in place, for odd q: shift, and add (q+1)/2 to odd entries."""
-    odd = buf & 1
-    buf >>= 1
-    odd *= (q + 1) >> 1
-    buf += odd
-    buf %= q
+def run_levels(buf, q: int, sched: Schedule, on_level=None) -> None:
+    """Apply ``sched`` to ``buf`` in place: its levels and, on an inverse
+    schedule, the factor 2^-levels (``Schedule.factor``); ``buf`` is one
+    length-n row, or every row of a (batch, n) array at once.
 
-
-def run_levels(buf, q: int, sched: Schedule, halving=False, on_level=None) -> None:
-    """Apply every level of ``sched`` to ``buf`` in place: one length-n
-    row, or every row of a (batch, n) array at once.
-
-    An int64 buffer runs the merged stages of the schedule's
-    ``stage_class`` (one matmul per group of levels); the float64
-    classes run on one float64 copy of it, taken once before the first
-    stage, and write it back canonical after the last.  An
-    ``object`` buffer, a one-call schedule (``merge`` off) or an
-    ``on_level`` caller runs the array kernel one level at a time (one
-    reshape-and-broadcast per level); a list runs the pure-Python
-    reference kernel (one loop over the level's butterflies; it takes no
-    halving).  All give the same values and op counts, which count the
-    radix-2 levels of every row.  ``halving`` folds a division by 2 into
-    each level (odd q only) and ``on_level(level, values)`` sees the
-    values after each level.
+    A buffer runs the merged stages of the schedule's ``stage_class``
+    (one matmul per group of levels); the float64 classes run on one
+    float64 copy of it, taken once before the first stage, and write it
+    back canonical after the last.  A list, or a buffer given
+    ``on_level``, runs the pure-Python reference kernel (one loop over
+    each level's butterflies) on each row as a list, then the factor,
+    and a buffer's rows are written back afterwards;
+    ``on_level(level, values)`` sees the values after each level (a
+    buffer's as lists).  Both give the same values and op counts, which
+    count the radix-2 levels of every row.
     """
     vec = isinstance(buf, np.ndarray)
-    stages = ()
-    if vec and on_level is None and sched.merge and buf.dtype == np.int64:
-        stages = sched.halving_stages if halving else sched.stages
-    if stages and sched.stage_class[0] != INT64:
-        f = buf.astype(np.float64)
-        for stage in stages:
-            stage.apply(f, q)
-        buf[...] = f  # centered: add q to the negative entries
-        buf += (buf >> 63) & q
-    else:
-        for stage in stages:
-            stage.apply(buf, q)
-    if not stages:
-        if sched.spec.butterfly == CT:
-            level = ct_level if vec else ct_pass
+    if vec and on_level is None:
+        if sched.stage_class[0] in (FLOAT64, FLOAT64_LIMB):
+            f = buf.astype(np.float64)
+            for stage in sched.stages:
+                stage.apply(f, q)
+            buf[...] = f  # centered: add q to the negative entries
+            buf += (buf >> 63) & q
         else:
-            level = gs_level if vec else gs_pass
-        for lvl, ((nblocks, half, _), tw) in enumerate(
-                zip(sched.levels, sched.vectors if vec else sched.passes)):
-            level(buf, nblocks, half, sched.chunk, tw, q)
-            if halving:
-                _halve(buf, q)
-            if on_level is not None:
-                on_level(lvl, buf.tolist() if vec else buf)
+            for stage in sched.stages:
+                stage.apply(buf, q)
+    else:
+        lists = buf.reshape(-1, sched.n).tolist() if vec else [buf]
+        level = ct_pass if sched.spec.butterfly == CT else gs_pass
+        for lvl, ((nblocks, half, _), tw) in enumerate(zip(sched.levels, sched.passes)):
+            for row in lists:
+                level(row, nblocks, half, sched.chunk, tw, q)
+            if on_level is not None:  # a buffer's rows as fresh lists, as tolist() gives them
+                on_level(lvl, buf if not vec else [r[:] for r in lists] if buf.ndim > 1
+                         else lists[0][:])
+        s = sched.factor
+        if s != 1:
+            for row in lists:
+                for i, x in enumerate(row):
+                    row[i] = x * s % q
+        if vec:
+            buf.reshape(-1, sched.n)[...] = lists
     ctr = modarith.active_counter()
     if ctr is not None:  # one butterfly per chunk pair on every level
         rows = buf.size // sched.n if vec else 1
@@ -785,27 +768,26 @@ def forward_rows(buf, sched: Schedule, on_level=None) -> np.ndarray:
 
 def inverse_rows(buf, sched: Schedule, halving=False, on_level=None) -> np.ndarray:
     """The array core of ``ntt_inverse`` (see ``forward_rows``).  The
-    per-level factor 2 is deferred into one final scaling by 2^-levels,
-    i.e. (n/2^beta)^-1, when there are levels, or folded into each level
-    when halving is set (odd q only; identical outputs, tested)."""
+    per-level factor 2 is deferred into one scaling by 2^-levels, i.e.
+    (n/2^beta)^-1, which the schedule's last stage carries: counted as
+    one multiplication per entry when there are levels, or as folded
+    into each level when halving is set (odd q only; the values are the
+    same)."""
     q = sched.table.modulus
     if halving and q % 2 == 0:
         raise SpecViolation("halving mode needs an odd modulus")
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.inverse_transforms += buf.size // sched.n
-    run_levels(buf, q, sched, halving=halving, on_level=on_level)
-    if not halving and sched.levels:
-        buf *= modarith.mod_inv(1 << len(sched.levels), q)
-        buf %= q
-        if ctr is not None:
+        if not halving and sched.levels:
             ctr.mults += buf.size
+    run_levels(buf, q, sched, on_level)
     return buf
 
 
 def _checked_schedule(schedule, tw, spec, n: int) -> Schedule:
     if schedule is None:
-        return make_schedule(spec, tw, n, merge=False)
+        return make_schedule(spec, tw, n)
     if schedule.table is not tw or schedule.n != n or (schedule.spec is not spec
                                                         and schedule.spec != spec):
         raise SpecViolation("schedule was built for another table, spec or length")
@@ -826,10 +808,20 @@ def _check_table(tw, spec, n, q, expect_inverse):
         raise OrderMismatch("table direction does not match the transform")
 
 
+def _bare_schedule(buf, tw, spec, schedule) -> Schedule:
+    """The checked schedule to run on bare working buffer ``buf``, whose
+    dtype must be the table modulus's (``buffer_dtype``)."""
+    want = buffer_dtype(tw.modulus)
+    if buf.dtype != want:
+        raise SpecViolation(f"a working buffer mod {tw.modulus} must be {np.dtype(want)}, "
+                            f"not {buf.dtype}")
+    return _checked_schedule(schedule, tw, spec, buf.shape[-1])
+
+
 def forward_schedule(tw, spec: TransformSpec, ring, schedule=None) -> Schedule:
     """Every check of ``ntt_forward`` on its table, spec, ring (duck-typed)
-    and schedule; returns the schedule to run, one built for one call
-    when none is given."""
+    and schedule; returns the schedule to run, the table's own
+    (``make_schedule``) when none is given."""
     if spec.direction != FORWARD:
         raise SpecViolation("ntt_forward requires a forward spec")
     _check_table(tw, spec, ring.n, ring.q, expect_inverse=False)
@@ -873,18 +865,19 @@ def ntt_forward(a, tw, spec: TransformSpec, on_level=None, schedule=None, ring=N
     tagged transform-domain values.
 
     The coefficients are copied once into a working buffer (``buffer``)
-    and the levels of ``schedule`` (built from ``tw`` when not given) then
-    run in place on it, on every row at once (``forward_rows``); the
-    result holds that buffer.  ``on_level(level, values)`` sees the values
-    after each level.
+    and the levels of ``schedule`` (the table's own when not given,
+    ``make_schedule``) then run in place on it, on every row at once
+    (``forward_rows``); the result holds that buffer.
+    ``on_level(level, values)`` sees the values after each level.
 
     A bare working buffer (an ndarray, no ``ring``) is the planned
-    routes' core: transformed in place and returned, with only the
-    schedule checked against ``tw`` and ``spec``; the route's
-    ``TransformPair`` checked the table, spec and ring when it was built.
+    routes' core: transformed in place and returned, with only its dtype
+    and the schedule checked against ``tw`` and ``spec`` (``SpecViolation``
+    otherwise); the route's ``TransformPair`` checked the table, spec and
+    ring when it was built.
     """
     if ring is None and isinstance(a, np.ndarray):
-        return forward_rows(a, _checked_schedule(schedule, tw, spec, a.shape[-1]), on_level)
+        return forward_rows(a, _bare_schedule(a, tw, spec, schedule), on_level)
     if ring is None:
         ring, a = a.ring, a.array
     else:
@@ -906,8 +899,7 @@ def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False,
     in ``ntt_forward``.
     """
     if isinstance(ahat, np.ndarray):
-        return inverse_rows(ahat, _checked_schedule(schedule, tw_inv, spec, ahat.shape[-1]),
-                            halving, on_level)
+        return inverse_rows(ahat, _bare_schedule(ahat, tw_inv, spec, schedule), halving, on_level)
     ring = ahat.ring
     sched = inverse_schedule(tw_inv, spec, ahat.spec, ring, schedule)
     buf = inverse_rows(buffer(ahat.values, ring.q), sched, halving, on_level)
@@ -955,7 +947,7 @@ def nwc_forward_separate(a, cc_tw, psi_tw, spec: TransformSpec, on_level=None) -
     _check_table(cc_tw, spec, n, q, expect_inverse=False)
     buf = mod_op(np.multiply, buffer(a.array, q), buffer(_psi_powers(psi_tw, spec.in_order, n), q),
                  q, "mults")
-    forward_rows(buf, make_schedule(spec, cc_tw, n, merge=False), on_level)
+    forward_rows(buf, make_schedule(spec, cc_tw, n), on_level)
     return NttDomainPoly(buf, spec, a.ring, 1)
 
 
@@ -969,6 +961,6 @@ def nwc_inverse_separate(ahat: NttDomainPoly, cc_tw_inv, psi_tw_inv, spec: Trans
     _check_table(cc_tw_inv, spec, n, q, expect_inverse=True)
     if spec.in_order != ahat.spec.out_order:
         raise SpecViolation("inverse input ordering must match forward output")
-    buf = inverse_rows(buffer(ahat.values, q), make_schedule(spec, cc_tw_inv, n, merge=False))
+    buf = inverse_rows(buffer(ahat.values, q), make_schedule(spec, cc_tw_inv, n))
     return Poly(mod_op(np.multiply, buf, buffer(_psi_powers(psi_tw_inv, spec.out_order, n), q), q,
                        "mults"), ahat.ring)

@@ -5,20 +5,21 @@ working buffer against the same schedule run on a list, the leaf
 products against ``basecase_mul`` and the trinomial transform and leaves
 against ``trinomial_pointwise`` and the oracle.  Every sweep runs twice:
 over primes below 2^31 (int64 buffers) and over primes up to the 2^42
-ceiling (``object`` buffers of Python ints).  The buffer is picked by the
-modulus alone, so the tests after the sweeps pin the 2^31 threshold with
-the primes on either side of it.
+ceiling (``object`` buffers of Python ints, the object stage class).  The
+buffer is picked by the modulus alone, so the tests after the sweeps pin
+the 2^31 threshold with the primes on either side of it.
 
-The merged int64 stages are swept against the reference kernel on
-generated (n, q) for every spec, beta, halving mode and stage width,
-trinomial chunk-3 schedules included; the width rule is pinned at each
-of its boundaries, and every preset that runs a transform is shown to
-run no per-level kernel.  A (batch, n) buffer runs every kernel once for
-all its rows and must equal row-by-row runs and the reference kernel,
-with op counts per row.
+The merged stages are swept against the reference kernel on generated
+(n, q) for every spec, beta, stage class and width, trinomial chunk-3
+schedules included; the width rule is pinned at each of its boundaries,
+and every preset that runs a transform is shown to run no reference
+kernel.  A (batch, n) buffer runs every stage once for all its rows and
+must equal row-by-row runs and the reference kernel, with op counts per
+row, in either halving mode.
 """
 
 import dataclasses
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -81,25 +82,20 @@ def buffer_dtype(q):
     return np.int64 if q < 2**31 else object
 
 
-def reference(values, q, tw, spec, n, halving=False):
-    """(values, counter) of the reference kernel on a list copy of values;
-    ``halving`` halves every value after each level, as the array kernel does."""
+def reference(values, q, tw, spec, n):
+    """(values, counter) of the reference kernel on a list copy of values,
+    an inverse schedule's factor 2^-levels included."""
     buf = list(values)
-
-    def halve(level, vals):
-        vals[:] = [modarith.mod_half(x, q) for x in vals]
-
     with counting() as c:
-        transforms.run_levels(buf, q, transforms.make_schedule(spec, tw, n),
-                              on_level=halve if halving else None)
+        transforms.run_levels(buf, q, transforms.make_schedule(spec, tw, n))
     return buf, c
 
 
-def vector(values, q, tw, spec, n, halving=False):
+def vector(values, q, tw, spec, n):
     x = transforms.buffer(values, q)
     assert x.dtype == buffer_dtype(q)
     with counting() as c:
-        transforms.run_levels(x, q, transforms.make_schedule(spec, tw, n), halving=halving)
+        transforms.run_levels(x, q, transforms.make_schedule(spec, tw, n))
     return x.tolist(), c
 
 
@@ -113,9 +109,6 @@ def test_transform_kernels_agree(primes, data, storage):
         assert vector(values, q, ftw, fs, n) == reference(values, q, ftw, fs, n)
         for inv in inverse_specs_for(fs):
             assert vector(values, q, itw, inv, n) == reference(values, q, itw, inv, n)
-            if q % 2:
-                got = vector(values, q, itw, inv, n, halving=True)
-                assert got == reference(values, q, itw, inv, n, halving=True)
 
 
 @BUDGET
@@ -135,11 +128,9 @@ def test_public_transforms_match_reference(primes, data, halving):
     assert (ahat.values.tolist(), cf) == (want, rf)
     with counting() as ci:
         back = transforms.ntt_inverse(ahat, itw, inv, halving=halving)
-    want, ri = reference(ahat.values.tolist(), q, itw, inv, n, halving=halving)
+    want, ri = reference(ahat.values.tolist(), q, itw, inv, n)
     ri.inverse_transforms += 1
-    if not halving:
-        s = modarith.mod_inv(n >> beta, q)
-        want = [v * s % q for v in want]
+    if not halving:  # the factor (n/2^beta)^-1, counted once per entry
         ri.mults += n
     assert (back.coeffs, ci) == (want, ri)
     assert back.coeffs == values
@@ -206,6 +197,21 @@ def _boom(*args, **kwargs):
     raise AssertionError("this kernel must not run for this modulus")
 
 
+@contextmanager
+def on_reference():
+    """Every transform on the reference kernel, which a buffer runs for an
+    ``on_level`` caller, with the stages raising."""
+    run_levels = transforms.run_levels
+
+    def levels(buf, q, sched, on_level=None):
+        run_levels(buf, q, sched, on_level or (lambda lvl, vals: None))
+
+    with mock.patch.object(transforms, "run_levels", levels), \
+            mock.patch.object(transforms.Stage, "apply", _boom), \
+            mock.patch.object(transforms.FloatStage, "apply", _boom):
+        yield
+
+
 @BUDGET
 @given(st.sampled_from(TRINOMIAL_RINGS), st.data())
 def test_trinomial_kernels_agree(ring, data):
@@ -221,12 +227,13 @@ def test_trinomial_kernels_agree(ring, data):
         assert fa.dtype == transforms.buffer_dtype(ring.q)
         return fa.tolist(), back, prod, c
 
-    # the reference kernel never runs; the buffer is picked from q alone
+    # the merged stages: the reference kernel never runs; the buffer is
+    # picked from q alone
     with mock.patch.multiple(transforms, ct_pass=_boom, gs_pass=_boom):
         results = [run()]
-        # the same stages on object buffers (Python ints) for every modulus
-        with mock.patch.object(transforms, "buffer_dtype", lambda q: object):
-            results.append(run())
+    # the same transforms on the reference kernel
+    with on_reference():
+        results.append(run())
     assert results[0] == results[1]
     assert results[0][1] == a.coeffs
     assert results[0][2] == oracle_multiply(a, b).coeffs
@@ -275,30 +282,42 @@ def test_threshold_picks_the_kernel(direction, monkeypatch, rng):
     ring = RingSpec(XN_PLUS_1, N_EDGE, q)
     a = Poly.random(ring, rng)
     b = Poly([q - 1] * N_EDGE, ring)
-    pair = make_transform_pair(ring, 1)
-    want, ref = reference(a.coeffs, q, pair.fwd_tw, pair.fwd_spec, N_EDGE)
+    ref_pair, pair = make_transform_pair(ring, 1), make_transform_pair(ring, 1)
+    want, ref = reference(a.coeffs, q, ref_pair.fwd_tw, ref_pair.fwd_spec, N_EDGE)
     ref.forward_transforms = 1
-    # either side of 2^31 runs the array kernel, never the reference one
+    # the top of int64 has an int64 stage width of 1, so it merges as
+    # float64 limb stages of FLOAT_WIDTH levels; from 2^31 up the object
+    # class merges OBJECT_WIDTH levels per stage
+    assert transforms.stage_width(q) == (1 if direction < 0 else 0)
+    cls = ((transforms.FLOAT64_LIMB, transforms.FLOAT_WIDTH) if direction < 0
+           else (transforms.OBJECT, transforms.OBJECT_WIDTH))
+    levels = len(pair.fwd_sched.levels)
+    for sched in (pair.fwd_sched, pair.inv_sched):
+        assert sched.stage_class == cls
+        assert len(sched.stages) == -(-levels // cls[1])
+        if direction > 0:
+            assert all(s.matrices.dtype == object and not s.matrices.flags.writeable
+                       for s in sched.stages)
+    # either side of 2^31 runs the merged stages, never the reference kernel
     _forbid(monkeypatch, "ct_pass", "gs_pass")
-    assert "passes" not in vars(pair.fwd_sched)
-    assert all(w.dtype == dtype and not w.flags.writeable for w in pair.fwd_sched.vectors)
     assert pair.y_domain.dtype == dtype and not pair.y_domain.flags.writeable
     with counting() as c:
         got = pair.forward(a)
     assert got.values.dtype == dtype
     assert (got.values.tolist(), c) == (want, ref)
     assert ntt_multiply(a, b, pair, use_karatsuba=True) == oracle_multiply(a, b)
-    if direction < 0:
-        # the top of int64 has an int64 stage width of 1, so it merges as
-        # float64 limb stages of FLOAT_WIDTH levels ...
-        assert transforms.stage_width(q) == 1
-        for sched in (pair.fwd_sched, pair.inv_sched):
-            assert sched.stage_class == (transforms.FLOAT64_LIMB, transforms.FLOAT_WIDTH)
-            assert len(sched.stages) == 1
-        # ... and the all-(q-1) product runs on them alone
-        _forbid(monkeypatch, "ct_level", "gs_level")
-        monkeypatch.setattr(transforms.Stage, "apply", _boom)
-        assert ntt_multiply(a, b, pair, use_karatsuba=True) == oracle_multiply(a, b)
+    # one stage tuple per direction: both halving modes run the same
+    # stages, the last carrying the inverse scaling, and give one result
+    ran = []
+    stage = transforms.FloatStage if direction < 0 else transforms.Stage
+    apply = stage.apply
+    monkeypatch.setattr(stage, "apply", lambda st, buf, q: ran.append(st) or apply(st, buf, q))
+    assert pair.inverse(got) == pair.inverse(got, halving=True) == a
+    assert list(map(id, ran)) == list(map(id, 2 * pair.inv_sched.stages))
+    assert "passes" not in vars(pair.fwd_sched) and "passes" not in vars(pair.inv_sched)
+    # ... and the all-(q-1) product runs on them alone
+    monkeypatch.setattr(transforms.FloatStage if direction > 0 else transforms.Stage, "apply", _boom)
+    assert ntt_multiply(a, b, pair, use_karatsuba=True) == oracle_multiply(a, b)
 
 
 @pytest.mark.parametrize("q", [7681, BIG_PRIMES[0]], ids=["int64", "object"])
@@ -471,19 +490,19 @@ def friendly_prime(start, order):
 
 def other_class(sched):
     """The stage type of the class ``sched`` does not run, to patch to raise."""
-    return transforms.FloatStage if sched.stage_class[0] == transforms.INT64 else transforms.Stage
+    floats = (transforms.FLOAT64, transforms.FLOAT64_LIMB)
+    return transforms.Stage if sched.stage_class[0] in floats else transforms.FloatStage
 
 
-def merged(values, q, sched, halving=False):
-    """(values, counter) of ``run_levels`` on an int64 buffer, with the
-    per-level kernel and the other stage class forbidden once the stage
+def merged(values, q, sched):
+    """(values, counter) of ``run_levels`` on a working buffer, with the
+    reference kernel and the other stage class forbidden once the stage
     matrices are built."""
-    stages = sched.halving_stages if halving else sched.stages
-    assert stages, "this schedule does not merge"
+    assert sched.stages, "this schedule does not merge"
     x = transforms.buffer(values, q)
-    with mock.patch.multiple(transforms, ct_level=_boom, gs_level=_boom), \
+    with mock.patch.multiple(transforms, ct_pass=_boom, gs_pass=_boom), \
             mock.patch.object(other_class(sched), "apply", _boom), counting() as c:
-        transforms.run_levels(x, q, sched, halving=halving)
+        transforms.run_levels(x, q, sched)
     return x.tolist(), c
 
 
@@ -498,13 +517,14 @@ def check_widths(sched):
     assert len(widths) == -(-levels // k)
     assert sum(w.bit_length() - 1 for w in widths) == levels
     assert all(w <= 1 << k for w in widths)
-    assert all(type(s) is (transforms.Stage if cls == transforms.INT64 else transforms.FloatStage)
-               for s in stages)
+    assert all(type(s) is (transforms.Stage if cls in (transforms.INT64, transforms.OBJECT)
+                           else transforms.FloatStage) for s in stages)
     limbs = [s.high for s in stages if getattr(s, "high", None) is not None]
     assert len(limbs) == (len(stages) if cls == transforms.FLOAT64_LIMB else 0)
     assert all(not m.flags.writeable for m in [s.matrices for s in stages] + limbs)
     # the magnitudes the float64 bounds assume: centered, or 16-bit low limbs
-    top = {transforms.INT64: q - 1, transforms.FLOAT64: q // 2, transforms.FLOAT64_LIMB: 2**15}
+    top = {transforms.INT64: q - 1, transforms.FLOAT64: q // 2, transforms.FLOAT64_LIMB: 2**15,
+           transforms.OBJECT: q - 1}
     assert all(np.abs(s.matrices).max() <= top[cls] for s in stages)
     assert all(np.abs(m).max() <= (q // 2 + 2**15) >> 16 for m in limbs)
 
@@ -534,7 +554,7 @@ def merge_cases(draw):
 @BUDGET
 @given(merge_cases())
 def test_merged_stages_match_reference(case):
-    # every spec (block- and offset-twiddled), beta, halving mode, class and width
+    # every spec (block- and offset-twiddled), beta, class and width
     kind, n, q, beta, k, values = case
     ftw, itw = tables_for(kind, n, q, beta)
     with mock.patch.object(transforms, "STAGE_CAP", k):
@@ -544,9 +564,8 @@ def test_merged_stages_match_reference(case):
             assert merged(values, q, sched) == reference(values, q, ftw, fs, n)
             for inv in inverse_specs_for(fs):
                 sched = transforms.make_schedule(inv, itw, n)
-                for halving in (False, True):
-                    got = merged(values, q, sched, halving)
-                    assert got == reference(values, q, itw, inv, n, halving=halving)
+                check_widths(sched)
+                assert merged(values, q, sched) == reference(values, q, itw, inv, n)
 
 
 @st.composite
@@ -572,7 +591,7 @@ def test_merged_trinomial_stages_match_reference(case, data):
                 want = list(values)
                 transforms.run_levels(want, ring.q, sched)
             assert merged(values, ring.q, sched) == (want, c)
-    with mock.patch.multiple(transforms, ct_level=_boom, gs_level=_boom):
+    with mock.patch.multiple(transforms, ct_pass=_boom, gs_pass=_boom):
         assert trinomial.trinomial_multiply(a, b, plan) == oracle_multiply(a, b)
 
 
@@ -600,30 +619,41 @@ def batch_cases(draw):
 @BUDGET
 @given(batch_cases())
 def test_run_levels_on_a_batch_matches_each_row(case):
-    # every spec, beta, halving mode, class and width, merged stages and
-    # the per-level kernel (a one-call schedule), int64 and object buffers
+    # every spec, beta, halving mode, class and width, int64, float64 and
+    # object stages, through the array cores; the object class for every
+    # modulus from 2^31 up
     kind, n, q, beta, k, rows = case
     ftw, itw = tables_for(kind, n, q, beta)
     runs = []
     for fs in forward_specs(kind, beta):
-        runs.append((fs, ftw, False))
+        runs.append((fs, ftw, None))
         runs += [(inv, itw, h) for inv in inverse_specs_for(fs) for h in (False, True)
                  if q % 2 or not h]
+
+    def core(buf, sched, halving):
+        if halving is None:
+            return transforms.forward_rows(buf, sched)
+        return transforms.inverse_rows(buf, sched, halving)
+
     with mock.patch.object(transforms, "STAGE_CAP", k):
         for spec, tw, halving in runs:
-            wants = [reference(r, q, tw, spec, n, halving) for r in rows]
-            for merge in (True, False):
-                sched = transforms.make_schedule(spec, tw, n, merge)
-                batch = transforms.buffer(rows, q)
-                assert batch.shape == (len(rows), n) and batch.dtype == buffer_dtype(q)
-                with counting() as c:
-                    transforms.run_levels(batch, q, sched, halving=halving)
-                for r, got, (want, one) in zip(rows, batch.tolist(), wants):
-                    x = transforms.buffer(r, q)
-                    transforms.run_levels(x, q, sched, halving=halving)
-                    assert got == x.tolist() == want
-                assert (c.mults, c.adds, c.subs) == (len(rows) * one.mults,
-                                                     len(rows) * one.adds, len(rows) * one.subs)
+            wants = [reference(r, q, tw, spec, n) for r in rows]
+            sched = transforms.make_schedule(spec, tw, n)
+            assert (sched.stage_class[0] == transforms.OBJECT) == (q >= 2**31)
+            batch = transforms.buffer(rows, q)
+            assert batch.shape == (len(rows), n) and batch.dtype == buffer_dtype(q)
+            with mock.patch.multiple(transforms, ct_pass=_boom, gs_pass=_boom), \
+                    counting() as c:
+                core(batch, sched, halving)
+            for r, got, (want, one) in zip(rows, batch.tolist(), wants):
+                x = transforms.buffer(r, q)
+                core(x, sched, halving)
+                assert got == x.tolist() == want
+            # the inverse scaling: one multiplication per entry, or none
+            # when halving folds it into the levels
+            scale = (halving is False and bool(sched.levels)) * n
+            assert (c.mults, c.adds, c.subs) == (len(rows) * (one.mults + scale),
+                                                 len(rows) * one.adds, len(rows) * one.subs)
 
 
 @BUDGET
@@ -694,8 +724,9 @@ def _int64_only(q, levels):
 def test_width_rule_primes_match_object_buffers(k, form, rng):
     # the primes on either side of the k boundary: int64 stages of width
     # k (resp. k-1), the int64 class forced, and the class the rule picks
-    # (float64 limbs below width STAGE_CAP) equal object buffers on
-    # worst-case operands, each with the other stage class raising
+    # (float64 limbs below width STAGE_CAP) equal the reference kernel on
+    # Python ints, on worst-case operands, each with the other stage
+    # class raising
     n = 64
     for q, width in zip(_friendly_around(width_boundary(k), 2 * n), (k, k - 1)):
         assert transforms.stage_width(q) == width
@@ -722,7 +753,7 @@ def test_width_rule_primes_match_object_buffers(k, form, rng):
                                else transforms.Stage, "apply", _boom):
             rule = run()
         assert rule[3].fwd_sched.stage_class == picked
-        with mock.patch.object(transforms, "buffer_dtype", lambda q: object):
+        with on_reference():
             want = run()
         assert got[:3] == rule[:3] == want[:3]
         assert got[2] == [oracle_multiply(ops[0], b).coeffs for b in ops]
@@ -778,10 +809,10 @@ def test_float_bounds_at_their_boundary(fits, limb, rng):
         for M in ms:
             want = (xs.astype(object) @ M.T.astype(object) % q).tolist()
             assert float_stage(M, xs, q, limb) == want
-    # the class one past: limbs above the single bound, no stage at all
+    # the class one past: limbs above the single bound, the object class
     # (object buffers) above the limb bound, which lies above 2^31
     assert transforms.stage_class(above, transforms.FLOAT_LEVELS) == (
-        (transforms.INT64, 0) if limb else (transforms.FLOAT64_LIMB, k))
+        (transforms.OBJECT, transforms.OBJECT_WIDTH) if limb else (transforms.FLOAT64_LIMB, k))
     assert not limb or above > modarith.VECTOR_LIMIT
 
 
@@ -817,26 +848,20 @@ def test_lazy_reduction_primes(side, rng):
 
 
 def class_side(kind, n, q, want, rng):
-    """Every kernel of one side of a class boundary: the merged stages (the
-    other class raising) on batches of 1-4 rows, all q-1, all (q-1)/2,
-    all (q+1)/2 and random, with halving on and off, equal the reference
-    kernel and object buffers."""
+    """One side of a class boundary: the merged stages (the other class
+    raising) on batches of 1-4 rows, all q-1, all (q-1)/2, all (q+1)/2
+    and random, forward and inverse, equal the reference kernel."""
     ftw, itw = tables_for(kind, n, q)
     fs = forward_specs(kind)[0]
     rows = [[q - 1] * n, [(q - 1) // 2] * n, [(q + 1) // 2] * n,
             [rng.randrange(q) for _ in range(n)]]
-    for spec, tw, halvings in ((fs, ftw, (False,)),
-                               (inverse_specs_for(fs)[-1], itw, (False, True))):
+    for spec, tw in ((fs, ftw), (inverse_specs_for(fs)[-1], itw)):
         sched = transforms.make_schedule(spec, tw, n)
         assert sched.stage_class == want
-        for halving in halvings:
-            wants = [reference(r, q, tw, spec, n, halving)[0] for r in rows]
-            for b in range(1, 5):
-                with np.errstate(all="raise"):
-                    assert merged(rows[:b], q, sched, halving)[0] == wants[:b]
-            obj = np.array(rows, dtype=object)
-            transforms.run_levels(obj, q, sched, halving=halving)
-            assert obj.tolist() == wants
+        wants = [reference(r, q, tw, spec, n)[0] for r in rows]
+        for b in range(1, 5):
+            with np.errstate(all="raise"):
+                assert merged(rows[:b], q, sched)[0] == wants[:b]
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["below", "above"])
@@ -907,8 +932,8 @@ def test_presets_run_the_merged_stages(rng):
              for name, classes in seen.items()
              if classes and min(map(transforms.stage_width, classes)) >= 1}
     assert merge == PRESET_CLASSES
-    # the per-level kernel and the other stage class never run for them
-    with mock.patch.multiple(transforms, ct_level=_boom, gs_level=_boom):
+    # the reference kernel and the other stage class never run for them
+    with mock.patch.multiple(transforms, ct_pass=_boom, gs_pass=_boom):
         for name, classes in PRESET_CLASSES.items():
             plan, (a, b) = runs[name]
             ((cls, _),) = set(classes.values())  # one class for every modulus of a preset
@@ -938,30 +963,60 @@ def test_public_transforms_on_a_bare_buffer_run_the_core_in_place(rng):
             transforms.ntt_forward(buf, pair.inv_tw, pair.fwd_spec, schedule=pair.fwd_sched)
         with pytest.raises(SpecViolation):
             transforms.ntt_inverse(buf, pair.inv_tw, pair.inv_spec, schedule=pair.fwd_sched)
+        # and the buffer must have the modulus's dtype: any other raises
+        # before any arithmetic, on both sides of 2^31
+        for dtype in (np.int32, np.float64, np.int64, object):
+            if dtype is not buffer_dtype(q):
+                wrong = np.arange(64).astype(dtype)  # residues that fit every dtype
+                for run in (lambda: transforms.ntt_forward(wrong, pair.fwd_tw, pair.fwd_spec),
+                            lambda: transforms.ntt_inverse(wrong, pair.inv_tw, pair.inv_spec,
+                                                           schedule=pair.inv_sched)):
+                    with pytest.raises(SpecViolation, match="working buffer"):
+                        run()
+                    assert wrong.tolist() == list(range(64))
 
 
-def test_on_level_and_one_shot_calls_run_level_by_level(rng):
+def test_on_level_runs_the_reference_kernel_and_one_call_transforms_share_the_schedule(rng):
     ring = RingSpec(XN_PLUS_1, 64, 7681)
     pair = make_transform_pair(ring, 1)
-    a = Poly.random(ring, rng)
-    assert pair.fwd_sched.stages
-    # an on_level caller sees every level, on the pair's own schedule
+    a, b = Poly.random(ring, rng), Poly.random(ring, rng)
+    # an on_level caller runs the reference kernel on the pair's own
+    # schedule and sees every level, each row of a batch as a list; values
+    # and counts equal the merged stages'
     seen = []
     with mock.patch.object(transforms.Stage, "apply", _boom), counting() as c:
         got = transforms.ntt_forward(a, pair.fwd_tw, pair.fwd_spec, schedule=pair.fwd_sched,
                                      on_level=lambda lvl, vals: seen.append(lvl))
-    assert seen == list(range(len(pair.fwd_sched.levels)))
+        rows = transforms.ntt_forward(np.array([a.coeffs, b.coeffs]), pair.fwd_tw, pair.fwd_spec,
+                                      on_level=lambda lvl, vals: seen.append(vals), ring=ring)
+        back = transforms.ntt_inverse(rows.rows(1), pair.inv_tw, pair.inv_spec,
+                                      on_level=lambda lvl, vals: seen.append(lvl))
+    levels = list(range(len(pair.fwd_sched.levels)))
+    assert seen[:len(levels)] == seen[-len(levels):] == levels
+    states = seen[len(levels):-len(levels)]
+    assert len(states) == len(levels) and states[-1] == rows.values.tolist() != states[-2]
+    assert back == b and rows == pair.forward(np.array([a.coeffs, b.coeffs]))
     with counting() as merged_c:
         assert got == pair.forward(a)
+        pair.forward(np.array([a.coeffs, b.coeffs]))
+        pair.inverse(rows.rows(1))
     assert c == merged_c
-    # a schedule built for one call never builds stage matrices
+    # a pair's schedules are the tables' own, so one-call transforms on a
+    # reused table build their stage matrices once
+    assert transforms.make_schedule(pair.fwd_spec, pair.fwd_tw, 64) is pair.fwd_sched
+    assert transforms.make_schedule(pair.inv_spec, pair.inv_tw, 64) is pair.inv_sched
     ftw, itw = tables_for(CC, 64, 7681)
     psi = modarith.find_root(128, 7681)
     psi_f = modarith.build_twiddles(psi, 128, 7681, modarith.BIT_REVERSED)
     psi_i = modarith.build_twiddles(psi, 128, 7681, modarith.BIT_REVERSED, inverse=True)
     fs = forward_specs(CC)[0]
-    with mock.patch.object(transforms.Schedule, "_stages", _boom):
+
+    def one_calls():
         ahat = transforms.ntt_forward(a, pair.fwd_tw, pair.fwd_spec)
         assert transforms.ntt_inverse(ahat, pair.inv_tw, pair.inv_spec) == a
         sh = transforms.nwc_forward_separate(a, ftw, psi_f, fs)
         assert transforms.nwc_inverse_separate(sh, itw, psi_i, inverse_specs_for(fs)[-1]) == a
+
+    one_calls()
+    with mock.patch.object(transforms.Schedule, "_stages", _boom):
+        one_calls()

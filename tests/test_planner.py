@@ -1,6 +1,7 @@
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from nttkit import bigmod, embed, modarith, planner, polymul, splitting, transforms, trinomial
@@ -160,12 +161,21 @@ def test_no_preset_product_runs_the_reference_kernel(monkeypatch, rng):
     ("composite", 8192, {"basis": (65537, 114689), "allow_bigmod": True}),
 ])
 def test_plans_at_or_above_2_31_run_the_array_kernel(monkeypatch, rng, prefer, q, kw):
-    # a transform modulus >= 2^31 runs object buffers, not the reference kernel
+    # a transform modulus >= 2^31 runs the object stages on object
+    # buffers, never the reference kernel
     def refuse(*args):
         raise AssertionError("a planned product ran the pure-Python kernel")
 
+    seen = set()
+    run_levels = transforms.run_levels
+
+    def record(buf, q, sched, *args, **kwargs):
+        seen.add((buf.dtype, sched.stage_class))
+        return run_levels(buf, q, sched, *args, **kwargs)
+
     monkeypatch.setattr(transforms, "ct_pass", refuse)
     monkeypatch.setattr(transforms, "gs_pass", refuse)
+    monkeypatch.setattr(transforms, "run_levels", record)
     ring = RingSpec(XN_PLUS_1, 64, q)
     plan = make_plan(ring, prefer, **kw)
     assert plan.strategy == prefer
@@ -173,6 +183,7 @@ def test_plans_at_or_above_2_31_run_the_array_kernel(monkeypatch, rng, prefer, q
     edge = Poly([q - 1] * ring.n, ring)
     for a, b in [(Poly.random(ring, rng), Poly.random(ring, rng)), (edge, edge)]:
         assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs
+    assert seen == {(np.dtype(object), (transforms.OBJECT, transforms.OBJECT_WIDTH))}
 
 
 def test_replaced_modulus_is_named_in_the_plan():

@@ -44,7 +44,7 @@ def test_alpha_zero_reduces_to_plain(rng):
 @pytest.mark.parametrize("alpha", [1, 2, 3])
 def test_strategies_match_oracle(form, alpha, rng):
     # 257 = 4n + 1 supports alpha+beta up to the grid below on int64
-    # buffers; 2151677953 = 1 (mod 2^22), above 2^31, on object buffers
+    # buffers; 2151677953 = 1 (mod 2^22), above 2^31, on the object stages
     n = 64
     for q in (257, 2151677953):
         need = (2 * n if form == XN_PLUS_1 else n) >> alpha

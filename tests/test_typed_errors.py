@@ -15,7 +15,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = """
 import sys
 
-from nttkit import bigmod, embed, modarith, planner, splitting, trinomial
+import numpy as np
+
+from nttkit import bigmod, embed, modarith, planner, polymul, splitting, transforms, trinomial
 from nttkit.errors import NttError
 from nttkit.rings import TRINOMIAL, XN_MINUS_1, XN_PLUS_1, Poly, RingSpec
 
@@ -57,6 +59,10 @@ expect(lambda: embed.schonhage_multiply(a, Poly.zero(RingSpec(XN_MINUS_1, 8, 97)
 # a given chain is checked on a power-of-two ring too: Schonhage(1, 3)
 # has length 6, and the pad 8
 expect(lambda: planner.make_plan(ring, chain=(embed.ZeroPad(8), embed.Schonhage(1, 3))))
+# a bare working buffer must have the modulus's dtype
+pair = polymul.make_transform_pair(RingSpec(XN_PLUS_1, 8, 17), 0)
+expect(lambda: transforms.ntt_forward(np.zeros(8), pair.fwd_tw, pair.fwd_spec))
+expect(lambda: transforms.ntt_inverse(np.zeros(8, dtype=np.int32), pair.inv_tw, pair.inv_spec))
 """
 
 
@@ -81,6 +87,8 @@ def test_checks_raise_typed_errors_under_python_O():
         "RingMismatch",
         "RingMismatch",
         "ChainMismatch",
+        "SpecViolation",
+        "SpecViolation",
     ]
 
 
