@@ -130,11 +130,11 @@ class GoodExecutor(bigmod.LiftedExecutor):
         inverse batch."""
         h, index, q = self.h, self.index, pair.ring.q
         X = transforms.ntt_forward(transforms.buffer(np.concatenate((x[index], y[index])), q),
-                                   pair.fwd_tw, pair.fwd_spec, schedule=pair.fwd_sched)
+                                   pair.fwd_tw, pair.fwd_spec)
         P = polymul.leaf_products(X[:h], X[h:], 1, q)
         polymul._count_leaves(h, False, P.size // h)
         out = np.empty(len(x), dtype=np.int64)
-        out[index] = transforms.ntt_inverse(P, pair.inv_tw, pair.inv_spec, schedule=pair.inv_sched)
+        out[index] = transforms.ntt_inverse(P, pair.inv_tw, pair.inv_spec)
         return out
 
 

@@ -227,9 +227,12 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
     full / incomplete / split-pt / split-k / hntt for friendly rings,
     bigprime / rns / composite for unfriendly ones (these require
     allow_bigmod when reached through "auto"), good / pad-pow2 /
-    schonhage for embeddings, and trinomial for that ring form.  A given
-    ``chain`` is the plan's embedding chain on every ring class, power
-    of two or not.  The plan's tables are built on its first multiply.
+    schonhage for embeddings, and trinomial for that ring form; with
+    "auto", a beta > 0 on a fully friendly ring plans incomplete.  A
+    given ``chain`` is the plan's embedding chain on every ring class,
+    power of two or not.  A route parameter that the chosen route does
+    not take raises ParameterCondition (``_refuse``).  The plan's tables
+    are built on its first multiply.
     """
     cls = classify(ring)
     n, q = ring.n, ring.q
@@ -247,27 +250,33 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
         return plan("embed", executor)
 
     if chain is not None:  # a given chain runs on every ring class
+        _refuse("embed", beta=beta, alpha=alpha, N=N, basis=basis)
         return chained(chain)
 
     if ring.form == TRINOMIAL and prefer in ("auto", "trinomial"):
+        _refuse("trinomial", beta=beta, alpha=alpha, N=N, basis=basis)
         checks.append(_cong_check(q, n, "trinomial order"))
         return plan("trinomial", trinomial.TrinomialExecutor(ring))
 
-    if cls.kind == POW2_FULL and prefer in ("auto", "full"):
+    if cls.kind == POW2_FULL and (prefer == "full" or prefer == "auto" and not beta):
+        _refuse("full", beta=beta or None, alpha=alpha, N=N, basis=basis)  # beta = 0 is full
         checks.append(_cong_check(q, _full_order(ring.form, n), "full transform"))
         return plan("full", bigmod.BigPrimeExecutor(ring, q))
 
     if cls.kind in (POW2_FULL, POW2_PARTIAL):
         t = cls.deficit
         if prefer in ("auto", "incomplete"):
+            _refuse("incomplete", alpha=alpha, N=N, basis=basis)
             b = beta if beta is not None else t
             checks.append(_cong_check(q, _full_order(ring.form, n) >> b, f"incomplete beta={b}"))
             return plan("incomplete", bigmod.BigPrimeExecutor(ring, q, b))
         if prefer in ("split-pt", "split-k"):
+            _refuse(prefer, beta=beta, N=N, basis=basis)
             a_ = alpha if alpha is not None else t
             checks.append(_cong_check(q, _full_order(ring.form, n) >> a_, f"split alpha={a_}"))
             return plan(prefer, splitting.SplitExecutor(ring, a_, 0, prefer == "split-k", False))
         if prefer == "hntt":
+            _refuse("hntt", N=N, basis=basis)
             a_ = alpha if alpha is not None else 0
             b = beta if beta is not None else max(t - a_, 0)
             checks.append(_cong_check(q, _full_order(ring.form, n) >> (a_ + b),
@@ -286,6 +295,7 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
         bound = bigmod.required_bound(n, q, prof)
         order = _full_order(ring.form, n) >> b
         if choice == "bigprime":
+            _refuse("bigprime", alpha=alpha, basis=basis)
             bigN = N if N is not None else search_prime(order, bound)
             checks.append((f"N={bigN} prime", is_prime(bigN)))
             checks.append(_cong_check(bigN, order, "lifted transform"))
@@ -296,6 +306,7 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
                 checks.extend(_cong_check(p, order, f"basis prime {p}") for p in basis)
             return plan("bigprime", bigmod.BigPrimeExecutor(ring, bigN, b, basis))
         if choice in ("rns", "composite"):
+            _refuse(choice, alpha=alpha, N=N)
             bs = bigmod.RnsBasis(tuple(basis)) if basis is not None else _search_basis(order, bound)
             for p in bs.primes:
                 checks.append(_cong_check(p, order, f"basis prime {p}"))
@@ -304,8 +315,18 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
             return plan(choice, route(ring, bs, b))
         raise NoStrategy(f"preference {prefer!r} does not apply to {cls.describe()}")
 
-    # non-power-of-two or general phi: embedding chains
-    return chained(_default_chain(ring, cls, prefer, N))
+    # non-power-of-two or general phi: embedding chains, N naming a lift
+    chain = _default_chain(ring, cls, prefer, N)
+    _refuse("embed", beta=beta, alpha=alpha, N=None if chain.lift else N, basis=basis)
+    return chained(chain)
+
+
+def _refuse(strategy: str, beta=None, alpha=None, N=None, basis=None) -> None:
+    """Refuse the given (not None) route parameters: the route takes none."""
+    if beta is not None or alpha is not None or N is not None or basis is not None:
+        given = {"beta": beta, "alpha": alpha, "N": N, "basis": basis}
+        raise ParameterCondition(f"route {strategy} does not take " + ", ".join(
+            f"{k}={v}" for k, v in given.items() if v is not None))
 
 
 def _search_basis(order: int, bound: int) -> bigmod.RnsBasis:
@@ -503,9 +524,9 @@ def matvec_multiply(Ahat, s, plan) -> list:
     q = ring.q
     A = transforms.buffer([[a.values for a in row] for row in Ahat], q)
     S = transforms.ntt_forward(transforms.buffer([sj.array for sj in s], q), pair.fwd_tw,
-                               pair.fwd_spec, schedule=pair.fwd_sched)
+                               pair.fwd_spec)
     rows = polymul.pointwise_sums(A, S, 1 << pair.beta, pair.leaf_vector, q)
-    rows = transforms.ntt_inverse(rows, pair.inv_tw, pair.inv_spec, schedule=pair.inv_sched)
+    rows = transforms.ntt_inverse(rows, pair.inv_tw, pair.inv_spec)
     return [Poly(r, ring) for r in rows]
 
 

@@ -25,7 +25,7 @@ and the split routes' plain cross sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -434,11 +434,11 @@ class TransformPair:
     """Resolved forward/inverse stage for one x^n +- 1 ring and beta.
 
     Uses the reorder-free pairing: forward natural -> bit-reversed,
-    inverse bit-reversed -> natural.  Each direction carries its
-    schedule, built with the tables and checked with them once, when the
-    pair is built, so ``product`` runs the array cores unchecked; the leaf
-    constants and the image of x are read-only buffers cached on first
-    use.  Immutable and shareable.
+    inverse bit-reversed -> natural.  Each direction runs its table's
+    schedule (``fwd_sched``, ``inv_sched``), checked with the tables once,
+    when the pair is built, so ``product`` runs the array cores unchecked;
+    the leaf constants and the image of x are read-only buffers cached on
+    first use.  Immutable and shareable.
     """
 
     ring: RingSpec
@@ -447,13 +447,13 @@ class TransformPair:
     inv_spec: TransformSpec
     fwd_tw: modarith.TwiddleTable
     inv_tw: modarith.TwiddleTable
-    fwd_sched: transforms.Schedule = field(compare=False, repr=False)
-    inv_sched: transforms.Schedule = field(compare=False, repr=False)
 
     def __post_init__(self):
-        transforms.forward_schedule(self.fwd_tw, self.fwd_spec, self.ring, self.fwd_sched)
-        transforms.inverse_schedule(self.inv_tw, self.inv_spec, self.fwd_spec, self.ring,
-                                    self.inv_sched)
+        transforms.forward_schedule(self.fwd_tw, self.fwd_spec, self.ring)
+        transforms.inverse_schedule(self.inv_tw, self.inv_spec, self.fwd_spec, self.ring)
+
+    fwd_sched = property(lambda self: transforms.make_schedule(self.fwd_spec, self.fwd_tw, self.ring.n))
+    inv_sched = property(lambda self: transforms.make_schedule(self.inv_spec, self.inv_tw, self.ring.n))
 
     @cached_property
     def leaf_vector(self) -> np.ndarray:
@@ -478,27 +478,23 @@ class TransformPair:
         """Forward transform of a Poly of the pair's ring, or of an array
         or list of its coefficients."""
         ring = None if isinstance(a, Poly) else self.ring
-        return transforms.ntt_forward(a, self.fwd_tw, self.fwd_spec, schedule=self.fwd_sched,
-                                      ring=ring)
+        return transforms.ntt_forward(a, self.fwd_tw, self.fwd_spec, ring=ring)
 
-    def inverse(self, ahat: NttDomainPoly, halving=False, as_buffer=False):
-        return transforms.ntt_inverse(ahat, self.inv_tw, self.inv_spec, halving=halving,
-                                      schedule=self.inv_sched, as_buffer=as_buffer)
+    def inverse(self, ahat: NttDomainPoly, as_buffer=False):
+        return transforms.ntt_inverse(ahat, self.inv_tw, self.inv_spec, as_buffer=as_buffer)
 
     def pointwise(self, A, B, use_karatsuba=False) -> NttDomainPoly:
         return pointwise_mul(A, B, self.leaf_vector, use_karatsuba)
 
-    def product(self, x, y, use_karatsuba=False, halving=False) -> np.ndarray:
+    def product(self, x, y, use_karatsuba=False) -> np.ndarray:
         """x*y in the pair's ring, for two length-n arrays of canonical
         coefficients, unchecked: both forward transforms as one batch of
         two, the leaf products and the inverse, on bare buffers; returns
         the product's buffer."""
         q = self.ring.q
-        X = transforms.ntt_forward(transforms.buffer((x, y), q), self.fwd_tw, self.fwd_spec,
-                                   schedule=self.fwd_sched)
+        X = transforms.ntt_forward(transforms.buffer((x, y), q), self.fwd_tw, self.fwd_spec)
         C = pointwise_rows(X[0], X[1], 1 << self.beta, self.leaf_vector, q, use_karatsuba)
-        return transforms.ntt_inverse(C, self.inv_tw, self.inv_spec, halving,
-                                      schedule=self.inv_sched)
+        return transforms.ntt_inverse(C, self.inv_tw, self.inv_spec)
 
 
 def check_pair_ring(ring: RingSpec, beta: int) -> None:
@@ -530,13 +526,12 @@ def make_transform_pair(ring: RingSpec, beta: int = 0, root: int | None = None) 
     inv_tw = build_twiddles(root, order, q, BIT_REVERSED, inverse=True)
     fwd = TransformSpec(kind, CT, FORWARD, NATURAL, BIT_REVERSED, beta)
     inv = fwd.inverse_of()
-    return TransformPair(ring, beta, fwd, inv, fwd_tw, inv_tw,
-                         transforms.make_schedule(fwd, fwd_tw, n), transforms.make_schedule(inv, inv_tw, n))
+    return TransformPair(ring, beta, fwd, inv, fwd_tw, inv_tw)
 
 
-def ntt_multiply(a: Poly, b: Poly, pair: TransformPair, use_karatsuba=False, halving=False) -> Poly:
+def ntt_multiply(a: Poly, b: Poly, pair: TransformPair, use_karatsuba=False) -> Poly:
     """forward(a) o forward(b), leaf products, inverse; exact in the ring."""
     if a.ring != pair.ring or b.ring != pair.ring:
         raise RingMismatch("operands do not live in the pair's ring")
-    return Poly(pair.product(a.array, b.array, use_karatsuba, halving), pair.ring)
+    return Poly(pair.product(a.array, b.array, use_karatsuba), pair.ring)
 

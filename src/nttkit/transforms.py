@@ -21,9 +21,10 @@ final scaling by (n/2^beta)^-1, which the last stage carries.
 
 ``level_geometry`` is the only derivation of this structure: a
 ``Schedule`` holds it per (spec, table, n), and ``butterfly_schedule``
-(``plan --trace``) walks a schedule's levels; the trinomial levels and
-the block transforms of the embeddings walk it too.  ``run_levels`` runs
-a schedule's merged stages on the working buffer that ``buffer`` picks
+yields its butterflies for ``plan --trace`` and for ``reference_rows``,
+the pure-Python reference kernel; the trinomial levels and the block
+transforms of the embeddings walk it too.  ``run_levels`` runs a
+schedule's merged stages on the working buffer that ``buffer`` picks
 from the modulus alone: int64 below 2^31, ``object`` (Python ints) at or
 above.
 
@@ -80,10 +81,9 @@ level's 2 x 2 butterfly matrices, which wider groups multiply entrywise
 (``Schedule._matrices``); an inverse schedule's last group also carries
 the factor 2^-levels, so no pass scales the buffer after the stages.
 ``make_schedule`` keeps one schedule per (spec, n) on its twiddle table,
-so a one-call transform on a reused table builds its stages once.  An
-``on_level`` caller runs the pure-Python reference kernel on a list copy
-of each row, which stays the test reference.  Both give identical
-values, and op counts always count the radix-2 levels.
+so a one-call transform on a reused table builds its stages once.  The
+merged stages and the reference kernel give identical values and op
+counts, which count the radix-2 levels.
 
 ``forward_rows`` and ``inverse_rows`` are the array cores of a
 transform: counted, in place on a bare buffer, and unchecked.
@@ -92,9 +92,9 @@ bare buffer (an ndarray, with no ring) they run the core on it and
 return it, as every planned route calls them between its forward
 transform and its inverse, so that a transform is one call whichever
 route runs it.  Given a Poly, or outside values with their ring, they
-are the public layer: they check the table, spec, ring and schedule,
-check outside values once as ``Poly`` checks its coefficients, and tag
-the result as an ``NttDomainPoly`` (an inverse may return a Poly).
+are the public layer: they check the table, spec and ring, check
+outside values once as ``Poly`` checks its coefficients, and tag the
+result as an ``NttDomainPoly`` (an inverse may return a Poly).
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ class NttDomainPoly:
 
 
 # ---------------------------------------------------------------------------
-# butterflies (reference kernels; the passes below inline the same math)
+# butterflies (the reference kernel ``reference_rows`` replays them)
 
 
 def butterfly_ct(u: int, v: int, w: int, m: int) -> tuple:
@@ -278,11 +278,11 @@ def level_geometry(spec: TransformSpec, m: int):
 
 def butterfly_schedule(sched: Schedule):
     """Yield (level, lo, hi, exponent) for each chunk butterfly of a
-    schedule's levels, in order.
+    schedule's levels, in order, with lo and hi counted in chunks.
 
-    Exponents index the table root directly (negated by inverse tables),
-    so replaying the schedule with butterfly_ct/butterfly_gs reproduces
-    the kernel exactly.
+    Exponents index the table root directly (negated by inverse tables);
+    replaying the schedule with butterfly_ct/butterfly_gs is the
+    reference kernel (``reference_rows``).
     """
     block_tw = _block_twiddled(sched.spec)
     for lvl, (nblocks, half, exps) in enumerate(sched.levels):
@@ -297,11 +297,10 @@ class Schedule:
     """The butterfly levels of one (spec, table, n), built once, never mutated.
 
     ``levels[l] = (nblocks, half, exponents)`` in execution order, with
-    ``half`` counted in chunks of ``chunk`` coefficients.  Each kernel
-    reads its twiddles from it, built on first use: ``stages`` (the
-    merged stages of ``stage_class``, see ``Stage`` and ``FloatStage``)
-    or ``passes`` (every butterfly's low position and twiddle, for the
-    reference kernel).
+    ``half`` counted in chunks of ``chunk`` coefficients.  The merged
+    stages of ``stage_class`` (see ``Stage`` and ``FloatStage``) are
+    built from it on first use; the reference kernel replays its
+    butterflies (``butterfly_schedule``).
     """
 
     spec: TransformSpec
@@ -309,26 +308,6 @@ class Schedule:
     n: int
     chunk: int
     levels: tuple
-
-    def _twiddles(self, exps) -> list:
-        nat = self.table.ordered(NATURAL)
-        return [nat[e] for e in exps]
-
-    @cached_property
-    def passes(self) -> tuple:
-        block_tw = _block_twiddled(self.spec)
-        chunk = self.chunk
-        out = []
-        for nblocks, half, exps in self.levels:
-            flat = half * chunk
-            zs = self._twiddles(exps)
-            lows = [b * 2 * flat + r for b in range(nblocks) for r in range(flat)]
-            if block_tw:
-                per = [z for z in zs for _ in range(flat)]
-            else:
-                per = [zs[r // chunk] for _ in range(nblocks) for r in range(flat)]
-            out.append((lows, per))
-        return tuple(out)
 
     @cached_property
     def factor(self) -> int:
@@ -438,7 +417,8 @@ class Schedule:
             return _reduce(M, q).reshape(-1, a * b, a * b)
         # one level: its butterfly matrix per block or offset, (u, v) ->
         # (u + w v, u - w v) for CT and (u + v, (u - v) w) for GS
-        w = np.array(self._twiddles(self.levels[lo][2]), dtype=dtype)
+        nat = self.table.ordered(NATURAL)
+        w = np.array([nat[e] for e in self.levels[lo][2]], dtype=dtype)
         m = np.ones((len(w), 2, 2), dtype=dtype)
         if self.spec.butterfly == CT:
             m[:, 0, 1] = w
@@ -653,31 +633,6 @@ def _limbs(mats, q: int) -> tuple:
 # the reference kernel and the driver
 
 
-def ct_pass(a, nblocks: int, half: int, chunk: int, tw, q: int) -> None:
-    """One CT level of the reference kernel on list ``a``, in place.
-
-    ``tw`` is the level's (low positions, twiddles), one per butterfly.
-    """
-    flat = half * chunk
-    for j, z in zip(*tw):
-        k = j + flat
-        t = z * a[k] % q
-        u = a[j]
-        a[j] = (u + t) % q
-        a[k] = (u - t) % q
-
-
-def gs_pass(a, nblocks: int, half: int, chunk: int, tw, q: int) -> None:
-    """One GS level of the reference kernel on list ``a``, in place."""
-    flat = half * chunk
-    for j, z in zip(*tw):
-        k = j + flat
-        u = a[j]
-        v = a[k]
-        a[j] = (u + v) % q
-        a[k] = (u - v) * z % q
-
-
 def mod_op(ufunc, u, v, q: int, tally: str) -> np.ndarray:
     """ufunc(u, v) mod q, a fresh buffer, counted as one ``tally`` op per entry of u."""
     c = modarith.active_counter()
@@ -703,95 +658,76 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def run_levels(buf, q: int, sched: Schedule, on_level=None) -> None:
-    """Apply ``sched`` to ``buf`` in place: its levels and, on an inverse
-    schedule, the factor 2^-levels (``Schedule.factor``); ``buf`` is one
-    length-n row, or every row of a (batch, n) array at once.
+def reference_rows(rows, sched: Schedule) -> None:
+    """The pure-Python reference kernel, on each list in ``rows`` in place:
+    ``butterfly_ct`` or ``butterfly_gs`` on every coefficient pair of
+    each chunk butterfly that ``butterfly_schedule`` yields, which count
+    their own ops, then ``Schedule.factor``, uncounted, as ``run_levels``
+    leaves that count to ``inverse_rows``."""
+    q, c, s = sched.table.modulus, sched.chunk, sched.factor
+    bf = butterfly_ct if sched.spec.butterfly == CT else butterfly_gs
+    nat = sched.table.ordered(NATURAL)
+    for _, lo, hi, e in butterfly_schedule(sched):
+        w, d = nat[e], (hi - lo) * c
+        for j in range(lo * c, lo * c + c):
+            for row in rows:
+                row[j], row[j + d] = bf(row[j], row[j + d], w, q)
+    if s != 1:
+        for row in rows:
+            for i, x in enumerate(row):
+                row[i] = x * s % q
 
-    A buffer runs the merged stages of the schedule's ``stage_class``
-    (one matmul per group of levels); the float64 classes run on one
-    float64 copy of it, taken once before the first stage, and write it
-    back canonical after the last.  A list, or a buffer given
-    ``on_level``, runs the pure-Python reference kernel (one loop over
-    each level's butterflies) on each row as a list, then the factor,
-    and a buffer's rows are written back afterwards;
-    ``on_level(level, values)`` sees the values after each level (a
-    buffer's as lists).  Both give the same values and op counts, which
-    count the radix-2 levels of every row.
+
+def run_levels(buf, sched: Schedule) -> None:
+    """Apply ``sched`` to working buffer ``buf`` in place: its levels and,
+    on an inverse schedule, the factor 2^-levels (``Schedule.factor``),
+    as the merged stages of its ``stage_class``, to one length-n row or
+    every row of a (batch, n) array at once.  The float64 classes run on
+    one float64 copy of it and write it back canonical after the last
+    stage.  Op counts count the radix-2 levels of every row, as
+    ``reference_rows`` does.
     """
-    vec = isinstance(buf, np.ndarray)
-    if vec and on_level is None:
-        if sched.stage_class[0] in (FLOAT64, FLOAT64_LIMB):
-            f = buf.astype(np.float64)
-            for stage in sched.stages:
-                stage.apply(f, q)
-            buf[...] = f  # centered: add q to the negative entries
-            buf += (buf >> 63) & q
-        else:
-            for stage in sched.stages:
-                stage.apply(buf, q)
+    q = sched.table.modulus
+    if sched.stage_class[0] in (FLOAT64, FLOAT64_LIMB):
+        f = buf.astype(np.float64)
+        for stage in sched.stages:
+            stage.apply(f, q)
+        buf[...] = f  # centered: add q to the negative entries
+        buf += (buf >> 63) & q
     else:
-        lists = buf.reshape(-1, sched.n).tolist() if vec else [buf]
-        level = ct_pass if sched.spec.butterfly == CT else gs_pass
-        for lvl, ((nblocks, half, _), tw) in enumerate(zip(sched.levels, sched.passes)):
-            for row in lists:
-                level(row, nblocks, half, sched.chunk, tw, q)
-            if on_level is not None:  # a buffer's rows as fresh lists, as tolist() gives them
-                on_level(lvl, buf if not vec else [r[:] for r in lists] if buf.ndim > 1
-                         else lists[0][:])
-        s = sched.factor
-        if s != 1:
-            for row in lists:
-                for i, x in enumerate(row):
-                    row[i] = x * s % q
-        if vec:
-            buf.reshape(-1, sched.n)[...] = lists
+        for stage in sched.stages:
+            stage.apply(buf, q)
     ctr = modarith.active_counter()
-    if ctr is not None:  # one butterfly per chunk pair on every level
-        rows = buf.size // sched.n if vec else 1
-        nbf = sum(nblocks * half for nblocks, half, _ in sched.levels) * sched.chunk * rows
+    if ctr is not None:  # n/2 butterflies per level on every row
+        nbf = len(sched.levels) * buf.size // 2
         ctr.mults += nbf
         ctr.adds += nbf
         ctr.subs += nbf
 
 
-def forward_rows(buf, sched: Schedule, on_level=None) -> np.ndarray:
+def forward_rows(buf, sched: Schedule) -> np.ndarray:
     """The array core of ``ntt_forward``: the levels of ``sched`` on the
     rows of contiguous working buffer ``buf``, in place and counted,
     unchecked; returns ``buf``."""
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.forward_transforms += buf.size // sched.n
-    run_levels(buf, sched.table.modulus, sched, on_level=on_level)
+    run_levels(buf, sched)
     return buf
 
 
-def inverse_rows(buf, sched: Schedule, halving=False, on_level=None) -> np.ndarray:
+def inverse_rows(buf, sched: Schedule) -> np.ndarray:
     """The array core of ``ntt_inverse`` (see ``forward_rows``).  The
     per-level factor 2 is deferred into one scaling by 2^-levels, i.e.
     (n/2^beta)^-1, which the schedule's last stage carries: counted as
-    one multiplication per entry when there are levels, or as folded
-    into each level when halving is set (odd q only; the values are the
-    same)."""
-    q = sched.table.modulus
-    if halving and q % 2 == 0:
-        raise SpecViolation("halving mode needs an odd modulus")
+    one multiplication per entry when there are levels."""
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.inverse_transforms += buf.size // sched.n
-        if not halving and sched.levels:
+        if sched.levels:
             ctr.mults += buf.size
-    run_levels(buf, q, sched, on_level)
+    run_levels(buf, sched)
     return buf
-
-
-def _checked_schedule(schedule, tw, spec, n: int) -> Schedule:
-    if schedule is None:
-        return make_schedule(spec, tw, n)
-    if schedule.table is not tw or schedule.n != n or (schedule.spec is not spec
-                                                        and schedule.spec != spec):
-        raise SpecViolation("schedule was built for another table, spec or length")
-    return schedule
 
 
 def _check_table(tw, spec, n, q, expect_inverse):
@@ -808,31 +744,30 @@ def _check_table(tw, spec, n, q, expect_inverse):
         raise OrderMismatch("table direction does not match the transform")
 
 
-def _bare_schedule(buf, tw, spec, schedule) -> Schedule:
-    """The checked schedule to run on bare working buffer ``buf``, whose
-    dtype must be the table modulus's (``buffer_dtype``)."""
+def _bare_schedule(buf, tw, spec) -> Schedule:
+    """The table's schedule (``make_schedule``) to run on bare working
+    buffer ``buf``, whose dtype must be the table modulus's
+    (``buffer_dtype``)."""
     want = buffer_dtype(tw.modulus)
     if buf.dtype != want:
         raise SpecViolation(f"a working buffer mod {tw.modulus} must be {np.dtype(want)}, "
                             f"not {buf.dtype}")
-    return _checked_schedule(schedule, tw, spec, buf.shape[-1])
+    return make_schedule(spec, tw, buf.shape[-1])
 
 
-def forward_schedule(tw, spec: TransformSpec, ring, schedule=None) -> Schedule:
-    """Every check of ``ntt_forward`` on its table, spec, ring (duck-typed)
-    and schedule; returns the schedule to run, the table's own
-    (``make_schedule``) when none is given."""
+def forward_schedule(tw, spec: TransformSpec, ring) -> Schedule:
+    """Every check of ``ntt_forward`` on its table, spec and ring
+    (duck-typed); returns the table's schedule (``make_schedule``)."""
     if spec.direction != FORWARD:
         raise SpecViolation("ntt_forward requires a forward spec")
     _check_table(tw, spec, ring.n, ring.q, expect_inverse=False)
     form = getattr(ring, "form", None)
     if form is not None and form != (XN_PLUS_1 if spec.conv_kind == NWC else XN_MINUS_1):
         raise SpecViolation(f"{spec.conv_kind} transform over ring form {form!r}")
-    return _checked_schedule(schedule, tw, spec, ring.n)
+    return make_schedule(spec, tw, ring.n)
 
 
-def inverse_schedule(tw_inv, spec: TransformSpec, fs: TransformSpec, ring,
-                     schedule=None) -> Schedule:
+def inverse_schedule(tw_inv, spec: TransformSpec, fs: TransformSpec, ring) -> Schedule:
     """``forward_schedule`` for ``ntt_inverse``: ``spec`` must undo forward spec ``fs``."""
     if spec.direction != INVERSE:
         raise SpecViolation("ntt_inverse requires an inverse spec")
@@ -841,7 +776,7 @@ def inverse_schedule(tw_inv, spec: TransformSpec, fs: TransformSpec, ring,
     if spec.in_order != fs.out_order:
         raise SpecViolation("inverse input ordering must match forward output")
     _check_table(tw_inv, spec, ring.n, ring.q, expect_inverse=True)
-    return _checked_schedule(schedule, tw_inv, spec, ring.n)
+    return make_schedule(spec, tw_inv, ring.n)
 
 
 def checked_rows(values, n: int, q: int) -> np.ndarray:
@@ -858,37 +793,34 @@ def frozen_rows(values, n: int, q: int) -> np.ndarray:
     return read_only(buffer(checked_rows(values, n, q), q))
 
 
-def ntt_forward(a, tw, spec: TransformSpec, on_level=None, schedule=None, ring=None) -> NttDomainPoly:
+def ntt_forward(a, tw, spec: TransformSpec, ring=None) -> NttDomainPoly:
     """Forward transform of a Poly, or, with ``ring``, of a length-n
     array or list of canonical residues over that ring (checked as
     ``Poly`` checks them), or of a (batch, n) array of them; returns
     tagged transform-domain values.
 
     The coefficients are copied once into a working buffer (``buffer``)
-    and the levels of ``schedule`` (the table's own when not given,
-    ``make_schedule``) then run in place on it, on every row at once
-    (``forward_rows``); the result holds that buffer.
-    ``on_level(level, values)`` sees the values after each level.
+    and the levels of the table's schedule (``make_schedule``) then run
+    in place on it, on every row at once (``forward_rows``); the result
+    holds that buffer.
 
     A bare working buffer (an ndarray, no ``ring``) is the planned
-    routes' core: transformed in place and returned, with only its dtype
-    and the schedule checked against ``tw`` and ``spec`` (``SpecViolation``
-    otherwise); the route's ``TransformPair`` checked the table, spec and
-    ring when it was built.
+    routes' core: transformed in place by the table's schedule and
+    returned, with only its dtype checked (``SpecViolation`` otherwise);
+    the route's ``TransformPair`` checked the table, spec and ring when
+    it was built.
     """
     if ring is None and isinstance(a, np.ndarray):
-        return forward_rows(a, _bare_schedule(a, tw, spec, schedule), on_level)
+        return forward_rows(a, _bare_schedule(a, tw, spec))
     if ring is None:
         ring, a = a.ring, a.array
     else:
         a = checked_rows(a, ring.n, ring.q)
-    sched = forward_schedule(tw, spec, ring, schedule)
-    buf = forward_rows(buffer(a, ring.q), sched, on_level)
+    buf = forward_rows(buffer(a, ring.q), forward_schedule(tw, spec, ring))
     return NttDomainPoly(buf, spec, ring, 1 << spec.beta)
 
 
-def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False, on_level=None,
-                schedule=None, as_buffer=False):
+def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, as_buffer=False):
     """Inverse transform back to a Poly, or with ``as_buffer`` to its
     buffer of canonical residues; exact inverse of ntt_forward, run by
     ``inverse_rows`` on a copy of ``ahat.values``, which is never
@@ -899,10 +831,9 @@ def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, halving=False,
     in ``ntt_forward``.
     """
     if isinstance(ahat, np.ndarray):
-        return inverse_rows(ahat, _bare_schedule(ahat, tw_inv, spec, schedule), halving, on_level)
+        return inverse_rows(ahat, _bare_schedule(ahat, tw_inv, spec))
     ring = ahat.ring
-    sched = inverse_schedule(tw_inv, spec, ahat.spec, ring, schedule)
-    buf = inverse_rows(buffer(ahat.values, ring.q), sched, halving, on_level)
+    buf = inverse_rows(buffer(ahat.values, ring.q), inverse_schedule(tw_inv, spec, ahat.spec, ring))
     return buf if as_buffer else Poly(buf, ring)
 
 
@@ -937,7 +868,7 @@ def _psi_powers(psi_tw, order: str, n: int) -> tuple:
     return psi_tw.ordered(BIT_REVERSED)[0 : 2 * n : 2]
 
 
-def nwc_forward_separate(a, cc_tw, psi_tw, spec: TransformSpec, on_level=None) -> NttDomainPoly:
+def nwc_forward_separate(a, cc_tw, psi_tw, spec: TransformSpec) -> NttDomainPoly:
     """Scale by psi powers, then run the plain cyclic forward transform."""
     if spec.conv_kind != CC or spec.direction != FORWARD or spec.beta != 0:
         raise SpecViolation("separate preprocessing wraps a full cyclic spec")
@@ -947,7 +878,7 @@ def nwc_forward_separate(a, cc_tw, psi_tw, spec: TransformSpec, on_level=None) -
     _check_table(cc_tw, spec, n, q, expect_inverse=False)
     buf = mod_op(np.multiply, buffer(a.array, q), buffer(_psi_powers(psi_tw, spec.in_order, n), q),
                  q, "mults")
-    forward_rows(buf, make_schedule(spec, cc_tw, n), on_level)
+    forward_rows(buf, make_schedule(spec, cc_tw, n))
     return NttDomainPoly(buf, spec, a.ring, 1)
 
 

@@ -1,9 +1,10 @@
 """The array kernels against the pure-Python reference kernels.
 
 Values and OpCounter tallies must be identical: the transforms on a
-working buffer against the same schedule run on a list, the leaf
-products against ``basecase_mul`` and the trinomial transform and leaves
-against ``trinomial_pointwise`` and the oracle.  Every sweep runs twice:
+working buffer against ``reference_rows``, which replays the same
+schedule's butterflies on a list, the leaf products against
+``basecase_mul`` and the trinomial transform and leaves against
+``trinomial_pointwise`` and the oracle.  Every sweep runs twice:
 over primes below 2^31 (int64 buffers) and over primes up to the 2^42
 ceiling (``object`` buffers of Python ints, the object stage class).  The
 buffer is picked by the modulus alone, so the tests after the sweeps pin
@@ -15,7 +16,7 @@ schedules included; the width rule is pinned at each of its boundaries,
 and every preset that runs a transform is shown to run no reference
 kernel.  A (batch, n) buffer runs every stage once for all its rows and
 must equal row-by-row runs and the reference kernel, with op counts per
-row, in either halving mode.
+row.
 """
 
 import dataclasses
@@ -87,7 +88,7 @@ def reference(values, q, tw, spec, n):
     an inverse schedule's factor 2^-levels included."""
     buf = list(values)
     with counting() as c:
-        transforms.run_levels(buf, q, transforms.make_schedule(spec, tw, n))
+        transforms.reference_rows([buf], transforms.make_schedule(spec, tw, n))
     return buf, c
 
 
@@ -95,7 +96,7 @@ def vector(values, q, tw, spec, n):
     x = transforms.buffer(values, q)
     assert x.dtype == buffer_dtype(q)
     with counting() as c:
-        transforms.run_levels(x, q, transforms.make_schedule(spec, tw, n))
+        transforms.run_levels(x, transforms.make_schedule(spec, tw, n))
     return x.tolist(), c
 
 
@@ -112,9 +113,9 @@ def test_transform_kernels_agree(primes, data, storage):
 
 
 @BUDGET
-@given(SIDES, st.data(), st.booleans())
-def test_public_transforms_match_reference(primes, data, halving):
-    # ntt_forward/ntt_inverse on their buffers against the reference passes
+@given(SIDES, st.data())
+def test_public_transforms_match_reference(primes, data):
+    # ntt_forward/ntt_inverse on their buffers against the reference kernel
     kind, n, q, beta, values = data.draw(transform_cases(primes))
     ftw, itw = tables_for(kind, n, q, beta)
     ring = ring_for(kind, n, q)
@@ -127,11 +128,10 @@ def test_public_transforms_match_reference(primes, data, halving):
     assert ahat.values.dtype == buffer_dtype(q)
     assert (ahat.values.tolist(), cf) == (want, rf)
     with counting() as ci:
-        back = transforms.ntt_inverse(ahat, itw, inv, halving=halving)
+        back = transforms.ntt_inverse(ahat, itw, inv)
     want, ri = reference(ahat.values.tolist(), q, itw, inv, n)
     ri.inverse_transforms += 1
-    if not halving:  # the factor (n/2^beta)^-1, counted once per entry
-        ri.mults += n
+    ri.mults += n  # the factor (n/2^beta)^-1, counted once per entry
     assert (back.coeffs, ci) == (want, ri)
     assert back.coeffs == values
 
@@ -197,14 +197,20 @@ def _boom(*args, **kwargs):
     raise AssertionError("this kernel must not run for this modulus")
 
 
+def no_reference():
+    """The reference kernel and its butterflies raising."""
+    return mock.patch.multiple(transforms, reference_rows=_boom, butterfly_ct=_boom,
+                               butterfly_gs=_boom)
+
+
 @contextmanager
 def on_reference():
-    """Every transform on the reference kernel, which a buffer runs for an
-    ``on_level`` caller, with the stages raising."""
-    run_levels = transforms.run_levels
-
-    def levels(buf, q, sched, on_level=None):
-        run_levels(buf, q, sched, on_level or (lambda lvl, vals: None))
+    """Every transform on the reference kernel, run on the rows as lists
+    and written back, with the stages raising."""
+    def levels(buf, sched):
+        rows = buf.reshape(-1, sched.n).tolist()
+        transforms.reference_rows(rows, sched)
+        buf.reshape(-1, sched.n)[...] = rows
 
     with mock.patch.object(transforms, "run_levels", levels), \
             mock.patch.object(transforms.Stage, "apply", _boom), \
@@ -229,7 +235,7 @@ def test_trinomial_kernels_agree(ring, data):
 
     # the merged stages: the reference kernel never runs; the buffer is
     # picked from q alone
-    with mock.patch.multiple(transforms, ct_pass=_boom, gs_pass=_boom):
+    with no_reference():
         results = [run()]
     # the same transforms on the reference kernel
     with on_reference():
@@ -299,22 +305,21 @@ def test_threshold_picks_the_kernel(direction, monkeypatch, rng):
             assert all(s.matrices.dtype == object and not s.matrices.flags.writeable
                        for s in sched.stages)
     # either side of 2^31 runs the merged stages, never the reference kernel
-    _forbid(monkeypatch, "ct_pass", "gs_pass")
+    _forbid(monkeypatch, "reference_rows", "butterfly_ct", "butterfly_gs")
     assert pair.y_domain.dtype == dtype and not pair.y_domain.flags.writeable
     with counting() as c:
         got = pair.forward(a)
     assert got.values.dtype == dtype
     assert (got.values.tolist(), c) == (want, ref)
     assert ntt_multiply(a, b, pair, use_karatsuba=True) == oracle_multiply(a, b)
-    # one stage tuple per direction: both halving modes run the same
-    # stages, the last carrying the inverse scaling, and give one result
+    # one stage tuple per direction, the last stage carrying the inverse
+    # scaling
     ran = []
     stage = transforms.FloatStage if direction < 0 else transforms.Stage
     apply = stage.apply
     monkeypatch.setattr(stage, "apply", lambda st, buf, q: ran.append(st) or apply(st, buf, q))
-    assert pair.inverse(got) == pair.inverse(got, halving=True) == a
-    assert list(map(id, ran)) == list(map(id, 2 * pair.inv_sched.stages))
-    assert "passes" not in vars(pair.fwd_sched) and "passes" not in vars(pair.inv_sched)
+    assert pair.inverse(got) == a
+    assert list(map(id, ran)) == list(map(id, pair.inv_sched.stages))
     # ... and the all-(q-1) product runs on them alone
     monkeypatch.setattr(transforms.FloatStage if direction > 0 else transforms.Stage, "apply", _boom)
     assert ntt_multiply(a, b, pair, use_karatsuba=True) == oracle_multiply(a, b)
@@ -432,7 +437,7 @@ def test_stages_leave_their_inputs_alone(rng):
     before = (A.values.copy(), B.values.copy())
     pair.pointwise(A, B, use_karatsuba=True)
     A.add(B), A.sub(B), A.scale(5)
-    pair.inverse(A), pair.inverse(B, halving=True)
+    pair.inverse(A), pair.inverse(B)
     assert (A.values.tolist(), B.values.tolist()) == (before[0].tolist(), before[1].tolist())
     # domain values compare by value, whatever the buffer
     assert A == NttDomainPoly(before[0].tolist(), A.spec, ring, 2) and A != B and A != A.values
@@ -500,9 +505,9 @@ def merged(values, q, sched):
     matrices are built."""
     assert sched.stages, "this schedule does not merge"
     x = transforms.buffer(values, q)
-    with mock.patch.multiple(transforms, ct_pass=_boom, gs_pass=_boom), \
-            mock.patch.object(other_class(sched), "apply", _boom), counting() as c:
-        transforms.run_levels(x, q, sched)
+    with no_reference(), mock.patch.object(other_class(sched), "apply", _boom), \
+            counting() as c:
+        transforms.run_levels(x, sched)
     return x.tolist(), c
 
 
@@ -589,9 +594,9 @@ def test_merged_trinomial_stages_match_reference(case, data):
             check_widths(sched)
             with counting() as c:
                 want = list(values)
-                transforms.run_levels(want, ring.q, sched)
+                transforms.reference_rows([want], sched)
             assert merged(values, ring.q, sched) == (want, c)
-    with mock.patch.multiple(transforms, ct_pass=_boom, gs_pass=_boom):
+    with no_reference():
         assert trinomial.trinomial_multiply(a, b, plan) == oracle_multiply(a, b)
 
 
@@ -619,55 +624,46 @@ def batch_cases(draw):
 @BUDGET
 @given(batch_cases())
 def test_run_levels_on_a_batch_matches_each_row(case):
-    # every spec, beta, halving mode, class and width, int64, float64 and
-    # object stages, through the array cores; the object class for every
-    # modulus from 2^31 up
+    # every spec, beta, class and width, int64, float64 and object stages,
+    # through the array cores; the object class for every modulus from
+    # 2^31 up
     kind, n, q, beta, k, rows = case
     ftw, itw = tables_for(kind, n, q, beta)
     runs = []
     for fs in forward_specs(kind, beta):
-        runs.append((fs, ftw, None))
-        runs += [(inv, itw, h) for inv in inverse_specs_for(fs) for h in (False, True)
-                 if q % 2 or not h]
-
-    def core(buf, sched, halving):
-        if halving is None:
-            return transforms.forward_rows(buf, sched)
-        return transforms.inverse_rows(buf, sched, halving)
+        runs.append((fs, ftw, transforms.forward_rows))
+        runs += [(inv, itw, transforms.inverse_rows) for inv in inverse_specs_for(fs)]
 
     with mock.patch.object(transforms, "STAGE_CAP", k):
-        for spec, tw, halving in runs:
+        for spec, tw, core in runs:
             wants = [reference(r, q, tw, spec, n) for r in rows]
             sched = transforms.make_schedule(spec, tw, n)
             assert (sched.stage_class[0] == transforms.OBJECT) == (q >= 2**31)
             batch = transforms.buffer(rows, q)
             assert batch.shape == (len(rows), n) and batch.dtype == buffer_dtype(q)
-            with mock.patch.multiple(transforms, ct_pass=_boom, gs_pass=_boom), \
-                    counting() as c:
-                core(batch, sched, halving)
+            with no_reference(), counting() as c:
+                core(batch, sched)
             for r, got, (want, one) in zip(rows, batch.tolist(), wants):
                 x = transforms.buffer(r, q)
-                core(x, sched, halving)
+                core(x, sched)
                 assert got == x.tolist() == want
-            # the inverse scaling: one multiplication per entry, or none
-            # when halving folds it into the levels
-            scale = (halving is False and bool(sched.levels)) * n
+            # the inverse scaling: one multiplication per entry
+            scale = (core is transforms.inverse_rows and bool(sched.levels)) * n
             assert (c.mults, c.adds, c.subs) == (len(rows) * (one.mults + scale),
                                                  len(rows) * one.adds, len(rows) * one.subs)
 
 
 @BUDGET
-@given(batch_cases(), st.booleans())
-def test_public_transforms_on_a_batch_match_each_row(case, halving):
+@given(batch_cases())
+def test_public_transforms_on_a_batch_match_each_row(case):
     # ntt_forward/ntt_inverse and the batched leaf products, counted per row
     kind, n, q, beta, _, rows = case
     ring = ring_for(kind, n, q)
     pair = make_transform_pair(ring, beta)
-    halving = halving and q % 2 == 1
     with counting() as c:
         A = pair.forward(transforms.buffer(rows, q))
         C = pair.pointwise(A, A.rows(0))
-        back = pair.inverse(C, halving=halving, as_buffer=True)
+        back = pair.inverse(C, as_buffer=True)
     a0 = pair.forward(Poly(rows[0], ring))
     with counting() as one:  # the same work, one row at a time
         for r, got_a, got_c, got_back in zip(rows, A.values, C.values, back):
@@ -675,7 +671,7 @@ def test_public_transforms_on_a_batch_match_each_row(case, halving):
             c_one = pair.pointwise(a, a0)
             assert got_a.tolist() == a.values.tolist()
             assert got_c.tolist() == c_one.values.tolist()
-            assert got_back.tolist() == pair.inverse(c_one, halving=halving).coeffs
+            assert got_back.tolist() == pair.inverse(c_one).coeffs
     assert c == one and c.forward_transforms == len(rows)
 
 
@@ -737,7 +733,7 @@ def test_width_rule_primes_match_object_buffers(k, form, rng):
         def run():
             pair = make_transform_pair(ring, 0)
             fwd = [pair.forward(a) for a in ops]
-            back = [pair.inverse(A, halving=h).coeffs for A in fwd for h in (False, True)]
+            back = [pair.inverse(A).coeffs for A in fwd]
             prods = [ntt_multiply(ops[0], b, pair).coeffs for b in ops]
             return [A.values.tolist() for A in fwd], back, prods, pair
 
@@ -918,9 +914,9 @@ def test_presets_run_the_merged_stages(rng):
     runs, seen = {}, {}
     run_levels = transforms.run_levels
 
-    def record(buf, q, sched, *args, **kwargs):
-        seen[name].setdefault(q, set()).add(sched.stage_class)
-        return run_levels(buf, q, sched, *args, **kwargs)
+    def record(buf, sched):
+        seen[name].setdefault(sched.table.modulus, set()).add(sched.stage_class)
+        return run_levels(buf, sched)
 
     with mock.patch.object(transforms, "run_levels", record):
         for name in preset_names():
@@ -933,7 +929,7 @@ def test_presets_run_the_merged_stages(rng):
              if classes and min(map(transforms.stage_width, classes)) >= 1}
     assert merge == PRESET_CLASSES
     # the reference kernel and the other stage class never run for them
-    with mock.patch.multiple(transforms, ct_pass=_boom, gs_pass=_boom):
+    with no_reference():
         for name, classes in PRESET_CLASSES.items():
             plan, (a, b) = runs[name]
             ((cls, _),) = set(classes.values())  # one class for every modulus of a preset
@@ -944,65 +940,40 @@ def test_presets_run_the_merged_stages(rng):
 
 def test_public_transforms_on_a_bare_buffer_run_the_core_in_place(rng):
     # the planned routes' entry: a bare buffer, no ring, transformed in
-    # place and returned untagged, with the counts of the tagged call
+    # place by the table's schedule and returned untagged, with the counts
+    # of the tagged call
     for q in (7681, 2151677953):  # int64 and object buffers
         ring = RingSpec(XN_PLUS_1, 64, q)
         pair = make_transform_pair(ring, 1)
         a = Poly.random(ring, rng)
         buf = transforms.buffer(a.array, q)
         with counting() as c:
-            got = transforms.ntt_forward(buf, pair.fwd_tw, pair.fwd_spec, schedule=pair.fwd_sched)
+            got = transforms.ntt_forward(buf, pair.fwd_tw, pair.fwd_spec)
         assert got is buf and type(got) is np.ndarray
         with counting() as tagged_c:
             assert got.tolist() == pair.forward(a).values.tolist()
         assert c == tagged_c
-        back = transforms.ntt_inverse(got, pair.inv_tw, pair.inv_spec, schedule=pair.inv_sched)
+        back = transforms.ntt_inverse(got, pair.inv_tw, pair.inv_spec)
         assert back is got and back.tolist() == a.coeffs
-        # the schedule must still be the one built from the table and spec
-        with pytest.raises(SpecViolation):
-            transforms.ntt_forward(buf, pair.inv_tw, pair.fwd_spec, schedule=pair.fwd_sched)
-        with pytest.raises(SpecViolation):
-            transforms.ntt_inverse(buf, pair.inv_tw, pair.inv_spec, schedule=pair.fwd_sched)
-        # and the buffer must have the modulus's dtype: any other raises
+        # the buffer must have the modulus's dtype: any other raises
         # before any arithmetic, on both sides of 2^31
         for dtype in (np.int32, np.float64, np.int64, object):
             if dtype is not buffer_dtype(q):
                 wrong = np.arange(64).astype(dtype)  # residues that fit every dtype
                 for run in (lambda: transforms.ntt_forward(wrong, pair.fwd_tw, pair.fwd_spec),
-                            lambda: transforms.ntt_inverse(wrong, pair.inv_tw, pair.inv_spec,
-                                                           schedule=pair.inv_sched)):
+                            lambda: transforms.ntt_inverse(wrong, pair.inv_tw, pair.inv_spec)):
                     with pytest.raises(SpecViolation, match="working buffer"):
                         run()
                     assert wrong.tolist() == list(range(64))
 
 
-def test_on_level_runs_the_reference_kernel_and_one_call_transforms_share_the_schedule(rng):
+def test_one_call_transforms_share_the_tables_schedule(rng):
+    # a pair's schedules are the tables' own, so one-call transforms on a
+    # reused table, tagged or on a bare buffer, build their stage matrices
+    # once
     ring = RingSpec(XN_PLUS_1, 64, 7681)
     pair = make_transform_pair(ring, 1)
-    a, b = Poly.random(ring, rng), Poly.random(ring, rng)
-    # an on_level caller runs the reference kernel on the pair's own
-    # schedule and sees every level, each row of a batch as a list; values
-    # and counts equal the merged stages'
-    seen = []
-    with mock.patch.object(transforms.Stage, "apply", _boom), counting() as c:
-        got = transforms.ntt_forward(a, pair.fwd_tw, pair.fwd_spec, schedule=pair.fwd_sched,
-                                     on_level=lambda lvl, vals: seen.append(lvl))
-        rows = transforms.ntt_forward(np.array([a.coeffs, b.coeffs]), pair.fwd_tw, pair.fwd_spec,
-                                      on_level=lambda lvl, vals: seen.append(vals), ring=ring)
-        back = transforms.ntt_inverse(rows.rows(1), pair.inv_tw, pair.inv_spec,
-                                      on_level=lambda lvl, vals: seen.append(lvl))
-    levels = list(range(len(pair.fwd_sched.levels)))
-    assert seen[:len(levels)] == seen[-len(levels):] == levels
-    states = seen[len(levels):-len(levels)]
-    assert len(states) == len(levels) and states[-1] == rows.values.tolist() != states[-2]
-    assert back == b and rows == pair.forward(np.array([a.coeffs, b.coeffs]))
-    with counting() as merged_c:
-        assert got == pair.forward(a)
-        pair.forward(np.array([a.coeffs, b.coeffs]))
-        pair.inverse(rows.rows(1))
-    assert c == merged_c
-    # a pair's schedules are the tables' own, so one-call transforms on a
-    # reused table build their stage matrices once
+    a = Poly.random(ring, rng)
     assert transforms.make_schedule(pair.fwd_spec, pair.fwd_tw, 64) is pair.fwd_sched
     assert transforms.make_schedule(pair.inv_spec, pair.inv_tw, 64) is pair.inv_sched
     ftw, itw = tables_for(CC, 64, 7681)
@@ -1014,6 +985,10 @@ def test_on_level_runs_the_reference_kernel_and_one_call_transforms_share_the_sc
     def one_calls():
         ahat = transforms.ntt_forward(a, pair.fwd_tw, pair.fwd_spec)
         assert transforms.ntt_inverse(ahat, pair.inv_tw, pair.inv_spec) == a
+        buf = transforms.buffer(a.array, 7681)
+        transforms.ntt_inverse(transforms.ntt_forward(buf, pair.fwd_tw, pair.fwd_spec),
+                               pair.inv_tw, pair.inv_spec)
+        assert buf.tolist() == a.coeffs
         sh = transforms.nwc_forward_separate(a, ftw, psi_f, fs)
         assert transforms.nwc_inverse_separate(sh, itw, psi_i, inverse_specs_for(fs)[-1]) == a
 

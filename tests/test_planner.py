@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from nttkit import bigmod, embed, modarith, planner, polymul, splitting, transforms, trinomial
-from nttkit.errors import NoStrategy, RingMismatch, ShapeCondition, SpecMismatch, UnknownPreset
+from nttkit.errors import (
+    NoStrategy, ParameterCondition, RingMismatch, ShapeCondition, SpecMismatch, UnknownPreset,
+)
 from nttkit.planner import (
     GENERAL_PHI,
     NON_POW2,
@@ -57,6 +59,43 @@ def test_make_plan_requires_bigmod_opt_in():
         make_plan(RingSpec(XN_PLUS_1, 256, 3328))
     plan = make_plan(RingSpec(XN_PLUS_1, 256, 3328), allow_bigmod=True)
     assert plan.strategy == "bigprime"
+
+
+DILITHIUM_RING = RingSpec(XN_PLUS_1, 256, 8380417)
+SABER_RING = RingSpec(XN_PLUS_1, 256, 8192)
+NTRU_RING = RingSpec(XN_MINUS_1, 509, 2048)
+
+
+def test_auto_plans_a_given_beta_on_a_fully_friendly_ring(rng):
+    for beta in (1, 2):
+        plan = make_plan(DILITHIUM_RING, beta=beta)
+        assert (plan.strategy, plan.beta) == ("incomplete", beta)
+        a, b = sample_operands(DILITHIUM_RING, plan, rng)
+        assert multiply(a, b, plan) == oracle_multiply(a, b)
+    # a full transform is beta = 0
+    for prefer in ("auto", "full"):
+        assert make_plan(DILITHIUM_RING, prefer, beta=0).strategy == "full"
+
+
+@pytest.mark.parametrize("ring, prefer, kw, named", [
+    (DILITHIUM_RING, "full", {"beta": 2}, "full does not take beta=2"),
+    (DILITHIUM_RING, "incomplete", {"alpha": 3}, "incomplete does not take alpha=3"),
+    (DILITHIUM_RING, "split-pt", {"beta": 1}, "split-pt does not take beta=1"),
+    (DILITHIUM_RING, "split-k", {"alpha": 1, "N": 7681}, "split-k does not take N=7681"),
+    (DILITHIUM_RING, "hntt", {"basis": (7681,)}, r"hntt does not take basis=\(7681,\)"),
+    (SABER_RING, "bigprime", {"basis": (7681, 10753)}, "bigprime does not take basis="),
+    (SABER_RING, "rns", {"N": 12345}, "rns does not take N=12345"),
+    (SABER_RING, "composite", {"alpha": 1}, "composite does not take alpha=1"),
+    (RingSpec(TRINOMIAL, 768, 7681), "trinomial", {"beta": 1}, "trinomial does not take beta"),
+    (NTRU_RING, "auto", {"beta": 1}, "embed does not take beta=1"),
+    (NTRU_RING, "schonhage", {"N": 12289}, "embed does not take N=12289"),
+    (DILITHIUM_RING, "auto", {"chain": (embed.ZeroPad(512), embed.PlainNtt(0)), "beta": 1},
+     "embed does not take beta=1"),
+], ids=["full", "incomplete", "split-pt", "split-k", "hntt", "bigprime", "rns", "composite",
+        "trinomial", "good", "schonhage", "chain"])
+def test_a_route_refuses_parameters_it_does_not_take(ring, prefer, kw, named):
+    with pytest.raises(ParameterCondition, match=named):
+        make_plan(ring, prefer, allow_bigmod=True, **kw)
 
 
 def test_search_prime_deterministic():
@@ -146,8 +185,8 @@ def test_no_preset_product_runs_the_reference_kernel(monkeypatch, rng):
     def refuse(*args):
         raise AssertionError("a planned product ran the pure-Python kernel")
 
-    monkeypatch.setattr(transforms, "ct_pass", refuse)
-    monkeypatch.setattr(transforms, "gs_pass", refuse)
+    for name in ("reference_rows", "butterfly_ct", "butterfly_gs"):
+        monkeypatch.setattr(transforms, name, refuse)
     for name in preset_names():
         ring, plan = preset(name)
         a, b = sample_operands(ring, plan, rng)
@@ -169,12 +208,12 @@ def test_plans_at_or_above_2_31_run_the_array_kernel(monkeypatch, rng, prefer, q
     seen = set()
     run_levels = transforms.run_levels
 
-    def record(buf, q, sched, *args, **kwargs):
+    def record(buf, sched):
         seen.add((buf.dtype, sched.stage_class))
-        return run_levels(buf, q, sched, *args, **kwargs)
+        return run_levels(buf, sched)
 
-    monkeypatch.setattr(transforms, "ct_pass", refuse)
-    monkeypatch.setattr(transforms, "gs_pass", refuse)
+    for name in ("reference_rows", "butterfly_ct", "butterfly_gs"):
+        monkeypatch.setattr(transforms, name, refuse)
     monkeypatch.setattr(transforms, "run_levels", record)
     ring = RingSpec(XN_PLUS_1, 64, q)
     plan = make_plan(ring, prefer, **kw)

@@ -272,13 +272,6 @@ def test_multiply_algebra(rng):
         assert lhs.coeffs == rhs.coeffs
 
 
-def test_halving_mode_pipeline(rng):
-    ring = RingSpec(XN_PLUS_1, 256, 3329)
-    pair = make_transform_pair(ring, 1)
-    a, b = Poly.random(ring, rng), Poly.random(ring, rng)
-    assert ntt_multiply(a, b, pair, halving=True).coeffs == ntt_multiply(a, b, pair).coeffs
-
-
 def test_twisted_pipeline_multiplies_cyclic(rng):
     # the GS-built domain carries the same chunk images as the CT-built
     # one, so the same leaf products drive a full multiplication

@@ -4,11 +4,13 @@ import pytest
 
 from conftest import direct_ntt_cc, direct_ntt_nwc, valid_qs
 
-from nttkit import transforms
+from nttkit import transforms, trinomial
 from nttkit.errors import OrderMismatch, SpecViolation
-from nttkit.modarith import BIT_REVERSED, NATURAL, bitrev, build_twiddles, counting, find_root, mod_inv
+from nttkit.modarith import (
+    BIT_REVERSED, NATURAL, OpCounter, bitrev, build_twiddles, counting, find_root, mod_inv,
+)
 from nttkit.polymul import make_transform_pair
-from nttkit.rings import Poly, RingSpec, XN_MINUS_1, XN_PLUS_1
+from nttkit.rings import TRINOMIAL, Poly, RingSpec, XN_MINUS_1, XN_PLUS_1
 from nttkit.transforms import (
     CC,
     CT,
@@ -16,7 +18,6 @@ from nttkit.transforms import (
     GS,
     INVERSE,
     NWC,
-    NttDomainPoly,
     TransformSpec,
     butterfly_ct,
     butterfly_gs,
@@ -165,20 +166,6 @@ def test_round_trip_all_pairings_with_beta(rng):
                         for inv in inverse_specs_for(fs):
                             assert ntt_inverse(ah, itw, inv).coeffs == a.coeffs, (
                                 kind, n, q, beta, fs.butterfly, fs.in_order, inv.butterfly)
-
-
-def test_halving_mode_equals_final_scaling(rng):
-    for kind in (CC, NWC):
-        n, q = 64, 7681
-        ftw, itw = tables_for(kind, n, q)
-        ring = ring_for(kind, n, q)
-        for fs in forward_specs(kind):
-            a = Poly.random(ring, rng)
-            ah = ntt_forward(a, ftw, fs)
-            for inv in inverse_specs_for(fs):
-                plain = ntt_inverse(ah, itw, inv)
-                halved = ntt_inverse(ah, itw, inv, halving=True)
-                assert plain.coeffs == halved.coeffs
 
 
 def test_ordering_duality(rng):
@@ -389,60 +376,57 @@ def test_passes_run_in_place_without_scratch(rng):
     fs = TransformSpec(NWC, CT, FORWARD, NATURAL, BIT_REVERSED)
     inv = fs.inverse_of()
     buf = [rng.randrange(q) for _ in range(n)]
-    # the schedules' reference-kernel twiddles are tables, built beforehand
+    # the schedules' levels and inverse factor are built beforehand
     f_sched, i_sched = transforms.make_schedule(fs, ftw, n), transforms.make_schedule(inv, itw, n)
-    assert f_sched.passes and i_sched.passes
+    assert f_sched.factor == 1 and i_sched.factor == mod_inv(n, q)
     # peak-over-final headroom: replacing the n value objects is inherent,
     # but a transient second length-n list would leave an 8 KiB+ gap
     tracemalloc.start()
-    transforms.run_levels(buf, q, f_sched)
+    transforms.reference_rows([buf], f_sched)
     cur_f, peak_f = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     tracemalloc.start()
-    transforms.run_levels(buf, q, i_sched)
+    transforms.reference_rows([buf], i_sched)
     cur_i, peak_i = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak_f - cur_f < n * 2
     assert peak_i - cur_i < n * 2
 
 
-def _replay(spec, tw, values, n, q):
-    """Per-level states of butterfly_ct/gs applied over butterfly_schedule."""
-    manual = list(values)
-    by_level = {}
-    for lvl, lo, hi, e in butterfly_schedule(transforms.make_schedule(spec, tw, n)):
-        by_level.setdefault(lvl, []).append((lo, hi, e))
-    states = []
-    for lvl in sorted(by_level):
-        for lo, hi, e in by_level[lvl]:
-            w = tw.power_of_base(e)
-            if spec.butterfly == CT:
-                manual[lo], manual[hi] = butterfly_ct(manual[lo], manual[hi], w, q)
-            else:
-                manual[lo], manual[hi] = butterfly_gs(manual[lo], manual[hi], w, q)
-        states.append(list(manual))
-    return states
+# (kind, n, q) of every stage class: int64, float64, float64 limbs, object
+REPLAY_TABLES = ((CC, 16, 97), (NWC, 16, 97), (NWC, 512, 12289), (CC, 64, 2013265921),
+                 (NWC, 64, 2151677953))
 
 
 def test_schedule_replay_matches_kernel(rng):
-    # applying butterfly_ct/gs over the published schedule reproduces the
-    # kernel level by level (the per-level recurrence cross-check), for
-    # every forward spec and every inverse spec that pairs with it
-    for kind in (CC, NWC):
-        n, q = 16, 97
-        ftw, itw = tables_for(kind, n, q)
-        ring = ring_for(kind, n, q)
-        for fs in forward_specs(kind):
-            a = Poly.random(ring, rng)
-            states = []
-            ntt_forward(a, ftw, fs, on_level=lambda lvl, vals: states.append(list(vals)))
-            assert _replay(fs, ftw, a.coeffs, n, q) == states, (kind, fs.butterfly, fs.in_order)
-            for inv in inverse_specs_for(fs):
-                ahat = NttDomainPoly(Poly.random(ring, rng).coeffs, fs, ring, 1)
-                states = []
-                ntt_inverse(ahat, itw, inv, on_level=lambda lvl, vals: states.append(list(vals)))
-                assert len(states) == 4
-                assert _replay(inv, itw, ahat.values, n, q) == states, (kind, inv.butterfly, inv.in_order)
+    # the reference kernel replays butterfly_schedule with butterfly_ct/gs;
+    # it equals the merged stages in values and op counts on every spec,
+    # beta 0-2, stage class and both trinomial schedules
+    scheds = []
+    for kind, n, q in REPLAY_TABLES:
+        for beta in range(3):
+            ftw, itw = tables_for(kind, n, q, beta)
+            for fs in forward_specs(kind, beta):
+                scheds.append(transforms.make_schedule(fs, ftw, n))
+                scheds += [transforms.make_schedule(inv, itw, n) for inv in inverse_specs_for(fs)]
+    plan = trinomial.make_plan(RingSpec(TRINOMIAL, 48, 97))
+    scheds += [plan.forward, plan.inverse]
+    classes = set()
+    for sched in scheds:
+        q = sched.table.modulus
+        rows = [[rng.randrange(q) for _ in range(sched.n)] for _ in range(2)]
+        buf = transforms.buffer(rows, q)
+        with counting() as merged:
+            transforms.run_levels(buf, sched)
+        with counting() as replay:
+            transforms.reference_rows(rows, sched)
+        assert (buf.tolist(), merged) == (rows, replay), (sched.spec, sched.n, q)
+        # one mult, add and sub per coefficient pair of every butterfly
+        pairs = 2 * sched.chunk * len(list(butterfly_schedule(sched)))
+        assert replay == OpCounter(pairs, pairs, pairs)
+        classes.add(sched.stage_class[0])
+    assert classes == {transforms.INT64, transforms.FLOAT64, transforms.FLOAT64_LIMB,
+                       transforms.OBJECT}
 
 
 def test_recursive_split_recurrence(rng):

@@ -59,6 +59,8 @@ expect(lambda: embed.schonhage_multiply(a, Poly.zero(RingSpec(XN_MINUS_1, 8, 97)
 # a given chain is checked on a power-of-two ring too: Schonhage(1, 3)
 # has length 6, and the pad 8
 expect(lambda: planner.make_plan(ring, chain=(embed.ZeroPad(8), embed.Schonhage(1, 3))))
+# a route refuses a parameter it does not take
+expect(lambda: planner.make_plan(RingSpec(XN_PLUS_1, 8, 17), "full", beta=1))
 # a bare working buffer must have the modulus's dtype
 pair = polymul.make_transform_pair(RingSpec(XN_PLUS_1, 8, 17), 0)
 expect(lambda: transforms.ntt_forward(np.zeros(8), pair.fwd_tw, pair.fwd_spec))
@@ -87,6 +89,7 @@ def test_checks_raise_typed_errors_under_python_O():
         "RingMismatch",
         "RingMismatch",
         "ChainMismatch",
+        "ParameterCondition",
         "SpecViolation",
         "SpecViolation",
     ]
