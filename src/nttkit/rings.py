@@ -89,9 +89,9 @@ def canonical(values, q: int) -> np.ndarray:
     entry an integer (Python or numpy) and canonical in [0, q).  The one
     check of coefficients and transform-domain values from outside."""
     a = np.asarray(values)
-    if a.dtype.kind not in "iu":  # floats, or ints past int64 (object): check each
+    if a.dtype.kind not in "iu":  # bools, floats, or ints past int64 (object): check each
         a = np.array(values, dtype=object)
-        if not all(isinstance(v, (int, np.integer)) for v in a.flat):
+        if not all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in a.flat):
             raise ValueError("coefficients must be integers")
     if a.size and (a.min() < 0 or a.max() >= q):
         raise ValueError("coefficients must be canonical in [0, q)")

@@ -18,8 +18,10 @@ are accumulated in the transform domain:
 The parts go through the inner pair's array cores as bare buffers, and
 the cross sums are arithmetic on them (``transforms.mod_op``,
 ``polymul.pointwise_rows`` and ``polymul.pointwise_sums``), on int64 or
-``object`` buffers alike.  Plans and one-shots run ``SplitExecutor``, a
-``bigmod.LiftedExecutor`` over q whose one table is the inner pair.
+``object`` buffers alike: k and h take the diagonal and pair-sum rows in
+one leaf pass, and every product by y is a rotation (``times_y``).  Plans
+and one-shots run ``SplitExecutor``, a ``bigmod.LiftedExecutor`` over q
+whose one table is the inner pair.
 """
 
 from __future__ import annotations
@@ -43,13 +45,16 @@ def _small_ring(parent: RingSpec, alpha: int) -> RingSpec:
 
 @lru_cache(maxsize=None)
 def _cross_layout(step: int) -> tuple:
-    """Read-only index arrays of ``step`` parts: the pairs i < j, the 0/1
-    matrix summing the diagonal and pair products by degree, and the
-    gather of A_0 .. A_(step-1), y A_1 .. y A_(step-1) into the plain sums."""
-    d = np.arange(step)
-    i, j = np.triu_indices(step, 1)
+    """Read-only integer matrices of ``step`` parts, pairs i < j: [A; B] to
+    [A; A_i + A_j; B; B_i + B_j]; the diagonal and pair products to the sums
+    by degree (each pair product less both diagonals); and the gather of
+    A_0 .. A_(step-1), y A_1 .. y A_(step-1) into the plain sums."""
+    d, (i, j), eye = np.arange(step), np.triu_indices(step, 1), np.eye(step, dtype=int)
+    kara = np.eye(step + len(i), dtype=int)
+    kara[step:, :step] -= eye[i] + eye[j]
     by_degree = (np.arange(2 * step - 1)[:, None] == np.concatenate((2 * d, i + j))).astype(int)
-    return tuple(map(transforms.read_only, (i, j, by_degree, (d[:, None] - d) % (2 * step - 1))))
+    sums = np.kron(np.eye(2, dtype=int), np.vstack((eye, eye[i] + eye[j])))
+    return tuple(map(transforms.read_only, (sums, by_degree @ kara, (d[:, None] - d) % (2 * step - 1))))
 
 
 def _split_product(x, y, alpha, inner, karatsuba_cross, karatsuba_leaf) -> np.ndarray:
@@ -58,27 +63,24 @@ def _split_product(x, y, alpha, inner, karatsuba_cross, karatsuba_leaf) -> np.nd
     forward as one batch, the cross sums are array arithmetic over it,
     and the 2^alpha parts of the product come back as one batch."""
     step, q, L = 1 << alpha, inner.ring.q, 1 << inner.beta
-    i, j, by_degree, shifted = _cross_layout(step)
-    parts = np.concatenate((x.reshape(-1, step).T, y.reshape(-1, step).T))
-    X = transforms.ntt_forward(transforms.buffer(parts, q), inner.fwd_tw, inner.fwd_spec)
-    A, B, yhat = X[:step], X[step:], inner.y_domain
-    pw = lambda U, V: polymul.pointwise_rows(U, V, L, inner.leaf_vector, q, karatsuba_leaf)
-    add = lambda u, v: transforms.mod_op(np.add, u, v, q, "adds")
-    sub = lambda u, v: transforms.mod_op(np.subtract, u, v, q, "subs")
+    pair_sums, combine, shifted = _cross_layout(step)
+    parts = transforms.buffer((x.reshape(-1, step).T, y.reshape(-1, step).T), q).reshape(2 * step, -1)
+    X = transforms.ntt_forward(parts, inner.fwd_tw, inner.fwd_spec)
     if karatsuba_cross:
         # S_d = sum_{l+k=d} A_l o B_k from the diagonal and one Karatsuba
-        # product per pair; part i of the product is S_i + y S_(step+i)
-        diag = pw(A, B)
-        cross = pw(add(A[i], A[j]), add(B[i], B[j]))
-        terms = np.concatenate((diag, sub(sub(cross, diag[i]), diag[j])))
-        S = by_degree @ terms % q
+        # product per pair, in one pass; part i of the product is S_i + y S_(step+i)
+        Z, h = pair_sums @ X % q, combine.shape[1]
+        S = combine @ polymul.pointwise_rows(Z[:h], Z[h:], L, inner.leaf_vector, q, karatsuba_leaf) % q
         ctr = modarith.active_counter()
-        if ctr is not None:  # every term after the first of each sum
-            ctr.adds += (len(terms) - len(S)) * S.shape[1]
-        S[: step - 1] = add(S[: step - 1], pw(yhat, S[step:]))
+        if ctr is not None:  # the pair sums, two subs per pair product, the sums by degree
+            ctr.adds += (len(Z) - len(X) + h - len(S)) * S.shape[1]
+            ctr.subs += 2 * (h - step) * S.shape[1]
+        S[: step - 1] = transforms.mod_op(np.add, S[: step - 1], inner.times_y(S[step:], karatsuba_leaf),
+                                          q, "adds")
         sums = S[:step]
     else:  # S_i = sum_(l <= i) A_l o B_(i-l) + sum_(l > i) y A_l o B_(step+i-l)
-        images = np.concatenate((A, pw(A[1:], yhat)))
+        A, B = X[:step], X[step:]
+        images = np.concatenate((A, inner.times_y(A[1:], karatsuba_leaf)))
         sums = polymul.pointwise_sums(images[shifted], B, L, inner.leaf_vector, q)
     return transforms.ntt_inverse(sums, inner.inv_tw, inner.inv_spec).T.ravel()
 

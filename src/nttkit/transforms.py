@@ -148,6 +148,11 @@ class TransformSpec:
             raise SpecViolation("negacyclic forward transforms require CT butterflies")
         if self.conv_kind == NWC and self.direction == INVERSE and self.butterfly != GS:
             raise SpecViolation("negacyclic inverse transforms require GS butterflies")
+        # hashed once: every bare-buffer transform looks its schedule up by (spec, n)
+        object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def table_order(self, n: int) -> int:
         """Required twiddle-table order for a length-n buffer."""

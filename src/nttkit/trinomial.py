@@ -10,10 +10,12 @@ After the split, each half x^(n/2) - psi^t (t = 1 resp. 5, in units of
 n/6) is a cyclic transform of n/6 length-3 chunks twisted by psi^t: a
 block twiddle of the cyclic schedule with exponent e becomes
 psi^(t*half + 6e), and the leaves x^3 - psi^(t + 6*brv(p)).  Both halves
-run as one forward and one inverse ``transforms.Schedule``.
-A plan runs ``TrinomialExecutor``, a ``bigmod.LiftedExecutor`` over q
-whose one table is the ``TrinomialPlan``, on bare buffers;
-``trinomial_forward`` and ``trinomial_inverse`` tag them at the public API.
+run as one forward and one inverse ``transforms.Schedule``; the split
+level stays unreduced where int64 stages take it (``lazy_split``), and
+the leaves are one ``polymul.leaf_rows`` pass.  A plan runs
+``TrinomialExecutor``, a ``bigmod.LiftedExecutor`` over q whose one
+table is the ``TrinomialPlan``, on bare buffers; ``trinomial_forward``
+and ``trinomial_inverse`` tag them at the public API.
 """
 
 from __future__ import annotations
@@ -51,6 +53,17 @@ class TrinomialPlan:
     def leaf_vector(self) -> np.ndarray:
         """The leaf constants as a read-only buffer mod q."""
         return transforms.read_only(transforms.buffer(self.leaf_constants, self.q))
+
+    @cached_property
+    def lazy_split(self) -> bool:
+        """Whether ``_forward_rows`` skips the split level's reductions.
+        Unreduced, t = z1 h < q^2 and l + t, h + l - t are at most q (q-1)
+        in magnitude; the first int64 stage sums w = 2^k of them times
+        canonical matrix entries, so below w q (q-1)^2, then takes % q.
+        Lazy where that is below 2^63; not before float stages or none."""
+        stages = self.forward.stages
+        return (self.forward.stage_class[0] == transforms.INT64 and bool(stages)
+                and stages[0].matrices.shape[-1] * self.q * (self.q - 1) ** 2 < 1 << 63)
 
     @property
     def n(self) -> int:
@@ -119,18 +132,20 @@ def make_plan(ring: RingSpec) -> TrinomialPlan:
 
 
 def _forward_rows(vals, plan: TrinomialPlan) -> np.ndarray:
-    """The array core of ``trinomial_forward``: the split level and the
-    radix-2 levels on the rows of ``vals``, in place and counted, unchecked."""
+    """The array core of ``trinomial_forward``: the split level (reduced
+    unless ``TrinomialPlan.lazy_split``) and the radix-2 levels on the rows
+    of canonical ``vals``, in place and counted, unchecked."""
     q, half, pairs = plan.q, plan.n // 2, vals.size // 2
     # split level: 1 mult, 2 adds, 1 sub per pair
     lo, hi = vals[..., :half], vals[..., half:]
     t = hi * plan.zeta1
-    t %= q
+    if not plan.lazy_split:
+        t %= q
     hi += lo
     hi -= t
-    hi %= q
     lo += t
-    lo %= q
+    if not plan.lazy_split:
+        vals %= q
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.mults += pairs
@@ -206,8 +221,7 @@ def _product(x, y, plan: TrinomialPlan) -> np.ndarray:
     """x*y for two arrays of canonical coefficients, unchecked, on bare
     buffers: both forward as one batch, the degree-2 leaves, the inverse."""
     X = _forward_rows(transforms.buffer((x, y), plan.q), plan)
-    U, V = (v.reshape(-1, 3).T for v in X)
-    vals = polymul.leaf_products(U, V, plan.leaf_vector, plan.q).T.ravel()
+    vals = polymul.leaf_rows(X[0], X[1], 3, plan.leaf_vector, plan.q)
     ctr = modarith.active_counter()
     if ctr is not None:
         leaves = len(plan.leaf_constants)

@@ -2,7 +2,7 @@ from math import isqrt, prod
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from nttkit import embed
@@ -148,6 +148,8 @@ def test_rns_basis_primes_must_be_below_2_31():
         rns_multiply(Poly.zero(ring), Poly.zero(ring), RnsBasis((5, 2147493889)), 0, (FULL_SMALL, 2))
 
 
+# derandomized, and each test pins @seed(0): a derandomized draw alone
+# would move with every edit of the test's source
 SWEEP = settings(
     max_examples=60,
     deadline=None,
@@ -216,6 +218,7 @@ def replaced_plans(draw):
 
 
 @SWEEP
+@seed(0)
 @given(replaced_plans())
 def test_replaced_moduli_match_the_oracle_and_one_big_prime(case):
     plan, primes, pairs, one_shot = case

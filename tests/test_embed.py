@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from nttkit import bigmod, embed, modarith, planner, polymul, trinomial
@@ -263,6 +263,8 @@ def test_odd_block_shapes_still_multiply(rng):
                 assert nussbaumer_multiply(a, b, m, n).coeffs == schoolbook_nwc(a, b).coeffs
 
 
+# derandomized, and each test pins @seed(0): a derandomized draw alone
+# would move with every edit of the test's source
 BLOCK_BUDGET = settings(
     max_examples=60,
     deadline=None,
@@ -299,6 +301,7 @@ def block_cases(draw):
 
 
 @BLOCK_BUDGET
+@seed(0)
 @given(block_cases())
 def test_block_embeddings_match_oracle(case):
     # the one-shot functions, and a chain plan that pads x^(mn) - x - 1

@@ -25,7 +25,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from test_transforms import forward_specs, inverse_specs_for, ring_for, tables_for
@@ -37,6 +37,8 @@ from nttkit.polymul import basecase_mul, make_transform_pair, ntt_multiply, orac
 from nttkit.rings import TRINOMIAL, XN_MINUS_1, XN_PLUS_1, Poly, RingSpec
 from nttkit.transforms import CC, NWC, NttDomainPoly, read_only
 
+# derandomized, and each test pins @seed(0): a derandomized draw alone
+# would move with every edit of the test's source
 BUDGET = settings(
     max_examples=60,
     deadline=None,
@@ -101,6 +103,7 @@ def vector(values, q, tw, spec, n):
 
 
 @BUDGET
+@seed(0)
 @given(SIDES, st.data(), st.sampled_from((modarith.BIT_REVERSED, modarith.NATURAL)))
 def test_transform_kernels_agree(primes, data, storage):
     # every spec variant: CC/NWC x CT/GS x input order, forward and inverse
@@ -113,6 +116,7 @@ def test_transform_kernels_agree(primes, data, storage):
 
 
 @BUDGET
+@seed(0)
 @given(SIDES, st.data())
 def test_public_transforms_match_reference(primes, data):
     # ntt_forward/ntt_inverse on their buffers against the reference kernel
@@ -148,6 +152,7 @@ def leaf_cases(draw, primes):
 
 
 @BUDGET
+@seed(0)
 @given(SIDES, st.data(), st.booleans())
 def test_leaf_products_match_basecase(primes, data, karatsuba):
     L, q, u, v, gammas = data.draw(leaf_cases(primes))
@@ -164,6 +169,7 @@ def test_leaf_products_match_basecase(primes, data, karatsuba):
 
 
 @BUDGET
+@seed(0)
 @given(SIDES, st.sampled_from((XN_MINUS_1, XN_PLUS_1)), st.integers(2, 6), st.data())
 def test_pointwise_mul_matches_basecase(primes, form, logn, data):
     n = 1 << logn
@@ -219,6 +225,7 @@ def on_reference():
 
 
 @BUDGET
+@seed(0)
 @given(st.sampled_from(TRINOMIAL_RINGS), st.data())
 def test_trinomial_kernels_agree(ring, data):
     a = Poly(data.draw(edge_or_random(ring.n, ring.q)), ring)
@@ -246,6 +253,7 @@ def test_trinomial_kernels_agree(ring, data):
 
 
 @BUDGET
+@seed(0)
 @given(SIDES, st.data(), st.integers(1, 40))
 def test_trinomial_leaves_match_pointwise(primes, data, leaves):
     q = data.draw(st.sampled_from(primes))
@@ -356,6 +364,11 @@ def test_poly_checks_every_entry_at_the_boundaries():
         for values in ([0, 1, bad, 3], np.array([0, 1, bad, 3])):
             with pytest.raises(ValueError, match="integers"):
                 Poly(values, ring)
+    # booleans are refused as floats are, though Python's bool is an int
+    for values in ([True] * 4, [True, False, True, True], np.ones(4, dtype=bool),
+                   np.array([True, 1, 2, 3], dtype=object)):
+        with pytest.raises(ValueError, match="integers"):
+            Poly(values, ring)
     for values in ([0, 1, 2], [0, 1, 2, 3, 4], [[0, 1], [2, 3]], np.zeros((1, 4), dtype=np.int64)):
         with pytest.raises(ValueError, match="coefficients"):
             Poly(values, ring)
@@ -377,6 +390,9 @@ def test_transform_domain_entries_check_at_the_boundaries(q):
     for n, entry in entries:
         good = [0, 1, q - 1] + [3] * (n - 3)
         entry(good), entry(np.array([good] * 2))
+        for values in ([True] * n, np.ones(n, dtype=bool), np.ones((2, n), dtype=bool)):
+            with pytest.raises(ValueError, match="integers"):
+                entry(values)
         for bad, match in ((0.5, "integers"), (1.0, "integers"), (-1, "canonical"),
                            (q, "canonical"), (q + 5, "canonical"), (2**63, "canonical")):
             row = [0, 1, bad] + [3] * (n - 3)
@@ -557,6 +573,7 @@ def merge_cases(draw):
 
 
 @BUDGET
+@seed(0)
 @given(merge_cases())
 def test_merged_stages_match_reference(case):
     # every spec (block- and offset-twiddled), beta, class and width
@@ -582,6 +599,7 @@ def trinomial_merge_cases(draw):
 
 
 @BUDGET
+@seed(0)
 @given(trinomial_merge_cases(), st.data())
 def test_merged_trinomial_stages_match_reference(case, data):
     # the chunk-3 schedules of both split halves, forward and inverse
@@ -622,6 +640,7 @@ def batch_cases(draw):
 
 
 @BUDGET
+@seed(0)
 @given(batch_cases())
 def test_run_levels_on_a_batch_matches_each_row(case):
     # every spec, beta, class and width, int64, float64 and object stages,
@@ -654,6 +673,7 @@ def test_run_levels_on_a_batch_matches_each_row(case):
 
 
 @BUDGET
+@seed(0)
 @given(batch_cases())
 def test_public_transforms_on_a_batch_match_each_row(case):
     # ntt_forward/ntt_inverse and the batched leaf products, counted per row

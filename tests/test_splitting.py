@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from nttkit import modarith
+from nttkit import modarith, polymul, transforms
 from nttkit.errors import BadAlpha, ParameterCondition
 from nttkit.modarith import OpCounter
 from nttkit.polymul import make_transform_pair, ntt_multiply, oracle_multiply
@@ -28,6 +29,27 @@ def test_y_domain_is_forward_of_x(form):
             pair = make_transform_pair(x.ring, beta)
             assert not pair.y_domain.flags.writeable
             assert pair.y_domain.tolist() == pair.forward(x).values.tolist(), (n, beta)
+
+
+@pytest.mark.parametrize("q", [7681, 2151677953], ids=["int64", "object"])
+def test_times_y_is_the_leaf_product_by_y(q, rng):
+    # the in-leaf rotation equals pointwise_rows(y_domain, S) in values and
+    # in op counts, on the inner pairs of alpha <= 3 and beta <= 2, with the
+    # 2^alpha - 1 rows a split product turns
+    for alpha in range(4):
+        ring = RingSpec(XN_PLUS_1, 64 >> alpha, q)
+        for beta in range(3):
+            pair, L = make_transform_pair(ring, beta), 1 << beta
+            S = transforms.buffer([[rng.randrange(q) for _ in range(ring.n)]
+                                   for _ in range((1 << alpha) - 1)], q).reshape(-1, ring.n)
+            S[:, L - 1 :: L] = q - 1  # the wrapped coefficient at its largest
+            for karatsuba in (False, True):
+                with modarith.counting() as want_ops:
+                    want = polymul.pointwise_rows(pair.y_domain, S, L, pair.leaf_vector, q, karatsuba)
+                with modarith.counting() as got_ops:
+                    got = pair.times_y(S, karatsuba)
+                assert got.dtype == want.dtype == transforms.buffer_dtype(q)
+                assert np.array_equal(got, want) and got_ops == want_ops, (alpha, beta)
 
 
 def test_alpha_zero_reduces_to_plain(rng):

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import tracemalloc
 
 import pytest
@@ -391,6 +393,19 @@ def test_passes_run_in_place_without_scratch(rng):
     tracemalloc.stop()
     assert peak_f - cur_f < n * 2
     assert peak_i - cur_i < n * 2
+
+
+def test_equal_specs_built_apart_share_one_schedule():
+    # a spec hashes once, by value: equal specs made apart find the same
+    # schedule on a table, and a spec that differs in one field does not
+    n, q = 64, 7681
+    ftw, _ = tables_for(NWC, n, q, beta=1)
+    fields = (NWC, CT, FORWARD, NATURAL, BIT_REVERSED, 1)
+    a, b = TransformSpec(*fields), TransformSpec(*fields)
+    assert a is not b and a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert transforms.make_schedule(a, ftw, n) is transforms.make_schedule(b, ftw, n)
+    assert a != dataclasses.replace(a, beta=0) and a != a.inverse_of()
+    assert pickle.loads(pickle.dumps(a)) == a and hash(pickle.loads(pickle.dumps(a))) == hash(a)
 
 
 # (kind, n, q) of every stage class: int64, float64, float64 limbs, object

@@ -1,8 +1,11 @@
+import itertools
 from math import gcd
 
 import pytest
 
+from nttkit import transforms
 from nttkit.errors import LengthMismatch, ParameterCondition, PlanMismatch
+from nttkit.modarith import is_prime
 from nttkit.polymul import reduce_mod_phi, schoolbook_linear
 from nttkit.rings import Poly, RingSpec, TRINOMIAL
 from nttkit.trinomial import (
@@ -126,3 +129,62 @@ def test_plan_mismatch_guard(rng):
         trinomial_forward(a.array, p2, a.ring)
     with pytest.raises(LengthMismatch):
         trinomial_forward(a.array[:3], p1, a.ring)
+
+
+def _split_primes(n, w):
+    """The primes q = 1 (mod n) either side of w q (q-1)^2 = 2^63: the
+    largest below the split level's lazy bound and the smallest past it."""
+    edge = round(((1 << 63) / w) ** (1 / 3))
+    while w * edge * (edge - 1) ** 2 < 1 << 63:
+        edge += 1
+    while w * edge * (edge - 1) ** 2 >= 1 << 63:
+        edge -= 1  # now the largest q with w q (q-1)^2 < 2^63
+    first = edge - (edge - 1) % n
+    below = next(q for q in range(first, 0, -n) if is_prime(q))
+    above = next(q for q in itertools.count(first + n, n) if is_prime(q))
+    return below, above
+
+
+# n = 12, 24, 96: one int64 stage of 1, 2 and 4 levels, w = 2, 4 and 16
+@pytest.mark.parametrize("n, w", [(12, 2), (24, 4), (96, 16)])
+@pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "reduced"])
+def test_split_level_reduces_only_past_its_bound(monkeypatch, n, w, lazy):
+    # all-(q-1) coefficients at the primes either side of the bound: below
+    # it the first stage takes the unreduced split (a canonical input there
+    # raises), past it the reduced one (a non-canonical input raises)
+    q = _split_primes(n, w)[0 if lazy else 1]
+    ring = RingSpec(TRINOMIAL, n, q)
+    plan = make_plan(ring)
+    assert plan.forward.stage_class[0] == transforms.INT64
+    assert plan.forward.stages[0].matrices.shape[-1] == w and plan.lazy_split == lazy
+    firsts, apply = [], transforms.Stage.apply
+
+    def first_stage(stage, buf, q):
+        if not firsts:
+            firsts.append(buf.copy())
+            if bool(buf.min() >= 0 and buf.max() < q) == lazy:
+                raise AssertionError("the other split path ran")
+        return apply(stage, buf, q)
+
+    monkeypatch.setattr(transforms.Stage, "apply", first_stage)
+    a = Poly([q - 1] * n, ring)
+    ahat = trinomial_forward(a, plan)
+    assert firsts and trinomial_inverse(ahat, plan) == a
+    assert trinomial_multiply(a, a, plan).coeffs == oracle(a, a)
+
+
+@pytest.mark.parametrize("q", [7, 13, 2147483713])
+def test_forward_without_radix2_levels_is_canonical(q):
+    # n = 6 has no radix-2 level after the split, so the split reduces:
+    # the domain type would refuse a non-canonical image
+    ring = RingSpec(TRINOMIAL, 6, q)
+    plan = make_plan(ring)
+    assert not plan.forward.levels and not plan.lazy_split
+    a = Poly([q - 1] * 6, ring)
+    assert trinomial_inverse(trinomial_forward(a, plan), plan) == a
+
+
+def test_split_level_reduces_before_float_stages():
+    # 9 levels (n = 3072) run float64 stages, which take canonical input
+    plan = make_plan(RingSpec(TRINOMIAL, 3072, 12289))
+    assert plan.forward.stage_class[0] == transforms.FLOAT64 and not plan.lazy_split
