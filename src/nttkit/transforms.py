@@ -23,7 +23,10 @@ final scaling by (n/2^beta)^-1, which the last stage carries.
 ``Schedule`` holds it per (spec, table, n), and ``butterfly_schedule``
 yields its butterflies for ``plan --trace`` and for ``reference_rows``,
 the pure-Python reference kernel; the trinomial levels and the block
-transforms of the embeddings walk it too.  ``run_levels`` runs a
+transforms of the embeddings walk it too.  A level is (nblocks, half,
+x), x its twiddle exponents or, where it is not a CT/GS butterfly (the
+trinomial split), its 2 x 2 matrices, counted as one butterfly per
+pair; both run the same.  ``run_levels`` runs a
 schedule's merged stages on the working buffer that ``buffer`` picks
 from the modulus alone: int64 below 2^31, ``object`` (Python ints) at or
 above.
@@ -77,13 +80,13 @@ stage may skip its reduction where the next stage's sums stay within
 stages does.  The last stage always reduces.
 
 A schedule builds its stage matrices on its first transform, from each
-level's 2 x 2 butterfly matrices, which wider groups multiply entrywise
+level's 2 x 2 matrices, which wider groups multiply entrywise
 (``Schedule._matrices``); an inverse schedule's last group also carries
 the factor 2^-levels, so no pass scales the buffer after the stages.
 ``make_schedule`` keeps one schedule per (spec, n) on its twiddle table,
 so a one-call transform on a reused table builds its stages once.  The
 merged stages and the reference kernel give identical values and op
-counts, which count the radix-2 levels.
+counts, which count one butterfly per pair of every level.
 
 ``forward_rows`` and ``inverse_rows`` are the array cores of a
 transform: counted, in place on a bare buffer, and unchecked.
@@ -234,6 +237,13 @@ def butterfly_gs(u: int, v: int, w: int, m: int) -> tuple:
     return modarith.mod_add(u, v, m), modarith.mod_mul(modarith.mod_sub(u, v, m), w, m)
 
 
+def butterfly_matrix(u: int, v: int, mat, m: int) -> tuple:
+    """(a*u + b*v, c*u + d*v) mod m for mat = [[a, b], [c, d]], counted as
+    one butterfly: the mult b*v, one add and one sub."""
+    (a, b), (c, d) = mat
+    return modarith.mod_add(a * u, modarith.mod_mul(b, v, m), m), modarith.mod_sub(c * u, -d * v, m)
+
+
 # ---------------------------------------------------------------------------
 # schedule: the one derivation of the level structure
 
@@ -282,27 +292,30 @@ def level_geometry(spec: TransformSpec, m: int):
 
 
 def butterfly_schedule(sched: Schedule):
-    """Yield (level, lo, hi, exponent) for each chunk butterfly of a
-    schedule's levels, in order, with lo and hi counted in chunks.
+    """Yield (level, lo, hi, x) for each chunk butterfly of a schedule's
+    levels, in order, with lo and hi counted in chunks.
 
-    Exponents index the table root directly (negated by inverse tables);
-    replaying the schedule with butterfly_ct/butterfly_gs is the
-    reference kernel (``reference_rows``).
+    x is an exponent, which indexes the table root directly (negated by
+    inverse tables), or, on a matrix level, the 2 x 2 matrix; replaying
+    the schedule with butterfly_ct/butterfly_gs and butterfly_matrix is
+    the reference kernel (``reference_rows``).
     """
     block_tw = _block_twiddled(sched.spec)
-    for lvl, (nblocks, half, exps) in enumerate(sched.levels):
+    for lvl, (nblocks, half, x) in enumerate(sched.levels):
         for i in range(nblocks):
             base = i * 2 * half
             for j in range(half):
-                yield lvl, base + j, base + j + half, exps[i if block_tw else j]
+                yield lvl, base + j, base + j + half, x[i if block_tw else j]
 
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
     """The butterfly levels of one (spec, table, n), built once, never mutated.
 
-    ``levels[l] = (nblocks, half, exponents)`` in execution order, with
-    ``half`` counted in chunks of ``chunk`` coefficients.  The merged
+    ``levels[l] = (nblocks, half, x)`` in execution order, with ``half``
+    counted in chunks of ``chunk`` coefficients and x one exponent per
+    block or per offset, or one canonical 2 x 2 matrix each in a read-only
+    stack (see the module docstring).  The merged
     stages of ``stage_class`` (see ``Stage`` and ``FloatStage``) are
     built from it on first use; the reference kernel replays its
     butterflies (``butterfly_schedule``).
@@ -316,11 +329,12 @@ class Schedule:
 
     @cached_property
     def factor(self) -> int:
-        """The scale that ends the schedule's map: 2^-levels mod q, i.e.
-        (n/2^beta)^-1, on an inverse schedule, else 1."""
+        """The scale that ends the schedule's map: 2^-k mod q over its k
+        CT/GS levels, i.e. (n/2^beta)^-1, on an inverse schedule, else 1."""
         if self.spec.direction == FORWARD:
             return 1
-        return modarith.mod_inv(1 << len(self.levels), self.table.modulus)
+        k = sum(not isinstance(x, np.ndarray) for _, _, x in self.levels)  # a matrix is its map
+        return modarith.mod_inv(1 << k, self.table.modulus)
 
     @cached_property
     def stages(self) -> tuple:
@@ -396,7 +410,7 @@ class Schedule:
         """The matrix stack of levels lo..hi-1 as one stage, one matrix per
         block or per offset (see ``Stage``), in ``dtype``.
 
-        One level is its 2 x 2 butterfly matrices, canonical.  Wider groups
+        One level is its 2 x 2 matrices, canonical.  Wider groups
         multiply the stacks of their two halves A (first) and B entrywise:
         A's levels move the high position bits ph (levels shrink) or the
         low ones pl (levels grow) and B's the others, so each entry
@@ -420,16 +434,20 @@ class Schedule:
             else:  # B[(pl, s), ph, ch] A[s, pl, cl]
                 M = B.reshape(a, -1, b, b).transpose(1, 2, 0, 3)[..., None] * A[:, None, :, None]
             return _reduce(M, q).reshape(-1, a * b, a * b)
-        # one level: its butterfly matrix per block or offset, (u, v) ->
+        # one level: its matrix per block or offset, given, or (u, v) ->
         # (u + w v, u - w v) for CT and (u + v, (u - v) w) for GS
-        nat = self.table.ordered(NATURAL)
-        w = np.array([nat[e] for e in self.levels[lo][2]], dtype=dtype)
-        m = np.ones((len(w), 2, 2), dtype=dtype)
-        if self.spec.butterfly == CT:
-            m[:, 0, 1] = w
+        x = self.levels[lo][2]
+        if isinstance(x, np.ndarray):
+            m = x.astype(dtype)
         else:
-            m[:, 1, 0] = w
-        m[:, 1, 1] = q - w
+            nat = self.table.ordered(NATURAL)
+            w = np.array([nat[e] for e in x], dtype=dtype)
+            m = np.ones((len(w), 2, 2), dtype=dtype)
+            if self.spec.butterfly == CT:
+                m[:, 0, 1] = w
+            else:
+                m[:, 1, 0] = w
+            m[:, 1, 1] = q - w
         # block twiddles: one matrix per block; else the same in every
         # block, one per offset
         return m if block_tw else np.repeat(m, self.chunk, axis=0)
@@ -665,15 +683,16 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 def reference_rows(rows, sched: Schedule) -> None:
     """The pure-Python reference kernel, on each list in ``rows`` in place:
-    ``butterfly_ct`` or ``butterfly_gs`` on every coefficient pair of
-    each chunk butterfly that ``butterfly_schedule`` yields, which count
-    their own ops, then ``Schedule.factor``, uncounted, as ``run_levels``
-    leaves that count to ``inverse_rows``."""
+    ``butterfly_ct``, ``butterfly_gs`` or ``butterfly_matrix`` on every
+    coefficient pair of each chunk butterfly that ``butterfly_schedule``
+    yields, which count their own ops, then ``Schedule.factor``,
+    uncounted, as ``run_levels`` leaves that count to ``inverse_rows``."""
     q, c, s = sched.table.modulus, sched.chunk, sched.factor
-    bf = butterfly_ct if sched.spec.butterfly == CT else butterfly_gs
+    bf_tw = butterfly_ct if sched.spec.butterfly == CT else butterfly_gs
     nat = sched.table.ordered(NATURAL)
-    for _, lo, hi, e in butterfly_schedule(sched):
-        w, d = nat[e], (hi - lo) * c
+    for _, lo, hi, x in butterfly_schedule(sched):
+        bf, w = (butterfly_matrix, x.tolist()) if isinstance(x, np.ndarray) else (bf_tw, nat[x])
+        d = (hi - lo) * c
         for j in range(lo * c, lo * c + c):
             for row in rows:
                 row[j], row[j + d] = bf(row[j], row[j + d], w, q)
@@ -689,8 +708,8 @@ def run_levels(buf, sched: Schedule) -> None:
     as the merged stages of its ``stage_class``, to one length-n row or
     every row of a (batch, n) array at once.  The float64 classes run on
     one float64 copy of it and write it back canonical after the last
-    stage.  Op counts count the radix-2 levels of every row, as
-    ``reference_rows`` does.
+    stage.  Op counts count one butterfly per pair of every level of every
+    row, as ``reference_rows`` does.
     """
     q = sched.table.modulus
     if sched.stage_class[0] in (FLOAT64, FLOAT64_LIMB):
@@ -725,11 +744,11 @@ def inverse_rows(buf, sched: Schedule) -> np.ndarray:
     """The array core of ``ntt_inverse`` (see ``forward_rows``).  The
     per-level factor 2 is deferred into one scaling by 2^-levels, i.e.
     (n/2^beta)^-1, which the schedule's last stage carries: counted as
-    one multiplication per entry when there are levels."""
+    one multiplication per entry where that is not 1."""
     ctr = modarith.active_counter()
     if ctr is not None:
         ctr.inverse_transforms += buf.size // sched.n
-        if sched.levels:
+        if sched.factor != 1:
             ctr.mults += buf.size
     run_levels(buf, sched)
     return buf
@@ -837,6 +856,8 @@ def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, as_buffer=Fals
     """
     if isinstance(ahat, np.ndarray):
         return inverse_rows(ahat, _bare_schedule(ahat, tw_inv, spec))
+    if not as_buffer and ahat.values.ndim != 1:
+        raise LengthMismatch(f"a batch of shape {ahat.values.shape} inverts only with as_buffer")
     ring = ahat.ring
     buf = inverse_rows(buffer(ahat.values, ring.q), inverse_schedule(tw_inv, spec, ahat.spec, ring))
     return buf if as_buffer else Poly(buf, ring)

@@ -10,10 +10,11 @@ After the split, each half x^(n/2) - psi^t (t = 1 resp. 5, in units of
 n/6) is a cyclic transform of n/6 length-3 chunks twisted by psi^t: a
 block twiddle of the cyclic schedule with exponent e becomes
 psi^(t*half + 6e), and the leaves x^3 - psi^(t + 6*brv(p)).  Both halves
-run as one forward and one inverse ``transforms.Schedule``; the split
-level stays unreduced where int64 stages take it (``lazy_split``), and
-the leaves are one ``polymul.leaf_rows`` pass.  A plan runs
-``TrinomialExecutor``, a ``bigmod.LiftedExecutor`` over q whose one
+run as one forward ``transforms.Schedule``, which opens with the split,
+one matrix [[1, z1], [1, z2]] on the pairs n/2 apart, and one inverse
+schedule, which ends with the unsplit, det^-1 [[z2, -z1], [-1, 1]] with
+det = z2 - z1; the leaves are one ``polymul.leaf_rows`` pass.  A plan
+runs ``TrinomialExecutor``, a ``bigmod.LiftedExecutor`` over q whose one
 table is the ``TrinomialPlan``, on bare buffers; ``trinomial_forward``
 and ``trinomial_inverse`` tag them at the public API.
 """
@@ -27,7 +28,7 @@ from math import gcd
 import numpy as np
 
 from . import bigmod, modarith, polymul, transforms
-from .errors import ParameterCondition, PlanMismatch
+from .errors import LengthMismatch, ParameterCondition, PlanMismatch
 from .modarith import find_root, is_prime, mod_inv
 from .rings import TRINOMIAL, Poly, RingSpec
 from .transforms import CYCLIC_BLOCK_PAIR
@@ -35,7 +36,8 @@ from .transforms import CYCLIC_BLOCK_PAIR
 
 @dataclass(frozen=True)
 class TrinomialPlan:
-    """Roots, constants, leaf order and the radix-2 schedules for one (n, q).
+    """Roots, constants, leaf order and the schedules, split level
+    included, for one (n, q).
 
     Built by make_plan and never mutated.
     """
@@ -53,17 +55,6 @@ class TrinomialPlan:
     def leaf_vector(self) -> np.ndarray:
         """The leaf constants as a read-only buffer mod q."""
         return transforms.read_only(transforms.buffer(self.leaf_constants, self.q))
-
-    @cached_property
-    def lazy_split(self) -> bool:
-        """Whether ``_forward_rows`` skips the split level's reductions.
-        Unreduced, t = z1 h < q^2 and l + t, h + l - t are at most q (q-1)
-        in magnitude; the first int64 stage sums w = 2^k of them times
-        canonical matrix entries, so below w q (q-1)^2, then takes % q.
-        Lazy where that is below 2^63; not before float stages or none."""
-        stages = self.forward.stages
-        return (self.forward.stage_class[0] == transforms.INT64 and bool(stages)
-                and stages[0].matrices.shape[-1] * self.q * (self.q - 1) ** 2 < 1 << 63)
 
     @property
     def n(self) -> int:
@@ -105,10 +96,13 @@ def check_ring(ring: RingSpec) -> None:
 _TWISTS = (1, 5)  # psi^(t*n/6) = zeta1, zeta2
 
 
-def _schedule(spec, tw, m: int) -> transforms.Schedule:
-    """Both split halves' twisted cyclic levels of m chunks as one schedule."""
+def _schedule(spec, tw, m: int, split) -> transforms.Schedule:
+    """Both split halves' twisted cyclic levels of m chunks as one schedule,
+    after the split level (matrix ``split`` mod q) forward, before it inverse."""
     levels = tuple((2 * nblocks, half, tuple(t * half + 6 * e for t in _TWISTS for e in exps))
                    for nblocks, half, exps in transforms.level_geometry(spec, m))
+    split = ((1, m, transforms.read_only(transforms.buffer([split], tw.modulus) % tw.modulus)),)
+    levels = split + levels if spec.direction == transforms.FORWARD else levels + split
     return transforms.Schedule(spec, tw, 6 * m, 3, levels)
 
 
@@ -126,71 +120,39 @@ def make_plan(ring: RingSpec) -> TrinomialPlan:
         raise ParameterCondition(f"leaf exponents {exps} do not cover the units mod n={n}")
     tw = modarith.build_twiddles(psi, n, q)
     consts = tuple(tw.power_of_base(e) for e in exps)
+    itw = modarith.build_twiddles(psi, n, q, inverse=True)
+    d = mod_inv((zeta2 - zeta1) % q, q)  # the unsplit: d [[z2, -z1], [-1, 1]]
     return TrinomialPlan(ring, psi, zeta1, zeta2, exps, consts,
-                         _schedule(CYCLIC_BLOCK_PAIR[0], tw, m),
-                         _schedule(CYCLIC_BLOCK_PAIR[1], modarith.build_twiddles(psi, n, q, inverse=True), m))
+                         _schedule(CYCLIC_BLOCK_PAIR[0], tw, m, [[1, zeta1], [1, zeta2]]),
+                         _schedule(CYCLIC_BLOCK_PAIR[1], itw, m, [[zeta2 * d, -zeta1 * d], [-d, d]]))
 
 
-def _forward_rows(vals, plan: TrinomialPlan) -> np.ndarray:
-    """The array core of ``trinomial_forward``: the split level (reduced
-    unless ``TrinomialPlan.lazy_split``) and the radix-2 levels on the rows
-    of canonical ``vals``, in place and counted, unchecked."""
-    q, half, pairs = plan.q, plan.n // 2, vals.size // 2
-    # split level: 1 mult, 2 adds, 1 sub per pair
-    lo, hi = vals[..., :half], vals[..., half:]
-    t = hi * plan.zeta1
-    if not plan.lazy_split:
-        t %= q
-    hi += lo
-    hi -= t
-    lo += t
-    if not plan.lazy_split:
-        vals %= q
+def _run(buf, sched: transforms.Schedule) -> np.ndarray:
+    """``transforms.forward_rows`` or ``inverse_rows`` of a plan's schedule
+    on ``buf``, counted with what the split costs beyond the butterfly per
+    pair its level counts: one more add forward (the high half is l + h -
+    z1 h), three more mults inverse (z2 l - z1 r, then det^-1 twice)."""
     ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.mults += pairs
-        ctr.adds += 2 * pairs
-        ctr.subs += pairs
-    return transforms.forward_rows(vals, plan.forward)
-
-
-def _inverse_rows(vals, plan: TrinomialPlan) -> np.ndarray:
-    """The array core of ``trinomial_inverse``: the radix-2 levels with
-    their scaling, then the unsplit (see ``_forward_rows``)."""
-    q, half, pairs = plan.q, plan.n // 2, vals.size // 2
-    transforms.inverse_rows(vals, plan.inverse)
-    # undo the split level exactly: invert [[1, z1], [1, z2]]
-    z1, z2 = plan.zeta1, plan.zeta2
-    det_inv = mod_inv((z2 - z1) % q, q)
-    l, r = vals[..., :half].copy(), vals[..., half:]
-    x = z2 * l - z1 * r
-    x %= q
-    x *= det_inv
-    vals[..., :half] = x
-    r -= l
-    r %= q
-    r *= det_inv
-    ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.mults += 4 * pairs
-        ctr.adds += pairs
-        ctr.subs += pairs
-    vals %= q
-    return vals
+    forward = sched.spec.direction == transforms.FORWARD
+    if ctr is not None and forward:
+        ctr.adds += buf.size // 2
+    elif ctr is not None:
+        ctr.mults += 3 * (buf.size // 2)
+    return (transforms.forward_rows if forward else transforms.inverse_rows)(buf, sched)
 
 
 def trinomial_forward(a, plan: TrinomialPlan, ring=None) -> TrinomialDomainPoly:
     """Forward transform of a Poly, or, with ``ring``, of a length-n array
     or list of canonical residues over that ring (checked as ``Poly``
     checks them), or of a (batch, n) array of them, into a fresh buffer;
-    every row runs at once (``_forward_rows``)."""
+    every row runs at once (``_run``)."""
     if ring is None:
         ring, a = a.ring, a.array
     else:
         a = transforms.checked_rows(a, ring.n, ring.q)
     if ring != plan.ring:
         raise PlanMismatch("polynomial ring does not match the plan")
-    return TrinomialDomainPoly(_forward_rows(transforms.buffer(a, plan.q), plan), plan)
+    return TrinomialDomainPoly(_run(transforms.buffer(a, plan.q), plan.forward), plan)
 
 
 def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan, as_buffer=False):
@@ -199,7 +161,9 @@ def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan, as_buffer=
     batch of rows runs at once and needs ``as_buffer``."""
     if ahat.plan is not plan and ahat.plan != plan:
         raise PlanMismatch("domain values were produced under a different plan")
-    vals = _inverse_rows(transforms.buffer(ahat.values, plan.q), plan)
+    if not as_buffer and ahat.values.ndim != 1:
+        raise LengthMismatch(f"a batch of shape {ahat.values.shape} inverts only with as_buffer")
+    vals = _run(transforms.buffer(ahat.values, plan.q), plan.inverse)
     return vals if as_buffer else Poly(vals, plan.ring)
 
 
@@ -220,14 +184,14 @@ def trinomial_pointwise(u, v, psi_j: int, q: int) -> list:
 def _product(x, y, plan: TrinomialPlan) -> np.ndarray:
     """x*y for two arrays of canonical coefficients, unchecked, on bare
     buffers: both forward as one batch, the degree-2 leaves, the inverse."""
-    X = _forward_rows(transforms.buffer((x, y), plan.q), plan)
+    X = _run(transforms.buffer((x, y), plan.q), plan.forward)
     vals = polymul.leaf_rows(X[0], X[1], 3, plan.leaf_vector, plan.q)
     ctr = modarith.active_counter()
     if ctr is not None:
         leaves = len(plan.leaf_constants)
         ctr.mults += 11 * leaves
         ctr.adds += 5 * leaves
-    return _inverse_rows(vals, plan)
+    return _run(vals, plan.inverse)
 
 
 def trinomial_multiply(a: Poly, b: Poly, plan: TrinomialPlan) -> Poly:

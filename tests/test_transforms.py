@@ -7,7 +7,7 @@ import pytest
 from conftest import direct_ntt_cc, direct_ntt_nwc, valid_qs
 
 from nttkit import transforms, trinomial
-from nttkit.errors import OrderMismatch, SpecViolation
+from nttkit.errors import LengthMismatch, OrderMismatch, SpecViolation
 from nttkit.modarith import (
     BIT_REVERSED, NATURAL, OpCounter, bitrev, build_twiddles, counting, find_root, mod_inv,
 )
@@ -414,9 +414,11 @@ REPLAY_TABLES = ((CC, 16, 97), (NWC, 16, 97), (NWC, 512, 12289), (CC, 64, 201326
 
 
 def test_schedule_replay_matches_kernel(rng):
-    # the reference kernel replays butterfly_schedule with butterfly_ct/gs;
-    # it equals the merged stages in values and op counts on every spec,
-    # beta 0-2, stage class and both trinomial schedules
+    # the reference kernel replays butterfly_schedule with butterfly_ct/gs
+    # and butterfly_matrix; it equals the merged stages in values and op
+    # counts on every spec, beta 0-2, stage class and both trinomial
+    # schedules, whose split and unsplit levels are matrix levels, in
+    # every class: n = 6 (the split alone), int64, object and float64
     scheds = []
     for kind, n, q in REPLAY_TABLES:
         for beta in range(3):
@@ -424,8 +426,9 @@ def test_schedule_replay_matches_kernel(rng):
             for fs in forward_specs(kind, beta):
                 scheds.append(transforms.make_schedule(fs, ftw, n))
                 scheds += [transforms.make_schedule(inv, itw, n) for inv in inverse_specs_for(fs)]
-    plan = trinomial.make_plan(RingSpec(TRINOMIAL, 48, 97))
-    scheds += [plan.forward, plan.inverse]
+    for n, q in ((6, 7), (48, 97), (96, 2147492353), (1536, 12289), (3072, 12289)):
+        plan = trinomial.make_plan(RingSpec(TRINOMIAL, n, q))
+        scheds += [plan.forward, plan.inverse]
     classes = set()
     for sched in scheds:
         q = sched.table.modulus
@@ -461,6 +464,19 @@ def test_recursive_split_recurrence(rng):
             w = pow(root, 2 * j + 1, q) if kind == NWC else pow(root, j, q)
             assert full[j] == (even[j] + w * odd[j]) % q
             assert full[j + n // 2] == (even[j] - w * odd[j]) % q
+
+
+def test_batch_inverse_needs_as_buffer():
+    # a batch inverts to a buffer only: without as_buffer the inverse
+    # refuses it with a typed error before any arithmetic
+    n, q = 16, 97
+    _, itw = tables_for(NWC, n, q)
+    fs = TransformSpec(NWC, CT, FORWARD, NATURAL, BIT_REVERSED)
+    ahat = transforms.NttDomainPoly([[1] * n, [2] * n], fs, ring_for(NWC, n, q))
+    with counting() as c, pytest.raises(LengthMismatch):
+        ntt_inverse(ahat, itw, fs.inverse_of())
+    assert c == OpCounter()
+    assert ntt_inverse(ahat, itw, fs.inverse_of(), as_buffer=True).shape == (2, n)
 
 
 def test_domain_poly_compat_guard(rng):
