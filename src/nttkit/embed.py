@@ -14,7 +14,7 @@ The block embeddings run in a ``BlockWorkspace``, int32 or int64 buffers
 nothing of the route's size.  A ``BlockExecutor`` owns a pool of them
 per dtype: none when the plan is built, one built on a product that
 finds its pool empty, one per thread that multiplied at once at most
-(2.4 MiB each for Schonhage(32, 32) over q = 4591, int32).  A workspace
+(1.4 MiB each for ``ntruprime-761-schonhage``, int32).  A workspace
 serves one product at a time; each one-shot runs its own executor.
 """
 
@@ -144,11 +144,14 @@ def good_multiply(a: Poly, b: Poly, h: int, k: int, inner_modulus: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# block arrays: shape (blocks, L, batch), one residue of Z_q[x]/(x^L + 1)
-# per block and batch column, int32 or int64 as ``block_route`` picks for
-# q.  The batch axis is last, so each gather copies whole rows and each
-# add runs over long contiguous runs.  Rows of products are (L, rows),
-# one column per product.
+# block transforms: each depth holds one residue of Z_q[x]/(x^L + 1) per
+# block and batch column, int32 or int64 as ``block_route`` picks for q,
+# in rows of coefficients with the batch last, so each gather copies whole
+# rows and each add runs on whole contiguous arrays.  A depth's batch is
+# (operand, rows): rows 1 at the top and, one depth down, a column for
+# each block of every depth above.  Where each block's coefficient lies
+# between two steps is compiled into the gathers (``_levels``,
+# ``block_schedule``).
 
 
 def block_shape_fault(step) -> str | None:
@@ -201,22 +204,44 @@ def _rotation(t, L: int):
 
 @dataclass(frozen=True)
 class BlockLevel:
-    """One butterfly level of a block transform, for every row alike.
+    """One butterfly level of a block transform, for every row alike, as
+    one row gather and whole-array arithmetic: the sums u + v and, unless
+    ``sums``, the differences u - v of what it gathers.
 
-    ``index`` gathers, from the flat (blocks * L, batch) view, the rows
-    that the level rotates: the upper butterfly halves (forward) or the
-    compact (nblocks, half, L) differences u - v (inverse).  ``sign``
-    negates those that wrapped: one column in a schedule, the depth's
-    whole batch width in a route (``block_route``), and None there on a
-    level that gathers nothing.  ``subs`` counts the negations of one
-    batch column.
+    ``index`` gathers the level's upper halves v, then its last ``ups``
+    rows the lower halves u, from the rows of its input: one output row
+    per entry, the concatenation of the chunks that the trailing index
+    axes name, each of ``width`` entries (None: the input's own row
+    width).  A level writes its sums and differences as the two
+    contiguous halves of its output, rows in the order (group, row of its
+    half, coefficient), each row a run of as many coefficients as every
+    rotation of the level keeps together, so each add runs on whole
+    arrays; the schedule tracks where each block's coefficient lands.
+
+    Forward, v arrives rotated by its group's twiddle, and a row that
+    wrapped is negated: its sum is the butterfly's lower output and its
+    difference the upper one, swapped, where the schedule says.  The last
+    level of a depth writes a layout that the next step reads whole, so
+    ``sign`` negates its wrapped rows instead.  Inverse, the next level
+    reads the differences rotated, and a difference whose rotation wraps
+    is gathered as v - u.
+
+    ``rows`` is nblocks * half * L, the rows of a half in the natural
+    layout, and ``subs`` counts the negations of one batch column.  A
+    level without ``index`` gathers nothing (see ``_block_ntt``).  The
+    index stays writable: numpy's ``take`` copies a read-only index on
+    every call.
     """
 
     nblocks: int
     half: int
-    index: np.ndarray
-    sign: np.ndarray | None
+    rows: int
     subs: int
+    index: np.ndarray | None = None
+    ups: int = 0
+    width: int | None = None
+    sign: np.ndarray | None = None
+    sums: bool = False
 
 
 @dataclass(frozen=True)
@@ -225,50 +250,189 @@ class BlockDepth:
     step whose 2n blocks it transforms, their length L (2m for a
     Schoenhage step, 2n for a Nussbaumer one), ``live``, how many leading
     input blocks can be nonzero, ``keep``, how many leading output blocks
-    are read, and the levels of both directions.  A Schoenhage step
-    (always the top depth) reads and writes all 2n blocks; a Nussbaumer
-    step's input is its m parts, and its fold reads m + min(m - 1, L - m)
-    parts of the output."""
+    are read, the levels of both directions (``_levels``), and the gathers
+    that finish its product: a Nussbaumer depth's ``fold``, the rows that
+    x^m = y adds to its first min(m - 1, L - m) parts, and the top's
+    ``unblock``, the rows of its block products' low and high halves that
+    y = x^m adds (Schoenhage).  ``source`` is how many coefficients of
+    each operand the top depth reads (0 below it).  A Schoenhage step
+    (always the top depth) has ceil(source/m) live blocks and writes all
+    2n; a Nussbaumer step's input is its m parts, and its fold reads
+    m + min(m - 1, L - m) parts of the output."""
 
     step: object
     L: int
     live: int
     keep: int
+    source: int
     forward: tuple
     inverse: tuple
+    fold: np.ndarray | None = None
+    unblock: tuple = ()
 
 
-def _block_levels(blocks: int, L: int, stride: int, inverse: bool) -> tuple:
-    """The BlockLevels of one direction of a ``blocks``-point transform of
-    length-L blocks with twiddles x^(stride * e)."""
-    levels = []
-    for nblocks, half, exps in transforms.level_geometry(CYCLIC_BLOCK_PAIR[inverse], blocks):
-        e = stride * np.array(exps)  # one exponent per transform block
-        index, sign = _rotation(-e if inverse else e, L)
-        first = np.arange(nblocks) * half if inverse else (2 * np.arange(nblocks) + 1) * half
-        at = (first[:, None] + np.arange(half))[:, :, None] * L + index[:, None, :]
-        sign = np.repeat(sign[:, None, :], half, axis=1).reshape(-1, 1)
-        levels.append(BlockLevel(nblocks, half, at.ravel(), sign, int((sign < 0).sum())))
-    return tuple(levels)
+def _widen(index: np.ndarray, width) -> tuple:
+    """A gather index of chunks, (rows, ..., n), and its chunk width, as
+    one of wider chunks: the longest runs of d consecutive, aligned chunks
+    along its last axis become single chunks d times wider, repeated while
+    whole axes merge, so each gather copies rows as wide as it can."""
+    while index.ndim > 1 and width is not None:
+        n = index.shape[-1]
+        for d in range(n, 0, -1):  # d = 1 always merges
+            runs = index.reshape(*index.shape[:-1], -1, d) if n % d == 0 else None
+            if runs is not None and np.array_equal(runs, runs[..., :1] + np.arange(d)) and not (runs[..., 0] % d).any():
+                index, width = runs[..., 0] // d, width * d
+                break
+        if d < n:
+            break
+        index = index[..., 0]
+    return np.ascontiguousarray(index), width
 
 
-def block_schedule(step) -> tuple:
+def _levels(at: np.ndarray, width, L: int, stride: int, inverse: bool, span: int | None = None,
+            ops: int = 1, own=None) -> tuple:
+    """The BlockLevels of one direction of a ``len(at)``-point transform of
+    length-L blocks with twiddles x^(stride * e), and where each block's
+    coefficient lands after the last level.
+
+    ``at``, (blocks, L, *chunks), names the input's rows: block b's
+    coefficient l is the concatenation of chunks ``at[b, l]``, each of
+    ``width`` entries (None: the input's own rows).  The levels whose
+    halves hold at least ``span`` blocks gather nothing: forward, the
+    leading ones that find only zero upper halves (all but the last), so
+    block k holds input block k mod (blocks >> c) after c of them, and the
+    first level that gathers reads through that map, its lower halves
+    once for every group when c > 0; inverse, the trailing ones whose
+    differences are never read, which gather and add only (their upper
+    halves map to row 0: no kept block reads them).  A level's output
+    rows have ``ops`` chunks of ``own`` entries.  With ``ops`` > 1 (the
+    two operands, forward) the last level's rows are (operand,
+    coefficient, group, row of its half) instead, each of ``own``
+    entries, so each of its halves holds, for every operand and
+    coefficient, half the blocks side by side.  Returns (levels, map), the
+    map an ``at`` of the output, or with ``ops`` > 1 the column each block
+    lands in."""
+    blocks = len(at)
+    geometry = list(transforms.level_geometry(CYCLIC_BLOCK_PAIR[inverse], blocks))
+    free = 0 if span is None else sum(h >= span for _, h, _ in geometry)
+    copies = 0 if inverse else min(free, len(geometry) - 1)
+    wrap, levels = blocks >> copies, []
+    for k, (nb, h, exps) in enumerate(geometry):
+        e = (-1 if inverse else 1) * stride * np.array(exps)
+        index, sign = _rotation(e, L)
+        subs = h * int((sign < 0).sum())
+        if k < copies:
+            levels.append(BlockLevel(nb, h, nb * h * L, subs))
+            continue
+        g, i, l = np.ogrid[:nb, :h, :L]
+        lower, upper = (2 * h * g + i) % wrap, (2 * h * g + h + i) % wrap
+        rot = index[g, l]
+        signs = np.broadcast_to(sign[g, l], (nb, h, L))
+        last = ops > 1 and k == len(geometry) - 1
+        gi, ii, li = np.broadcast_arrays(g, i, l)
+        if inverse:  # difference row (g, i, rot[l]) lands at coefficient l of block 2hg + h + i
+            u, v = at[lower, l], at[upper, l]
+            flipped = np.empty((nb, h, L), dtype=bool)
+            flipped[gi, ii, rot[gi, 0, li]] = signs < 0
+            flipped = flipped.reshape(*flipped.shape, *[1] * (u.ndim - 3))
+            u, v = np.where(flipped, v, u), np.where(flipped, u, v)
+        else:
+            u, v = at[lower[:1] if k == copies > 0 and not last else lower, l], at[upper, rot]
+        if last:  # rows (operand, coefficient, group, row of its half)
+            order = (3, 2, 0, 1, *range(4, u.ndim))
+            u, v, signs = u.transpose(order), v.transpose(order), np.broadcast_to(
+                signs.transpose(2, 0, 1), (ops, L, nb, h))
+            c, chunks = 1, u.shape[4:]
+        else:  # rows of c coefficients: every rotation moves whole runs of c
+            c, chunks = int(np.gcd.reduce(np.append(e % L, L))), u.shape[3:]
+        u, v = u.reshape(-1, c, *chunks), v.reshape(-1, c, *chunks)
+        both, w = _widen(np.concatenate((v, u)), width)
+        sign = transforms.read_only(signs.reshape(-1, 1).copy()) if last else None
+        pruned = inverse and span is not None and h >= span
+        levels.append(BlockLevel(nb, h, nb * h * L, subs, both, len(u), w, sign, pruned))
+        if last:  # block 2hg + sh + i lands in column s*blocks/2 + g*h + i
+            g, rest = np.divmod(np.arange(blocks), 2 * h)
+            return tuple(levels), rest // h * (blocks // 2) + g * h + rest % h
+        half, row = blocks * L // 2, (gi * h + ii) * L
+        swap = 0 if inverse else half * (signs < 0)  # forward: a wrapped row's sum is the upper output
+        phys = np.zeros((blocks, L), dtype=np.int64)
+        phys[2 * h * gi + ii, li] = row + li + swap
+        if not pruned:
+            phys[2 * h * gi + h + ii, li] = half + row + (rot[gi, 0, li] if inverse else li) - swap
+        at = phys[..., None] * ops + np.arange(ops) if ops > 1 else phys
+        wrap, width = blocks, own
+    return tuple(levels), at
+
+
+def _block_levels(blocks: int, L: int, stride: int, inverse: bool, span: int | None = None) -> tuple:
+    """``_levels`` on a natural (blocks, L, batch) array, block b's
+    coefficient l its row b * L + l."""
+    return _levels(np.arange(blocks * L).reshape(blocks, L), None, L, stride, inverse, span)[0]
+
+
+def block_schedule(step, source: int | None = None) -> tuple:
     """The compiled block route of a Schonhage or Nussbaumer step: one
     BlockDepth per recursion depth, outermost first.  The innermost
-    depth's block products run at the schoolbook floor.  Depends on the
-    shape alone, never on the modulus."""
+    depth's block products run at the schoolbook floor.  ``source``, how
+    many leading coefficients of either operand can be nonzero (all 2mn
+    when omitted), sets a Schoenhage step's live top blocks.  Depends on
+    the shape alone, never on the modulus.
+
+    Each depth's batch is (operand, rows), rows the columns that the
+    depth above's blocks became.  The top reads the operands' ``source``
+    leading coefficients, side by side in a (source + L, 2) array whose
+    last L rows are zero: block k's coefficient l is row k*m + l
+    (Schoenhage, past the live blocks and the low m coefficients row
+    source + l, a zero) or l*m + k (Nussbaumer part k, zero from k = m
+    on).  Each depth's last forward level leaves, per half, operand and
+    coefficient, half its blocks side by side (``_levels``): one depth
+    down, part j's coefficient i of an operand is coefficient i*m + j of
+    that operand in both halves, and the zero chunk that follows; at the
+    floor, (2, L, blocks, rows) are the leaf operands.  The leaf products land in (L, blocks, rows),
+    where the last depth's inverse reads them, and each depth above reads
+    part j's coefficient i of its block b from row j*L + i of the depth
+    below's folded output, at b's column."""
     m, n = step.m, step.n
-    L, stride = (2 * m, 2 * m // n) if isinstance(step, Schonhage) else (2 * n, 2)
-    depths = []
+    k, l = np.ogrid[: 2 * n, : 2 * m if isinstance(step, Schonhage) else 2 * n]
+    if isinstance(step, Schonhage):
+        L, stride, live = 2 * m, 2 * m // n, 2 * n
+        if source is not None:
+            live = max(1, min(live, -(-source // m)))
+        keep, reads = 2 * n, live * m
+        at = np.where((k < live) & (l < m), k * m + l, reads + l)
+    else:
+        L, stride, live, keep, reads = 2 * n, 2, m, m + min(m - 1, 2 * n - m), 2 * m * n
+        at = np.where(k < m, l * m + k, reads + l)
+    at, width, r, plan = at[..., None] * 2 + np.arange(2), 1, 1, []
     while True:
-        live, keep = (m, m + min(m - 1, L - m)) if isinstance(step, Nussbaumer) else (2 * n, 2 * n)
-        depths.append(BlockDepth(step, L, live, keep, _block_levels(2 * n, L, stride, False),
-                                 _block_levels(2 * n, L, stride, True)))
+        blocks = 2 * step.n
+        forward, columns = _levels(at, width, L, stride, False, live, 2, r)
+        plan.append((step, L, stride, live, keep, reads, forward, r, columns))
         if L <= SCHOOLBOOK_FLOOR:
-            return tuple(depths)
+            break
         m = 1 << ((L.bit_length() - 2) // 2)  # balanced Nussbaumer split, n >= m
-        n, stride = L // (2 * m), 2
-        L, step = 2 * n, Nussbaumer(m, n)
+        n = L // (2 * m)
+        k, l, op, half = np.ogrid[: 2 * n, : 2 * n, :2, :2]
+        at = np.where(k < m, half * 2 * L + op * L + l * m + k, 4 * L)
+        width, reads, r = blocks * r // 2, 0, r * blocks
+        step, L, stride, live, keep = Nussbaumer(m, n), 2 * n, 2, m, m + min(m - 1, 2 * n - m)
+    at = np.arange(L) * blocks + columns[:, None]
+    depths = []
+    for step, L, stride, live, keep, reads, forward, r, columns in reversed(plan):
+        blocks, m = 2 * step.n, step.m
+        if depths:
+            below, l = depths[-1], np.arange(L)
+            at = ((l % below.step.m) * below.L + l // below.step.m) * blocks + columns[:, None]
+        inverse, done = _levels(at, r, L, stride, True, keep, own=r)
+        fold, unblock = None, ()
+        if isinstance(step, Nussbaumer):  # the last inverse level leaves part j's coefficient i at row j*L + i
+            j, i = np.ogrid[: min(m - 1, L - m), :L]
+            fold = np.ascontiguousarray(done[m + j, (i - 1) % L].ravel())
+        else:
+            b, i = np.ogrid[:blocks, :m]
+            unblock = tuple(np.ascontiguousarray(a.ravel()) for a in (done[b, i], done[(b - 1) % blocks, m + i]))
+        depths.append(BlockDepth(step, L, live, keep, reads, forward, inverse, fold, unblock))
+    return tuple(depths[::-1])
 
 
 BLOCK_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))  # the buffer classes, narrowest first
@@ -365,12 +529,10 @@ def block_route(schedule: tuple, q: int) -> BlockRoute:
     """``schedule`` compiled for q, in the first of ``BLOCK_DTYPES`` whose
     limit (``polymul.dtype_limit``) the walk of ``_reductions`` keeps.
 
-    Every level that gathers gets its signs in that dtype, already
-    broadcast to its depth's batch width (2 rows forward, rows inverse,
-    as ``BlockWorkspace`` lays them out), so its sign multiply is one
-    contiguous pass; the forward levels that copy and the inverse levels
-    that are pruned (``_block_ntt``) get none.  For Schonhage(32, 32) in
-    int32 that is 0.86 MiB of signs per route."""
+    The level that negates, the last forward level of each depth, gets
+    its signs in that dtype, already broadcast to the width of the rows
+    it gathers, so its sign multiply is one contiguous pass.  For
+    ``ntruprime-761-schonhage`` in int32 that is 0.33 MiB of signs."""
     for dtype in BLOCK_DTYPES:
         walk = _reductions(schedule, q, polymul.dtype_limit(dtype))
         if walk is not None:
@@ -378,108 +540,141 @@ def block_route(schedule: tuple, q: int) -> BlockRoute:
     else:
         raise ParameterCondition(f"q = {q}: the block route's bounds pass 2^63")
 
-    def signed(levels, span, width):  # levels whose halves reach ``span`` gather nothing
-        return tuple(replace(lv, sign=None if lv.half >= span else transforms.read_only(
-            np.array(np.broadcast_to(lv.sign, (len(lv.sign), width)), dtype=dtype))) for lv in levels)
+    def signed(levels, half):  # half: the entries of one butterfly half of the depth
+        return tuple(lv if lv.sign is None else replace(lv, sign=transforms.read_only(
+            np.array(np.broadcast_to(lv.sign, (len(lv.sign), half // len(lv.sign))), dtype=dtype)))
+            for lv in levels)
 
     depths, rows = [], 1
     for d in schedule:
-        depths.append(replace(d, forward=signed(d.forward, d.live, 2 * rows),
-                              inverse=signed(d.inverse, d.keep, rows)))
+        half = d.step.n * d.L * rows  # of each operand
+        depths.append(replace(d, forward=signed(d.forward, 2 * half), inverse=signed(d.inverse, half)))
         rows *= 2 * d.step.n
     return BlockRoute(q, dtype, tuple(depths), *walk, mod_inv(prod(2 * d.step.n for d in schedule), q))
 
 
 class BlockWorkspace:
     """The buffers one block product runs in, of the modulus's ``dtype``
-    (``block_route``) and shaped by a block schedule.  Depth d, whose 2n
-    blocks of length L each carry ``rows`` batch columns (1 at the top,
-    2n * rows one depth down), has:
+    (``block_route``) and shaped by a block schedule, for depths whose 2n
+    blocks of length L carry ``rows`` batch columns per operand (1 at the
+    top, 2n * rows one depth down):
 
-    - ``forward[d]``, (2n, L, 2 rows): both operands' blocks, A's columns
-      then B's, transformed in place;
-    - ``inverse[d]``, (2n, L, rows): their block products, transformed
-      back in place;
-    - ``scratch[d]``, 2n * L * 2 rows entries: the gathers and quotients
-      of both transforms, and at the floor the leaf kernel's scratch;
+    - ``operands``, (source + L, 2), the top's source (``block_schedule``),
+      its last L rows zero;
+    - ``blocks[d]``, flat, where depth d's levels run: its forward output,
+      2n * L * 2 rows entries, then n * rows zeros that the next depth
+      reads as its zero parts, and later its inverse, 2n * L * rows; None
+      for the last depth when one level of its forward gathers (its
+      inverse runs in ``acc``);
+    - the floor's operands ``floor``, (2, L, 2n, rows), and its
+      accumulator ``acc``, (L, 2n, rows);
+    - ``scratch``, as large as ``floor``: every gather, every reduction's
+      quotients and the leaf kernel's scratch.
 
-    and the floor has the leaf kernel's operands ``floor``, (2, L, 2n,
-    rows), both halves of its forward array copied contiguous, and its
-    accumulator ``acc``, (L, 2n, rows).  A product writes only into
-    these, so it allocates nothing of the route's size; one workspace
-    serves one product at a time.
+    The zero rows are zeroed once and never written.  A product writes
+    only into these, so it allocates nothing of the route's size; one
+    workspace serves one product at a time.
     """
 
     def __init__(self, schedule: tuple, dtype):
-        self.forward, self.inverse, self.scratch = [], [], []
-        rows = 1
+        self.operands = np.zeros((schedule[0].source + schedule[0].L, 2), dtype=dtype)
+        self.blocks, rows = [], 1
         for depth in schedule:
-            blocks, L = 2 * depth.step.n, depth.L
-            self.forward.append(np.empty((blocks, L, 2 * rows), dtype=dtype))
-            self.inverse.append(np.empty((blocks, L, rows), dtype=dtype))
-            self.scratch.append(np.empty(blocks * L * 2 * rows, dtype=dtype))
-            floor, rows = (L, blocks, rows), blocks * rows
+            size, last = 4 * depth.step.n * depth.L * rows, depth is schedule[-1]
+            if last and sum(lv.index is not None for lv in depth.forward) == 1:
+                self.blocks.append(None)
+            else:
+                self.blocks.append(np.zeros(size + (0 if last else depth.step.n * rows), dtype=dtype))
+            floor, rows = (depth.L, 2 * depth.step.n, rows), 2 * depth.step.n * rows
         self.floor = np.empty((2, *floor), dtype=dtype)
         self.acc = np.empty(floor, dtype=dtype)
+        self.scratch = np.empty(self.floor.size, dtype=dtype)
+        last = len(schedule) - 1
+        self.forward = tuple(_bind(
+            self.blocks[d], depth.forward, self.scratch, self.blocks[d - 1] if d else self.operands,
+            self.floor.reshape(2, depth.L, 2, -1).transpose(2, 0, 1, 3) if d == last else None)
+            for d, depth in enumerate(schedule))
+        self.inverse = tuple(_bind(self.acc if d == last else self.blocks[d], depth.inverse, self.scratch,
+                                   self.acc if d + 1 >= last else self.blocks[d + 1])
+                             for d, depth in enumerate(schedule))
 
 
-def _block_ntt(X, levels: tuple, inverse: bool, live: int | None = None, keep: int | None = None,
-               work=None):
-    """Cyclic transform along axis 0 of a block array, in place on a
-    contiguous copy when X is not contiguous; returns it unreduced.
+def _bind(X, levels: tuple, work, source=None, out=None) -> tuple:
+    """The levels of one direction that gather (``_block_ntt``), each bound
+    to the arrays it runs on: its gather as (rows read, index, into), the
+    gathered upper halves as rows to sign, and t, u and the two output
+    halves shaped for its adds.  A workspace binds every depth once."""
+    flat, row = (X.reshape(-1), X.shape[-1]) if X is not None else (None, None)
+    gathers = [lv for lv in levels if lv.index is not None]
+    bound = []
+    for k, lv in enumerate(gathers):
+        src = (source if k == 0 and source is not None else X).reshape(-1)
+        w = row if lv.width is None else lv.width
+        rows = len(lv.index) - lv.ups  # of v
+        into = work[: lv.index.size * w].reshape(*lv.index.shape, w)
+        t, u = into[:rows].reshape(rows, -1), into[rows:].reshape(lv.ups, -1)
+        y = out if out is not None and k == len(gathers) - 1 else flat[: 2 * t.size].reshape(2, lv.nblocks, -1)
+        bound.append((src[: src.size // w * w].reshape(-1, w), lv.index, into,
+                      t, t.reshape(y.shape[1:]), u.reshape(-1, *y.shape[2:]), y[0], None if lv.sums else y[1]))
+    return tuple(bound)
+
+
+def _run(bound: tuple, signs) -> None:
+    """One direction's bound levels (``_bind``), with the signs of the
+    levels that gather, uncounted."""
+    for (src, index, into, t_rows, t, u, y0, y1), sign in zip(bound, signs):
+        src.take(index, axis=0, out=into, mode="clip")
+        if sign is not None:
+            t_rows *= sign
+        if y1 is not None:
+            np.subtract(u, t, out=y1)
+        np.add(u, t, out=y0)
+
+
+def _count_levels(levels: tuple, half: int) -> None:
+    """Count one direction of a depth, ``half`` entries per butterfly half:
+    every level as the butterflies it stands for."""
+    ctr = modarith.active_counter()
+    if ctr is not None:
+        ctr.adds += len(levels) * half
+        ctr.subs += len(levels) * half + half // levels[0].rows * sum(lv.subs for lv in levels)
+
+
+def _block_ntt(X, levels: tuple, inverse: bool, work=None, source=None, out=None):
+    """Cyclic transform of one depth along its blocks, in X; returns X.
 
     Forward runs the natural-input CT levels, inverse the bit-reversed-input
-    GS levels, without the 1/blocks scaling.  Each level is one signed
-    gather, one add and one subtract in X's dtype, the levels' signs in
-    it; nothing is multiplied mod q, and nothing reduced, each level at
-    most doubling the largest magnitude (``_reductions`` places the
-    reductions).  ``work``, X.size entries of X's dtype, takes the gathers
-    and differences (fresh when omitted); the gathers use ``mode="clip"``
-    (every index is in range) because ``take`` copies through a fresh
-    buffer into ``out`` in its default mode.
+    GS levels, without the 1/blocks scaling.  Each level that gathers is
+    one row gather, one add and one subtract in X's dtype, and at the
+    last forward level of a depth one sign multiply (``BlockLevel``),
+    every one on whole contiguous arrays; nothing is multiplied mod q,
+    and nothing reduced, each level at most doubling the largest
+    magnitude (``_reductions`` places the reductions).  The first level
+    that gathers reads ``source`` (X when omitted), every later one X,
+    and each writes its halves into X: its gather has copied what it
+    reads.  ``out``, a (2, ...) view, takes the halves of the last
+    forward level instead; an inverse runs in X alone.  ``work``, the
+    depth's entries, takes the gathers (fresh when omitted); they use
+    ``mode="clip"`` (every index is in range) because ``take`` copies
+    through a fresh buffer into ``out`` in its default mode.  X's rows,
+    for levels that name no chunk width, are its last axis.  This is the
+    one-call form; a product runs its workspace's bound levels
+    (``_bind``, ``_run``) and counts them the same way.
 
-    Two kinds of level gather nothing, and each is counted as the
-    butterflies it stands for.  When only the first ``live`` blocks of a
-    forward input can be nonzero, each level whose halves are at least
-    ``live`` blocks long has all-zero lower inputs, so it copies its
-    upper halves.  When only the first ``keep`` blocks of an inverse
-    output are read, each level whose halves are at least ``keep`` blocks
-    long (the last ones) computes only its sums u + v: every block read
-    after it lies in the first halves u of this level and of every later
-    one, so its differences are never read.
+    Two kinds of level are counted as the butterflies they stand for and
+    do less.  Forward, a level without ``index`` finds only zero upper
+    halves and would copy its lower ones: it does nothing, and the first
+    level that gathers reads those copies from the source.  Inverse, a
+    level whose differences no kept block reads (``sums``) computes only
+    its sums u + v.
     """
-    X = np.ascontiguousarray(X)
-    blocks, L, batch = X.shape
+    gathers = [lv for lv in levels if lv.index is not None]
+    first = gathers[0]
+    half = (len(first.index) - first.ups) * first.index[0].size * (first.width or X.shape[-1])
     if work is None:
-        work = np.empty(X.size, dtype=X.dtype)
-    half = X.size // 2
-    gathered = work[:half].reshape(-1, batch)
-    flat = X.reshape(blocks * L, batch)
-    ctr = modarith.active_counter()
-    live = blocks if live is None else live
-    keep = blocks if keep is None else keep
-    for lv in levels:
-        y = X.reshape(lv.nblocks, 2, lv.half * L, batch)
-        u, v = y[:, 0], y[:, 1]
-        if inverse and keep <= lv.half:  # only u + v is read
-            u += v
-        elif inverse:
-            d = np.subtract(u, v, out=work[half:].reshape(u.shape))
-            t = d.reshape(-1, batch).take(lv.index, axis=0, out=gathered, mode="clip")
-            t *= lv.sign
-            u += v
-            v[...] = t.reshape(v.shape)
-        elif live <= lv.half:  # v = 0: (u + x^e v, u - x^e v) = (u, u)
-            v[...] = u
-        else:
-            t = flat.take(lv.index, axis=0, out=gathered, mode="clip")
-            t *= lv.sign
-            t = t.reshape(v.shape)
-            np.subtract(u, t, out=v)
-            u += t
-        if ctr is not None:
-            ctr.adds += X.size // 2
-            ctr.subs += X.size // 2 + batch * lv.subs
+        work = np.empty(2 * half, dtype=(X if X is not None else out).dtype)
+    _run(_bind(X, levels, work, source, None if inverse else out), [lv.sign for lv in gathers])
+    _count_levels(levels, half)
     return X
 
 
@@ -488,90 +683,72 @@ def _reduce(Y, q: int, work):
     return _mod(Y, q, work[: Y.size].reshape(Y.shape))
 
 
-def _block_convolve(ws: BlockWorkspace, route: BlockRoute, d: int):
-    """Cyclic convolution along axis 0 of the two block arrays that
-    ``ws.forward[d]`` holds, by ``route.depths[d]``: forward (both in one
-    batch), block products in Z_q[x]/(x^L + 1) (an inner Nussbaumer split
-    of every column, or the leaf kernel at the floor), inverse; returns
-    ``ws.inverse[d]``, whose first ``keep`` blocks hold the result (see
-    ``BlockDepth``).  Only the first ``live`` blocks of A and B may be
-    nonzero.  It reduces where ``route.reduce[d]`` says.  The 1/blocks
-    scaling, left to the route's one final scale, is counted here as the
-    scaling it stands for."""
-    depth, q = route.depths[d], route.q
-    live_input, after_forward, after_inverse, _ = route.reduce[d]
-    F, P, work = ws.forward[d], ws.inverse[d], ws.scratch[d]
-    blocks, L, rows = P.shape
-    if live_input:
-        _reduce(F[: depth.live], q, work)
-    _block_ntt(F, depth.forward, False, live=depth.live, work=work)
-    if after_forward:
-        _reduce(F, q, work)
-    if d + 1 < len(route.depths):
-        # part j of the inner split takes coefficients i*m + j of each column
-        m = route.depths[d + 1].step.m
-        np.copyto(ws.forward[d + 1][:m].reshape(m, L // m, 2, blocks, rows),
-                  F.reshape(blocks, L // m, m, 2, rows).transpose(2, 1, 3, 0, 4))
-        np.copyto(P.reshape(blocks, L // m, m, rows).transpose(2, 1, 0, 3),
-                  _nussbaumer(ws, route, d + 1).reshape(m, L // m, blocks, rows))
-    else:  # one column per (block, batch column), on contiguous operands
-        np.copyto(ws.floor, F.reshape(blocks, L, 2, rows).transpose(2, 1, 0, 3))
-        U, V = ws.floor
-        np.copyto(P, polymul.leaf_products(U, V, -1, q, ws.acc, work.reshape(2, L, blocks, rows),
-                                           route.leaf_bound).transpose(1, 0, 2))
-        polymul._count_leaves(L, False, blocks * rows)
-    ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.mults += P.size
-    _block_ntt(P, depth.inverse, True, keep=depth.keep, work=work[: P.size])
-    if after_inverse:
-        _reduce(P[: depth.keep], q, work)
-    return P
-
-
-def _nussbaumer(ws: BlockWorkspace, route: BlockRoute, d: int):
-    """Column-wise negacyclic products of depth d via
-    (Z_q[y]/(y^2n + 1))[x]/(x^m - y), y^2 the synthetic 2n-th root, with
-    (m, n) taken from ``route.depths[d].step``.  The caller has put both
-    operands' parts, the (2n, rows) y-polynomials of the coefficients
-    congruent to j mod m, in ``ws.forward[d][:m]``; returns the m parts
-    of the unscaled products, an (m, 2n, rows) view of ``ws.inverse[d]``."""
-    m, L = route.depths[d].step.m, route.depths[d].L
-    ws.forward[d][m : 1 << (m - 1).bit_length()] = 0  # the forward's copy levels write the rest
-    P = _block_convolve(ws, route, d)
-    rows = P.shape[2]
-    c = min(m - 1, L - m)  # fold x^m = y: true x-degree is < 2m - 1 <= L
-    P[:c, 1:] += P[m : m + c, :-1]
-    P[:c, 0] -= P[m : m + c, -1]  # y^L = -1
-    if route.reduce[d][3]:
-        _reduce(P[:m], route.q, ws.scratch[d])
-    ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.adds += rows * c * L
-        ctr.subs += rows * c
-    return P[:m]
-
-
 def _block_product(x, y, ws: BlockWorkspace, route: BlockRoute):
     """The product of two length-2mn int64 arrays by the route's step, as a
     fresh int64 array: cyclic via (Z_q[x]/(x^2m + 1))[y]/(y^2n - 1) for
     Schoenhage (blocks of m coefficients become y-coefficients, x^(2m/n)
     is the synthetic 2n-th root, y = x^m substitutes back at the end),
-    negacyclic by ``_nussbaumer`` on one column; scaled last, in int64."""
-    m, L, F = route.depths[0].step.m, route.depths[0].L, ws.forward[0]
-    if isinstance(route.depths[0].step, Nussbaumer):  # part j: coefficients i*m + j, one per y-degree i
-        F[:m, :, 0], F[:m, :, 1] = x.reshape(L, m).T, y.reshape(L, m).T
-        out = _nussbaumer(ws, route, 0)[:, :, 0].T
-    else:  # block j: coefficients jm .. jm + m - 1, zero-padded to 2m
-        F[:, :m, 0], F[:, :m, 1] = x.reshape(-1, m), y.reshape(-1, m)
-        F[:, m:] = 0
-        P = _block_convolve(ws, route, 0)[..., 0]
-        out = P[:, :m].copy()  # y = x^m: upper halves move one block up
-        out[1:] += P[:-1, m:]
-        out[0] += P[-1, m:]
+    negacyclic via (Z_q[y]/(y^2n + 1))[x]/(x^m - y) for Nussbaumer (part
+    j: the coefficients congruent to j mod m, y^2 the synthetic 2n-th
+    root); each depth's block products are the next depth's negacyclic
+    ones, the floor's the leaf kernel's.  Scaled last, in int64.
+
+    Every step reads where the one before left its output
+    (``block_schedule``), through the workspace's bound levels: the
+    forwards from the operands down to the floor's operands, the inverses
+    from the leaf products up, each Nussbaumer fold (x^m = y) in place.
+    It reduces where ``route.reduce`` says.  The 1/blocks scalings, left
+    to the one final scale, are counted as the scalings they stand for."""
+    depths, q, work, ctr = route.depths, route.q, ws.scratch, modarith.active_counter()
+    live, rows = depths[0].source, [1]
+    ws.operands[:live, 0], ws.operands[:live, 1] = x[:live], y[:live]
+    source = ws.operands[:live]
+    for d, depth in enumerate(depths):
+        half = 2 * depth.step.n * depth.L * rows[-1]  # one operand's blocks
+        if route.reduce[d][0]:
+            _reduce(source, q, work)
+        _run(ws.forward[d], [lv.sign for lv in depth.forward if lv.index is not None])
+        _count_levels(depth.forward, half)
+        source = ws.floor if depth is depths[-1] else ws.blocks[d][: 2 * half]
+        if route.reduce[d][1]:
+            _reduce(source, q, work)
+        rows.append(rows[-1] * 2 * depth.step.n)
+    U, V = ws.floor
+    P = polymul.leaf_products(U, V, -1, q, ws.acc, work.reshape(ws.floor.shape), route.leaf_bound)
+    polymul._count_leaves(depths[-1].L, False, P[0].size)
+    for d in range(len(depths) - 1, -1, -1):
+        depth, r, (_, _, after_inverse, after_fold) = depths[d], rows[d], route.reduce[d]
+        size = 2 * depth.step.n * depth.L * r
+        if ctr is not None:
+            ctr.mults += size
+        _run(ws.inverse[d], [lv.sign for lv in depth.inverse])
+        _count_levels(depth.inverse, size // 2)
+        P = (ws.acc if depth is depths[-1] else ws.blocks[d]).reshape(-1)[:size].reshape(-1, r)
+        if after_inverse:
+            _reduce(P, q, work)
+        if isinstance(depth.step, Nussbaumer):
+            m, L, c = depth.step.m, depth.L, len(depth.fold) // depth.L
+            F = P.take(depth.fold, axis=0, out=work[: c * L * r].reshape(-1, r), mode="clip")
+            F[::L] *= -1  # y^L = -1 (numpy 2.4's in-place np.negative miscomputes this int64 view)
+            P[: c * L] += F
+            if after_fold:
+                _reduce(P[: m * L], q, work)
+            if ctr is not None:
+                ctr.adds += r * c * L
+                ctr.subs += r * c
+    P = P.reshape(-1)
+    if isinstance(depths[0].step, Nussbaumer):  # part j's coefficient i is coefficient i*m + j
+        m, L = depths[0].step.m, depths[0].L
+        out = np.empty((L, m), dtype=np.int64)
+        np.copyto(out, P[: m * L].reshape(m, L).T)
+    else:  # y = x^m: upper halves move one block up
+        lo, hi = depths[0].unblock
+        out = np.add(P.take(lo, out=work[: lo.size], mode="clip"),
+                     P.take(hi, out=work[lo.size : 2 * lo.size], mode="clip"), dtype=np.int64)
         if route.reduce[0][3]:
-            _mod(out, route.q)
-    return _mod(np.multiply(out, route.scale, dtype=np.int64), route.q).ravel()
+            _mod(out, q)
+    out *= route.scale
+    return _mod(out, q).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -678,18 +855,21 @@ class BlockExecutor(bigmod.LiftedExecutor):
     raised or not, so no two threads ever share a workspace and a pool
     holds at most one per thread that multiplied at once.  A workspace
     serves every working modulus of its dtype; for
-    ``ntruprime-761-schonhage`` (int32) it holds 2.4 MiB, and its route
-    0.86 MiB of level signs.
+    ``ntruprime-761-schonhage`` (int32) it holds 1.4 MiB, and its route
+    0.33 MiB of level signs and 0.19 MiB of gather indices.  ``source``,
+    when given, is how many leading coefficients of either operand can be
+    nonzero: a chain's source length, which sets the live top blocks
+    (``block_schedule``).
     """
 
-    def __init__(self, ring: RingSpec, step, N: int, basis=()):
+    def __init__(self, ring: RingSpec, step, N: int, basis=(), source: int | None = None):
         super().__init__(ring, N, basis)
-        self.step = step
+        self.step, self.source = step, source
         self.workspaces = {dtype: queue.SimpleQueue() for dtype in BLOCK_DTYPES}
 
     @cached_property
     def schedule(self) -> tuple:
-        return block_schedule(self.step)
+        return block_schedule(self.step, self.source)
 
     def table(self, p: int) -> BlockRoute:
         q = _block_modulus(RingSpec(self.ring.form, self.ring.n, p), self.step)
@@ -741,7 +921,7 @@ class ChainExecutor(bigmod.LiftedExecutor):
             return GoodExecutor(work, step.h, step.k, N, basis)
         if isinstance(step, PlainNtt):
             return bigmod.BigPrimeExecutor(work, N, step.beta, basis)
-        return BlockExecutor(work, step, N, basis)
+        return BlockExecutor(work, step, N, basis, ring.n)
 
     def run(self, x, y, terminal):
         if self.in_place:  # ring already has the terminal shape: no embedding

@@ -86,12 +86,19 @@ class RingSpec:
 def canonical(values, q: int) -> np.ndarray:
     """``values``, a list or an array of any shape, as an integer array
     (numpy ints, or ``object`` past int64), checked once as a whole: every
-    entry an integer (Python or numpy) and canonical in [0, q).  The one
-    check of coefficients and transform-domain values from outside."""
+    entry an integer (Python or numpy, never a bool) and canonical in
+    [0, q).  An integer array is checked without a loop over its entries;
+    the entry types of a list are scanned for bools, since numpy reads a
+    bool among ints as an int.  The one check of coefficients and
+    transform-domain values from outside."""
     a = np.asarray(values)
     if a.dtype.kind not in "iu":  # bools, floats, or ints past int64 (object): check each
         a = np.array(values, dtype=object)
         if not all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in a.flat):
+            raise ValueError("coefficients must be integers")
+    elif not isinstance(values, np.ndarray):  # numpy reads a bool among ints as an int
+        kinds = set(map(type, values if a.ndim == 1 else np.array(values, dtype=object).flat))
+        if bool in kinds or np.bool_ in kinds:
             raise ValueError("coefficients must be integers")
     if a.size and (a.min() < 0 or a.max() >= q):
         raise ValueError("coefficients must be canonical in [0, q)")

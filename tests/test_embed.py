@@ -448,84 +448,126 @@ def test_floor_reduces_its_live_input_while_the_leaves_take_it(monkeypatch, q, l
     assert route.reduce[2] == (live_input, not live_input, False, False)
     assert route.leaf_bound == (2 if live_input else 1) * (q - 1)
     assert polymul.leaf_rule(8, q, 1 << 31, 2 * (q - 1))[0] == live_input
-    floor = schedule[-1]
-    other = (2 * floor.step.n if live_input else floor.live, floor.L, 2 * 1024)
+    above, floor = schedule[-2:]
+    # the floor's operands, or its source: the depth above's forward output, flat, 64 columns per operand
+    other = (2, floor.L, 2 * floor.step.n, 1024) if live_input else (2 * 2 * above.step.n * above.L * 64,)
     real = embed._mod
 
     def placed(X, *args):
         if X.shape == other:
-            raise AssertionError(f"the floor reduced {X.shape[0]} input blocks")
+            raise AssertionError(f"the floor reduced {X.shape}")
+        seen.append(X.shape)
         return real(X, *args)
 
+    seen = []
     monkeypatch.setattr(embed, "_mod", placed)
     ring = RingSpec(XN_MINUS_1, 2048, q)
     rng = np.random.default_rng(q)
     for a in (Poly([q - 1] * ring.n, ring), Poly(rng.integers(0, q, ring.n), ring)):
         b = Poly(rng.integers(0, q, ring.n), ring)
         assert schonhage_multiply(a, b, 32, 32).coeffs == schoolbook_cyclic(a, b).coeffs
+    placements = {(2 * 2 * above.step.n * above.L * 64,), (2, floor.L, 2 * floor.step.n, 1024)}
+    assert placements & set(seen) == placements - {other}
 
 
 @pytest.mark.parametrize("m, n", [(3, 4), (3, 8), (5, 8), (6, 8)])
 def test_nussbaumer_zeroes_only_the_parts_the_copies_skip(m, n, rng):
-    # m not a power of two: the forward transform's copy levels rewrite
-    # every part from 2^ceil(log2 m) on, so only parts m .. 2^ceil(log2 m)
-    # - 1 are zeroed; a workspace full of stale values still multiplies
+    # m not a power of two: the parts from m on, which the forward
+    # transform's copy levels would fill, are read from the zero rows that
+    # follow each source; a product zeroes nothing, so a workspace full of
+    # stale values outside those rows still multiplies, and no product
+    # writes them
     ring = RingSpec(XN_PLUS_1, 2 * m * n, 4591)
     ex = embed.BlockExecutor(ring, Nussbaumer(m, n), ring.q)
     route = ex.table(ring.q)
     ws = embed.BlockWorkspace(ex.schedule, route.dtype)
-    for buf in (*ws.forward, *ws.inverse, *ws.scratch, ws.floor, ws.acc):
+    zeros, rows = [ws.operands[ex.schedule[0].source :]], 1
+    for buf in (ws.operands[: ex.schedule[0].source], ws.scratch, ws.floor, ws.acc):
         buf[...] = 12345
+    for depth, buf in zip(ex.schedule, ws.blocks):
+        size = 2 * (2 * depth.step.n) * depth.L * rows  # both operands' blocks
+        if buf is not None:
+            buf[:size] = 12345
+            zeros += [buf[size:]] if depth is not ex.schedule[-1] else []
+        rows *= 2 * depth.step.n
+    assert len(zeros) == len(ex.schedule) and all(z.size and not z.any() for z in zeros)
     ex.workspaces[route.dtype].put(ws)
     for _ in range(3):
         a, b = Poly.random(ring, rng), Poly.random(ring, rng)
         assert ex.multiply(a, b).coeffs == schoolbook_nwc(a, b).coeffs
-    assert ws.forward[0][n:].max() != 12345  # rewritten by the copies, never zeroed
+    assert not any(z.any() for z in zeros)
 
 
 @pytest.mark.parametrize("half", [1, 2, 4, 8])
 @pytest.mark.parametrize("extra", [0, 1])
 def test_inverse_block_transform_prunes_levels_past_keep(half, extra):
     # with only the first keep blocks read, the levels whose halves hold at
-    # least keep blocks add only: keep = half prunes the level of that half
-    # and every later one, keep = half + 1 only the later ones; the kept
-    # blocks and the counts are those of the full inverse
+    # least keep blocks add only (``sums``): keep = half prunes the level
+    # of that half and every later one, keep = half + 1 only the later
+    # ones; the kept blocks and the counts are those of the full inverse
     keep, blocks, L, q = half + extra, 16, 8, 7681
     rng = np.random.default_rng(keep)
     X = rng.integers(0, q, size=(blocks, L, 3))
-    levels = _block_levels(blocks, L, 2, True)
-    assert sum(lv.half >= keep for lv in levels) == 4 - half.bit_length() + 1 - extra
+    levels = _block_levels(blocks, L, 2, True, keep)
+    assert sum(lv.sums for lv in levels) == 4 - half.bit_length() + 1 - extra
+    assert all(lv.sums for lv in levels if lv.half >= keep)
     with modarith.counting() as full_ctr:
-        full = _block_ntt(X.copy(), levels, True)
+        full = _block_ntt(X.copy(), _block_levels(blocks, L, 2, True), True)
     with modarith.counting() as kept_ctr:
-        kept = _block_ntt(X.copy(), levels, True, keep=keep)
-    assert np.array_equal(full[:keep], kept[:keep])
+        kept = _block_ntt(X.copy(), levels, True)
+    # both leave block b's coefficient l at the same row of X
+    rows = embed._levels(np.arange(blocks * L).reshape(blocks, L), None, L, 2, True, keep)[1][:keep]
+    assert np.array_equal(full.reshape(-1, 3)[rows], kept.reshape(-1, 3)[rows])
     assert (full_ctr.adds, full_ctr.subs) == (kept_ctr.adds, kept_ctr.subs)
 
 
+def _block_terminals():
+    """(ring, plan, dtype) of a chain of every kind of block terminal: the
+    Schoenhage preset (int32), the same chain over q = 65537 (int64), a
+    Nussbaumer chain (int32), and a lifted Schoenhage terminal, over the
+    basis prime that replaces 549755809793 (int64)."""
+    wide = RingSpec(XN_MINUS_X_MINUS_1, 761, 65537)
+    nussbaumer = RingSpec(XN_MINUS_X_MINUS_1, 200, 4591)
+    lifted = RingSpec(XN_MINUS_1, 509, 2048)
+    return [
+        (*planner.preset("ntruprime-761-schonhage"), np.int32),
+        (wide, planner.make_plan(wide, chain=(ZeroPad(2048), Schonhage(32, 32))), np.int64),
+        (nussbaumer, planner.make_plan(nussbaumer, chain=(ZeroPad(512, XN_PLUS_1), Nussbaumer(16, 16))), np.int32),
+        (lifted, planner.make_plan(lifted, chain=(ZeroPad(2048), LiftModulus(549755809793), Schonhage(32, 32))),
+         np.int64),
+    ]
+
+
+def _owned_buffers(ws) -> list:
+    """The buffers a block workspace allocated: the arrays it holds, alone
+    or in lists, that own their memory."""
+    held = [x for v in vars(ws).values() for x in (v if isinstance(v, list) else [v])]
+    return [x for x in held if isinstance(x, np.ndarray) and x.base is None]
+
+
 def test_block_products_touch_no_fresh_pages(rng):
-    # after a warm-up product every buffer of the route's size is reused
+    # after a warm-up product every buffer of the route's size is reused,
+    # on every kind of block terminal
     resource = pytest.importorskip("resource")
-    ring, plan = planner.preset("ntruprime-761-schonhage")
-    a, b = planner.sample_operands(ring, plan, rng)
-    want = oracle_multiply(a, b)
-    assert planner.multiply(a, b, plan) == want
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(20):
-        planner.multiply(a, b, plan)
-    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
-    assert faults <= 10, faults
+    for ring, plan, _ in _block_terminals():
+        a, b = planner.sample_operands(ring, plan, rng)
+        want = oracle_multiply(a, b)
+        assert planner.multiply(a, b, plan) == want
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            planner.multiply(a, b, plan)
+        faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
+        assert faults <= 10, (plan.describe(), faults)
 
 
 def test_threads_never_share_a_block_workspace(rng):
     # planning builds no workspace; two threads multiplying at once each
-    # take their own of the modulus's dtype, and give it back: the preset
-    # (q = 4591) runs int32, the same chain over q = 65537 int64
-    preset = planner.preset("ntruprime-761-schonhage")
-    ring = RingSpec(XN_MINUS_X_MINUS_1, 761, 65537)
-    wide = ring, planner.make_plan(ring, chain=(ZeroPad(2048), Schonhage(32, 32)))
-    # 2.4 MiB (int32) and 4.8 MiB (int64) for Schonhage(32, 32)
-    for (ring, plan), dtype, size in ((preset, np.int32, 2506752), (wide, np.int64, 5013504)):
+    # take their own of the modulus's dtype, and give it back, on every
+    # kind of block terminal: the preset (q = 4591) runs int32, the same
+    # chain over q = 65537 int64, with every buffer twice as large; the
+    # preset's workspace stays within 2.4 MiB
+    nbytes = {}
+    for ring, plan, dtype in _block_terminals():
         block = plan.executor.tables[0]  # the chain's terminal executor
         assert all(pool.empty() for pool in block.workspaces.values())
         cases = [planner.sample_operands(ring, plan, rng) for _ in range(4)]
@@ -554,8 +596,11 @@ def test_threads_never_share_a_block_workspace(rng):
         pool = block.workspaces[np.dtype(dtype)]
         assert 1 <= pool.qsize() <= 2
         assert all(other.empty() for d, other in block.workspaces.items() if d != dtype)
-        ws = pool.get()
-        assert sum(a.nbytes for a in (*ws.forward, *ws.inverse, *ws.scratch, ws.floor, ws.acc)) == size
+        buffers = _owned_buffers(pool.get())
+        assert buffers and all(buf.dtype == dtype for buf in buffers)
+        nbytes[ring] = sum(buf.nbytes for buf in buffers)
+    preset, wide = (ring for ring, _, _ in _block_terminals()[:2])
+    assert nbytes[wide] == 2 * nbytes[preset] <= 2 * 2506752
 
 
 def test_block_schedule_built_on_first_multiply_only(monkeypatch, rng):
@@ -613,6 +658,43 @@ def test_a_given_chain_plans_a_power_of_two_ring(ring, chain, rng):
     assert plan.strategy == "embed" and plan.chain.steps == chain
     a, b = Poly.random(ring, rng), Poly.random(ring, rng)
     assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
+
+
+@pytest.mark.parametrize("n", [653, 761, 857])
+def test_block_and_good_routes_agree_on_edge_operands(n, rng):
+    # the Schoenhage and Good presets of one NTRU Prime ring give the
+    # oracle's product on 0, 1, all q - 1 (b = -1 in the small profile),
+    # and an operand whose last nonzero coefficient ends a top block
+    (ring, block), (_, good) = (planner.preset(f"ntruprime-{n}-{r}") for r in ("schonhage", "good"))
+    q, m = ring.q, block.executor.tables[0].step.m
+    ends = [rng.randrange(1, q) for _ in range(n // m * m)] + [0] * (n - n // m * m)
+    operands = [Poly.zero(ring), Poly.from_ints([1], ring), Poly([q - 1] * n, ring), Poly(ends, ring)]
+    for a in operands:
+        for b in (Poly([q - 1] * n, ring), planner.sample_operands(ring, block, rng)[1]):
+            want = oracle_multiply(a, b)
+            assert planner.multiply(a, b, block) == want
+            assert planner.multiply(a, b, good) == want
+
+
+@pytest.mark.parametrize("n, live", [(480, 15), (512, 16), (513, 17), (992, 31), (1024, 32)])
+def test_chain_source_length_sets_the_live_top_blocks(n, live, rng):
+    # x^n - x - 1 through pad 2048 and Schonhage(32, 32): the terminal
+    # transforms only ceil(n/32) live top blocks, on both sides of each
+    # block boundary; the product is the oracle's, and the terminal's
+    # values and op counts are those of the full 64 live blocks
+    ring = RingSpec(XN_MINUS_X_MINUS_1, n, 4591)
+    plan = planner.make_plan(ring, chain=(ZeroPad(2048), Schonhage(32, 32)))
+    terminal = plan.executor.tables[0]
+    full = embed.BlockExecutor(terminal.ring, terminal.step, terminal.N)
+    for a, b in (planner.sample_operands(ring, plan, rng), (Poly([4590] * n, ring), Poly([4590] * n, ring))):
+        assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
+        x, y = (np.concatenate((v.array, np.zeros(2048 - n, dtype=np.int64))) for v in (a, b))
+        with modarith.counting() as live_ctr:
+            got = terminal.product(x, y)
+        with modarith.counting() as full_ctr:
+            assert np.array_equal(got, full.product(x, y))
+        assert (live_ctr.mults, live_ctr.adds, live_ctr.subs) == (full_ctr.mults, full_ctr.adds, full_ctr.subs)
+    assert (terminal.schedule[0].live, full.schedule[0].live) == (live, 64)
 
 
 def test_chain_good_route(rng):
@@ -840,16 +922,17 @@ def test_no_list_on_the_product_path(monkeypatch, rng):
 @pytest.mark.parametrize("m, n", [(2, 4), (2, 2), (4, 4), (3, 8), (8, 8)])
 def test_forward_block_transform_copies_levels_of_zero_parts(m, n):
     # with only the first m parts nonzero, the levels whose halves hold at
-    # least m parts copy: the same values and the same counts as butterflies
+    # least m parts would copy: they gather nothing, the first level that
+    # gathers reads the copies from the live parts, and the values and the
+    # counts are those of the full butterflies
     rng = np.random.default_rng(m * 100 + n)
     q, L, blocks = 7681, 2 * n, 2 * n
     X = np.zeros((blocks, L, 3), dtype=np.int64)
     X[:m] = rng.integers(0, q, size=(m, L, 3))
-    levels = _block_levels(blocks, L, 2, False)
     with modarith.counting() as full_ctr:
-        full = _block_ntt(X.copy(), levels, False)
-    with modarith.counting() as live_ctr:
-        live = _block_ntt(X.copy(), levels, False, live=m)
+        full = _block_ntt(X.copy(), _block_levels(blocks, L, 2, False), False)
+    with modarith.counting() as live_ctr:  # the copies read the live parts, the rest untouched
+        live = _block_ntt(X.copy(), _block_levels(blocks, L, 2, False, m), False)
     assert np.array_equal(full, live)
     assert (full_ctr.adds, full_ctr.subs) == (live_ctr.adds, live_ctr.subs)
 

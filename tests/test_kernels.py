@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from test_transforms import forward_specs, inverse_specs_for, ring_for, tables_for
 
-from nttkit import modarith, polymul, transforms, trinomial
+from nttkit import modarith, planner, polymul, transforms, trinomial
 from nttkit.errors import SpecViolation
 from nttkit.modarith import OpCounter, counting, is_prime
 from nttkit.polymul import basecase_mul, make_transform_pair, ntt_multiply, oracle_multiply
@@ -364,11 +364,20 @@ def test_poly_checks_every_entry_at_the_boundaries():
         for values in ([0, 1, bad, 3], np.array([0, 1, bad, 3])):
             with pytest.raises(ValueError, match="integers"):
                 Poly(values, ring)
-    # booleans are refused as floats are, though Python's bool is an int
+    # booleans are refused as floats are, though Python's bool is an int,
+    # also one bool in a list of ints, which numpy reads as an int
     for values in ([True] * 4, [True, False, True, True], np.ones(4, dtype=bool),
-                   np.array([True, 1, 2, 3], dtype=object)):
+                   np.array([True, 1, 2, 3], dtype=object), [1, 2, 3, True], [1, 2, 3, np.bool_(True)],
+                   [np.int64(1), 2, 3, False]):
         with pytest.raises(ValueError, match="integers"):
             Poly(values, ring)
+    kyber = planner.preset("kyber")
+    for values in ([1] * 255 + [True], [1] * 255 + [np.bool_(True)]):
+        with pytest.raises(ValueError, match="integers"):
+            Poly(values, kyber[0])
+        with pytest.raises(ValueError, match="integers"):
+            kyber[1].pair.forward(values)
+    assert Poly([1] * 255 + [np.int64(1)], kyber[0]) == Poly(np.ones(256, dtype=np.int64), kyber[0])
     for values in ([0, 1, 2], [0, 1, 2, 3, 4], [[0, 1], [2, 3]], np.zeros((1, 4), dtype=np.int64)):
         with pytest.raises(ValueError, match="coefficients"):
             Poly(values, ring)
@@ -390,7 +399,8 @@ def test_transform_domain_entries_check_at_the_boundaries(q):
     for n, entry in entries:
         good = [0, 1, q - 1] + [3] * (n - 3)
         entry(good), entry(np.array([good] * 2))
-        for values in ([True] * n, np.ones(n, dtype=bool), np.ones((2, n), dtype=bool)):
+        for values in ([True] * n, np.ones(n, dtype=bool), np.ones((2, n), dtype=bool),
+                       [3] * (n - 1) + [True], [3] * (n - 1) + [np.bool_(True)], [good, [3] * (n - 1) + [True]]):
             with pytest.raises(ValueError, match="integers"):
                 entry(values)
         for bad, match in ((0.5, "integers"), (1.0, "integers"), (-1, "canonical"),
