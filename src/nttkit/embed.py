@@ -228,7 +228,7 @@ class BlockLevel:
 
     ``rows`` is nblocks * half * L, the rows of a half in the natural
     layout, and ``subs`` counts the negations of one batch column.  A
-    level without ``index`` gathers nothing (see ``_block_ntt``).  The
+    level without ``index`` gathers nothing (see ``_run``).  The
     index stays writable: numpy's ``take`` copies a read-only index on
     every call.
     """
@@ -362,12 +362,6 @@ def _levels(at: np.ndarray, width, L: int, stride: int, inverse: bool, span: int
         at = phys[..., None] * ops + np.arange(ops) if ops > 1 else phys
         wrap, width = blocks, own
     return tuple(levels), at
-
-
-def _block_levels(blocks: int, L: int, stride: int, inverse: bool, span: int | None = None) -> tuple:
-    """``_levels`` on a natural (blocks, L, batch) array, block b's
-    coefficient l its row b * L + l."""
-    return _levels(np.arange(blocks * L).reshape(blocks, L), None, L, stride, inverse, span)[0]
 
 
 def block_schedule(step, source: int | None = None) -> tuple:
@@ -600,10 +594,16 @@ class BlockWorkspace:
 
 
 def _bind(X, levels: tuple, work, source=None, out=None) -> tuple:
-    """The levels of one direction that gather (``_block_ntt``), each bound
+    """The levels of one direction that gather (``_run``), each bound
     to the arrays it runs on: its gather as (rows read, index, into), the
     gathered upper halves as rows to sign, and t, u and the two output
-    halves shaped for its adds.  A workspace binds every depth once."""
+    halves shaped for its adds.  A workspace binds every depth once.
+
+    The first level that gathers reads ``source`` (X when None), every
+    later one X, and each writes its halves into X: its gather has copied
+    what it reads.  ``out``, a (2, ...) view, takes the halves of the last
+    level instead.  ``work`` takes the gathers.  X's rows, for levels that
+    name no chunk width, are its last axis."""
     flat, row = (X.reshape(-1), X.shape[-1]) if X is not None else (None, None)
     gathers = [lv for lv in levels if lv.index is not None]
     bound = []
@@ -620,8 +620,27 @@ def _bind(X, levels: tuple, work, source=None, out=None) -> tuple:
 
 
 def _run(bound: tuple, signs) -> None:
-    """One direction's bound levels (``_bind``), with the signs of the
-    levels that gather, uncounted."""
+    """One direction of a depth's cyclic transform along its blocks, from
+    its bound levels (``_bind``) and the signs of the levels that gather;
+    uncounted (``_count_levels``).
+
+    Forward runs the natural-input CT levels, inverse the bit-reversed-input
+    GS levels, without the 1/blocks scaling.  Each level that gathers is
+    one row gather, one add and one subtract in the workspace's dtype, and
+    at the last forward level of a depth one sign multiply (``BlockLevel``),
+    every one on whole contiguous arrays; nothing is multiplied mod q, and
+    nothing reduced, each level at most doubling the largest magnitude
+    (``_reductions`` places the reductions).  The gathers use
+    ``mode="clip"`` (every index is in range) because ``take`` copies
+    through a fresh buffer into ``out`` in its default mode.
+
+    Two kinds of level are counted as the butterflies they stand for and
+    do less.  Forward, a level without ``index`` finds only zero upper
+    halves and would copy its lower ones: it does nothing, and the first
+    level that gathers reads those copies from the source.  Inverse, a
+    level whose differences no kept block reads (``sums``) computes only
+    its sums u + v.
+    """
     for (src, index, into, t_rows, t, u, y0, y1), sign in zip(bound, signs):
         src.take(index, axis=0, out=into, mode="clip")
         if sign is not None:
@@ -638,44 +657,6 @@ def _count_levels(levels: tuple, half: int) -> None:
     if ctr is not None:
         ctr.adds += len(levels) * half
         ctr.subs += len(levels) * half + half // levels[0].rows * sum(lv.subs for lv in levels)
-
-
-def _block_ntt(X, levels: tuple, inverse: bool, work=None, source=None, out=None):
-    """Cyclic transform of one depth along its blocks, in X; returns X.
-
-    Forward runs the natural-input CT levels, inverse the bit-reversed-input
-    GS levels, without the 1/blocks scaling.  Each level that gathers is
-    one row gather, one add and one subtract in X's dtype, and at the
-    last forward level of a depth one sign multiply (``BlockLevel``),
-    every one on whole contiguous arrays; nothing is multiplied mod q,
-    and nothing reduced, each level at most doubling the largest
-    magnitude (``_reductions`` places the reductions).  The first level
-    that gathers reads ``source`` (X when omitted), every later one X,
-    and each writes its halves into X: its gather has copied what it
-    reads.  ``out``, a (2, ...) view, takes the halves of the last
-    forward level instead; an inverse runs in X alone.  ``work``, the
-    depth's entries, takes the gathers (fresh when omitted); they use
-    ``mode="clip"`` (every index is in range) because ``take`` copies
-    through a fresh buffer into ``out`` in its default mode.  X's rows,
-    for levels that name no chunk width, are its last axis.  This is the
-    one-call form; a product runs its workspace's bound levels
-    (``_bind``, ``_run``) and counts them the same way.
-
-    Two kinds of level are counted as the butterflies they stand for and
-    do less.  Forward, a level without ``index`` finds only zero upper
-    halves and would copy its lower ones: it does nothing, and the first
-    level that gathers reads those copies from the source.  Inverse, a
-    level whose differences no kept block reads (``sums``) computes only
-    its sums u + v.
-    """
-    gathers = [lv for lv in levels if lv.index is not None]
-    first = gathers[0]
-    half = (len(first.index) - first.ups) * first.index[0].size * (first.width or X.shape[-1])
-    if work is None:
-        work = np.empty(2 * half, dtype=(X if X is not None else out).dtype)
-    _run(_bind(X, levels, work, source, None if inverse else out), [lv.sign for lv in gathers])
-    _count_levels(levels, half)
-    return X
 
 
 def _reduce(Y, q: int, work):

@@ -16,8 +16,6 @@ from nttkit.embed import (
     PlainNtt,
     Schonhage,
     ZeroPad,
-    _block_levels,
-    _block_ntt,
     _rotation,
     general_phi_multiply,
     good_index,
@@ -169,13 +167,29 @@ def test_neg_rotate_behaviour():
     assert rows == [rot(blk, 0), rot(blk, 1), rot(blk, 4)]
 
 
+def _block_levels(blocks, L, stride, inverse, span=None):
+    """The levels of a block transform of a natural (blocks, L, batch)
+    array, block b's coefficient l its row b * L + l."""
+    return embed._levels(np.arange(blocks * L).reshape(blocks, L), None, L, stride, inverse, span)[0]
+
+
+def _block_ntt(X, levels):
+    """One direction of a block transform run in X, as a product runs a
+    depth (``embed._bind``, ``embed._run``) and counted the same way;
+    returns X."""
+    work = np.empty(X.size, dtype=X.dtype)
+    embed._run(embed._bind(X, levels, work), [lv.sign for lv in levels if lv.index is not None])
+    embed._count_levels(levels, X.size // 2)
+    return X
+
+
 def test_block_transform_multiplies_nothing(rng):
     blocks = np.array([[[rng.randrange(17)] for _ in range(8)] for _ in range(8)])
     with modarith.counting() as c:
-        _block_ntt(blocks, _block_levels(8, 8, 1, False), inverse=False)
+        _block_ntt(blocks, _block_levels(8, 8, 1, False))
     assert c.mults == 0
     with modarith.counting() as ci:
-        _block_ntt(blocks, _block_levels(8, 8, 1, True), inverse=True)
+        _block_ntt(blocks, _block_levels(8, 8, 1, True))
     assert ci.mults == 0
 
 
@@ -251,12 +265,17 @@ def test_nussbaumer_bad_block_shapes_raise(m, n):
 
 
 def test_odd_block_shapes_still_multiply(rng):
-    for q in (17, 4591):
+    # q = 65537 runs int64, where the Nussbaumer fold's negation of its
+    # wrapped rows is a strided in-place op (numpy 2.4's np.negative
+    # miscomputes that view for Nussbaumer(3, 4) and (4, 4))
+    for shape in (Nussbaumer(3, 4), Nussbaumer(4, 4)):
+        assert embed.block_route(embed.block_schedule(shape), 65537).dtype == np.int64
+    for q in (17, 4591, 65537):
         ring = RingSpec(XN_MINUS_1, 12, q)
         for _ in range(10):
             a, b = Poly.random(ring, rng), Poly.random(ring, rng)
             assert schonhage_multiply(a, b, 3, 2).coeffs == schoolbook_cyclic(a, b).coeffs
-        for m, n in ((3, 4), (5, 8)):
+        for m, n in ((3, 4), (4, 4), (5, 8)):
             ring = RingSpec(XN_PLUS_1, 2 * m * n, q)
             for _ in range(10):
                 a, b = Poly.random(ring, rng), Poly.random(ring, rng)
@@ -512,9 +531,9 @@ def test_inverse_block_transform_prunes_levels_past_keep(half, extra):
     assert sum(lv.sums for lv in levels) == 4 - half.bit_length() + 1 - extra
     assert all(lv.sums for lv in levels if lv.half >= keep)
     with modarith.counting() as full_ctr:
-        full = _block_ntt(X.copy(), _block_levels(blocks, L, 2, True), True)
+        full = _block_ntt(X.copy(), _block_levels(blocks, L, 2, True))
     with modarith.counting() as kept_ctr:
-        kept = _block_ntt(X.copy(), levels, True)
+        kept = _block_ntt(X.copy(), levels)
     # both leave block b's coefficient l at the same row of X
     rows = embed._levels(np.arange(blocks * L).reshape(blocks, L), None, L, 2, True, keep)[1][:keep]
     assert np.array_equal(full.reshape(-1, 3)[rows], kept.reshape(-1, 3)[rows])
@@ -601,6 +620,21 @@ def test_threads_never_share_a_block_workspace(rng):
         nbytes[ring] = sum(buf.nbytes for buf in buffers)
     preset, wide = (ring for ring, _, _ in _block_terminals()[:2])
     assert nbytes[wide] == 2 * nbytes[preset] <= 2 * 2506752
+
+
+def test_preset_block_route_holds_its_pinned_bytes(rng):
+    # the preset's int32 workspace, with no buffer per data-moving pass,
+    # and its route's signs, one column per last forward level of a depth
+    ring, plan = planner.preset("ntruprime-761-schonhage")
+    a, b = planner.sample_operands(ring, plan, rng)
+    assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
+    block = plan.executor.tables[0]
+    ws = block.workspaces[np.dtype(np.int32)].get()
+    assert sum(buf.nbytes for buf in _owned_buffers(ws)) == 1483392  # 1.41 MiB
+    route = block.table(ring.q)
+    signs = [lv.sign for depth in route.depths for lv in depth.forward + depth.inverse if lv.sign is not None]
+    assert all(sign.dtype == np.int32 for sign in signs)
+    assert sum(sign.nbytes for sign in signs) == 344064  # 0.33 MiB
 
 
 def test_block_schedule_built_on_first_multiply_only(monkeypatch, rng):
@@ -930,9 +964,9 @@ def test_forward_block_transform_copies_levels_of_zero_parts(m, n):
     X = np.zeros((blocks, L, 3), dtype=np.int64)
     X[:m] = rng.integers(0, q, size=(m, L, 3))
     with modarith.counting() as full_ctr:
-        full = _block_ntt(X.copy(), _block_levels(blocks, L, 2, False), False)
+        full = _block_ntt(X.copy(), _block_levels(blocks, L, 2, False))
     with modarith.counting() as live_ctr:  # the copies read the live parts, the rest untouched
-        live = _block_ntt(X.copy(), _block_levels(blocks, L, 2, False, m), False)
+        live = _block_ntt(X.copy(), _block_levels(blocks, L, 2, False, m))
     assert np.array_equal(full, live)
     assert (full_ctr.adds, full_ctr.subs) == (live_ctr.adds, live_ctr.subs)
 
