@@ -20,7 +20,7 @@ from math import prod
 
 import numpy as np
 
-from . import modarith, polymul
+from . import bounds, modarith, polymul
 from .errors import (
     BoundTooSmall,
     InvalidRoot,
@@ -90,10 +90,11 @@ def garner(residues, moduli) -> np.ndarray:
     """Per array entry, the v in [0, P) with v = residues[i] mod moduli[i],
     P <= 2^42 the product of the distinct primes ``moduli``, by Garner's
     mixed-radix CRT, one modulus at a time; the residues are never mutated.
-    The result is int64 while every modulus after the first is below 2^31,
-    so each digit product stays below 2^62, and ``object`` otherwise.
+    The result is int64 while every modulus after the first is
+    ``bounds.vectorized`` (which derives the digit bounds), and ``object``
+    otherwise.
     """
-    dtype = np.int64 if all(map(modarith.vectorized, moduli[1:])) else object
+    dtype = np.int64 if all(map(bounds.vectorized, moduli[1:])) else object
     v, P = np.array(residues[0], dtype=dtype), moduli[0]
     for r, p in zip(residues[1:], moduli[1:]):
         d = (r - v) % p
@@ -159,7 +160,7 @@ class LiftedExecutor:
     def __init__(self, ring: RingSpec, N: int, basis=()):
         self.ring, self.N = ring, N
         self.moduli = tuple(basis) or (N,)
-        if len(self.moduli) > 1 and not all(map(modarith.vectorized, self.moduli)):
+        if len(self.moduli) > 1 and not all(map(bounds.vectorized, self.moduli)):
             raise ParameterCondition(f"basis {self.moduli}: every basis prime must be below 2^31")
         self.P = prod(self.moduli)
 

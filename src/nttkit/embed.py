@@ -27,7 +27,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from . import bigmod, modarith, polymul, transforms
+from . import bigmod, bounds, modarith, polymul, transforms
 from .errors import (
     BadShape,
     ChainMismatch,
@@ -113,7 +113,7 @@ class GoodExecutor(bigmod.LiftedExecutor):
         for p in self.moduli:
             if (p - 1) % (1 << k) != 0:
                 raise ParameterCondition(f"inner modulus {p} fails N = 1 (mod 2^k)")
-            if not modarith.vectorized(p):
+            if not bounds.vectorized(p):
                 raise ParameterCondition(f"inner modulus {p} is not below 2^31 (int64 column products)")
         self.h, self.k = h, k
 
@@ -187,7 +187,7 @@ def _block_modulus(ring: RingSpec, step) -> int:
         raise ShapeCondition(fault)
     if gcd(2 * n, q) != 1:
         raise ParameterCondition(f"2n = {2 * n} must be invertible mod q = {q}")
-    if not modarith.vectorized(q):
+    if not bounds.vectorized(q):
         raise ParameterCondition(f"q = {q} is not below 2^31: block arrays are int32 or int64")
     return q
 
@@ -429,17 +429,15 @@ def block_schedule(step, source: int | None = None) -> tuple:
     return tuple(depths[::-1])
 
 
-BLOCK_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))  # the buffer classes, narrowest first
-
-
 @dataclass(frozen=True)
 class BlockRoute:
     """A block schedule compiled for a working modulus q (``block_route``):
     its buffer class ``dtype``, its ``depths`` with the signs of every
-    level that gathers in that dtype, where a product reduces
-    (``reduce``, see ``_reductions``), ``leaf_bound``, the magnitude bound
-    of the floor's leaf operands, and ``scale``, 1 over the block counts of
-    all depths mod q, the product's one scaling."""
+    level that gathers in that dtype, ``reduce``, whether a product
+    reduces right before each of its steps (``block_route``),
+    ``leaf_bound``, the magnitude bound of the floor's leaf operands, and
+    ``scale``, 1 over the block counts of all depths mod q, the product's
+    one scaling."""
 
     q: int
     dtype: np.dtype
@@ -449,90 +447,32 @@ class BlockRoute:
     scale: int
 
 
-def _reductions(schedule: tuple, q: int, limit: int) -> tuple | None:
-    """Where a product over q reduces to keep every entry below ``limit``
-    in magnitude, and the bound of the floor's leaf operands; None if a
-    step passes the limit even on reduced input.  Per depth, four flags:
-    reduce its live input blocks before its forward transform, all its
-    blocks after it, its kept blocks after its inverse, its fold's result.
-
-    A bound on every entry walks the steps in order from q - 1:
-
-    - a depth's forward transform multiplies it by 2^g, g its levels that
-      are not copies;
-    - the floor's leaf products, on operands bounded by B, sum raw
-      products while L B^2 stays below the limit, and peak there
-      (``polymul.leaf_rule``); otherwise they take canonical operands.
-      Either way they return canonical residues;
-    - each inverse level, pruned or not, and each fold doubles it;
-    - the final scale, in int64, multiplies it by q - 1.
-
-    A reduction, to q - 1, goes right before a step that would reach the
-    limit, and nowhere else, with one exception.  Right after a forward
-    transform it would reduce all of the depth's 2n blocks; when
-    (q - 1) 2^g, the growth from q - 1 through that transform, still fits
-    the step after it, the reduction goes before the transform instead,
-    on its ``live`` input blocks, the only ones that can be nonzero.  The
-    step after then starts from (q - 1) 2^g, which it takes, and the walk
-    goes on from its peak; it also reaches every step that it reached
-    with the reduction after the transform, since each step fits when it
-    starts from q - 1.
-
-    Schonhage(32, 32) over q = 4591 in int32: the forward bounds are
-    2^6, 2^8 and 2^9 (q - 1), and the floor cannot take 2^9 (q - 1)
-    operands.  Its forward transform has one level that is not a copy,
-    and 8 (2 (q - 1))^2 < 2^31 (up to q = 8191), so its two live input
-    blocks are reduced instead of its eight blocks after the transform,
-    and the leaves sum raw products of 2 (q - 1)-bounded operands.  The
-    inverse and fold bounds then stay below 2^31 up to the final scale.
-    """
-    top, D, L = q - 1, len(schedule), schedule[-1].L
-    steps = [1 << sum(lv.half < d.live for lv in d.forward) for d in schedule]  # forward, outermost first
-    steps += [0] + [g for d in schedule[::-1] for g in (1 << len(d.inverse), 2)] + [top]
-
-    def peak(i, bound):  # step i's largest entry on input bounded by ``bound``, None past its limit
-        lim = 1 << 63 if i == len(steps) - 1 else limit
-        if steps[i]:
-            p = bound * steps[i]
-        else:
-            lazy, p = polymul.leaf_rule(L, q, lim, bound)
-            if not lazy and bound > top:  # reduce-first leaves take canonical operands
-                return None
-        return p if p < lim else None
-
-    bound, live, before = top, [False] * D, []  # before[i]: reduce the input of step i
-    for i in range(len(steps)):
-        reduce = peak(i, bound) is None
-        if reduce and 0 < i <= D and peak(i, top * steps[i - 1]) is not None:
-            live[i - 1], reduce, bound = True, False, top * steps[i - 1]
-        before.append(reduce)
-        if reduce:
-            bound = top
-        if i == D:
-            leaf_bound = bound
-        p = peak(i, bound)
-        if p is None:
-            return None
-        bound = top if i == D else p
-    # step D + 1 + 2j is depth D-1-j's inverse, step D + 2 + 2j its fold
-    flags = zip(live, before[1 : D + 1], before[3 * D : D + 1 : -2], before[3 * D + 1 : D + 2 : -2])
-    return tuple(flags), leaf_bound
-
-
 def block_route(schedule: tuple, q: int) -> BlockRoute:
-    """``schedule`` compiled for q, in the first of ``BLOCK_DTYPES`` whose
-    limit (``polymul.dtype_limit``) the walk of ``_reductions`` keeps.
+    """``schedule`` compiled for q, in int32 where ``bounds.walk`` keeps
+    every step of a product within int32, else in int64; a schedule whose
+    bounds pass int64 raises.  The steps of D depths, in order: each
+    depth's forward transform, the floor's leaf products, then per depth,
+    innermost first, its inverse and its fold, and the final scale, so
+    ``reduce`` holds 3D + 2 flags.  A reduction due after a depth's
+    forward transform may go before it, on its live input blocks.
 
     The level that negates, the last forward level of each depth, gets
     its signs in that dtype, already broadcast to the width of the rows
     it gathers, so its sign multiply is one contiguous pass.  For
     ``ntruprime-761-schonhage`` in int32 that is 0.33 MiB of signs."""
-    for dtype in BLOCK_DTYPES:
-        walk = _reductions(schedule, q, polymul.dtype_limit(dtype))
+    top, D = q - 1, len(schedule)
+    for dtype in (np.dtype(np.int32), np.dtype(np.int64)):
+        steps = [bounds.grow(1 << sum(lv.half < d.live for lv in d.forward), dtype) for d in schedule]
+        steps.append(bounds.leaves(schedule[-1].L, q, dtype))
+        for d in schedule[::-1]:
+            steps += [bounds.grow(1 << len(d.inverse), dtype), bounds.grow(2, dtype)]
+        steps.append(bounds.grow(top, np.int64))
+        walk = bounds.walk(steps, top, top, early=range(1, D + 1))
         if walk is not None:
             break
     else:
         raise ParameterCondition(f"q = {q}: the block route's bounds pass 2^63")
+    reduce, inputs = walk
 
     def signed(levels, half):  # half: the entries of one butterfly half of the depth
         return tuple(lv if lv.sign is None else replace(lv, sign=transforms.read_only(
@@ -544,7 +484,7 @@ def block_route(schedule: tuple, q: int) -> BlockRoute:
         half = d.step.n * d.L * rows  # of each operand
         depths.append(replace(d, forward=signed(d.forward, 2 * half), inverse=signed(d.inverse, half)))
         rows *= 2 * d.step.n
-    return BlockRoute(q, dtype, tuple(depths), *walk, mod_inv(prod(2 * d.step.n for d in schedule), q))
+    return BlockRoute(q, dtype, tuple(depths), reduce, inputs[D], mod_inv(prod(2 * d.step.n for d in schedule), q))
 
 
 class BlockWorkspace:
@@ -630,7 +570,7 @@ def _run(bound: tuple, signs) -> None:
     at the last forward level of a depth one sign multiply (``BlockLevel``),
     every one on whole contiguous arrays; nothing is multiplied mod q, and
     nothing reduced, each level at most doubling the largest magnitude
-    (``_reductions`` places the reductions).  The gathers use
+    (``block_route`` places the reductions).  The gathers use
     ``mode="clip"`` (every index is in range) because ``take`` copies
     through a fresh buffer into ``out`` in its default mode.
 
@@ -678,41 +618,43 @@ def _block_product(x, y, ws: BlockWorkspace, route: BlockRoute):
     (``block_schedule``), through the workspace's bound levels: the
     forwards from the operands down to the floor's operands, the inverses
     from the leaf products up, each Nussbaumer fold (x^m = y) in place.
-    It reduces where ``route.reduce`` says.  The 1/blocks scalings, left
-    to the one final scale, are counted as the scalings they stand for."""
+    It reduces right before each step that ``route.reduce`` names.  The
+    1/blocks scalings, left to the one final scale, are counted as the
+    scalings they stand for."""
     depths, q, work, ctr = route.depths, route.q, ws.scratch, modarith.active_counter()
-    live, rows = depths[0].source, [1]
+    live, rows, reduce, D = depths[0].source, [1], route.reduce, len(route.depths)
     ws.operands[:live, 0], ws.operands[:live, 1] = x[:live], y[:live]
     source = ws.operands[:live]
     for d, depth in enumerate(depths):
         half = 2 * depth.step.n * depth.L * rows[-1]  # one operand's blocks
-        if route.reduce[d][0]:
+        if reduce[d]:
             _reduce(source, q, work)
         _run(ws.forward[d], [lv.sign for lv in depth.forward if lv.index is not None])
         _count_levels(depth.forward, half)
         source = ws.floor if depth is depths[-1] else ws.blocks[d][: 2 * half]
-        if route.reduce[d][1]:
-            _reduce(source, q, work)
         rows.append(rows[-1] * 2 * depth.step.n)
+    if reduce[D]:
+        _reduce(source, q, work)
     U, V = ws.floor
     P = polymul.leaf_products(U, V, -1, q, ws.acc, work.reshape(ws.floor.shape), route.leaf_bound)
     polymul._count_leaves(depths[-1].L, False, P[0].size)
-    for d in range(len(depths) - 1, -1, -1):
-        depth, r, (_, _, after_inverse, after_fold) = depths[d], rows[d], route.reduce[d]
+    # the leaves' products are canonical: the walk never reduces them
+    for d in range(D - 1, -1, -1):
+        depth, r, i = depths[d], rows[d], 3 * D - 2 * d  # step i: depth d's fold
         size = 2 * depth.step.n * depth.L * r
         if ctr is not None:
             ctr.mults += size
         _run(ws.inverse[d], [lv.sign for lv in depth.inverse])
         _count_levels(depth.inverse, size // 2)
         P = (ws.acc if depth is depths[-1] else ws.blocks[d]).reshape(-1)[:size].reshape(-1, r)
-        if after_inverse:
+        if reduce[i]:
             _reduce(P, q, work)
         if isinstance(depth.step, Nussbaumer):
             m, L, c = depth.step.m, depth.L, len(depth.fold) // depth.L
             F = P.take(depth.fold, axis=0, out=work[: c * L * r].reshape(-1, r), mode="clip")
             F[::L] *= -1  # y^L = -1 (numpy 2.4's in-place np.negative miscomputes this int64 view)
             P[: c * L] += F
-            if after_fold:
+            if reduce[i + 1]:  # before the next depth's inverse, or the final scale
                 _reduce(P[: m * L], q, work)
             if ctr is not None:
                 ctr.adds += r * c * L
@@ -726,7 +668,7 @@ def _block_product(x, y, ws: BlockWorkspace, route: BlockRoute):
         lo, hi = depths[0].unblock
         out = np.add(P.take(lo, out=work[: lo.size], mode="clip"),
                      P.take(hi, out=work[lo.size : 2 * lo.size], mode="clip"), dtype=np.int64)
-        if route.reduce[0][3]:
+        if reduce[-1]:
             _mod(out, q)
     out *= route.scale
     return _mod(out, q).ravel()
@@ -830,8 +772,8 @@ class BlockExecutor(bigmod.LiftedExecutor):
     block core; its schedule, the same for every modulus, is built on first
     use, and its table mod p is that schedule compiled for p (``block_route``).
 
-    The executor owns a pool of ``BlockWorkspace``s per dtype, empty when
-    the plan is built.  Each product takes one of its route's dtype, or
+    The executor owns a pool of ``BlockWorkspace``s per dtype of its
+    routes, empty when the plan is built.  Each product takes one of its route's dtype, or
     builds one when that pool is empty, and puts it back when it ends,
     raised or not, so no two threads ever share a workspace and a pool
     holds at most one per thread that multiplied at once.  A workspace
@@ -846,7 +788,7 @@ class BlockExecutor(bigmod.LiftedExecutor):
     def __init__(self, ring: RingSpec, step, N: int, basis=(), source: int | None = None):
         super().__init__(ring, N, basis)
         self.step, self.source = step, source
-        self.workspaces = {dtype: queue.SimpleQueue() for dtype in BLOCK_DTYPES}
+        self.workspaces = {}
 
     @cached_property
     def schedule(self) -> tuple:
@@ -854,7 +796,9 @@ class BlockExecutor(bigmod.LiftedExecutor):
 
     def table(self, p: int) -> BlockRoute:
         q = _block_modulus(RingSpec(self.ring.form, self.ring.n, p), self.step)
-        return block_route(self.schedule, q)
+        route = block_route(self.schedule, q)
+        self.workspaces.setdefault(route.dtype, queue.SimpleQueue())
+        return route
 
     def run(self, x, y, route):
         pool = self.workspaces[route.dtype]

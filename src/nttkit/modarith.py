@@ -3,8 +3,8 @@
 All residues are canonical unsigned integers in [0, m).  Python integers
 are exact at any width, so products never wrap; the 2^42 modulus ceiling
 is still enforced because every downstream bound analysis assumes it.
-The transforms and leaf products work on numpy buffers, int64 below
-``VECTOR_LIMIT`` and Python ints above it (see ``vectorized``).
+The transforms and leaf products work on numpy buffers, int64 or Python
+ints as ``bounds.vectorized`` picks.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ from .errors import InvalidRoot, NoSuchRoot, NotInvertible
 
 MODULUS_CEILING = 1 << 42
 
-# Residues below 2^31 have products below 2^62, so a product plus or minus
-# a residue (or a sum of two products) stays inside int64.
-VECTOR_LIMIT = 1 << 31
-
 NATURAL = "natural"
 BIT_REVERSED = "bit_reversed"
 
@@ -31,15 +27,6 @@ def check_modulus(m: int) -> int:
     if not 2 <= m <= MODULUS_CEILING:
         raise ValueError(f"modulus must be in [2, 2^42], got {m}")
     return m
-
-
-def vectorized(m: int) -> bool:
-    """True when arithmetic mod m fits int64 buffers (else ``object`` ones).
-
-    The choice depends on the modulus alone; both dtypes give the same
-    canonical residues and the same operation counts.
-    """
-    return m < VECTOR_LIMIT
 
 
 # ---------------------------------------------------------------------------

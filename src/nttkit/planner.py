@@ -17,6 +17,7 @@ from importlib import resources
 from math import gcd, prod
 
 from . import bigmod, embed, polymul, splitting, transforms, trinomial
+from .bounds import vectorized
 from .errors import (
     NoStrategy,
     ParameterCondition,
@@ -25,7 +26,7 @@ from .errors import (
     SpecMismatch,
     UnknownPreset,
 )
-from .modarith import MODULUS_CEILING, is_prime, vectorized
+from .modarith import MODULUS_CEILING, is_prime
 from .rings import TRINOMIAL, XN_MINUS_1, XN_PLUS_1, Poly, RingSpec, is_pow2
 from .transforms import NttDomainPoly
 

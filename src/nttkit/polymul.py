@@ -20,7 +20,9 @@ incomplete and split routes' ``pointwise_rows``, the trinomial leaves),
 or on ``leaf_products`` over (L, ...) columns: Good's columns, the block
 floor of the embeddings and ``pointwise_sums``, the transform-domain row
 sum of the module-lattice matvec and the split routes' plain cross
-sums.  ``basecase_mul`` stays as their scalar reference.
+sums.  ``basecase_mul`` stays as their scalar reference.  Whether these
+kernels sum raw products is ``bounds.fits``, which derives their bounds;
+the oracles keep their own overflow rule (``_np_exact``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import modarith, rings, transforms
+from . import bounds, modarith, rings, transforms
 from .errors import (
     FormMismatch,
     LengthMismatch,
@@ -259,22 +261,6 @@ def _mod(X, q: int, scratch=None):
     return X
 
 
-def dtype_limit(dtype) -> int | None:
-    """What entries of ``dtype`` stay below in magnitude: 2^31 (int32), 2^63 (int64), None (object)."""
-    return None if dtype == object else 1 << 8 * np.dtype(dtype).itemsize - 1
-
-
-def leaf_rule(L: int, q: int, limit: int | None, bound: int | None = None) -> tuple:
-    """(lazy, peak) of ``leaf_products`` on length-L columns of magnitude at
-    most ``bound`` (q - 1 when omitted: canonical) whose dtype holds
-    magnitudes below ``limit``: whether it sums raw products, lazy while
-    L bound^2 < limit, and its largest entry.  Otherwise it reduces each
-    product first, which takes canonical operands."""
-    b = q - 1 if bound is None else bound
-    lazy = limit is None or L * b * b < limit
-    return lazy, L * b * b if lazy else (q - 1) * (q - 1 + L)
-
-
 def leaf_products(U, V, gamma, q: int, acc=None, scratch=None, bound: int | None = None) -> np.ndarray:
     """Column-wise products mod x^L - gamma of two (L, ...) arrays of
     residues mod q, uncounted: ``basecase_mul`` on every column (every
@@ -283,30 +269,24 @@ def leaf_products(U, V, gamma, q: int, acc=None, scratch=None, bound: int | None
 
     ``gamma`` is +1 or -1 for every column, or a buffer of one constant
     mod q per column (any other constant takes the buffer's path).  The
-    operands are canonical, or of magnitude at most ``bound`` where
-    ``leaf_rule`` finds that bound lazy.  The caller adds the operation
+    operands are canonical, or of magnitude at most ``bound`` where the
+    raw products of that bound are summed.  The caller adds the operation
     counts (``_count_leaves``).  ``acc``, the accumulator, (L, ...) for
     gamma = +-1 and (2L - 1, ...) otherwise, and ``scratch``, a
     (2, L, ...) array, both of U's dtype, are the kernel's working
     memory: when a caller passes them the result is ``acc[:L]`` and
     nothing of the operands' size is allocated; otherwise both are fresh.
 
-    Lazy rule: linear coefficient k sums min(k + 1, 2L - 1 - k) raw
-    products u_i v_j, each at most bound^2 in magnitude.  Folding
-    x^L = gamma adds coefficient k + L (L - 1 - k products) to coefficient
-    k < L - 1: raw for gamma = +-1, each wrapped product added to or
-    subtracted from its coefficient as it is made, and for a constant per
-    column the high coefficients summed, reduced below q, then times
-    gamma, at most (q-1)^2.  Either way no sum exceeds L bound^2 in
-    magnitude, so while that stays below U's ``dtype_limit`` (2^31 for
-    int32, 2^63 for int64) the raw products are summed and reduced once.
-    Otherwise each product of canonical operands is reduced first, and no
-    entry passes (q-1)(q-1+L) (``leaf_rule``; int64 runs q < 2^31, where
-    that fits).  ``object`` arrays (Python ints) cannot overflow and
-    always sum lazily.
+    Gamma = +-1 adds or subtracts each wrapped product straight into its
+    coefficient as it is made; a constant per column sums the 2L - 1
+    linear coefficients, reduces the high ones and multiplies them by
+    gamma.  The raw products are summed and reduced once while L of them
+    fit U's dtype (``bounds.fits``, which derives the leaf bounds);
+    otherwise each product is reduced first.
     """
     L, cols = U.shape[0], U.shape[1:] if U.shape == V.shape else np.broadcast(U[0], V[0]).shape
-    lazy = leaf_rule(L, q, dtype_limit(U.dtype), bound)[0]
+    b = q - 1 if bound is None else bound
+    lazy = bounds.fits(U.dtype, b, b, L)
     wrapped = np.ndim(gamma) == 0 and gamma in (1, -1)
     if acc is None:
         acc = np.empty((L if wrapped else 2 * L - 1, *cols), dtype=U.dtype)
@@ -370,16 +350,15 @@ def leaf_rows(A, B, L: int, gammas, q: int) -> np.ndarray:
     pL + L - 1) of every row, one constant per leaf (``gammas``), leading
     axes broadcast; a fresh buffer.  One pass over strided views of the
     natural layout: outer products u_i v_j, their anti-diagonal sums c_k,
-    c_k += gamma (c_(k+L) mod q), and one reduction into the result.  A
-    folded c_k sums at most L - 1 raw products and one term below (q-1)^2,
-    so the raw products are summed while L (q-1)^2 stays below the dtype's
-    limit (``leaf_rule``), else each is reduced first (one ``_mod``)."""
+    c_k += gamma (c_(k+L) mod q), and one reduction into the result.  The
+    raw products are summed while L of them fit the dtype (``bounds.fits``),
+    else each is reduced first (one ``_mod``)."""
     if A.shape != B.shape:
         A, B = np.broadcast_arrays(A, B)
     m = A.size // L
     w = np.zeros((L, 2 * L - 1, m), dtype=A.dtype)  # row i: u_i v_j at column j
     P = np.multiply(A.reshape(m, L).T[:, None], B.reshape(m, L).T, out=w[:, :L])
-    if not leaf_rule(L, q, dtype_limit(A.dtype))[0]:
+    if not bounds.fits(A.dtype, q - 1, q - 1, L):
         _mod(P, q)
     c = w[0]  # row 0 collects the anti-diagonals: row i shifted by i
     for i in range(1, L):
@@ -425,16 +404,13 @@ def pointwise_sums(A, B, L: int, gammas, q: int) -> np.ndarray:
     (rows, n) buffer.  Counted as rows*cols ``pointwise_rows`` products
     and cols - 1 additions of n values per row.
 
-    Summing rule: with leaves of degree 1 a sum takes cols raw products
-    a_ij b_j, each at most (q-1)^2, so while cols (q-1)^2 < 2^63 they are
-    summed in int64 and reduced once.  Otherwise, and for leaves of
-    degree L >= 2 (``leaf_products``: 35 us on a kyber 3 x 3, ``leaf_rows``
-    44 us), each product is reduced first, and the sum of cols canonical
-    residues stays below cols q < 2^63 (int64 only runs q < 2^31).
-    ``object`` buffers cannot overflow and always sum raw.
+    With leaves of degree 1 the cols raw products a_ij b_j are summed and
+    reduced once while they fit the dtype (``bounds.fits``).  Otherwise,
+    and for leaves of degree L >= 2 (``leaf_products``: 35 us on a kyber
+    3 x 3, ``leaf_rows`` 44 us), each product is reduced first.
     """
     cols = B.shape[-2]
-    if L == 1 and (A.dtype == object or cols * (q - 1) ** 2 < 1 << 63):
+    if L == 1 and bounds.fits(A.dtype, q - 1, q - 1, cols):
         P = A * B
         _count_leaves(1, False, P.size)
     elif L == 1:

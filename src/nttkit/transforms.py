@@ -28,8 +28,8 @@ x), x its twiddle exponents or, where it is not a CT/GS butterfly (the
 trinomial split), its 2 x 2 matrices, counted as one butterfly per
 pair; both run the same.  ``run_levels`` runs a
 schedule's merged stages on the working buffer that ``buffer`` picks
-from the modulus alone: int64 below 2^31, ``object`` (Python ints) at or
-above.
+from the modulus alone (``bounds.vectorized``): int64 below 2^31,
+``object`` (Python ints) at or above.
 
 Every stage takes one leading batch axis: a buffer is one row of n
 residues or a (batch, n) array of rows, transformed alike by the same
@@ -40,44 +40,20 @@ one reduction, whatever the batch size.  Op counts count every row.
 The levels run as merged stages (Seiler, eprint 2018/039): each group of
 at most k consecutive levels is one batched ``np.matmul`` with a
 read-only stack of 2^k x 2^k matrices, then one reduction.
-``Schedule.stage_class`` fixes the stages' class once per schedule, from
-q and the level count alone (``stage_class``):
+``Schedule.stage_class`` fixes the stages' class and k once per
+schedule (``bounds.stage_class``, which also derives every bound):
 
-* int64, k = ``stage_width``: the largest k up to ``STAGE_CAP`` with
-  2^k (q-1)^2 < 2^63, so no matmul row sum leaves int64, then ``% q``;
-* float64, k = ``FLOAT_WIDTH``, on schedules of at least
-  ``FLOAT_LEVELS`` levels or where q holds the int64 width below
-  ``STAGE_CAP``: one BLAS matmul of centered float64 matrices, then
+* int64: the matmul on int64 buffers, then ``% q``;
+* float64: one BLAS matmul of centered float64 matrices, then
   y -= rint(y (1/q)) q (after van der Hoeven, Lecerf and Quintin,
   "Modular SIMD arithmetic in Mathemagix", ACM TOMS 2016), with the
   matrices split in 16-bit limbs ("float64-limb") where one would not
   be exact.  The buffer turns float64 once before the first stage and
-  back to canonical int64 once after the last;
-* object, k = ``OBJECT_WIDTH``, from 2^31 up, where q has no int64
-  width: the int64 class's matmul and ``% q`` on Python ints, which
+  back to canonical int64 once after the last.  A single-matrix stage
+  skips its reduction where ``bounds.walk`` finds the next stage's sums
+  exact anyway;
+* object: the int64 class's matmul and ``% q`` on Python ints, which
   cannot overflow.
-
-The float64 bounds, with h = q//2.  Every integer of magnitude at most
-2^53 is a float64, so integer sums are exact in any order while every
-partial sum stays within 2^53.  The reduction of such a y: y (1/q) is
-rounded twice, each time by a relative 2^-53, so it is off y/q by less
-than 2^53/q 2^-52 = 2/q; rint then picks a Q within 1/2 + 2/q of y/q,
-so |y - Qq| < q/2 + 2, at most h + 2: an entry may sit just past q/2.
-Qq is exact too when |y| + q <= 2^53.  A stage's input is a canonical
-residue or such an output, so at most q - 1 in magnitude (h + 2 <= q - 1
-as q >= 5), and its matrix entries are centered, at most h:
-
-* one matrix: each sum is at most 2^k h (q-1), so 2^k h (q-1) + q <= 2^53
-  (``float_fits``);
-* limbs, M = Mh 2^16 + Ml with |Ml| <= 2^15 and |Mh| <= H = (h + 2^15) >> 16:
-  Mh x is at most 2^k H (q-1); reduced, times 2^16, plus Ml x it is at
-  most (h+2) 2^16 + 2^(k+15) (q-1) <= (q-1) (2^16 + 2^(k+15)); both plus
-  q at most 2^53 (``limb_fits``), which every q below 2^31 meets at k = 5.
-
-With one matrix, inputs of at most b give sums of at most 2^k h b, so a
-stage may skip its reduction where the next stage's sums stay within
-2^53 - q anyway (``_reductions``): for q = 12289 the first of two
-stages does.  The last stage always reduces.
 
 A schedule builds its stage matrices on its first transform, from each
 level's 2 x 2 matrices, which wider groups multiply entrywise
@@ -108,7 +84,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import modarith
+from . import bounds, modarith
 from .errors import LengthMismatch, OrderMismatch, RingMismatch, SpecMismatch, SpecViolation
 from .rings import XN_MINUS_1, XN_PLUS_1, Poly, canonical
 
@@ -344,9 +320,9 @@ class Schedule:
     def stage_class(self) -> tuple:
         """(class, width) of the merged stages, e.g. ("int64", 4),
         ("float64", 5), ("float64-limb", 5) or ("object", 2):
-        ``stage_class`` of the table modulus and the level count, decided
-        once."""
-        return stage_class(self.table.modulus, len(self.levels))
+        ``bounds.stage_class`` of the table modulus and the level count,
+        decided once."""
+        return bounds.stage_class(self.table.modulus, len(self.levels))
 
     def _stages(self) -> tuple:
         """The levels as merged stages of ``stage_class``, the last one
@@ -354,30 +330,33 @@ class Schedule:
         object classes build canonical matrices (of Python ints for
         object), and the limb class then splits them; the single-matrix
         float64 class builds centered float64 ones, exact as every
-        product stays below 2^53, and reduces only where ``_reductions``
-        says."""
+        product stays below 2^53, and reduces only where ``bounds.walk``
+        places a reduction."""
         q = self.table.modulus
         cls, k = self.stage_class
         if not self.levels:
             return ()
         block_tw = _block_twiddled(self.spec)
-        floats = cls in (FLOAT64, FLOAT64_LIMB)
+        floats = cls in (bounds.FLOAT64, bounds.FLOAT64_LIMB)
         groups = self._float_groups(k) if floats else list(_groups(len(self.levels), k))
-        reduces = (_reductions(q, [hi - lo for lo, hi in groups]) if cls == FLOAT64
-                   else [True] * len(groups))
-        dtype = {FLOAT64: np.float64, OBJECT: object}.get(cls, np.int64)
+        reduces = [True] * len(groups)
+        if cls == bounds.FLOAT64:  # the last stage always reduces
+            h = q // 2
+            steps = [bounds.grow(h << (hi - lo), np.float64, q) for lo, hi in groups]
+            reduces[:-1] = bounds.walk(steps, q - 1, h + 2)[0][1:]
+        dtype = {bounds.FLOAT64: np.float64, bounds.OBJECT: object}.get(cls, np.int64)
         out = []
         with modarith.uncounted():
             for (lo, hi), reduce in zip(groups, reduces):
                 shape = (*self._geometry(lo, hi), block_tw)
                 # centered in the float64 class: it runs at least
-                # FLOAT_LEVELS levels, so every group combines two or more
+                # bounds.FLOAT_LEVELS levels, so every group combines two or more
                 mats = self._matrices(lo, hi, dtype)
                 if hi == len(self.levels) and self.factor != 1:
                     mats = _reduce(mats * self.factor, q)
-                if cls == FLOAT64:
+                if cls == bounds.FLOAT64:
                     out.append(FloatStage(*shape, read_only(mats), None, reduce))
-                elif cls == FLOAT64_LIMB:
+                elif cls == bounds.FLOAT64_LIMB:
                     out.append(FloatStage(*shape, *_limbs(mats, q)))
                 else:
                     out.append(Stage(*shape, read_only(mats)))
@@ -467,89 +446,14 @@ def make_schedule(spec: TransformSpec, tw, n: int) -> Schedule:
 # ---------------------------------------------------------------------------
 # merged stages: k levels as one batched matmul, int64, float64 or object
 
-# The widest int64 stage: numpy's int64 matmul has no BLAS path, and its
-# 2^k multiply-adds per value grow faster than the numpy calls they save
-# beyond k = 4 (timed at n = 256 .. 1024).
-STAGE_CAP = 4
-# The float64 class: BLAS matmuls of width 2^FLOAT_WIDTH.  It pays on
-# schedules of at least FLOAT_LEVELS levels, and where q holds the int64
-# width below STAGE_CAP (near 2^31 the int64 class runs one level per
-# stage).  Per product against the int64 class, interleaved in one
-# process (2-vCPU VM): 2048 points mod 2134904833 (ntru-509) 0.63 of
-# its time, mod 120833 and 133121 (ntru-821) 0.71, Good's rows 0.69-0.82,
-# falcon-1024 0.53, falcon-512 0.71 (but 1.14 in the benchmark's rounds,
-# with cold caches).  At 256 points (8 levels) it loses: one forward row
-# takes 29 us against 22 us for kyber and dilithium; two rows break even.
-FLOAT_WIDTH = 5
-FLOAT_LEVELS = 9
-# The object class, from 2^31 up: its entries are Python ints, so a wider
-# stage saves numpy calls but adds Python multiply-adds per entry.  k = 2
-# was the fastest on full NWC products mod 2151677953 at 64-1024 points;
-# k = 1 and k = 3 took 1.10-1.28 times its time at 256 and 1024 points
-# (interleaved in one process, 2-vCPU VM).
-OBJECT_WIDTH = 2
-LIMB = 1 << 16
-INT64 = "int64"
-FLOAT64 = "float64"
-FLOAT64_LIMB = "float64-limb"
-OBJECT = "object"
-_EXACT = 1 << 53  # every integer of magnitude up to 2^53 is a float64
-
-
-def stage_width(q: int) -> int:
-    """Levels per int64 stage mod q: the largest k <= ``STAGE_CAP`` with
-    2^k (q-1)^2 < 2^63, so no row sum of a stage matmul leaves int64.
-
-    At least 1 for every q below 2^31, since 2 (q-1)^2 < 2^63 there: every
-    int64 buffer can run stages, one level each for q above 1518500250.
-    """
-    k = 0
-    while k < STAGE_CAP and (q - 1) ** 2 << (k + 1) < 2**63:
-        k += 1
-    return k
-
-
-def float_fits(q: int, k: int) -> bool:
-    """The single-matrix float64 bound: 2^k (q//2) (q-1) + q <= 2^53
-    (derived in the module docstring)."""
-    return ((q // 2) * (q - 1) << k) + q <= _EXACT
-
-
-def limb_fits(q: int, k: int) -> bool:
-    """The limb-split float64 bound: 2^k H (q-1) + q <= 2^53 with
-    H = (q//2 + 2^15) >> 16, and (q-1) (2^16 + 2^(k+15)) + q <= 2^53
-    (derived in the module docstring)."""
-    high = ((q // 2 + (LIMB >> 1)) >> 16) * (q - 1) << k
-    return max(high, (q - 1) * (LIMB + (LIMB << k >> 1))) + q <= _EXACT
-
-
-def stage_class(q: int, levels: int) -> tuple:
-    """(class, width) of the merged stages of a ``levels``-level schedule
-    mod q, from q and the level count alone.
-
-    Float64 (``FLOAT_WIDTH`` levels per stage, one matrix where
-    ``float_fits``, else two 16-bit limbs where ``limb_fits``) when q
-    has an int64 width and the schedule has at least ``FLOAT_LEVELS``
-    levels or q holds that width below ``STAGE_CAP``; otherwise int64 at
-    ``stage_width``; object at ``OBJECT_WIDTH`` from 2^31 up, where that
-    width is 0.
-    """
-    k = stage_width(q)
-    if not k:
-        return OBJECT, OBJECT_WIDTH
-    if levels >= FLOAT_LEVELS or k < STAGE_CAP:
-        if float_fits(q, FLOAT_WIDTH):
-            return FLOAT64, FLOAT_WIDTH
-        if limb_fits(q, FLOAT_WIDTH):
-            return FLOAT64_LIMB, FLOAT_WIDTH
-    return INT64, k
+LIMB = 1 << 16  # the float64-limb split (``bounds`` derives its bound)
 
 
 def _groups(count: int, k: int):
     """(lo, hi) of ceil(count/k) runs of consecutive levels, as even as possible."""
     g = -(-count // k)
-    bounds = [count * i // g for i in range(g + 1)]
-    return zip(bounds, bounds[1:])
+    edges = [count * i // g for i in range(g + 1)]
+    return zip(edges, edges[1:])
 
 
 @dataclass(frozen=True)
@@ -585,7 +489,7 @@ class FloatStage(Stage):
     ``matrices`` holds the centered stage matrices as float64, or, in
     the limb class, their low 16-bit limbs, with ``high`` the high ones:
     M = high 2^16 + low, each limb stack read-only.  ``reduce`` off
-    leaves the sums unreduced (single matrix only, see ``_reductions``).
+    leaves the sums unreduced (single matrix only, see ``bounds.walk``).
     """
 
     high: np.ndarray | None = None
@@ -607,24 +511,10 @@ class FloatStage(Stage):
         x[...] = reduce_centered(y, q) if self.reduce else y
 
 
-def _reductions(q: int, widths) -> list:
-    """Whether each single-matrix float64 stage, of 2^w-wide matrices for
-    w in ``widths``, reduces its sums: where the next stage's sums could
-    pass 2^53 - q without it, and after the last.  A stage maps inputs
-    of magnitude at most b to sums of at most 2^w (q//2) b."""
-    h, bound, out = q // 2, q - 1, []
-    for i, w in enumerate(widths):
-        bound = h * bound << w
-        out.append(i + 1 == len(widths) or (h * bound << widths[i + 1]) + q > _EXACT)
-        if out[-1]:
-            bound = h + 2
-    return out
-
-
 def reduce_centered(y, q: int) -> np.ndarray:
     """y - rint(y/q) q in place on float64 ``y`` of integers below 2^53 in
-    magnitude: at most q//2 + 2 in magnitude after (see the module
-    docstring); returns ``y``."""
+    magnitude: at most q//2 + 2 in magnitude after (derived in
+    ``bounds``); returns ``y``."""
     t = y * (1.0 / q)
     np.rint(t, out=t)
     t *= q
@@ -665,9 +555,9 @@ def mod_op(ufunc, u, v, q: int, tally: str) -> np.ndarray:
 
 
 def buffer_dtype(q: int):
-    """The working dtype mod q: int64 below ``modarith.VECTOR_LIMIT``, where
-    every product of two residues fits, else ``object`` (Python ints)."""
-    return np.int64 if modarith.vectorized(q) else object
+    """The working dtype mod q: int64 where ``bounds.vectorized``, else
+    ``object`` (Python ints)."""
+    return np.int64 if bounds.vectorized(q) else object
 
 
 def buffer(values, q: int) -> np.ndarray:
@@ -712,7 +602,7 @@ def run_levels(buf, sched: Schedule) -> None:
     row, as ``reference_rows`` does.
     """
     q = sched.table.modulus
-    if sched.stage_class[0] in (FLOAT64, FLOAT64_LIMB):
+    if sched.stage_class[0] in (bounds.FLOAT64, bounds.FLOAT64_LIMB):
         f = buf.astype(np.float64)
         for stage in sched.stages:
             stage.apply(f, q)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from nttkit import bigmod, embed, modarith, planner, polymul, trinomial
+from nttkit import bigmod, bounds, embed, modarith, planner, polymul, trinomial
 from nttkit.embed import (
     SCHOOLBOOK_FLOOR,
     EmbedChain,
@@ -422,11 +422,12 @@ def test_lazy_reduction_boundaries(monkeypatch, q):
 def test_block_walk_boundaries(monkeypatch, q):
     int32 = (q - 1) * (q + 3) < 1 << 31  # up to q = 46339, on reduce-first leaves past q = 23171
     before_scale = 8 * (q - 1) ** 2 >= 1 << 63  # from q = 2^30 + 1
-    assert polymul.leaf_rule(4, q, 1 << 63)[0] == (4 * (q - 1) ** 2 < 1 << 63)
+    assert bounds.fits(np.int64, q - 1, q - 1, 4) == (4 * (q - 1) ** 2 < 1 << 63)
     route = embed.block_route(embed.block_schedule(Schonhage(2, 2)), q)
     assert route.dtype == (np.int32 if int32 else np.int64)
     after_forward = 4 * (4 * (q - 1)) ** 2 >= (1 << 31 if int32 else 1 << 63)  # all but 46341
-    assert route.reduce == ((False, after_forward, False, before_scale),)
+    # before: the forward, the leaves, the inverse, the fold, the scale
+    assert route.reduce == (False, after_forward, False, False, before_scale)
     assert route.leaf_bound == (q - 1 if after_forward else 4 * (q - 1))
     _only_workspaces_of(monkeypatch, route.dtype)
     ring = RingSpec(XN_MINUS_1, 8, q)
@@ -441,7 +442,7 @@ def test_preset_block_route_reduces_three_times(monkeypatch, rng):
     # product once more after the final scale
     route = embed.block_route(embed.block_schedule(Schonhage(32, 32)), 4591)
     assert route.dtype == np.int32
-    assert route.reduce == ((False,) * 4, (False,) * 4, (True, False, False, False))
+    assert route.reduce == (False, False, True) + (False,) * 8  # before the floor's forward
     assert route.leaf_bound == 2 * 4590
     ring, plan = planner.preset("ntruprime-761-schonhage")
     a, b = planner.sample_operands(ring, plan, rng)
@@ -463,10 +464,10 @@ def test_floor_reduces_its_live_input_while_the_leaves_take_it(monkeypatch, q, l
     schedule = embed.block_schedule(Schonhage(32, 32))
     route = embed.block_route(schedule, q)
     assert route.dtype == np.int32
-    assert route.reduce[:2] == ((False,) * 4,) * 2
-    assert route.reduce[2] == (live_input, not live_input, False, False)
+    # before the floor's forward transform, or before its leaves
+    assert route.reduce == (False, False, live_input, not live_input) + (False,) * 7
     assert route.leaf_bound == (2 if live_input else 1) * (q - 1)
-    assert polymul.leaf_rule(8, q, 1 << 31, 2 * (q - 1))[0] == live_input
+    assert bounds.fits(np.int32, 2 * (q - 1), 2 * (q - 1), 8) == live_input
     above, floor = schedule[-2:]
     # the floor's operands, or its source: the depth above's forward output, flat, 64 columns per operand
     other = (2, floor.L, 2 * floor.step.n, 1024) if live_input else (2 * 2 * above.step.n * above.L * 64,)

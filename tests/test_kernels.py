@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from test_transforms import forward_specs, inverse_specs_for, ring_for, tables_for
 
-from nttkit import modarith, planner, polymul, transforms, trinomial
+from nttkit import bounds, modarith, planner, polymul, transforms, trinomial
 from nttkit.errors import SpecViolation
 from nttkit.modarith import OpCounter, counting, is_prime
 from nttkit.polymul import basecase_mul, make_transform_pair, ntt_multiply, oracle_multiply
@@ -277,7 +277,7 @@ N_EDGE = 64  # x^64 + 1 needs q = 1 (mod 128)
 def prime_near_limit(direction):
     """Largest prime below 2^31 (direction -1) or smallest above it (+1), q = 1 mod 2n."""
     step = 2 * N_EDGE
-    q = modarith.VECTOR_LIMIT + 1 + (0 if direction > 0 else -step)
+    q = bounds.VECTOR_LIMIT + 1 + (0 if direction > 0 else -step)
     while not is_prime(q):
         q += direction * step
     return q
@@ -291,7 +291,7 @@ def _forbid(monkeypatch, *names):
 @pytest.mark.parametrize("direction", [-1, +1], ids=["below", "above"])
 def test_threshold_picks_the_kernel(direction, monkeypatch, rng):
     q = prime_near_limit(direction)
-    assert modarith.vectorized(q) == (q < 2**31) == (direction < 0)
+    assert bounds.vectorized(q) == (q < 2**31) == (direction < 0)
     dtype = np.int64 if direction < 0 else object
     ring = RingSpec(XN_PLUS_1, N_EDGE, q)
     a = Poly.random(ring, rng)
@@ -302,9 +302,9 @@ def test_threshold_picks_the_kernel(direction, monkeypatch, rng):
     # the top of int64 has an int64 stage width of 1, so it merges as
     # float64 limb stages of FLOAT_WIDTH levels; from 2^31 up the object
     # class merges OBJECT_WIDTH levels per stage
-    assert transforms.stage_width(q) == (1 if direction < 0 else 0)
-    cls = ((transforms.FLOAT64_LIMB, transforms.FLOAT_WIDTH) if direction < 0
-           else (transforms.OBJECT, transforms.OBJECT_WIDTH))
+    assert int64_width(q) == (1 if direction < 0 else 0)
+    cls = ((bounds.FLOAT64_LIMB, bounds.FLOAT_WIDTH) if direction < 0
+           else (bounds.OBJECT, bounds.OBJECT_WIDTH))
     levels = len(pair.fwd_sched.levels)
     for sched in (pair.fwd_sched, pair.inv_sched):
         assert sched.stage_class == cls
@@ -511,6 +511,13 @@ def test_shared_tables_under_threads(rng):
 # merged stages: groups of levels as one int64 or float64 matmul each
 
 
+def int64_width(q):
+    """The widest int64 stage mod q up to ``bounds.STAGE_CAP``: the largest
+    k whose 2^k products of residues fit int64 (``bounds.fits``), 0 if none."""
+    return max(k for k in range(bounds.STAGE_CAP + 1)
+               if k == 0 or bounds.fits(np.int64, q - 1, q - 1, 1 << k))
+
+
 def friendly_prime(start, order):
     """The smallest prime q = 1 (mod order) at or above ``start``."""
     q = start - start % order + 1
@@ -521,7 +528,7 @@ def friendly_prime(start, order):
 
 def other_class(sched):
     """The stage type of the class ``sched`` does not run, to patch to raise."""
-    floats = (transforms.FLOAT64, transforms.FLOAT64_LIMB)
+    floats = (bounds.FLOAT64, bounds.FLOAT64_LIMB)
     return transforms.Stage if sched.stage_class[0] in floats else transforms.FloatStage
 
 
@@ -542,20 +549,20 @@ def check_widths(sched):
     width k of levels, and ceil(levels/k) stages cover them."""
     q, levels = sched.table.modulus, len(sched.levels)
     cls, k = sched.stage_class
-    assert (cls, k) == transforms.stage_class(q, levels)
+    assert (cls, k) == bounds.stage_class(q, levels)
     stages = sched.stages
     widths = [s.matrices.shape[-1] for s in stages]
     assert len(widths) == -(-levels // k)
     assert sum(w.bit_length() - 1 for w in widths) == levels
     assert all(w <= 1 << k for w in widths)
-    assert all(type(s) is (transforms.Stage if cls in (transforms.INT64, transforms.OBJECT)
+    assert all(type(s) is (transforms.Stage if cls in (bounds.INT64, bounds.OBJECT)
                            else transforms.FloatStage) for s in stages)
     limbs = [s.high for s in stages if getattr(s, "high", None) is not None]
-    assert len(limbs) == (len(stages) if cls == transforms.FLOAT64_LIMB else 0)
+    assert len(limbs) == (len(stages) if cls == bounds.FLOAT64_LIMB else 0)
     assert all(not m.flags.writeable for m in [s.matrices for s in stages] + limbs)
     # the magnitudes the float64 bounds assume: centered, or 16-bit low limbs
-    top = {transforms.INT64: q - 1, transforms.FLOAT64: q // 2, transforms.FLOAT64_LIMB: 2**15,
-           transforms.OBJECT: q - 1}
+    top = {bounds.INT64: q - 1, bounds.FLOAT64: q // 2, bounds.FLOAT64_LIMB: 2**15,
+           bounds.OBJECT: q - 1}
     assert all(np.abs(s.matrices).max() <= top[cls] for s in stages)
     assert all(np.abs(m).max() <= (q // 2 + 2**15) >> 16 for m in limbs)
 
@@ -578,7 +585,7 @@ def merge_cases(draw):
     beta = draw(st.integers(0, logn - 1))
     order = (2 * n if kind == NWC else n) >> beta
     q = friendly_prime(draw(Q_START), order)
-    k = draw(st.integers(1, transforms.STAGE_CAP))
+    k = draw(st.integers(1, bounds.STAGE_CAP))
     return kind, n, q, beta, k, draw(edge_or_random(n, q))
 
 
@@ -589,7 +596,7 @@ def test_merged_stages_match_reference(case):
     # every spec (block- and offset-twiddled), beta, class and width
     kind, n, q, beta, k, values = case
     ftw, itw = tables_for(kind, n, q, beta)
-    with mock.patch.object(transforms, "STAGE_CAP", k):
+    with mock.patch.object(bounds, "STAGE_CAP", k):
         for fs in forward_specs(kind, beta):
             sched = transforms.make_schedule(fs, ftw, n)
             check_widths(sched)
@@ -605,7 +612,7 @@ def trinomial_merge_cases(draw):
     e = draw(st.integers(2, 7))
     n = 3 << e
     q = friendly_prime(draw(st.integers(2, 2**29)), n)
-    return RingSpec(TRINOMIAL, n, q), draw(st.integers(1, transforms.STAGE_CAP))
+    return RingSpec(TRINOMIAL, n, q), draw(st.integers(1, bounds.STAGE_CAP))
 
 
 @BUDGET
@@ -616,7 +623,7 @@ def test_merged_trinomial_stages_match_reference(case, data):
     ring, k = case
     values = data.draw(edge_or_random(ring.n, ring.q))
     a, b = (Poly(data.draw(edge_or_random(ring.n, ring.q)), ring) for _ in range(2))
-    with mock.patch.object(transforms, "STAGE_CAP", k):  # read when the stages are built
+    with mock.patch.object(bounds, "STAGE_CAP", k):  # read when the stages are built
         plan = trinomial.make_plan(ring)
         for sched in (plan.forward, plan.inverse):
             check_widths(sched)
@@ -645,7 +652,7 @@ def batch_cases(draw):
         q = friendly_prime(draw(Q_START), order)
     else:
         q = draw(st.sampled_from([p for p in BIG_PRIMES if two_adic(p) % order == 0]))
-    k = draw(st.integers(1, transforms.STAGE_CAP))
+    k = draw(st.integers(1, bounds.STAGE_CAP))
     return kind, n, q, beta, k, draw(st.lists(edge_or_random(n, q), min_size=1, max_size=4))
 
 
@@ -663,11 +670,11 @@ def test_run_levels_on_a_batch_matches_each_row(case):
         runs.append((fs, ftw, transforms.forward_rows))
         runs += [(inv, itw, transforms.inverse_rows) for inv in inverse_specs_for(fs)]
 
-    with mock.patch.object(transforms, "STAGE_CAP", k):
+    with mock.patch.object(bounds, "STAGE_CAP", k):
         for spec, tw, core in runs:
             wants = [reference(r, q, tw, spec, n) for r in rows]
             sched = transforms.make_schedule(spec, tw, n)
-            assert (sched.stage_class[0] == transforms.OBJECT) == (q >= 2**31)
+            assert (sched.stage_class[0] == bounds.OBJECT) == (q >= 2**31)
             batch = transforms.buffer(rows, q)
             assert batch.shape == (len(rows), n) and batch.dtype == buffer_dtype(q)
             with no_reference(), counting() as c:
@@ -712,14 +719,14 @@ def width_boundary(k):
     return isqrt((2**63 - 1) >> k) + 1
 
 
-@pytest.mark.parametrize("k", range(1, transforms.STAGE_CAP + 1))
+@pytest.mark.parametrize("k", range(1, bounds.STAGE_CAP + 1))
 def test_width_rule_at_its_boundary(k):
     top = width_boundary(k)
     assert (top - 1) ** 2 << k < 2**63 <= top**2 << k
     if k == 1:  # every modulus of an int64 buffer merges
-        assert top == modarith.VECTOR_LIMIT
-    assert transforms.stage_width(top) == k
-    assert transforms.stage_width(top + 1) == k - 1
+        assert top == bounds.VECTOR_LIMIT
+    assert int64_width(top) == k
+    assert int64_width(top + 1) == k - 1
     # a full-width stage of all q-1 on all q-1 is exact at the boundary ...
     ones = np.full((1, 1 << k, 1 << k), top - 1, dtype=np.int64)
     x = np.full(1 << k, top - 1, dtype=np.int64)
@@ -742,10 +749,10 @@ def _friendly_around(bound, order):
 
 
 def _int64_only(q, levels):
-    return transforms.INT64, transforms.stage_width(q)
+    return bounds.INT64, int64_width(q)
 
 
-@pytest.mark.parametrize("k", range(2, transforms.STAGE_CAP + 1))
+@pytest.mark.parametrize("k", range(2, bounds.STAGE_CAP + 1))
 @pytest.mark.parametrize("form", [XN_PLUS_1, XN_MINUS_1])
 def test_width_rule_primes_match_object_buffers(k, form, rng):
     # the primes on either side of the k boundary: int64 stages of width
@@ -755,7 +762,7 @@ def test_width_rule_primes_match_object_buffers(k, form, rng):
     # class raising
     n = 64
     for q, width in zip(_friendly_around(width_boundary(k), 2 * n), (k, k - 1)):
-        assert transforms.stage_width(q) == width
+        assert int64_width(q) == width
         ring = RingSpec(form, n, q)
         ops = [Poly([q - 1] * n, ring), Poly([1] + [0] * (n - 1), ring),
                Poly([0, 1] * (n // 2), ring), Poly.random(ring, rng)]
@@ -767,15 +774,15 @@ def test_width_rule_primes_match_object_buffers(k, form, rng):
             prods = [ntt_multiply(ops[0], b, pair).coeffs for b in ops]
             return [A.values.tolist() for A in fwd], back, prods, pair
 
-        with mock.patch.object(transforms, "stage_class", _int64_only), \
+        with mock.patch.object(bounds, "stage_class", _int64_only), \
                 mock.patch.object(transforms.FloatStage, "apply", _boom):
             got = run()
         sched = got[3].fwd_sched
         assert len(sched.stages) == -(-len(sched.levels) // width)
-        picked = transforms.stage_class(q, len(sched.levels))
-        assert picked[0] == (transforms.INT64 if width == transforms.STAGE_CAP
-                             else transforms.FLOAT64_LIMB)
-        with mock.patch.object(transforms.FloatStage if picked[0] == transforms.INT64
+        picked = bounds.stage_class(q, len(sched.levels))
+        assert picked[0] == (bounds.INT64 if width == bounds.STAGE_CAP
+                             else bounds.FLOAT64_LIMB)
+        with mock.patch.object(transforms.FloatStage if picked[0] == bounds.INT64
                                else transforms.Stage, "apply", _boom):
             rule = run()
         assert rule[3].fwd_sched.stage_class == picked
@@ -788,11 +795,30 @@ def test_width_rule_primes_match_object_buffers(k, form, rng):
 # ---------------------------------------------------------------------------
 # the float64 classes at their boundaries
 
-INT64_4 = (transforms.INT64, 4)
-FLOAT64_5 = (transforms.FLOAT64, transforms.FLOAT_WIDTH)
+INT64_4 = (bounds.INT64, 4)
+FLOAT64_5 = (bounds.FLOAT64, bounds.FLOAT_WIDTH)
 
 
-def largest(fits, k=transforms.FLOAT_WIDTH):
+def float_fits(q, k):
+    """The single-matrix float64 bound at width k (``bounds.fits``)."""
+    return bounds.fits(np.float64, q // 2, q - 1, 1 << k, q)
+
+
+def limb_fits(q, k):
+    """The limb-split float64 bound at width k (``bounds.fits``)."""
+    high, low = (q // 2 + (transforms.LIMB >> 1)) >> 16, transforms.LIMB + (transforms.LIMB << k >> 1)
+    return bounds.fits(np.float64, high, q - 1, 1 << k, q) and bounds.fits(np.float64, q - 1, low, 1, q)
+
+
+def float_reductions(q, widths):
+    """Whether each single-matrix float64 stage of 2^w-wide matrices, for
+    w in ``widths``, reduces, as ``bounds.walk`` places them (the last one
+    always); None where one stage is not exact even on reduced input."""
+    walk = bounds.walk([bounds.grow(q // 2 << w, np.float64, q) for w in widths], q - 1, q // 2 + 2)
+    return None if walk is None else [*walk[0][1:], True]
+
+
+def largest(fits, k=bounds.FLOAT_WIDTH):
     """The largest q with fits(q, k); both float64 bounds fall as q grows."""
     lo, hi = 2, 1 << 40
     while hi - lo > 1:
@@ -815,17 +841,16 @@ def float_stage(M, x, q, limb):
     return (f.astype(np.int64) % q).tolist()
 
 
-@pytest.mark.parametrize("fits, limb", [(transforms.float_fits, False),
-                                        (transforms.limb_fits, True)], ids=["single", "limb"])
+@pytest.mark.parametrize("fits, limb", [(float_fits, False), (limb_fits, True)], ids=["single", "limb"])
 def test_float_bounds_at_their_boundary(fits, limb, rng):
     # at the largest q the bound admits, and at the primes on either side
     # of it, one stage is exact on every matrix entry +-q//2 against
     # inputs all q-1, and on random ones; the rule refuses one past it
-    k = transforms.FLOAT_WIDTH
+    k = bounds.FLOAT_WIDTH
     w, top = 1 << k, largest(fits)
     below, above = _friendly_around(top, 2)
     assert fits(top, k) and fits(below, k) and not fits(top + 1, k) and not fits(above, k)
-    assert limb or transforms.limb_fits(above, k)
+    assert limb or limb_fits(above, k)
     for q in (top, below):
         h = q // 2
         ms = [np.full((w, w), h), np.full((w, w), q - h),
@@ -837,18 +862,18 @@ def test_float_bounds_at_their_boundary(fits, limb, rng):
             assert float_stage(M, xs, q, limb) == want
     # the class one past: limbs above the single bound, the object class
     # (object buffers) above the limb bound, which lies above 2^31
-    assert transforms.stage_class(above, transforms.FLOAT_LEVELS) == (
-        (transforms.OBJECT, transforms.OBJECT_WIDTH) if limb else (transforms.FLOAT64_LIMB, k))
-    assert not limb or above > modarith.VECTOR_LIMIT
+    assert bounds.stage_class(above, bounds.FLOAT_LEVELS) == (
+        (bounds.OBJECT, bounds.OBJECT_WIDTH) if limb else (bounds.FLOAT64_LIMB, k))
+    assert not limb or above > bounds.VECTOR_LIMIT
 
 
 def test_lazy_reduction_at_its_boundary():
     # two single-matrix stages 2^5 wide, every entry q//2, on inputs all
     # q-1: up to the largest q whose first reduction the walk skips, the
     # unreduced sums (2^5 (q//2))^2 (q-1) are exact; one past, it reduces
-    k = transforms.FLOAT_WIDTH
-    w, top = 1 << k, largest(lambda q, k: transforms._reductions(q, [k, k]) == [False, True])
-    assert transforms._reductions(top + 1, [k, k]) == [True, True]
+    k = bounds.FLOAT_WIDTH
+    w, top = 1 << k, largest(lambda q, k: float_reductions(q, [k, k]) == [False, True])
+    assert float_reductions(top + 1, [k, k]) == [True, True]
     for q, first in ((top, False), (top + 1, True)):
         h = q // 2
         M = read_only(np.full((1, w, w), float(h)))
@@ -864,7 +889,7 @@ def test_lazy_reduction_at_its_boundary():
 def test_lazy_reduction_primes(side, rng):
     # a 512-point schedule (stages of 5 and 4 levels) on the primes on
     # either side of the largest q whose first reduction is skipped
-    top = largest(lambda q, k: not transforms._reductions(q, [5, 4])[0])
+    top = largest(lambda q, k: float_reductions(q, [5, 4]) == [False, True])
     q = _friendly_around(top, 1024)[side]
     class_side(NWC, 512, q, FLOAT64_5, rng)
     ftw, itw = tables_for(NWC, 512, q)
@@ -896,21 +921,21 @@ def test_single_bound_primes(kind, side, rng):
     # a 512-point schedule (FLOAT_LEVELS levels) on the primes on either
     # side of the single-matrix bound: one matrix, then limbs
     n = 512
-    q = _friendly_around(largest(transforms.float_fits), 1024)[side]
-    cls = (transforms.FLOAT64, transforms.FLOAT64_LIMB)[side]
-    class_side(kind, n, q, (cls, transforms.FLOAT_WIDTH), rng)
+    q = _friendly_around(largest(float_fits), 1024)[side]
+    cls = (bounds.FLOAT64, bounds.FLOAT64_LIMB)[side]
+    class_side(kind, n, q, (cls, bounds.FLOAT_WIDTH), rng)
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["below", "above"])
 def test_class_threshold_primes(side, rng):
     # the int64 width on either side of STAGE_CAP at 64 points: int64,
     # then float64 limbs; and 8 against FLOAT_LEVELS = 9 levels at one q
-    q = _friendly_around(width_boundary(transforms.STAGE_CAP), 128)[side]
-    float_cls = (transforms.FLOAT64_LIMB, transforms.FLOAT_WIDTH)
+    q = _friendly_around(width_boundary(bounds.STAGE_CAP), 128)[side]
+    float_cls = (bounds.FLOAT64_LIMB, bounds.FLOAT_WIDTH)
     class_side(NWC, 64, q, (float_cls if side else INT64_4), rng)
     n = (256, 512)[side]
     assert len(transforms.make_schedule(forward_specs(NWC)[0], tables_for(NWC, n, 12289)[0],
-                                        n).levels) == transforms.FLOAT_LEVELS - 1 + side
+                                        n).levels) == bounds.FLOAT_LEVELS - 1 + side
     class_side(NWC, n, 12289, (FLOAT64_5 if side else INT64_4), rng)
 
 
@@ -925,7 +950,7 @@ PRESET_CLASSES = {
     "kyber": {3329: INT64_4},
     "kyber-r1": {7681: INT64_4},
     "lightsaber-m4": {20972417: INT64_4},
-    "ntru-509": {2134904833: (transforms.FLOAT64_LIMB, transforms.FLOAT_WIDTH)},
+    "ntru-509": {2134904833: (bounds.FLOAT64_LIMB, bounds.FLOAT_WIDTH)},
     "ntru-677": {1389569: FLOAT64_5},
     "ntru-701": {5747201: FLOAT64_5},
     "ntru-821": {120833: FLOAT64_5, 133121: FLOAT64_5},
@@ -938,32 +963,83 @@ PRESET_CLASSES = {
 }
 
 
+# and, per schedule that a product of each preset runs, its level count
+# and each stage's reduce flag (an int64 or limb stage always reduces): the
+# single-matrix float64 stages of falcon skip their first reduction
+ALL = (True, True)
+PRESET_REDUCTIONS = {
+    "dilithium": {8380417: {(8, ALL)}},
+    "falcon-1024": {12289: {(10, (False, True))}},
+    "falcon-512": {12289: {(9, (False, True))}},
+    "kyber": {3329: {(7, ALL)}},
+    "kyber-r1": {7681: {(8, ALL)}},
+    "lightsaber-m4": {20972417: {(6, ALL)}},
+    "ntru-509": {2134904833: {(11, (True,) * 3)}},
+    "ntru-677": {1389569: {(9, ALL)}},
+    "ntru-701": {5747201: {(9, ALL)}},
+    "ntru-821": {120833: {(11, (True,) * 3)}, 133121: {(11, (True,) * 3)}},
+    "ntruprime-653-good": {3018241: {(9, ALL)}},
+    "ntruprime-761-good": {6984193: {(9, ALL)}},
+    "ntruprime-857-good": {4435969: {(10, ALL)}},
+    "saber-avx2": {7681: {(8, ALL)}, 10753: {(8, ALL)}},
+    "saber-m3": {25570049: {(6, ALL)}},
+    "saber-m4": {25166081: {(6, ALL)}},
+}
+# and, per block preset, its route's dtype and leaf bound and the (dtype,
+# size) of each array one product reduces, in order: the floor's two live
+# input blocks, the leaf sums, and the scaled int64 product
+BLOCK_REDUCTIONS = (("int32", 32768), ("int32", 65536), ("int64", 2048))
+PRESET_BLOCKS = {
+    "ntruprime-653-schonhage": ("int32", 9240, BLOCK_REDUCTIONS),
+    "ntruprime-761-schonhage": ("int32", 9180, BLOCK_REDUCTIONS),
+    "ntruprime-857-schonhage": ("int32", 10332, BLOCK_REDUCTIONS),
+}
+
+
 def test_presets_run_the_merged_stages(rng):
+    from nttkit import embed
     from nttkit.planner import multiply, preset, preset_names, sample_operands
 
-    runs, seen = {}, {}
-    run_levels = transforms.run_levels
+    runs, seen, reductions, blocks = {}, {}, {}, {}
+    run_levels, block_product = transforms.run_levels, embed._block_product
+    mods = {module: module._mod for module in (embed, polymul)}
 
     def record(buf, sched):
         seen[name].setdefault(sched.table.modulus, set()).add(sched.stage_class)
+        flags = tuple(getattr(stage, "reduce", True) for stage in sched.stages)
+        reductions[name].setdefault(sched.table.modulus, set()).add((len(sched.levels), flags))
         return run_levels(buf, sched)
 
-    with mock.patch.object(transforms, "run_levels", record):
+    def block(x, y, ws, route):  # the route's decisions, as one product makes them
+        reduced = []
+        blocks[name] = (route.dtype.name, route.leaf_bound, reduced)
+
+        def observed(real):
+            return lambda X, *args: reduced.append((X.dtype.name, X.size)) or real(X, *args)
+
+        with mock.patch.multiple(embed, _mod=observed(mods[embed])), \
+                mock.patch.multiple(polymul, _mod=observed(mods[polymul])):
+            return block_product(x, y, ws, route)
+
+    with mock.patch.object(transforms, "run_levels", record), \
+            mock.patch.object(embed, "_block_product", block):
         for name in preset_names():
-            seen[name] = {}
+            seen[name], reductions[name] = {}, {}
             ring, plan = preset(name)
             runs[name] = (plan, sample_operands(ring, plan, rng))
             multiply(*runs[name][1], plan)  # builds every table and stage
     merge = {name: {q: cls for q, (cls,) in classes.items()}
              for name, classes in seen.items()
-             if classes and min(map(transforms.stage_width, classes)) >= 1}
+             if classes and min(map(int64_width, classes)) >= 1}
     assert merge == PRESET_CLASSES
+    assert {name: r for name, r in reductions.items() if r} == PRESET_REDUCTIONS
+    assert {name: (*b[:2], tuple(b[2])) for name, b in blocks.items()} == PRESET_BLOCKS
     # the reference kernel and the other stage class never run for them
     with no_reference():
         for name, classes in PRESET_CLASSES.items():
             plan, (a, b) = runs[name]
             ((cls, _),) = set(classes.values())  # one class for every modulus of a preset
-            other = transforms.FloatStage if cls == transforms.INT64 else transforms.Stage
+            other = transforms.FloatStage if cls == bounds.INT64 else transforms.Stage
             with mock.patch.object(other, "apply", _boom):
                 assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs, name
 

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from nttkit import bigmod, embed, modarith, planner, polymul, splitting, transforms, trinomial
+from nttkit import bigmod, bounds, embed, modarith, planner, polymul, splitting, transforms, trinomial
 from nttkit.errors import (
     NoStrategy, ParameterCondition, RingMismatch, ShapeCondition, SpecMismatch, UnknownPreset,
 )
@@ -222,7 +222,7 @@ def test_plans_at_or_above_2_31_run_the_array_kernel(monkeypatch, rng, prefer, q
     edge = Poly([q - 1] * ring.n, ring)
     for a, b in [(Poly.random(ring, rng), Poly.random(ring, rng)), (edge, edge)]:
         assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs
-    assert seen == {(np.dtype(object), (transforms.OBJECT, transforms.OBJECT_WIDTH))}
+    assert seen == {(np.dtype(object), (bounds.OBJECT, bounds.OBJECT_WIDTH))}
 
 
 def test_replaced_modulus_is_named_in_the_plan():

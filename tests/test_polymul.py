@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import ref_poly_mul_linear
 
-from nttkit import modarith, polymul
+from nttkit import bounds, modarith, polymul
 from nttkit.errors import FormMismatch, LengthMismatch, ModulusMismatch, SpecMismatch
 from nttkit.modarith import counting
 from nttkit.polymul import (
@@ -311,8 +311,9 @@ def test_leaf_products_take_their_limit_from_the_dtype(monkeypatch, q, lazy):
     # reduces once, the result, and a reduce-first one L + 1 times
     L = 8
     assert (L * (q - 1) ** 2 < 1 << 31) == lazy
-    assert [polymul.dtype_limit(d) for d in (np.int32, np.int64, object)] == [1 << 31, 1 << 63, None]
-    assert polymul.leaf_rule(L, q, 1 << 63) == (True, L * (q - 1) ** 2)
+    assert [bounds.LIMITS[d] for d in (np.int32, np.int64, object)] == [(1 << 31) - 1, (1 << 63) - 1, None]
+    assert bounds.fits(np.int32, q - 1, q - 1, L) == lazy and bounds.fits(np.int64, q - 1, q - 1, L)
+    assert bounds.leaves(L, q, np.int64)(q - 1) == q - 1  # canonical output
     reduced, real = [], polymul._mod
 
     def counted(*args):
@@ -356,8 +357,9 @@ def test_leaf_products_take_operands_within_a_lazy_bound():
     # L (2 (q-1))^2 < 2^31: at L = 8 up to q = 8191; past it the operands
     # must be canonical
     L, q, bound = 8, 8191, 2 * 8190
-    assert polymul.leaf_rule(L, q, 1 << 31, bound) == (True, L * bound ** 2)
-    assert not polymul.leaf_rule(L, 8193, 1 << 31, 2 * 8192)[0]
+    assert bounds.fits(np.int32, bound, bound, L) and bounds.leaves(L, q, np.int32)(bound) == q - 1
+    assert not bounds.fits(np.int32, 2 * 8192, 2 * 8192, L)
+    assert bounds.leaves(L, 8193, np.int32)(2 * 8192) is None  # reduce-first takes canonical operands
     U, V = np.random.default_rng(1).integers(-bound, bound + 1, size=(2, L, 9)).astype(np.int32)
     U[:, 0], V[:, 0] = bound, -bound
     for gamma in (-1, 1, np.full(9, 5, dtype=np.int32)):
@@ -380,7 +382,7 @@ def test_leaf_rows_lazy_rule_at_its_boundary(monkeypatch, L, lazy):
     edge = math.isqrt(((1 << 63) - 1) // L) + 1  # the largest q with L (q-1)^2 < 2^63
     assert L * (edge - 1) ** 2 < 1 << 63 <= L * edge ** 2
     q = _first_prime(range(edge, 0, -1)) if lazy else _first_prime(itertools.count(edge + 1))
-    assert polymul.leaf_rule(L, q, 1 << 63)[0] == lazy
+    assert bounds.fits(np.int64, q - 1, q - 1, L) == lazy
     calls, real = [], polymul._mod
 
     def reduce_first(*args):

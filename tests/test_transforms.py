@@ -6,7 +6,7 @@ import pytest
 
 from conftest import direct_ntt_cc, direct_ntt_nwc, valid_qs
 
-from nttkit import transforms, trinomial
+from nttkit import bounds, transforms, trinomial
 from nttkit.errors import LengthMismatch, OrderMismatch, SpecViolation
 from nttkit.modarith import (
     BIT_REVERSED, NATURAL, OpCounter, bitrev, build_twiddles, counting, find_root, mod_inv,
@@ -443,8 +443,8 @@ def test_schedule_replay_matches_kernel(rng):
         pairs = 2 * sched.chunk * len(list(butterfly_schedule(sched)))
         assert replay == OpCounter(pairs, pairs, pairs)
         classes.add(sched.stage_class[0])
-    assert classes == {transforms.INT64, transforms.FLOAT64, transforms.FLOAT64_LIMB,
-                       transforms.OBJECT}
+    assert classes == {bounds.INT64, bounds.FLOAT64, bounds.FLOAT64_LIMB,
+                       bounds.OBJECT}
 
 
 def test_recursive_split_recurrence(rng):

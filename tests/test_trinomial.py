@@ -6,7 +6,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from nttkit import transforms
+from nttkit import bounds, transforms
 from nttkit.errors import LengthMismatch, ParameterCondition, PlanMismatch
 from nttkit.modarith import counting, is_prime
 from nttkit.polymul import reduce_mod_phi, schoolbook_linear
@@ -190,7 +190,7 @@ def _width_primes(n):
     """The primes q = 1 (mod n) either side of 2^STAGE_CAP (q-1)^2 = 2^63,
     the int64 width step: the largest with int64 stages of ``STAGE_CAP``
     levels and the smallest past it, on float64-limb stages."""
-    edge = isqrt(((1 << 63) - 1) >> transforms.STAGE_CAP) + 1  # the largest such q
+    edge = isqrt(((1 << 63) - 1) >> bounds.STAGE_CAP) + 1  # the largest such q
     first = edge - (edge - 1) % n
     below = next(q for q in range(first, 0, -n) if is_prime(q))
     above = next(q for q in itertools.count(first + n, n) if is_prime(q))
@@ -211,8 +211,8 @@ def test_split_level_reduces_only_past_its_bound(n, w, lazy):
     q = _width_primes(n)[0 if lazy else 1]
     ring = RingSpec(TRINOMIAL, n, q)
     plan = make_plan(ring)
-    assert plan.forward.stage_class == ((transforms.INT64, transforms.STAGE_CAP) if lazy
-                                        else (transforms.FLOAT64_LIMB, transforms.FLOAT_WIDTH))
+    assert plan.forward.stage_class == ((bounds.INT64, bounds.STAGE_CAP) if lazy
+                                        else (bounds.FLOAT64_LIMB, bounds.FLOAT_WIDTH))
     nblocks, half, split = plan.forward.levels[0]
     assert (nblocks, half) == (1, w) and split.tolist() == [[[1, plan.zeta1], [1, plan.zeta2]]]
     a = Poly([q - 1] * n, ring)
@@ -246,7 +246,7 @@ def test_split_level_runs_in_the_first_float_stage():
     # stages give the reference kernel's image
     ring = RingSpec(TRINOMIAL, 3072, 12289)
     plan = make_plan(ring)
-    assert plan.forward.stage_class[0] == transforms.FLOAT64
+    assert plan.forward.stage_class[0] == bounds.FLOAT64
     assert [s.reduce for s in plan.forward.stages] == [False, True]
     a = Poly([12288] * 3072, ring)
     ahat = trinomial_forward(a, plan)
