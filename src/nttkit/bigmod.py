@@ -20,7 +20,7 @@ from math import prod
 
 import numpy as np
 
-from . import bounds, modarith, polymul
+from . import bounds, modarith, polymul, transforms
 from .errors import (
     BoundTooSmall,
     InvalidRoot,
@@ -30,7 +30,7 @@ from .errors import (
     RingMismatch,
 )
 from .modarith import MODULUS_CEILING, is_prime, is_principal_root
-from .rings import XN_PLUS_1, Poly, RingSpec
+from .rings import Poly, RingSpec
 
 FULL_FULL = "full*full"
 FULL_SMALL = "full*small"
@@ -310,8 +310,7 @@ class CompositeExecutor(BigPrimeExecutor):
     def __init__(self, ring: RingSpec, basis: RnsBasis, beta: int = 0):
         super().__init__(ring, basis.product, beta)
         self.basis = basis
-        m = ring.n >> beta
-        self.order = 2 * m if ring.form == XN_PLUS_1 else m
+        self.order = transforms.root_order(ring.form, ring.n, beta)
         for p in basis.primes:
             if (p - 1) % self.order != 0:
                 raise ParameterCondition(f"{self.order} does not divide {p}-1 (gcd condition fails)")

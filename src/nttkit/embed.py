@@ -762,7 +762,7 @@ class EmbedChain:
         if isinstance(s, Good):
             return 1 << s.k
         if isinstance(s, PlainNtt):
-            return (self.pad.n_prime >> s.beta) * (2 if self.pad.form == XN_PLUS_1 else 1)
+            return transforms.root_order(self.pad.form, self.pad.n_prime, s.beta)
         return 2
 
 

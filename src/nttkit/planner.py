@@ -28,7 +28,7 @@ from .errors import (
 )
 from .modarith import MODULUS_CEILING, is_prime
 from .rings import TRINOMIAL, XN_MINUS_1, XN_PLUS_1, Poly, RingSpec, is_pow2
-from .transforms import NttDomainPoly
+from .transforms import NttDomainPoly, root_order
 
 POW2_FULL = "pow2_full_friendly"
 POW2_PARTIAL = "pow2_partial_friendly"
@@ -52,10 +52,6 @@ class RingClass:
         return self.kind
 
 
-def _full_order(form: str, n: int) -> int:
-    return 2 * n if form == XN_PLUS_1 else n
-
-
 def classify(ring: RingSpec) -> RingClass:
     """Deterministic friendliness category of a ring."""
     n, q = ring.n, ring.q
@@ -63,7 +59,7 @@ def classify(ring: RingSpec) -> RingClass:
         if is_pow2(n):
             if not is_prime(q):
                 return RingClass(POW2_UNFRIENDLY)
-            need = _full_order(ring.form, n)
+            need = root_order(ring.form, n)
             if (q - 1) % need == 0:
                 return RingClass(POW2_FULL)
             max_beta = n.bit_length() - 2  # beta < log2 n
@@ -261,7 +257,7 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
 
     if cls.kind == POW2_FULL and (prefer == "full" or prefer == "auto" and not beta):
         _refuse("full", beta=beta or None, alpha=alpha, N=N, basis=basis)  # beta = 0 is full
-        checks.append(_cong_check(q, _full_order(ring.form, n), "full transform"))
+        checks.append(_cong_check(q, root_order(ring.form, n), "full transform"))
         return plan("full", bigmod.BigPrimeExecutor(ring, q))
 
     if cls.kind in (POW2_FULL, POW2_PARTIAL):
@@ -269,18 +265,18 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
         if prefer in ("auto", "incomplete"):
             _refuse("incomplete", alpha=alpha, N=N, basis=basis)
             b = beta if beta is not None else t
-            checks.append(_cong_check(q, _full_order(ring.form, n) >> b, f"incomplete beta={b}"))
+            checks.append(_cong_check(q, root_order(ring.form, n, b), f"incomplete beta={b}"))
             return plan("incomplete", bigmod.BigPrimeExecutor(ring, q, b))
         if prefer in ("split-pt", "split-k"):
             _refuse(prefer, beta=beta, N=N, basis=basis)
             a_ = alpha if alpha is not None else t
-            checks.append(_cong_check(q, _full_order(ring.form, n) >> a_, f"split alpha={a_}"))
+            checks.append(_cong_check(q, root_order(ring.form, n, a_), f"split alpha={a_}"))
             return plan(prefer, splitting.SplitExecutor(ring, a_, 0, prefer == "split-k", False))
         if prefer == "hntt":
             _refuse("hntt", N=N, basis=basis)
             a_ = alpha if alpha is not None else 0
             b = beta if beta is not None else max(t - a_, 0)
-            checks.append(_cong_check(q, _full_order(ring.form, n) >> (a_ + b),
+            checks.append(_cong_check(q, root_order(ring.form, n, a_ + b),
                                       f"hntt alpha={a_} beta={b}"))
             return plan("hntt", splitting.SplitExecutor(ring, a_, b, True, True))
         raise NoStrategy(f"preference {prefer!r} does not apply to {cls.describe()}")
@@ -294,7 +290,7 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
         choice = "bigprime" if prefer == "auto" else prefer
         b = beta if beta is not None else 0
         bound = bigmod.required_bound(n, q, prof)
-        order = _full_order(ring.form, n) >> b
+        order = root_order(ring.form, n, b)
         if choice == "bigprime":
             _refuse("bigprime", alpha=alpha, basis=basis)
             bigN = N if N is not None else search_prime(order, bound)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .errors import (
     FormMismatch,
     LengthMismatch,
     ModulusMismatch,
+    NotInvertible,
     ParameterCondition,
     RingMismatch,
     SpecMismatch,
@@ -523,11 +525,14 @@ def check_pair_ring(ring: RingSpec, beta: int) -> None:
 
 
 def make_transform_pair(ring: RingSpec, beta: int = 0, root: int | None = None) -> TransformPair:
-    """Build tables and specs for the ring, failing fast on congruences."""
+    """Build tables and specs for the ring, failing fast on congruences
+    and on a q with no inverse of 2n (the inverse transform needs one)."""
     check_pair_ring(ring, beta)
     n, q = ring.n, ring.q
+    if gcd(2 * n, q) != 1:
+        raise NotInvertible(f"2n = {2 * n} must be invertible mod q = {q}")
     kind = NWC if ring.form == XN_PLUS_1 else CC
-    order = (2 * n if kind == NWC else n) >> beta
+    order = transforms.root_order(ring.form, n, beta)
     if root is None:
         try:
             root = find_root(order, q)

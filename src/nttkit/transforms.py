@@ -17,7 +17,8 @@ Loop structure, with m = n / 2^beta chunks and chunk-level half-length L:
   exponent (m/2L)*j resp. (m/2L)*(2j+1), shared by all blocks.
 
 Inverse transforms run the same structures with negated exponents and a
-final scaling by (n/2^beta)^-1, which the last stage carries.
+final scaling by (n/2^beta)^-1, which the last stage carries.  The root
+has order ``root_order``, the one rule behind every congruence on q.
 
 ``level_geometry`` is the only derivation of this structure: a
 ``Schedule`` holds it per (spec, table, n), and ``butterfly_schedule``
@@ -26,7 +27,7 @@ the pure-Python reference kernel; the trinomial levels and the block
 transforms of the embeddings walk it too.  A level is (nblocks, half,
 x), x its twiddle exponents or, where it is not a CT/GS butterfly (the
 trinomial split), its 2 x 2 matrices, counted as one butterfly per
-pair; both run the same.  ``run_levels`` runs a
+pair plus the schedule's ``cost``; both run the same.  ``run_levels`` runs a
 schedule's merged stages on the working buffer that ``buffer`` picks
 from the modulus alone (``bounds.vectorized``): int64 below 2^31,
 ``object`` (Python ints) at or above.
@@ -60,19 +61,21 @@ level's 2 x 2 matrices, which wider groups multiply entrywise
 (``Schedule._matrices``); an inverse schedule's last group also carries
 the factor 2^-levels, so no pass scales the buffer after the stages.
 ``make_schedule`` keeps one schedule per (spec, n) on its twiddle table,
-so a one-call transform on a reused table builds its stages once.  The
+so a one-call transform on a reused table builds its stages once; a
+trinomial plan keeps its two schedules there too.  The
 merged stages and the reference kernel give identical values and op
 counts, which count one butterfly per pair of every level.
 
 ``forward_rows`` and ``inverse_rows`` are the array cores of a
 transform: counted, in place on a bare buffer, and unchecked.
-``ntt_forward`` and ``ntt_inverse`` are the one entry to them: given a
-bare buffer (an ndarray, with no ring) they run the core on it and
-return it, as every planned route calls them between its forward
-transform and its inverse, so that a transform is one call whichever
-route runs it.  Given a Poly, or outside values with their ring, they
-are the public layer: they check the table, spec and ring, check
-outside values once as ``Poly`` checks its coefficients, and tag the
+``ntt_forward`` and ``ntt_inverse`` are their one entry and only
+callers: given a bare buffer (an ndarray, with no ring) they run the
+table's schedule on it and return it, as every planned route, the
+trinomial one included, and the separate pre/post-processing variants
+call them, so that a transform is one call whichever route runs it.
+Given a Poly, or outside values with their ring, they are the public
+layer: they check the table, spec and ring, check outside values once
+as ``Poly`` checks its coefficients, and tag the
 result as an ``NttDomainPoly`` (an inverse may return a Poly).
 """
 
@@ -96,6 +99,13 @@ FORWARD = "forward"
 INVERSE = "inverse"
 NATURAL = modarith.NATURAL
 BIT_REVERSED = modarith.BIT_REVERSED
+
+
+def root_order(form: str, n: int, beta: int = 0) -> int:
+    """The root order a length-n transform over ring form ``form``, beta
+    levels cropped, needs: 2n / 2^beta for x^n + 1, else n / 2^beta."""
+    return (2 * n if form == XN_PLUS_1 else n) >> beta
+
 
 @dataclass(frozen=True)
 class TransformSpec:
@@ -135,8 +145,7 @@ class TransformSpec:
 
     def table_order(self, n: int) -> int:
         """Required twiddle-table order for a length-n buffer."""
-        m = n >> self.beta
-        return 2 * m if self.conv_kind == NWC else m
+        return root_order(XN_PLUS_1 if self.conv_kind == NWC else XN_MINUS_1, n, self.beta)
 
     def inverse_of(self) -> "TransformSpec":
         """The inverse spec that undoes this forward spec without reordering."""
@@ -294,7 +303,10 @@ class Schedule:
     stack (see the module docstring).  The merged
     stages of ``stage_class`` (see ``Stage`` and ``FloatStage``) are
     built from it on first use; the reference kernel replays its
-    butterflies (``butterfly_schedule``).
+    butterflies (``butterfly_schedule``).  ``cost`` is the (mults, adds,
+    subs) per pair that its matrix levels cost beyond one butterfly,
+    counted by ``forward_rows``/``inverse_rows``: data, since the trinomial
+    split's one multiply relies on z1 + z2 = 1, which no matrix shows.
     """
 
     spec: TransformSpec
@@ -302,6 +314,7 @@ class Schedule:
     n: int
     chunk: int
     levels: tuple
+    cost: tuple = (0, 0, 0)
 
     @cached_property
     def factor(self) -> int:
@@ -619,13 +632,23 @@ def run_levels(buf, sched: Schedule) -> None:
         ctr.subs += nbf
 
 
-def forward_rows(buf, sched: Schedule) -> np.ndarray:
-    """The array core of ``ntt_forward``: the levels of ``sched`` on the
-    rows of contiguous working buffer ``buf``, in place and counted,
-    unchecked; returns ``buf``."""
+def _count(buf, sched: Schedule, tally: str) -> None:
+    """One ``tally`` transform per row of ``buf``, the schedule's ``cost``
+    per pair and, where its ``factor`` is not 1, one mult per entry."""
     ctr = modarith.active_counter()
     if ctr is not None:
-        ctr.forward_transforms += buf.size // sched.n
+        setattr(ctr, tally, getattr(ctr, tally) + buf.size // sched.n)
+        mults, adds, subs = (c * (buf.size // 2) for c in sched.cost)
+        ctr.mults += mults + buf.size * (sched.factor != 1)
+        ctr.adds += adds
+        ctr.subs += subs
+
+
+def forward_rows(buf, sched: Schedule) -> np.ndarray:
+    """The array core of ``ntt_forward``: the levels of ``sched`` on the
+    rows of contiguous working buffer ``buf``, in place and counted
+    (``_count``), unchecked; returns ``buf``."""
+    _count(buf, sched, "forward_transforms")
     run_levels(buf, sched)
     return buf
 
@@ -633,13 +656,8 @@ def forward_rows(buf, sched: Schedule) -> np.ndarray:
 def inverse_rows(buf, sched: Schedule) -> np.ndarray:
     """The array core of ``ntt_inverse`` (see ``forward_rows``).  The
     per-level factor 2 is deferred into one scaling by 2^-levels, i.e.
-    (n/2^beta)^-1, which the schedule's last stage carries: counted as
-    one multiplication per entry where that is not 1."""
-    ctr = modarith.active_counter()
-    if ctr is not None:
-        ctr.inverse_transforms += buf.size // sched.n
-        if sched.factor != 1:
-            ctr.mults += buf.size
+    (n/2^beta)^-1, which the schedule's last stage carries."""
+    _count(buf, sched, "inverse_transforms")
     run_levels(buf, sched)
     return buf
 
@@ -794,8 +812,7 @@ def nwc_forward_separate(a, cc_tw, psi_tw, spec: TransformSpec) -> NttDomainPoly
     _check_table(cc_tw, spec, n, q, expect_inverse=False)
     buf = mod_op(np.multiply, buffer(a.array, q), buffer(_psi_powers(psi_tw, spec.in_order, n), q),
                  q, "mults")
-    forward_rows(buf, make_schedule(spec, cc_tw, n))
-    return NttDomainPoly(buf, spec, a.ring, 1)
+    return NttDomainPoly(ntt_forward(buf, cc_tw, spec), spec, a.ring, 1)
 
 
 def nwc_inverse_separate(ahat: NttDomainPoly, cc_tw_inv, psi_tw_inv, spec: TransformSpec):
@@ -808,6 +825,6 @@ def nwc_inverse_separate(ahat: NttDomainPoly, cc_tw_inv, psi_tw_inv, spec: Trans
     _check_table(cc_tw_inv, spec, n, q, expect_inverse=True)
     if spec.in_order != ahat.spec.out_order:
         raise SpecViolation("inverse input ordering must match forward output")
-    buf = inverse_rows(buffer(ahat.values, q), make_schedule(spec, cc_tw_inv, n))
+    buf = ntt_inverse(buffer(ahat.values, q), cc_tw_inv, spec)
     return Poly(mod_op(np.multiply, buf, buffer(_psi_powers(psi_tw_inv, spec.out_order, n), q), q,
                        "mults"), ahat.ring)

@@ -13,10 +13,14 @@ psi^(t*half + 6e), and the leaves x^3 - psi^(t + 6*brv(p)).  Both halves
 run as one forward ``transforms.Schedule``, which opens with the split,
 one matrix [[1, z1], [1, z2]] on the pairs n/2 apart, and one inverse
 schedule, which ends with the unsplit, det^-1 [[z2, -z1], [-1, 1]] with
-det = z2 - z1; the leaves are one ``polymul.leaf_rows`` pass.  A plan
-runs ``TrinomialExecutor``, a ``bigmod.LiftedExecutor`` over q whose one
-table is the ``TrinomialPlan``, on bare buffers; ``trinomial_forward``
-and ``trinomial_inverse`` tag them at the public API.
+det = z2 - z1; the leaves are one ``polymul.leaf_rows`` pass.  Both
+schedules are kept on their twiddle tables and carry what the split
+costs beyond a butterfly per pair (``Schedule.cost``), so a plan's
+``TrinomialExecutor`` (a ``bigmod.LiftedExecutor`` over q whose one table
+is the ``TrinomialPlan``) runs ``transforms.ntt_forward`` and
+``ntt_inverse`` on bare buffers, as every planned route does;
+``trinomial_forward`` and ``trinomial_inverse`` tag them as
+``NttDomainPoly``s with leaf degree 3.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from . import bigmod, modarith, polymul, transforms
 from .errors import LengthMismatch, ParameterCondition, PlanMismatch
 from .modarith import find_root, is_prime, mod_inv
 from .rings import TRINOMIAL, Poly, RingSpec
-from .transforms import CYCLIC_BLOCK_PAIR
+from .transforms import CYCLIC_BLOCK_PAIR, NttDomainPoly
 
 
 @dataclass(frozen=True)
@@ -65,23 +69,6 @@ class TrinomialPlan:
         return self.ring.q
 
 
-@dataclass(frozen=True)
-class TrinomialDomainPoly:
-    """Degree-2 leaf images, kept separate from the radix-2 domain type:
-    rows of n canonical residues, checked and frozen on construction as
-    ``NttDomainPoly`` checks and freezes them."""
-
-    values: np.ndarray
-    plan: TrinomialPlan
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", transforms.frozen_rows(self.values, self.plan.n, self.plan.q))
-
-    def __eq__(self, other) -> bool:  # the generated one would compare arrays elementwise
-        return (isinstance(other, TrinomialDomainPoly) and self.plan == other.plan
-                and np.array_equal(self.values, other.values))
-
-
 def check_ring(ring: RingSpec) -> None:
     """The preconditions of make_plan, checked without building anything."""
     n, q = ring.n, ring.q
@@ -96,14 +83,15 @@ def check_ring(ring: RingSpec) -> None:
 _TWISTS = (1, 5)  # psi^(t*n/6) = zeta1, zeta2
 
 
-def _schedule(spec, tw, m: int, split) -> transforms.Schedule:
+def _schedule(spec, tw, m: int, split, cost) -> transforms.Schedule:
     """Both split halves' twisted cyclic levels of m chunks as one schedule,
-    after the split level (matrix ``split`` mod q) forward, before it inverse."""
+    after the split level (matrix ``split`` mod q, costing ``cost`` per
+    pair beyond a butterfly) forward, before it inverse; kept on ``tw``."""
     levels = tuple((2 * nblocks, half, tuple(t * half + 6 * e for t in _TWISTS for e in exps))
                    for nblocks, half, exps in transforms.level_geometry(spec, m))
     split = ((1, m, transforms.read_only(transforms.buffer([split], tw.modulus) % tw.modulus)),)
     levels = split + levels if spec.direction == transforms.FORWARD else levels + split
-    return transforms.Schedule(spec, tw, 6 * m, 3, levels)
+    return tw.schedules.setdefault((spec, 6 * m), transforms.Schedule(spec, tw, 6 * m, 3, levels, cost))
 
 
 def make_plan(ring: RingSpec) -> TrinomialPlan:
@@ -122,48 +110,40 @@ def make_plan(ring: RingSpec) -> TrinomialPlan:
     consts = tuple(tw.power_of_base(e) for e in exps)
     itw = modarith.build_twiddles(psi, n, q, inverse=True)
     d = mod_inv((zeta2 - zeta1) % q, q)  # the unsplit: d [[z2, -z1], [-1, 1]]
+    # beyond a butterfly per pair: one more add forward (the high half is
+    # l + h - z1 h), three more mults inverse (z2 l - z1 r, then d twice)
     return TrinomialPlan(ring, psi, zeta1, zeta2, exps, consts,
-                         _schedule(CYCLIC_BLOCK_PAIR[0], tw, m, [[1, zeta1], [1, zeta2]]),
-                         _schedule(CYCLIC_BLOCK_PAIR[1], itw, m, [[zeta2 * d, -zeta1 * d], [-d, d]]))
+                         _schedule(CYCLIC_BLOCK_PAIR[0], tw, m, [[1, zeta1], [1, zeta2]], (0, 1, 0)),
+                         _schedule(CYCLIC_BLOCK_PAIR[1], itw, m, [[zeta2 * d, -zeta1 * d], [-d, d]],
+                                   (3, 0, 0)))
 
 
-def _run(buf, sched: transforms.Schedule) -> np.ndarray:
-    """``transforms.forward_rows`` or ``inverse_rows`` of a plan's schedule
-    on ``buf``, counted with what the split costs beyond the butterfly per
-    pair its level counts: one more add forward (the high half is l + h -
-    z1 h), three more mults inverse (z2 l - z1 r, then det^-1 twice)."""
-    ctr = modarith.active_counter()
-    forward = sched.spec.direction == transforms.FORWARD
-    if ctr is not None and forward:
-        ctr.adds += buf.size // 2
-    elif ctr is not None:
-        ctr.mults += 3 * (buf.size // 2)
-    return (transforms.forward_rows if forward else transforms.inverse_rows)(buf, sched)
-
-
-def trinomial_forward(a, plan: TrinomialPlan, ring=None) -> TrinomialDomainPoly:
+def trinomial_forward(a, plan: TrinomialPlan, ring=None) -> NttDomainPoly:
     """Forward transform of a Poly, or, with ``ring``, of a length-n array
     or list of canonical residues over that ring (checked as ``Poly``
-    checks them), or of a (batch, n) array of them, into a fresh buffer;
-    every row runs at once (``_run``)."""
+    checks them), or of a (batch, n) array of them, into a fresh buffer
+    of degree-2 leaf images; every row runs at once."""
     if ring is None:
         ring, a = a.ring, a.array
     else:
         a = transforms.checked_rows(a, ring.n, ring.q)
     if ring != plan.ring:
         raise PlanMismatch("polynomial ring does not match the plan")
-    return TrinomialDomainPoly(_run(transforms.buffer(a, plan.q), plan.forward), plan)
+    f = plan.forward
+    return NttDomainPoly(transforms.ntt_forward(transforms.buffer(a, plan.q), f.table, f.spec),
+                         f.spec, ring, 3)
 
 
-def trinomial_inverse(ahat: TrinomialDomainPoly, plan: TrinomialPlan, as_buffer=False):
+def trinomial_inverse(ahat: NttDomainPoly, plan: TrinomialPlan, as_buffer=False):
     """Inverse transform back to a Poly, or with ``as_buffer`` to its
     buffer of canonical residues; ``ahat.values`` is never mutated.  A
     batch of rows runs at once and needs ``as_buffer``."""
-    if ahat.plan is not plan and ahat.plan != plan:
+    if (ahat.spec, ahat.ring, ahat.leaf_degree) != (plan.forward.spec, plan.ring, 3):
         raise PlanMismatch("domain values were produced under a different plan")
     if not as_buffer and ahat.values.ndim != 1:
         raise LengthMismatch(f"a batch of shape {ahat.values.shape} inverts only with as_buffer")
-    vals = _run(transforms.buffer(ahat.values, plan.q), plan.inverse)
+    i = plan.inverse
+    vals = transforms.ntt_inverse(transforms.buffer(ahat.values, plan.q), i.table, i.spec)
     return vals if as_buffer else Poly(vals, plan.ring)
 
 
@@ -184,14 +164,15 @@ def trinomial_pointwise(u, v, psi_j: int, q: int) -> list:
 def _product(x, y, plan: TrinomialPlan) -> np.ndarray:
     """x*y for two arrays of canonical coefficients, unchecked, on bare
     buffers: both forward as one batch, the degree-2 leaves, the inverse."""
-    X = _run(transforms.buffer((x, y), plan.q), plan.forward)
+    f, i = plan.forward, plan.inverse
+    X = transforms.ntt_forward(transforms.buffer((x, y), plan.q), f.table, f.spec)
     vals = polymul.leaf_rows(X[0], X[1], 3, plan.leaf_vector, plan.q)
     ctr = modarith.active_counter()
     if ctr is not None:
         leaves = len(plan.leaf_constants)
         ctr.mults += 11 * leaves
         ctr.adds += 5 * leaves
-    return _run(vals, plan.inverse)
+    return transforms.ntt_inverse(vals, i.table, i.spec)
 
 
 def trinomial_multiply(a: Poly, b: Poly, plan: TrinomialPlan) -> Poly:

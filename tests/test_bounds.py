@@ -16,8 +16,10 @@ import pytest
 import nttkit
 from nttkit import bounds
 from nttkit.errors import NotInvertible
+from nttkit.modarith import BIT_REVERSED, NATURAL, build_twiddles
 from nttkit.polymul import make_transform_pair, ntt_multiply, oracle_multiply
 from nttkit.rings import XN_MINUS_1, Poly, RingSpec
+from nttkit.transforms import CC, CT, FORWARD, TransformSpec, make_schedule, ntt_forward
 
 # 1 << k or 2**k for the limits of int32, float64 and int64, and the
 # oracle's headroom under int64
@@ -80,18 +82,19 @@ def test_products_on_either_side_of_2_31(q, rng):
     # the buffer class and the stage class agree at every modulus: 2^31 is
     # the first ``object`` buffer, and its stages are the object class, so
     # its forward transform runs (x^2 - 1 with root q - 1, a square root of
-    # 1 mod any q).  Its inverse needs 1/2, which no even q has: the product
-    # raises the typed error, where the two rules once disagreed and a
-    # float64-limb stage shifted Python floats
+    # 1 mod any q), where the two rules once disagreed and a float64-limb
+    # stage shifted Python floats.  The inverse needs 1/2, which no even q
+    # has: building the pair raises the typed error
     ring = RingSpec(XN_MINUS_1, 2, q)
-    pair = make_transform_pair(ring, 0, root=q - 1)
-    assert (pair.fwd_sched.stage_class[0] == bounds.OBJECT) == (q >= 2**31)
+    spec = TransformSpec(CC, CT, FORWARD, NATURAL, BIT_REVERSED)
+    tw = build_twiddles(q - 1, 2, q, BIT_REVERSED)
+    assert (make_schedule(spec, tw, 2).stage_class[0] == bounds.OBJECT) == (q >= 2**31)
     cases = [(Poly.random(ring, rng), Poly.random(ring, rng)), (Poly([q - 1] * 2, ring),) * 2]
     for a, b in cases:
         x0, x1 = a.coeffs
-        assert pair.forward(a).values.tolist() == [(x0 + x1) % q, (x0 - x1) % q]
+        assert ntt_forward(a, tw, spec).values.tolist() == [(x0 + x1) % q, (x0 - x1) % q]
         if q % 2:
-            assert ntt_multiply(a, b, pair) == oracle_multiply(a, b)
-        else:
-            with pytest.raises(NotInvertible):
-                ntt_multiply(a, b, pair)
+            assert ntt_multiply(a, b, make_transform_pair(ring, 0, root=q - 1)) == oracle_multiply(a, b)
+    if q % 2 == 0:
+        with pytest.raises(NotInvertible):
+            make_transform_pair(ring, 0, root=q - 1)

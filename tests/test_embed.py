@@ -950,7 +950,6 @@ def test_no_list_on_the_product_path(monkeypatch, rng):
     # bare buffers from forward transform to inverse: no route tags its
     # intermediate values
     monkeypatch.setattr(NttDomainPoly, "__init__", boom)
-    monkeypatch.setattr(trinomial.TrinomialDomainPoly, "__init__", boom)
     run_all()
 
 

@@ -235,7 +235,8 @@ def test_trinomial_kernels_agree(ring, data):
         plan = trinomial.make_plan(ring)
         with counting() as c:
             fa = trinomial.trinomial_forward(a, plan).values
-            back = trinomial.trinomial_inverse(trinomial.TrinomialDomainPoly(fa, plan), plan).coeffs
+            fhat = NttDomainPoly(fa, plan.forward.spec, plan.ring, 3)
+            back = trinomial.trinomial_inverse(fhat, plan).coeffs
             prod = trinomial.trinomial_multiply(a, b, plan).coeffs
         assert fa.dtype == transforms.buffer_dtype(ring.q)
         return fa.tolist(), back, prod, c
@@ -385,7 +386,7 @@ def test_poly_checks_every_entry_at_the_boundaries():
 
 @pytest.mark.parametrize("q", [7681, BIG_PRIMES[0]], ids=["int64", "object"])
 def test_transform_domain_entries_check_at_the_boundaries(q):
-    # the NttDomainPoly and TrinomialDomainPoly constructors and list or
+    # the NttDomainPoly constructor, radix-2 and trinomial, and list or
     # array input to ntt_forward, TransformPair.forward and
     # trinomial_forward check their values once, with the ValueErrors of
     # Poly, on int64 and on object buffers
@@ -395,7 +396,7 @@ def test_transform_domain_entries_check_at_the_boundaries(q):
                (4, lambda v: transforms.ntt_forward(v, pair.fwd_tw, pair.fwd_spec, ring=ring)),
                (4, pair.forward),
                (6, lambda v: trinomial.trinomial_forward(v, plan, tri)),
-               (6, lambda v: trinomial.TrinomialDomainPoly(v, plan)))
+               (6, lambda v: NttDomainPoly(v, plan.forward.spec, plan.ring, 3)))
     for n, entry in entries:
         good = [0, 1, q - 1] + [3] * (n - 3)
         entry(good), entry(np.array([good] * 2))
@@ -434,14 +435,14 @@ def test_poly_keeps_its_own_read_only_array():
 @pytest.mark.parametrize("q", [7681, BIG_PRIMES[0]], ids=["int64", "object"])
 def test_domain_values_are_frozen(q):
     # an assignment or an in-place write after construction would skip the
-    # check: both raise, on both tagged types, and the constructor keeps
+    # check: both raise, under radix-2 and trinomial tags, and the constructor keeps
     # its own copy of an array it is given
     ring, tri = RingSpec(XN_PLUS_1, 4, q), RingSpec(TRINOMIAL, 6, q)
     pair, plan = make_transform_pair(ring, 0), trinomial.make_plan(tri)
     src4, src6 = np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3, 4, 5])
     for dom, src in ((NttDomainPoly(src4, pair.fwd_spec, ring), src4),
                      (pair.forward([0, 1, 2, 3]), None),
-                     (trinomial.TrinomialDomainPoly(src6, plan), src6),
+                     (NttDomainPoly(src6, plan.forward.spec, plan.ring, 3), src6),
                      (trinomial.trinomial_forward([0, 1, 2, 3, 4, 5], plan, tri), None)):
         before = dom.values.tolist()
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -427,6 +427,31 @@ def test_op_counts_are_pinned(name, rng):
     assert (c.mults, c.adds, c.subs, c.forward_transforms, c.inverse_transforms) == OP_COUNTS[name]
 
 
+def test_trinomial_product_runs_the_entry_points(monkeypatch, rng):
+    # a planned nttru-768 product is one ntt_forward (both operands as one
+    # batch) and one ntt_inverse, as on every planned route, counted as
+    # pinned
+    run = _op_count_case("trinomial nttru-768", rng)
+    run()  # tables built outside the count
+    calls = []
+
+    def counted(name):
+        entry = getattr(transforms, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return entry(*args, **kwargs)
+        return call
+
+    for name in ("ntt_forward", "ntt_inverse"):
+        monkeypatch.setattr(transforms, name, counted(name))
+    with modarith.counting() as c:
+        run()
+    assert calls == ["ntt_forward", "ntt_inverse"]
+    assert (c.mults, c.adds, c.subs, c.forward_transforms, c.inverse_transforms) == \
+        OP_COUNTS["trinomial nttru-768"]
+
+
 def test_sample_domain_uniform_refuses_another_ring():
     ring, plan = preset("kyber")
     with pytest.raises(RingMismatch):

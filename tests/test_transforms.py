@@ -1,11 +1,14 @@
 import dataclasses
 import pickle
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from conftest import direct_ntt_cc, direct_ntt_nwc, valid_qs
 
+import nttkit
 from nttkit import bounds, transforms, trinomial
 from nttkit.errors import LengthMismatch, OrderMismatch, SpecViolation
 from nttkit.modarith import (
@@ -491,3 +494,28 @@ def test_domain_poly_compat_guard(rng):
 
     with pytest.raises(SpecMismatch):
         a.add(b)
+
+
+def test_only_the_entry_points_call_the_cores():
+    # ntt_forward and ntt_inverse are the one entry to a transform: no
+    # other module of the library names the array cores or the stage driver
+    core = re.compile(r"\b(forward_rows|inverse_rows|run_levels)\b")
+    found = []
+    for path in sorted(Path(nttkit.__file__).parent.glob("*.py")):
+        if path.name == "transforms.py":
+            continue
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if core.search(line):
+                found.append(f"{path.name}:{number}: {line.strip()}")
+    assert found == []
+
+
+def test_root_order_is_the_table_order_rule():
+    # 2n/2^beta for x^n + 1, n/2^beta for x^n - 1: the order every table,
+    # congruence and root search of a transform uses
+    assert [transforms.root_order(XN_PLUS_1, 256, b) for b in range(3)] == [512, 256, 128]
+    assert [transforms.root_order(XN_MINUS_1, 256, b) for b in range(3)] == [256, 128, 64]
+    for kind, form in ((CC, XN_MINUS_1), (NWC, XN_PLUS_1)):
+        for beta in range(3):
+            for fs in forward_specs(kind, beta):
+                assert fs.table_order(64) == transforms.root_order(form, 64, beta)

@@ -8,11 +8,11 @@ import pytest
 
 from nttkit import bounds, transforms
 from nttkit.errors import LengthMismatch, ParameterCondition, PlanMismatch
-from nttkit.modarith import counting, is_prime
+from nttkit.modarith import BIT_REVERSED, NATURAL, counting, is_prime
 from nttkit.polymul import reduce_mod_phi, schoolbook_linear
 from nttkit.rings import Poly, RingSpec, TRINOMIAL
+from nttkit.transforms import CC, FORWARD, GS, NttDomainPoly, TransformSpec
 from nttkit.trinomial import (
-    TrinomialDomainPoly,
     make_plan,
     trinomial_forward,
     trinomial_inverse,
@@ -25,6 +25,12 @@ CONFIGS = [(6, 7), (12, 13), (24, 73), (48, 97), (768, 769), (768, 7681)]
 
 def oracle(a, b):
     return reduce_mod_phi(schoolbook_linear(a, b), a.ring).coeffs
+
+
+def tagged(values, plan):
+    """``values`` as the transform-domain values of ``plan``: tagged with
+    its forward spec and ring, degree-2 leaves."""
+    return NttDomainPoly(values, plan.forward.spec, plan.ring, 3)
 
 
 def test_plan_example_n6_q7():
@@ -61,7 +67,7 @@ def test_delta_transforms_to_constants():
     d = Poly.from_ints([1], ring)
     dd = trinomial_forward(d, plan)
     assert dd.values.tolist() == [1, 0, 0, 1, 0, 0]
-    assert dd == TrinomialDomainPoly([1, 0, 0, 1, 0, 0], plan) != trinomial_forward(Poly.zero(ring), plan)
+    assert dd == tagged([1, 0, 0, 1, 0, 0], plan) != trinomial_forward(Poly.zero(ring), plan)
     assert trinomial_inverse(dd, plan).coeffs == d.coeffs
 
 
@@ -86,9 +92,9 @@ def test_inverse_linearity(rng):
         x = [rng.randrange(q) for _ in range(24)]
         y = [rng.randrange(q) for _ in range(24)]
         lhs = trinomial_inverse(
-            TrinomialDomainPoly([(u + v) % q for u, v in zip(x, y)], plan), plan)
-        ra = trinomial_inverse(TrinomialDomainPoly(x, plan), plan)
-        rb = trinomial_inverse(TrinomialDomainPoly(y, plan), plan)
+            tagged([(u + v) % q for u, v in zip(x, y)], plan), plan)
+        ra = trinomial_inverse(tagged(x, plan), plan)
+        rb = trinomial_inverse(tagged(y, plan), plan)
         assert lhs.coeffs == ra.add(rb).coeffs
 
 
@@ -152,7 +158,7 @@ def test_outputs_and_op_counts_are_pinned(n, q):
     a, b, d = ([rng.randrange(q) for _ in range(n)] for _ in range(3))
     got = []
     for run in (lambda: trinomial_forward(Poly(a, ring), plan).values.tolist(),
-                lambda: trinomial_inverse(TrinomialDomainPoly(d, plan), plan).coeffs,
+                lambda: trinomial_inverse(tagged(d, plan), plan).coeffs,
                 lambda: trinomial_multiply(Poly(a, ring), Poly(b, ring), plan).coeffs):
         with counting() as c:
             got.append(_digest(run()))
@@ -179,7 +185,7 @@ def test_batch_inverse_needs_as_buffer():
     # a batch inverts to a buffer only: without as_buffer the inverse
     # refuses it with a typed error before any arithmetic
     plan = make_plan(RingSpec(TRINOMIAL, 12, 13))
-    d = TrinomialDomainPoly([[1] * 12, [2] * 12], plan)
+    d = tagged([[1] * 12, [2] * 12], plan)
     with counting() as c, pytest.raises(LengthMismatch):
         trinomial_inverse(d, plan)
     assert astuple(c) == (0, 0, 0, 0, 0)
@@ -254,3 +260,25 @@ def test_split_level_runs_in_the_first_float_stage():
     transforms.reference_rows(want, plan.forward)
     assert ahat.values.tolist() == want[0]
     assert trinomial_inverse(ahat, plan) == a
+
+
+@pytest.mark.parametrize("n,q", [(6, 7), (768, 7681), (96, 2147492353)])
+def test_schedules_are_kept_on_their_tables(n, q):
+    # make_schedule finds the plan's own schedules on their tables, split
+    # level included, so a bare-buffer ntt_forward or ntt_inverse on those
+    # tables runs the route's transforms
+    plan = make_plan(RingSpec(TRINOMIAL, n, q))
+    for sched in (plan.forward, plan.inverse):
+        assert transforms.make_schedule(sched.spec, sched.table, plan.n) is sched
+    assert (plan.forward.cost, plan.inverse.cost) == ((0, 1, 0), (3, 0, 0))
+
+
+def test_inverse_refuses_other_tags():
+    # values of the plan's ring under another spec or leaf degree are
+    # refused before any arithmetic, as values of another ring are
+    plan = make_plan(RingSpec(TRINOMIAL, 12, 13))
+    spec, gs = plan.forward.spec, TransformSpec(CC, GS, FORWARD, BIT_REVERSED, NATURAL)
+    for ahat in (NttDomainPoly([1] * 12, gs, plan.ring, 3), NttDomainPoly([1] * 12, spec, plan.ring, 1)):
+        with counting() as c, pytest.raises(PlanMismatch):
+            trinomial_inverse(ahat, plan)
+        assert astuple(c) == (0, 0, 0, 0, 0)
