@@ -154,8 +154,13 @@ class LiftedExecutor:
     route runs once per working modulus; Garner recovery mod P, centered,
     gives the product mod q.  With N == q (the direct, split, trinomial
     and chain routes, and an unlifted terminal) the arithmetic wraps mod
-    q by design, and ``run`` gets the operands as they are.
+    q by design, and ``run`` gets the operands as they are.  ``reads``,
+    when a route sets it, is how many leading coefficients of each
+    operand can be nonzero: only those are lifted, and ``run`` then gets
+    just those.
     """
+
+    reads = None
 
     def __init__(self, ring: RingSpec, N: int, basis=()):
         self.ring, self.N = ring, N
@@ -179,7 +184,7 @@ class LiftedExecutor:
         if self.N == self.ring.q:
             return self.run(x, y, self.tables[0])
         q = self.ring.q
-        la, lb = lift_centered(x, q), lift_centered(y, q)
+        la, lb = lift_centered(x[: self.reads], q), lift_centered(y[: self.reads], q)
         _check_dynamic_bound(la, lb, self.P)
         residues = [self.run(la.coeffs % p, lb.coeffs % p, t) for p, t in zip(self.moduli, self.tables)]
         return recover_centered(residues, self.moduli, q)
@@ -201,18 +206,21 @@ def _one_shot(route: LiftedExecutor, a: Poly, b: Poly, profile) -> Poly:
 class BigPrimeExecutor(LiftedExecutor):
     """Plan executor of the big-prime and RNS routes, one cropped pipeline
     per working modulus, and, with N == q, of the full and incomplete
-    routes."""
+    routes.  ``source``, when given, is how many leading coefficients of
+    either operand can be nonzero (a padded chain's source length): its
+    pairs truncate their schedules to it (``polymul.TransformPair``), and
+    only that prefix of each operand is lifted and reduced (``reads``)."""
 
     root = None  # make_transform_pair searches the smallest
 
-    def __init__(self, ring: RingSpec, N: int, beta: int = 0, basis=()):
+    def __init__(self, ring: RingSpec, N: int, beta: int = 0, basis=(), source: int | None = None):
         polymul.check_pair_ring(ring, beta)
         super().__init__(ring, N, basis)
-        self.beta = beta
+        self.beta, self.reads = beta, source
 
     def table(self, p: int) -> polymul.TransformPair:
         big = RingSpec(self.ring.form, self.ring.n, p)
-        return polymul.make_transform_pair(big, self.beta, root=self.root)
+        return polymul.make_transform_pair(big, self.beta, root=self.root, source=self.reads)
 
     def run(self, x, y, pair):
         return pair.product(x, y)

@@ -845,7 +845,7 @@ class ChainExecutor(bigmod.LiftedExecutor):
         if isinstance(step, Good):
             return GoodExecutor(work, step.h, step.k, N, basis)
         if isinstance(step, PlainNtt):
-            return bigmod.BigPrimeExecutor(work, N, step.beta, basis)
+            return bigmod.BigPrimeExecutor(work, N, step.beta, basis, ring.n)
         return BlockExecutor(work, step, N, basis, ring.n)
 
     def run(self, x, y, terminal):

@@ -279,8 +279,8 @@ class TwiddleTable:
     same powers in the other order (empty unless the order is a power of
     two), built with the table, so that every twiddle vector a transform
     level needs is a strided slice of one of the two.  ``schedules`` keeps
-    the transform schedules built over this table, one per (spec, n)
-    (``transforms.make_schedule``).  Safe to share across threads once
+    the transform schedules built over this table, one per (spec, n) and
+    one per truncation of it (``transforms.make_schedule``).  Safe to share across threads once
     built.
     """
 

@@ -443,6 +443,14 @@ class TransformPair:
     when the pair is built, so ``product`` runs the array cores unchecked;
     the leaf constants and the image of x are read-only buffers cached on
     first use.  Immutable and shareable.
+
+    ``source``, when given, is how many leading coefficients of either
+    operand of ``product`` can be nonzero: a padded chain's source
+    length.  It fixes, when the plan is built, the ``live`` inputs (the
+    source length) and the ``keep`` outputs (the product's length,
+    2 source - 1) of both schedules, which are then truncated
+    (``transforms.truncate``) where either is below n.  The public
+    ``forward`` and ``inverse`` always run the full schedules.
     """
 
     ring: RingSpec
@@ -451,13 +459,35 @@ class TransformPair:
     inv_spec: TransformSpec
     fwd_tw: modarith.TwiddleTable
     inv_tw: modarith.TwiddleTable
+    source: int | None = None
 
     def __post_init__(self):
+        if self.source is not None and self.source < 1:
+            raise ParameterCondition(f"source length {self.source} must be at least 1")
         transforms.forward_schedule(self.fwd_tw, self.fwd_spec, self.ring)
         transforms.inverse_schedule(self.inv_tw, self.inv_spec, self.fwd_spec, self.ring)
 
-    fwd_sched = property(lambda self: transforms.make_schedule(self.fwd_spec, self.fwd_tw, self.ring.n))
-    inv_sched = property(lambda self: transforms.make_schedule(self.inv_spec, self.inv_tw, self.ring.n))
+    @cached_property
+    def live(self) -> int:
+        return min(self.ring.n, self.source or self.ring.n)
+
+    @cached_property
+    def keep(self) -> int:
+        return min(self.ring.n, 2 * self.live - 1)
+
+    @cached_property
+    def fwd_sched(self) -> transforms.Schedule:
+        return transforms.make_schedule(self.fwd_spec, self.fwd_tw, self.ring.n, self.live, self.keep)
+
+    @cached_property
+    def inv_sched(self) -> transforms.Schedule:
+        return transforms.make_schedule(self.inv_spec, self.inv_tw, self.ring.n, self.live, self.keep)
+
+    @cached_property
+    def live_leaves(self) -> np.ndarray:
+        """The leaf constants of the leaves that ``product`` computes: all
+        of ``leaf_vector``, or those of block 0 of a pruned schedule."""
+        return self.leaf_vector[: self.fwd_sched.n >> self.beta]
 
     @cached_property
     def leaf_vector(self) -> np.ndarray:
@@ -503,14 +533,33 @@ class TransformPair:
         return pointwise_mul(A, B, self.leaf_vector, use_karatsuba)
 
     def product(self, x, y, use_karatsuba=False) -> np.ndarray:
-        """x*y in the pair's ring, for two length-n arrays of canonical
+        """x*y in the pair's ring, for two arrays of canonical
         coefficients, unchecked: both forward transforms as one batch of
         two, the leaf products and the inverse, on bare buffers; returns
-        the product's buffer."""
-        q = self.ring.q
-        X = transforms.ntt_forward(transforms.buffer((x, y), q), self.fwd_tw, self.fwd_spec)
-        C = pointwise_rows(X[0], X[1], 1 << self.beta, self.leaf_vector, q, use_karatsuba)
-        return transforms.ntt_inverse(C, self.inv_tw, self.inv_spec)
+        the product's length-n buffer.
+
+        Each operand holds n coefficients, or at least its ``live`` ones
+        (the rest are zero).  Truncated schedules run on the first f.n
+        entries (f.n = n unless levels are pruned), and the leaves of the
+        pruned branches are counted as the full product's; the product's
+        entries from ``keep`` on are zero."""
+        q, n, f, L = self.ring.q, self.ring.n, self.fwd_sched, 1 << self.beta
+        if len(x) == len(y) == f.n:
+            X = transforms.buffer((x, y), q)
+        else:  # a prefix of each operand: the rest is zero
+            X = np.zeros((2, f.n), dtype=transforms.buffer_dtype(q))
+            for row, v in zip(X, (x, y)):
+                v = v[: f.n]
+                row[: len(v)] = v
+        transforms.ntt_forward(X, self.fwd_tw, self.fwd_spec, sched=f)
+        C = pointwise_rows(X[0], X[1], L, self.live_leaves, q, use_karatsuba)
+        transforms.ntt_inverse(C, self.inv_tw, self.inv_spec, sched=self.inv_sched)
+        if self.keep == n:  # then f.n = n: nothing is pruned
+            return C
+        _count_leaves(L, use_karatsuba, (n - f.n) // L)
+        out = np.zeros(n, dtype=C.dtype)
+        out[: self.keep] = C[: self.keep]
+        return out
 
 
 def check_pair_ring(ring: RingSpec, beta: int) -> None:
@@ -524,9 +573,11 @@ def check_pair_ring(ring: RingSpec, beta: int) -> None:
         raise ParameterCondition(f"beta={beta} out of range for n={n}")
 
 
-def make_transform_pair(ring: RingSpec, beta: int = 0, root: int | None = None) -> TransformPair:
+def make_transform_pair(ring: RingSpec, beta: int = 0, root: int | None = None,
+                        source: int | None = None) -> TransformPair:
     """Build tables and specs for the ring, failing fast on congruences
-    and on a q with no inverse of 2n (the inverse transform needs one)."""
+    and on a q with no inverse of 2n (the inverse transform needs one);
+    ``source`` is the pair's (``TransformPair``)."""
     check_pair_ring(ring, beta)
     n, q = ring.n, ring.q
     if gcd(2 * n, q) != 1:
@@ -545,7 +596,7 @@ def make_transform_pair(ring: RingSpec, beta: int = 0, root: int | None = None) 
     inv_tw = build_twiddles(root, order, q, BIT_REVERSED, inverse=True)
     fwd = TransformSpec(kind, CT, FORWARD, NATURAL, BIT_REVERSED, beta)
     inv = fwd.inverse_of()
-    return TransformPair(ring, beta, fwd, inv, fwd_tw, inv_tw)
+    return TransformPair(ring, beta, fwd, inv, fwd_tw, inv_tw, source)
 
 
 def ntt_multiply(a: Poly, b: Poly, pair: TransformPair, use_karatsuba=False) -> Poly:

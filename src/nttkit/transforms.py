@@ -66,6 +66,14 @@ trinomial plan keeps its two schedules there too.  The
 merged stages and the reference kernel give identical values and op
 counts, which count one butterfly per pair of every level.
 
+A padded product, whose operands are zero from ``live`` on and whose
+product is read below ``keep`` only, runs its schedules truncated
+(``truncate``, kept on the table as well): the levels that only feed
+other blocks than block 0 go, when block 0 holds the whole product,
+and the first forward stage reads only its live columns, the last
+inverse stage writes only its kept rows.  A truncated schedule counts
+the ops of the full one, so counts do not depend on truncation.
+
 ``forward_rows`` and ``inverse_rows`` are the array cores of a
 transform: counted, in place on a bare buffer, and unchecked.
 ``ntt_forward`` and ``ntt_inverse`` are their one entry and only
@@ -307,6 +315,12 @@ class Schedule:
     subs) per pair that its matrix levels cost beyond one butterfly,
     counted by ``forward_rows``/``inverse_rows``: data, since the trinomial
     split's one multiply relies on z1 + z2 = 1, which no matrix shows.
+
+    A truncated schedule (``truncate``) runs the length-n prefix of
+    ``full``'s buffer, in which only the ``live`` leading inputs can be
+    nonzero and only the ``keep`` leading outputs are read; its op counts
+    are ``full``'s.  ``live``, ``keep`` and ``full`` are None on a
+    schedule that runs every entry.
     """
 
     spec: TransformSpec
@@ -315,6 +329,9 @@ class Schedule:
     chunk: int
     levels: tuple
     cost: tuple = (0, 0, 0)
+    live: int | None = None
+    keep: int | None = None
+    full: Schedule | None = None
 
     @cached_property
     def factor(self) -> int:
@@ -367,6 +384,7 @@ class Schedule:
                 mats = self._matrices(lo, hi, dtype)
                 if hi == len(self.levels) and self.factor != 1:
                     mats = _reduce(mats * self.factor, q)
+                mats = self._narrowed(mats, lo, hi, shape[1])
                 if cls == bounds.FLOAT64:
                     out.append(FloatStage(*shape, read_only(mats), None, reduce))
                 elif cls == bounds.FLOAT64_LIMB:
@@ -380,6 +398,20 @@ class Schedule:
         group = self.levels[lo:hi]
         return (min(nblocks for nblocks, _, _ in group),
                 min(half for _, half, _ in group) * self.chunk)
+
+    def _narrowed(self, mats: np.ndarray, lo: int, hi: int, span: int) -> np.ndarray:
+        """The matrices of the stage of levels lo..hi-1, whose 2^k rows of
+        the buffer start ``span`` apart, on a truncated schedule without
+        what it never needs: the first forward stage's columns that meet
+        only zero inputs, all but ceil(live/span), and the last inverse
+        stage's rows that no caller reads, all but ceil(keep/span).  Both
+        stages have one block (natural input, resp. output), so the live
+        columns and the kept rows are prefixes."""
+        if self.spec.direction == FORWARD and lo == 0 and self.live is not None:
+            return np.ascontiguousarray(mats[..., : -(-self.live // span)])
+        if self.spec.direction == INVERSE and hi == len(self.levels) and self.keep is not None:
+            return np.ascontiguousarray(mats[..., : -(-self.keep // span), :])
+        return mats
 
     def _float_groups(self, k: int) -> list:
         """``_groups`` of width k with their sizes ascending or descending,
@@ -445,15 +477,60 @@ class Schedule:
         return m if block_tw else np.repeat(m, self.chunk, axis=0)
 
 
-def make_schedule(spec: TransformSpec, tw, n: int) -> Schedule:
+def make_schedule(spec: TransformSpec, tw, n: int, live: int | None = None,
+                  keep: int | None = None) -> Schedule:
     """The schedule of ``spec`` on a length-n buffer over table ``tw``:
     one per (spec, n), kept on the table (``TwiddleTable.schedules``), so
-    every caller on that table shares its stages."""
+    every caller on that table shares its stages.  Where ``live`` or
+    ``keep`` is below n (a padded product, whose inputs are zero from
+    ``live`` on and whose outputs are read below ``keep`` only), it is
+    that schedule truncated (``truncate``), kept on the table as well."""
     sched = tw.schedules.get((spec, n))
     if sched is None:
         sched = tw.schedules.setdefault((spec, n), Schedule(
             spec, tw, n, 1 << spec.beta, tuple(level_geometry(spec, n >> spec.beta))))
-    return sched
+    if (live is None or live >= n) and (keep is None or keep >= n):
+        return sched
+    live = n if live is None else min(n, live)
+    keep = n if keep is None else min(n, keep)
+    cut = tw.schedules.get((spec, n, live, keep))
+    if cut is None:
+        cut = tw.schedules.setdefault((spec, n, live, keep), truncate(sched, live, keep))
+    return cut
+
+
+def truncate(sched: Schedule, live: int, keep: int) -> Schedule:
+    """``sched`` truncated: a schedule on whose input only the ``live``
+    leading entries can be nonzero and of whose output only the ``keep``
+    leading entries are read, run on the shortest prefix of its buffer
+    that holds both (van der Hoeven, "The truncated Fourier transform
+    and applications", ISSAC 2004; Harvey and Roche, ISSAC 2010).  Its op
+    counts stay those of ``sched``.
+
+    Level pruning: after j levels of natural input, block 0 holds the
+    input mod x^K - gamma_0, K = n/2^j, which is the input itself while
+    it has degree below K; so is a product of degree below K.  With
+    j the most levels (at most all) that keep live and keep within K, the
+    forward transform skips its first j levels, the identity on block 0,
+    and runs the others on block 0 alone, on the same table; the inverse
+    runs block 0's own levels, its first ones, and the ``factor``
+    2^-(levels - j) of those; its other outputs are zero.  Stage
+    narrowing (``Schedule._narrowed``) then drops the first forward
+    stage's zero columns and the last inverse stage's unread rows.
+    Truncation needs the natural-order end: the input of a forward
+    schedule, the output of an inverse one."""
+    spec, levels = sched.spec, sched.levels
+    forward = spec.direction == FORWARD
+    if (spec.in_order if forward else spec.out_order) != NATURAL:
+        raise SpecViolation("a transform truncates at its natural-order end: forward input, "
+                            "inverse output")
+    j = 0
+    while j < len(levels) and max(live, keep) <= sched.n >> (j + 1):
+        j += 1
+    by_block = _block_twiddled(spec)
+    run = levels[j:] if forward else levels[: len(levels) - j]
+    levels = tuple((nb >> j, half, x[: nb >> j] if by_block else x) for nb, half, x in run)
+    return Schedule(spec, sched.table, sched.n >> j, sched.chunk, levels, sched.cost, live, keep, sched)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +554,10 @@ class Stage:
     object class, Python-int) stack indexed by block when the levels take
     one twiddle per block, else a
     (span, 2^k, 2^k) stack indexed by offset, applied to the
-    (span, 2^k, blocks) transpose; either broadcasts over the rows.
+    (span, 2^k, blocks) transpose; either broadcasts over the rows.  A
+    narrowed stage of a truncated schedule (``Schedule._narrowed``) holds
+    only the leading columns or rows of its matrices: it reads only the
+    leading ones of the 2^k entries of each group, or writes only them.
     """
 
     blocks: int
@@ -485,14 +565,29 @@ class Stage:
     by_block: bool
     matrices: np.ndarray
 
+    @cached_property
+    def narrowed(self) -> bool:
+        """Whether the matrices are narrowed, i.e. not square."""
+        rows, cols = self.matrices.shape[-2:]
+        return rows != cols
+
+    def cut(self, x) -> tuple:
+        """(what a narrowed stage reads, where it writes) of the buffer
+        seen as (blocks, 2^k, span), or as its (span, 2^k, blocks)
+        transpose: its columns, resp. rows, along the 2^k axis."""
+        rows, cols = self.matrices.shape[-2:]
+        return x[..., :cols, :], x[..., :rows, :]
+
     def apply(self, buf, q: int) -> None:
         """The stage on contiguous ``buf`` of canonical residues, of the
         matrices' dtype, one row or a batch of rows, in place: one matmul,
         the matrix stack broadcast over the batch, and one reduction."""
-        x = buf.reshape(*buf.shape[:-1], self.blocks, self.matrices.shape[-1], self.span)
+        x = out = buf.reshape(*buf.shape[:-1], self.blocks, -1, self.span)
         if not self.by_block:
-            x = x.swapaxes(-1, -3)
-        np.remainder(np.matmul(self.matrices, x), q, out=x)
+            x = out = x.swapaxes(-1, -3)
+        if self.narrowed:
+            x, out = self.cut(x)
+        np.remainder(np.matmul(self.matrices, x), q, out=out)
 
 
 @dataclass(frozen=True)
@@ -513,15 +608,17 @@ class FloatStage(Stage):
         batch of rows: one BLAS matmul (two for limbs, combined as
         (high x mod q) 2^16 + low x), then ``reduce_centered``, which
         leaves entries at most q//2 + 2 in magnitude."""
-        x = buf.reshape(*buf.shape[:-1], self.blocks, self.matrices.shape[-1], self.span)
+        x = out = buf.reshape(*buf.shape[:-1], self.blocks, -1, self.span)
         if not self.by_block:
-            x = x.swapaxes(-1, -3)
+            x = out = x.swapaxes(-1, -3)
+        if self.narrowed:
+            x, out = self.cut(x)
         y = np.matmul(self.matrices, x)
         if self.high is not None:
             t = reduce_centered(np.matmul(self.high, x), q)
             t *= LIMB
             y += t
-        x[...] = reduce_centered(y, q) if self.reduce else y
+        out[...] = reduce_centered(y, q) if self.reduce else y
 
 
 def reduce_centered(y, q: int) -> np.ndarray:
@@ -612,7 +709,8 @@ def run_levels(buf, sched: Schedule) -> None:
     every row of a (batch, n) array at once.  The float64 classes run on
     one float64 copy of it and write it back canonical after the last
     stage.  Op counts count one butterfly per pair of every level of every
-    row, as ``reference_rows`` does.
+    row, as ``reference_rows`` does, of the full schedule where ``sched``
+    is truncated.
     """
     q = sched.table.modulus
     if sched.stage_class[0] in (bounds.FLOAT64, bounds.FLOAT64_LIMB):
@@ -626,7 +724,8 @@ def run_levels(buf, sched: Schedule) -> None:
             stage.apply(buf, q)
     ctr = modarith.active_counter()
     if ctr is not None:  # n/2 butterflies per level on every row
-        nbf = len(sched.levels) * buf.size // 2
+        full = sched.full or sched
+        nbf = len(full.levels) * (buf.size // sched.n) * full.n // 2
         ctr.mults += nbf
         ctr.adds += nbf
         ctr.subs += nbf
@@ -634,12 +733,15 @@ def run_levels(buf, sched: Schedule) -> None:
 
 def _count(buf, sched: Schedule, tally: str) -> None:
     """One ``tally`` transform per row of ``buf``, the schedule's ``cost``
-    per pair and, where its ``factor`` is not 1, one mult per entry."""
+    per pair and, where its ``factor`` is not 1, one mult per entry: of
+    the full schedule where ``sched`` is truncated."""
     ctr = modarith.active_counter()
     if ctr is not None:
-        setattr(ctr, tally, getattr(ctr, tally) + buf.size // sched.n)
-        mults, adds, subs = (c * (buf.size // 2) for c in sched.cost)
-        ctr.mults += mults + buf.size * (sched.factor != 1)
+        full, rows = sched.full or sched, buf.size // sched.n
+        size = rows * full.n
+        setattr(ctr, tally, getattr(ctr, tally) + rows)
+        mults, adds, subs = (c * (size // 2) for c in full.cost)
+        ctr.mults += mults + size * (full.factor != 1)
         ctr.adds += adds
         ctr.subs += subs
 
@@ -676,15 +778,21 @@ def _check_table(tw, spec, n, q, expect_inverse):
         raise OrderMismatch("table direction does not match the transform")
 
 
-def _bare_schedule(buf, tw, spec) -> Schedule:
-    """The table's schedule (``make_schedule``) to run on bare working
-    buffer ``buf``, whose dtype must be the table modulus's
-    (``buffer_dtype``)."""
+def _bare_schedule(buf, tw, spec, sched) -> Schedule:
+    """The schedule to run on bare working buffer ``buf``, whose dtype
+    must be the table modulus's (``buffer_dtype``): ``sched``, which must
+    be one of the table's (``make_schedule``, for ``spec``) for the
+    buffer's length, or when None the table's schedule for ``spec``."""
     want = buffer_dtype(tw.modulus)
     if buf.dtype != want:
         raise SpecViolation(f"a working buffer mod {tw.modulus} must be {np.dtype(want)}, "
                             f"not {buf.dtype}")
-    return make_schedule(spec, tw, buf.shape[-1])
+    if sched is None:
+        return make_schedule(spec, tw, buf.shape[-1])
+    if sched.table is not tw or sched.n != buf.shape[-1]:
+        raise SpecViolation(f"the schedule runs length-{sched.n} buffers of its own table, "
+                            f"not this length-{buf.shape[-1]} one")
+    return sched
 
 
 def forward_schedule(tw, spec: TransformSpec, ring) -> Schedule:
@@ -725,7 +833,7 @@ def frozen_rows(values, n: int, q: int) -> np.ndarray:
     return read_only(buffer(checked_rows(values, n, q), q))
 
 
-def ntt_forward(a, tw, spec: TransformSpec, ring=None) -> NttDomainPoly:
+def ntt_forward(a, tw, spec: TransformSpec, ring=None, sched: Schedule | None = None) -> NttDomainPoly:
     """Forward transform of a Poly, or, with ``ring``, of a length-n
     array or list of canonical residues over that ring (checked as
     ``Poly`` checks them), or of a (batch, n) array of them; returns
@@ -740,10 +848,12 @@ def ntt_forward(a, tw, spec: TransformSpec, ring=None) -> NttDomainPoly:
     routes' core: transformed in place by the table's schedule and
     returned, with only its dtype checked (``SpecViolation`` otherwise);
     the route's ``TransformPair`` checked the table, spec and ring when
-    it was built.
+    it was built.  ``sched``, for a bare buffer only, names which of the
+    table's schedules runs: a truncated one (``make_schedule``) on the
+    prefix of a padded product.
     """
     if ring is None and isinstance(a, np.ndarray):
-        return forward_rows(a, _bare_schedule(a, tw, spec))
+        return forward_rows(a, _bare_schedule(a, tw, spec, sched))
     if ring is None:
         ring, a = a.ring, a.array
     else:
@@ -752,7 +862,8 @@ def ntt_forward(a, tw, spec: TransformSpec, ring=None) -> NttDomainPoly:
     return NttDomainPoly(buf, spec, ring, 1 << spec.beta)
 
 
-def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, as_buffer=False):
+def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, as_buffer=False,
+                sched: Schedule | None = None):
     """Inverse transform back to a Poly, or with ``as_buffer`` to its
     buffer of canonical residues; exact inverse of ntt_forward, run by
     ``inverse_rows`` on a copy of ``ahat.values``, which is never
@@ -760,10 +871,10 @@ def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, as_buffer=Fals
     Poly result is range-checked once, on its buffer.
 
     A bare working buffer ``ahat`` is inverted in place and returned, as
-    in ``ntt_forward``.
+    in ``ntt_forward``, by ``sched`` when given.
     """
     if isinstance(ahat, np.ndarray):
-        return inverse_rows(ahat, _bare_schedule(ahat, tw_inv, spec))
+        return inverse_rows(ahat, _bare_schedule(ahat, tw_inv, spec, sched))
     if not as_buffer and ahat.values.ndim != 1:
         raise LengthMismatch(f"a batch of shape {ahat.values.shape} inverts only with as_buffer")
     ring = ahat.ring

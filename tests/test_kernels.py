@@ -966,7 +966,9 @@ PRESET_CLASSES = {
 
 # and, per schedule that a product of each preset runs, its level count
 # and each stage's reduce flag (an int64 or limb stage always reduces): the
-# single-matrix float64 stages of falcon skip their first reduction
+# single-matrix float64 stages of falcon skip their first reduction, and
+# ntru-509's padded chain runs its 2048-point schedules truncated to their
+# 10 levels on 1024 points (``transforms.truncate``)
 ALL = (True, True)
 PRESET_REDUCTIONS = {
     "dilithium": {8380417: {(8, ALL)}},
@@ -975,7 +977,7 @@ PRESET_REDUCTIONS = {
     "kyber": {3329: {(7, ALL)}},
     "kyber-r1": {7681: {(8, ALL)}},
     "lightsaber-m4": {20972417: {(6, ALL)}},
-    "ntru-509": {2134904833: {(11, (True,) * 3)}},
+    "ntru-509": {2134904833: {(10, ALL)}},
     "ntru-677": {1389569: {(9, ALL)}},
     "ntru-701": {5747201: {(9, ALL)}},
     "ntru-821": {120833: {(11, (True,) * 3)}, 133121: {(11, (True,) * 3)}},

@@ -103,3 +103,31 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _negates_into_out(node) -> bool:
+    """A call of numpy's ``negative`` that writes into an array: a second
+    argument or an ``out`` keyword."""
+    name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+    return name == "negative" and (len(node.args) > 1 or any(k.arg == "out" for k in node.keywords))
+
+
+def test_library_negates_into_no_out_array():
+    # numpy 2.4.6 computes np.negative(a, out=a) wrongly on a strided
+    # int64 view (``F[::8]`` of an arange column leaves -2 in row 8, not
+    # -9), so no library code negates into an ``out`` array; it
+    # multiplies by -1 instead
+    found = []
+    for path in sorted((SRC / "nttkit").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _negates_into_out(node)]
+    assert found == []
+
+
+def test_negation_scan_finds_the_miscomputed_call():
+    # the scan above flags every spelling of the call, and nothing else
+    flagged = [_negates_into_out(ast.parse(src).body[0].value) for src in (
+        "np.negative(F[::8], out=F[::8])", "numpy.negative(a, a)", "negative(a, out=b)",
+        "np.negative(a)", "np.multiply(a, -1, out=a)")]
+    assert flagged == [True, True, True, False, False]
