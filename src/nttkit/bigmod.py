@@ -156,8 +156,9 @@ class LiftedExecutor:
     and chain routes, and an unlifted terminal) the arithmetic wraps mod
     q by design, and ``run`` gets the operands as they are.  ``reads``,
     when a route sets it, is how many leading coefficients of each
-    operand can be nonzero: only those are lifted, and ``run`` then gets
-    just those.
+    operand can be nonzero: only those are lifted, ``run`` then gets just
+    those, and only the 2 reads - 1 leading entries of its products that
+    can be nonzero are recovered.
     """
 
     reads = None
@@ -183,11 +184,14 @@ class LiftedExecutor:
         as a buffer of canonical residues mod q."""
         if self.N == self.ring.q:
             return self.run(x, y, self.tables[0])
-        q = self.ring.q
+        q, n = self.ring.q, self.ring.n
         la, lb = lift_centered(x[: self.reads], q), lift_centered(y[: self.reads], q)
         _check_dynamic_bound(la, lb, self.P)
-        residues = [self.run(la.coeffs % p, lb.coeffs % p, t) for p, t in zip(self.moduli, self.tables)]
-        return recover_centered(residues, self.moduli, q)
+        keep = n if self.reads is None else min(n, 2 * self.reads - 1)
+        residues = [self.run(la.coeffs % p, lb.coeffs % p, t)[:keep]
+                    for p, t in zip(self.moduli, self.tables)]
+        v = recover_centered(residues, self.moduli, q)
+        return v if keep == n else np.concatenate((v, np.zeros(n - keep, dtype=v.dtype)))
 
 
 def _one_shot(route: LiftedExecutor, a: Poly, b: Poly, profile) -> Poly:
@@ -206,10 +210,11 @@ def _one_shot(route: LiftedExecutor, a: Poly, b: Poly, profile) -> Poly:
 class BigPrimeExecutor(LiftedExecutor):
     """Plan executor of the big-prime and RNS routes, one cropped pipeline
     per working modulus, and, with N == q, of the full and incomplete
-    routes.  ``source``, when given, is how many leading coefficients of
-    either operand can be nonzero (a padded chain's source length): its
-    pairs truncate their schedules to it (``polymul.TransformPair``), and
-    only that prefix of each operand is lifted and reduced (``reads``)."""
+    routes; also every Good and plain chain terminal.  ``source``, when
+    given, is how many leading coefficients of either operand can be
+    nonzero (a padded chain's source length): its pairs truncate their
+    schedules to it (``polymul.TransformPair``), and only that prefix of
+    each operand is lifted and reduced (``reads``)."""
 
     root = None  # make_transform_pair searches the smallest
 

@@ -43,8 +43,10 @@ and the level count:
   buffer that one matrix does not.  A limb stage always reduces;
 * object, ``OBJECT_WIDTH`` levels per stage, on ``object`` buffers.
 
-Leaves (``polymul.leaf_rows``, ``polymul.leaf_products``): products mod
-x^L - gamma of operands at most B in magnitude (q - 1: canonical).
+Leaves (``polymul.leaf_rows``: the pairs' leaves of degree h 2^beta, Good's
+among them, and the trinomial ones; ``polymul.leaf_products``: the block
+floor and matvec row sums): products mod x^L - gamma of operands at most
+B in magnitude (q - 1: canonical).
 Linear coefficient k sums min(k + 1, 2L - 1 - k) raw products, each at
 most B^2.  Folding x^L = gamma adds coefficient k + L (L - 1 - k
 products) to coefficient k < L - 1: raw for gamma = +-1, and for a
@@ -106,7 +108,7 @@ STAGE_CAP = 4
 # width below STAGE_CAP (near 2^31 the int64 class runs one level per
 # stage).  Per product against the int64 class, interleaved in one
 # process (2-vCPU VM): 2048 points mod 2134904833 (ntru-509) 0.63 of
-# its time, mod 120833 and 133121 (ntru-821) 0.71, Good's rows 0.69-0.82,
+# its time, mod 120833 and 133121 (ntru-821) 0.71, Good's old rows 0.69-0.82,
 # falcon-1024 0.53, falcon-512 0.71 (but 1.14 in the benchmark's rounds,
 # with cold caches).  At 256 points (8 levels) it loses: one forward row
 # takes 29 us against 22 us for kyber and dilithium; two rows break even.

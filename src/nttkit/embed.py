@@ -1,13 +1,15 @@
 """Ring embeddings that manufacture transform-friendly structure.
 
 Four routes into rings where fast transforms exist: zero-padding into a
-larger wraparound-free ring, the odd-times-power-of-two re-indexing
-(Good), and the two block embeddings whose root of unity is the
+larger wraparound-free ring, Good's trick on odd-times-power-of-two
+rings, and the two block embeddings whose root of unity is the
 indeterminate itself (Schoenhage for x^N - 1, Nussbaumer for x^N + 1),
 which place no root-of-unity condition on the coefficient modulus.
 Chains compose these steps and finish with the source-ring reduction.
 Each executor is a ``bigmod.LiftedExecutor``; a chain's, over q, holds
 its terminal step's executor as its one table.
+A ``Good`` terminal is the plain terminal of x^(h*2^k) - 1, on chunks of
+h coefficients (``transforms``): no re-indexing, the same lift and truncation.
 
 The block embeddings run in a ``BlockWorkspace``, int32 or int64 buffers
 (``block_route``) shaped by the block schedule, so a product allocates
@@ -79,68 +81,15 @@ def padded_product(x, y, ring: RingSpec, n_prime: int, product) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Good's re-indexing
-
-
-def good_index(h: int, k: int) -> np.ndarray:
-    """Good's re-indexing of a length h*2^k cyclic polynomial, as one
-    read-only (h, 2^k) gather index: entry (i, j) is the l with l = i
-    (mod h) and l = j (mod 2^k), so ``x[index]`` is the h x 2^k matrix of
-    x, and ``out[index] = rows`` maps a matrix back."""
-    if h < 1 or h % 2 == 0:
-        raise BadShape(f"need odd h, got h={h}")
-    two_k = 1 << k
-    l = np.arange(h * two_k)
-    index = np.empty((h, two_k), dtype=np.intp)
-    index[l % h, l % two_k] = l
-    return transforms.read_only(index)
-
-
-class GoodExecutor(bigmod.LiftedExecutor):
-    """Good's route over Z_N: row transforms, column cyclic products, row
-    inverses, unmap.
-
-    Operands live in x^(h*2^k) - 1 over their own q and take the lift
-    path into Z_N (no lift when N == q), once per working modulus, each
-    below 2^31.  The row pairs and the gather index are built on first
-    use.
-    """
-
-    def __init__(self, ring: RingSpec, h: int, k: int, N: int, basis=()):
-        if ring.form != XN_MINUS_1 or ring.n != h * (1 << k):
-            raise BadShape(f"ring must be x^(h*2^k) - 1 of degree {h * (1 << k)}")
-        super().__init__(ring, N, basis)
-        for p in self.moduli:
-            if (p - 1) % (1 << k) != 0:
-                raise ParameterCondition(f"inner modulus {p} fails N = 1 (mod 2^k)")
-            if not bounds.vectorized(p):
-                raise ParameterCondition(f"inner modulus {p} is not below 2^31 (int64 column products)")
-        self.h, self.k = h, k
-
-    @cached_property
-    def index(self) -> np.ndarray:
-        return good_index(self.h, self.k)
-
-    def table(self, p: int) -> polymul.TransformPair:  # the row pair
-        return polymul.make_transform_pair(RingSpec(XN_MINUS_1, 1 << self.k, p), 0)
-
-    def run(self, x, y, pair):
-        """Both operands' h rows forward as one batch, the cyclic products
-        of their columns (one per leaf), the h product rows back as one
-        inverse batch."""
-        h, index, q = self.h, self.index, pair.ring.q
-        X = transforms.ntt_forward(transforms.buffer(np.concatenate((x[index], y[index])), q),
-                                   pair.fwd_tw, pair.fwd_spec)
-        P = polymul.leaf_products(X[:h], X[h:], 1, q)
-        polymul._count_leaves(h, False, P.size // h)
-        out = np.empty(len(x), dtype=np.int64)
-        out[index] = transforms.ntt_inverse(P, pair.inv_tw, pair.inv_spec)
-        return out
+# Good's trick
 
 
 def good_multiply(a: Poly, b: Poly, h: int, k: int, inner_modulus: int) -> Poly:
-    """Good's route over Z_inner_modulus with freshly built tables."""
-    return GoodExecutor(a.ring, h, k, inner_modulus).multiply(a, b)
+    """Good's route over Z_inner_modulus with freshly built tables: the
+    transform pair of x^(h*2^k) - 1, h odd, on chunks of h coefficients."""
+    if h % 2 == 0 or a.ring.form != XN_MINUS_1 or a.ring.n != h << k:
+        raise BadShape(f"need x^(h*2^k) - 1 with h odd, got h={h}, k={k} for {a.ring}")
+    return bigmod.BigPrimeExecutor(a.ring, inner_modulus).multiply(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -749,21 +698,21 @@ class EmbedChain:
                         else 2 * terminal.m * terminal.n)
             if pad.n_prime != expected:
                 raise ChainMismatch(f"terminal step expects length {expected}, pad gives {pad.n_prime}")
+        if isinstance(terminal, Good) and (terminal.h % 2 == 0 or pad.form != XN_MINUS_1):
+            raise BadShape(f"Good needs h odd and an x^n - 1 pad, got h={terminal.h}, {pad.form}")
         object.__setattr__(self, "pad", pad)
         object.__setattr__(self, "lift", lift)
         object.__setattr__(self, "terminal", terminal or PlainNtt())
 
     @property
     def congruence(self) -> int:
-        """What every working modulus of the terminal must be 1 mod: 2^k for
-        Good, the padded transform order for a plain transform, and 2 (odd,
-        so 2n is invertible) for the block terminals."""
+        """What every working modulus of the terminal must be 1 mod: the
+        padded transform's root order for Good and plain transforms (2^k
+        for Good), and 2 (odd, so 2n is invertible) for the block terminals."""
         s = self.terminal
-        if isinstance(s, Good):
-            return 1 << s.k
-        if isinstance(s, PlainNtt):
-            return transforms.root_order(self.pad.form, self.pad.n_prime, s.beta)
-        return 2
+        if isinstance(s, (Schonhage, Nussbaumer)):
+            return 2
+        return transforms.root_order(self.pad.form, self.pad.n_prime, getattr(s, "beta", 0))
 
 
 class BlockExecutor(bigmod.LiftedExecutor):
@@ -842,11 +791,9 @@ class ChainExecutor(bigmod.LiftedExecutor):
         ring, pad, step = self.ring, self.pad, self.step
         work = ring if self.in_place else RingSpec(pad.form, pad.n_prime, ring.q)
         N, basis = (self.lift.modulus, self.lift.basis) if self.lift else (ring.q, ())
-        if isinstance(step, Good):
-            return GoodExecutor(work, step.h, step.k, N, basis)
-        if isinstance(step, PlainNtt):
-            return bigmod.BigPrimeExecutor(work, N, step.beta, basis, ring.n)
-        return BlockExecutor(work, step, N, basis, ring.n)
+        if isinstance(step, (Schonhage, Nussbaumer)):
+            return BlockExecutor(work, step, N, basis, ring.n)
+        return bigmod.BigPrimeExecutor(work, N, getattr(step, "beta", 0), basis, ring.n)
 
     def run(self, x, y, terminal):
         if self.in_place:  # ring already has the terminal shape: no embedding

@@ -398,15 +398,14 @@ def _chain_checks(ring: RingSpec, ex: embed.ChainExecutor, prof):
     blocks = {embed.Schonhage: "schonhage", embed.Nussbaumer: "nussbaumer"}.get(type(s))
     if blocks:
         checks.append((f"{blocks} shape 2mn = {2 * s.m * s.n}", embed.block_shape_fault(s) is None))
-    good = isinstance(s, embed.Good)
+    what = "good rows" if isinstance(s, embed.Good) else "padded transform"
     for mod in moduli:
         if blocks:
             checks.append((f"2n = {2 * s.n} invertible mod {mod}", gcd(2 * s.n, mod) == 1))
+            if not vectorized(mod):
+                checks.append((f"terminal modulus {mod} < 2^31 (int64 arrays)", False))
         else:
-            what = "good rows" if good else "padded transform"
             checks.append(_cong_check(mod, chain.congruence, f"{what} over {mod}"))
-        if (blocks or good) and not vectorized(mod):
-            checks.append((f"terminal modulus {mod} < 2^31 (int64 arrays)", False))
     return checks
 
 
@@ -508,7 +507,7 @@ def matvec_multiply(Ahat, s, plan) -> list:
     arithmetic, Ahat entries of another spec, ring or leaf degree raise
     SpecMismatch and s_j over another ring RingMismatch."""
     pair = _as_pair(plan)
-    ring, tags = pair.ring, (pair.fwd_spec, pair.ring, 1 << pair.beta)
+    ring, tags = pair.ring, (pair.fwd_spec, pair.ring, pair.fwd_sched.chunk)
     if not s or any(len(row) != len(s) for row in Ahat):
         raise ShapeCondition("matvec needs a non-empty vector as long as every matrix row")
     if not all(isinstance(a, NttDomainPoly) and (a.spec, a.ring, a.leaf_degree) == tags
@@ -522,7 +521,7 @@ def matvec_multiply(Ahat, s, plan) -> list:
     A = transforms.buffer([[a.values for a in row] for row in Ahat], q)
     S = transforms.ntt_forward(transforms.buffer([sj.array for sj in s], q), pair.fwd_tw,
                                pair.fwd_spec)
-    rows = polymul.pointwise_sums(A, S, 1 << pair.beta, pair.leaf_vector, q)
+    rows = polymul.pointwise_sums(A, S, pair.fwd_sched.chunk, pair.leaf_vector, q)
     rows = transforms.ntt_inverse(rows, pair.inv_tw, pair.inv_spec)
     return [Poly(r, ring) for r in rows]
 
@@ -534,4 +533,4 @@ def sample_ntt_domain_uniform(ring: RingSpec, plan, seed) -> NttDomainPoly:
         raise RingMismatch(f"ring {ring} is not the plan's ring {pair.ring}")
     rng = random.Random(seed)
     vals = [rng.randrange(ring.q) for _ in range(ring.n)]
-    return NttDomainPoly(vals, pair.fwd_spec, ring, 1 << pair.beta)
+    return NttDomainPoly(vals, pair.fwd_spec, ring, pair.fwd_sched.chunk)

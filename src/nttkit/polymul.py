@@ -16,11 +16,12 @@ buffers (their array cores) and ``pointwise_rows``, on tables that
 the checked, tagged form of the same step at the public API.
 Products mod x^L - gamma, the step every route takes between its
 transforms, run on ``leaf_rows``, one pass over rows of leaves (the
-incomplete and split routes' ``pointwise_rows``, the trinomial leaves),
-or on ``leaf_products`` over (L, ...) columns: Good's columns, the block
-floor of the embeddings and ``pointwise_sums``, the transform-domain row
-sum of the module-lattice matvec and the split routes' plain cross
-sums.  ``basecase_mul`` stays as their scalar reference.  Whether these
+``pointwise_rows`` of the incomplete, split and Good routes, whose
+chunk-h pairs have leaves of degree h, and the trinomial leaves), or on
+``leaf_products`` over (L, ...) columns: the block floor of the
+embeddings and ``pointwise_sums``, the transform-domain row sum of the
+module-lattice matvec and the split routes' plain cross sums.
+``basecase_mul`` stays as their scalar reference.  Whether these
 kernels sum raw products is ``bounds.fits``, which derives their bounds;
 the oracles keep their own overflow rule (``_np_exact``).
 """
@@ -33,7 +34,7 @@ from math import gcd
 
 import numpy as np
 
-from . import bounds, modarith, rings, transforms
+from . import bounds, modarith, transforms
 from .errors import (
     FormMismatch,
     LengthMismatch,
@@ -320,7 +321,8 @@ def leaf_products(U, V, gamma, q: int, acc=None, scratch=None, bound: int | None
 
 
 def leaf_gammas(spec: TransformSpec, tw, n: int) -> list:
-    """Leaf-ring constants in output order: chunk p lives in x^len - gamma_p.
+    """Leaf-ring constants in output order: chunk p of a length-n buffer
+    lives in x^len - gamma_p, len its schedule's chunk (h 2^beta).
 
     Chunk p holds the remainder modulo x^len - root^e with e = 2*brv(p)+1
     (negacyclic) or brv(p) (cyclic); natural-order output drops the brv.
@@ -328,7 +330,7 @@ def leaf_gammas(spec: TransformSpec, tw, n: int) -> list:
     indexing does not depend on the algorithm used.  Each case is one
     slice of the table: the bit-reversed index of 2*brv(p)+1 is m + p.
     """
-    m = n >> spec.beta
+    m = n // transforms.make_schedule(spec, tw, n).chunk
     nega = spec.conv_kind == NWC
     if spec.out_order == BIT_REVERSED:
         rev = tw.ordered(BIT_REVERSED)
@@ -437,7 +439,8 @@ def pointwise_sums(A, B, L: int, gammas, q: int) -> np.ndarray:
 class TransformPair:
     """Resolved forward/inverse stage for one x^n +- 1 ring and beta.
 
-    Uses the reorder-free pairing: forward natural -> bit-reversed,
+    Leaves of h 2^beta coefficients on n = h 2^k, h odd (Good's trick for
+    h > 1).  Uses the reorder-free pairing: forward natural -> bit-reversed,
     inverse bit-reversed -> natural.  Each direction runs its table's
     schedule (``fwd_sched``, ``inv_sched``), checked with the tables once,
     when the pair is built, so ``product`` runs the array cores unchecked;
@@ -487,7 +490,7 @@ class TransformPair:
     def live_leaves(self) -> np.ndarray:
         """The leaf constants of the leaves that ``product`` computes: all
         of ``leaf_vector``, or those of block 0 of a pruned schedule."""
-        return self.leaf_vector[: self.fwd_sched.n >> self.beta]
+        return self.leaf_vector[: self.fwd_sched.n // self.fwd_sched.chunk]
 
     @cached_property
     def leaf_vector(self) -> np.ndarray:
@@ -499,20 +502,22 @@ class TransformPair:
     def y_domain(self) -> np.ndarray:
         """Forward image of the monomial x (the split-ring y twiddles), read-only.
 
-        Chunk p holds x mod x^L - gamma_p: the leaf constant itself at
-        beta = 0 (L = 1), and x, i.e. [0, 1, 0, ...], for L >= 2.
+        Chunk p holds x mod x^L - gamma_p, L the chunk: the leaf constant
+        itself for L = 1, and x, i.e. [0, 1, 0, ...], for L >= 2.
         """
-        if self.beta == 0:
+        L = self.fwd_sched.chunk
+        if L == 1:
             return self.leaf_vector
         y = np.zeros(self.ring.n, dtype=transforms.buffer_dtype(self.ring.q))
-        y[1 :: 1 << self.beta] = 1
+        y[1::L] = 1
         return transforms.read_only(y)
 
     def times_y(self, S, use_karatsuba=False) -> np.ndarray:
         """``pointwise_rows(y_domain, S)``, counted alike, as the rotation
         x s(x) mod x^L - gamma: only the top coefficient, brought round,
-        is multiplied by gamma and reduced (every value at beta = 0)."""
-        s = S.reshape(*S.shape[:-1], S.shape[-1] >> self.beta, 1 << self.beta)
+        is multiplied by gamma and reduced (every value for L = 1)."""
+        L = self.fwd_sched.chunk
+        s = S.reshape(*S.shape[:-1], S.shape[-1] // L, L)
         out = np.empty_like(s)
         out[..., 1:] = s[..., :-1]
         np.multiply(s[..., -1], self.leaf_vector, out=out[..., 0])
@@ -543,7 +548,7 @@ class TransformPair:
         entries (f.n = n unless levels are pruned), and the leaves of the
         pruned branches are counted as the full product's; the product's
         entries from ``keep`` on are zero."""
-        q, n, f, L = self.ring.q, self.ring.n, self.fwd_sched, 1 << self.beta
+        q, n, f, L = self.ring.q, self.ring.n, self.fwd_sched, self.fwd_sched.chunk
         if len(x) == len(y) == f.n:
             X = transforms.buffer((x, y), q)
         else:  # a prefix of each operand: the rest is zero
@@ -563,13 +568,12 @@ class TransformPair:
 
 
 def check_pair_ring(ring: RingSpec, beta: int) -> None:
-    """The shape preconditions of a transform pair, checked without tables."""
+    """The shape preconditions of a transform pair, checked without
+    tables: on n = h 2^k, h odd, at most k - 1 levels cropped."""
     n = ring.n
     if ring.form not in (XN_MINUS_1, XN_PLUS_1):
         raise FormMismatch("transform pairs cover x^n - 1 and x^n + 1 rings")
-    if not rings.is_pow2(n):
-        raise ParameterCondition(f"ring degree {n} is not a power of two")
-    if not 0 <= beta <= max(n.bit_length() - 2, 0):
+    if not 0 <= beta <= max((n & -n).bit_length() - 2, 0):
         raise ParameterCondition(f"beta={beta} out of range for n={n}")
 
 
@@ -588,9 +592,8 @@ def make_transform_pair(ring: RingSpec, beta: int = 0, root: int | None = None,
         try:
             root = find_root(order, q)
         except NoSuchRoot as e:
-            need = "2n" if kind == NWC else "n"
             raise ParameterCondition(
-                f"q={q} fails q = 1 (mod {need}/2^beta) for n={n}, beta={beta}: {e}"
+                f"q={q} fails q = 1 (mod {order}) for n={n}, beta={beta}: {e}"
             ) from e
     fwd_tw = build_twiddles(root, order, q, BIT_REVERSED, inverse=False)
     inv_tw = build_twiddles(root, order, q, BIT_REVERSED, inverse=True)

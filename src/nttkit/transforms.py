@@ -3,10 +3,11 @@
 One parameterized kernel covers every transform variant: the butterfly
 family (CT or GS) combined with the input ordering fixes the loop
 structure, and the convolution kind (cyclic or negacyclic) fixes the
-twiddle exponents.  Cropping the last ``beta`` levels leaves contiguous
-degree-(2^beta - 1) chunks in place of scalars.
+twiddle exponents.  The levels run over the m points of the twiddle
+table, each a chunk of n / m = h 2^beta coefficients on n = h 2^k, h odd,
+``beta`` levels cropped: x^(h 2^k) - 1 = prod_p (x^h - w^brv(p)) (Good).
 
-Loop structure, with m = n / 2^beta chunks and chunk-level half-length L:
+Loop structure, with m chunks and chunk-level half-length L:
 
 * natural input  -> levels shrink, L = m/2 .. 1
 * bit-reversed input -> levels grow, L = 1 .. m/2
@@ -17,8 +18,8 @@ Loop structure, with m = n / 2^beta chunks and chunk-level half-length L:
   exponent (m/2L)*j resp. (m/2L)*(2j+1), shared by all blocks.
 
 Inverse transforms run the same structures with negated exponents and a
-final scaling by (n/2^beta)^-1, which the last stage carries.  The root
-has order ``root_order``, the one rule behind every congruence on q.
+final scaling by m^-1, which the last stage carries.  The root has order
+``root_order`` (from 2^k alone), the one rule behind every congruence.
 
 ``level_geometry`` is the only derivation of this structure: a
 ``Schedule`` holds it per (spec, table, n), and ``butterfly_schedule``
@@ -111,8 +112,10 @@ BIT_REVERSED = modarith.BIT_REVERSED
 
 def root_order(form: str, n: int, beta: int = 0) -> int:
     """The root order a length-n transform over ring form ``form``, beta
-    levels cropped, needs: 2n / 2^beta for x^n + 1, else n / 2^beta."""
-    return (2 * n if form == XN_PLUS_1 else n) >> beta
+    levels cropped, needs: 2^(k+1) / 2^beta for x^n + 1, else 2^k / 2^beta,
+    2^k the power-of-two part of n (all of n on a power of two)."""
+    two = n & -n
+    return (2 * two if form == XN_PLUS_1 else two) >> beta
 
 
 @dataclass(frozen=True)
@@ -336,7 +339,7 @@ class Schedule:
     @cached_property
     def factor(self) -> int:
         """The scale that ends the schedule's map: 2^-k mod q over its k
-        CT/GS levels, i.e. (n/2^beta)^-1, on an inverse schedule, else 1."""
+        CT/GS levels, i.e. m^-1, on an inverse schedule, else 1."""
         if self.spec.direction == FORWARD:
             return 1
         k = sum(not isinstance(x, np.ndarray) for _, _, x in self.levels)  # a matrix is its map
@@ -487,8 +490,9 @@ def make_schedule(spec: TransformSpec, tw, n: int, live: int | None = None,
     that schedule truncated (``truncate``), kept on the table as well."""
     sched = tw.schedules.get((spec, n))
     if sched is None:
+        points = tw.order >> (spec.conv_kind == NWC)  # one per chunk
         sched = tw.schedules.setdefault((spec, n), Schedule(
-            spec, tw, n, 1 << spec.beta, tuple(level_geometry(spec, n >> spec.beta))))
+            spec, tw, n, n // points, tuple(level_geometry(spec, points))))
     if (live is None or live >= n) and (keep is None or keep >= n):
         return sched
     live = n if live is None else min(n, live)
@@ -758,16 +762,14 @@ def forward_rows(buf, sched: Schedule) -> np.ndarray:
 def inverse_rows(buf, sched: Schedule) -> np.ndarray:
     """The array core of ``ntt_inverse`` (see ``forward_rows``).  The
     per-level factor 2 is deferred into one scaling by 2^-levels, i.e.
-    (n/2^beta)^-1, which the schedule's last stage carries."""
+    m^-1, which the schedule's last stage carries."""
     _count(buf, sched, "inverse_transforms")
     run_levels(buf, sched)
     return buf
 
 
 def _check_table(tw, spec, n, q, expect_inverse):
-    if n & (n - 1) or n < 1:
-        raise SpecViolation(f"buffer length {n} is not a power of two")
-    if n > 1 and spec.beta >= n.bit_length() - 1:
+    if spec.beta and spec.beta >= (n & -n).bit_length() - 1:
         raise SpecViolation(f"beta={spec.beta} too large for n={n}")
     if tw.modulus != q:
         raise RingMismatch(f"table modulus {tw.modulus} != ring modulus {q}")
@@ -858,8 +860,9 @@ def ntt_forward(a, tw, spec: TransformSpec, ring=None, sched: Schedule | None = 
         ring, a = a.ring, a.array
     else:
         a = checked_rows(a, ring.n, ring.q)
-    buf = forward_rows(buffer(a, ring.q), forward_schedule(tw, spec, ring))
-    return NttDomainPoly(buf, spec, ring, 1 << spec.beta)
+    sched = forward_schedule(tw, spec, ring)
+    buf = forward_rows(buffer(a, ring.q), sched)
+    return NttDomainPoly(buf, spec, ring, sched.chunk)
 
 
 def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, as_buffer=False,

@@ -18,7 +18,6 @@ from nttkit.embed import (
     ZeroPad,
     _rotation,
     general_phi_multiply,
-    good_index,
     good_multiply,
     nussbaumer_multiply,
     schonhage_multiply,
@@ -85,37 +84,16 @@ def test_zero_pad_zero_operand(rng):
 
 
 # ---------------------------------------------------------------------------
-# Good's re-indexing
-
-
-def test_good_map_example():
-    index = good_index(3, 2)
-    x = np.arange(12)
-    assert x[index][2, 1] == 5  # l=5 -> (5 mod 3, 5 mod 4)
-    # inverse index formula: (4^-1 mod 3)*4*2 + (3^-1 mod 4)*3*1 = 17 = 5 (mod 12)
-    assert index[2, 1] == (1 * 4 * 2 + 3 * 3 * 1) % 12
-    out = np.empty(12, dtype=np.int64)
-    out[index] = x[index]
-    assert out.tolist() == list(range(12))
-
-
-def test_good_bijection(rng):
-    for h in (1, 3, 5, 7, 9):
-        for k in range(1, 10):
-            n = h << k
-            index = good_index(h, k)
-            assert sorted(index.ravel().tolist()) == list(range(n))
-            coeffs = np.array([rng.randrange(1 << 20) for _ in range(n)])
-            out = np.empty_like(coeffs)
-            out[index] = coeffs[index]
-            assert out.tolist() == coeffs.tolist()
+# Good's trick: the transform pair of x^(h*2^k) - 1 on length-h chunks
 
 
 def test_good_rejects_bad_shape():
+    a = Poly.zero(RingSpec(XN_MINUS_1, 16, 17))
     with pytest.raises(BadShape):
-        good_index(4, 2)  # even h
+        good_multiply(a, a, 4, 2, 17)  # even h
+    b = Poly.zero(RingSpec(XN_MINUS_1, 10, 7681))
     with pytest.raises(BadShape):
-        embed.GoodExecutor(RingSpec(XN_MINUS_1, 10, 7681), 3, 2, 7681)  # wrong length
+        good_multiply(b, b, 3, 2, 7681)  # wrong length
 
 
 def test_good_multiply_small(rng):
@@ -134,13 +112,14 @@ def test_good_h1_degenerates_to_plain(rng):
         assert got.coeffs == ntt_multiply(a, b, pair).coeffs
 
 
-def test_good_congruence_checked():
+def test_good_congruence_checked(rng):
     ring = RingSpec(XN_MINUS_1, 12, 13)
     a = Poly.zero(ring)
     with pytest.raises(ParameterCondition):
         good_multiply(a, a, 3, 2, 19)  # 19 != 1 (mod 4)
-    with pytest.raises(ParameterCondition):  # int64 column products need N < 2^31
-        good_multiply(a, a, 3, 2, 2147483713)  # prime, 1 (mod 4)
+    # a prime >= 2^31, 1 (mod 4): the pair runs the object class
+    a, b = Poly.random(ring, rng), Poly.random(ring, rng)
+    assert good_multiply(a, b, 3, 2, 2147483713) == oracle_multiply(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +767,10 @@ def test_chain_validation():
     with pytest.raises(ChainMismatch):
         # terminal shape disagrees with the pad target
         general_phi_multiply(a, a, EmbedChain((ZeroPad(2048), Good(3, 9))))
+    with pytest.raises(BadShape):  # Good's h is odd ...
+        EmbedChain((ZeroPad(1024), Good(2, 9)))
+    with pytest.raises(BadShape):  # ... and its ring x^n - 1
+        EmbedChain((ZeroPad(1536, XN_PLUS_1), Good(3, 9)))
 
 
 def test_chain_checks_block_shape_and_lift_modulus(rng):
@@ -812,12 +795,15 @@ def test_chain_checks_block_shape_and_lift_modulus(rng):
     with pytest.raises(ParameterCondition):
         planner.make_plan(RingSpec(XN_MINUS_X_MINUS_1, 5, 16),
                           chain=(ZeroPad(16, XN_PLUS_1), Nussbaumer(2, 4)))
-    # unlifted block and Good terminals run int64 arrays: q must be below 2^31
+    # unlifted block terminals run int64 arrays: q must be below 2^31;
+    # an unlifted Good terminal runs the object class, as a plain one does
     with pytest.raises(ParameterCondition):
         planner.make_plan(RingSpec(XN_MINUS_X_MINUS_1, 5, 2147483713),
                           chain=(ZeroPad(16), Schonhage(2, 4)))
-    with pytest.raises(ParameterCondition):
-        planner.make_plan(RingSpec(XN_MINUS_1, 12, 2147483713), chain=(ZeroPad(12), Good(3, 2)))
+    ring = RingSpec(XN_MINUS_1, 12, 2147483713)
+    plan = planner.make_plan(ring, chain=(ZeroPad(12), Good(3, 2)))
+    a, b = Poly.random(ring, rng), Poly.random(ring, rng)
+    assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
 
 
 def test_ntru_chain_and_direct_good_agree(rng):
@@ -827,6 +813,25 @@ def test_ntru_chain_and_direct_good_agree(rng):
     got_chain = general_phi_multiply(a, b, chain)
     got_direct = zero_pad_multiply(a, b, 1536, lambda x, y: good_multiply(x, y, 3, 9, 5747201))
     assert got_chain.coeffs == got_direct.coeffs == schoolbook_cyclic(a, b).coeffs
+
+
+@pytest.mark.parametrize("ring, k, lift", [
+    (RingSpec(XN_MINUS_1, 701, 8192), 9, (LiftModulus(None),)),
+    (RingSpec(XN_MINUS_X_MINUS_1, 23, 7681), 4, ()),
+    (RingSpec(XN_MINUS_1, 48, 7681), 4, ()),
+], ids=["ntru-701-lifted", "pad-48", "in-place-48"])
+def test_good_and_plain_chains_on_one_pad_agree(ring, k, lift, rng):
+    # Good(3, k) names the plain transform of its 3 2^k pad: the same
+    # searched lift, the same products and the same op counts
+    pad = ZeroPad(3 << k)
+    good, plain = (planner.make_plan(ring, chain=(pad, *lift, t)) for t in (Good(3, k), PlainNtt()))
+    assert good.replaced_by == plain.replaced_by and good.chain.lift == plain.chain.lift
+    for a, b in (planner.sample_operands(ring, good, rng), (Poly([ring.q - 1] * ring.n, ring),) * 2):
+        with modarith.counting() as via_good:
+            got = planner.multiply(a, b, good)
+        with modarith.counting() as via_plain:
+            assert planner.multiply(a, b, plain) == got == oracle_multiply(a, b)
+        assert vars(via_good) == vars(via_plain)
 
 
 def test_unlifted_block_terminal_skips_the_lift(monkeypatch, rng):
@@ -912,7 +917,6 @@ def test_no_poly_is_validated_mid_product(monkeypatch, rng):
     monkeypatch.setattr(Poly, "__init__", counted)
     run_all(False)
     monkeypatch.setattr(embed, "block_schedule", boom)
-    monkeypatch.setattr(embed, "good_index", boom)
     monkeypatch.setattr(polymul, "make_transform_pair", boom)
     monkeypatch.setattr(trinomial, "make_plan", boom)
     run_all(True)
@@ -981,21 +985,26 @@ def test_plan_refuses_a_pad_to_the_same_length_in_another_form():
     assert ("pad 12 >= 2n-1 = 23", True) in plan.checks
 
 
-@pytest.mark.parametrize("name", ["ntru-701", "ntruprime-761-schonhage"])
-def test_every_leaf_batch_is_counted(name, monkeypatch, rng):
-    # Good's column products and the block floor count each column as
-    # basecase_mul would, per working modulus
+@pytest.mark.parametrize("name, kernel", [("ntru-701", "leaf_rows"),
+                                          ("ntruprime-761-schonhage", "leaf_products")],
+                         ids=["ntru-701", "ntruprime-761-schonhage"])
+def test_every_leaf_batch_is_counted(name, kernel, monkeypatch, rng):
+    # Good's leaves of degree 3 (rows of leaves) and the block floor
+    # (columns) count each leaf as basecase_mul would, per working modulus
     ring, plan = _plan(name)
     a, b = planner.sample_operands(ring, plan, rng)
     with modarith.counting() as counted:
         want = planner.multiply(a, b, plan)
-    seen, real = [], polymul.leaf_products
+    seen, real = [], getattr(polymul, kernel)
 
     def recording(U, V, *args, **kwargs):
-        seen.append((U.shape[0], np.broadcast(U[0], V[0]).size))
+        if kernel == "leaf_rows":  # (A, B, L, gammas, q)
+            seen.append((args[0], np.broadcast(U, V).size // args[0]))
+        else:
+            seen.append((U.shape[0], np.broadcast(U[0], V[0]).size))
         return real(U, V, *args, **kwargs)
 
-    monkeypatch.setattr(polymul, "leaf_products", recording)
+    monkeypatch.setattr(polymul, kernel, recording)
     monkeypatch.setattr(polymul, "_count_leaves", lambda *args: None)
     with modarith.counting() as bare:
         assert planner.multiply(a, b, plan) == want

@@ -12,9 +12,9 @@ the 2^31 threshold with the primes on either side of it.
 
 The merged stages are swept against the reference kernel on generated
 (n, q) for every spec, beta, stage class and width, trinomial chunk-3
-schedules included; the width rule is pinned at each of its boundaries,
-and every preset that runs a transform is shown to run no reference
-kernel.  A (batch, n) buffer runs every stage once for all its rows and
+schedules and the chunk-h pairs of x^(h 2^k) +- 1 included; the width
+rule is pinned at each of its boundaries, and every preset that runs a
+transform is shown to run no reference kernel.  A (batch, n) buffer runs every stage once for all its rows and
 must equal row-by-row runs and the reference kernel, with op counts per
 row.
 """
@@ -191,6 +191,39 @@ def test_pointwise_mul_matches_basecase(primes, form, logn, data):
             want += basecase_mul(a_vals[s], b_vals[s], g, q, karatsuba)
     assert got.values.dtype == buffer_dtype(q)
     assert (got.values.tolist(), got_c) == (want, ref_c)
+
+
+@BUDGET
+@seed(0)
+@given(SIDES, st.sampled_from((1, 3, 5, 7, 9)), st.integers(0, 5), st.sampled_from((XN_MINUS_1, XN_PLUS_1)),
+       st.data())
+def test_chunk_h_pairs_match_reference_and_oracle(primes, h, k, form, data):
+    # a pair over x^(h 2^k) -+ 1, h odd, runs its levels over 2^k chunks of
+    # h coefficients, on a root of order 2^k (2^(k+1) for x^n + 1): its
+    # forward and inverse equal the reference kernel's on its schedules,
+    # values and op counts, and its product the oracle's
+    n = h << k
+    order = transforms.root_order(form, n)
+    assert order == (2 << k if form == XN_PLUS_1 else 1 << k)
+    q = data.draw(st.sampled_from([p for p in primes if two_adic(p) % order == 0]))
+    ring = RingSpec(form, n, q)
+    pair = make_transform_pair(ring)
+    assert (pair.fwd_sched.chunk, pair.inv_sched.chunk, len(pair.fwd_sched.levels)) == (h, h, k)
+    a, b = (Poly(data.draw(edge_or_random(n, q)), ring) for _ in range(2))
+    with counting() as cf:
+        ahat = pair.forward(a)
+    want, rf = reference(a.coeffs, q, pair.fwd_tw, pair.fwd_spec, n)
+    rf.forward_transforms += 1
+    assert (ahat.values.tolist(), ahat.leaf_degree, cf) == (want, h, rf)
+    with counting() as ci:
+        back = pair.inverse(ahat)
+    want, ri = reference(want, q, pair.inv_tw, pair.inv_spec, n)
+    ri.inverse_transforms += 1
+    ri.mults += n if k else 0  # the factor 2^-k, counted once per entry
+    assert (back.coeffs, ci) == (want, ri)
+    assert back == a
+    assert ntt_multiply(a, b, pair) == oracle_multiply(a, b)
+    assert planner.matvec_multiply([[ahat]], [b], pair) == [oracle_multiply(a, b)]
 
 
 # q = 1 (mod 768) covers every n = 3*2^e dividing 768; the last two are above 2^31

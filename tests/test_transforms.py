@@ -38,7 +38,7 @@ ORDERINGS = [(NATURAL, BIT_REVERSED), (BIT_REVERSED, NATURAL)]
 
 
 def tables_for(kind, n, q, beta=0, storage=BIT_REVERSED):
-    order = (2 * n if kind == NWC else n) >> beta
+    order = transforms.root_order(XN_PLUS_1 if kind == NWC else XN_MINUS_1, n, beta)
     root = find_root(order, q)
     return (
         build_twiddles(root, order, q, storage),

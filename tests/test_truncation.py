@@ -1,9 +1,10 @@
 """Truncated transforms on padded chains (``transforms.truncate``).
 
-A padded chain's plain terminal runs its transform pair on the live
-prefix of each operand: its schedules skip the levels that only block 0
-of the product needs, and its outer stages the columns and rows that
-meet only zeros or that no one reads.  Every truncated product must
+A padded chain's plain or Good terminal runs its transform pair on the
+live prefix of each operand, on pads of 2^k points or of 2^k chunks of
+three coefficients: its schedules skip the levels that only block 0 of
+the product needs, and its outer stages the columns and rows that meet
+only zeros or that no one reads.  Every truncated product must
 equal the full one, the reference kernel on the full schedule and the
 oracle, count exactly what the full product counts, and depend on the
 plan alone, never on the operands.
@@ -15,7 +16,7 @@ import pytest
 from test_transforms import forward_specs, inverse_specs_for, tables_for
 
 from nttkit import bigmod, bounds, planner, transforms
-from nttkit.embed import EmbedChain, LiftModulus, PlainNtt, ZeroPad, general_phi_multiply
+from nttkit.embed import EmbedChain, Good, LiftModulus, PlainNtt, ZeroPad, general_phi_multiply
 from nttkit.errors import ParameterCondition, SpecViolation
 from nttkit.modarith import NATURAL, counting
 from nttkit.polymul import make_transform_pair, oracle_multiply, schoolbook_linear
@@ -24,19 +25,22 @@ from nttkit.transforms import CC, NWC, make_schedule, reference_rows, truncate
 
 LIMB_Q = 1073750017  # 1 mod 4096, float64-limb from 9 levels on
 # (stage class of the truncated schedules, q, padded length, source
-# lengths): live at 2^j - 1, 2^j and 2^j + 1, so keep = 2 live - 1 falls
-# on both sides of K = 2^(j+1), the length that j pruned levels leave
+# lengths): live at c 2^j - 1, c 2^j and c 2^j + 1, c = 1 or 3 (the odd
+# part of the pad), so keep = 2 live - 1 falls on both sides of
+# K = c 2^(j+1), the length that pruned levels leave
 BOUNDARY_CASES = [
     (bounds.INT64, 7681, 64, (7, 8, 9, 15, 16, 17, 31, 32)),
     (bounds.FLOAT64, 12289, 2048, (511, 512, 513, 1023, 1024)),
     (bounds.FLOAT64_LIMB, LIMB_Q, 2048, (511, 512, 513, 1023, 1024)),
+    (bounds.INT64, 7681, 96, (5, 6, 7, 11, 12, 13, 23, 24, 25, 47, 48)),
+    (bounds.FLOAT64, 12289, 3072, (769, 1535, 1536)),
 ]
 
 
 def _pruned_length(n, source, beta):
     """K: the shortest n >> j, at least one chunk, holding the product."""
-    K = n
-    while K // 2 >= 2 * source - 1 and K // 2 >= 1 << beta:
+    K, chunk = n, n // (n & -n) << beta
+    while K // 2 >= 2 * source - 1 and K // 2 >= chunk:
         K //= 2
     return K
 
@@ -90,12 +94,23 @@ def _random(n, s, q, rng):
 @pytest.mark.parametrize("beta", [0, 1])
 def test_every_natural_end_spec_truncates_to_the_reference(kind, beta, rng):
     # forward specs with natural input and inverse specs with natural
-    # output, CT and GS: for live and keep on both sides of each K, the
-    # truncated forward is the first K values of the reference kernel's on
-    # the full schedule, and the truncated inverse of those values gives
-    # the input back in its first keep entries; the other orders refuse
-    # to truncate
-    n, q = 64, 7681
+    # output, CT and GS, on 64 points and on 32 chunks of 3: for live and
+    # keep on both sides of each K, the truncated forward is the first K
+    # values of the reference kernel's on the full schedule, and the
+    # truncated inverse of those values gives the input back in its first
+    # keep entries; the other orders refuse to truncate
+    for n, q, cuts in NATURAL_END_CASES:
+        _natural_end_specs_truncate(kind, beta, n, q, cuts, rng)
+
+
+NATURAL_END_CASES = [
+    (64, 7681, ((1, 1), (3, 5), (8, 15), (8, 16), (9, 17), (16, 31), (17, 33), (32, 63), (5, 40), (40, 5))),
+    (96, 7681, ((1, 1), (2, 3), (5, 11), (6, 12), (7, 13), (11, 23), (12, 24), (13, 25), (24, 47),
+                (24, 48), (25, 49), (47, 95), (6, 40), (40, 6))),
+]
+
+
+def _natural_end_specs_truncate(kind, beta, n, q, cuts, rng):
     fwd_tw, inv_tw = tables_for(kind, n, q, beta)
     for fs in forward_specs(kind, beta):
         for ivs in inverse_specs_for(fs):
@@ -105,12 +120,11 @@ def test_every_natural_end_spec_truncates_to_the_reference(kind, beta, rng):
                 with pytest.raises(SpecViolation, match="natural-order end"):
                     make_schedule(ivs, inv_tw, n, 5, 9)
                 continue
-            for live, keep in ((1, 1), (3, 5), (8, 15), (8, 16), (9, 17), (16, 31), (17, 33), (32, 63),
-                               (5, 40), (40, 5)):
+            for live, keep in cuts:
                 f = make_schedule(fs, fwd_tw, n, live, keep)
                 i = make_schedule(ivs, inv_tw, n, live, keep)
                 K = f.n
-                assert K == i.n >= max(live, keep, 1 << beta) and (K == 1 << beta or K // 2 < max(live, keep))
+                assert K == i.n >= max(live, keep, f.chunk) and (K == f.chunk or K // 2 < max(live, keep))
                 x = [rng.randrange(q) for _ in range(live)] + [0] * (n - live)
                 full = [list(x)]
                 reference_rows(full, make_schedule(fs, fwd_tw, n))
@@ -158,6 +172,17 @@ def test_narrowed_stages_read_live_columns_and_write_kept_rows():
     ring, plan = planner.preset("ntru-509")
     for pair in plan.executor.tables[0].tables:
         assert (pair.fwd_sched.n, len(pair.fwd_sched.levels), len(pair.fwd_sched.full.levels)) == (1024, 10, 11)
+    # ntru-701's Good terminal: 512 chunks of 3, 701 live inputs and 1401
+    # kept outputs; the first forward stage multiplies 15 of its 32
+    # columns (of 48 entries each) and the last inverse stage computes 15
+    # of its 16 rows (of 96)
+    ring, plan = planner.preset("ntru-701")
+    (pair,) = plan.executor.tables[0].tables
+    f, i = pair.fwd_sched, pair.inv_sched
+    assert (f.n, f.chunk, len(f.levels), f.live, f.keep) == (1536, 3, 9, 701, 1401)
+    assert f.stages[0].matrices.shape[-2:] == (32, 15) and f.stages[0].narrowed
+    assert i.stages[-1].matrices.shape[-2:] == (15, 16) and i.stages[-1].narrowed
+    assert not any(st.narrowed for st in f.stages[1:] + i.stages[:-1])
 
 
 def _terminal_and_full(ring, plan):
@@ -172,10 +197,12 @@ GENERATED_CHAINS = [
     (RingSpec(XN_MINUS_X_MINUS_1, 31, 7681), (ZeroPad(64, XN_MINUS_1), PlainNtt(0))),
     (RingSpec(XN_MINUS_X_MINUS_1, 9, 2048), (ZeroPad(64, XN_MINUS_1), LiftModulus(None), PlainNtt(0))),
     (RingSpec(XN_MINUS_1, 509, 2048), (ZeroPad(2048, XN_PLUS_1), LiftModulus(None), PlainNtt(0))),
+    (RingSpec(XN_MINUS_X_MINUS_1, 11, 7681), (ZeroPad(48, XN_MINUS_1), Good(3, 4))),
+    (RingSpec(XN_MINUS_1, 23, 2048), (ZeroPad(96, XN_MINUS_1), LiftModulus(None), Good(3, 5))),
 ]
 
 
-PADDED_PLANS = ["ntru-509", "ntru-821", *GENERATED_CHAINS]
+PADDED_PLANS = ["ntru-509", "ntru-821", "ntru-701", *GENERATED_CHAINS]
 
 
 def _plan(case):
@@ -233,11 +260,29 @@ def test_truncation_is_decided_when_the_plan_is_built(case, monkeypatch, rng):
 
 
 def test_lift_reads_only_the_source_prefix(monkeypatch, rng):
-    # a lifted padded chain lifts and reduces only the source length of
-    # each operand, not the padded array
-    ring, plan = planner.preset("ntru-509")
+    # a lifted padded chain, plain (ntru-509) or Good (ntru-701), lifts
+    # and reduces only the source length of each operand, not the padded
+    # array
     lifted, real = [], bigmod.lift_centered
     monkeypatch.setattr(bigmod, "lift_centered", lambda x, q: lifted.append(len(x)) or real(x, q))
-    a, b = planner.sample_operands(ring, plan, rng)
-    assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
-    assert lifted == [509, 509]
+    for name, n in (("ntru-509", 509), ("ntru-701", 701)):
+        ring, plan = planner.preset(name)
+        a, b = planner.sample_operands(ring, plan, rng)
+        lifted.clear()
+        assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
+        assert lifted == [n, n], name
+
+
+def test_recovery_reads_only_the_keep_prefix(monkeypatch, rng):
+    # a truncated terminal recovers only the keep = 2n - 1 leading entries
+    # of each residue, the rest of its product being zero: 1017 of 2048
+    # on ntru-509, 1401 of 1536 on ntru-701 (one working modulus each)
+    recovered, real = [], bigmod.recover_centered
+    monkeypatch.setattr(bigmod, "recover_centered", lambda residues, moduli, q: recovered.append(
+        [len(r) for r in residues]) or real(residues, moduli, q))
+    for name, keep in (("ntru-509", 1017), ("ntru-701", 1401)):
+        ring, plan = planner.preset(name)
+        for a, b in (planner.sample_operands(ring, plan, rng), (Poly([ring.q - 1] * ring.n, ring),) * 2):
+            recovered.clear()
+            assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
+            assert recovered == [[keep]], name
