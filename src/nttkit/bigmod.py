@@ -5,9 +5,9 @@ large N: either one NTT-friendly prime, a residue number system over
 several, or the composite N itself with a principal root of unity.  A
 residue number system is also how a planned route runs a working
 modulus N >= 2^31: on primes below 2^31, so its transforms stay int64.
-Coefficients cross the boundary in centered form; the two conversion
-functions below are the only places the sign convention appears, and
-``garner`` is the one CRT, for recovery and the composite root search.
+Operands cross the boundary as one centered stack (``lift_centered``) and
+come back through ``recover_centered``; ``garner`` is the one CRT, for
+recovery and the composite root search.
 ``LiftedExecutor`` is the base of every plan executor; the unlifted
 routes run on it with N == q.
 """
@@ -66,24 +66,12 @@ def required_bound(n: int, q: int, profile=(FULL_FULL,)) -> int:
 # centered lifting and recovery
 
 
-@dataclass(frozen=True)
-class LiftedPoly:
-    """Centered lift of a coefficient array, remembering its magnitude."""
-
-    coeffs: np.ndarray  # int64 representatives in [-q/2, q/2)
-    centered_bound: int
-    effective_len: int  # coefficients up to the last nonzero one
-
-
-def lift_centered(x: np.ndarray, q: int) -> LiftedPoly:
-    """The canonical residues ``x`` mod q as a fresh int64 array of
-    centered representatives (any q <= 2^42 fits), with the magnitude and
-    length the operand check reads."""
-    c = np.array(x, dtype=np.int64)
-    c -= (c > (q - 1) // 2) * q
-    nonzero = np.flatnonzero(c)
-    eff = int(nonzero[-1]) + 1 if nonzero.size else 0
-    return LiftedPoly(c, int(np.abs(c).max()), eff)
+def lift_centered(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
+    """Canonical residues ``x`` and ``y`` mod q, of one length, as a fresh
+    (2, len) int64 stack centered in place, in [-q/2, q/2) (q <= 2^42)."""
+    s = np.array((x, y), dtype=np.int64)
+    s -= (s > (q - 1) // 2) * q
+    return s
 
 
 def garner(residues, moduli) -> np.ndarray:
@@ -107,28 +95,27 @@ def garner(residues, moduli) -> np.ndarray:
 
 
 def recover_centered(residues, moduli, q: int) -> np.ndarray:
-    """Map one residue array per working modulus back into Z_q, as an
-    int64 array; the residues are never mutated.
-
-    ``garner`` gives v in [0, P); v then goes through [-P/2, P/2) into Z_q.
-    With several moduli each is below 2^31, so all of it is int64 (an
-    ``object`` residue buffer of a lone modulus >= 2^31 converts).
-    """
-    v, P = garner(residues, moduli), prod(moduli)
+    """Map one residue array per working modulus back into Z_q, in int64
+    (several moduli are each below 2^31): ``garner`` gives v in [0, P), or
+    a lone modulus's residues are v, centered and reduced in place (an
+    ``object`` buffer converts), and v goes through [-P/2, P/2) into Z_q."""
+    P = prod(moduli)
+    v = np.asarray(residues[0], dtype=np.int64) if len(moduli) == 1 else garner(residues, moduli)
     v -= (v > (P - 1) // 2) * P
     v %= q
     return v
 
 
-def _check_dynamic_bound(la: LiftedPoly, lb: LiftedPoly, N: int):
-    # any wrapped-convolution coefficient sums at most min(eff_a, eff_b)
-    # products, each bounded by the centered magnitudes
-    terms = min(la.effective_len, lb.effective_len)
-    if 2 * terms * la.centered_bound * lb.centered_bound > N - 1:
-        raise BoundTooSmall(
-            f"N={N} cannot hold {terms} products of magnitudes "
-            f"{la.centered_bound}*{lb.centered_bound}"
-        )
+def _check_dynamic_bound(s: np.ndarray, N: int):
+    """Refuse (``BoundTooSmall``) a centered operand stack whose product
+    N cannot hold: a coefficient sums min(eff_a, eff_b) products (eff: up
+    to an operand's last nonzero entry) of the rows' largest magnitudes,
+    eff read only where the full length fails, as no in-profile pair does."""
+    ca, cb = np.abs(s).max(axis=1).tolist()
+    terms = s.shape[1] if 2 * s.shape[1] * ca * cb <= N - 1 else min(
+        int(nz[-1]) + 1 if nz.size else 0 for nz in map(np.flatnonzero, s))
+    if 2 * terms * ca * cb > N - 1:
+        raise BoundTooSmall(f"N={N} cannot hold {terms} products of magnitudes {ca}*{cb}")
 
 
 def bound_check(N: int, ring: RingSpec, profile, what: str) -> tuple:
@@ -144,21 +131,15 @@ class LiftedExecutor:
 
     A route defines ``__init__`` (its checks), ``table(p)`` (its tables
     mod one working modulus p, built on first use and kept in ``tables``)
-    and ``run(x, y, table)`` (its product of two arrays mod p, returned as
-    a buffer).  ``product`` is the one path of every route, on int64
-    coefficient arrays; ``multiply``, the only ring check of a planned
-    product, passes it each operand's ``Poly.array`` and builds the one
-    Poly of the result.  The working moduli are N, or a
-    ``basis`` of distinct primes below 2^31 in its place, with product P.
-    Both operands are lifted once, centered, and checked against P; the
-    route runs once per working modulus; Garner recovery mod P, centered,
-    gives the product mod q.  With N == q (the direct, split, trinomial
-    and chain routes, and an unlifted terminal) the arithmetic wraps mod
-    q by design, and ``run`` gets the operands as they are.  ``reads``,
-    when a route sets it, is how many leading coefficients of each
-    operand can be nonzero: only those are lifted, ``run`` then gets just
-    those, and only the 2 reads - 1 leading entries of its products that
-    can be nonzero are recovered.
+    and ``run(X, table)``, its product mod p of an operand pair X,
+    returned as a buffer: a tuple of two arrays, which it must not write,
+    or a (2, len) stack, which it may overwrite.  ``product`` is the one
+    path of every route, on int64 coefficient arrays; ``multiply``, the
+    only ring check of a planned product, passes it each operand's
+    ``Poly.array`` and builds the one Poly of the result.  With N == q
+    (the direct, split, trinomial and chain routes, and an unlifted
+    terminal) the arithmetic wraps mod q by design, and ``run`` gets the
+    operands as they are; otherwise the product is ``lifted``.
     """
 
     reads = None
@@ -182,16 +163,24 @@ class LiftedExecutor:
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The ring product of two int64 arrays of canonical coefficients,
         as a buffer of canonical residues mod q."""
-        if self.N == self.ring.q:
-            return self.run(x, y, self.tables[0])
+        v = self.run((x, y), self.tables[0]) if self.N == self.ring.q else self.lifted(x, y)
+        n = self.ring.n
+        return v if len(v) == n else np.concatenate((v, np.zeros(n - len(v), dtype=v.dtype)))
+
+    def lifted(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The ``keep`` leading coefficients mod q of the product, exact mod
+        the working moduli (N, or a ``basis`` of primes below 2^31) with
+        product P, from one stack of each operand's ``reads`` leading
+        coefficients (all a route finds can be nonzero; keep = 2 reads - 1,
+        else n), checked once, reduced mod p where ``centered_input`` fails."""
         q, n = self.ring.q, self.ring.n
-        la, lb = lift_centered(x[: self.reads], q), lift_centered(y[: self.reads], q)
-        _check_dynamic_bound(la, lb, self.P)
         keep = n if self.reads is None else min(n, 2 * self.reads - 1)
-        residues = [self.run(la.coeffs % p, lb.coeffs % p, t)[:keep]
-                    for p, t in zip(self.moduli, self.tables)]
-        v = recover_centered(residues, self.moduli, q)
-        return v if keep == n else np.concatenate((v, np.zeros(n - keep, dtype=v.dtype)))
+        s = lift_centered(x[: self.reads], y[: self.reads], q)
+        _check_dynamic_bound(s, self.P)
+        stacks = [s.copy() for _ in self.moduli[1:]] + [s]  # a route may overwrite its stack
+        residues = [self.run(S if bounds.centered_input(q, p) else S % p, t)[:keep]
+                    for S, p, t in zip(stacks, self.moduli, self.tables)]
+        return recover_centered(residues, self.moduli, q)
 
 
 def _one_shot(route: LiftedExecutor, a: Poly, b: Poly, profile) -> Poly:
@@ -214,7 +203,7 @@ class BigPrimeExecutor(LiftedExecutor):
     given, is how many leading coefficients of either operand can be
     nonzero (a padded chain's source length): its pairs truncate their
     schedules to it (``polymul.TransformPair``), and only that prefix of
-    each operand is lifted and reduced (``reads``)."""
+    each operand is lifted (``reads``), onto a stack the pair runs on."""
 
     root = None  # make_transform_pair searches the smallest
 
@@ -227,8 +216,8 @@ class BigPrimeExecutor(LiftedExecutor):
         big = RingSpec(self.ring.form, self.ring.n, p)
         return polymul.make_transform_pair(big, self.beta, root=self.root, source=self.reads)
 
-    def run(self, x, y, pair):
-        return pair.product(x, y)
+    def run(self, X, pair):
+        return pair.stack_product(X)
 
 
 def bigprime_multiply(a: Poly, b: Poly, N: int, beta: int = 0, profile=(FULL_FULL,)) -> Poly:

@@ -20,12 +20,12 @@ while every modulus after the first is: a mixed-radix digit times an
 inverse mod p stays below p^2 < 2^62, a digit times the radix below the
 product P <= 2^42.
 
-Stages (``stage_class``), once per schedule mod q, from the buffer class
-and the level count:
+Stages (``stage_class``), once per schedule mod q, from the buffer class,
+the level count and the point count (the buffer length):
 
-* int64, k = ``STAGE_CAP`` levels per stage, on schedules of fewer than
-  ``FLOAT_LEVELS`` levels where 2^k (q-1)^2 fits int64: no matmul row sum
-  of 2^k products of residues leaves int64.  Every stage reduces;
+* int64, k = ``STAGE_CAP`` levels per stage, below ``FLOAT_LEVELS`` levels
+  (and ``FLOAT_POINTS`` points if float64 is exact) where 2^k (q-1)^2 fits
+  int64: no matmul row sum of 2^k residue products leaves it.  Each reduces;
 * float64, ``FLOAT_WIDTH`` levels per stage, on the other int64 buffers,
   with matrix entries centered, at most h = q//2.  The reduction
   y - rint(y (1/q)) q of an integer y within 2^53 rounds y (1/q) twice,
@@ -58,6 +58,12 @@ entry passes (q-1)(q-1+L) (``leaves``).  ``polymul.pointwise_sums``, with
 leaves of degree 1, sums cols raw products of residues while cols
 products of (q-1)(q-1) fit; otherwise it reduces each first, and cols
 residues stay below cols q.
+
+Lifted operands (``bigmod``), centered mod q, run mod p unreduced while
+q//2 <= p - 1 (``centered_input``), else reduced mod p: each bound here
+is on magnitudes from input at most p - 1, and each reduction (``%``,
+``_mod``, y - rint(y/p) p) maps a negative entry to its residue, so every
+stage class (truncated, narrowed), leaf kernel and block route takes it.
 
 Chains (``walk``), from canonical input to an output that the caller
 reduces:
@@ -104,16 +110,17 @@ OBJECT = "object"
 # beyond k = 4 (timed at n = 256 .. 1024).
 STAGE_CAP = 4
 # The float64 class: BLAS matmuls of width 2^FLOAT_WIDTH.  It pays on
-# schedules of at least FLOAT_LEVELS levels, and where q holds the int64
-# width below STAGE_CAP (near 2^31 the int64 class runs one level per
-# stage).  Per product against the int64 class, interleaved in one
-# process (2-vCPU VM): 2048 points mod 2134904833 (ntru-509) 0.63 of
-# its time, mod 120833 and 133121 (ntru-821) 0.71, Good's old rows 0.69-0.82,
-# falcon-1024 0.53, falcon-512 0.71 (but 1.14 in the benchmark's rounds,
-# with cold caches).  At 256 points (8 levels) it loses: one forward row
-# takes 29 us against 22 us for kyber and dilithium; two rows break even.
+# schedules of FLOAT_LEVELS levels or FLOAT_POINTS points, and where q
+# holds the int64 width below STAGE_CAP (near 2^31 the int64 class runs
+# one level per stage).  Per product against the int64 class, interleaved
+# in one process (2-vCPU VM): ntru-509's 2048 points 0.63 of its time,
+# ntru-821's 0.71, falcon-1024 0.53, falcon-512 0.71 (1.14 in benchmark
+# rounds, caches cold), the trinomial route's 768 points in 8 levels 0.68.
+# At 256 points (8 levels) it loses: one forward row takes 29 us against
+# 22 us for kyber and dilithium; two rows break even.
 FLOAT_WIDTH = 5
 FLOAT_LEVELS = 9
+FLOAT_POINTS = 512
 # The object class, from 2^31 up: its entries are Python ints, so a wider
 # stage saves numpy calls but adds Python multiply-adds per entry.  k = 2
 # was the fastest on full NWC products mod 2151677953 at 64-1024 points;
@@ -135,18 +142,23 @@ def vectorized(q: int) -> bool:
     return q < VECTOR_LIMIT
 
 
-def stage_class(q: int, levels: int) -> tuple:
+def centered_input(q: int, p: int) -> bool:
+    """Whether operands centered mod q run mod p unreduced (above)."""
+    return q // 2 <= p - 1
+
+
+def stage_class(q: int, levels: int, points: int) -> tuple:
     """(class, width) of the merged stages of a ``levels``-level schedule
-    mod q (the module docstring): object on ``object`` buffers; int64 on
-    short schedules whose q holds the int64 width ``STAGE_CAP``; else
-    float64, in one matrix where it is exact, else in limbs."""
+    of ``points`` points (its buffer length) mod q (the module docstring):
+    object on ``object`` buffers; int64 on short schedules whose q holds
+    its width; else float64, in one matrix where it is exact, else limbs."""
     if not vectorized(q):
         return OBJECT, OBJECT_WIDTH
-    if levels < FLOAT_LEVELS and fits(np.int64, q - 1, q - 1, 1 << STAGE_CAP):
+    exact = fits(np.float64, q // 2, q - 1, 1 << FLOAT_WIDTH, q)
+    if levels < FLOAT_LEVELS and not (exact and points >= FLOAT_POINTS) \
+            and fits(np.int64, q - 1, q - 1, 1 << STAGE_CAP):
         return INT64, STAGE_CAP
-    if fits(np.float64, q // 2, q - 1, 1 << FLOAT_WIDTH, q):
-        return FLOAT64, FLOAT_WIDTH
-    return FLOAT64_LIMB, FLOAT_WIDTH
+    return (FLOAT64 if exact else FLOAT64_LIMB), FLOAT_WIDTH
 
 
 def grow(factor: int, dtype, extra: int = 0):

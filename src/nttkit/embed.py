@@ -749,14 +749,14 @@ class BlockExecutor(bigmod.LiftedExecutor):
         self.workspaces.setdefault(route.dtype, queue.SimpleQueue())
         return route
 
-    def run(self, x, y, route):
+    def run(self, X, route):
         pool = self.workspaces[route.dtype]
         try:
             ws = pool.get_nowait()
         except queue.Empty:
             ws = BlockWorkspace(self.schedule, route.dtype)
         try:
-            return _block_product(x, y, ws, route)
+            return _block_product(*X, ws, route)
         finally:
             pool.put(ws)
 
@@ -795,10 +795,12 @@ class ChainExecutor(bigmod.LiftedExecutor):
             return BlockExecutor(work, step, N, basis, ring.n)
         return bigmod.BigPrimeExecutor(work, N, getattr(step, "beta", 0), basis, ring.n)
 
-    def run(self, x, y, terminal):
+    def run(self, X, terminal):
         if self.in_place:  # ring already has the terminal shape: no embedding
-            return terminal.product(x, y)
-        return padded_product(x, y, self.ring, self.pad.n_prime, terminal.product)
+            return terminal.product(*X)
+        if terminal.N != self.ring.q and terminal.reads and 2 * terminal.reads - 1 <= self.pad.n_prime:
+            return polymul.fold_mod_phi(terminal.lifted(*X), self.ring)  # plain, Good: no pad
+        return padded_product(*X, self.ring, self.pad.n_prime, terminal.product)
 
 
 def general_phi_multiply(a: Poly, b: Poly, chain: EmbedChain) -> Poly:

@@ -539,32 +539,30 @@ class TransformPair:
 
     def product(self, x, y, use_karatsuba=False) -> np.ndarray:
         """x*y in the pair's ring, for two arrays of canonical
-        coefficients, unchecked: both forward transforms as one batch of
-        two, the leaf products and the inverse, on bare buffers; returns
-        the product's length-n buffer.
+        coefficients, unchecked (``stack_product``); returns the product's
+        length-n buffer, whose entries from ``keep`` on are zero."""
+        C, n = self.stack_product((x, y), use_karatsuba), self.ring.n
+        return C if self.keep == n else np.concatenate((C, np.zeros(n - self.keep, dtype=C.dtype)))
 
-        Each operand holds n coefficients, or at least its ``live`` ones
-        (the rest are zero).  Truncated schedules run on the first f.n
-        entries (f.n = n unless levels are pruned), and the leaves of the
-        pruned branches are counted as the full product's; the product's
-        entries from ``keep`` on are zero."""
+    def stack_product(self, X, use_karatsuba=False) -> np.ndarray:
+        """The ``keep`` leading coefficients of x*y for operands X = (x, y)
+        of one length, n or at least ``live`` (the rest zero), unchecked:
+        both forward transforms as one batch, the leaf products and the
+        inverse, on the first f.n entries of bare buffers (f.n < n where
+        levels are pruned, whose leaves count as the full product's), in
+        place where X is a (2, f.n) working buffer, else on a copy.  Its
+        entries may be centered (``bounds``)."""
         q, n, f, L = self.ring.q, self.ring.n, self.fwd_sched, self.fwd_sched.chunk
-        if len(x) == len(y) == f.n:
-            X = transforms.buffer((x, y), q)
-        else:  # a prefix of each operand: the rest is zero
-            X = np.zeros((2, f.n), dtype=transforms.buffer_dtype(q))
-            for row, v in zip(X, (x, y)):
-                v = v[: f.n]
-                row[: len(v)] = v
+        if not isinstance(X, np.ndarray):
+            X = transforms.buffer(X, q)
+        if X.shape[1] != f.n or X.dtype != transforms.buffer_dtype(q):  # a prefix: the rest is zero
+            X, Y = np.zeros((2, f.n), dtype=transforms.buffer_dtype(q)), X
+            X[:, : Y.shape[1]] = Y[:, : f.n]
         transforms.ntt_forward(X, self.fwd_tw, self.fwd_spec, sched=f)
         C = pointwise_rows(X[0], X[1], L, self.live_leaves, q, use_karatsuba)
         transforms.ntt_inverse(C, self.inv_tw, self.inv_spec, sched=self.inv_sched)
-        if self.keep == n:  # then f.n = n: nothing is pruned
-            return C
         _count_leaves(L, use_karatsuba, (n - f.n) // L)
-        out = np.zeros(n, dtype=C.dtype)
-        out[: self.keep] = C[: self.keep]
-        return out
+        return C if self.keep == len(C) else C[: self.keep]
 
 
 def check_pair_ring(ring: RingSpec, beta: int) -> None:

@@ -99,8 +99,8 @@ class SplitExecutor(bigmod.LiftedExecutor):
     def table(self, p: int) -> polymul.TransformPair:
         return polymul.make_transform_pair(_small_ring(self.ring, self.alpha), self.beta)
 
-    def run(self, x, y, inner):
-        return _split_product(x, y, self.alpha, inner, *self.karatsuba)
+    def run(self, X, inner):
+        return _split_product(*X, self.alpha, inner, *self.karatsuba)
 
 
 def ptntt_multiply(a: Poly, b: Poly, alpha: int) -> Poly:

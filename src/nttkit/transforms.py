@@ -353,9 +353,9 @@ class Schedule:
     def stage_class(self) -> tuple:
         """(class, width) of the merged stages, e.g. ("int64", 4),
         ("float64", 5), ("float64-limb", 5) or ("object", 2):
-        ``bounds.stage_class`` of the table modulus and the level count,
-        decided once."""
-        return bounds.stage_class(self.table.modulus, len(self.levels))
+        ``bounds.stage_class`` of the table modulus, the level count and
+        the point count, decided once."""
+        return bounds.stage_class(self.table.modulus, len(self.levels), self.n)
 
     def _stages(self) -> tuple:
         """The levels as merged stages of ``stage_class``, the last one
@@ -382,8 +382,6 @@ class Schedule:
         with modarith.uncounted():
             for (lo, hi), reduce in zip(groups, reduces):
                 shape = (*self._geometry(lo, hi), block_tw)
-                # centered in the float64 class: it runs at least
-                # bounds.FLOAT_LEVELS levels, so every group combines two or more
                 mats = self._matrices(lo, hi, dtype)
                 if hi == len(self.levels) and self.factor != 1:
                     mats = _reduce(mats * self.factor, q)
@@ -437,14 +435,14 @@ class Schedule:
         """The matrix stack of levels lo..hi-1 as one stage, one matrix per
         block or per offset (see ``Stage``), in ``dtype``.
 
-        One level is its 2 x 2 matrices, canonical.  Wider groups
-        multiply the stacks of their two halves A (first) and B entrywise:
-        A's levels move the high position bits ph (levels shrink) or the
-        low ones pl (levels grow) and B's the others, so each entry
-        M[(ph, pl), (ch, cl)] is one product, A[ph, ch] B[pl, cl] taken at
-        the block or offset the bits left over select, reduced canonical
-        (int64, object) or centered (float64, exact while q^2 < 2^53:
-        products below 2^51 reduce to at most q//2).
+        One level is its 2 x 2 matrices, canonical (int64, object) or
+        centered (float64).  Wider groups multiply the stacks of their two
+        halves A (first) and B entrywise: A's levels move the high position
+        bits ph (levels shrink) or the low ones pl (levels grow) and B's the
+        others, so each entry M[(ph, pl), (ch, cl)] is one product,
+        A[ph, ch] B[pl, cl] taken at the block or offset the bits left over
+        select, reduced canonical (int64, object) or centered (float64,
+        exact while q^2 < 2^53: products below 2^51 reduce to at most q//2).
         """
         q = self.table.modulus
         block_tw = _block_twiddled(self.spec)
@@ -475,6 +473,7 @@ class Schedule:
             else:
                 m[:, 1, 0] = w
             m[:, 1, 1] = q - w
+        m = _reduce(m, q)  # centered in float64
         # block twiddles: one matrix per block; else the same in every
         # block, one per offset
         return m if block_tw else np.repeat(m, self.chunk, axis=0)

@@ -194,5 +194,5 @@ class TrinomialExecutor(bigmod.LiftedExecutor):
     def table(self, p: int) -> TrinomialPlan:
         return make_plan(self.ring)
 
-    def run(self, x, y, plan):
-        return _product(x, y, plan)
+    def run(self, X, plan):
+        return _product(*X, plan)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from nttkit import embed
+from nttkit import bigmod, bounds, embed, planner
 from nttkit.bigmod import (
     FULL_FULL,
     FULL_SMALL,
@@ -56,14 +56,16 @@ def test_malformed_profiles_raise_typed_errors(profile):
 
 def test_centered_lift_round_trip(rng):
     for q in (17, 8192, 3329):
-        xs = list(range(0, q, max(q // 50, 1)))
-        cs = lift_centered(np.array(xs), q).coeffs.tolist()
-        assert all(-q // 2 <= c <= q // 2 and c % q == x for c, x in zip(cs, xs))
+        xs = np.arange(0, q, max(q // 50, 1))
+        s = lift_centered(xs, xs[::-1], q)
+        assert s.shape == (2, len(xs)) and s.dtype == np.int64
+        for cs, row in zip(s.tolist(), (xs, xs[::-1])):
+            assert all(-q // 2 <= c <= q // 2 and c % q == x for c, x in zip(cs, row))
     ring = RingSpec(XN_PLUS_1, 16, 8192)
     a = Poly.random(ring, rng)
-    la = lift_centered(a.array, 8192)
-    assert recover_centered([la.coeffs % 25166081], (25166081,), 8192).tolist() == a.coeffs
-    assert la.centered_bound <= 4096
+    s = lift_centered(a.array, a.array, 8192)
+    assert recover_centered([s[0] % 25166081], (25166081,), 8192).tolist() == a.coeffs
+    assert np.abs(s).max() <= 4096
 
 
 @pytest.mark.parametrize("q", [2, 3, 16, 17, 8192, (1 << 42) - 11])
@@ -71,11 +73,9 @@ def test_centered_lift_at_the_half_way_point(q):
     # (q-1)//2 is the largest value kept, (q+1)//2 the first one moved down
     lo, hi = (q - 1) // 2, (q + 1) // 2
     ring = RingSpec(XN_MINUS_1, 4, q)
-    la = lift_centered(Poly([lo, hi, 0, 0], ring).array, q)
-    assert la.coeffs.tolist() == [lo, hi - q, 0, 0]
-    assert la.centered_bound == max(lo, q - hi)
-    assert la.effective_len == 2
-    assert lift_centered(np.array([lo, 0, 0, 0]), q).effective_len == (1 if lo else 0)
+    s = lift_centered(Poly([lo, hi, 0, 0], ring).array, np.array([lo, 0, 0, 0]), q)
+    assert s.tolist() == [[lo, hi - q, 0, 0], [lo, 0, 0, 0]]
+    assert np.abs(s).max(axis=1).tolist() == [max(lo, q - hi), lo]
 
 
 @pytest.mark.parametrize("moduli", [(5, 13), (120833, 133121), (2097143, 2097133),
@@ -89,7 +89,10 @@ def test_garner_recovery_at_the_edges(moduli, q):
     residues = [np.array([v % p for v in values]) for p in moduli]
     got = recover_centered(residues, moduli, q)
     assert got.tolist() == [0, q - 1, h % q, -h % q, 1, (h - 1) % q]
-    assert [r.tolist() for r in residues] == [[v % p for v in values] for p in moduli]
+    if len(moduli) > 1:  # garner never mutates the residues
+        assert [r.tolist() for r in residues] == [[v % p for v in values] for p in moduli]
+    else:  # a lone modulus's residues are recovered in place
+        assert got is residues[0]
 
 
 def test_operand_check_at_the_edge_of_a_two_prime_basis():
@@ -101,10 +104,10 @@ def test_operand_check_at_the_edge_of_a_two_prime_basis():
     assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs == [0] * 4
     a1 = Poly([8, 8, 8, 0], ring)  # 2*3*8*1 = 48 < P - 1
     assert multiply(a1, b, plan).coeffs == oracle_multiply(a1, b).coeffs
-    la, lb = lift_centered(a.array, 16), lift_centered(b.array, 16)
-    _check_dynamic_bound(la, lb, 65)
+    s = lift_centered(a.array, b.array, 16)
+    _check_dynamic_bound(s, 65)
     with pytest.raises(BoundTooSmall):
-        _check_dynamic_bound(la, lb, 64)  # the same operands against P = 64: 2*4*8*1 = P
+        _check_dynamic_bound(s, 64)  # the same operands against P = 64: 2*4*8*1 = P
     with pytest.raises(BoundTooSmall):
         multiply(a, Poly([1, 1, 1, 2], ring), plan)  # 2*4*8*2 = 128 > 64
 
@@ -414,10 +417,10 @@ def test_operand_check_boundary():
     plan = make_plan(ring, "bigprime", N=257, allow_bigmod=True, profile=(FULL_SMALL, 2))
     a, b = Poly([8] * 8, ring), Poly([2] * 8, ring)
     assert multiply(a, b, plan).coeffs == oracle_multiply(a, b).coeffs  # exact at the edge
-    la, lb = lift_centered(a.array, 16), lift_centered(b.array, 16)
-    _check_dynamic_bound(la, lb, 257)
+    s = lift_centered(a.array, b.array, 16)
+    _check_dynamic_bound(s, 257)
     with pytest.raises(BoundTooSmall):
-        _check_dynamic_bound(la, lb, 256)  # one step above N - 1
+        _check_dynamic_bound(s, 256)  # one step above N - 1
     with pytest.raises(BoundTooSmall):
         multiply(a, Poly([3] * 8, ring), plan)  # 2*8*8*3 = 384 > 256
 
@@ -441,3 +444,191 @@ def test_ntru_style_big_prime(rng):
     b = Poly.random_small(ring, rng, 1)
     got = bigprime_multiply(a, b, 549755809793, 0, (FULL_SMALL, 2))
     assert got.coeffs == oracle_multiply(a, b).coeffs
+
+
+# ---------------------------------------------------------------------------
+# the lifted path: one centered operand stack from the lift to the recovery
+
+
+def _per_operand_check(x, y, q: int, N: int) -> bool:
+    """The operand check as two per-operand lifts made it, kept as the
+    reference: each operand centered on its own, its largest magnitude and
+    its length up to the last nonzero entry; True where it passes."""
+    lifts = []
+    for v in (x, y):
+        c = np.array(v, dtype=np.int64)
+        c -= (c > (q - 1) // 2) * q
+        nonzero = np.flatnonzero(c)
+        lifts.append((int(np.abs(c).max()), int(nonzero[-1]) + 1 if nonzero.size else 0))
+    (ca, ea), (cb, eb) = lifts
+    return 2 * min(ea, eb) * ca * cb <= N - 1
+
+
+def _passes(x, y, q: int, N: int) -> bool:
+    try:
+        _check_dynamic_bound(lift_centered(np.array(x), np.array(y), q), N)
+    except BoundTooSmall:
+        return False
+    return True
+
+
+def _no_effective_lengths(*args):
+    raise AssertionError("the full-length test decides: no effective length is read")
+
+
+@pytest.mark.parametrize("x, y, edge, full", [
+    ([8] * 4, [1] * 4, 64, True),  # 2*4*8*1: the full length decides
+    ([0, 0, 0, 8], [1] * 4, 64, True),  # the last entry nonzero: the same bound
+    ([8, 0, 0, 0], [1] * 4, 16, False),  # one term: only the effective length passes
+    ([0, 0, 5, 0], [0, 1, 0, 0], 20, False),  # single nonzero entries: min(3, 2) terms
+    ([0] * 4, [8] * 4, 0, True),  # an all-zero operand holds any N
+])
+def test_operand_check_at_its_boundary_in_both_branches(x, y, edge, full, monkeypatch):
+    # q = 16: 2*terms*ca*cb = P - 1 passes and = P raises, decided by the
+    # full length alone where that passes (effective lengths patched to
+    # raise), else by the effective lengths; as the per-operand check did
+    q = 16
+    with monkeypatch.context() as m:
+        if full:
+            m.setattr(np, "flatnonzero", _no_effective_lengths)
+        assert _passes(x, y, q, edge + 1)
+    assert _per_operand_check(x, y, q, edge + 1)
+    if edge:
+        assert not _passes(x, y, q, edge) and not _per_operand_check(x, y, q, edge)
+
+
+@st.composite
+def operand_checks(draw):
+    """(x, y, q, N): canonical operands of one length, many of them zero or
+    zero past a short prefix, and N at or next to the bounds that the full
+    length and the effective lengths give."""
+    q = draw(st.one_of(st.integers(2, 64), st.integers(2, 1 << 42)))
+    n = draw(st.integers(1, 12))
+    entry = st.one_of(st.just(0), st.integers(0, q - 1), st.sampled_from(((q - 1) // 2, (q + 1) // 2 % q)))
+    x, y = (draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2))
+    for v in (x, y):
+        cut = draw(st.integers(0, n))
+        v[cut:] = [0] * (n - cut)
+    s = lift_centered(np.array(x), np.array(y), q)
+    ca, cb = np.abs(s).max(axis=1).tolist()
+    eff = [int(np.flatnonzero(r)[-1]) + 1 if r.any() else 0 for r in s]
+    edges = (2 * n * ca * cb, 2 * min(eff) * ca * cb)
+    N = draw(st.sampled_from(edges)) + draw(st.integers(-1, 2))
+    return x, y, q, max(N, 1)
+
+
+@SWEEP
+@seed(0)
+@given(operand_checks())
+def test_operand_check_matches_the_per_operand_check(case):
+    # the stack's fixed-shape check accepts and refuses exactly the pairs
+    # that two per-operand lifts did, and lifts them to the same values
+    x, y, q, N = case
+    assert _passes(x, y, q, N) == _per_operand_check(x, y, q, N)
+    s = lift_centered(np.array(x), np.array(y), q)
+    assert ((s - np.array((x, y))) % q == 0).all() and (2 * np.abs(s) <= q).all()
+
+
+def _lifted(name: str) -> bool:
+    ring, plan = planner.preset(name)
+    lift = getattr(plan.chain, "lift", None)
+    return plan.executor.N != ring.q or lift is not None and lift.modulus != ring.q
+
+
+LIFTED_PRESETS = [name for name in planner.preset_names() if _lifted(name)]
+
+
+def test_every_lifted_preset_is_listed():
+    assert len(LIFTED_PRESETS) == 11
+    assert {"saber-m4", "saber-avx2", "saber-m3", "ntru-509", "ntru-701", "ntru-821"} <= set(LIFTED_PRESETS)
+
+
+@pytest.mark.parametrize("name", LIFTED_PRESETS)
+def test_lifted_product_lifts_once_and_recovers_once(name, monkeypatch, rng):
+    # one lift onto one (2, n) stack and one recovery per product; each
+    # working modulus runs on that stack unreduced (every registry modulus
+    # takes centered entries), the last modulus on the stack itself, the
+    # others on copies; a chain terminal gets the source arrays, never a
+    # padded copy or the zero-extended product
+    ring, plan = planner.preset(name)
+    chained = plan.chain is not None
+    lifts, recoveries, runs = [], [], []
+    real_lift, real_recover, real_run = bigmod.lift_centered, bigmod.recover_centered, bigmod.BigPrimeExecutor.run
+    monkeypatch.setattr(bigmod, "lift_centered", lambda *a: lifts.append(real_lift(*a)) or lifts[-1])
+    monkeypatch.setattr(bigmod, "recover_centered", lambda *a: recoveries.append(a) or real_recover(*a))
+    monkeypatch.setattr(bigmod.BigPrimeExecutor, "run", lambda self, X, t: runs.append((self, X, X.copy()))
+                        or real_run(self, X, t))
+    if chained:
+        def no_pad(*args):
+            raise AssertionError("a lifted plain or Good terminal is not padded")
+        monkeypatch.setattr(embed, "padded_product", no_pad)
+        monkeypatch.setattr(bigmod.BigPrimeExecutor, "product", no_pad)
+    for a, b in (planner.sample_operands(ring, plan, rng), planner.sample_operands(ring, plan, rng)):
+        lifts.clear(), recoveries.clear(), runs.clear()
+        assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
+        (s,), (recovery,) = lifts, recoveries
+        executor = runs[0][0]
+        assert s.shape == (2, ring.n) and s.dtype == np.int64
+        assert len(recovery[0]) == len(executor.moduli) == len(runs)
+        centered = np.array((a.array, b.array))
+        centered -= (centered > (ring.q - 1) // 2) * ring.q
+        assert centered.min() < 0
+        for (_, _, seen), p in zip(runs, executor.moduli):
+            assert bounds.centered_input(ring.q, p) and np.array_equal(seen, centered)
+        assert runs[-1][1] is s and all(X is not s for _, X, _ in runs[:-1])
+
+
+def _extremes(ring: RingSpec, plan) -> list:
+    """Operand pairs at the centered extremes: all floor(q/2), all
+    ceil(q/2) and both alternating, against the same (full*full) or the
+    profile's small extremes +-B."""
+    q, n = ring.q, ring.n
+    lo, hi = q // 2, (q + 1) // 2
+    tops = [[lo] * n, [hi] * n, [lo, hi] * (n // 2) + [lo] * (n % 2)]
+    if plan.sample_b[0] == "small":
+        B = int(plan.sample_b[1])
+        others = [[B] * n, [q - B] * n, [B, q - B] * (n // 2) + [B] * (n % 2)]
+    else:
+        others = tops
+    return [(Poly(x, ring), Poly(y, ring)) for x in tops for y in others]
+
+
+GENERATED_LIFTS = [
+    (RingSpec(XN_PLUS_1, 32, 8192), dict(prefer="bigprime", allow_bigmod=True)),
+    (RingSpec(XN_PLUS_1, 32, 4591), dict(prefer="rns", allow_bigmod=True)),
+    (RingSpec(XN_PLUS_1, 32, 4591), dict(prefer="composite", allow_bigmod=True)),
+    (RingSpec(XN_MINUS_X_MINUS_1, 23, 4591), dict(prefer="good")),
+    (RingSpec(XN_MINUS_X_MINUS_1, 23, 4591), dict(prefer="pad-pow2")),
+]
+
+
+@pytest.mark.parametrize("case", [*LIFTED_PRESETS, *range(len(GENERATED_LIFTS))])
+def test_centered_extremes_match_the_oracle(case):
+    # the entries floor(q/2) and ceil(q/2), the ends of the centered range,
+    # on every lifted preset and on generated big-prime, RNS, composite and
+    # padded Good and plain routes
+    if isinstance(case, str):
+        ring, plan = planner.preset(case)
+    else:
+        ring, how = GENERATED_LIFTS[case]
+        plan = make_plan(ring, **how)
+    for a, b in _extremes(ring, plan):
+        assert multiply(a, b, plan) == oracle_multiply(a, b)
+
+
+def test_a_basis_prime_below_half_q_reduces_its_stack(monkeypatch, rng):
+    # 97 < 8192/2: a centered entry can pass the bounds mod 97, so that
+    # basis prime runs the stack reduced mod 97; the others run it centered
+    ring, basis = RingSpec(XN_PLUS_1, 16, 8192), (97, 12289, 40961)
+    assert [bounds.centered_input(ring.q, p) for p in basis] == [False, True, True]
+    plan = make_plan(ring, "rns", basis=basis, allow_bigmod=True)
+    runs, real_run = [], bigmod.BigPrimeExecutor.run
+    monkeypatch.setattr(bigmod.BigPrimeExecutor, "run", lambda self, X, t: runs.append(X.copy())
+                        or real_run(self, X, t))
+    for a, b in [(Poly.random(ring, rng), Poly.random(ring, rng)), *_extremes(ring, plan)]:
+        runs.clear()
+        assert multiply(a, b, plan) == oracle_multiply(a, b)
+        reduced, *centered = runs
+        assert reduced.min() >= 0 and reduced.max() < 97
+        assert all(np.array_equal(S, centered[0]) for S in centered)
+        assert np.array_equal(reduced, centered[0] % 97)

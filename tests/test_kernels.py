@@ -583,7 +583,7 @@ def check_widths(sched):
     width k of levels, and ceil(levels/k) stages cover them."""
     q, levels = sched.table.modulus, len(sched.levels)
     cls, k = sched.stage_class
-    assert (cls, k) == bounds.stage_class(q, levels)
+    assert (cls, k) == bounds.stage_class(q, levels, sched.n)
     stages = sched.stages
     widths = [s.matrices.shape[-1] for s in stages]
     assert len(widths) == -(-levels // k)
@@ -782,7 +782,7 @@ def _friendly_around(bound, order):
     return below, friendly_prime(bound + 1, order)
 
 
-def _int64_only(q, levels):
+def _int64_only(q, levels, points):
     return bounds.INT64, int64_width(q)
 
 
@@ -813,7 +813,7 @@ def test_width_rule_primes_match_object_buffers(k, form, rng):
             got = run()
         sched = got[3].fwd_sched
         assert len(sched.stages) == -(-len(sched.levels) // width)
-        picked = bounds.stage_class(q, len(sched.levels))
+        picked = bounds.stage_class(q, len(sched.levels), sched.n)
         assert picked[0] == (bounds.INT64 if width == bounds.STAGE_CAP
                              else bounds.FLOAT64_LIMB)
         with mock.patch.object(transforms.FloatStage if picked[0] == bounds.INT64
@@ -896,7 +896,7 @@ def test_float_bounds_at_their_boundary(fits, limb, rng):
             assert float_stage(M, xs, q, limb) == want
     # the class one past: limbs above the single bound, the object class
     # (object buffers) above the limb bound, which lies above 2^31
-    assert bounds.stage_class(above, bounds.FLOAT_LEVELS) == (
+    assert bounds.stage_class(above, bounds.FLOAT_LEVELS, 1 << bounds.FLOAT_LEVELS) == (
         (bounds.OBJECT, bounds.OBJECT_WIDTH) if limb else (bounds.FLOAT64_LIMB, k))
     assert not limb or above > bounds.VECTOR_LIMIT
 
@@ -947,6 +947,32 @@ def class_side(kind, n, q, want, rng):
         for b in range(1, 5):
             with np.errstate(all="raise"):
                 assert merged(rows[:b], q, sched)[0] == wants[:b]
+
+
+def test_float64_stages_from_float_points(rng):
+    # the single-matrix float64 class runs every schedule of FLOAT_POINTS
+    # points or more where it is exact, whatever its level count (the
+    # trinomial route's 768 points in 8 levels of 3-chunks); shorter
+    # schedules, and q past the single-matrix bound, keep int64; and no
+    # preset's schedule moves: each has the class its level count gave
+    int64, float64 = (bounds.INT64, bounds.STAGE_CAP), FLOAT64_5
+    assert bounds.stage_class(7681, 8, 768) == bounds.stage_class(7681, 8, bounds.FLOAT_POINTS) == float64
+    assert bounds.stage_class(7681, 8, bounds.FLOAT_POINTS - 1) == bounds.stage_class(7681, 8, 256) == int64
+    assert bounds.stage_class(_friendly_around(largest(float_fits), 1024)[1], 8, 768) == int64
+    ring = RingSpec(TRINOMIAL, 768, 7681)
+    plan = trinomial.make_plan(ring)
+    for sched in (plan.forward, plan.inverse):
+        check_widths(sched)
+        assert sched.stage_class == float64
+    a, b = Poly.random(ring, rng), Poly.random(ring, rng)
+    with mock.patch.object(transforms.Stage, "apply", _boom):
+        assert trinomial.trinomial_multiply(a, b, plan) == oracle_multiply(a, b)
+    for name in planner.preset_names():
+        ring, plan = planner.preset(name)
+        tables = plan.executor.tables[0].tables if plan.chain else plan.executor.tables
+        for sched in (s for t in tables for s in (getattr(t, "fwd_sched", None), getattr(t, "inv_sched", None)) if s):
+            levels = len(sched.levels)  # the class its level count gave: as if one point per chunk
+            assert sched.stage_class == bounds.stage_class(sched.table.modulus, levels, 1 << levels), name
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["below", "above"])

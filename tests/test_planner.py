@@ -600,9 +600,9 @@ def test_one_shots_run_their_plan_executor(monkeypatch, rng):
     # one ``run`` per product, and the plan's product and op tallies
     runs = []
     for cls in (splitting.SplitExecutor, embed.BlockExecutor):
-        def counted(self, x, y, table, real=cls.run):
+        def counted(self, X, table, real=cls.run):
             runs.append(type(self))
-            return real(self, x, y, table)
+            return real(self, X, table)
 
         monkeypatch.setattr(cls, "run", counted)
     kyber, split = RingSpec(XN_PLUS_1, 256, 3329), splitting.SplitExecutor

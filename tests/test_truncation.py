@@ -15,7 +15,7 @@ import pytest
 
 from test_transforms import forward_specs, inverse_specs_for, tables_for
 
-from nttkit import bigmod, bounds, planner, transforms
+from nttkit import bigmod, bounds, planner, polymul, transforms
 from nttkit.embed import EmbedChain, Good, LiftModulus, PlainNtt, ZeroPad, general_phi_multiply
 from nttkit.errors import ParameterCondition, SpecViolation
 from nttkit.modarith import NATURAL, counting
@@ -82,6 +82,63 @@ def test_truncated_pairs_at_their_boundaries(cls, q, n, sources, form, beta, rng
         chain = EmbedChain((ZeroPad(n, form), PlainNtt(beta)))
         for a in (Poly([q - 1] * s, ring), Poly(_random(s, s, q, rng), ring)):
             assert general_phi_multiply(a, a, chain) == oracle_multiply(a, a)
+
+
+# (stage class, q, padded length, source length): keep = 2 source - 1
+# fits half the pad, so the forward schedule prunes a level and narrows
+# its first stage
+CENTERED_CASES = [
+    (bounds.INT64, 7681, 64, 9),
+    (bounds.FLOAT64, 12289, 2048, 300),
+    (bounds.FLOAT64_LIMB, LIMB_Q, 2048, 300),
+    (bounds.OBJECT, 2151677953, 64, 9),
+]
+
+
+def _signed(n, s, q, rng):
+    """n entries, zero from s on, of either sign and at most q - 1 in
+    magnitude, the extremes first."""
+    ends = [q - 1, 1 - q, q // 2, -(q // 2), 0]
+    return [ends[i] if i < len(ends) else rng.randrange(1 - q, q) for i in range(s)] + [0] * (n - s)
+
+
+@pytest.mark.parametrize("cls, q, n, source", CENTERED_CASES)
+@pytest.mark.parametrize("form", [XN_MINUS_1, XN_PLUS_1])
+def test_centered_entries_run_every_stage_class(cls, q, n, source, form, rng):
+    # a lifted stack reaches a working modulus centered, each entry of
+    # either sign and at most q - 1 in magnitude (``bounds.centered_input``):
+    # every stage class, the full schedules in both directions, the
+    # level-pruned and narrowed forward schedule, the leaf kernels and the
+    # stack product map it as its canonical residues, as the reference
+    # kernel and the canonical product do
+    pair = make_transform_pair(RingSpec(form, n, q), 0, source=source)
+    f = pair.fwd_sched
+    full_f, full_i = (make_schedule(sc.spec, sc.table, n) for sc in (f, pair.inv_sched))
+    assert f.n == _pruned_length(n, source, 0) < n and f.stages[0].narrowed
+    assert f.stage_class[0] == full_f.stage_class[0] == full_i.stage_class[0] == cls
+    dtype = transforms.buffer_dtype(q)
+    x, y = (_signed(n, source, q, rng) for _ in range(2))
+    canonical = [[v % q for v in w] for w in (x, y)]
+    for sched in (full_f, full_i):
+        rows = [list(canonical[0])]
+        reference_rows(rows, sched)
+        buf = np.array(x, dtype=dtype)
+        transforms.run_levels(buf, sched)
+        assert buf.tolist() == rows[0]
+    rows = [list(canonical[0])]
+    reference_rows(rows, full_f)
+    X = np.array(x[: f.n], dtype=dtype)
+    assert transforms.ntt_forward(X, pair.fwd_tw, pair.fwd_spec, sched=f).tolist() == rows[0][: f.n]
+    A, B = (np.array(w, dtype=dtype) for w in (x, y))
+    g = np.array([rng.randrange(q) for _ in range(n // 4)], dtype=dtype)
+    assert polymul.leaf_rows(A, B, 4, g, q).tolist() == polymul.leaf_rows(A % q, B % q, 4, g, q).tolist()
+    U, V = A.reshape(-1, 4).T, B.reshape(-1, 4).T
+    for gamma in (-1, g):
+        assert (polymul.leaf_products(U, V, gamma, q).tolist()
+                == polymul.leaf_products(U % q, V % q, gamma, q).tolist())
+    want = make_transform_pair(pair.ring, 0).product(*(np.array(w, dtype=dtype) for w in canonical))
+    S = np.array((x[:source], y[:source]), dtype=np.int64)
+    assert pair.stack_product(S).tolist() == want[: pair.keep].tolist()
 
 
 def _random(n, s, q, rng):
@@ -256,21 +313,21 @@ def test_truncation_is_decided_when_the_plan_is_built(case, monkeypatch, rng):
         assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
         seen.append([(id(sched), shape) for sched, shape in runs])
     assert seen[0] and all(s == seen[0] for s in seen)
-    assert bigmod.lift_centered(short[2].array, q).effective_len == 3 < n
+    assert np.flatnonzero(short[2].array).tolist() == [0, 1, 2] and 3 < n  # effective length 3
 
 
 def test_lift_reads_only_the_source_prefix(monkeypatch, rng):
     # a lifted padded chain, plain (ntru-509) or Good (ntru-701), lifts
-    # and reduces only the source length of each operand, not the padded
-    # array
+    # only the source length of each operand, not the padded array, into
+    # one (2, n) stack
     lifted, real = [], bigmod.lift_centered
-    monkeypatch.setattr(bigmod, "lift_centered", lambda x, q: lifted.append(len(x)) or real(x, q))
+    monkeypatch.setattr(bigmod, "lift_centered", lambda x, y, q: lifted.append(real(x, y, q)) or lifted[-1])
     for name, n in (("ntru-509", 509), ("ntru-701", 701)):
         ring, plan = planner.preset(name)
         a, b = planner.sample_operands(ring, plan, rng)
         lifted.clear()
         assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
-        assert lifted == [n, n], name
+        assert [s.shape for s in lifted] == [(2, n)], name
 
 
 def test_recovery_reads_only_the_keep_prefix(monkeypatch, rng):
