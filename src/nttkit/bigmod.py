@@ -9,7 +9,8 @@ Operands cross the boundary as one centered stack (``lift_centered``) and
 come back through ``recover_centered``; ``garner`` is the one CRT, for
 recovery and the composite root search.
 ``LiftedExecutor`` is the base of every plan executor; the unlifted
-routes run on it with N == q.
+routes run on it with N == q.  Each ``run`` owns its one kind of input,
+an operand stack, and each ``product`` returns the keep prefix.
 """
 
 from __future__ import annotations
@@ -131,15 +132,18 @@ class LiftedExecutor:
 
     A route defines ``__init__`` (its checks), ``table(p)`` (its tables
     mod one working modulus p, built on first use and kept in ``tables``)
-    and ``run(X, table)``, its product mod p of an operand pair X,
-    returned as a buffer: a tuple of two arrays, which it must not write,
-    or a (2, len) stack, which it may overwrite.  ``product`` is the one
-    path of every route, on int64 coefficient arrays; ``multiply``, the
-    only ring check of a planned product, passes it each operand's
-    ``Poly.array`` and builds the one Poly of the result.  With N == q
-    (the direct, split, trinomial and chain routes, and an unlifted
-    terminal) the arithmetic wraps mod q by design, and ``run`` gets the
-    operands as they are; otherwise the product is ``lifted``.
+    and ``run(X, table)``, its product mod p of an operand stack X, a
+    fresh (2, len) working buffer of p's dtype that ``run`` owns and may
+    overwrite, len the route's ``reads`` (n when None); it returns at least
+    the keep = min(n, 2 reads - 1) leading coefficients, all that can be
+    nonzero.  ``product``, the one path of every route, returns those keep
+    coefficients mod q; ``multiply``, the only ring check of a planned
+    product, passes it each operand's ``Poly.array`` and is the one place
+    that zero-extends to n.  With N == q (the direct, split, trinomial
+    and chain routes, and an unlifted terminal) the arithmetic wraps mod
+    q by design, and ``run`` gets the stack as it is; otherwise it is
+    lifted (centered), checked once, run mod every working modulus (N, or
+    a ``basis`` of primes below 2^31, with product P) and recovered once.
     """
 
     reads = None
@@ -158,26 +162,24 @@ class LiftedExecutor:
     def multiply(self, a: Poly, b: Poly) -> Poly:
         if a.ring != self.ring or b.ring != self.ring:
             raise RingMismatch("operands do not live in the executor's ring")
-        return Poly(self.product(a.array, b.array), self.ring)
+        v, n = self.product(a.array, b.array), self.ring.n
+        return Poly(v if len(v) == n else np.concatenate((v, np.zeros(n - len(v), dtype=v.dtype))), self.ring)
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The ring product of two int64 arrays of canonical coefficients,
-        as a buffer of canonical residues mod q."""
-        v = self.run((x, y), self.tables[0]) if self.N == self.ring.q else self.lifted(x, y)
-        n = self.ring.n
-        return v if len(v) == n else np.concatenate((v, np.zeros(n - len(v), dtype=v.dtype)))
-
-    def lifted(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The ``keep`` leading coefficients mod q of the product, exact mod
-        the working moduli (N, or a ``basis`` of primes below 2^31) with
-        product P, from one stack of each operand's ``reads`` leading
-        coefficients (all a route finds can be nonzero; keep = 2 reads - 1,
-        else n), checked once, reduced mod p where ``centered_input`` fails."""
-        q, n = self.ring.q, self.ring.n
-        keep = n if self.reads is None else min(n, 2 * self.reads - 1)
-        s = lift_centered(x[: self.reads], y[: self.reads], q)
+        """The keep leading coefficients mod q of the ring product of two
+        int64 arrays of canonical coefficients, from one stack of their
+        ``reads`` leading coefficients (all a route finds can be nonzero).
+        Lifted, every modulus but the last runs a copy of it, each reduced
+        mod p where ``centered_input`` fails, a lone p >= 2^31 as ``object``."""
+        q, n, r = self.ring.q, self.ring.n, self.reads
+        keep = n if r is None else min(n, 2 * r - 1)
+        if self.N == q:
+            return self.run(transforms.buffer((x[:r], y[:r]), q), self.tables[0])[:keep]
+        s = lift_centered(x[:r], y[:r], q)
         _check_dynamic_bound(s, self.P)
-        stacks = [s.copy() for _ in self.moduli[1:]] + [s]  # a route may overwrite its stack
+        if not bounds.vectorized(self.moduli[0]):
+            s = s.astype(object)
+        stacks = [s.copy() for _ in self.moduli[1:]] + [s]
         residues = [self.run(S if bounds.centered_input(q, p) else S % p, t)[:keep]
                     for S, p, t in zip(stacks, self.moduli, self.tables)]
         return recover_centered(residues, self.moduli, q)
@@ -203,7 +205,7 @@ class BigPrimeExecutor(LiftedExecutor):
     given, is how many leading coefficients of either operand can be
     nonzero (a padded chain's source length): its pairs truncate their
     schedules to it (``polymul.TransformPair``), and only that prefix of
-    each operand is lifted (``reads``), onto a stack the pair runs on."""
+    each operand is read (``reads``), onto the stack the pair runs on."""
 
     root = None  # make_transform_pair searches the smallest
 
@@ -217,7 +219,7 @@ class BigPrimeExecutor(LiftedExecutor):
         return polymul.make_transform_pair(big, self.beta, root=self.root, source=self.reads)
 
     def run(self, X, pair):
-        return pair.stack_product(X)
+        return pair.product(X)
 
 
 def bigprime_multiply(a: Poly, b: Poly, N: int, beta: int = 0, profile=(FULL_FULL,)) -> Poly:

@@ -7,7 +7,9 @@ indeterminate itself (Schoenhage for x^N - 1, Nussbaumer for x^N + 1),
 which place no root-of-unity condition on the coefficient modulus.
 Chains compose these steps and finish with the source-ring reduction.
 Each executor is a ``bigmod.LiftedExecutor``; a chain's, over q, holds
-its terminal step's executor as its one table.
+its terminal step's executor as its one table, which reads (and lifts)
+only the source prefix of each operand and returns only the 2n - 1
+coefficients that the chain folds mod phi: no product pads its operands.
 A ``Good`` terminal is the plain terminal of x^(h*2^k) - 1, on chunks of
 h coefficients (``transforms``): no re-indexing, the same lift and truncation.
 
@@ -54,30 +56,20 @@ def zero_pad_multiply(a: Poly, b: Poly, n_prime: int, backend, form: str = XN_MI
     """Multiply in x^n_prime +- 1 (no wraparound), then reduce to the source.
 
     ``backend(a', b')`` multiplies two Polys in the padded ring over the
-    source modulus and returns the product there; ``padded_product`` pads
-    and folds.
+    source modulus and returns the product there: the operands' zero-padded
+    length-n_prime copies, whose product has no wraparound, so its 2n - 1
+    low coefficients fold mod phi (``polymul.fold_mod_phi``).
     """
     if a.ring != b.ring:
         raise RingMismatch("operands belong to different rings")
-    big = RingSpec(form, n_prime, a.ring.q)
-
-    def product(x, y):
-        return backend(Poly(x, big), Poly(y, big)).array
-
-    return Poly(padded_product(a.array, b.array, a.ring, n_prime, product), a.ring)
-
-
-def padded_product(x, y, ring: RingSpec, n_prime: int, product) -> np.ndarray:
-    """x*y in ``ring`` for two int64 coefficient arrays: ``product`` runs
-    on their zero-padded length-n_prime copies, whose product has no
-    wraparound, and its 2n - 1 low coefficients fold mod phi
-    (``polymul.fold_mod_phi``)."""
-    n = ring.n
+    n = a.ring.n
     if n_prime < 2 * n - 1:
         raise PadTooSmall(f"n'={n_prime} cannot hold a degree-{2 * n - 2} product")
+    big = RingSpec(form, n_prime, a.ring.q)
     xp, yp = np.zeros((2, n_prime), dtype=np.int64)
-    xp[:n], yp[:n] = x, y
-    return polymul.fold_mod_phi(product(xp, yp)[: 2 * n - 1], ring)
+    xp[:n], yp[:n] = a.array, b.array
+    c = backend(Poly(xp, big), Poly(yp, big)).array
+    return Poly(polymul.fold_mod_phi(c[: 2 * n - 1], a.ring), a.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +435,8 @@ class BlockWorkspace:
     top, 2n * rows one depth down):
 
     - ``operands``, (source + L, 2), the top's source (``block_schedule``),
-      its last L rows zero;
+      its last L rows zero, and so are the rows past the leading ones that
+      a product writes (``_block_product``);
     - ``blocks[d]``, flat, where depth d's levels run: its forward output,
       2n * L * 2 rows entries, then n * rows zeros that the next depth
       reads as its zero parts, and later its inverse, 2n * L * rows; None
@@ -554,25 +547,27 @@ def _reduce(Y, q: int, work):
 
 
 def _block_product(x, y, ws: BlockWorkspace, route: BlockRoute):
-    """The product of two length-2mn int64 arrays by the route's step, as a
-    fresh int64 array: cyclic via (Z_q[x]/(x^2m + 1))[y]/(y^2n - 1) for
-    Schoenhage (blocks of m coefficients become y-coefficients, x^(2m/n)
+    """The product of two length-2mn operands, given by their leading
+    coefficients (at most the top's source; the rest zero), by the
+    route's step, as a fresh int64 array: cyclic via
+    (Z_q[x]/(x^2m + 1))[y]/(y^2n - 1) for Schoenhage (blocks of m coefficients become y-coefficients, x^(2m/n)
     is the synthetic 2n-th root, y = x^m substitutes back at the end),
     negacyclic via (Z_q[y]/(y^2n + 1))[x]/(x^m - y) for Nussbaumer (part
     j: the coefficients congruent to j mod m, y^2 the synthetic 2n-th
     root); each depth's block products are the next depth's negacyclic
     ones, the floor's the leaf kernel's.  Scaled last, in int64.
 
-    Every step reads where the one before left its output
-    (``block_schedule``), through the workspace's bound levels: the
-    forwards from the operands down to the floor's operands, the inverses
-    from the leaf products up, each Nussbaumer fold (x^m = y) in place.
+    The operands fill the leading rows of the workspace's ``operands``,
+    the other rows stay zero.  Every step reads where the one before left
+    its output (``block_schedule``), through the workspace's bound levels:
+    the forwards from the operands down to the floor's operands, the
+    inverses from the leaf products up, each Nussbaumer fold (x^m = y) in place.
     It reduces right before each step that ``route.reduce`` names.  The
     1/blocks scalings, left to the one final scale, are counted as the
     scalings they stand for."""
     depths, q, work, ctr = route.depths, route.q, ws.scratch, modarith.active_counter()
     live, rows, reduce, D = depths[0].source, [1], route.reduce, len(route.depths)
-    ws.operands[:live, 0], ws.operands[:live, 1] = x[:live], y[:live]
+    ws.operands[: len(x), 0], ws.operands[: len(y), 1] = x, y
     source = ws.operands[:live]
     for d, depth in enumerate(depths):
         half = 2 * depth.step.n * depth.L * rows[-1]  # one operand's blocks
@@ -731,17 +726,18 @@ class BlockExecutor(bigmod.LiftedExecutor):
     0.33 MiB of level signs and 0.19 MiB of gather indices.  ``source``,
     when given, is how many leading coefficients of either operand can be
     nonzero: a chain's source length, which sets the live top blocks
-    (``block_schedule``).
+    (``block_schedule``), and the only prefix of each operand that a
+    product reads (``reads``) and lifts.
     """
 
     def __init__(self, ring: RingSpec, step, N: int, basis=(), source: int | None = None):
         super().__init__(ring, N, basis)
-        self.step, self.source = step, source
+        self.step, self.reads = step, source
         self.workspaces = {}
 
     @cached_property
     def schedule(self) -> tuple:
-        return block_schedule(self.step, self.source)
+        return block_schedule(self.step, self.reads)
 
     def table(self, p: int) -> BlockRoute:
         q = _block_modulus(RingSpec(self.ring.form, self.ring.n, p), self.step)
@@ -774,12 +770,15 @@ def nussbaumer_multiply(a: Poly, b: Poly, m: int, n: int) -> Poly:
 
 
 class ChainExecutor(bigmod.LiftedExecutor):
-    """Plan executor of an embedding chain, over q: pad into a
-    wraparound-free ring, run the terminal step there (over the lift
-    modulus, or the basis that replaces it, when there is one), then fold
-    mod phi, mod q.  ``pad``, ``lift`` and ``step`` are the chain's
-    parsed steps; ``step`` is its terminal, a plain transform when the
-    chain names none.  Its table is the terminal step's executor.
+    """Plan executor of an embedding chain, over q: run the terminal step
+    in a wraparound-free ring (over the lift modulus, or the basis that
+    replaces it, when there is one), then fold mod phi, mod q.  ``pad``,
+    ``lift`` and ``step`` are the chain's parsed steps; ``step`` is its
+    terminal, a plain transform when the chain names none.  Its table is
+    the terminal step's executor over the pad's ring, built for the
+    chain's source length: plain, Good or block, lifted or not, in place
+    or padded, it takes the source arrays and returns the 2n - 1 (in
+    place n) coefficients that the fold reads, with no padded copy.
     """
 
     def __init__(self, ring: RingSpec, chain: EmbedChain):
@@ -789,18 +788,16 @@ class ChainExecutor(bigmod.LiftedExecutor):
 
     def table(self, p: int) -> bigmod.LiftedExecutor:  # the terminal step's executor
         ring, pad, step = self.ring, self.pad, self.step
-        work = ring if self.in_place else RingSpec(pad.form, pad.n_prime, ring.q)
+        if not self.in_place and pad.n_prime < 2 * ring.n - 1:
+            raise PadTooSmall(f"n'={pad.n_prime} cannot hold a degree-{2 * ring.n - 2} product")
+        work = RingSpec(pad.form, pad.n_prime, ring.q)
         N, basis = (self.lift.modulus, self.lift.basis) if self.lift else (ring.q, ())
         if isinstance(step, (Schonhage, Nussbaumer)):
             return BlockExecutor(work, step, N, basis, ring.n)
         return bigmod.BigPrimeExecutor(work, N, getattr(step, "beta", 0), basis, ring.n)
 
     def run(self, X, terminal):
-        if self.in_place:  # ring already has the terminal shape: no embedding
-            return terminal.product(*X)
-        if terminal.N != self.ring.q and terminal.reads and 2 * terminal.reads - 1 <= self.pad.n_prime:
-            return polymul.fold_mod_phi(terminal.lifted(*X), self.ring)  # plain, Good: no pad
-        return padded_product(*X, self.ring, self.pad.n_prime, terminal.product)
+        return polymul.fold_mod_phi(terminal.product(*X), self.ring)
 
 
 def general_phi_multiply(a: Poly, b: Poly, chain: EmbedChain) -> Poly:

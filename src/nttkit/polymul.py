@@ -537,31 +537,23 @@ class TransformPair:
     def pointwise(self, A, B, use_karatsuba=False) -> NttDomainPoly:
         return pointwise_mul(A, B, self.leaf_vector, use_karatsuba)
 
-    def product(self, x, y, use_karatsuba=False) -> np.ndarray:
-        """x*y in the pair's ring, for two arrays of canonical
-        coefficients, unchecked (``stack_product``); returns the product's
-        length-n buffer, whose entries from ``keep`` on are zero."""
-        C, n = self.stack_product((x, y), use_karatsuba), self.ring.n
-        return C if self.keep == n else np.concatenate((C, np.zeros(n - self.keep, dtype=C.dtype)))
-
-    def stack_product(self, X, use_karatsuba=False) -> np.ndarray:
-        """The ``keep`` leading coefficients of x*y for operands X = (x, y)
-        of one length, n or at least ``live`` (the rest zero), unchecked:
-        both forward transforms as one batch, the leaf products and the
-        inverse, on the first f.n entries of bare buffers (f.n < n where
-        levels are pruned, whose leaves count as the full product's), in
-        place where X is a (2, f.n) working buffer, else on a copy.  Its
-        entries may be centered (``bounds``)."""
+    def product(self, X, use_karatsuba=False) -> np.ndarray:
+        """The ``keep`` leading coefficients of x*y for an operand stack
+        X = (x, y) that the call owns (a ``bigmod.LiftedExecutor`` stack:
+        len n or at least ``live``, the rest zero; canonical or centered),
+        unchecked: both forward transforms as one batch, the leaf products
+        and the inverse, on the first f.n entries (f.n < n where levels are
+        pruned, whose leaves count as the full product's), of X itself
+        where its length is f.n, else of a zero-padded copy."""
         q, n, f, L = self.ring.q, self.ring.n, self.fwd_sched, self.fwd_sched.chunk
-        if not isinstance(X, np.ndarray):
-            X = transforms.buffer(X, q)
-        if X.shape[1] != f.n or X.dtype != transforms.buffer_dtype(q):  # a prefix: the rest is zero
-            X, Y = np.zeros((2, f.n), dtype=transforms.buffer_dtype(q)), X
+        if X.shape[1] != f.n:  # a prefix: the rest is zero
+            X, Y = np.zeros((2, f.n), dtype=X.dtype), X
             X[:, : Y.shape[1]] = Y[:, : f.n]
         transforms.ntt_forward(X, self.fwd_tw, self.fwd_spec, sched=f)
         C = pointwise_rows(X[0], X[1], L, self.live_leaves, q, use_karatsuba)
         transforms.ntt_inverse(C, self.inv_tw, self.inv_spec, sched=self.inv_sched)
-        _count_leaves(L, use_karatsuba, (n - f.n) // L)
+        if f.n < n:
+            _count_leaves(L, use_karatsuba, (n - f.n) // L)
         return C if self.keep == len(C) else C[: self.keep]
 
 
@@ -604,5 +596,7 @@ def ntt_multiply(a: Poly, b: Poly, pair: TransformPair, use_karatsuba=False) -> 
     """forward(a) o forward(b), leaf products, inverse; exact in the ring."""
     if a.ring != pair.ring or b.ring != pair.ring:
         raise RingMismatch("operands do not live in the pair's ring")
-    return Poly(pair.product(a.array, b.array, use_karatsuba), pair.ring)
+    n = pair.ring.n
+    C = pair.product(transforms.buffer((a.array, b.array), pair.ring.q), use_karatsuba)
+    return Poly(C if len(C) == n else np.concatenate((C, np.zeros(n - len(C), dtype=C.dtype))), pair.ring)
 

@@ -57,14 +57,15 @@ def _cross_layout(step: int) -> tuple:
     return tuple(map(transforms.read_only, (sums, by_degree @ kara, (d[:, None] - d) % (2 * step - 1))))
 
 
-def _split_product(x, y, alpha, inner, karatsuba_cross, karatsuba_leaf) -> np.ndarray:
-    """x*y for two length-n arrays of canonical coefficients, through the
-    inner pair over the split ring, as a buffer: the 2^(alpha+1) parts go
-    forward as one batch, the cross sums are array arithmetic over it,
-    and the 2^alpha parts of the product come back as one batch."""
+def _split_product(X, alpha, inner, karatsuba_cross, karatsuba_leaf) -> np.ndarray:
+    """x*y for an operand stack X = (x, y), a (2, n) working buffer of
+    canonical coefficients, through the inner pair over the split ring, as
+    a buffer: the 2^(alpha+1) parts, gathered from X, go forward as one
+    batch, the cross sums are array arithmetic over it, and the 2^alpha
+    parts of the product come back as one batch."""
     step, q, L = 1 << alpha, inner.ring.q, 1 << inner.beta
     pair_sums, combine, shifted = _cross_layout(step)
-    parts = transforms.buffer((x.reshape(-1, step).T, y.reshape(-1, step).T), q).reshape(2 * step, -1)
+    parts = X.reshape(2, -1, step).transpose(0, 2, 1).reshape(2 * step, -1)
     X = transforms.ntt_forward(parts, inner.fwd_tw, inner.fwd_spec)
     if karatsuba_cross:
         # S_d = sum_{l+k=d} A_l o B_k from the diagonal and one Karatsuba
@@ -100,7 +101,7 @@ class SplitExecutor(bigmod.LiftedExecutor):
         return polymul.make_transform_pair(_small_ring(self.ring, self.alpha), self.beta)
 
     def run(self, X, inner):
-        return _split_product(*X, self.alpha, inner, *self.karatsuba)
+        return _split_product(X, self.alpha, inner, *self.karatsuba)
 
 
 def ptntt_multiply(a: Poly, b: Poly, alpha: int) -> Poly:

@@ -75,9 +75,9 @@ and the first forward stage reads only its live columns, the last
 inverse stage writes only its kept rows.  A truncated schedule counts
 the ops of the full one, so counts do not depend on truncation.
 
-``forward_rows`` and ``inverse_rows`` are the array cores of a
-transform: counted, in place on a bare buffer, and unchecked.
-``ntt_forward`` and ``ntt_inverse`` are their one entry and only
+``transform_rows`` is the array core of a transform, either way:
+counted, in place on a bare buffer, and unchecked.
+``ntt_forward`` and ``ntt_inverse`` are its one entry and only
 callers: given a bare buffer (an ndarray, with no ring) they run the
 table's schedule on it and return it, as every planned route, the
 trinomial one included, and the separate pre/post-processing variants
@@ -316,7 +316,7 @@ class Schedule:
     built from it on first use; the reference kernel replays its
     butterflies (``butterfly_schedule``).  ``cost`` is the (mults, adds,
     subs) per pair that its matrix levels cost beyond one butterfly,
-    counted by ``forward_rows``/``inverse_rows``: data, since the trinomial
+    counted by ``transform_rows``: data, since the trinomial
     split's one multiply relies on z1 + z2 = 1, which no matrix shows.
 
     A truncated schedule (``truncate``) runs the length-n prefix of
@@ -689,7 +689,7 @@ def reference_rows(rows, sched: Schedule) -> None:
     ``butterfly_ct``, ``butterfly_gs`` or ``butterfly_matrix`` on every
     coefficient pair of each chunk butterfly that ``butterfly_schedule``
     yields, which count their own ops, then ``Schedule.factor``,
-    uncounted, as ``run_levels`` leaves that count to ``inverse_rows``."""
+    uncounted, as ``run_levels`` leaves that count to ``transform_rows``."""
     q, c, s = sched.table.modulus, sched.chunk, sched.factor
     bf_tw = butterfly_ct if sched.spec.butterfly == CT else butterfly_gs
     nat = sched.table.ordered(NATURAL)
@@ -734,35 +734,24 @@ def run_levels(buf, sched: Schedule) -> None:
         ctr.subs += nbf
 
 
-def _count(buf, sched: Schedule, tally: str) -> None:
-    """One ``tally`` transform per row of ``buf``, the schedule's ``cost``
-    per pair and, where its ``factor`` is not 1, one mult per entry: of
-    the full schedule where ``sched`` is truncated."""
+def transform_rows(buf, sched: Schedule) -> np.ndarray:
+    """The array core of ``ntt_forward`` and ``ntt_inverse``: the levels of
+    ``sched`` on the rows of contiguous working buffer ``buf``, in place
+    and unchecked; returns ``buf``.  Counted as one forward or inverse
+    transform per row (``sched.spec.direction``), the schedule's ``cost``
+    per pair and, where its ``factor`` is not 1 (an inverse defers its
+    per-level factor 2 into one scaling by 2^-levels, which its last stage
+    carries), one mult per entry: of the full schedule where ``sched`` is
+    truncated."""
     ctr = modarith.active_counter()
     if ctr is not None:
         full, rows = sched.full or sched, buf.size // sched.n
-        size = rows * full.n
+        size, tally = rows * full.n, f"{sched.spec.direction}_transforms"
         setattr(ctr, tally, getattr(ctr, tally) + rows)
         mults, adds, subs = (c * (size // 2) for c in full.cost)
         ctr.mults += mults + size * (full.factor != 1)
         ctr.adds += adds
         ctr.subs += subs
-
-
-def forward_rows(buf, sched: Schedule) -> np.ndarray:
-    """The array core of ``ntt_forward``: the levels of ``sched`` on the
-    rows of contiguous working buffer ``buf``, in place and counted
-    (``_count``), unchecked; returns ``buf``."""
-    _count(buf, sched, "forward_transforms")
-    run_levels(buf, sched)
-    return buf
-
-
-def inverse_rows(buf, sched: Schedule) -> np.ndarray:
-    """The array core of ``ntt_inverse`` (see ``forward_rows``).  The
-    per-level factor 2 is deferred into one scaling by 2^-levels, i.e.
-    m^-1, which the schedule's last stage carries."""
-    _count(buf, sched, "inverse_transforms")
     run_levels(buf, sched)
     return buf
 
@@ -842,7 +831,7 @@ def ntt_forward(a, tw, spec: TransformSpec, ring=None, sched: Schedule | None = 
 
     The coefficients are copied once into a working buffer (``buffer``)
     and the levels of the table's schedule (``make_schedule``) then run
-    in place on it, on every row at once (``forward_rows``); the result
+    in place on it, on every row at once (``transform_rows``); the result
     holds that buffer.
 
     A bare working buffer (an ndarray, no ``ring``) is the planned
@@ -854,13 +843,13 @@ def ntt_forward(a, tw, spec: TransformSpec, ring=None, sched: Schedule | None = 
     prefix of a padded product.
     """
     if ring is None and isinstance(a, np.ndarray):
-        return forward_rows(a, _bare_schedule(a, tw, spec, sched))
+        return transform_rows(a, _bare_schedule(a, tw, spec, sched))
     if ring is None:
         ring, a = a.ring, a.array
     else:
         a = checked_rows(a, ring.n, ring.q)
     sched = forward_schedule(tw, spec, ring)
-    buf = forward_rows(buffer(a, ring.q), sched)
+    buf = transform_rows(buffer(a, ring.q), sched)
     return NttDomainPoly(buf, spec, ring, sched.chunk)
 
 
@@ -868,7 +857,7 @@ def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, as_buffer=Fals
                 sched: Schedule | None = None):
     """Inverse transform back to a Poly, or with ``as_buffer`` to its
     buffer of canonical residues; exact inverse of ntt_forward, run by
-    ``inverse_rows`` on a copy of ``ahat.values``, which is never
+    ``transform_rows`` on a copy of ``ahat.values``, which is never
     mutated.  A batch of rows runs at once and needs ``as_buffer``; a
     Poly result is range-checked once, on its buffer.
 
@@ -876,11 +865,11 @@ def ntt_inverse(ahat: NttDomainPoly, tw_inv, spec: TransformSpec, as_buffer=Fals
     in ``ntt_forward``, by ``sched`` when given.
     """
     if isinstance(ahat, np.ndarray):
-        return inverse_rows(ahat, _bare_schedule(ahat, tw_inv, spec, sched))
+        return transform_rows(ahat, _bare_schedule(ahat, tw_inv, spec, sched))
     if not as_buffer and ahat.values.ndim != 1:
         raise LengthMismatch(f"a batch of shape {ahat.values.shape} inverts only with as_buffer")
     ring = ahat.ring
-    buf = inverse_rows(buffer(ahat.values, ring.q), inverse_schedule(tw_inv, spec, ahat.spec, ring))
+    buf = transform_rows(buffer(ahat.values, ring.q), inverse_schedule(tw_inv, spec, ahat.spec, ring))
     return buf if as_buffer else Poly(buf, ring)
 
 

@@ -161,11 +161,12 @@ def trinomial_pointwise(u, v, psi_j: int, q: int) -> list:
     return [c0, c1, c2]
 
 
-def _product(x, y, plan: TrinomialPlan) -> np.ndarray:
-    """x*y for two arrays of canonical coefficients, unchecked, on bare
-    buffers: both forward as one batch, the degree-2 leaves, the inverse."""
+def _product(X, plan: TrinomialPlan) -> np.ndarray:
+    """x*y for an operand stack X = (x, y), a (2, n) working buffer of
+    canonical coefficients that the call owns, unchecked: both forward in
+    place as one batch, the degree-2 leaves, the inverse."""
     f, i = plan.forward, plan.inverse
-    X = transforms.ntt_forward(transforms.buffer((x, y), plan.q), f.table, f.spec)
+    transforms.ntt_forward(X, f.table, f.spec)
     vals = polymul.leaf_rows(X[0], X[1], 3, plan.leaf_vector, plan.q)
     ctr = modarith.active_counter()
     if ctr is not None:
@@ -180,7 +181,7 @@ def trinomial_multiply(a: Poly, b: Poly, plan: TrinomialPlan) -> Poly:
     invert."""
     if a.ring != plan.ring or b.ring != plan.ring:
         raise PlanMismatch("operands do not live in the plan's ring")
-    return Poly(_product(a.array, b.array, plan), plan.ring)
+    return Poly(_product(transforms.buffer((a.array, b.array), plan.q), plan), plan.ring)
 
 
 class TrinomialExecutor(bigmod.LiftedExecutor):
@@ -195,4 +196,4 @@ class TrinomialExecutor(bigmod.LiftedExecutor):
         return make_plan(self.ring)
 
     def run(self, X, plan):
-        return _product(*X, plan)
+        return _product(X, plan)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from nttkit import bigmod, bounds, embed, planner
+from nttkit import bigmod, bounds, embed, planner, polymul, splitting, transforms, trinomial
 from nttkit.bigmod import (
     FULL_FULL,
     FULL_SMALL,
@@ -26,7 +26,7 @@ from nttkit.errors import BoundTooSmall, NoSuchRoot, NotCoprime, ParameterCondit
 from nttkit.modarith import is_principal_root, find_root
 from nttkit.planner import make_plan, multiply, search_basis, search_prime
 from nttkit.polymul import oracle_multiply
-from nttkit.rings import Poly, RingSpec, XN_MINUS_1, XN_MINUS_X_MINUS_1, XN_PLUS_1
+from nttkit.rings import TRINOMIAL, Poly, RingSpec, XN_MINUS_1, XN_MINUS_X_MINUS_1, XN_PLUS_1
 
 SABER = RingSpec(XN_PLUS_1, 256, 8192)
 SABER_PROFILE = (MATVEC, 3, 8)
@@ -548,21 +548,15 @@ def test_lifted_product_lifts_once_and_recovers_once(name, monkeypatch, rng):
     # one lift onto one (2, n) stack and one recovery per product; each
     # working modulus runs on that stack unreduced (every registry modulus
     # takes centered entries), the last modulus on the stack itself, the
-    # others on copies; a chain terminal gets the source arrays, never a
-    # padded copy or the zero-extended product
+    # others on copies (that a chain terminal gets the source arrays and
+    # the fold only the keep prefix: test_every_run_takes_one_owned_stack)
     ring, plan = planner.preset(name)
-    chained = plan.chain is not None
     lifts, recoveries, runs = [], [], []
     real_lift, real_recover, real_run = bigmod.lift_centered, bigmod.recover_centered, bigmod.BigPrimeExecutor.run
     monkeypatch.setattr(bigmod, "lift_centered", lambda *a: lifts.append(real_lift(*a)) or lifts[-1])
     monkeypatch.setattr(bigmod, "recover_centered", lambda *a: recoveries.append(a) or real_recover(*a))
     monkeypatch.setattr(bigmod.BigPrimeExecutor, "run", lambda self, X, t: runs.append((self, X, X.copy()))
                         or real_run(self, X, t))
-    if chained:
-        def no_pad(*args):
-            raise AssertionError("a lifted plain or Good terminal is not padded")
-        monkeypatch.setattr(embed, "padded_product", no_pad)
-        monkeypatch.setattr(bigmod.BigPrimeExecutor, "product", no_pad)
     for a, b in (planner.sample_operands(ring, plan, rng), planner.sample_operands(ring, plan, rng)):
         lifts.clear(), recoveries.clear(), runs.clear()
         assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
@@ -632,3 +626,101 @@ def test_a_basis_prime_below_half_q_reduces_its_stack(monkeypatch, rng):
         assert reduced.min() >= 0 and reduced.max() < 97
         assert all(np.array_equal(S, centered[0]) for S in centered)
         assert np.array_equal(reduced, centered[0] % 97)
+
+
+# lifted block terminals (none in the registry): x^23 - x - 1 mod 4591
+# through a 64-point Schonhage or Nussbaumer pad, over a searched prime
+LIFTED_BLOCK_CHAINS = {
+    "schonhage": (embed.ZeroPad(64), embed.LiftModulus(None), embed.Schonhage(4, 8)),
+    "nussbaumer": (embed.ZeroPad(64, XN_PLUS_1), embed.LiftModulus(None), embed.Nussbaumer(4, 8)),
+}
+
+
+@pytest.mark.parametrize("profile, sample_b", [((FULL_FULL,), ("uniform",)), ((FULL_SMALL, 2), ("small", 1))],
+                         ids=["full", "small"])
+@pytest.mark.parametrize("name", LIFTED_BLOCK_CHAINS)
+def test_lifted_block_terminal_lifts_only_the_source(name, profile, sample_b, monkeypatch):
+    # a lifted block terminal lifts one (2, n) stack of the source prefix,
+    # not the pad, so operands at the centered extremes of the profile pass
+    # the operand check on its full length: no effective length is read
+    ring = RingSpec(XN_MINUS_X_MINUS_1, 23, 4591)
+    plan = make_plan(ring, chain=LIFTED_BLOCK_CHAINS[name], profile=profile, sample_b=sample_b)
+    terminal = plan.executor.tables[0]
+    assert isinstance(terminal, embed.BlockExecutor) and terminal.N != ring.q
+    lifts, real_lift = [], bigmod.lift_centered
+    monkeypatch.setattr(bigmod, "lift_centered", lambda *a: lifts.append(real_lift(*a)) or lifts[-1])
+    for a, b in _extremes(ring, plan):
+        lifts.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np, "flatnonzero", _no_effective_lengths)
+            got = multiply(a, b, plan)
+        assert got == oracle_multiply(a, b)
+        (s,) = lifts
+        assert s.shape == (2, ring.n)
+
+
+SPY_ROUTES = [
+    (RingSpec(XN_PLUS_1, 256, 3329), dict(prefer="split-pt", alpha=1)),
+    (RingSpec(XN_PLUS_1, 256, 3329), dict(prefer="split-k", alpha=1)),
+    (RingSpec(XN_PLUS_1, 256, 3329), dict(prefer="hntt", alpha=1, beta=1)),
+    (RingSpec(TRINOMIAL, 48, 7681), dict(prefer="trinomial")),
+    *[(RingSpec(XN_MINUS_X_MINUS_1, 23, 4591), dict(chain=c)) for c in LIFTED_BLOCK_CHAINS.values()],
+    (RingSpec(XN_MINUS_X_MINUS_1, 23, 4591), dict(chain=(embed.ZeroPad(64), embed.Schonhage(4, 8)))),
+    (RingSpec(XN_MINUS_1, 64, 4591), dict(chain=(embed.ZeroPad(64), embed.Schonhage(4, 8)))),
+    (RingSpec(XN_PLUS_1, 64, 4591), dict(chain=(embed.ZeroPad(64, XN_PLUS_1), embed.Nussbaumer(4, 8)))),
+    (RingSpec(XN_MINUS_X_MINUS_1, 17, 7681), dict(chain=(embed.ZeroPad(64, XN_PLUS_1), embed.PlainNtt(1)))),
+    (RingSpec(XN_MINUS_X_MINUS_1, 9, 2048),
+     dict(chain=(embed.ZeroPad(64), embed.LiftModulus(None), embed.PlainNtt(0)))),
+    (RingSpec(XN_MINUS_X_MINUS_1, 11, 7681), dict(chain=(embed.ZeroPad(48), embed.Good(3, 4)))),
+    (RingSpec(XN_MINUS_1, 23, 2048), dict(chain=(embed.ZeroPad(96), embed.LiftModulus(None), embed.Good(3, 5)))),
+]
+
+
+def _spy_id(case):
+    if isinstance(case, str):
+        return case
+    ring, how = case
+    steps = "-".join(type(s).__name__ for s in how.get("chain", ()))
+    return f"{ring.form}-{ring.n}-{how.get('prefer', steps)}"
+
+
+@pytest.mark.parametrize("case", [*planner.preset_names(), *SPY_ROUTES], ids=_spy_id)
+def test_every_run_takes_one_owned_stack(case, monkeypatch, rng):
+    # one product contract at every layer: each route's ``run`` receives a
+    # fresh (2, reads) ndarray of its modulus's dtype, sharing no memory
+    # with the operands; a chain hands its terminal the source-length
+    # arrays, and its fold gets at most 2n - 1 coefficients (n in place)
+    if isinstance(case, str):
+        ring, plan = planner.preset(case)
+    else:
+        ring, how = case
+        plan = make_plan(ring, allow_bigmod=True, **how)
+    runs, products, folds = [], [], []
+    for cls in (bigmod.BigPrimeExecutor, splitting.SplitExecutor, trinomial.TrinomialExecutor,
+                embed.BlockExecutor, embed.ChainExecutor):
+        def spied(self, X, table, real=cls.run):
+            runs.append((self, X, table))
+            return real(self, X, table)
+
+        monkeypatch.setattr(cls, "run", spied)
+    real_product, real_fold = bigmod.LiftedExecutor.product, polymul.fold_mod_phi
+    monkeypatch.setattr(bigmod.LiftedExecutor, "product",
+                        lambda self, x, y: products.append((self, len(x), len(y))) or real_product(self, x, y))
+    monkeypatch.setattr(polymul, "fold_mod_phi", lambda c, r: folds.append(len(c)) or real_fold(c, r))
+    a, b = planner.sample_operands(ring, plan, rng)
+    assert multiply(a, b, plan) == oracle_multiply(a, b)
+    assert runs
+    for executor, X, table in runs:
+        p = table.q if hasattr(table, "q") else table.ring.q
+        assert type(X) is np.ndarray and X.shape == (2, executor.reads or executor.ring.n)
+        assert X.dtype == transforms.buffer_dtype(p)
+        assert not np.shares_memory(X, a.array) and not np.shares_memory(X, b.array)
+    (outer, *lengths), *inner = products
+    assert outer is plan.executor and lengths == [ring.n, ring.n]
+    if plan.chain is None:
+        assert inner == [] and folds == []
+        return
+    (terminal, *lengths), = inner
+    assert terminal is plan.executor.tables[0] and lengths == [ring.n, ring.n]
+    (folded,) = folds
+    assert folded == (ring.n if plan.executor.in_place else 2 * ring.n - 1)

@@ -69,10 +69,14 @@ def test_zero_pad_exact_at_2n(rng):
 
 
 def test_zero_pad_too_small(rng):
+    # the one-shot pad and a chain's terminal both refuse a pad that would wrap
     src = RingSpec(XN_MINUS_1, 12, 7681)
     a = Poly.random(src, rng)
     with pytest.raises(PadTooSmall):
         zero_pad_multiply(a, a, 22, lambda x, y: x)
+    for terminal in (PlainNtt(), Schonhage(2, 4)):
+        with pytest.raises(PadTooSmall):
+            general_phi_multiply(a, a, EmbedChain((ZeroPad(16), terminal)))
 
 
 def test_zero_pad_zero_operand(rng):
@@ -695,7 +699,8 @@ def test_chain_source_length_sets_the_live_top_blocks(n, live, rng):
     # x^n - x - 1 through pad 2048 and Schonhage(32, 32): the terminal
     # transforms only ceil(n/32) live top blocks, on both sides of each
     # block boundary; the product is the oracle's, and the terminal's
-    # values and op counts are those of the full 64 live blocks
+    # values (the keep prefix) and op counts are those of the full 64
+    # live blocks
     ring = RingSpec(XN_MINUS_X_MINUS_1, n, 4591)
     plan = planner.make_plan(ring, chain=(ZeroPad(2048), Schonhage(32, 32)))
     terminal = plan.executor.tables[0]
@@ -706,7 +711,8 @@ def test_chain_source_length_sets_the_live_top_blocks(n, live, rng):
         with modarith.counting() as live_ctr:
             got = terminal.product(x, y)
         with modarith.counting() as full_ctr:
-            assert np.array_equal(got, full.product(x, y))
+            assert np.array_equal(got, full.product(x, y)[: 2 * n - 1])
+        assert len(got) == 2 * n - 1
         assert (live_ctr.mults, live_ctr.adds, live_ctr.subs) == (full_ctr.mults, full_ctr.adds, full_ctr.subs)
     assert (terminal.schedule[0].live, full.schedule[0].live) == (live, 64)
 

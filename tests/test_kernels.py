@@ -701,11 +701,12 @@ def test_run_levels_on_a_batch_matches_each_row(case):
     ftw, itw = tables_for(kind, n, q, beta)
     runs = []
     for fs in forward_specs(kind, beta):
-        runs.append((fs, ftw, transforms.forward_rows))
-        runs += [(inv, itw, transforms.inverse_rows) for inv in inverse_specs_for(fs)]
+        runs.append((fs, ftw))
+        runs += [(inv, itw) for inv in inverse_specs_for(fs)]
 
+    core = transforms.transform_rows
     with mock.patch.object(bounds, "STAGE_CAP", k):
-        for spec, tw, core in runs:
+        for spec, tw in runs:
             wants = [reference(r, q, tw, spec, n) for r in rows]
             sched = transforms.make_schedule(spec, tw, n)
             assert (sched.stage_class[0] == bounds.OBJECT) == (q >= 2**31)
@@ -718,7 +719,7 @@ def test_run_levels_on_a_batch_matches_each_row(case):
                 core(x, sched)
                 assert got == x.tolist() == want
             # the inverse scaling: one multiplication per entry
-            scale = (core is transforms.inverse_rows and bool(sched.levels)) * n
+            scale = (spec.direction == transforms.INVERSE and bool(sched.levels)) * n
             assert (c.mults, c.adds, c.subs) == (len(rows) * (one.mults + scale),
                                                  len(rows) * one.adds, len(rows) * one.subs)
 

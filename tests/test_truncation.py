@@ -52,9 +52,10 @@ def test_truncated_pairs_at_their_boundaries(cls, q, n, sources, form, beta, rng
     # per source length: the truncated forward transform of an all-(q-1)
     # operand is the first K values of the reference kernel's on the full
     # schedule; the truncated product of two all-(q-1) operands, and of
-    # two random ones, is the full product, the reference kernel's and
-    # the oracle's linear product, zero from keep on; the chain through
-    # the same pad gives the oracle's product in the source ring
+    # two random ones, is the keep prefix of the full product, the
+    # reference kernel's and the oracle's linear product, which are zero
+    # from keep on; the chain through the same pad gives the oracle's
+    # product in the source ring
     for s in sources:
         pair = make_transform_pair(RingSpec(form, n, q), beta, source=s)
         f, i = pair.fwd_sched, pair.inv_sched
@@ -73,11 +74,11 @@ def test_truncated_pairs_at_their_boundaries(cls, q, n, sources, form, beta, rng
         for x, y in ((top, top), (_random(n, s, q, rng), _random(n, s, q, rng))):
             src = RingSpec(XN_MINUS_1, s, q)
             want = schoolbook_linear(Poly(x[:s], src), Poly(y[:s], src)) + [0] * (n - 2 * s + 1)
-            assert pair.product(x[:s], y[:s]).tolist() == want
-            assert full.product(x, y).tolist() == want
+            assert pair.product(np.array((x[:s], y[:s]))).tolist() == want[: pair.keep]
+            assert full.product(np.array((x, y))).tolist() == want
         rows = [full.pointwise(full.forward(top), full.forward(top)).values.tolist()]
         reference_rows(rows, full_i)
-        assert rows[0] == pair.product(top[:s], top[:s]).tolist()
+        assert rows[0][: pair.keep] == pair.product(np.array((top[:s], top[:s]))).tolist()
         ring = RingSpec(XN_MINUS_X_MINUS_1, s, q)
         chain = EmbedChain((ZeroPad(n, form), PlainNtt(beta)))
         for a in (Poly([q - 1] * s, ring), Poly(_random(s, s, q, rng), ring)):
@@ -136,9 +137,9 @@ def test_centered_entries_run_every_stage_class(cls, q, n, source, form, rng):
     for gamma in (-1, g):
         assert (polymul.leaf_products(U, V, gamma, q).tolist()
                 == polymul.leaf_products(U % q, V % q, gamma, q).tolist())
-    want = make_transform_pair(pair.ring, 0).product(*(np.array(w, dtype=dtype) for w in canonical))
-    S = np.array((x[:source], y[:source]), dtype=np.int64)
-    assert pair.stack_product(S).tolist() == want[: pair.keep].tolist()
+    want = make_transform_pair(pair.ring, 0).product(np.array(canonical, dtype=dtype))
+    S = np.array((x[:source], y[:source]), dtype=dtype)
+    assert pair.product(S).tolist() == want[: pair.keep].tolist()
 
 
 def _random(n, s, q, rng):
@@ -276,9 +277,9 @@ def _case_id(case):
 
 @pytest.mark.parametrize("case", PADDED_PLANS, ids=_case_id)
 def test_truncated_terminal_counts_what_the_full_one_counts(case, rng):
-    # the terminal's product, truncated, has the full terminal's values
-    # and op counts, transform tallies included; the chain's product is
-    # the oracle's
+    # the terminal's product, truncated, is the keep prefix of the full
+    # terminal's and has its op counts, transform tallies included; the
+    # chain's product is the oracle's
     ring, plan = _plan(case)
     term, full = _terminal_and_full(ring, plan)
     assert term.tables[0].fwd_sched.full is not None
@@ -289,7 +290,8 @@ def test_truncated_terminal_counts_what_the_full_one_counts(case, rng):
         with counting() as cut:
             got = term.product(x, y)
         with counting() as whole:
-            assert np.array_equal(got, full.product(x, y))
+            assert np.array_equal(got, full.product(x, y)[: 2 * ring.n - 1])
+        assert len(got) == 2 * ring.n - 1
         assert vars(cut) == vars(whole)
 
 
