@@ -8,9 +8,10 @@ modulus N >= 2^31: on primes below 2^31, so its transforms stay int64.
 Operands cross the boundary as one centered stack (``lift_centered``) and
 come back through ``recover_centered``; ``garner`` is the one CRT, for
 recovery and the composite root search.
-``LiftedExecutor`` is the base of every plan executor; the unlifted
-routes run on it with N == q.  Each ``run`` owns its one kind of input,
-an operand stack, and each ``product`` returns the keep prefix.
+``LiftedExecutor`` is the base of every plan executor, one per plan (a
+chain's is its terminal's); the unlifted routes run on it with N == q.
+Each ``run`` owns its one kind of input, an operand stack, each
+``product`` returns the keep prefix, and ``multiply`` folds it mod phi.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def bound_check(N: int, ring: RingSpec, profile, what: str) -> tuple:
 
 class LiftedExecutor:
     """Exact product of two ring elements modulo a working modulus N: the
-    base of every plan executor.
+    base of every plan executor, one per plan.
 
     A route defines ``__init__`` (its checks), ``table(p)`` (its tables
     mod one working modulus p, built on first use and kept in ``tables``)
@@ -138,15 +139,17 @@ class LiftedExecutor:
     the keep = min(n, 2 reads - 1) leading coefficients, all that can be
     nonzero.  ``product``, the one path of every route, returns those keep
     coefficients mod q; ``multiply``, the only ring check of a planned
-    product, passes it each operand's ``Poly.array`` and is the one place
-    that zero-extends to n.  With N == q (the direct, split, trinomial
-    and chain routes, and an unlifted terminal) the arithmetic wraps mod
-    q by design, and ``run`` gets the stack as it is; otherwise it is
+    product, passes it each operand's ``Poly.array`` and folds the result
+    mod phi (``polymul.fold_mod_phi``, which zero-extends n or fewer).  The
+    operands live in ``source``, a chain's source ring (``chain``), whose
+    n is ``reads``, or else in ``ring``.  With N == q the arithmetic wraps
+    mod q by design, and ``run`` gets the stack as it is; otherwise it is
     lifted (centered), checked once, run mod every working modulus (N, or
     a ``basis`` of primes below 2^31, with product P) and recovered once.
     """
 
-    reads = None
+    source = chain = None
+    reads = property(lambda self: self.source.n if self.source else None)
 
     def __init__(self, ring: RingSpec, N: int, basis=()):
         self.ring, self.N = ring, N
@@ -160,10 +163,10 @@ class LiftedExecutor:
         return tuple(self.table(p) for p in self.moduli)
 
     def multiply(self, a: Poly, b: Poly) -> Poly:
-        if a.ring != self.ring or b.ring != self.ring:
+        ring = self.source or self.ring
+        if a.ring != ring or b.ring != ring:
             raise RingMismatch("operands do not live in the executor's ring")
-        v, n = self.product(a.array, b.array), self.ring.n
-        return Poly(v if len(v) == n else np.concatenate((v, np.zeros(n - len(v), dtype=v.dtype))), self.ring)
+        return Poly(polymul.fold_mod_phi(self.product(a.array, b.array), ring), ring)
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The keep leading coefficients mod q of the ring product of two
@@ -201,18 +204,18 @@ def _one_shot(route: LiftedExecutor, a: Poly, b: Poly, profile) -> Poly:
 class BigPrimeExecutor(LiftedExecutor):
     """Plan executor of the big-prime and RNS routes, one cropped pipeline
     per working modulus, and, with N == q, of the full and incomplete
-    routes; also every Good and plain chain terminal.  ``source``, when
-    given, is how many leading coefficients of either operand can be
-    nonzero (a padded chain's source length): its pairs truncate their
-    schedules to it (``polymul.TransformPair``), and only that prefix of
-    each operand is read (``reads``), onto the stack the pair runs on."""
+    routes; also the executor of every Good and plain chain, over the
+    pad's ring.  ``source``, when given, is the ring of a padded chain's
+    operands: its pairs truncate their schedules to its n coefficients
+    (``polymul.TransformPair``), and only that prefix of each operand is
+    read (``reads``), onto the stack the pair runs on."""
 
     root = None  # make_transform_pair searches the smallest
 
-    def __init__(self, ring: RingSpec, N: int, beta: int = 0, basis=(), source: int | None = None):
+    def __init__(self, ring: RingSpec, N: int, beta: int = 0, basis=(), source: RingSpec | None = None):
         polymul.check_pair_ring(ring, beta)
         super().__init__(ring, N, basis)
-        self.beta, self.reads = beta, source
+        self.beta, self.source = beta, source
 
     def table(self, p: int) -> polymul.TransformPair:
         big = RingSpec(self.ring.form, self.ring.n, p)

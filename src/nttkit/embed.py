@@ -6,12 +6,13 @@ rings, and the two block embeddings whose root of unity is the
 indeterminate itself (Schoenhage for x^N - 1, Nussbaumer for x^N + 1),
 which place no root-of-unity condition on the coefficient modulus.
 Chains compose these steps and finish with the source-ring reduction.
-Each executor is a ``bigmod.LiftedExecutor``; a chain's, over q, holds
-its terminal step's executor as its one table, which reads (and lifts)
+Each executor is a ``bigmod.LiftedExecutor``; a chain's is its terminal
+step's over the pad's ring (``chain_executor``), which reads (and lifts)
 only the source prefix of each operand and returns only the 2n - 1
-coefficients that the chain folds mod phi: no product pads its operands.
-A ``Good`` terminal is the plain terminal of x^(h*2^k) - 1, on chunks of
-h coefficients (``transforms``): no re-indexing, the same lift and truncation.
+coefficients that its ``multiply`` folds mod phi: no product pads its
+operands or runs a second executor.  A ``Good`` terminal is the plain
+terminal of x^(h*2^k) - 1, on chunks of h coefficients (``transforms``):
+no re-indexing, the same lift and truncation.
 
 The block embeddings run in a ``BlockWorkspace``, int32 or int64 buffers
 (``block_route``) shaped by the block schedule, so a product allocates
@@ -53,7 +54,7 @@ SCHOOLBOOK_FLOOR = 8  # inner rings at or below this length multiply directly
 
 
 def zero_pad_multiply(a: Poly, b: Poly, n_prime: int, backend, form: str = XN_MINUS_1) -> Poly:
-    """Multiply in x^n_prime +- 1 (no wraparound), then reduce to the source.
+    """Multiply in x^n_prime +- 1 (``ZeroPad.holds``), then reduce to the source.
 
     ``backend(a', b')`` multiplies two Polys in the padded ring over the
     source modulus and returns the product there: the operands' zero-padded
@@ -63,11 +64,10 @@ def zero_pad_multiply(a: Poly, b: Poly, n_prime: int, backend, form: str = XN_MI
     if a.ring != b.ring:
         raise RingMismatch("operands belong to different rings")
     n = a.ring.n
-    if n_prime < 2 * n - 1:
+    if not ZeroPad(n_prime, form).holds(a.ring):
         raise PadTooSmall(f"n'={n_prime} cannot hold a degree-{2 * n - 2} product")
     big = RingSpec(form, n_prime, a.ring.q)
-    xp, yp = np.zeros((2, n_prime), dtype=np.int64)
-    xp[:n], yp[:n] = a.array, b.array
+    xp, yp = (np.pad(v.array, (0, n_prime - n)) for v in (a, b))
     c = backend(Poly(xp, big), Poly(yp, big)).array
     return Poly(polymul.fold_mod_phi(c[: 2 * n - 1], a.ring), a.ring)
 
@@ -627,6 +627,11 @@ class ZeroPad:
     n_prime: int
     form: str = XN_MINUS_1
 
+    def holds(self, ring: RingSpec) -> bool:
+        """Whether every product of the ring fits without wraparound:
+        n' >= 2n - 1, or the pad is the ring itself."""
+        return self.n_prime >= 2 * ring.n - 1 or (self.n_prime, self.form) == (ring.n, ring.form)
+
 
 @dataclass(frozen=True)
 class LiftModulus:
@@ -711,28 +716,28 @@ class EmbedChain:
 
 
 class BlockExecutor(bigmod.LiftedExecutor):
-    """A Schoenhage or Nussbaumer step over Z_N (N == q: no lift), a chain's
-    terminal or a one-shot's product, run once per working modulus on the
-    block core; its schedule, the same for every modulus, is built on first
-    use, and its table mod p is that schedule compiled for p (``block_route``).
+    """A Schoenhage or Nussbaumer step over Z_N (N == q: no lift), a
+    chain's executor over the pad's ring or a one-shot's, run once per
+    working modulus on the block core; its schedule, the same for every
+    modulus, is built on first use, and its table mod p is that schedule
+    compiled for p (``block_route``).
 
     The executor owns a pool of ``BlockWorkspace``s per dtype of its
-    routes, empty when the plan is built.  Each product takes one of its route's dtype, or
-    builds one when that pool is empty, and puts it back when it ends,
-    raised or not, so no two threads ever share a workspace and a pool
-    holds at most one per thread that multiplied at once.  A workspace
-    serves every working modulus of its dtype; for
+    routes, empty when the plan is built.  Each product takes one of its
+    route's dtype, or builds one when that pool is empty, and puts it back
+    when it ends, raised or not, so no two threads ever share a workspace
+    and a pool holds at most one per thread that multiplied at once.  A
+    workspace serves every working modulus of its dtype; for
     ``ntruprime-761-schonhage`` (int32) it holds 1.4 MiB, and its route
-    0.33 MiB of level signs and 0.19 MiB of gather indices.  ``source``,
-    when given, is how many leading coefficients of either operand can be
-    nonzero: a chain's source length, which sets the live top blocks
-    (``block_schedule``), and the only prefix of each operand that a
-    product reads (``reads``) and lifts.
+    0.33 MiB of level signs and 0.19 MiB of gather indices.  A chain's
+    ``source`` ring sets the live top blocks (``block_schedule``): its n
+    coefficients are the prefix of each operand that a product reads
+    (``reads``) and lifts.
     """
 
-    def __init__(self, ring: RingSpec, step, N: int, basis=(), source: int | None = None):
+    def __init__(self, ring: RingSpec, step, N: int, basis=(), source: RingSpec | None = None):
         super().__init__(ring, N, basis)
-        self.step, self.reads = step, source
+        self.step, self.source = step, source
         self.workspaces = {}
 
     @cached_property
@@ -769,37 +774,23 @@ def nussbaumer_multiply(a: Poly, b: Poly, m: int, n: int) -> Poly:
     return BlockExecutor(a.ring, Nussbaumer(m, n), a.ring.q).multiply(a, b)
 
 
-class ChainExecutor(bigmod.LiftedExecutor):
-    """Plan executor of an embedding chain, over q: run the terminal step
-    in a wraparound-free ring (over the lift modulus, or the basis that
-    replaces it, when there is one), then fold mod phi, mod q.  ``pad``,
-    ``lift`` and ``step`` are the chain's parsed steps; ``step`` is its
-    terminal, a plain transform when the chain names none.  Its table is
-    the terminal step's executor over the pad's ring, built for the
-    chain's source length: plain, Good or block, lifted or not, in place
-    or padded, it takes the source arrays and returns the 2n - 1 (in
-    place n) coefficients that the fold reads, with no padded copy.
-    """
-
-    def __init__(self, ring: RingSpec, chain: EmbedChain):
-        super().__init__(ring, ring.q)
-        self.chain, self.pad, self.lift, self.step = chain, chain.pad, chain.lift, chain.terminal
-        self.in_place = chain.pad.n_prime == ring.n and chain.pad.form == ring.form
-
-    def table(self, p: int) -> bigmod.LiftedExecutor:  # the terminal step's executor
-        ring, pad, step = self.ring, self.pad, self.step
-        if not self.in_place and pad.n_prime < 2 * ring.n - 1:
-            raise PadTooSmall(f"n'={pad.n_prime} cannot hold a degree-{2 * ring.n - 2} product")
-        work = RingSpec(pad.form, pad.n_prime, ring.q)
-        N, basis = (self.lift.modulus, self.lift.basis) if self.lift else (ring.q, ())
-        if isinstance(step, (Schonhage, Nussbaumer)):
-            return BlockExecutor(work, step, N, basis, ring.n)
-        return bigmod.BigPrimeExecutor(work, N, getattr(step, "beta", 0), basis, ring.n)
-
-    def run(self, X, terminal):
-        return polymul.fold_mod_phi(terminal.product(*X), self.ring)
+def chain_executor(ring: RingSpec, chain: EmbedChain) -> bigmod.LiftedExecutor:
+    """A chain's one executor: its terminal step's (plain, Good or block)
+    over the pad's ring and the lift modulus, or the basis that replaces
+    it, reading the operands of ``ring`` (``bigmod.LiftedExecutor``)."""
+    pad, lift, step = chain.pad, chain.lift, chain.terminal
+    if not pad.holds(ring):
+        raise PadTooSmall(f"n'={pad.n_prime} cannot hold a degree-{2 * ring.n - 2} product")
+    if lift and lift.modulus is None:
+        raise ParameterCondition("lift(None) names no modulus: only a plan searches one")
+    work = RingSpec(pad.form, pad.n_prime, ring.q)
+    N, basis = (lift.modulus, lift.basis) if lift else (ring.q, ())
+    executor = (BlockExecutor(work, step, N, basis, ring) if isinstance(step, (Schonhage, Nussbaumer))
+                else bigmod.BigPrimeExecutor(work, N, getattr(step, "beta", 0), basis, ring))
+    executor.chain = chain
+    return executor
 
 
 def general_phi_multiply(a: Poly, b: Poly, chain: EmbedChain) -> Poly:
     """Run the chain in a wraparound-free big ring, then reduce mod phi, mod q."""
-    return ChainExecutor(a.ring, chain).multiply(a, b)
+    return chain_executor(a.ring, chain).multiply(a, b)

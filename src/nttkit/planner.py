@@ -111,10 +111,9 @@ class NttPlan:
     def replaced_by(self) -> tuple:
         """The primes below 2^31 that run in place of a requested working
         modulus >= 2^31, or () when the plan runs the modulus it names."""
+        ex, lift = self.executor, self.chain and self.chain.lift
         if self.strategy == "bigprime":
-            ex = self.executor
             return ex.moduli if ex.moduli != (ex.N,) else ()
-        lift = getattr(self.executor, "lift", None)
         return lift.basis if lift else ()
 
     @property
@@ -231,25 +230,28 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
     not take raises ParameterCondition (``_refuse``).  The plan's tables
     are built on its first multiply.
     """
-    cls = classify(ring)
     n, q = ring.n, ring.q
     prof = profile if profile is not None else (bigmod.FULL_FULL,)
     checks = []
 
-    def plan(strategy, executor):
+    def verified(strategy):
         if not all(ok for _, ok in checks):
             raise ParameterCondition(f"{strategy} preconditions fail: {checks}")
-        return NttPlan(strategy, ring, executor, prof, sample_b, tuple(checks))
+        return strategy
 
-    def chained(chain):
-        executor = embed.ChainExecutor(ring, _resolve_chain(ring, chain, prof))
-        checks.extend(_chain_checks(ring, executor, prof))
-        return plan("embed", executor)
+    def plan(strategy, executor):
+        return NttPlan(verified(strategy), ring, executor, prof, sample_b, tuple(checks))
+
+    def chained(chain):  # its checks refuse before its executor is built
+        chain = _resolve_chain(ring, chain, prof)
+        checks.extend(_chain_checks(ring, chain, prof))
+        return plan(verified("embed"), embed.chain_executor(ring, chain))
 
     if chain is not None:  # a given chain runs on every ring class
         _refuse("embed", beta=beta, alpha=alpha, N=N, basis=basis)
         return chained(chain)
 
+    cls = classify(ring)
     if ring.form == TRINOMIAL and prefer in ("auto", "trinomial"):
         _refuse("trinomial", beta=beta, alpha=alpha, N=N, basis=basis)
         checks.append(_cong_check(q, n, "trinomial order"))
@@ -384,11 +386,10 @@ def _resolve_chain(ring: RingSpec, chain, prof):
     return embed.EmbedChain(tuple(lift if t is s else t for t in chain.steps))
 
 
-def _chain_checks(ring: RingSpec, ex: embed.ChainExecutor, prof):
+def _chain_checks(ring: RingSpec, chain: embed.EmbedChain, prof):
     """The chain's checks, in step order, from its parsed steps."""
-    chain, lift, s = ex.chain, ex.lift, ex.step
-    checks = [(f"pad {ex.pad.n_prime} >= 2n-1 = {2 * ring.n - 1}",
-               ex.pad.n_prime >= 2 * ring.n - 1 or ex.in_place)]
+    lift, s = chain.lift, chain.terminal
+    checks = [(f"pad {chain.pad.n_prime} >= 2n-1 = {2 * ring.n - 1}", chain.pad.holds(ring))]
     moduli = (ring.q,)
     if lift and lift.modulus != ring.q:  # self-lifts wrap mod q by design
         checks.append(bigmod.bound_check(lift.modulus, ring, prof, f"lift modulus {lift.modulus}"))

@@ -153,8 +153,10 @@ def reduce_mod_phi(c, ring: RingSpec) -> Poly:
 
 def fold_mod_phi(c, ring: RingSpec) -> np.ndarray:
     """The remainder of c by the ring's phi, mod q, for an array of
-    canonical residues: ``reduce_mod_phi`` vectorized, returned as a
-    length-n buffer (``transforms.buffer``).
+    canonical residues: ``reduce_mod_phi`` vectorized, as a length-n
+    array.  At most n coefficients need no fold: c itself, zero-extended
+    to n where shorter, with no pass over it.  Longer, c is folded in a
+    fresh buffer (``transforms.buffer``).
 
     With x^n = r(x) mod phi, one pass replaces the coefficients from x^n
     up, hi(x) x^n, by hi(x) r(x): one shifted add, subtract or
@@ -165,9 +167,9 @@ def fold_mod_phi(c, ring: RingSpec) -> np.ndarray:
     fold one at a time instead, from the top, each vectorized over r.
     """
     n, q = ring.n, ring.q
+    if len(c) <= n:
+        return c if len(c) == n else np.concatenate((c, np.zeros(n - len(c), dtype=c.dtype)))
     w = transforms.buffer(c, q)
-    if len(w) < n:
-        w = np.concatenate((w, np.zeros(n - len(w), dtype=w.dtype)))
     terms = ring.reduction_terms
     top = terms[-1][0] if terms else 0
     excess = len(w) - n

@@ -97,7 +97,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import bounds, modarith
-from .errors import LengthMismatch, OrderMismatch, RingMismatch, SpecMismatch, SpecViolation
+from .errors import LengthMismatch, OrderMismatch, ParameterCondition, RingMismatch, SpecMismatch, SpecViolation
 from .rings import XN_MINUS_1, XN_PLUS_1, Poly, canonical
 
 CC = "CC"
@@ -114,6 +114,8 @@ def root_order(form: str, n: int, beta: int = 0) -> int:
     """The root order a length-n transform over ring form ``form``, beta
     levels cropped, needs: 2^(k+1) / 2^beta for x^n + 1, else 2^k / 2^beta,
     2^k the power-of-two part of n (all of n on a power of two)."""
+    if beta < 0:
+        raise ParameterCondition(f"cannot crop a negative number of levels ({beta})")
     two = n & -n
     return (2 * two if form == XN_PLUS_1 else two) >> beta
 

@@ -645,7 +645,7 @@ def test_lifted_block_terminal_lifts_only_the_source(name, profile, sample_b, mo
     # the operand check on its full length: no effective length is read
     ring = RingSpec(XN_MINUS_X_MINUS_1, 23, 4591)
     plan = make_plan(ring, chain=LIFTED_BLOCK_CHAINS[name], profile=profile, sample_b=sample_b)
-    terminal = plan.executor.tables[0]
+    terminal = plan.executor
     assert isinstance(terminal, embed.BlockExecutor) and terminal.N != ring.q
     lifts, real_lift = [], bigmod.lift_centered
     monkeypatch.setattr(bigmod, "lift_centered", lambda *a: lifts.append(real_lift(*a)) or lifts[-1])
@@ -686,10 +686,12 @@ def _spy_id(case):
 
 @pytest.mark.parametrize("case", [*planner.preset_names(), *SPY_ROUTES], ids=_spy_id)
 def test_every_run_takes_one_owned_stack(case, monkeypatch, rng):
-    # one product contract at every layer: each route's ``run`` receives a
-    # fresh (2, reads) ndarray of its modulus's dtype, sharing no memory
-    # with the operands; a chain hands its terminal the source-length
-    # arrays, and its fold gets at most 2n - 1 coefficients (n in place)
+    # one executor and one product contract per plan: a multiply runs one
+    # ``product``, the plan executor's, on the operands' arrays, and its
+    # ``run`` receives a fresh (2, reads) ndarray of its modulus's dtype,
+    # sharing no memory with the operands (a chain's executor reads the
+    # source prefix of its pad); the fold gets 2n - 1 coefficients of a
+    # padded chain, n on every other route
     if isinstance(case, str):
         ring, plan = planner.preset(case)
     else:
@@ -697,7 +699,7 @@ def test_every_run_takes_one_owned_stack(case, monkeypatch, rng):
         plan = make_plan(ring, allow_bigmod=True, **how)
     runs, products, folds = [], [], []
     for cls in (bigmod.BigPrimeExecutor, splitting.SplitExecutor, trinomial.TrinomialExecutor,
-                embed.BlockExecutor, embed.ChainExecutor):
+                embed.BlockExecutor):
         def spied(self, X, table, real=cls.run):
             runs.append((self, X, table))
             return real(self, X, table)
@@ -711,16 +713,33 @@ def test_every_run_takes_one_owned_stack(case, monkeypatch, rng):
     assert multiply(a, b, plan) == oracle_multiply(a, b)
     assert runs
     for executor, X, table in runs:
+        assert executor is plan.executor
         p = table.q if hasattr(table, "q") else table.ring.q
         assert type(X) is np.ndarray and X.shape == (2, executor.reads or executor.ring.n)
         assert X.dtype == transforms.buffer_dtype(p)
         assert not np.shares_memory(X, a.array) and not np.shares_memory(X, b.array)
-    (outer, *lengths), *inner = products
-    assert outer is plan.executor and lengths == [ring.n, ring.n]
-    if plan.chain is None:
-        assert inner == [] and folds == []
-        return
-    (terminal, *lengths), = inner
-    assert terminal is plan.executor.tables[0] and lengths == [ring.n, ring.n]
-    (folded,) = folds
-    assert folded == (ring.n if plan.executor.in_place else 2 * ring.n - 1)
+    assert products == [(plan.executor, ring.n, ring.n)]
+    assert folds == [ring.n if plan.executor.ring == ring else 2 * ring.n - 1]
+
+
+@pytest.mark.parametrize("name, lifted", [("ntruprime-761-good", True), ("ntru-509", True),
+                                          ("ntruprime-761-schonhage", False)])
+def test_a_chain_product_copies_its_operands_once(name, lifted, monkeypatch, rng):
+    # the one stack a chain product makes is the one its terminal's
+    # ``run`` takes: a lifted chain (one working modulus) lifts it once and
+    # builds no ``transforms.buffer`` stack of its own; an unlifted block
+    # chain builds one buffer stack and lifts none
+    ring, plan = planner.preset(name)
+    a, b = planner.sample_operands(ring, plan, rng)
+    assert multiply(a, b, plan) == oracle_multiply(a, b)  # tables built
+    lifts, stacks, runs = [], [], []
+    real_lift, real_buffer = bigmod.lift_centered, transforms.buffer
+    monkeypatch.setattr(bigmod, "lift_centered", lambda *args: lifts.append(real_lift(*args)) or lifts[-1])
+    monkeypatch.setattr(transforms, "buffer", lambda v, q: stacks.append(real_buffer(v, q)) or stacks[-1])
+    cls = type(plan.executor)
+    monkeypatch.setattr(cls, "run", lambda self, X, t, real=cls.run: runs.append(X) or real(self, X, t))
+    assert multiply(a, b, plan) == oracle_multiply(a, b)
+    stacks = [s for s in stacks if s.ndim == 2]  # the fold's buffer is one row
+    (made,) = lifts + stacks
+    assert (len(lifts), len(stacks)) == ((1, 0) if lifted else (0, 1))
+    assert made.shape == (2, ring.n) and len(runs) == 1 and runs[0] is made

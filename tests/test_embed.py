@@ -571,7 +571,7 @@ def test_threads_never_share_a_block_workspace(rng):
     # preset's workspace stays within 2.4 MiB
     nbytes = {}
     for ring, plan, dtype in _block_terminals():
-        block = plan.executor.tables[0]  # the chain's terminal executor
+        block = plan.executor  # the chain's terminal executor
         assert all(pool.empty() for pool in block.workspaces.values())
         cases = [planner.sample_operands(ring, plan, rng) for _ in range(4)]
         wants = [oracle_multiply(a, b) for a, b in cases]
@@ -612,7 +612,7 @@ def test_preset_block_route_holds_its_pinned_bytes(rng):
     ring, plan = planner.preset("ntruprime-761-schonhage")
     a, b = planner.sample_operands(ring, plan, rng)
     assert planner.multiply(a, b, plan) == oracle_multiply(a, b)
-    block = plan.executor.tables[0]
+    block = plan.executor
     ws = block.workspaces[np.dtype(np.int32)].get()
     assert sum(buf.nbytes for buf in _owned_buffers(ws)) == 1483392  # 1.41 MiB
     route = block.table(ring.q)
@@ -684,7 +684,7 @@ def test_block_and_good_routes_agree_on_edge_operands(n, rng):
     # oracle's product on 0, 1, all q - 1 (b = -1 in the small profile),
     # and an operand whose last nonzero coefficient ends a top block
     (ring, block), (_, good) = (planner.preset(f"ntruprime-{n}-{r}") for r in ("schonhage", "good"))
-    q, m = ring.q, block.executor.tables[0].step.m
+    q, m = ring.q, block.executor.step.m
     ends = [rng.randrange(1, q) for _ in range(n // m * m)] + [0] * (n - n // m * m)
     operands = [Poly.zero(ring), Poly.from_ints([1], ring), Poly([q - 1] * n, ring), Poly(ends, ring)]
     for a in operands:
@@ -703,7 +703,7 @@ def test_chain_source_length_sets_the_live_top_blocks(n, live, rng):
     # live blocks
     ring = RingSpec(XN_MINUS_X_MINUS_1, n, 4591)
     plan = planner.make_plan(ring, chain=(ZeroPad(2048), Schonhage(32, 32)))
-    terminal = plan.executor.tables[0]
+    terminal = plan.executor
     full = embed.BlockExecutor(terminal.ring, terminal.step, terminal.N)
     for a, b in (planner.sample_operands(ring, plan, rng), (Poly([4590] * n, ring), Poly([4590] * n, ring))):
         assert planner.multiply(a, b, plan) == oracle_multiply(a, b)

@@ -970,8 +970,7 @@ def test_float64_stages_from_float_points(rng):
         assert trinomial.trinomial_multiply(a, b, plan) == oracle_multiply(a, b)
     for name in planner.preset_names():
         ring, plan = planner.preset(name)
-        tables = plan.executor.tables[0].tables if plan.chain else plan.executor.tables
-        for sched in (s for t in tables for s in (getattr(t, "fwd_sched", None), getattr(t, "inv_sched", None)) if s):
+        for sched in (s for t in plan.executor.tables for s in (getattr(t, "fwd_sched", None), getattr(t, "inv_sched", None)) if s):
             levels = len(sched.levels)  # the class its level count gave: as if one point per chunk
             assert sched.stage_class == bounds.stage_class(sched.table.modulus, levels, 1 << levels), name
 

@@ -220,7 +220,7 @@ def test_narrowed_stages_read_live_columns_and_write_kept_rows():
     # outputs; no level is pruned, the first forward stage multiplies 7
     # of its 16 columns and the last inverse stage computes 7 of its 8 rows
     ring, plan = planner.preset("ntru-821")
-    for pair in plan.executor.tables[0].tables:
+    for pair in plan.executor.tables:
         f, i = pair.fwd_sched, pair.inv_sched
         assert (f.n, f.live, f.keep) == (2048, 821, 1641)
         assert f.stages[0].matrices.shape[-2:] == (16, 7) and f.stages[0].narrowed
@@ -228,14 +228,14 @@ def test_narrowed_stages_read_live_columns_and_write_kept_rows():
         assert not any(st.narrowed for st in f.stages[1:] + i.stages[:-1])
     # ntru-509's: 10 levels on 1024 points in place of 11 on 2048
     ring, plan = planner.preset("ntru-509")
-    for pair in plan.executor.tables[0].tables:
+    for pair in plan.executor.tables:
         assert (pair.fwd_sched.n, len(pair.fwd_sched.levels), len(pair.fwd_sched.full.levels)) == (1024, 10, 11)
     # ntru-701's Good terminal: 512 chunks of 3, 701 live inputs and 1401
     # kept outputs; the first forward stage multiplies 15 of its 32
     # columns (of 48 entries each) and the last inverse stage computes 15
     # of its 16 rows (of 96)
     ring, plan = planner.preset("ntru-701")
-    (pair,) = plan.executor.tables[0].tables
+    (pair,) = plan.executor.tables
     f, i = pair.fwd_sched, pair.inv_sched
     assert (f.n, f.chunk, len(f.levels), f.live, f.keep) == (1536, 3, 9, 701, 1401)
     assert f.stages[0].matrices.shape[-2:] == (32, 15) and f.stages[0].narrowed
@@ -245,7 +245,7 @@ def test_narrowed_stages_read_live_columns_and_write_kept_rows():
 
 def _terminal_and_full(ring, plan):
     """A padded chain's terminal and the same terminal with full schedules."""
-    term = plan.executor.tables[0]
+    term = plan.executor
     basis = term.moduli if len(term.moduli) > 1 else ()
     return term, bigmod.BigPrimeExecutor(term.ring, term.N, term.beta, basis)
 

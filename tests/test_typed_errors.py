@@ -19,7 +19,7 @@ import numpy as np
 
 from nttkit import bigmod, embed, modarith, planner, polymul, splitting, transforms, trinomial
 from nttkit.errors import NttError
-from nttkit.rings import TRINOMIAL, XN_MINUS_1, XN_PLUS_1, Poly, RingSpec
+from nttkit.rings import TRINOMIAL, XN_MINUS_1, XN_MINUS_X_MINUS_1, XN_PLUS_1, Poly, RingSpec
 
 print("optimize", sys.flags.optimize)
 
@@ -59,6 +59,13 @@ expect(lambda: embed.schonhage_multiply(a, Poly.zero(RingSpec(XN_MINUS_1, 8, 97)
 # a given chain is checked on a power-of-two ring too: Schonhage(1, 3)
 # has length 6, and the pad 8
 expect(lambda: planner.make_plan(ring, chain=(embed.ZeroPad(8), embed.Schonhage(1, 3))))
+# a chain's terminal crops no negative number of levels, and a one-shot
+# chain's lift must name its modulus (a plan searches one)
+ring9 = RingSpec(XN_MINUS_X_MINUS_1, 9, 2048)
+expect(lambda: planner.make_plan(ring9, chain=(embed.ZeroPad(64), embed.PlainNtt(-1))))
+z9 = Poly.zero(ring9)
+expect(lambda: embed.general_phi_multiply(
+    z9, z9, embed.EmbedChain((embed.ZeroPad(64), embed.LiftModulus(None), embed.PlainNtt(0)))))
 # a route refuses a parameter it does not take
 expect(lambda: planner.make_plan(RingSpec(XN_PLUS_1, 8, 17), "full", beta=1))
 # a bare working buffer must have the modulus's dtype
@@ -89,6 +96,8 @@ def test_checks_raise_typed_errors_under_python_O():
         "RingMismatch",
         "RingMismatch",
         "ChainMismatch",
+        "ParameterCondition",
+        "ParameterCondition",
         "ParameterCondition",
         "SpecViolation",
         "SpecViolation",
