@@ -49,19 +49,28 @@ def required_bound(n: int, q: int, profile=(FULL_FULL,)) -> int:
     half); full*small(mu) and matvec(k, mu) use k*n*q*mu/2, k = 1 for
     full*small.  A malformed profile raises ParameterCondition.
     """
-    kind, args = (profile[0], tuple(profile[1:])) if len(profile) else (None, ())
+    seq = profile if isinstance(profile, (tuple, list)) else ()
+    kind, args = (seq[0], tuple(seq[1:])) if seq else (None, ())
     names = _PROFILE_ARGS.get(kind)
     if names is None:
         raise ParameterCondition(
             f"unknown operand profile {profile!r}; kinds: {', '.join(_PROFILE_ARGS)}")
-    if len(args) != len(names) or not all(type(x) is int for x in args):
+    if len(args) != len(names) or not all(type(x) is int and x > 0 for x in args):
         spell = ", ".join((repr(kind), *names))
         raise ParameterCondition(
-            f"operand profile {profile!r}: expected ({spell}) with integer parameters")
+            f"operand profile {profile!r}: expected ({spell}) with positive integer parameters")
     if kind == FULL_FULL:
         return n * q * q
     k, mu = args if kind == MATVEC else (1, *args)
     return k * n * q * mu // 2
+
+
+def small_bound(profile) -> int | None:
+    """The largest magnitude mu // 2 of the small operand b under
+    full*small(mu) and matvec(k, mu), or None under full*full (b uniform).
+    A malformed profile raises ParameterCondition."""
+    required_bound(1, 1, profile)  # the one parse of a profile
+    return None if profile[0] == FULL_FULL else profile[-1] // 2
 
 
 # ---------------------------------------------------------------------------

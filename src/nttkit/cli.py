@@ -26,7 +26,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, modarith, planner, polymul, transforms
-from .errors import IncompatibleRings, NttError, ParseError, UnknownPreset
+from .errors import IncompatibleRings, NoStrategy, NttError, ParseError, UnknownPreset
 from .rings import FORMS, GENERAL, Poly, RingSpec
 
 FILE_FORMS = [f for f in FORMS if f != GENERAL]
@@ -112,14 +112,13 @@ def _resolve_plan(args):
     if not (args.form and args.n and args.q):
         raise UnknownPreset("need --preset or all of --form, -n, -q")
     ring = RingSpec(args.form, args.n, args.q)
-    plan = planner.make_plan(
-        ring,
-        prefer=args.strategy,
-        beta=args.beta,
-        alpha=args.alpha,
-        allow_bigmod=args.allow_bigmod,
-    )
-    return f"{args.form} n={args.n} q={args.q}", ring, plan
+    return f"{args.form} n={args.n} q={args.q}", ring, _make_plan(ring, args)
+
+
+def _make_plan(ring: RingSpec, args):
+    """The plan that --strategy, --beta, --alpha and --allow-bigmod name."""
+    return planner.make_plan(ring, prefer=args.strategy, beta=args.beta, alpha=args.alpha,
+                             allow_bigmod=args.allow_bigmod)
 
 
 def _thread_count() -> int:
@@ -171,8 +170,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count_ops(args) -> int:
-    from .errors import NoStrategy
-
     name, ring, plan = _resolve_plan(args)
     if plan.pair is None:
         raise NoStrategy("count-ops needs a plan with a direct transform stage")
@@ -285,13 +282,7 @@ def cmd_mul(args) -> int:
     b = read_poly(args.file_b)
     if a.ring != b.ring:
         raise IncompatibleRings(f"{args.file_a} and {args.file_b} declare different rings")
-    plan = planner.make_plan(
-        a.ring,
-        prefer=args.strategy,
-        beta=args.beta,
-        alpha=args.alpha,
-        allow_bigmod=args.allow_bigmod,
-    )
+    plan = _make_plan(a.ring, args)
     c = planner.multiply(a, b, plan)
     with open(args.out, "w") as f:
         f.write(format_poly_file(c))

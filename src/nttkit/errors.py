@@ -50,7 +50,7 @@ class SpecMismatch(NttError):
 
 
 class BadAlpha(NttError):
-    """Splitting depth does not divide the ring degree."""
+    """Splitting depth does not divide the ring degree or passes its limit."""
 
 
 class ParameterCondition(NttError):

@@ -67,12 +67,8 @@ def classify(ring: RingSpec) -> RingClass:
                 if (q - 1) % (need >> t) == 0:
                     return RingClass(POW2_PARTIAL, deficit=t)
             return RingClass(POW2_UNFRIENDLY)
-        h = n
-        k = 0
-        while h % 2 == 0:
-            h //= 2
-            k += 1
-        return RingClass(NON_POW2, h=h, k=k)
+        k = (n & -n).bit_length() - 1
+        return RingClass(NON_POW2, h=n >> k, k=k)
     return RingClass(GENERAL_PHI)
 
 
@@ -86,14 +82,15 @@ class NttPlan:
 
     Immutable after construction; every congruence and bound the chosen
     route needs was checked while building it.  The executor runs the
-    route and owns its parameters and tables (built on first use).
+    route and owns its parameters and tables (built on first use).  The
+    operand profile states both operands' bounds: the working modulus is
+    sized from it and ``sample_operands`` draws from it.
     """
 
     strategy: str
     ring: RingSpec
     executor: object
-    profile: tuple = (bigmod.FULL_FULL,)
-    sample_b: tuple = ("uniform",)
+    profile: tuple
     checks: tuple = ()  # (description, ok) pairs, for plan inspection
 
     # route parameters live on the executor; 0 or None where the route has none
@@ -215,8 +212,7 @@ def _cong_check(q: int, need: int, what: str):
 
 def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
               alpha: int | None = None, allow_bigmod: bool = False,
-              profile: tuple | None = None, sample_b: tuple = ("uniform",),
-              N: int | None = None, basis=None, chain=None) -> NttPlan:
+              profile: tuple = (bigmod.FULL_FULL,), N: int | None = None, basis=None, chain=None) -> NttPlan:
     """Resolve a strategy for the ring, verifying every precondition now.
 
     ``prefer`` picks among the routes valid for the ring's class:
@@ -227,12 +223,12 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
     "auto", a beta > 0 on a fully friendly ring plans incomplete.  A
     given ``chain`` is the plan's embedding chain on every ring class,
     power of two or not.  A route parameter that the chosen route does
-    not take raises ParameterCondition (``_refuse``).  The plan's tables
-    are built on its first multiply.
+    not take raises ParameterCondition (``_refuse``), as does a malformed
+    operand ``profile`` on every route (``bigmod.required_bound``).  The
+    plan's tables are built on its first multiply.
     """
-    n, q = ring.n, ring.q
-    prof = profile if profile is not None else (bigmod.FULL_FULL,)
-    checks = []
+    n, q, bound = ring.n, ring.q, bigmod.required_bound(ring.n, ring.q, profile)
+    prof, checks = tuple(profile), []
 
     def verified(strategy):
         if not all(ok for _, ok in checks):
@@ -240,10 +236,10 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
         return strategy
 
     def plan(strategy, executor):
-        return NttPlan(verified(strategy), ring, executor, prof, sample_b, tuple(checks))
+        return NttPlan(verified(strategy), ring, executor, prof, tuple(checks))
 
     def chained(chain):  # its checks refuse before its executor is built
-        chain = _resolve_chain(ring, chain, prof)
+        chain = _resolve_chain(ring, chain, bound)
         checks.extend(_chain_checks(ring, chain, prof))
         return plan(verified("embed"), embed.chain_executor(ring, chain))
 
@@ -291,7 +287,6 @@ def make_plan(ring: RingSpec, prefer: str = "auto", beta: int | None = None,
             )
         choice = "bigprime" if prefer == "auto" else prefer
         b = beta if beta is not None else 0
-        bound = bigmod.required_bound(n, q, prof)
         order = root_order(ring.form, n, b)
         if choice == "bigprime":
             _refuse("bigprime", alpha=alpha, basis=basis)
@@ -341,10 +336,7 @@ def _search_basis(order: int, bound: int) -> bigmod.RnsBasis:
 
 def _good_target(n2: int):
     """Smallest 3*2^k >= n2 (Good's shape with h=3)."""
-    k = 0
-    while 3 << k < n2:
-        k += 1
-    return 3, k
+    return 3, (-(-n2 // 3) - 1).bit_length()
 
 
 def _default_chain(ring: RingSpec, cls: RingClass, prefer: str, N):
@@ -372,17 +364,17 @@ def _default_chain(ring: RingSpec, cls: RingClass, prefer: str, N):
     raise NoStrategy(f"preference {prefer!r} does not apply to {cls.describe()}")
 
 
-def _resolve_chain(ring: RingSpec, chain, prof):
-    """Fill in a searched modulus (lift(None), 1 mod the chain's congruence)
-    and the basis of primes below 2^31 that runs in place of one >= 2^31."""
+def _resolve_chain(ring: RingSpec, chain, bound: int):
+    """Fill in a searched modulus (lift(None), 1 mod the chain's congruence,
+    above the profile ``bound``) and the basis of primes below 2^31 that
+    runs in place of one >= 2^31."""
     if not isinstance(chain, embed.EmbedChain):
         chain = embed.EmbedChain(tuple(chain))
     s = chain.lift
     if s is None or s.basis or s.modulus == ring.q or s.modulus is not None and vectorized(s.modulus):
         return chain
-    cong, bound = chain.congruence, bigmod.required_bound(ring.n, ring.q, prof)
-    N = s.modulus if s.modulus is not None else search_prime(cong, bound)
-    lift = embed.LiftModulus(N, () if vectorized(N) else search_basis(cong, bound))
+    N = s.modulus if s.modulus is not None else search_prime(chain.congruence, bound)
+    lift = embed.LiftModulus(N, () if vectorized(N) else search_basis(chain.congruence, bound))
     return embed.EmbedChain(tuple(lift if t is s else t for t in chain.steps))
 
 
@@ -466,26 +458,23 @@ def preset(name: str):
     if e is None:
         raise UnknownPreset(f"unknown preset {name!r}; known: {', '.join(preset_names())}")
     ring = RingSpec(e["form"], e["n"], e["q"])
-    prof = tuple(e["profile"]) if "profile" in e else (bigmod.FULL_FULL,)
-    sample_b = tuple(e["sample_b"]) if "sample_b" in e else ("uniform",)
     try:
         prefer, keys = _PRESET_ROUTES[e["strategy"]]
         kw = {k: e[k] for k in keys}
+        if "profile" in e:
+            kw["profile"] = e["profile"]
         if "chain" in kw:
             kw["chain"] = [_CHAIN_STEPS[st[0]](*st[1:]) for st in kw["chain"]]
     except KeyError as exc:
         raise UnknownPreset(f"preset {name!r}: unknown or missing {exc.args[0]!r}") from None
-    return ring, make_plan(ring, prefer, allow_bigmod=True, profile=prof, sample_b=sample_b, **kw)
+    return ring, make_plan(ring, prefer, allow_bigmod=True, **kw)
 
 
 def sample_operands(ring: RingSpec, plan: NttPlan, rng):
-    """(a, b) drawn per the plan's operand profile."""
-    a = Poly.random(ring, rng)
-    if plan.sample_b[0] == "small":
-        b = Poly.random_small(ring, rng, int(plan.sample_b[1]))
-    else:
-        b = Poly.random(ring, rng)
-    return a, b
+    """(a, b) drawn per the plan's operand profile: a uniform, and b
+    uniform under full*full or small (``bigmod.small_bound``) otherwise."""
+    a, bound = Poly.random(ring, rng), bigmod.small_bound(plan.profile)
+    return a, Poly.random(ring, rng) if bound is None else Poly.random_small(ring, rng, bound)
 
 
 # ---------------------------------------------------------------------------

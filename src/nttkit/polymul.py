@@ -598,7 +598,6 @@ def ntt_multiply(a: Poly, b: Poly, pair: TransformPair, use_karatsuba=False) -> 
     """forward(a) o forward(b), leaf products, inverse; exact in the ring."""
     if a.ring != pair.ring or b.ring != pair.ring:
         raise RingMismatch("operands do not live in the pair's ring")
-    n = pair.ring.n
     C = pair.product(transforms.buffer((a.array, b.array), pair.ring.q), use_karatsuba)
-    return Poly(C if len(C) == n else np.concatenate((C, np.zeros(n - len(C), dtype=C.dtype))), pair.ring)
+    return Poly(fold_mod_phi(C, pair.ring), pair.ring)
 

@@ -43,18 +43,22 @@ def _small_ring(parent: RingSpec, alpha: int) -> RingSpec:
     return RingSpec(parent.form, parent.n >> alpha, parent.q)
 
 
+KARATSUBA_ALPHA_MAX = 7  # its combine matrix: 16.8 MB of int64, 134 MB at alpha = 8
+
+
 @lru_cache(maxsize=None)
 def _cross_layout(step: int) -> tuple:
-    """Read-only integer matrices of ``step`` parts, pairs i < j: [A; B] to
-    [A; A_i + A_j; B; B_i + B_j]; the diagonal and pair products to the sums
-    by degree (each pair product less both diagonals); and the gather of
-    A_0 .. A_(step-1), y A_1 .. y A_(step-1) into the plain sums."""
-    d, (i, j), eye = np.arange(step), np.triu_indices(step, 1), np.eye(step, dtype=int)
-    kara = np.eye(step + len(i), dtype=int)
-    kara[step:, :step] -= eye[i] + eye[j]
-    by_degree = (np.arange(2 * step - 1)[:, None] == np.concatenate((2 * d, i + j))).astype(int)
-    sums = np.kron(np.eye(2, dtype=int), np.vstack((eye, eye[i] + eye[j])))
-    return tuple(map(transforms.read_only, (sums, by_degree @ kara, (d[:, None] - d) % (2 * step - 1))))
+    """Read-only arrays of ``step`` parts, pairs i < j: the gather of A and
+    of each A_i, and the j of the A_j added to it; the diagonal and pair
+    products to the sums by degree, each pair product less both diagonals
+    (diagonal d: 2 at degree 2d, -1 at each d + e, e < step); and the
+    gather of A_0 .. A_(step-1), y A_1 .. y A_(step-1) into the plain sums."""
+    d, (i, j) = np.arange(step), np.triu_indices(step, 1)
+    deg = np.arange(2 * step - 1)[:, None]
+    e = deg - d
+    combine = np.hstack((2 * (e == d) - ((0 <= e) & (e < step)), deg == i + j)).astype(int)
+    return tuple(map(transforms.read_only,
+                     (np.concatenate((d, i)), j, combine, (d[:, None] - d) % (2 * step - 1))))
 
 
 def _split_product(X, alpha, inner, karatsuba_cross, karatsuba_leaf) -> np.ndarray:
@@ -64,17 +68,21 @@ def _split_product(X, alpha, inner, karatsuba_cross, karatsuba_leaf) -> np.ndarr
     batch, the cross sums are array arithmetic over it, and the 2^alpha
     parts of the product come back as one batch."""
     step, q, L = 1 << alpha, inner.ring.q, 1 << inner.beta
-    pair_sums, combine, shifted = _cross_layout(step)
+    gather, j, combine, shifted = _cross_layout(step)
     parts = X.reshape(2, -1, step).transpose(0, 2, 1).reshape(2 * step, -1)
     X = transforms.ntt_forward(parts, inner.fwd_tw, inner.fwd_spec)
     if karatsuba_cross:
         # S_d = sum_{l+k=d} A_l o B_k from the diagonal and one Karatsuba
         # product per pair, in one pass; part i of the product is S_i + y S_(step+i)
-        Z, h = pair_sums @ X % q, combine.shape[1]
-        S = combine @ polymul.pointwise_rows(Z[:h], Z[h:], L, inner.leaf_vector, q, karatsuba_leaf) % q
+        Xs = X.reshape(2, step, -1)
+        Z = Xs[:, gather]  # [A; A_i] and [B; B_i], then the pair sums in place
+        pairs, h = Z[:, step:], Z.shape[1]
+        pairs += Xs[:, j]
+        pairs %= q
+        S = combine @ polymul.pointwise_rows(Z[0], Z[1], L, inner.leaf_vector, q, karatsuba_leaf) % q
         ctr = modarith.active_counter()
         if ctr is not None:  # the pair sums, two subs per pair product, the sums by degree
-            ctr.adds += (len(Z) - len(X) + h - len(S)) * S.shape[1]
+            ctr.adds += (2 * (h - step) + h - len(S)) * S.shape[1]
             ctr.subs += 2 * (h - step) * S.shape[1]
         S[: step - 1] = transforms.mod_op(np.add, S[: step - 1], inner.times_y(S[step:], karatsuba_leaf),
                                           q, "adds")
@@ -93,6 +101,8 @@ class SplitExecutor(bigmod.LiftedExecutor):
     def __init__(self, ring: RingSpec, alpha: int, beta: int, karatsuba_cross: bool,
                  karatsuba_leaf: bool):
         polymul.check_pair_ring(_small_ring(ring, alpha), beta)
+        if karatsuba_cross and alpha > KARATSUBA_ALPHA_MAX:
+            raise BadAlpha(f"a Karatsuba cross splits at most {KARATSUBA_ALPHA_MAX} times, not {alpha}")
         super().__init__(ring, ring.q)
         self.alpha, self.beta = alpha, beta
         self.karatsuba = (karatsuba_cross, karatsuba_leaf)

@@ -45,9 +45,12 @@ def test_required_bound_values():
 @pytest.mark.parametrize("profile", [
     ("full*other",), (), ("full*full", 2), ("full*small",), ("full*small", 2, 3),
     ("matvec",), ("matvec", 3), ("matvec", 3, 8, 1), ("matvec", "3", 8),
+    ("full*small", 0), ("full*small", -2), ("matvec", 0, 8), ("matvec", 3, -8),
+    None, 7, "full*full",
 ])
 def test_malformed_profiles_raise_typed_errors(profile):
-    # unknown kinds, wrong arity for each kind and non-integer parameters
+    # unknown kinds, wrong arity for each kind, non-integer or non-positive
+    # parameters, and a profile that is no tuple or list
     with pytest.raises(ParameterCondition, match="profile"):
         required_bound(256, 8192, profile)
     with pytest.raises(ParameterCondition, match="profile"):
@@ -579,8 +582,8 @@ def _extremes(ring: RingSpec, plan) -> list:
     q, n = ring.q, ring.n
     lo, hi = q // 2, (q + 1) // 2
     tops = [[lo] * n, [hi] * n, [lo, hi] * (n // 2) + [lo] * (n % 2)]
-    if plan.sample_b[0] == "small":
-        B = int(plan.sample_b[1])
+    B = bigmod.small_bound(plan.profile)
+    if B is not None:
         others = [[B] * n, [q - B] * n, [B, q - B] * (n // 2) + [B] * (n % 2)]
     else:
         others = tops
@@ -636,15 +639,14 @@ LIFTED_BLOCK_CHAINS = {
 }
 
 
-@pytest.mark.parametrize("profile, sample_b", [((FULL_FULL,), ("uniform",)), ((FULL_SMALL, 2), ("small", 1))],
-                         ids=["full", "small"])
+@pytest.mark.parametrize("profile", [(FULL_FULL,), (FULL_SMALL, 2)], ids=["full", "small"])
 @pytest.mark.parametrize("name", LIFTED_BLOCK_CHAINS)
-def test_lifted_block_terminal_lifts_only_the_source(name, profile, sample_b, monkeypatch):
+def test_lifted_block_terminal_lifts_only_the_source(name, profile, monkeypatch):
     # a lifted block terminal lifts one (2, n) stack of the source prefix,
     # not the pad, so operands at the centered extremes of the profile pass
     # the operand check on its full length: no effective length is read
     ring = RingSpec(XN_MINUS_X_MINUS_1, 23, 4591)
-    plan = make_plan(ring, chain=LIFTED_BLOCK_CHAINS[name], profile=profile, sample_b=sample_b)
+    plan = make_plan(ring, chain=LIFTED_BLOCK_CHAINS[name], profile=profile)
     terminal = plan.executor
     assert isinstance(terminal, embed.BlockExecutor) and terminal.N != ring.q
     lifts, real_lift = [], bigmod.lift_centered

@@ -511,6 +511,54 @@ def test_preset_unknown_strategy_or_chain_tag(monkeypatch):
         preset("kyber-warp")
 
 
+class _ReadEntry(dict):
+    """A registry entry that records the keys read from it."""
+
+    def __init__(self, entry):
+        super().__init__(entry)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _unread_keys(monkeypatch, name: str, entry: dict) -> set:
+    """The keys of ``entry`` that ``preset`` does not read, planned as ``name``."""
+    recorded = _ReadEntry(entry)
+    monkeypatch.setitem(planner._registry(), name, recorded)
+    preset(name)
+    return set(entry) - recorded.read
+
+
+def test_registry_entries_use_only_keys_preset_reads(monkeypatch):
+    # a key that planning ignores (a stale or misspelt one) fails here
+    registry = planner._registry()
+    assert {name: _unread_keys(monkeypatch, name, registry[name]) for name in preset_names()} \
+        == {name: set() for name in preset_names()}
+    saber = registry["saber-m4"]
+    assert _unread_keys(monkeypatch, "stale", dict(saber, sample_b=["small", 4])) == {"sample_b"}
+    assert _unread_keys(monkeypatch, "typo", dict(saber, bata=2)) == {"bata"}
+
+
+@pytest.mark.parametrize("profile", [(bigmod.FULL_FULL,), (bigmod.FULL_SMALL, 2), (bigmod.MATVEC, 3, 8)])
+def test_sample_operands_draw_from_the_profile(profile, rng):
+    # b is uniform under full*full and at most mu // 2 in magnitude under
+    # a small profile, so a sampled product always fits the sized modulus
+    ring = RingSpec(XN_PLUS_1, 256, 8192)
+    plan = make_plan(ring, "bigprime", allow_bigmod=True, profile=profile)
+    bound = bigmod.small_bound(profile)
+    for _ in range(3):
+        a, b = sample_operands(ring, plan, rng)
+        top = np.abs(bigmod.lift_centered(a.array, b.array, ring.q)).max(axis=1)
+        assert top[0] > ring.q // 4 and (top[1] > ring.q // 4 if bound is None else top[1] <= bound)
+        assert multiply(a, b, plan) == oracle_multiply(a, b)
+
+
 # every name through which a plan could build a table or search a root
 TABLE_BUILDERS = (
     (polymul, "make_transform_pair"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nttkit import modarith, polymul, transforms
+from nttkit import modarith, planner, polymul, splitting, transforms
 from nttkit.errors import BadAlpha, ParameterCondition
 from nttkit.modarith import OpCounter
 from nttkit.polymul import make_transform_pair, ntt_multiply, oracle_multiply
@@ -165,3 +165,18 @@ def test_split_route_tallies(rng):
         with modarith.counting() as c:
             assert run() == want
         assert c == tally
+
+
+@pytest.mark.parametrize("alpha", [7, 8])
+@pytest.mark.parametrize("prefer", ["split-pt", "split-k", "hntt"])
+def test_deep_splits_match_the_oracle_or_are_refused(prefer, alpha, rng):
+    # a Karatsuba cross past its limit is refused when the plan is made
+    # (its combine matrix would hold 134 MB at alpha = 8); the plain cross
+    # and every split within the limit equal the oracle
+    if prefer != "split-pt" and alpha > splitting.KARATSUBA_ALPHA_MAX:
+        with pytest.raises(BadAlpha):
+            planner.make_plan(KYBER, prefer, alpha=alpha)
+        return
+    plan = planner.make_plan(KYBER, prefer, alpha=alpha)
+    a, b = Poly.random(KYBER, rng), Poly.random(KYBER, rng)
+    assert planner.multiply(a, b, plan) == oracle_multiply(a, b)

@@ -68,6 +68,11 @@ expect(lambda: embed.general_phi_multiply(
     z9, z9, embed.EmbedChain((embed.ZeroPad(64), embed.LiftModulus(None), embed.PlainNtt(0)))))
 # a route refuses a parameter it does not take
 expect(lambda: planner.make_plan(RingSpec(XN_PLUS_1, 8, 17), "full", beta=1))
+# every route reads its operand profile, the unlifted ones too: full,
+# hntt, trinomial and an unlifted Schonhage chain refuse a malformed one
+for route in ((RingSpec(XN_PLUS_1, 8, 17), "full"), (RingSpec(XN_PLUS_1, 8, 17), "hntt"),
+              (RingSpec(TRINOMIAL, 48, 7681), "trinomial"), (ring9, "schonhage")):
+    expect(lambda: planner.make_plan(*route, profile=("bogus", 7)))
 # a bare working buffer must have the modulus's dtype
 pair = polymul.make_transform_pair(RingSpec(XN_PLUS_1, 8, 17), 0)
 expect(lambda: transforms.ntt_forward(np.zeros(8), pair.fwd_tw, pair.fwd_spec))
@@ -96,6 +101,10 @@ def test_checks_raise_typed_errors_under_python_O():
         "RingMismatch",
         "RingMismatch",
         "ChainMismatch",
+        "ParameterCondition",
+        "ParameterCondition",
+        "ParameterCondition",
+        "ParameterCondition",
         "ParameterCondition",
         "ParameterCondition",
         "ParameterCondition",
